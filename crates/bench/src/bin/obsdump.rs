@@ -4,9 +4,7 @@
 //! stdout. See EXPERIMENTS.md § "Profiling a run".
 //!
 //! Usage: `cargo run --release -p okbench --bin obsdump [--out PATH]
-//! [--ranks P] [--iters N] [--engine thread|event]`
-
-use simnet::Engine;
+//! [--ranks P] [--iters N]`
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -16,13 +14,8 @@ fn main() {
     let out = flag("--out").unwrap_or("target/obsdump-trace.json").to_string();
     let ranks: usize = flag("--ranks").map_or(4, |v| v.parse().expect("--ranks wants a number"));
     let iters: usize = flag("--iters").map_or(6, |v| v.parse().expect("--iters wants a number"));
-    let engine = match flag("--engine") {
-        Some("event") => Engine::Event,
-        Some("thread") | None => Engine::Thread,
-        Some(other) => panic!("--engine wants thread|event, got {other:?}"),
-    };
 
-    let dump = okbench::obsdump::run(ranks, iters, engine);
+    let dump = okbench::obsdump::run(ranks, iters);
     if let Some(dir) = std::path::Path::new(&out).parent() {
         std::fs::create_dir_all(dir).expect("create output directory");
     }

@@ -5,27 +5,21 @@
 //! gTopk and dense allreduce — fit in one address space with a bounded set of
 //! runnable ranks. This harness:
 //!
-//! - sweeps P ∈ {32, 128, 512, 1024, 2048} × {Dense, gTopk, Ok-Topk} on the
-//!   event engine, recording modeled makespan, wall time and peak RSS;
-//! - cross-checks the thread engine at small P: same seed ⇒ bit-identical
-//!   makespan and update checksum (the differential-oracle guarantee);
-//! - head-to-heads the two engines' wall time where both are comfortable;
-//! - with `--gate`, asserts the event engine completes Ok-Topk at P=1024
-//!   within a wall/memory budget, holds the PR 9 headline at P=2048 (≥1.5x
-//!   over the BENCH_PR7 baseline, with the handoff fast path carrying
-//!   grants), and probes the thread engine at P=1024 in a subprocess capped
-//!   at 1.25× the event engine's measured wall — demonstrating (and
-//!   recording) that the budget is only reachable with virtual-time
-//!   scheduling. All legs are hard failures; the thread probe skips cleanly
-//!   on hosts that cannot spawn that many OS threads.
+//! - sweeps P ∈ {32, 128, 512, 1024, 2048} × {Dense, gTopk, Ok-Topk},
+//!   recording modeled makespan, wall time and peak RSS;
+//! - cross-checks the thread-engine oracle at P=32: same seed ⇒ bit-identical
+//!   makespan and update checksum;
+//! - with `--gate`, asserts Ok-Topk at P=1024 completes within a wall/memory
+//!   budget and holds the PR 9 headline at P=2048 (≥1.5x over the BENCH_PR7
+//!   baseline, with direct handoff carrying grants). All legs are hard
+//!   failures.
 //!
-//! Every row also records the scheduler's fast-path counters (parks per rank
-//! per step, handoff rate, spin hits, elided parks) so regressions in the
-//! dispatch path show up next to the wall time they cause.
+//! Every row also records the scheduler's counters (parks per rank per step,
+//! handoff rate, spin hits, elided parks) so regressions in the dispatch path
+//! show up next to the wall time they cause.
 //!
 //! Usage: `cargo run --release -p okbench --bin scale [-- --quick] [--gate]
-//! [--out PATH]`. Internal: `--probe <thread|event> <P>` runs one Ok-Topk
-//! cell and exits (the gate's subprocess target).
+//! [--out PATH]`.
 
 use simnet::{Cluster, Comm, Engine};
 use std::time::{Duration, Instant};
@@ -39,21 +33,16 @@ const STACK_BYTES: usize = 1 << 20;
 
 const SCHEMES: [Scheme; 3] = [Scheme::Dense, Scheme::GTopk, Scheme::OkTopk];
 
-/// Gate budgets for Ok-Topk at P=1024 on the event engine. Calibrated on a
-/// single-core CI-class host: the event engine measures ~4 s wall / ~0.4 GiB
-/// peak on the fast dispatch path, the thread engine ~22 s (and past P=2048
-/// the thread engine does not finish inside 180 s at all). The event budgets
-/// are absolute with generous headroom; the thread probe's cap is *relative*
-/// — 1.25× the event engine's measured wall — so the "thread cannot keep up"
-/// assertion tracks host speed instead of hard-coding this machine's.
+/// Gate budgets for Ok-Topk at P=1024. Calibrated on a single-core CI-class
+/// host, which measures ~4 s wall / ~0.4 GiB peak; the budgets are absolute
+/// with generous headroom.
 const GATE_P: usize = 1024;
 const GATE_WALL_BUDGET: Duration = Duration::from_secs(60);
 const GATE_MEM_BUDGET_KB: u64 = 4 * 1024 * 1024; // 4 GiB peak RSS
-const GATE_PROBE_FACTOR: f64 = 1.25;
 
-/// PR 9 headline leg: Ok-Topk at P=2048 on the event engine. The PR 7
-/// baseline recorded ~46.2 s there (`BENCH_PR7.json`); the scheduler fast
-/// paths bring it to ~22 s on the same host. The budget asserts at least the
+/// PR 9 headline leg: Ok-Topk at P=2048. The PR 7 baseline recorded ~46.2 s
+/// there (`BENCH_PR7.json`); direct handoff, cohort wakeups and adaptive spin
+/// bring it to ~22 s on the same host. The budget asserts at least the
 /// claimed 1.5x over that baseline (46.2 / 1.5 ≈ 30.8 s) with headroom over
 /// the measured wall for CI noise.
 const HEADLINE_P: usize = 2048;
@@ -72,8 +61,7 @@ fn grad(rank: usize, iter: usize) -> Vec<f32> {
 }
 
 /// Scheduler counters pulled from one cell's metrics snapshot. All zero on
-/// the thread engine (the event scheduler is the only emitter) and on the
-/// classic dispatch path (which never attempts a handoff).
+/// the thread engine (the event scheduler is the only emitter).
 #[derive(Clone, Copy, Default)]
 struct SchedStats {
     parks: u64,
@@ -179,7 +167,6 @@ fn proc_status_kb(key: &str) -> u64 {
 struct Row {
     scheme: Scheme,
     p: usize,
-    engine: Engine,
     makespan: f64,
     checksum: u64,
     wall: Duration,
@@ -188,12 +175,11 @@ struct Row {
     sched: SchedStats,
 }
 
-fn sweep_cell(scheme: Scheme, p: usize, engine: Engine) -> Row {
-    let (makespan, checksum, wall, sched) = run_cell(scheme, p, engine);
+fn sweep_cell(scheme: Scheme, p: usize) -> Row {
+    let (makespan, checksum, wall, sched) = run_cell(scheme, p, Engine::default());
     Row {
         scheme,
         p,
-        engine,
         makespan,
         checksum,
         wall,
@@ -203,22 +189,13 @@ fn sweep_cell(scheme: Scheme, p: usize, engine: Engine) -> Row {
     }
 }
 
-fn engine_name(e: Engine) -> &'static str {
-    match e {
-        Engine::Thread => "thread",
-        Engine::Event => "event",
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn write_json(
     path: &str,
     header: &okbench::Header,
     sizes: &[usize],
     rows: &[Row],
     parity_ok: bool,
-    head_to_head: &[(usize, Duration, Duration)],
-    probe: Option<&ProbeOutcome>,
+    gate: Option<(&Row, &Row)>,
 ) {
     let mut out = String::new();
     out.push_str("{\n");
@@ -232,30 +209,16 @@ fn write_json(
         sizes.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(", ")
     ));
     out.push_str(&format!("  \"cross_engine_parity_p32\": {parity_ok},\n"));
-    out.push_str("  \"head_to_head_wall_ms\": [\n");
-    for (i, (p, thread, event)) in head_to_head.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"p\": {p}, \"thread_ms\": {:.1}, \"event_ms\": {:.1}}}{}\n",
-            thread.as_secs_f64() * 1e3,
-            event.as_secs_f64() * 1e3,
-            if i + 1 < head_to_head.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    if let Some(probe) = probe {
+    if let Some((gate_row, headline_row)) = gate {
         out.push_str("  \"gate\": {\n");
         out.push_str(&format!("    \"p\": {GATE_P},\n"));
         out.push_str(&format!("    \"wall_budget_ms\": {},\n", GATE_WALL_BUDGET.as_millis()));
         out.push_str(&format!("    \"mem_budget_kb\": {GATE_MEM_BUDGET_KB},\n"));
         out.push_str(&format!(
             "    \"event_wall_ms\": {:.1},\n",
-            probe.event_wall.as_secs_f64() * 1e3
+            gate_row.wall.as_secs_f64() * 1e3
         ));
-        out.push_str(&format!("    \"event_vm_hwm_kb\": {},\n", probe.event_hwm_kb));
-        out.push_str(&format!(
-            "    \"thread_probe\": \"{}\",\n",
-            probe.thread_outcome.replace('"', "'")
-        ));
+        out.push_str(&format!("    \"event_vm_hwm_kb\": {},\n", gate_row.vm_hwm_kb));
         out.push_str(&format!("    \"headline_p\": {HEADLINE_P},\n"));
         out.push_str(&format!(
             "    \"headline_wall_budget_ms\": {},\n",
@@ -263,12 +226,12 @@ fn write_json(
         ));
         out.push_str(&format!(
             "    \"headline_wall_ms\": {:.1},\n",
-            probe.headline_wall.as_secs_f64() * 1e3
+            headline_row.wall.as_secs_f64() * 1e3
         ));
         out.push_str(&format!("    \"baseline_pr7_wall_ms\": {BASELINE_PR7_MS},\n"));
         out.push_str(&format!(
             "    \"speedup_vs_pr7\": {:.2}\n",
-            BASELINE_PR7_MS / (probe.headline_wall.as_secs_f64() * 1e3)
+            BASELINE_PR7_MS / (headline_row.wall.as_secs_f64() * 1e3)
         ));
         out.push_str("  },\n");
     }
@@ -295,7 +258,7 @@ fn write_json(
              \"handoff_hit\": {}, \"spin_hit\": {}, \"park_elided\": {}}}{}\n",
             r.scheme.name(),
             r.p,
-            engine_name(r.engine),
+            okbench::Header::engine_name(),
             r.makespan,
             r.checksum,
             r.wall.as_secs_f64() * 1e3,
@@ -314,91 +277,8 @@ fn write_json(
     std::fs::write(path, out).expect("write bench json");
 }
 
-struct ProbeOutcome {
-    event_wall: Duration,
-    event_hwm_kb: u64,
-    thread_outcome: String,
-    headline_wall: Duration,
-}
-
-/// Run `--probe <engine> <P>` in a child process with a wall cap. Returns a
-/// human-readable outcome string ("completed in …" / "killed after …" /
-/// "skipped: …"). The skip case covers hosts whose thread limits are too low
-/// to even spawn P OS threads: the thread engine panics with "failed to spawn
-/// rank thread", which we detect on the child's stderr and report as a clean
-/// skip rather than an abnormal exit — such a host proves the thread engine
-/// cannot run at this P, it just cannot quantify by how much.
-fn probe_subprocess(engine: Engine, p: usize, cap: Duration) -> String {
-    use std::io::Read;
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => return format!("probe unavailable: {e}"),
-    };
-    let start = Instant::now();
-    let mut child = match std::process::Command::new(exe)
-        .args(["--probe", engine_name(engine), &p.to_string()])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-    {
-        Ok(c) => c,
-        Err(e) => return format!("probe spawn failed: {e}"),
-    };
-    // Drain stderr on a helper thread so a chatty child can't fill the pipe
-    // and deadlock against our try_wait loop.
-    let mut stderr = child.stderr.take().expect("probe child stderr is piped");
-    let drain = std::thread::spawn(move || {
-        let mut buf = String::new();
-        let _ = stderr.read_to_string(&mut buf);
-        buf
-    });
-    loop {
-        match child.try_wait() {
-            Ok(Some(status)) if status.success() => {
-                return format!("completed in {:.1}s", start.elapsed().as_secs_f64());
-            }
-            Ok(Some(status)) => {
-                let err = drain.join().unwrap_or_default();
-                if err.contains("failed to spawn rank thread") {
-                    return format!("skipped: host cannot spawn {p} OS threads");
-                }
-                return format!("exited abnormally: {status}");
-            }
-            Ok(None) => {
-                if start.elapsed() > cap {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return format!(
-                        "killed after exceeding the {:.0}s wall cap",
-                        cap.as_secs_f64()
-                    );
-                }
-                std::thread::sleep(Duration::from_millis(100));
-            }
-            Err(e) => return format!("probe wait failed: {e}"),
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // Internal subprocess mode: one cell, then exit.
-    if let Some(i) = args.iter().position(|a| a == "--probe") {
-        let engine = match args.get(i + 1).map(String::as_str) {
-            Some("thread") => Engine::Thread,
-            Some("event") => Engine::Event,
-            other => panic!("--probe needs thread|event, got {other:?}"),
-        };
-        let p: usize = args.get(i + 2).and_then(|v| v.parse().ok()).expect("--probe needs P");
-        let (makespan, checksum, wall, _) = run_cell(Scheme::OkTopk, p, engine);
-        println!(
-            "probe {} p={p}: makespan {makespan:.6e}s checksum {checksum:016x} wall {:.1}s",
-            engine_name(engine),
-            wall.as_secs_f64()
-        );
-        return;
-    }
 
     let quick = args.iter().any(|a| a == "--quick");
     let run_gate = args.iter().any(|a| a == "--gate");
@@ -437,29 +317,15 @@ fn main() {
     }
     eprintln!("  parity p=32 across engines: {}", if parity_ok { "ok" } else { "FAIL" });
 
-    // Head-to-head wall time where the thread engine is still comfortable.
-    let mut head_to_head = Vec::new();
-    for &p in &[32usize, 128] {
-        let (_, _, wall_t, _) = run_cell(Scheme::OkTopk, p, Engine::Thread);
-        let (_, _, wall_e, _) = run_cell(Scheme::OkTopk, p, Engine::Event);
-        eprintln!(
-            "  head-to-head p={p}: thread {:.0} ms, event {:.0} ms",
-            wall_t.as_secs_f64() * 1e3,
-            wall_e.as_secs_f64() * 1e3
-        );
-        head_to_head.push((p, wall_t, wall_e));
-    }
-
-    // The sweep itself: event engine only past small P.
     let mut rows = Vec::new();
     for &p in sizes {
         for scheme in SCHEMES {
             if run_gate && p != 32 && scheme != Scheme::OkTopk {
                 continue;
             }
-            let row = sweep_cell(scheme, p, Engine::Event);
+            let row = sweep_cell(scheme, p);
             eprintln!(
-                "  p={:<5} {:<8} event: makespan {:>10.4e}s wall {:>7.0} ms rss {:>7} KiB (peak {} KiB) \
+                "  p={:<5} {:<8} makespan {:>10.4e}s wall {:>7.0} ms rss {:>7} KiB (peak {} KiB) \
                  parks/rank/step {:>6.2} handoff {:>5.1}%",
                 row.p,
                 row.scheme.name(),
@@ -474,10 +340,8 @@ fn main() {
         }
     }
 
-    // Gate: the event engine must fit the budget at P=1024; the thread engine
-    // is probed under the same wall cap in a subprocess (so a hang or a
-    // thrashing scheduler cannot wedge the gate itself).
-    let mut probe = None;
+    // Gate: Ok-Topk must fit the budget at P=1024 and hold the P=2048 headline.
+    let mut gate = None;
     if run_gate {
         let gate_row = rows
             .iter()
@@ -497,8 +361,8 @@ fn main() {
             ));
         }
         // PR 9 headline: Ok-Topk at P=2048 must land inside the tightened
-        // budget (≥1.5x over the BENCH_PR7 baseline), and the handoff fast
-        // path must actually carry the grants.
+        // budget (≥1.5x over the BENCH_PR7 baseline), and direct handoff must
+        // actually carry the grants.
         let headline_row = rows
             .iter()
             .find(|r| r.p == HEADLINE_P && r.scheme == Scheme::OkTopk)
@@ -514,8 +378,8 @@ fn main() {
         }
         if headline_row.sched.handoff_rate() <= 0.0 {
             failures.push(format!(
-                "scheduler handoff rate is zero at P={HEADLINE_P}; the direct-handoff fast path \
-                 is not carrying grants (SIMNET_SCHED=classic in the environment?)"
+                "scheduler handoff rate is zero at P={HEADLINE_P}: direct handoff is not \
+                 carrying grants (or `engine.handoff_hit`/`handoff_miss` stopped being recorded)"
             ));
         }
         eprintln!(
@@ -525,28 +389,10 @@ fn main() {
             BASELINE_PR7_MS / (headline_row.wall.as_secs_f64() * 1e3),
             BASELINE_PR7_MS / 1e3
         );
-        let cap =
-            Duration::from_secs_f64((gate_row.wall.as_secs_f64() * GATE_PROBE_FACTOR).max(5.0));
-        let thread_outcome = probe_subprocess(Engine::Thread, GATE_P, cap);
-        eprintln!(
-            "  thread-engine probe at p={GATE_P} (cap {:.1}s = {GATE_PROBE_FACTOR}x event wall): {thread_outcome}",
-            cap.as_secs_f64()
-        );
-        if thread_outcome.starts_with("completed") {
-            failures.push(format!(
-                "thread engine matched the event engine at P={GATE_P} ({thread_outcome}); \
-                 the virtual-time scheduler should be the only engine inside the budget"
-            ));
-        }
-        probe = Some(ProbeOutcome {
-            event_wall: gate_row.wall,
-            event_hwm_kb: gate_row.vm_hwm_kb,
-            thread_outcome,
-            headline_wall: headline_row.wall,
-        });
+        gate = Some((gate_row, headline_row));
     }
 
-    write_json(&out_path, &header, sizes, &rows, parity_ok, &head_to_head, probe.as_ref());
+    write_json(&out_path, &header, sizes, &rows, parity_ok, gate);
     eprintln!("wrote {out_path}");
 
     if !failures.is_empty() {

@@ -94,9 +94,10 @@ impl Header {
             .unwrap_or(0)
     }
 
-    /// The engine harness runs default to (`SIMNET_ENGINE`, else thread).
+    /// The engine the rows below the header ran on: the cluster default, which
+    /// no harness overrides for a row it reports.
     pub fn engine_name() -> &'static str {
-        match simnet::Engine::from_env() {
+        match simnet::Engine::default() {
             simnet::Engine::Thread => "thread",
             simnet::Engine::Event => "event",
         }
@@ -171,13 +172,6 @@ where
         for &scheme in schemes {
             let mut cfg = *base;
             cfg.scheme = scheme;
-            // One OS thread per rank stops being viable well before the weak-
-            // scaling sweeps top out; above 64 ranks default to the event
-            // engine (bit-identical results, bounded workers) unless the
-            // caller pinned an engine explicitly.
-            if cfg.engine.is_none() && p > 64 {
-                cfg.engine = Some(simnet::Engine::Event);
-            }
             let res = run_data_parallel(p, &cfg, &make_model, &make_batch, &[]);
             let (c, s, m) = res.mean_breakdown(warmup);
             print_breakdown_row(scheme, c, s, m);
@@ -202,8 +196,7 @@ pub fn paper_axis() -> Vec<usize> {
 }
 
 /// Paper-scale weak-scaling axis shared by Figs. 8, 10 and 12 (`--paper-axis`):
-/// sweep the figure's model over [`paper_axis`] on `Engine::Event` with the
-/// scheduler fast paths carrying the grants. The scheme set is the scalable
+/// sweep the figure's model over [`paper_axis`]. The scheme set is the scalable
 /// trio {Dense, gTopk, Ok-Topk} — the allgather-based baselines' host cost is
 /// Θ(P²·k) and stops being simulable long before 4096, which is itself the
 /// paper's point. At the top P the Ok-Topk cell is re-run under one chaos
@@ -239,7 +232,6 @@ where
             let mut cfg = *base;
             cfg.scheme = scheme;
             cfg.iters = iters;
-            cfg.engine = Some(simnet::Engine::Event);
             cfg.stack_bytes = Some(1 << 20);
             let wall = std::time::Instant::now();
             let res = run_data_parallel_chaos(p, &cfg, None, &make_model, &make_batch, &[]);
@@ -253,7 +245,7 @@ where
             out.push((p, scheme, false, c + s + m));
         }
     }
-    // One chaos configuration at the top P: the fast paths must hold their
+    // One chaos configuration at the top P: the scheduler must hold its
     // schedule (and the run must complete) when timing is perturbed.
     let p_top = *ps.last().expect("non-empty axis");
     let plan = simnet::ChaosPlan::new(9)
@@ -263,7 +255,6 @@ where
     let mut cfg = *base;
     cfg.scheme = Scheme::OkTopk;
     cfg.iters = iters;
-    cfg.engine = Some(simnet::Engine::Event);
     cfg.stack_bytes = Some(1 << 20);
     let wall = std::time::Instant::now();
     let res = run_data_parallel_chaos(p_top, &cfg, Some(plan), &make_model, &make_batch, &[]);

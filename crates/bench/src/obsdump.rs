@@ -3,7 +3,7 @@
 //! a text metrics summary. The logic lives in the library so the schema test
 //! can run it without shelling out to the binary.
 
-use simnet::{export_chrome, Engine};
+use simnet::export_chrome;
 use train::{run_data_parallel, OptimizerKind, RunResult, Scheme, TrainConfig};
 
 /// Everything one profiling run produces.
@@ -20,7 +20,7 @@ pub struct Dump {
 /// profiling and return the exported artifacts. Observability is forced on
 /// for the run via [`obs::set_enabled`], honoring an explicit
 /// `OKTOPK_OBS=off` would defeat the point of a profiling command.
-pub fn run(p: usize, iters: usize, engine: Engine) -> Dump {
+pub fn run(p: usize, iters: usize) -> Dump {
     use dnn::data::SyntheticImages;
     use dnn::models::VggLite;
 
@@ -31,7 +31,6 @@ pub fn run(p: usize, iters: usize, engine: Engine) -> Dump {
     cfg.tau = 4;
     cfg.tau_prime = 2;
     cfg.optimizer = OptimizerKind::Sgd { lr: 0.05 };
-    cfg.engine = Some(engine);
     cfg.profile = true;
 
     let data = SyntheticImages::with_shape(1, 4, 3, 8, 0.5);
@@ -49,10 +48,7 @@ pub fn run(p: usize, iters: usize, engine: Engine) -> Dump {
     let mut summary = String::new();
     summary.push_str(&format!(
         "obsdump: Ok-Topk P={p} iters={iters} engine={} makespan={:.4}s\n\n",
-        match engine {
-            Engine::Thread => "thread",
-            Engine::Event => "event",
-        },
+        crate::Header::engine_name(),
         result.makespan
     ));
     summary.push_str(&result.metrics.render_table());

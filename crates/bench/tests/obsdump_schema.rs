@@ -4,11 +4,10 @@
 //! and the expected tracks (rank timelines, spans, scheduler) are present.
 
 use obs::json::{validate, Json};
-use simnet::Engine;
 
 #[test]
 fn obsdump_trace_is_valid_trace_events_json() {
-    let dump = okbench::obsdump::run(2, 2, Engine::Event);
+    let dump = okbench::obsdump::run(2, 2);
     let doc = validate(&dump.trace_json).expect("obsdump output must parse as JSON");
 
     let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");

@@ -13,7 +13,8 @@
 //!
 //! - [`Class::Virtual`] — the value is a function of modeled quantities only
 //!   (virtual clocks, message sizes, chaos draws). Virtual metrics must be
-//!   **bit-identical** across `SIMNET_ENGINE=thread|event` and across repeated
+//!   **bit-identical** across simnet's two engines (event and the thread
+//!   oracle), across event-engine worker counts and across repeated
 //!   runs; the engine-parity suite asserts this via
 //!   [`MetricsSnapshot::parity_view`]. Recording paths achieve it with
 //!   commutative integer updates (atomic adds, atomic maxima) and

@@ -1,5 +1,6 @@
 //! Cluster runner: executes one closure per rank and collects results, clocks
-//! and traffic — on either execution engine (see [`Engine`]).
+//! and traffic — on the event engine, or on the thread oracle when a test asks
+//! for it (see [`Engine`]).
 
 use crate::comm::{Backend, BarrierState, Comm, PoolBudget, SimMetrics};
 use crate::cost::CostModel;
@@ -22,10 +23,9 @@ use topo::Topology;
 /// `Cluster` is cheap to construct; each [`run`](Self::run) spawns fresh rank threads,
 /// a fresh traffic ledger and fresh clocks, so runs are independent and deterministic.
 ///
-/// Two execution engines are available (see [`Engine`]); both produce
-/// bit-identical results, clocks and ledgers for the same inputs. The engine is
-/// chosen by `SIMNET_ENGINE` at construction and overridden with
-/// [`with_engine`](Self::with_engine).
+/// Runs execute on [`Engine::Event`]. [`with_engine`](Self::with_engine) selects
+/// the thread engine instead, which produces bit-identical results, clocks and
+/// ledgers for the same inputs and exists as the oracle tests compare against.
 pub struct Cluster {
     size: usize,
     cost: CostModel,
@@ -45,17 +45,13 @@ pub struct Cluster {
     /// Idle-pool byte budget; `None` defers to `SIMNET_POOL_BUDGET_BYTES`
     /// (else 64 MiB).
     pool_budget_bytes: Option<usize>,
-    /// Thread-engine watchdog poll interval; `None` defers to
-    /// `SIMNET_WATCHDOG_POLL_MS` (else 50 ms). Unused by the event engine.
-    watchdog_poll: Option<Duration>,
+    /// Thread-engine watchdog poll interval. Unused by the event engine.
+    watchdog_poll: Duration,
     /// Per-run observability override; `None` defers to [`obs::enabled`]
     /// (the `OKTOPK_OBS` kill switch / `obs::set_enabled`).
     obs: Option<bool>,
     /// Record event-engine scheduler decisions for trace export.
     sched_trace: bool,
-    /// Event-engine dispatch path; `None` defers to `SIMNET_SCHED` (default
-    /// [`SchedMode::Fast`]).
-    sched: Option<SchedMode>,
     /// Two-tier topology consulted at every link-charging point and by the
     /// hierarchical collectives. Defaults to `SIMNET_TOPO` (shape-only, so the
     /// session default never shifts modeled clocks); `None` is a flat network.
@@ -86,8 +82,8 @@ impl<T> SimReport<T> {
 }
 
 impl Cluster {
-    /// A cluster of `size` ranks under the given cost model, on the engine
-    /// selected by `SIMNET_ENGINE` (default: [`Engine::Thread`]).
+    /// A cluster of `size` ranks under the given cost model, on the event
+    /// engine.
     pub fn new(size: usize, cost: CostModel) -> Self {
         assert!(size >= 1, "cluster needs at least one rank");
         Self {
@@ -96,13 +92,12 @@ impl Cluster {
             stack_bytes: 8 << 20,
             recv_timeout: None,
             chaos: None,
-            engine: Engine::from_env(),
+            engine: Engine::default(),
             workers: None,
             pool_budget_bytes: None,
-            watchdog_poll: None,
+            watchdog_poll: crate::comm::WATCHDOG_POLL_DEFAULT,
             obs: None,
             sched_trace: false,
-            sched: None,
             topo: Topology::from_env().map(|t| Arc::new(*t)),
         }
     }
@@ -147,7 +142,8 @@ impl Cluster {
         self
     }
 
-    /// Select the execution engine explicitly, overriding `SIMNET_ENGINE`.
+    /// Select the execution engine. The only reason to is
+    /// `with_engine(Engine::Thread)`: running the differential oracle.
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -180,13 +176,12 @@ impl Cluster {
         self
     }
 
-    /// Set the thread-engine watchdog poll interval (default:
-    /// `SIMNET_WATCHDOG_POLL_MS`, else 50 ms): how quickly a blocked wait
-    /// notices a dead peer. The event engine needs no watchdog and skips this
-    /// entirely.
+    /// Set the thread-engine watchdog poll interval (default 50 ms): how
+    /// quickly a blocked wait notices a dead peer. The event engine needs no
+    /// watchdog and skips this entirely.
     pub fn with_watchdog_poll(mut self, poll: Duration) -> Self {
         assert!(poll > Duration::ZERO, "watchdog poll must be positive");
-        self.watchdog_poll = Some(poll);
+        self.watchdog_poll = poll;
         self
     }
 
@@ -208,11 +203,10 @@ impl Cluster {
         self
     }
 
-    /// Select the event engine's dispatch path explicitly, overriding
-    /// `SIMNET_SCHED`. [`SchedMode::Classic`] is the kill switch for the
-    /// scheduler fast paths; results are bit-identical either way.
-    pub fn with_sched(mut self, mode: SchedMode) -> Self {
-        self.sched = Some(mode);
+    /// No-op: the event engine has one dispatch path. Kept only because
+    /// `benchmark/src/runner.rs:45` (frozen outside this crate) calls it; goes
+    /// with [`SchedMode`] when a benchmark PR drops that call.
+    pub fn with_sched(self, _mode: SchedMode) -> Self {
         self
     }
 
@@ -304,7 +298,7 @@ impl Cluster {
         let barrier = Arc::new(BarrierState::new());
         let poisoned = Arc::new(AtomicBool::new(false));
         let recv_deadline = self.recv_timeout.unwrap_or_else(crate::comm::default_recv_deadline);
-        let poll = self.watchdog_poll.unwrap_or_else(crate::comm::default_watchdog_poll);
+        let poll = self.watchdog_poll;
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..self.size).map(|_| unbounded::<Envelope>()).unzip();
 
@@ -388,7 +382,6 @@ impl Cluster {
         let core = Arc::new(EventCore::new(
             self.size,
             workers,
-            self.sched.unwrap_or_else(SchedMode::from_env),
             Some(EngineMetrics::new(registry)),
             self.sched_trace,
         ));
@@ -589,18 +582,19 @@ mod tests {
     #[test]
     fn short_recv_timeout_turns_deadlock_into_fast_panic() {
         // A recv with no matching send is a deadlock; with the per-cluster timeout
-        // lowered it must surface as a panic within the timeout, not after 180 s.
-        // (Under the event engine the deadline is irrelevant: detection is exact
-        // and immediate.)
+        // lowered the thread engine's watchdog must surface it as a panic within
+        // the timeout, not after 180 s. (The event engine has no deadline:
+        // detection is exact and immediate, see tests/engines.rs.)
         let start = std::time::Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            Cluster::new(2, CostModel::free()).with_recv_timeout(Duration::from_millis(100)).run(
-                |comm| {
+            Cluster::new(2, CostModel::free())
+                .with_engine(Engine::Thread)
+                .with_recv_timeout(Duration::from_millis(100))
+                .run(|comm| {
                     if comm.rank() == 0 {
                         let _: Vec<f32> = comm.recv(1, 0); // never sent
                     }
-                },
-            )
+                })
         }));
         assert!(result.is_err(), "missing send must panic");
         assert!(
@@ -612,8 +606,9 @@ mod tests {
 
     #[test]
     fn rank_panic_propagates_to_caller() {
+        // On the oracle; tests/engines.rs holds the event engine to the same.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            Cluster::new(3, CostModel::free()).run(|comm| {
+            Cluster::new(3, CostModel::free()).with_engine(Engine::Thread).run(|comm| {
                 if comm.rank() == 1 {
                     panic!("injected failure on rank 1");
                 }
@@ -636,20 +631,21 @@ mod tests {
 
     #[test]
     fn peer_death_cascades_blocked_recv_quickly() {
-        // Rank 1 dies; rank 0 is blocked receiving from it. The poisoned-flag
-        // watchdog (thread engine) or the exact deadlock/fault machinery (event
-        // engine) must fail the run in ~one poll interval — no hard-coded
-        // sleeps, and nowhere near the 180 s default recv deadline.
+        // Rank 1 dies; rank 0 is blocked receiving from it. The thread engine's
+        // poisoned-flag watchdog must fail the run in ~one poll interval — no
+        // hard-coded sleeps, and nowhere near the 180 s default recv deadline.
+        // (The event engine's fault broadcast is covered in tests/engines.rs.)
         let start = std::time::Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            Cluster::new(2, CostModel::free()).with_watchdog_poll(Duration::from_millis(10)).run(
-                |comm| {
+            Cluster::new(2, CostModel::free())
+                .with_engine(Engine::Thread)
+                .with_watchdog_poll(Duration::from_millis(10))
+                .run(|comm| {
                     if comm.rank() == 1 {
                         panic!("early exit");
                     }
                     let _: Vec<f32> = comm.recv(1, 0); // rank 1 never sends
-                },
-            )
+                })
         }));
         assert!(result.is_err(), "peer death must fail the run");
         assert!(

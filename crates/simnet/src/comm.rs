@@ -1,11 +1,11 @@
 //! Per-rank communicator: typed point-to-point messaging over a modeled network.
 //!
-//! `Comm` is engine-agnostic: the same blocking API runs on the thread engine
-//! (messages over real channels, wall-clock watchdogs) and on the discrete-event
+//! `Comm` is engine-agnostic: the same blocking API runs on the discrete-event
 //! engine (messages through [`EventCore`], blocking points park the rank
-//! continuation, deadlocks detected exactly). The [`Backend`] enum below is the
-//! only place the two transports diverge; every charging path above it is
-//! shared, which is what makes the engines bit-identical.
+//! continuation, deadlocks detected exactly) and on the thread-engine oracle
+//! (messages over real channels, wall-clock watchdogs). The [`Backend`] enum
+//! below is the only place the two transports diverge; every charging path
+//! above it is shared, which is what makes the engines bit-identical.
 
 use crate::cost::{CostModel, WireSize};
 use crate::engine::{cascade, EventCore};
@@ -36,7 +36,7 @@ const RECV_DEADLOCK_DEFAULT_SECS: u64 = 180;
 /// Default interval at which a blocked thread-engine wait (recv or barrier)
 /// wakes to check whether a peer rank died, so one rank's panic cascades in
 /// ~this much wall time instead of the full recv deadline.
-const WATCHDOG_POLL_DEFAULT_MS: u64 = 50;
+pub(crate) const WATCHDOG_POLL_DEFAULT: Duration = Duration::from_millis(50);
 
 /// Default global byte budget for idle pooled buffers across all ranks of one
 /// run (64 MiB). At P=2048 an uncapped per-rank pool would retain
@@ -71,27 +71,6 @@ pub(crate) fn default_recv_deadline() -> Duration {
             }
         },
         Err(_) => RECV_DEADLOCK_DEFAULT_SECS,
-    }))
-}
-
-/// The thread-engine watchdog poll interval when the cluster does not set one:
-/// `SIMNET_WATCHDOG_POLL_MS` (positive integer milliseconds), else 50 ms.
-/// The event engine has no watchdog to poll — deadlock detection is exact —
-/// so this knob is meaningless there.
-pub(crate) fn default_watchdog_poll() -> Duration {
-    static MS: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    Duration::from_millis(*MS.get_or_init(|| match std::env::var("SIMNET_WATCHDOG_POLL_MS") {
-        Ok(raw) => match raw.trim().parse::<u64>() {
-            Ok(ms) if ms > 0 => ms,
-            _ => {
-                eprintln!(
-                    "simnet: ignoring invalid SIMNET_WATCHDOG_POLL_MS={raw:?} \
-                         (want a positive integer of milliseconds)"
-                );
-                WATCHDOG_POLL_DEFAULT_MS
-            }
-        },
-        Err(_) => WATCHDOG_POLL_DEFAULT_MS,
     }))
 }
 

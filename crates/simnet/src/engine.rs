@@ -1,8 +1,9 @@
-//! Execution engines for [`crate::Cluster`]: thread-per-rank vs discrete-event.
+//! Execution engines for [`crate::Cluster`]: the discrete-event production
+//! engine and the thread-per-rank oracle.
 //!
 //! ## Why two engines
 //!
-//! The original engine gives every rank its own OS thread and lets the kernel
+//! The thread engine gives every rank its own OS thread and lets the kernel
 //! schedule them; correctness does not depend on the interleaving (clock
 //! arithmetic only reads per-rank program order and matched message order), but
 //! the *cost* of the interleaving grows with P: at 1024+ ranks the host
@@ -23,17 +24,18 @@
 //!
 //! Because both engines run the same per-rank programs over the same matched
 //! message streams, they produce **bit-identical** clocks, gradients and
-//! ledgers; the thread engine stays available as a differential oracle
-//! (`SIMNET_ENGINE=thread`, the default).
+//! ledgers. Every run uses the event engine (it is the default); the thread
+//! engine shares none of [`EventCore`] (real channels, OS scheduling) and is
+//! kept as the differential oracle the parity suites compare against, reached
+//! only through [`crate::Cluster::with_engine`].
 //!
-//! ## Scheduler fast paths (`SIMNET_SCHED=fast`, the default)
+//! ## The scheduler
 //!
-//! Profiling the P ≥ 1024 regime showed wall time tracking `engine.parks` at
-//! ~15–35 µs per park: every blocking point paid a global-lock transaction, a
-//! condvar signal (futex syscall) and a futex sleep, and every message — even
-//! one that wakes nobody — serialized on the same scheduler lock. The fast
-//! dispatch path keeps the park/grant *semantics* (and therefore bit-identical
-//! results) while removing the constant factors:
+//! In the P ≥ 1024 regime host wall time tracks `engine.parks`: a blocking
+//! point that pays a global-lock transaction, a condvar signal (futex syscall)
+//! and a futex sleep costs ~15–35 µs, and a message that serializes on the
+//! scheduler lock costs every rank. The scheduler avoids those constant
+//! factors three ways:
 //!
 //! 1. **Direct handoff** — when a running rank blocks, it picks the next rank
 //!    and transfers its run token *in the same lock hold* that parked it,
@@ -62,8 +64,8 @@
 //!    wave phases the controller disarms itself and parks immediately.
 //!    `engine.spin_hit` vs `engine.spin_park` count the outcomes.
 //!
-//! The critical section itself shrinks: message delivery and wait registration
-//! move to **per-rank inbox locks**. Only the owning rank pops its inbox and
+//! The critical section itself is small: message delivery and wait registration
+//! live behind **per-rank inbox locks**. Only the owning rank pops its inbox and
 //! registers what it waits for, and only one matching sender can claim a
 //! registered wait (single-writer invariants), so a non-matching send — the
 //! common case in bucketed collectives — never touches the scheduler lock at
@@ -73,23 +75,18 @@
 //! `wake_pending` handshake is ordered by the scheduler lock, so the wakeup
 //! cannot be lost.
 //!
-//! `SIMNET_SCHED=classic` (or [`crate::Cluster::with_sched`]) restores the
-//! PR 7 dispatch path unchanged — the kill switch for the fast paths, held
-//! bit-identical by the parity suites.
-//!
 //! ## Exact deadlock detection
 //!
 //! The thread engine can only detect a deadlock with a wall-clock watchdog.
 //! The event core knows the whole cluster state: if no rank holds a run token,
-//! the ready queue is empty and unfinished ranks remain, the simulation cannot
-//! ever progress. The core then records a fault report that names every
-//! blocked rank and walks the recv wait-for graph to print the cycle, and all
-//! parked ranks unwind quietly (see [`Cascade`]). Both dispatch paths share
-//! the check (the fast path counts its cohort FIFO as ready work).
+//! the ready queue (heap and cohort FIFO) is empty and unfinished ranks remain,
+//! the simulation cannot ever progress. The core then records a fault report
+//! that names every blocked rank and walks the recv wait-for graph to print the
+//! cycle, and all parked ranks unwind quietly (see [`Cascade`]).
 
 use crate::comm::Tag;
 use crate::envelope::Envelope;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -103,7 +100,7 @@ const SCHED_LOG_MAX: usize = 1 << 20;
 /// Spin gate, part 1: a parked continuation may spin only while the EWMA of
 /// recent inter-park gaps is below this (nanoseconds). Dense-event phases
 /// (P ≥ 1024 sweeps park every few µs) qualify; sparse phases go straight to
-/// the condvar.
+/// `park()`.
 const SPIN_GAP_NS: u64 = 200_000;
 
 /// Busy iterations (`spin_loop` hint) before the spin phase starts yielding
@@ -160,10 +157,10 @@ pub enum SchedKind {
     /// A run token was granted to the rank.
     Grant,
     /// A run token was transferred to the rank by a blocking rank in the same
-    /// lock hold (fast path: direct handoff).
+    /// lock hold (direct handoff).
     Handoff,
     /// The rank was about to park in a receive when the matching message
-    /// landed; it kept its token and continued inline (fast path).
+    /// landed; it kept its token and continued inline.
     Elide,
     /// The rank parked in a blocking receive (token released).
     RecvPark,
@@ -183,16 +180,16 @@ pub(crate) struct EngineMetrics {
     parks_recv: obs::Counter,
     parks_barrier: obs::Counter,
     ready_depth_max: obs::Gauge,
-    /// Direct handoffs whose condvar signal was elided (target was mid-spin).
+    /// Direct handoffs whose futex wake was elided (target was mid-spin).
     handoff_hit: obs::Counter,
-    /// Direct handoffs that had to signal the target's condvar.
+    /// Direct handoffs that had to wake a parked target.
     handoff_miss: obs::Counter,
     /// Parks elided entirely: the matching message landed between wait
     /// registration and the park, so the rank kept its token.
     park_elided: obs::Counter,
-    /// Tokens consumed during the lock-free spin phase (no condvar involved).
+    /// Tokens consumed during the spin phase (no futex sleep).
     spin_hit: obs::Counter,
-    /// Tokens consumed via the condvar fallback.
+    /// Tokens consumed via the `park()` fallback.
     spin_park: obs::Counter,
     /// Sizes of ready cohorts (equal-timestamp heap runs, barrier releases).
     cohort_size: obs::Histogram,
@@ -220,68 +217,29 @@ impl EngineMetrics {
 /// Which execution core a [`crate::Cluster`] uses to run rank programs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// One OS thread per rank, scheduled by the kernel; wall-clock watchdogs
-    /// detect deadlocks. The original engine, kept as a differential oracle.
-    #[default]
+    /// One OS thread per rank, scheduled by the kernel, real channels for
+    /// transport; wall-clock watchdogs detect deadlocks. Not a production
+    /// path: it is the differential oracle the parity suites compare the
+    /// event engine against, selected only through
+    /// [`crate::Cluster::with_engine`].
     Thread,
     /// Discrete-event core: one thread per rank as a parked continuation, a
     /// bounded set of run tokens granted in virtual-time order, and exact
-    /// (watchdog-free) deadlock detection. Required for P ≳ 1024 sweeps.
+    /// (watchdog-free) deadlock detection. What every run uses unless a test
+    /// asks for the oracle.
+    #[default]
     Event,
 }
 
-impl Engine {
-    /// Engine selected by `SIMNET_ENGINE` (`thread` | `event`, case-insensitive);
-    /// unset or invalid values fall back to [`Engine::Thread`].
-    pub fn from_env() -> Self {
-        match std::env::var("SIMNET_ENGINE") {
-            Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-                "event" => Engine::Event,
-                "thread" | "" => Engine::Thread,
-                _ => {
-                    eprintln!(
-                        "simnet: ignoring invalid SIMNET_ENGINE={raw:?} (want `thread` or `event`)"
-                    );
-                    Engine::Thread
-                }
-            },
-            Err(_) => Engine::Thread,
-        }
-    }
-}
-
-/// Which dispatch path the event engine's scheduler uses. Results are
-/// bit-identical either way (proven by the parity suites); the mode only
-/// changes host-side cost.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// The event engine's dispatch path. There is exactly one; the type and
+/// [`crate::Cluster::with_sched`] exist only because `benchmark/src/runner.rs:45`
+/// (frozen outside this crate) names them, and go when a benchmark PR drops
+/// that call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedMode {
-    /// The PR 7 dispatch path: one global lock for delivery and scheduling,
-    /// condvar signal on every grant. The kill switch for the fast paths.
-    Classic,
     /// Direct run-token handoff, cohort wakeups, adaptive spin-then-park and
-    /// per-rank inbox locks. The default.
-    #[default]
+    /// per-rank inbox locks (see the module docs).
     Fast,
-}
-
-impl SchedMode {
-    /// Mode selected by `SIMNET_SCHED` (`classic` | `fast`, case-insensitive);
-    /// unset or invalid values fall back to [`SchedMode::Fast`].
-    pub fn from_env() -> Self {
-        match std::env::var("SIMNET_SCHED") {
-            Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-                "classic" => SchedMode::Classic,
-                "fast" | "" => SchedMode::Fast,
-                _ => {
-                    eprintln!(
-                        "simnet: ignoring invalid SIMNET_SCHED={raw:?} (want `classic` or `fast`)"
-                    );
-                    SchedMode::Fast
-                }
-            },
-            Err(_) => SchedMode::Fast,
-        }
-    }
 }
 
 /// Default worker count for the event engine: `SIMNET_WORKERS`, else the
@@ -353,16 +311,9 @@ struct RankSlot {
     status: Status,
     /// Virtual clock at the last park — the ready-queue priority when woken.
     clock: f64,
-    /// Messages delivered to this rank, in arrival order (classic path; the
-    /// fast path keeps its inbox in [`EventCore::inboxes`] so delivery never
-    /// takes the scheduler lock).
-    inbox: VecDeque<Envelope>,
-    /// Barrier result snapshot, written by the releasing rank (classic path;
-    /// the fast path uses the lock-free [`EventCore::release_bits`]).
-    release: f64,
 }
 
-/// Fast-path per-rank delivery state, behind its *own* lock so the scheduler
+/// Per-rank delivery state, behind its *own* lock so the scheduler
 /// lock never serializes message payload movement. Single-writer invariants:
 /// only the owning rank pops `q` and registers `waiting`; only the one sender
 /// whose `(src, tag)` matches a registered wait can claim it (and a rank
@@ -378,7 +329,7 @@ struct RankInbox {
     done: bool,
 }
 
-/// Fast-path per-rank wake word. `token` is the run token itself (set by the
+/// Per-rank wake word. `token` is the run token itself (set by the
 /// granter under the scheduler lock, consumed by the wakee without any lock);
 /// `handle` is the rank's OS thread, woken by `Thread::unpark` — its sticky
 /// permit makes lost wakeups impossible with no lock on the sleep side, and
@@ -393,11 +344,10 @@ struct WakeSlot {
 struct CoreState {
     ranks: Vec<RankSlot>,
     ready: BinaryHeap<Reverse<ReadyKey>>,
-    /// Fast path: ranks ready at the current virtual-time frontier, granted
-    /// FIFO in `(clock, rank)` order without further heap transactions.
-    /// Always empty on the classic path.
+    /// Ranks ready at the current virtual-time frontier, granted FIFO in
+    /// `(clock, rank)` order without further heap transactions.
     cohort: VecDeque<usize>,
-    /// Fast path: set (under this lock) by a matching sender that caught the
+    /// Set (under this lock) by a matching sender that caught the
     /// receiver *between* wait registration and the park; the receiver
     /// consumes it in its park transaction and continues inline instead.
     wake_pending: Vec<bool>,
@@ -407,8 +357,9 @@ struct CoreState {
     finished: usize,
     /// Barrier arrivals this episode (no generation counter needed: an episode
     /// cannot restart until every rank it released has resumed past the point
-    /// where its `release` snapshot was read — all `size` ranks must re-arrive
-    /// first, and a released-but-unresumed rank cannot arrive).
+    /// where its [`EventCore::release_bits`] snapshot was read — all `size`
+    /// ranks must re-arrive first, and a released-but-unresumed rank cannot
+    /// arrive).
     bar_arrived: usize,
     bar_max: f64,
     /// First fault (rank panic or detected deadlock); once set, every rank
@@ -431,21 +382,25 @@ impl CoreState {
 pub(crate) struct EventCore {
     size: usize,
     workers: usize,
-    mode: SchedMode,
     /// Scheduler metric handles; `None` when the run has no registry wired.
     metrics: Option<EngineMetrics>,
     /// Whether scheduler decisions are logged for trace export.
     sched_trace: bool,
     state: Mutex<CoreState>,
-    /// One condvar per rank: each parked continuation waits only on its own.
-    cvs: Vec<Condvar>,
-    /// Fast path: per-rank delivery state (messages + wait registration).
+    /// Per-rank delivery state (messages + wait registration).
     inboxes: Vec<Mutex<RankInbox>>,
-    /// Fast path: per-rank run-token words.
+    /// Per-rank run-token words.
     wake: Vec<WakeSlot>,
-    /// Fast path: barrier release snapshots as `f64` bits — written by the
-    /// releasing rank before it grants tokens, read by each released rank
-    /// after it acquires its token, so no lock is needed on the read side.
+    /// Per-rank grant buffers: the ranks a scheduler transaction handed tokens
+    /// to, signalled by [`Self::flush_grants`] once the scheduler lock is
+    /// released. Slot `r` is locked only by rank `r`'s own thread, for the
+    /// length of one transaction, so the lock is never contended; the buffer
+    /// is reused across transactions so a park or post that passes a token on
+    /// does not allocate in steady state.
+    grants: Vec<Mutex<Vec<usize>>>,
+    /// Barrier release snapshots as `f64` bits — written by the releasing rank
+    /// before it grants tokens, read by each released rank after it acquires
+    /// its token, so no lock is needed on the read side.
     release_bits: Vec<AtomicU64>,
     /// Mirrors `CoreState::fault.is_some()` so lock-free spinners notice a
     /// teardown without touching the scheduler lock.
@@ -467,24 +422,15 @@ impl EventCore {
     pub(crate) fn new(
         size: usize,
         workers: usize,
-        mode: SchedMode,
         metrics: Option<EngineMetrics>,
         sched_trace: bool,
     ) -> Self {
         assert!(size >= 1 && workers >= 1);
-        let ranks = (0..size)
-            .map(|_| RankSlot {
-                status: Status::Ready,
-                clock: 0.0,
-                inbox: VecDeque::new(),
-                release: 0.0,
-            })
-            .collect();
+        let ranks = (0..size).map(|_| RankSlot { status: Status::Ready, clock: 0.0 }).collect();
         let ready = (0..size).map(|rank| Reverse(ReadyKey { clock: 0.0, rank })).collect();
         Self {
             size,
             workers,
-            mode,
             metrics,
             sched_trace,
             state: Mutex::new(CoreState {
@@ -499,7 +445,6 @@ impl EventCore {
                 fault: None,
                 sched: Vec::new(),
             }),
-            cvs: (0..size).map(|_| Condvar::new()).collect(),
             inboxes: (0..size)
                 .map(|_| Mutex::new(RankInbox { q: VecDeque::new(), waiting: None, done: false }))
                 .collect(),
@@ -509,6 +454,11 @@ impl EventCore {
                     sleeping: AtomicBool::new(false),
                     handle: OnceLock::new(),
                 })
+                .collect(),
+            // One transaction grants at most `workers` ranks (and never more
+            // than exist); the Vec still grows if that bound is ever wrong.
+            grants: (0..size)
+                .map(|_| Mutex::new(Vec::with_capacity(workers.min(size) + 1)))
                 .collect(),
             release_bits: (0..size).map(|_| AtomicU64::new(0)).collect(),
             fault_flag: AtomicBool::new(false),
@@ -520,26 +470,7 @@ impl EventCore {
         }
     }
 
-    /// Grant run tokens to the lowest-clock ready ranks while slots are free
-    /// (classic path: signal under the lock, heap-only ready queue).
-    fn schedule(&self, st: &mut CoreState) {
-        if let Some(m) = &self.metrics {
-            m.ready_depth_max.set_max(st.ready.len() as u64);
-        }
-        while st.running < self.workers {
-            let Some(Reverse(key)) = st.ready.pop() else { break };
-            debug_assert_eq!(st.ranks[key.rank].status, Status::Ready);
-            st.ranks[key.rank].status = Status::Running;
-            st.running += 1;
-            if let Some(m) = &self.metrics {
-                m.token_grants.inc();
-            }
-            st.log_sched(self.sched_trace, key.clock, key.rank, SchedKind::Grant);
-            self.cvs[key.rank].notify_one();
-        }
-    }
-
-    /// Fast path: next ready rank in `(clock, rank)` order — O(1) from the
+    /// Next ready rank in `(clock, rank)` order — O(1) from the
     /// cohort FIFO, refilled by popping the heap's whole equal-timestamp run
     /// in one transaction. Entries whose rank is no longer `Ready` are stale
     /// leftovers from a targeted handoff (which grants out of band without
@@ -573,12 +504,12 @@ impl EventCore {
         }
     }
 
-    /// Fast path: grant tokens while slots are free. Sets each target's token
-    /// word under the lock but defers the (possibly elided) condvar signal to
+    /// Grant tokens while slots are free. Sets each target's token word under
+    /// the lock but defers the (possibly elided) wake to
     /// [`Self::flush_grants`], which the caller runs after unlocking. `direct`
     /// marks grants performed inside a blocking rank's own park transaction —
     /// the direct-handoff path.
-    fn schedule_fast(&self, st: &mut CoreState, direct: bool, granted: &mut Vec<usize>) {
+    fn schedule(&self, st: &mut CoreState, direct: bool, granted: &mut Vec<usize>) {
         // Amortized stale purge: targeted grants leave dead heap entries
         // behind; rebuild once they dominate so memory stays O(size).
         if st.ready.len() > 8 * self.size + 64 {
@@ -621,9 +552,11 @@ impl EventCore {
     /// thread costs a futex wake (handoff miss). Never loses a wakeup: the
     /// token word was set under the lock, the wakee re-checks it before every
     /// `park()`, and an `unpark` that races ahead just leaves a sticky permit
-    /// the next `park()` consumes immediately.
-    fn flush_grants(&self, direct: bool, granted: &[usize]) {
-        for &rank in granted {
+    /// the next `park()` consumes immediately. Consumes the caller's grant
+    /// buffer guard: flushing ends the transaction and leaves the buffer empty
+    /// for the next one.
+    fn flush_grants(&self, direct: bool, mut granted: MutexGuard<'_, Vec<usize>>) {
+        for rank in granted.drain(..) {
             let slot = &self.wake[rank];
             if direct {
                 if let Some(m) = &self.metrics {
@@ -642,7 +575,7 @@ impl EventCore {
         }
     }
 
-    /// Record a park for the inter-park gap EWMA (fast path's spin gate).
+    /// Record a park for the inter-park gap EWMA (the spin gate).
     fn note_park_gap(&self) {
         let now = self.t0.elapsed().as_nanos() as u64;
         let last = self.last_park_ns.swap(now, Ordering::Relaxed);
@@ -651,7 +584,7 @@ impl EventCore {
         self.gap_ewma_ns.store(e - e / 8 + gap / 8, Ordering::Relaxed);
     }
 
-    /// Record a spin outcome in the hit-rate EWMA (fast path's spin gate).
+    /// Record a spin outcome in the hit-rate EWMA (the spin gate).
     /// Asymmetric on purpose: a couple of probe hits re-arm spinning quickly
     /// when a phase turns spin-friendly, while a single miss near the (high)
     /// threshold is enough to disarm it — misses are what cost.
@@ -661,11 +594,10 @@ impl EventCore {
         self.spin_ok.store(e, Ordering::Relaxed);
     }
 
-    /// Wait for this rank's run token (fast path). Spins lock-free while the
-    /// adaptive gate allows — events must be dense (inter-park gap EWMA) *and*
-    /// recent spins must actually be hitting (hit-rate EWMA, re-probed every
-    /// 32nd park) — then falls back to the condvar under the scheduler lock.
-    /// Cascades if a fault lands first.
+    /// Wait for this rank's run token. Spins lock-free while the adaptive gate
+    /// allows — events must be dense (inter-park gap EWMA) *and* recent spins
+    /// must actually be hitting (hit-rate EWMA, re-probed every 64th park) —
+    /// then falls back to `thread::park`. Cascades if a fault lands first.
     fn wait_token(&self, rank: usize) {
         let slot = &self.wake[rank];
         let dense = self.gap_ewma_ns.load(Ordering::Relaxed) < SPIN_GAP_NS;
@@ -738,12 +670,8 @@ impl EventCore {
         self.wake_everyone();
     }
 
-    /// Teardown broadcast: wake every continuation, whichever way it sleeps
-    /// (classic condvar or fast-path `thread::park`), so it sees the fault.
+    /// Teardown broadcast: wake every parked continuation so it sees the fault.
     fn wake_everyone(&self) {
-        for cv in &self.cvs {
-            cv.notify_all();
-        }
         for slot in &self.wake {
             if let Some(t) = slot.handle.get() {
                 t.unpark();
@@ -751,40 +679,17 @@ impl EventCore {
         }
     }
 
-    /// Block until this rank holds a run token; cascades if a fault lands
-    /// first (classic path — the fast path uses [`Self::wait_token`]).
-    fn wait_runnable(&self, rank: usize, st: &mut MutexGuard<'_, CoreState>) {
-        loop {
-            if st.fault.is_some() {
-                cascade();
-            }
-            if st.ranks[rank].status == Status::Running {
-                return;
-            }
-            self.cvs[rank].wait(st);
-        }
-    }
-
     /// Called once by each rank thread before running user code: waits for the
     /// initial run-token grant (all ranks start Ready at clock 0).
     pub(crate) fn start(&self, rank: usize) {
-        match self.mode {
-            SchedMode::Classic => {
-                let mut st = self.state.lock();
-                self.schedule(&mut st);
-                self.wait_runnable(rank, &mut st);
-            }
-            SchedMode::Fast => {
-                let _ = self.wake[rank].handle.set(std::thread::current());
-                let mut granted = Vec::new();
-                {
-                    let mut st = self.state.lock();
-                    self.schedule_fast(&mut st, false, &mut granted);
-                }
-                self.flush_grants(false, &granted);
-                self.wait_token(rank);
-            }
+        let _ = self.wake[rank].handle.set(std::thread::current());
+        let mut granted = self.grants[rank].lock();
+        {
+            let mut st = self.state.lock();
+            self.schedule(&mut st, false, &mut granted);
         }
+        self.flush_grants(false, granted);
+        self.wait_token(rank);
     }
 
     /// Pop the next envelope delivered to `rank` (arrival order), parking the
@@ -793,36 +698,6 @@ impl EventCore {
     /// the thread engine drains its channel, so the matched message order (and
     /// with it every clock) is identical across engines.
     pub(crate) fn next_envelope(&self, rank: usize, src: usize, tag: Tag, clock: f64) -> Envelope {
-        match self.mode {
-            SchedMode::Classic => self.next_envelope_classic(rank, src, tag, clock),
-            SchedMode::Fast => self.next_envelope_fast(rank, src, tag, clock),
-        }
-    }
-
-    fn next_envelope_classic(&self, rank: usize, src: usize, tag: Tag, clock: f64) -> Envelope {
-        let mut st = self.state.lock();
-        if st.fault.is_some() {
-            cascade();
-        }
-        loop {
-            if let Some(env) = st.ranks[rank].inbox.pop_front() {
-                return env;
-            }
-            st.ranks[rank].status = Status::RecvWait { src, tag };
-            st.ranks[rank].clock = clock;
-            st.running -= 1;
-            if let Some(m) = &self.metrics {
-                m.parks.inc();
-                m.parks_recv.inc();
-            }
-            st.log_sched(self.sched_trace, clock, rank, SchedKind::RecvPark);
-            self.schedule(&mut st);
-            self.check_deadlock(&mut st);
-            self.wait_runnable(rank, &mut st);
-        }
-    }
-
-    fn next_envelope_fast(&self, rank: usize, src: usize, tag: Tag, clock: f64) -> Envelope {
         if self.fault_flag.load(Ordering::Relaxed) {
             cascade();
         }
@@ -837,7 +712,7 @@ impl EventCore {
                 }
                 ib.waiting = Some((src, tag));
             }
-            let mut granted = Vec::new();
+            let mut granted = self.grants[rank].lock();
             {
                 let mut st = self.state.lock();
                 if st.fault.is_some() {
@@ -883,10 +758,10 @@ impl EventCore {
                         }
                     }
                 }
-                self.schedule_fast(&mut st, true, &mut granted);
+                self.schedule(&mut st, true, &mut granted);
                 self.check_deadlock(&mut st);
             }
-            self.flush_grants(true, &granted);
+            self.flush_grants(true, granted);
             self.wait_token(rank);
         }
     }
@@ -894,41 +769,12 @@ impl EventCore {
     /// Deliver an envelope to `dst`. Wakes the destination only when it is
     /// parked waiting for exactly this `(src, tag)` — a non-matching arrival
     /// queues silently, sparing the futile wake/stash/re-block round-trip the
-    /// thread engine pays. On the fast path a non-matching send never takes
-    /// the scheduler lock at all.
+    /// thread engine pays, and never takes the scheduler lock at all.
     pub(crate) fn post(&self, dst: usize, env: Envelope) {
-        match self.mode {
-            SchedMode::Classic => self.post_classic(dst, env),
-            SchedMode::Fast => self.post_fast(dst, env),
-        }
-    }
-
-    fn post_classic(&self, dst: usize, env: Envelope) {
-        let mut st = self.state.lock();
-        if st.fault.is_some() {
-            cascade();
-        }
-        match st.ranks[dst].status {
-            Status::Done => panic!(
-                "rank {} sent to rank {dst} (tag {}), which already finished — \
-                 message can never be received",
-                env.src, env.tag
-            ),
-            Status::RecvWait { src, tag } if src == env.src && tag == env.tag => {
-                let clock = st.ranks[dst].clock;
-                st.ranks[dst].inbox.push_back(env);
-                st.ranks[dst].status = Status::Ready;
-                st.ready.push(Reverse(ReadyKey { clock, rank: dst }));
-                self.schedule(&mut st);
-            }
-            _ => st.ranks[dst].inbox.push_back(env),
-        }
-    }
-
-    fn post_fast(&self, dst: usize, env: Envelope) {
         if self.fault_flag.load(Ordering::Relaxed) {
             cascade();
         }
+        let sender = env.src;
         let claimed = {
             let mut ib = self.inboxes[dst].lock();
             if ib.done {
@@ -948,7 +794,7 @@ impl EventCore {
         if !claimed {
             return;
         }
-        let mut granted = Vec::new();
+        let mut granted = self.grants[sender].lock();
         {
             let mut st = self.state.lock();
             if st.fault.is_some() {
@@ -959,7 +805,7 @@ impl EventCore {
                     let clock = st.ranks[dst].clock;
                     st.ranks[dst].status = Status::Ready;
                     st.ready.push(Reverse(ReadyKey { clock, rank: dst }));
-                    self.schedule_fast(&mut st, false, &mut granted);
+                    self.schedule(&mut st, false, &mut granted);
                 }
                 // Claimed the wait but the receiver has not parked yet: flag
                 // it so its park transaction continues inline instead. The
@@ -970,58 +816,14 @@ impl EventCore {
                 }
             }
         }
-        self.flush_grants(false, &granted);
+        self.flush_grants(false, granted);
     }
 
     /// Barrier rendezvous: fold `value` into the episode maximum; the last
     /// arriver releases everyone with the result snapshot, earlier arrivers
     /// park (`BarrierWait`) and read the snapshot once rescheduled.
     pub(crate) fn barrier_wait(&self, rank: usize, value: f64, clock: f64) -> f64 {
-        match self.mode {
-            SchedMode::Classic => self.barrier_wait_classic(rank, value, clock),
-            SchedMode::Fast => self.barrier_wait_fast(rank, value, clock),
-        }
-    }
-
-    fn barrier_wait_classic(&self, rank: usize, value: f64, clock: f64) -> f64 {
-        let mut st = self.state.lock();
-        if st.fault.is_some() {
-            cascade();
-        }
-        st.bar_max = st.bar_max.max(value);
-        st.bar_arrived += 1;
-        if st.bar_arrived == self.size {
-            let result = st.bar_max;
-            st.bar_arrived = 0;
-            st.bar_max = f64::NEG_INFINITY;
-            for r in 0..self.size {
-                if st.ranks[r].status == Status::BarrierWait {
-                    st.ranks[r].release = result;
-                    st.ranks[r].status = Status::Ready;
-                    let c = st.ranks[r].clock;
-                    st.ready.push(Reverse(ReadyKey { clock: c, rank: r }));
-                }
-            }
-            self.schedule(&mut st);
-            result
-        } else {
-            st.ranks[rank].status = Status::BarrierWait;
-            st.ranks[rank].clock = clock;
-            st.running -= 1;
-            if let Some(m) = &self.metrics {
-                m.parks.inc();
-                m.parks_barrier.inc();
-            }
-            st.log_sched(self.sched_trace, clock, rank, SchedKind::BarrierPark);
-            self.schedule(&mut st);
-            self.check_deadlock(&mut st);
-            self.wait_runnable(rank, &mut st);
-            st.ranks[rank].release
-        }
-    }
-
-    fn barrier_wait_fast(&self, rank: usize, value: f64, clock: f64) -> f64 {
-        let mut granted = Vec::new();
+        let mut granted = self.grants[rank].lock();
         let mut st = self.state.lock();
         if st.fault.is_some() {
             cascade();
@@ -1060,9 +862,9 @@ impl EventCore {
                 self.release_bits[r].store(result.to_bits(), Ordering::Relaxed);
                 st.cohort.push_back(r);
             }
-            self.schedule_fast(&mut st, false, &mut granted);
+            self.schedule(&mut st, false, &mut granted);
             drop(st);
-            self.flush_grants(false, &granted);
+            self.flush_grants(false, granted);
             result
         } else {
             st.ranks[rank].status = Status::BarrierWait;
@@ -1074,10 +876,10 @@ impl EventCore {
             }
             st.log_sched(self.sched_trace, clock, rank, SchedKind::BarrierPark);
             self.note_park_gap();
-            self.schedule_fast(&mut st, true, &mut granted);
+            self.schedule(&mut st, true, &mut granted);
             self.check_deadlock(&mut st);
             drop(st);
-            self.flush_grants(true, &granted);
+            self.flush_grants(true, granted);
             self.wait_token(rank);
             f64::from_bits(self.release_bits[rank].load(Ordering::Relaxed))
         }
@@ -1087,33 +889,19 @@ impl EventCore {
     /// Remaining blocked ranks (e.g. a recv from this now-finished rank) are
     /// caught by the deadlock check right here.
     pub(crate) fn finish(&self, rank: usize) {
-        match self.mode {
-            SchedMode::Classic => {
-                let mut st = self.state.lock();
-                st.ranks[rank].status = Status::Done;
-                st.running -= 1;
-                st.finished += 1;
-                let clock = st.ranks[rank].clock;
-                st.log_sched(self.sched_trace, clock, rank, SchedKind::Finish);
-                self.schedule(&mut st);
-                self.check_deadlock(&mut st);
-            }
-            SchedMode::Fast => {
-                self.inboxes[rank].lock().done = true;
-                let mut granted = Vec::new();
-                {
-                    let mut st = self.state.lock();
-                    st.ranks[rank].status = Status::Done;
-                    st.running -= 1;
-                    st.finished += 1;
-                    let clock = st.ranks[rank].clock;
-                    st.log_sched(self.sched_trace, clock, rank, SchedKind::Finish);
-                    self.schedule_fast(&mut st, false, &mut granted);
-                    self.check_deadlock(&mut st);
-                }
-                self.flush_grants(false, &granted);
-            }
+        self.inboxes[rank].lock().done = true;
+        let mut granted = self.grants[rank].lock();
+        {
+            let mut st = self.state.lock();
+            st.ranks[rank].status = Status::Done;
+            st.running -= 1;
+            st.finished += 1;
+            let clock = st.ranks[rank].clock;
+            st.log_sched(self.sched_trace, clock, rank, SchedKind::Finish);
+            self.schedule(&mut st, false, &mut granted);
+            self.check_deadlock(&mut st);
         }
+        self.flush_grants(false, granted);
     }
 
     /// Rank's closure panicked: record the fault (unless one is already set —
@@ -1231,15 +1019,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_from_env_defaults_to_thread() {
-        // The test runner may set SIMNET_ENGINE; only assert the unset/invalid
-        // fallback via the parse logic on a scratch value.
-        assert_eq!(Engine::default(), Engine::Thread);
-    }
-
-    #[test]
-    fn sched_mode_defaults_to_fast() {
-        assert_eq!(SchedMode::default(), SchedMode::Fast);
+    fn default_engine_is_event() {
+        // Tier-1, the examples and every harness must run the path the
+        // benchmark measures; the thread engine is opt-in, as the oracle.
+        assert_eq!(Engine::default(), Engine::Event);
+        assert_eq!(crate::Cluster::new(2, crate::CostModel::free()).engine(), Engine::Event);
     }
 
     #[test]
@@ -1255,7 +1039,7 @@ mod tests {
 
     #[test]
     fn cohort_refill_pops_equal_timestamp_run() {
-        let core = EventCore::new(4, 1, SchedMode::Fast, None, false);
+        let core = EventCore::new(4, 1, None, false);
         let mut st = core.state.lock();
         st.ready.clear();
         st.ready.push(Reverse(ReadyKey { clock: 1.0, rank: 3 }));

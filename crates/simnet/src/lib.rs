@@ -31,20 +31,19 @@
 //!
 //! ## Execution engines
 //!
-//! Two interchangeable engines execute the rank programs (select with
-//! `SIMNET_ENGINE=thread|event` or [`Cluster::with_engine`]):
-//!
-//! - [`Engine::Thread`] (default): one kernel-scheduled OS thread per rank,
-//!   channels for transport, wall-clock watchdogs for deadlock detection.
-//! - [`Engine::Event`]: a discrete-event core — rank threads are parked
-//!   continuations, a bounded set of run tokens is granted in virtual-time
-//!   order, and deadlocks are detected *exactly* (no watchdogs). This is the
-//!   engine that scales sweeps to P ≥ 1024 in one process.
+//! - [`Engine::Event`] (what every run uses): a discrete-event core — rank
+//!   threads are parked continuations, a bounded set of run tokens is granted
+//!   in virtual-time order, and deadlocks are detected *exactly* (no
+//!   watchdogs). This is what scales sweeps to P ≥ 1024 in one process.
+//! - [`Engine::Thread`] (the oracle, via [`Cluster::with_engine`]): one
+//!   kernel-scheduled OS thread per rank, channels for transport, wall-clock
+//!   watchdogs for deadlock detection. It shares no scheduling code with the
+//!   event core, which is what makes it worth comparing against.
 //!
 //! Because clock arithmetic depends only on per-rank program order and matched
 //! message order — never on who physically ran when — the two engines produce
 //! **bit-identical** results, clocks, traces and ledgers for the same inputs;
-//! the thread engine doubles as a differential oracle for the event engine.
+//! the parity suites hold the event engine to the thread engine's answer.
 //!
 //! ## Fault injection
 //!

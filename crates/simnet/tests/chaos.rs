@@ -1,6 +1,6 @@
 //! Integration tests for chaos plans flowing through the simnet charging paths.
 
-use simnet::{ChaosPlan, Cluster, CostModel, TraceKind};
+use simnet::{ChaosPlan, Cluster, CostModel, Engine, TraceKind};
 use std::time::Duration;
 
 fn unit_cost() -> CostModel {
@@ -128,8 +128,10 @@ fn jitter_delays_are_deterministic_and_seed_sensitive() {
 fn paused_sender_with_wall_hold_does_not_trip_the_watchdog() {
     // Rank 0's pause holds the real channel for ~0.4 s of wall clock; rank 1's
     // recv deadline is only 100 ms. The watchdog budgets for the plan's wall
-    // hold, so this must complete, not panic as a deadlock.
+    // hold, so this must complete, not panic as a deadlock. (Thread engine:
+    // only it serves wall holds and has a deadline to trip.)
     let report = Cluster::new(2, CostModel::free())
+        .with_engine(Engine::Thread)
         .with_recv_timeout(Duration::from_millis(100))
         .with_chaos(ChaosPlan::new(0).pause(0, 0.0, 0.4).with_wall_hold(1.0))
         .run(|comm| {
@@ -152,6 +154,7 @@ fn real_deadlocks_still_panic_under_a_chaos_plan() {
     let start = std::time::Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         Cluster::new(2, CostModel::free())
+            .with_engine(Engine::Thread)
             .with_recv_timeout(Duration::from_millis(100))
             .with_chaos(ChaosPlan::new(0).pause(0, 0.0, 0.2).with_wall_hold(1.0))
             .run(|comm| {

@@ -1,8 +1,8 @@
-//! Cross-engine tests: the discrete-event engine must be a bit-identical
-//! drop-in for the thread engine, plus event-engine-only regressions (exact
-//! deadlock reports, recv-after-finish, bounded workers).
+//! Cross-engine tests: the discrete-event engine must be bit-identical to the
+//! thread-engine oracle at every worker count, plus event-engine-only
+//! regressions (exact deadlock reports, recv-after-finish, lost wakeups).
 
-use simnet::{ChaosPlan, Cluster, CostModel, Engine, LedgerSnapshot, PhaseVolume, SchedMode};
+use simnet::{ChaosPlan, Cluster, CostModel, Engine, LedgerSnapshot, PhaseVolume};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -20,9 +20,11 @@ fn ledger_canon(snap: &LedgerSnapshot, size: usize) -> Vec<((usize, String), Pha
     cells
 }
 
-/// Run `f` under both engines and assert results, clocks and ledgers agree
-/// bit-for-bit.
-fn assert_parity<T, F>(mut mk: impl FnMut() -> Cluster, f: F) -> (Vec<T>, Vec<f64>)
+/// Run `f` once on the thread oracle and on the event engine at every worker
+/// count, and assert results, clocks, ledgers and virtual-class metrics agree
+/// bit for bit. The run-token budget caps concurrency, never semantics: W=1
+/// serializes ranks completely, W=8 lets all of them fly.
+fn assert_parity<T, F>(mut mk: impl FnMut() -> Cluster, f: F)
 where
     T: Clone + PartialEq + std::fmt::Debug + Send,
     F: Fn(&mut simnet::Comm) -> T + Send + Sync + Copy,
@@ -31,21 +33,22 @@ where
     // Force observability on: parity must also cover every Virtual-class
     // metric (recv-wait, tx/rx bytes, chaos counters, …), bit for bit.
     let thread = mk().with_obs(true).with_engine(Engine::Thread).run(f);
-    let event = mk().with_obs(true).with_engine(Engine::Event).run(f);
-    assert_eq!(thread.results, event.results, "per-rank results diverged across engines");
-    assert_eq!(thread.times, event.times, "virtual clocks diverged across engines");
-    assert_eq!(
-        ledger_canon(&thread.ledger, size),
-        ledger_canon(&event.ledger, size),
-        "traffic ledgers diverged across engines"
-    );
-    assert_eq!(
-        thread.metrics.parity_view(),
-        event.metrics.parity_view(),
-        "virtual-class metrics diverged across engines"
-    );
     assert!(!thread.metrics.parity_view().is_empty(), "obs was forced on; metrics must exist");
-    (event.results, event.times)
+    for workers in [1usize, 2, 3, 8] {
+        let event = mk().with_obs(true).with_engine(Engine::Event).with_workers(workers).run(f);
+        assert_eq!(thread.results, event.results, "W={workers}: results diverged across engines");
+        assert_eq!(thread.times, event.times, "W={workers}: clocks diverged across engines");
+        assert_eq!(
+            ledger_canon(&thread.ledger, size),
+            ledger_canon(&event.ledger, size),
+            "W={workers}: traffic ledgers diverged across engines"
+        );
+        assert_eq!(
+            thread.metrics.parity_view(),
+            event.metrics.parity_view(),
+            "W={workers}: virtual-class metrics diverged across engines"
+        );
+    }
 }
 
 /// A messaging-heavy workload: rotated all-to-all with compute and barriers.
@@ -120,76 +123,6 @@ fn engines_agree_on_out_of_order_irecv_resolution() {
 }
 
 #[test]
-fn bounded_worker_counts_do_not_change_results() {
-    // The run-token budget caps concurrency, never semantics: W=1 serializes
-    // ranks completely, W=8 lets all of them fly, both must match the oracle.
-    let reference =
-        Cluster::new(8, CostModel::aries()).with_engine(Engine::Thread).run(busy_workload);
-    for workers in [1usize, 2, 3, 8] {
-        let report = Cluster::new(8, CostModel::aries())
-            .with_engine(Engine::Event)
-            .with_workers(workers)
-            .run(busy_workload);
-        assert_eq!(reference.results, report.results, "W={workers} changed results");
-        assert_eq!(reference.times, report.times, "W={workers} changed clocks");
-    }
-}
-
-#[test]
-fn event_engine_reports_recv_cycles_exactly_and_instantly() {
-    // A 3-cycle of receives with no sends: the thread engine would need a
-    // watchdog timeout to notice; the event engine proves it from the empty
-    // ready queue and names the cycle.
-    let start = Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        Cluster::new(3, CostModel::free()).with_engine(Engine::Event).run(|comm| {
-            let next = (comm.rank() + 1) % comm.size();
-            let _: Vec<f32> = comm.recv(next, 7);
-        })
-    }));
-    let msg = expect_panic(result, "a recv cycle must fail the run");
-    assert!(msg.contains("simnet deadlock (exact)"), "unexpected report: {msg}");
-    assert!(msg.contains("recv cycle:"), "report must name the cycle: {msg}");
-    assert!(msg.contains("needs no watchdog"), "report must note exact detection: {msg}");
-    // Exact detection needs no timeouts; generous bound for slow CI only.
-    assert!(start.elapsed() < Duration::from_secs(30));
-}
-
-#[test]
-fn event_engine_reports_recv_after_finish() {
-    // Rank 1 returns without sending; rank 0 then blocks on it. The report
-    // must say the peer already finished (a chain, not a cycle).
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        Cluster::new(2, CostModel::free()).with_engine(Engine::Event).run(|comm| {
-            if comm.rank() == 0 {
-                let _: Vec<f32> = comm.recv(1, 0);
-            }
-        })
-    }));
-    let msg = expect_panic(result, "recv from a finished rank must fail the run");
-    assert!(msg.contains("simnet deadlock (exact)"), "unexpected report: {msg}");
-    assert!(msg.contains("already finished and will never send"), "unexpected report: {msg}");
-}
-
-#[test]
-fn event_engine_rejects_send_to_finished_rank() {
-    // W=1 pins the interleaving: rank 0 parks on the recv, rank 1 sends and
-    // finishes (Done), then rank 0 resumes and sends into the void.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        Cluster::new(2, CostModel::free()).with_engine(Engine::Event).with_workers(1).run(|comm| {
-            if comm.rank() == 0 {
-                let _: Vec<f32> = comm.recv(1, 0);
-                comm.send(1, 1, vec![1.0f32]);
-            } else {
-                comm.send(0, 0, vec![0.0f32]);
-            }
-        })
-    }));
-    let msg = expect_panic(result, "send to a finished rank must fail the run");
-    assert!(msg.contains("already finished"), "unexpected message: {msg}");
-}
-
-#[test]
 fn event_engine_rank_panics_propagate_with_original_payload() {
     let result = catch_unwind(AssertUnwindSafe(|| {
         Cluster::new(4, CostModel::free()).with_engine(Engine::Event).run(|comm| {
@@ -250,117 +183,60 @@ fn event_engine_scales_to_many_ranks_with_small_stacks() {
     assert_eq!(report.ledger.total_elements(), (p * 32) as u64);
 }
 
-/// Run `f` on the event engine under both dispatch paths (`SchedMode::Classic`
-/// is the PR 7 kill switch, `SchedMode::Fast` the handoff/cohort/spin path)
-/// and assert results, clocks, ledgers and virtual-class metrics agree bit for
-/// bit at every worker count. The dispatch path decides only *who runs when on
-/// the host*, never what the simulation computes.
-fn assert_sched_parity<T, F>(mut mk: impl FnMut() -> Cluster, f: F)
-where
-    T: Clone + PartialEq + std::fmt::Debug + Send,
-    F: Fn(&mut simnet::Comm) -> T + Send + Sync + Copy,
-{
-    let size = mk().size();
-    for workers in [1usize, 2, 8] {
-        let classic = mk()
-            .with_obs(true)
-            .with_engine(Engine::Event)
-            .with_workers(workers)
-            .with_sched(SchedMode::Classic)
-            .run(f);
-        let fast = mk()
-            .with_obs(true)
-            .with_engine(Engine::Event)
-            .with_workers(workers)
-            .with_sched(SchedMode::Fast)
-            .run(f);
-        assert_eq!(classic.results, fast.results, "W={workers}: results diverged across paths");
-        assert_eq!(classic.times, fast.times, "W={workers}: clocks diverged across paths");
-        assert_eq!(
-            ledger_canon(&classic.ledger, size),
-            ledger_canon(&fast.ledger, size),
-            "W={workers}: ledgers diverged across paths"
-        );
-        assert_eq!(
-            classic.metrics.parity_view(),
-            fast.metrics.parity_view(),
-            "W={workers}: virtual-class metrics diverged across paths"
-        );
-    }
-}
-
-#[test]
-fn sched_paths_agree_on_messaging_compute_and_barriers() {
-    assert_sched_parity(|| Cluster::new(8, CostModel::aries()), busy_workload);
-}
-
-#[test]
-fn sched_paths_agree_under_a_chaos_plan() {
-    let plan = || {
-        ChaosPlan::new(2024)
-            .straggler(1, 2.0)
-            .straggler_window(3, 1.5, 0.0, 0.5)
-            .degrade_all_links(1.2, 1.5, 0.0, 0.2)
-            .jitter(5e-5)
-            .pause(2, 0.01, 0.05)
-    };
-    assert_sched_parity(|| Cluster::new(6, CostModel::aries()).with_chaos(plan()), busy_workload);
-}
-
 #[test]
 fn fast_path_reports_recv_cycles_exactly() {
-    // The stale-entry machinery (targeted handoffs leave dead heap entries
-    // behind) must not mask a real deadlock: the detector judges emptiness on
-    // live entries only, and the report still walks and names the cycle.
+    // A 3-cycle of receives with no sends: the thread engine would need a
+    // watchdog timeout to notice; the event engine proves it from the empty
+    // ready queue and names the cycle. The stale-entry machinery (targeted
+    // handoffs leave dead heap entries behind) must not mask it: the detector
+    // judges emptiness on live entries only.
+    let start = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        Cluster::new(3, CostModel::free())
-            .with_engine(Engine::Event)
-            .with_sched(SchedMode::Fast)
-            .run(|comm| {
-                let next = (comm.rank() + 1) % comm.size();
-                let _: Vec<f32> = comm.recv(next, 7);
-            })
+        Cluster::new(3, CostModel::free()).with_engine(Engine::Event).run(|comm| {
+            let next = (comm.rank() + 1) % comm.size();
+            let _: Vec<f32> = comm.recv(next, 7);
+        })
     }));
-    let msg = expect_panic(result, "a recv cycle must fail the run under the fast path");
+    let msg = expect_panic(result, "a recv cycle must fail the run");
     assert!(msg.contains("simnet deadlock (exact)"), "unexpected report: {msg}");
     assert!(msg.contains("recv cycle:"), "report must name the cycle: {msg}");
+    assert!(msg.contains("needs no watchdog"), "report must note exact detection: {msg}");
+    // Exact detection needs no timeouts; generous bound for slow CI only.
+    assert!(start.elapsed() < Duration::from_secs(30));
 }
 
 #[test]
 fn fast_path_reports_recv_after_finish() {
+    // Rank 1 returns without sending; rank 0 then blocks on it. The report
+    // must say the peer already finished (a chain, not a cycle).
     let result = catch_unwind(AssertUnwindSafe(|| {
-        Cluster::new(2, CostModel::free())
-            .with_engine(Engine::Event)
-            .with_sched(SchedMode::Fast)
-            .run(|comm| {
-                if comm.rank() == 0 {
-                    let _: Vec<f32> = comm.recv(1, 0);
-                }
-            })
+        Cluster::new(2, CostModel::free()).with_engine(Engine::Event).run(|comm| {
+            if comm.rank() == 0 {
+                let _: Vec<f32> = comm.recv(1, 0);
+            }
+        })
     }));
-    let msg = expect_panic(result, "recv from a finished rank must fail under the fast path");
+    let msg = expect_panic(result, "recv from a finished rank must fail the run");
+    assert!(msg.contains("simnet deadlock (exact)"), "unexpected report: {msg}");
     assert!(msg.contains("already finished and will never send"), "unexpected report: {msg}");
 }
 
 #[test]
 fn fast_path_rejects_send_to_finished_rank() {
-    // The done flag moved to the per-rank inbox on the fast path; the panic
-    // message must stay identical to the classic one.
+    // W=1 pins the interleaving: rank 0 parks on the recv, rank 1 sends and
+    // finishes (its inbox is flagged done), then rank 0 resumes and sends
+    // into the void.
     let result = catch_unwind(AssertUnwindSafe(|| {
-        Cluster::new(2, CostModel::free())
-            .with_engine(Engine::Event)
-            .with_sched(SchedMode::Fast)
-            .with_workers(1)
-            .run(|comm| {
-                if comm.rank() == 0 {
-                    let _: Vec<f32> = comm.recv(1, 0);
-                    comm.send(1, 1, vec![1.0f32]);
-                } else {
-                    comm.send(0, 0, vec![0.0f32]);
-                }
-            })
+        Cluster::new(2, CostModel::free()).with_engine(Engine::Event).with_workers(1).run(|comm| {
+            if comm.rank() == 0 {
+                let _: Vec<f32> = comm.recv(1, 0);
+                comm.send(1, 1, vec![1.0f32]);
+            } else {
+                comm.send(0, 0, vec![0.0f32]);
+            }
+        })
     }));
-    let msg = expect_panic(result, "send to a finished rank must fail under the fast path");
+    let msg = expect_panic(result, "send to a finished rank must fail the run");
     assert!(msg.contains("already finished"), "unexpected message: {msg}");
 }
 
@@ -376,7 +252,6 @@ fn fast_path_survives_the_inline_continue_window() {
     let report = Cluster::new(2, CostModel::free())
         .with_obs(true)
         .with_engine(Engine::Event)
-        .with_sched(SchedMode::Fast)
         .with_workers(2)
         .run(move |comm| {
             let me = comm.rank();

@@ -52,9 +52,9 @@ pub struct TrainConfig {
     pub eval_every: usize,
     /// Measure ξ (Assumption 1) every this many iterations (0 = never; Ok-Topk only).
     pub measure_xi_every: usize,
-    /// Simulation engine; `None` defers to the cluster default (`SIMNET_ENGINE`).
-    /// Weak-scaling harnesses force [`Engine::Event`] above thread-engine
-    /// comfort (see `okbench::weak_scaling_panel`).
+    /// Simulation engine; `None` is the cluster default ([`Engine::Event`]).
+    /// `Some(Engine::Thread)` runs the differential oracle, which is what the
+    /// parity tests set this for.
     pub engine: Option<Engine>,
     /// Per-rank stack size; `None` keeps the cluster default. The paper-scale
     /// sweeps (P up to 4096 ranks in one process) shrink this so rank stacks

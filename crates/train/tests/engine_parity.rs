@@ -6,7 +6,7 @@
 //! `Engine::Event` — clean and under a chaos plan. Host-class metrics (pool
 //! behavior, scheduler token traffic, wall time) are exempt by design.
 
-use simnet::{ChaosPlan, Cluster, Engine, SchedMode};
+use simnet::{ChaosPlan, Cluster, Engine};
 use train::{CostProfile, Reducer, Scheme, Update};
 
 /// Deterministic pseudo-gradient: a fixed function of (rank, iter, index).
@@ -27,22 +27,10 @@ fn run_once(
     engine: Engine,
     chaos: bool,
 ) -> (Vec<f64>, Vec<(String, Vec<u64>)>, Vec<f64>) {
-    run_once_sched(scheme, engine, chaos, None)
-}
-
-fn run_once_sched(
-    scheme: Scheme,
-    engine: Engine,
-    chaos: bool,
-    sched: Option<SchedMode>,
-) -> (Vec<f64>, Vec<(String, Vec<u64>)>, Vec<f64>) {
     let p = 4;
     let n = 512;
     let cost = CostProfile::paper_calibrated();
     let mut cluster = Cluster::new(p, cost.network()).with_obs(true).with_engine(engine);
-    if let Some(mode) = sched {
-        cluster = cluster.with_sched(mode);
-    }
     if chaos {
         let plan = ChaosPlan::new(11)
             .straggler(1, 1.6)
@@ -94,45 +82,16 @@ fn all_schemes_have_metric_parity_under_chaos() {
     }
 }
 
-/// The event engine's two dispatch paths (`SIMNET_SCHED=classic|fast`) must be
-/// as interchangeable as the engines themselves: bit-identical gradients,
-/// clocks and Virtual-class metrics for every scheme, clean and under chaos.
-fn assert_sched_parity(scheme: Scheme, chaos: bool) {
-    let (c_clocks, c_metrics, c_results) =
-        run_once_sched(scheme, Engine::Event, chaos, Some(SchedMode::Classic));
-    let (f_clocks, f_metrics, f_results) =
-        run_once_sched(scheme, Engine::Event, chaos, Some(SchedMode::Fast));
-    let label = scheme.name();
-    assert_eq!(c_results, f_results, "{label}: results diverged across sched paths");
-    assert_eq!(c_clocks, f_clocks, "{label}: clocks diverged across sched paths");
-    assert_eq!(c_metrics, f_metrics, "{label}: virtual metrics diverged across sched paths");
-}
-
-#[test]
-fn all_schemes_have_sched_path_parity_clean() {
-    for scheme in Scheme::all() {
-        assert_sched_parity(scheme, false);
-    }
-}
-
-#[test]
-fn all_schemes_have_sched_path_parity_under_chaos() {
-    for scheme in Scheme::all() {
-        assert_sched_parity(scheme, true);
-    }
-}
-
 /// The hierarchical schemes at P=4 with no topology degenerate to their flat
 /// counterparts, so the suites above only exercise the degenerate paths. Run
 /// them again on a genuine two-tier topology (8 ranks, 4 per node, 8×
 /// oversubscription) so the intra-reduce → leader-exchange → broadcast
-/// pipeline itself is held to the same cross-engine / cross-sched-path
-/// bit-parity guarantees, clean and under chaos.
+/// pipeline itself is held to the same cross-engine bit-parity guarantee,
+/// clean and under chaos.
 fn run_hier(
     scheme: Scheme,
     engine: Engine,
     chaos: bool,
-    sched: Option<SchedMode>,
 ) -> (Vec<f64>, Vec<(String, Vec<u64>)>, Vec<f64>) {
     let p = 8;
     let n = 512;
@@ -142,9 +101,6 @@ fn run_hier(
         simnet::Topology::two_tier(rpn, (1e-6, 1e-9), (25e-6, 4e-9)).with_oversubscription(8.0);
     let mut cluster =
         Cluster::new(p, cost.network()).with_obs(true).with_engine(engine).with_topology(topo);
-    if let Some(mode) = sched {
-        cluster = cluster.with_sched(mode);
-    }
     if chaos {
         let plan = ChaosPlan::new(23)
             .straggler(3, 1.5)
@@ -175,28 +131,12 @@ const HIER_SCHEMES: [Scheme; 3] = [Scheme::HierDense, Scheme::HierGTopk, Scheme:
 fn hier_schemes_have_engine_parity_on_two_tier_topology() {
     for scheme in HIER_SCHEMES {
         for chaos in [false, true] {
-            let (t_clocks, t_metrics, t_results) = run_hier(scheme, Engine::Thread, chaos, None);
-            let (e_clocks, e_metrics, e_results) = run_hier(scheme, Engine::Event, chaos, None);
+            let (t_clocks, t_metrics, t_results) = run_hier(scheme, Engine::Thread, chaos);
+            let (e_clocks, e_metrics, e_results) = run_hier(scheme, Engine::Event, chaos);
             let label = scheme.name();
             assert_eq!(t_results, e_results, "{label} chaos={chaos}: results diverged");
             assert_eq!(t_clocks, e_clocks, "{label} chaos={chaos}: clocks diverged");
             assert_eq!(t_metrics, e_metrics, "{label} chaos={chaos}: metrics diverged");
-        }
-    }
-}
-
-#[test]
-fn hier_schemes_have_sched_path_parity_on_two_tier_topology() {
-    for scheme in HIER_SCHEMES {
-        for chaos in [false, true] {
-            let (c_clocks, c_metrics, c_results) =
-                run_hier(scheme, Engine::Event, chaos, Some(SchedMode::Classic));
-            let (f_clocks, f_metrics, f_results) =
-                run_hier(scheme, Engine::Event, chaos, Some(SchedMode::Fast));
-            let label = scheme.name();
-            assert_eq!(c_results, f_results, "{label} chaos={chaos}: results diverged");
-            assert_eq!(c_clocks, f_clocks, "{label} chaos={chaos}: clocks diverged");
-            assert_eq!(c_metrics, f_metrics, "{label} chaos={chaos}: metrics diverged");
         }
     }
 }

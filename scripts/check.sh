@@ -21,16 +21,13 @@
 #   fails the script if Hier-Ok-Topk does not beat flat Ok-Topk once the
 #   effective inter/intra beta ratio reaches 8x, if a repeated cell is not
 #   bit-identical, or if inter-link chaos speeds any cell up.
-# - scale checks thread/event engine bit-parity at P=32, then fails the script
-#   if the event engine cannot run Ok-Topk at P=1024 inside its wall/memory
-#   budget, if the P=2048 headline misses its 30 s budget (>= 1.5x over the
-#   PR 7 baseline) or reports a zero scheduler handoff rate, or if the thread
-#   engine *can* keep within 1.25x of the event engine's wall at P=1024 (the
-#   virtual-time scheduler must be what buys P>=1024). The thread probe skips
-#   cleanly on hosts that cannot spawn that many OS threads.
-# - fig10 --paper-axis sweeps the weak-scaling axis to P=4096 on the event
-#   engine (clean + one chaos cell) under a hard wall budget; fig8/fig12 run
-#   the same sweep with CHECK_PAPER_AXIS=1.
+# - scale checks bit-parity with the thread-engine oracle at P=32, then fails
+#   the script if Ok-Topk at P=1024 misses its wall/memory budget, or if the
+#   P=2048 headline misses its 30 s budget (>= 1.5x over the PR 7 baseline) or
+#   reports a zero scheduler handoff rate.
+# - fig10 --paper-axis sweeps the weak-scaling axis to P=4096 (clean + one
+#   chaos cell) under a hard wall budget; fig8/fig12 run the same sweep with
+#   CHECK_PAPER_AXIS=1.
 #
 # Quick numbers go to target/*-gate.json so they never overwrite the checked-in
 # full-run BENCH_PR6.json / BENCH_PR4.json / BENCH_PR5.json / BENCH_PR7.json /
@@ -52,6 +49,13 @@ cargo clippy --workspace -- -D warnings
 echo "== rustfmt (check) =="
 cargo fmt --check
 
+echo "== env-knob inventory (crates vs README.md) =="
+# Every env var the crates read must have a row in README.md's knob table, and
+# every row must still be read, so the knob count cannot creep up unnoticed.
+diff <(grep -rhoE '"(SIMNET|OKTOPK|OKBENCH)_[A-Z_]+"' crates --include=*.rs --exclude-dir=shims \
+         | tr -d '"' | sort -u) \
+     <(grep -oE '^\| `(SIMNET|OKTOPK|OKBENCH)_[A-Z_]+`' README.md | tr -d '|` ' | sort -u)
+
 echo "== tests =="
 cargo test -q --workspace
 
@@ -60,20 +64,6 @@ echo "== tests (forced-scalar: OKTOPK_SIMD=off) =="
 # re-run the crates that dispatch through sparse::simd with SIMD forced off so
 # that path stays green, not just compiled.
 OKTOPK_SIMD=off cargo test -q -p sparse -p dnn -p oktopk
-
-echo "== tests (event engine: SIMNET_ENGINE=event) =="
-# The discrete-event engine promises bit-identical behaviour to the thread
-# engine; re-run every simnet-driven suite with the event engine as the
-# default so the whole stack exercises the parked-continuation path.
-SIMNET_ENGINE=event cargo test -q --workspace
-
-echo "== tests (classic scheduler: SIMNET_SCHED=classic) =="
-# The event engine's fast dispatch path (direct handoff, cohort wakeups,
-# adaptive spin) promises bit-identical behaviour to the classic
-# lock/condvar path; re-run the simnet-driven suites with the event engine
-# as default and the classic scheduler pinned so the kill-switch fallback
-# never rots.
-SIMNET_ENGINE=event SIMNET_SCHED=classic cargo test -q -p simnet -p okpar -p train -p okbench
 
 echo "== tests (two-tier topology default: SIMNET_TOPO=2x8) =="
 # A session-wide shape-only topology must be timing-neutral: it changes node
@@ -90,7 +80,7 @@ OKTOPK_OBS=off cargo test -q -p simnet -p okpar -p train -p okbench
 echo "== obs trace export (obsdump, schema-checked) =="
 # The profiling command must produce a loadable Perfetto trace end to end.
 cargo run --release -p okbench --bin obsdump -- --ranks 2 --iters 2 \
-  --engine event --out target/obsdump-trace.json > /dev/null
+  --out target/obsdump-trace.json > /dev/null
 
 echo "== hot-path bench (quick, gated) =="
 cargo run --release -p okbench --bin hotpath -- --quick --gate --out target/hotpath-gate.json
@@ -108,8 +98,8 @@ echo "== scale sweep smoke (P=1024 budget + P=2048 headline, gated) =="
 cargo run --release -p okbench --bin scale -- --gate --out target/scale-gate.json
 
 echo "== paper-axis weak scaling to P=4096 (fig10, budgeted) =="
-# The fig8/10/12 harnesses sweep the paper's full 256-4096 cluster axis on
-# the event engine with --paper-axis (clean + one chaos cell at P=4096).
+# The fig8/10/12 harnesses sweep the paper's full 256-4096 cluster axis with
+# --paper-axis (clean + one chaos cell at P=4096).
 # The default gate runs the cheapest of the three (fig10's LSTM stand-in,
 # ~3 min single-core) under a hard wall budget; fig8 and fig12 carry larger
 # models (~12 min each) and run under the same budget with CHECK_PAPER_AXIS=1
