@@ -1,7 +1,7 @@
 //! Criterion benches of the top-k selection kernels (§2 / §3.1.3): full sort,
-//! quickselect thresholding, the O(n) threshold scan, and the Gaussian-PPF
+//! radix-select thresholding, the O(n) threshold scan, and the Gaussian-PPF
 //! estimator. These are real wall-time measurements of this crate's CPU
-//! implementations — the relative ordering (sort ≫ quickselect > scan ≈ gaussian)
+//! implementations — the relative ordering (sort ≫ radix select > scan ≈ gaussian)
 //! is the paper's motivation for threshold reuse.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -31,7 +31,7 @@ fn bench_selection(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("full_sort", n), &values, |b, v| {
             b.iter(|| exact_threshold_by_sort(v, k))
         });
-        group.bench_with_input(BenchmarkId::new("quickselect", n), &values, |b, v| {
+        group.bench_with_input(BenchmarkId::new("radix_select", n), &values, |b, v| {
             b.iter(|| exact_threshold(v, k))
         });
         group.bench_with_input(BenchmarkId::new("threshold_scan", n), &values, |b, v| {
@@ -45,8 +45,8 @@ fn bench_selection(c: &mut Criterion) {
 }
 
 fn bench_duplicate_heavy(c: &mut Criterion) {
-    // The residual-accumulator shape: ~99% exact zeros (the quickselect
-    // three-way-partition regression case).
+    // The residual-accumulator shape: ~99% exact zeros (every counting pass
+    // piles onto one bucket).
     let n = 1 << 18;
     let mut values = vec![0.0f32; n];
     let mut rng = StdRng::seed_from_u64(3);
@@ -54,7 +54,7 @@ fn bench_duplicate_heavy(c: &mut Criterion) {
         let i = rng.gen_range(0..n);
         values[i] = rng.gen_range(-1.0f32..1.0);
     }
-    c.bench_function("quickselect_mostly_zeros_256k", |b| {
+    c.bench_function("radix_select_mostly_zeros_256k", |b| {
         b.iter(|| exact_threshold(&values, n / 200))
     });
 }

@@ -6,7 +6,9 @@ use crate::split_reduce::split_and_reduce;
 use collectives::{allgather_items, allreduce_sum_f64};
 use simnet::Net;
 use sparse::partition::{balanced_boundaries, consensus_boundaries, equal_boundaries};
-use sparse::scratch::{exact_threshold_scratch, filter_abs_ge_scratch, select_ge_scratch};
+use sparse::scratch::{
+    accumulate_select_scratch, exact_threshold_scratch, filter_abs_ge_scratch, select_ge_scratch,
+};
 use sparse::threshold::{PeriodicExactEstimator, ThresholdEstimator};
 use sparse::{CooGradient, SelectScratch};
 
@@ -94,18 +96,61 @@ impl OkTopk {
 
     /// One O(k) sparse allreduce of the accumulator `acc` at iteration `t` (1-based,
     /// as in Algorithm 1). Collective: every rank must call with the same `t`.
+    ///
+    /// The entry for an input that is already accumulated; a training step holds
+    /// ε and the gradient apart and enters through
+    /// [`accumulate_allreduce`](Self::accumulate_allreduce).
     pub fn allreduce<C: Net>(&mut self, comm: &mut C, acc: &[f32], t: usize) -> OkTopkOutput {
         assert_eq!(acc.len(), self.cfg.n, "accumulator length must equal configured n");
+        // Lines 2–4: local threshold, re-evaluated every τ′ iterations, then the
+        // O(n) scan; both run on pooled scratch and touch no heap at steady state.
+        let local_th = self.local_est.threshold_scratch(t, acc, self.cfg.k, &mut self.scratch);
+        let local = select_ge_scratch(acc, local_th, &mut self.scratch);
+        self.exchange(comm, local, local_th, t)
+    }
+
+    /// Algorithm 2 line 4 and Algorithm 1 together: `residual += scale·grad` in
+    /// place, then the sparse allreduce of the result. On the τ′ − 1 of τ′
+    /// iterations that reuse the local threshold the accumulation and the
+    /// selection scan are one pass over the two arrays; a re-evaluation needs the
+    /// whole accumulator before it can rank it, so it accumulates, radix-selects
+    /// and scans. Bit-identical to accumulating into a second buffer and calling
+    /// [`allreduce`](Self::allreduce) on it.
+    pub fn accumulate_allreduce<C: Net>(
+        &mut self,
+        comm: &mut C,
+        residual: &mut [f32],
+        grad: &[f32],
+        scale: f32,
+        t: usize,
+    ) -> OkTopkOutput {
+        assert_eq!(residual.len(), self.cfg.n, "residual length must equal configured n");
+        assert_eq!(grad.len(), self.cfg.n, "gradient length must equal configured n");
+        let (local_th, local) = match self.local_est.reused_at(t) {
+            Some(th) => {
+                (th, accumulate_select_scratch(residual, grad, scale, th, &mut self.scratch))
+            }
+            None => {
+                sparse::simd::axpy(residual, grad, scale);
+                let th =
+                    self.local_est.threshold_scratch(t, residual, self.cfg.k, &mut self.scratch);
+                (th, select_ge_scratch(residual, th, &mut self.scratch))
+            }
+        };
+        self.exchange(comm, local, local_th, t)
+    }
+
+    /// Algorithm 1 after the local selection (lines 5–14), shared by both entries.
+    fn exchange<C: Net>(
+        &mut self,
+        comm: &mut C,
+        local: CooGradient,
+        local_th: f32,
+        t: usize,
+    ) -> OkTopkOutput {
         assert!(t >= 1, "iterations are 1-based, as in Algorithm 1");
         let p = comm.size();
         let n = self.cfg.n as u32;
-
-        // Lines 2–4: local threshold, re-evaluated every τ′ iterations. Both the
-        // exact threshold pass and the O(n) scan run on pooled scratch buffers
-        // (and data-parallel under OKTOPK_THREADS); at steady state neither
-        // touches the heap.
-        let local_th = self.local_est.threshold_scratch(t, acc, self.cfg.k, &mut self.scratch);
-        let local = select_ge_scratch(acc, local_th, &mut self.scratch);
 
         // Lines 5–7: region boundaries, re-evaluated every τ iterations. Consensus
         // is a P+1-element f64 allreduce — latency-only, amortized over τ.

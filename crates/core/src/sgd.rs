@@ -18,14 +18,12 @@ use sparse::CooGradient;
 
 /// Per-worker Ok-Topk SGD state: the allreduce state plus the residual ε.
 ///
-/// The accumulator buffer is persistent: each step fuses ε + scale·grad into it
-/// in place and then *swaps* it with the residual, so the dense O(n) part of a
-/// step performs no heap allocation after the first iteration.
+/// ε is the only n-sized buffer: a step accumulates `scale·grad` into it in
+/// place (there is no separate accumulator), selects from it, and zeroes the
+/// entries that contributed — no heap allocation in the dense O(n) part.
 pub struct OkTopkSgd {
     allreduce: OkTopk,
     residual: Vec<f32>,
-    /// Reused accumulator storage (previous iteration's residual buffer).
-    acc: Vec<f32>,
     t: usize,
 }
 
@@ -42,7 +40,7 @@ impl OkTopkSgd {
     /// Fresh optimizer state (zero residual) for the given configuration.
     pub fn new(cfg: OkTopkConfig) -> Self {
         let n = cfg.n;
-        Self { allreduce: OkTopk::new(cfg), residual: vec![0.0; n], acc: vec![0.0; n], t: 0 }
+        Self { allreduce: OkTopk::new(cfg), residual: vec![0.0; n], t: 0 }
     }
 
     /// The residual ε currently held by this worker.
@@ -92,17 +90,12 @@ impl OkTopkSgd {
         assert_eq!(grad.len(), self.residual.len());
         self.t += 1;
 
-        // Line 4: accumulate residuals into the fresh gradient — fused into the
-        // persistent accumulator buffer, no allocation. Lane-vectorized and
-        // elementwise, so bit-identical to the scalar loop.
-        sparse::simd::fused_scale_add(&mut self.acc, &self.residual, grad, scale);
+        // Lines 4–5: accumulate the fresh gradient into ε and run the O(k)
+        // sparse allreduce of the result.
+        let meta =
+            self.allreduce.accumulate_allreduce(comm, &mut self.residual, grad, scale, self.t);
 
-        // Line 5: O(k) sparse allreduce of the accumulator.
-        let meta = self.allreduce.allreduce(comm, &self.acc, self.t);
-
-        // Line 6: keep everything that did NOT contribute as the new residual;
-        // the old residual buffer becomes the next iteration's accumulator.
-        std::mem::swap(&mut self.residual, &mut self.acc);
+        // Line 6: everything that did NOT contribute stays as the residual.
         for &i in &meta.contributed {
             self.residual[i as usize] = 0.0;
         }
@@ -143,6 +136,45 @@ mod tests {
             ok
         });
         assert!(report.results.iter().all(|&ok| ok));
+    }
+
+    #[test]
+    fn step_matches_two_buffer_reference() {
+        // The in-place fused step against Algorithm 2 written out with a separate
+        // accumulator: fresh `acc = ε + α·g`, `OkTopk::allreduce(acc)`, copy back.
+        // n spans more than one kernel tile and is a multiple of nothing.
+        fn bits(v: &[f32]) -> Vec<u32> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+        let (n, k, tau_prime) = (4501, 90, 4);
+        for p in [1usize, 3, 4] {
+            Cluster::new(p, CostModel::aries()).run(|comm| {
+                let cfg = OkTopkConfig::new(n, k).with_periods(5, tau_prime);
+                let mut sgd = OkTopkSgd::new(cfg.clone());
+                let mut reference = crate::OkTopk::new(cfg);
+                let mut residual = vec![0.0f32; n];
+                let mut rng = StdRng::seed_from_u64(23 + comm.rank() as u64);
+                for t in 1..=3 * tau_prime {
+                    let grad: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                    let acc: Vec<f32> =
+                        residual.iter().zip(&grad).map(|(&e, &g)| e + 0.1 * g).collect();
+                    let want = reference.allreduce(comm, &acc, t);
+                    residual.copy_from_slice(&acc);
+                    for &i in &want.contributed {
+                        residual[i as usize] = 0.0;
+                    }
+
+                    let got = sgd.step(comm, &grad, 0.1).meta;
+                    let at = format!("p={p} rank={} t={t}", comm.rank());
+                    assert_eq!(got.update.indexes(), want.update.indexes(), "{at}");
+                    assert_eq!(bits(got.update.values()), bits(want.update.values()), "{at}");
+                    assert_eq!(got.contributed, want.contributed, "{at}");
+                    assert_eq!(got.local_th.to_bits(), want.local_th.to_bits(), "{at}");
+                    assert_eq!(got.global_th.to_bits(), want.global_th.to_bits(), "{at}");
+                    assert_eq!(bits(sgd.residual()), bits(&residual), "{at}");
+                }
+            });
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! deterministic chunk partitioning, and a persistent worker pool.
 //!
 //! Every parallel kernel in this workspace (the dense matmuls in `dnn`, the
-//! threshold scan and quickselect magnitude pass in `sparse`) asks this crate
+//! threshold scans in `sparse`) asks this crate
 //! how many worker threads to use, how to partition its index space, and — via
 //! [`run_chunks`] / [`run_tasks`] — where to run the pieces. Keeping policy and
 //! dispatch in one place gives a single knob (the `OKTOPK_THREADS` environment

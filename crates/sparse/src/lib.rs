@@ -7,7 +7,7 @@
 //!
 //! - [`CooGradient`]: the coordinate-format sparse gradient the paper assumes
 //!   throughout (k values + k `u32` indexes = 2k wire elements),
-//! - exact top-k selection via partial quickselect and via full sort ([`select`]),
+//! - exact top-k selection via radix select and via full sort ([`select`]),
 //! - threshold-based selection (a single O(n) scan, the GPU-friendly primitive the
 //!   paper builds on),
 //! - threshold estimators ([`threshold`]): the paper's periodic exact re-evaluation

@@ -1,7 +1,7 @@
 //! Reusable scratch buffers for the steady-state selection hot path.
 //!
 //! Ok-Topk's per-iteration cost is dominated by a handful of O(n)/O(k) passes:
-//! the |value| fill feeding quickselect, the threshold scan, the survivor
+//! the radix select's counting passes, the threshold scan, the survivor
 //! filter, and the shard merges of split-and-reduce. The algorithms are cheap;
 //! what hurts at steady state is that each pass conjures fresh `Vec`s and drops
 //! them microseconds later. [`SelectScratch`] owns that storage across
@@ -30,7 +30,7 @@
 //! scan at every width, so the parity guarantee above is unchanged.
 
 use crate::coo::CooGradient;
-use crate::select::quickselect;
+use crate::select::{radix_select, RADIX_HIST_WORDS};
 use okpar::SendPtr;
 
 /// Elements per worker chunk for the O(n) scan passes — the selection
@@ -46,8 +46,8 @@ const MAX_POOL: usize = 8;
 /// Pooled scratch storage for the selection path. See the module docs.
 #[derive(Debug, Default)]
 pub struct SelectScratch {
-    /// Magnitude buffer for the quickselect pass (capacity grows to n).
-    mags: Vec<f32>,
+    /// The radix select's histograms ([`RADIX_HIST_WORDS`] once first used).
+    hist: Vec<u32>,
     /// Per-chunk survivor counts for the two-pass parallel threshold scan.
     counts: Vec<usize>,
     /// Per-chunk output offsets (exclusive prefix sums of `counts`).
@@ -176,41 +176,27 @@ pub fn select_ge_with_threads(
     CooGradient::from_sorted(idx, val)
 }
 
-/// [`crate::select::exact_threshold`] on the pooled magnitude buffer,
-/// auto-parallel |value| fill. Allocation-free at steady state (serial path).
-pub fn exact_threshold_scratch(values: &[f32], k: usize, scratch: &mut SelectScratch) -> f32 {
-    exact_threshold_with_threads(values, k, scratch, auto_threads(values.len()))
+/// [`crate::simd::accumulate_scan_keep_append`] on pooled buffers: error
+/// feedback `residual += scale·grad` in place and the `|ε| >= threshold`
+/// selection of the result, in one serial pass over both arrays.
+pub fn accumulate_select_scratch(
+    residual: &mut [f32],
+    grad: &[f32],
+    scale: f32,
+    threshold: f32,
+    scratch: &mut SelectScratch,
+) -> CooGradient {
+    let (mut idx, mut val) = scratch.take_pair();
+    crate::simd::accumulate_scan_keep_append(residual, grad, scale, threshold, &mut idx, &mut val);
+    scratch.note_nnz(idx.len());
+    CooGradient::from_sorted(idx, val)
 }
 
-/// [`exact_threshold_scratch`] with an explicit thread count. Only the
-/// magnitude fill parallelizes; quickselect itself stays serial (it is O(n)
-/// with a small constant and mutates the buffer it partitions).
-pub fn exact_threshold_with_threads(
-    values: &[f32],
-    k: usize,
-    scratch: &mut SelectScratch,
-    threads: usize,
-) -> f32 {
-    if values.is_empty() || k == 0 {
-        return f32::INFINITY;
-    }
-    let k = k.min(values.len());
-    let SelectScratch { mags, .. } = scratch;
-    mags.clear();
-    mags.resize(values.len(), 0.0);
-    if okpar::chunk_count(values.len(), threads) <= 1 {
-        crate::simd::abs_fill(mags, values);
-    } else {
-        let mags_ptr = SendPtr::new(mags.as_mut_ptr());
-        okpar::run_chunks(values.len(), threads, |_, r| {
-            // Safety: chunk ranges are disjoint windows of the mags buffer.
-            let part = unsafe { mags_ptr.slice_mut(r.start, r.len()) };
-            crate::simd::abs_fill(part, &values[r]);
-        });
-    }
-    // k-th largest magnitude = element at position (n - k) in ascending order.
-    let pos = mags.len() - k;
-    *quickselect(mags, pos)
+/// [`crate::select::exact_threshold`] with the radix select's histograms kept
+/// in the scratch. Reads `values` in place; allocation-free after the first call.
+pub fn exact_threshold_scratch(values: &[f32], k: usize, scratch: &mut SelectScratch) -> f32 {
+    scratch.hist.resize(RADIX_HIST_WORDS, 0);
+    radix_select(values, k, &mut scratch.hist)
 }
 
 /// [`crate::select::topk_exact`] on pooled buffers, auto-parallel.
@@ -229,7 +215,7 @@ pub fn topk_exact_with_threads(
         return CooGradient::new();
     }
     let k = k.min(dense.len());
-    let th = exact_threshold_with_threads(dense, k, scratch, threads);
+    let th = exact_threshold_scratch(dense, k, scratch);
     let selected = select_ge_with_threads(dense, th, scratch, threads);
     if selected.nnz() <= k {
         return selected;
@@ -351,13 +337,10 @@ mod tests {
             let dense = random_dense(n, 90 + n as u64);
             let mut s1 = SelectScratch::new();
             let serial = select_ge_with_threads(&dense, 0.3, &mut s1, 1);
-            let th_serial = exact_threshold_with_threads(&dense, n / 3 + 1, &mut s1, 1);
             for threads in [2usize, 3, 4, 7] {
                 let mut sp = SelectScratch::new();
                 let par = select_ge_with_threads(&dense, 0.3, &mut sp, threads);
                 assert_eq!(par, serial, "n={n} threads={threads}");
-                let th_par = exact_threshold_with_threads(&dense, n / 3 + 1, &mut sp, threads);
-                assert_eq!(th_par.to_bits(), th_serial.to_bits(), "n={n} threads={threads}");
             }
         }
     }

@@ -1,32 +1,140 @@
 //! Exact top-k selection primitives.
 //!
 //! The paper's §2 reviews why top-k selection is a real cost on accelerators: full
-//! sorts are `O(n log n)`, quickselect is `O(n)` average. Ok-Topk sidesteps the cost by
-//! computing an *exact* threshold only every τ′ iterations (with quickselect here) and
-//! reusing it, so the steady-state per-iteration cost is a single `O(n)` threshold scan.
+//! sorts are `O(n log n)`, selection is `O(n)`. Ok-Topk sidesteps the cost by
+//! computing an *exact* threshold only every τ′ iterations (with the radix select
+//! here) and reusing it, so the steady-state per-iteration cost is a single `O(n)`
+//! threshold scan.
+//!
+//! ## Magnitude order
+//!
+//! "k-th largest magnitude" means k-th largest *magnitude bit pattern*,
+//! `v.to_bits() & 0x7fff_ffff` compared as an integer. On finite values that is
+//! the usual order of `|v|`; it also fixes the cases `<` leaves open: `-0.0` and
+//! `+0.0` are equal, subnormals sit between zero and the smallest normal, `±∞`
+//! is above every finite value and every NaN is above `∞`. [`exact_threshold`],
+//! [`crate::scratch::exact_threshold_scratch`] and [`exact_threshold_by_sort`]
+//! all use it, so they agree bit for bit on every input. A NaN among the k
+//! largest therefore *counts toward k* — and since `|v| >= th` is false whenever
+//! either side is NaN, the threshold scan never emits it: the selection comes
+//! out short by the number of NaNs (empty, if the threshold itself is NaN).
 //!
 //! This module provides the exact primitives; estimators that decide *when* to use
 //! them live in [`crate::threshold`].
 
 use crate::coo::CooGradient;
 
-/// The `k`-th largest magnitude in `values` — the exact top-k threshold.
+/// Clears the sign bit: what is left of an `f32`'s bits is its magnitude key.
+const MAGNITUDE_MASK: u32 = 0x7fff_ffff;
+/// The 31-bit key is resolved most-significant digit first, 11 + 10 + 10 bits.
+const TOP_BITS: u32 = 11;
+const LOW_BITS: u32 = 10;
+/// Interleaved copies of the counters, so that a run of equal keys (a residual
+/// buffer that is mostly exact zeros) does not serialize on one counter's
+/// store-to-load latency.
+const TOP_COPIES: usize = 4;
+const LOW_COPIES: usize = 2;
+/// `u32` words of histogram the radix select needs (32 KiB).
+pub(crate) const RADIX_HIST_WORDS: usize = TOP_COPIES << TOP_BITS;
+
+#[inline(always)]
+fn magnitude_key(v: f32) -> u32 {
+    v.to_bits() & MAGNITUDE_MASK
+}
+
+/// The `k`-th largest magnitude in `values` — the exact top-k threshold (see the
+/// module docs for the order on non-finite values).
 ///
-/// `O(n)` average time via iterative quickselect on a scratch copy of the magnitudes.
-/// `k` is clamped to `[1, n]`; an empty input yields `0.0` (select nothing).
+/// `O(n)` by radix select; allocates its 32 KiB of histograms, which
+/// [`crate::scratch::exact_threshold_scratch`] keeps pooled instead.
+/// `k` is clamped to `[1, n]`; an empty input or `k = 0` yields `+∞` (select nothing).
 pub fn exact_threshold(values: &[f32], k: usize) -> f32 {
+    radix_select(values, k, &mut vec![0; RADIX_HIST_WORDS])
+}
+
+/// MSD radix select of the `k`-th largest magnitude key, reading `values` in
+/// place: histogram the top 11 bits of every key, walk down from the top bucket
+/// to the one that holds rank `k`, then twice histogram the next 10 bits of the
+/// keys inside that bucket. Three counting passes whatever the data, no copy and
+/// no data-dependent worst case. `hist` must hold [`RADIX_HIST_WORDS`] words.
+pub(crate) fn radix_select(values: &[f32], k: usize, hist: &mut [u32]) -> f32 {
     if values.is_empty() || k == 0 {
         return f32::INFINITY;
     }
+    assert!(values.len() <= u32::MAX as usize, "bucket counters are u32");
     let k = k.min(values.len());
-    let mut mags: Vec<f32> = values.iter().map(|v| v.abs()).collect();
-    // k-th largest magnitude = element at position (n - k) in ascending order.
-    let pos = mags.len() - k;
-    *quickselect(&mut mags, pos)
+
+    let buckets = 1usize << TOP_BITS;
+    let counters = &mut hist[..TOP_COPIES * buckets];
+    counters.fill(0);
+    let shift = 2 * LOW_BITS;
+    let mut blocks = values.chunks_exact(TOP_COPIES);
+    for block in &mut blocks {
+        for (copy, &v) in block.iter().enumerate() {
+            counters[(copy << TOP_BITS) | (magnitude_key(v) >> shift) as usize] += 1;
+        }
+    }
+    for &v in blocks.remainder() {
+        counters[(magnitude_key(v) >> shift) as usize] += 1;
+    }
+    let (top, k) = bucket_of_rank(counters, buckets, k);
+    let (mid, k) = refine(values, shift, top, hist, k);
+    let prefix = (top << LOW_BITS) | mid;
+    let (low, _) = refine(values, LOW_BITS, prefix, hist, k);
+    f32::from_bits((prefix << LOW_BITS) | low)
+}
+
+/// One refinement pass: among the keys with `key >> shift == prefix`, the value of
+/// the next [`LOW_BITS`] bits that holds rank `k` (counted from the largest), and
+/// the rank left inside it.
+fn refine(values: &[f32], shift: u32, prefix: u32, hist: &mut [u32], k: usize) -> (u32, usize) {
+    const BLOCK: usize = 16;
+    let buckets = 1usize << LOW_BITS;
+    let counters = &mut hist[..LOW_COPIES * buckets];
+    counters.fill(0);
+    let digit = |key: u32| ((key >> (shift - LOW_BITS)) as usize) & (buckets - 1);
+    let mut blocks = values.chunks_exact(BLOCK);
+    for block in &mut blocks {
+        // Most blocks hold no key of the wanted bucket; this branch-free test
+        // vectorizes and skips them without touching the counters.
+        let mut any = false;
+        for &v in block {
+            any |= magnitude_key(v) >> shift == prefix;
+        }
+        if any {
+            for (j, &v) in block.iter().enumerate() {
+                let key = magnitude_key(v);
+                if key >> shift == prefix {
+                    counters[((j % LOW_COPIES) << LOW_BITS) | digit(key)] += 1;
+                }
+            }
+        }
+    }
+    for &v in blocks.remainder() {
+        let key = magnitude_key(v);
+        if key >> shift == prefix {
+            counters[digit(key)] += 1;
+        }
+    }
+    bucket_of_rank(counters, buckets, k)
+}
+
+/// Walk the summed copies of a histogram down from the top bucket to the one
+/// holding rank `k`; returns that bucket and the rank left inside it.
+fn bucket_of_rank(counters: &[u32], buckets: usize, mut k: usize) -> (u32, usize) {
+    for b in (0..buckets).rev() {
+        let count: usize = counters[b..].iter().step_by(buckets).map(|&c| c as usize).sum();
+        if count >= k {
+            return (b as u32, k);
+        }
+        k -= count;
+    }
+    unreachable!("rank {k} exceeds the number of counted keys")
 }
 
 /// The same threshold computed by a full sort; `O(n log n)`. Used as the reference
 /// implementation in tests and as the "naive sort-based selection" cost baseline.
+/// (`total_cmp` on sign-cleared values *is* the magnitude-key order.)
 pub fn exact_threshold_by_sort(values: &[f32], k: usize) -> f32 {
     if values.is_empty() || k == 0 {
         return f32::INFINITY;
@@ -102,7 +210,7 @@ pub fn topk_exact(dense: &[f32], k: usize) -> CooGradient {
 /// compare-exchange network is `O(n log² k)`).
 ///
 /// Returns the same entries as [`topk_exact`] up to ties; used by the selection
-/// benchmarks to compare against quickselect and scans.
+/// benchmarks to compare against the radix select and scans.
 pub fn topk_tournament(dense: &[f32], k: usize) -> CooGradient {
     if k == 0 || dense.is_empty() {
         return CooGradient::new();
@@ -158,69 +266,13 @@ pub fn topk_tournament(dense: &[f32], k: usize) -> CooGradient {
     CooGradient::from_unsorted(winner.into_iter().take(k).collect())
 }
 
-/// In-place quickselect: after return, `data[pos]` is the element that would be at
-/// `pos` in ascending sorted order. Iterative three-way (Dutch-national-flag)
-/// partitioning with median-of-three pivots and an insertion-sort base case.
-///
-/// Three-way partitioning matters here: gradient-magnitude arrays are dominated by
-/// duplicate values (residual accumulators are ~99% exact zeros), and a binary
-/// Lomuto/Hoare partition degrades to O(n²) on such inputs.
-///
-/// `pub(crate)` so [`crate::scratch`] can run it over a pooled magnitude buffer.
-pub(crate) fn quickselect(data: &mut [f32], pos: usize) -> &f32 {
-    debug_assert!(pos < data.len());
-    let (mut lo, mut hi) = (0usize, data.len() - 1);
-    loop {
-        if hi - lo < 16 {
-            data[lo..=hi].sort_unstable_by(f32::total_cmp);
-            return &data[pos];
-        }
-        // Median-of-three pivot.
-        let mid = lo + (hi - lo) / 2;
-        if data[mid] < data[lo] {
-            data.swap(mid, lo);
-        }
-        if data[hi] < data[lo] {
-            data.swap(hi, lo);
-        }
-        if data[hi] < data[mid] {
-            data.swap(hi, mid);
-        }
-        let pivot = data[mid];
-        // Three-way partition of [lo, hi] into  < pivot | == pivot | > pivot.
-        let (mut lt, mut i, mut gt) = (lo, lo, hi);
-        while i <= gt {
-            if data[i] < pivot {
-                data.swap(i, lt);
-                lt += 1;
-                i += 1;
-            } else if data[i] > pivot {
-                data.swap(i, gt);
-                if gt == 0 {
-                    break;
-                }
-                gt -= 1;
-            } else {
-                i += 1;
-            }
-        }
-        if pos < lt {
-            hi = lt - 1;
-        } else if pos > gt {
-            lo = gt + 1;
-        } else {
-            return &data[pos]; // inside the == band
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::prelude::*;
 
     #[test]
-    fn quickselect_matches_sort_threshold() {
+    fn radix_select_matches_sort_threshold() {
         let mut rng = StdRng::seed_from_u64(7);
         for n in [1usize, 2, 5, 17, 100, 1000] {
             let values: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -302,9 +354,9 @@ mod tests {
     }
 
     #[test]
-    fn quickselect_is_fast_on_mostly_zero_input() {
-        // Residual accumulators are ~99% exact zeros; a binary partition would go
-        // quadratic here (regression test for the O(n²) duplicate-key pathology).
+    fn radix_select_is_fast_on_mostly_zero_input() {
+        // Residual accumulators are ~99% exact zeros: every counting pass piles
+        // onto one bucket, which must cost a constant factor and nothing more.
         let n = 1 << 18;
         let mut values = vec![0.0f32; n];
         for i in 0..n / 100 {
@@ -315,14 +367,14 @@ mod tests {
         assert!(th > 0.0);
         assert!(
             start.elapsed() < std::time::Duration::from_millis(500),
-            "quickselect took {:?} on duplicate-heavy input",
+            "radix select took {:?} on duplicate-heavy input",
             start.elapsed()
         );
         assert_eq!(th, exact_threshold_by_sort(&values, n / 200));
     }
 
     #[test]
-    fn quickselect_handles_duplicates_and_negatives() {
+    fn radix_select_handles_duplicates_and_negatives() {
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..50 {
             let n = rng.gen_range(1..200);
@@ -331,5 +383,22 @@ mod tests {
             let k = rng.gen_range(1..=n);
             assert_eq!(exact_threshold(&values, k), exact_threshold_by_sort(&values, k));
         }
+    }
+
+    #[test]
+    fn non_finite_values_follow_the_magnitude_key_order() {
+        // NaN above ±∞ above every finite value; −0.0 = +0.0 below the subnormals.
+        let sub = f32::from_bits(1);
+        let values = [1.0f32, f32::NAN, -2.0, f32::NEG_INFINITY, -0.0, sub, 0.0, f32::INFINITY];
+        let want = [f32::NAN, f32::INFINITY, f32::INFINITY, 2.0, 1.0, sub, 0.0, 0.0];
+        for (k, w) in (1..).zip(want) {
+            let got = exact_threshold(&values, k);
+            assert_eq!(got.to_bits(), w.to_bits(), "k={k}");
+            assert_eq!(got.to_bits(), exact_threshold_by_sort(&values, k).to_bits(), "k={k}");
+        }
+        // A NaN that ranks in the top k takes one of the k places and is never
+        // emitted; a NaN threshold selects nothing.
+        assert_eq!(select_ge(&values, exact_threshold(&values, 4)).indexes(), &[2, 3, 7]);
+        assert!(select_ge(&values, exact_threshold(&values, 1)).is_empty());
     }
 }

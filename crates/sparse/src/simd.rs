@@ -1,16 +1,17 @@
 //! Explicit-lane SIMD kernels for the selection/residual hot path.
 //!
 //! Every Ok-Topk step burns most of its compute in a handful of O(n) per-element
-//! passes: the threshold count/scan, the |value| fill feeding quickselect, the
-//! survivor filter, and the residual accumulate. This module vectorizes those
-//! passes with explicit lanes behind a runtime capability dispatch with a
-//! scalar fallback. Two kinds of kernels, deliberately implemented differently:
+//! passes: the threshold count/scan, the survivor filter, and the residual
+//! accumulate (fused with the scan on a steady-state step). This module
+//! vectorizes those passes with explicit lanes behind a runtime capability
+//! dispatch with a scalar fallback. Two kinds of kernels, deliberately
+//! implemented differently:
 //!
 //! - **Compare/mask kernels** (counts, keep-scans) use hand-written AVX2/SSE2
 //!   intrinsics on x86-64 — the compare → movemask → trailing_zeros survivor
 //!   emission is a shape LLVM does not autovectorize, and it is worth >3× on
 //!   the steady-state threshold scan.
-//! - **Elementwise streaming kernels** (abs-fill, residual fuse, scale, axpy)
+//! - **Elementwise streaming kernels** (residual fuse, scale, axpy)
 //!   use portable fixed-width `[f32; L]` cores that LLVM autovectorizes at the
 //!   build's baseline ISA. Explicit `target_feature` wrappers were measured
 //!   *slower* here (see the note on the x86 module): these loops are
@@ -38,11 +39,13 @@
 //! because none of them reassociates a float reduction:
 //!
 //! - counts are integer reductions (order-free);
-//! - `abs_fill`, `fused_scale_add`, `scale_inplace`, `axpy`/`axpy4` are
-//!   elementwise (each output element sees the exact scalar operation sequence —
-//!   `axpy4` adds its four terms in ascending-row order, matching a serial
-//!   one-row-at-a-time loop);
+//! - `fused_scale_add`, `scale_inplace`, `axpy`/`axpy4` are elementwise (each
+//!   output element sees the exact scalar operation sequence — `axpy4` adds its
+//!   four terms in ascending-row order, matching a serial one-row-at-a-time loop);
 //! - the keep-scan emits survivors in index order off a lane mask;
+//! - `accumulate_scan_keep_append` is `axpy` then the keep-scan, tile by tile:
+//!   `o + a·r` rounds exactly as `fused_scale_add`'s `e + s·g` does, so it
+//!   leaves the bits that kernel followed by a whole-array scan would;
 //! - `max_abs` is a max-reduction: `max` is associative and commutative, so any
 //!   lane split yields the same result on the NaN-free inputs the pipeline
 //!   carries (and `f32::max` drops NaN in either operand, so even a stray NaN
@@ -238,21 +241,6 @@ fn keep_mask_core<const L: usize>(block: &[f32], th: f32) -> u32 {
         mask |= u32::from(keep(block[j], th)) << j;
     }
     mask
-}
-
-#[inline(always)]
-fn abs_fill_core<const L: usize>(dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    let mut d = dst.chunks_exact_mut(L);
-    let mut s = src.chunks_exact(L);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        for j in 0..L {
-            dc[j] = sc[j].abs();
-        }
-    }
-    for (dv, sv) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *dv = sv.abs();
-    }
 }
 
 #[inline(always)]
@@ -707,25 +695,6 @@ fn effective_mask_width(lanes: Lanes) -> usize {
     }
 }
 
-/// `dst[i] = |src[i]|` (the quickselect magnitude fill). Slices must be equal
-/// length.
-pub fn abs_fill(dst: &mut [f32], src: &[f32]) {
-    abs_fill_with_lanes(dst, src, lanes())
-}
-
-/// [`abs_fill`] at an explicit lane width.
-pub fn abs_fill_with_lanes(dst: &mut [f32], src: &[f32], lanes: Lanes) {
-    match lanes {
-        Lanes::S1 => {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = s.abs();
-            }
-        }
-        Lanes::W4 => abs_fill_core::<4>(dst, src),
-        Lanes::W8 => abs_fill_core::<8>(dst, src),
-    }
-}
-
 /// `acc[i] = e[i] + s·g[i]` — the fused residual-accumulate of Algorithm 2
 /// line 4. Slices must be equal length.
 pub fn fused_scale_add(acc: &mut [f32], e: &[f32], g: &[f32], s: f32) {
@@ -793,6 +762,45 @@ pub fn axpy_with_lanes(out: &mut [f32], row: &[f32], a: f32, lanes: Lanes) {
         }
         Lanes::W4 => axpy_core::<4>(out, row, a),
         Lanes::W8 => axpy_core::<8>(out, row, a),
+    }
+}
+
+/// Elements per tile of [`accumulate_scan_keep_append`]: 8 KiB of residual plus
+/// 8 KiB of gradient, so the tile `axpy` just wrote is read back from L1.
+const ACCUMULATE_TILE: usize = 2048;
+
+/// Error feedback fused with the keep-scan: `residual[i] += scale·grad[i]` in
+/// place, and the `select_ge` survivors of the updated values (`|ε| >= th`,
+/// nonzero) appended to `idx`/`val` in index order — one pass over DRAM where
+/// [`fused_scale_add`] into a second buffer followed by [`scan_keep_append`]
+/// makes two, with bit-identical results. Slices must be equal length.
+pub fn accumulate_scan_keep_append(
+    residual: &mut [f32],
+    grad: &[f32],
+    scale: f32,
+    th: f32,
+    idx: &mut Vec<u32>,
+    val: &mut Vec<f32>,
+) {
+    accumulate_scan_keep_append_with_lanes(residual, grad, scale, th, idx, val, lanes())
+}
+
+/// [`accumulate_scan_keep_append`] at an explicit lane width.
+pub fn accumulate_scan_keep_append_with_lanes(
+    residual: &mut [f32],
+    grad: &[f32],
+    scale: f32,
+    th: f32,
+    idx: &mut Vec<u32>,
+    val: &mut Vec<f32>,
+    lanes: Lanes,
+) {
+    assert_eq!(residual.len(), grad.len());
+    let mut base = 0u32;
+    for (r, g) in residual.chunks_mut(ACCUMULATE_TILE).zip(grad.chunks(ACCUMULATE_TILE)) {
+        axpy_with_lanes(r, g, scale, lanes);
+        scan_keep_append_with_lanes(r, th, base, idx, val, lanes);
+        base += r.len() as u32;
     }
 }
 
@@ -895,16 +903,6 @@ mod tests {
             let src = mixed(n, 3);
             let g = mixed(n, 5);
             for l in Lanes::ALL {
-                let mut d_want = vec![0f32; n];
-                abs_fill_with_lanes(&mut d_want, &src, Lanes::S1);
-                let mut d = vec![0f32; n];
-                abs_fill_with_lanes(&mut d, &src, l);
-                assert_eq!(
-                    d.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    d_want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "abs_fill n={n} {l:?}"
-                );
-
                 let mut a_want = vec![0f32; n];
                 fused_scale_add_with_lanes(&mut a_want, &src, &g, 0.37, Lanes::S1);
                 let mut a = vec![0f32; n];

@@ -4,7 +4,7 @@
 //!
 //! - [`PeriodicExactEstimator`] — Ok-Topk's strategy (§3.1.3): gradient statistics
 //!   along the time dimension form a slowly changing stochastic process, so compute
-//!   the *exact* threshold (k-th largest magnitude, quickselect) only every τ′
+//!   the *exact* threshold (k-th largest magnitude, radix select) only every τ′
 //!   iterations and reuse it in between. Steady-state cost: one O(n) scan.
 //! - [`GaussianEstimator`] — Gaussiank's strategy (\[41\], §2): fit a normal
 //!   distribution to the gradient values and read the threshold off the percent-point
@@ -95,6 +95,15 @@ impl PeriodicExactEstimator {
     /// Restore a cached threshold from a checkpoint.
     pub fn set_cached(&mut self, th: Option<f32>) {
         self.cached = th;
+    }
+
+    /// The cached threshold, if iteration `t` reuses it instead of re-evaluating.
+    pub fn reused_at(&self, t: usize) -> Option<f32> {
+        if self.due(t) {
+            None
+        } else {
+            self.cached
+        }
     }
 
     fn due(&self, t: usize) -> bool {

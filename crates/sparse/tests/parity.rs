@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use sparse::scratch::{
-    exact_threshold_with_threads, filter_abs_ge_scratch, select_ge_with_threads,
+    exact_threshold_scratch, filter_abs_ge_scratch, select_ge_with_threads,
     topk_exact_with_threads, SelectScratch,
 };
 use sparse::select::{exact_threshold, select_ge, topk_exact};
@@ -67,18 +67,16 @@ proptest! {
     }
 
     #[test]
-    fn exact_threshold_matches_serial_for_all_thread_counts(
+    fn exact_threshold_scratch_matches_allocating(
         dense in dense_vec(),
         k in 0usize..64,
     ) {
-        let serial = exact_threshold(&dense, k);
-        for threads in THREADS {
-            let mut scratch = SelectScratch::new();
-            let got = exact_threshold_with_threads(&dense, k, &mut scratch, threads);
-            prop_assert_eq!(
-                got.to_bits(), serial.to_bits(),
-                "threads={}: got {} want {}", threads, got, serial
-            );
+        let want = exact_threshold(&dense, k);
+        let mut scratch = SelectScratch::new();
+        // Twice per scratch: the second call runs on used histograms.
+        for round in 0..2 {
+            let got = exact_threshold_scratch(&dense, k, &mut scratch);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "round={}", round);
         }
     }
 
@@ -128,12 +126,8 @@ fn boundary_lengths_are_bit_identical() {
 
             for k in [0, 1, len / 2, len] {
                 let want = exact_threshold(&dense, k);
-                let got = exact_threshold_with_threads(&dense, k, &mut scratch, threads);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "exact_threshold len={len} k={k} threads={threads}"
-                );
+                let got = exact_threshold_scratch(&dense, k, &mut scratch);
+                assert_eq!(got.to_bits(), want.to_bits(), "exact_threshold len={len} k={k}");
 
                 let want_k = topk_exact(&dense, k);
                 let got_k = topk_exact_with_threads(&dense, k, &mut scratch, threads);
@@ -194,11 +188,6 @@ mod lane_parity {
             let n = dense.len().min(other.len());
             let (a, g) = (&dense[..n], &other[..n]);
             for lanes in Lanes::ALL {
-                let mut mags = vec![0f32; n];
-                simd::abs_fill_with_lanes(&mut mags, a, lanes);
-                let want: Vec<f32> = a.iter().map(|v| v.abs()).collect();
-                prop_assert_eq!(bits(&mags), bits(&want), "abs_fill lanes={:?}", lanes);
-
                 let mut acc = vec![0f32; n];
                 simd::fused_scale_add_with_lanes(&mut acc, a, g, scale, lanes);
                 let want: Vec<f32> = a.iter().zip(g).map(|(&e, &gv)| e + scale * gv).collect();
@@ -214,6 +203,57 @@ mod lane_parity {
                     simd::max_abs_with_lanes(a, lanes).to_bits(), want_max.to_bits(),
                     "max_abs lanes={:?}", lanes
                 );
+            }
+        }
+
+        /// The fused accumulate+select leaves the residual bits and emits the
+        /// selection that `fused_scale_add` into a second buffer followed by
+        /// `select_ge` does — for lengths around the tile and lane widths and
+        /// for the thresholds that select everything, nothing, and (NaN) nothing.
+        #[test]
+        fn accumulate_select_matches_fuse_then_select(
+            seed in any::<u64>(),
+            len in prop_oneof![
+                0usize..40,
+                2040usize..2060,
+                4090usize..4110,
+                Just(0usize),
+                Just(2048usize),
+            ],
+            scale in -2.0f32..2.0,
+            th in prop_oneof![
+                0.0f32..0.9,
+                Just(0.0f32),
+                Just(f32::INFINITY),
+                Just(f32::NAN),
+            ],
+        ) {
+            let draw = |salt: u64| -> Vec<f32> {
+                (0..len as u64)
+                    .map(|i| {
+                        let h = (i ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed;
+                        match h >> 61 {
+                            0 => 0.0,
+                            1 => ((h >> 20) % 8) as f32 * 0.125,
+                            _ => ((h >> 20) % 2001) as f32 / 1000.0 - 1.0,
+                        }
+                    })
+                    .collect()
+            };
+            let (e, g) = (draw(1), draw(2));
+            for lanes in Lanes::ALL {
+                let mut acc = vec![0f32; len];
+                simd::fused_scale_add_with_lanes(&mut acc, &e, &g, scale, lanes);
+                let want = sparse::select::select_ge(&acc, th);
+
+                let mut residual = e.clone();
+                let (mut gi, mut gv) = (Vec::new(), Vec::new());
+                simd::accumulate_scan_keep_append_with_lanes(
+                    &mut residual, &g, scale, th, &mut gi, &mut gv, lanes,
+                );
+                prop_assert_eq!(bits(&residual), bits(&acc), "residual lanes={:?}", lanes);
+                prop_assert_eq!(&gi[..], want.indexes(), "indexes lanes={:?}", lanes);
+                prop_assert_eq!(bits(&gv), bits(want.values()), "values lanes={:?}", lanes);
             }
         }
 

@@ -13,11 +13,59 @@ fn dense_vec() -> impl Strategy<Value = Vec<f32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Quickselect threshold equals full-sort threshold for every input and k.
+    /// Radix-select threshold equals full-sort threshold for every input and k.
     #[test]
-    fn quickselect_equals_sort(dense in dense_vec(), k_frac in 0.0f64..1.0) {
+    fn radix_select_equals_sort(dense in dense_vec(), k_frac in 0.0f64..1.0) {
         let k = ((dense.len() as f64 * k_frac) as usize).max(1);
         prop_assert_eq!(exact_threshold(&dense, k), exact_threshold_by_sort(&dense, k));
+    }
+
+    /// The three exact thresholds agree to the bit under the magnitude-key order
+    /// when the input carries NaN, ±∞, −0.0 and subnormals, and the keep-scan
+    /// then emits the finite-or-infinite part of the top k: short by exactly the
+    /// number of NaNs that took a place.
+    #[test]
+    fn exact_thresholds_agree_on_non_finite_input(
+        dense in proptest::collection::vec(
+            prop_oneof![
+                (-100i32..100).prop_map(|x| x as f32 * 0.125),
+                (-100i32..100).prop_map(|x| x as f32 * 0.125),
+                (-100i32..100).prop_map(|x| x as f32 * 0.125),
+                prop_oneof![
+                    Just(f32::NAN),
+                    Just(-f32::NAN),
+                    Just(f32::INFINITY),
+                    Just(f32::NEG_INFINITY),
+                    Just(-0.0f32),
+                    Just(f32::from_bits(1)),
+                    Just(-f32::from_bits(0x007f_ffff)),
+                    Just(f32::MIN_POSITIVE),
+                ],
+            ],
+            1..300,
+        ),
+        k_frac in 0.0f64..1.0,
+    ) {
+        let k = ((dense.len() as f64 * k_frac) as usize).max(1);
+        let th = exact_threshold(&dense, k);
+        prop_assert_eq!(th.to_bits(), exact_threshold_by_sort(&dense, k).to_bits());
+        let mut scratch = sparse::SelectScratch::new();
+        let pooled = sparse::scratch::exact_threshold_scratch(&dense, k, &mut scratch);
+        prop_assert_eq!(th.to_bits(), pooled.to_bits());
+
+        let nans = dense.iter().filter(|v| v.is_nan()).count();
+        let selected = select_ge(&dense, th);
+        if th.is_nan() {
+            prop_assert!(nans >= k);
+            prop_assert!(selected.is_empty());
+        } else {
+            // Everything at or above the threshold, zeros and NaNs aside.
+            let at_or_above = dense.iter().filter(|v| v.abs() >= th && **v != 0.0).count();
+            prop_assert_eq!(selected.nnz(), at_or_above);
+            if th > 0.0 {
+                prop_assert!(selected.nnz() + nans >= k, "short by more than the NaNs");
+            }
+        }
     }
 
     /// topk_exact returns exactly min(k, #nonzeros) entries and they dominate the rest.

@@ -4,7 +4,8 @@
 //! flag arms the counter so only allocations made *by this test's thread* are
 //! charged (the libtest harness thread may allocate concurrently). After a
 //! warm-up that grows every pooled buffer to its steady-state capacity, one
-//! full selection iteration — exact threshold, threshold select, COO merge,
+//! full selection iteration — exact threshold (radix select on pooled
+//! histograms), threshold select, fused accumulate+select, COO merge,
 //! re-filter, recycle — must perform **zero** heap allocations.
 //!
 //! This file must stay a single-test binary: a sibling test running in another
@@ -16,7 +17,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sparse::scratch::{
-    exact_threshold_with_threads, filter_abs_ge_scratch, select_ge_with_threads, SelectScratch,
+    accumulate_select_scratch, exact_threshold_scratch, filter_abs_ge_scratch,
+    select_ge_with_threads, SelectScratch,
 };
 use sparse::CooGradient;
 
@@ -55,14 +57,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// One steady-state selection iteration as the Ok-Topk hot loop performs it:
-/// estimate the exact threshold, select ≥-threshold entries, merge a peer's
-/// contribution without allocating, re-filter against the threshold, and
-/// return all storage to the pool. `threads = 1` is the serial path;
-/// `threads > 1` dispatches through the persistent okpar worker pool, which
-/// after [`okpar::prewarm`] is also allocation-free on the caller thread
-/// (jobs enqueue into a process-lifetime queue; the latch lives on the stack).
+/// estimate the exact threshold, select ≥-threshold entries, run the fused
+/// accumulate+select a reuse step runs instead, merge a peer's contribution
+/// without allocating, re-filter against the threshold, and return all storage
+/// to the pool. `threads = 1` is the serial path; `threads > 1` dispatches the
+/// two-pass select through the persistent okpar worker pool, which after
+/// [`okpar::prewarm`] is also allocation-free on the caller thread (jobs
+/// enqueue into a process-lifetime queue; the latch lives on the stack).
+#[allow(clippy::too_many_arguments)]
 fn hot_iteration(
     dense: &[f32],
+    residual: &mut [f32],
     peer: &CooGradient,
     k: usize,
     scratch: &mut SelectScratch,
@@ -70,8 +75,13 @@ fn hot_iteration(
     spare_val: &mut Vec<f32>,
     threads: usize,
 ) -> usize {
-    let th = exact_threshold_with_threads(dense, k, scratch, threads);
+    let th = exact_threshold_scratch(dense, k, scratch);
     let mut selected = select_ge_with_threads(dense, th, scratch, threads);
+    // ε = 0 before, so ε + 1·dense = dense after: the same selection again.
+    residual.fill(0.0);
+    let fused = accumulate_select_scratch(residual, dense, 1.0, th, scratch);
+    assert_eq!(fused, selected);
+    scratch.recycle(fused);
     selected.merge_sum_swap(peer, spare_idx, spare_val);
     let kept = filter_abs_ge_scratch(&selected, th, scratch);
     let nnz = kept.nnz();
@@ -99,6 +109,7 @@ fn steady_state_selection_path_is_allocation_free() {
     let peer_val: Vec<f32> = peer_idx.iter().map(|&i| (i as f32 * 0.13).cos()).collect();
     let peer = CooGradient::from_sorted(peer_idx, peer_val);
 
+    let mut residual = vec![0.0f32; n];
     let mut scratch = SelectScratch::new();
     let (mut spare_idx, mut spare_val) = scratch.take_pair();
 
@@ -111,15 +122,32 @@ fn steady_state_selection_path_is_allocation_free() {
     scratch.recycle(full);
     let mut warm_nnz = 0;
     for _ in 0..3 {
-        warm_nnz = hot_iteration(&dense, &peer, k, &mut scratch, &mut spare_idx, &mut spare_val, 1);
+        warm_nnz = hot_iteration(
+            &dense,
+            &mut residual,
+            &peer,
+            k,
+            &mut scratch,
+            &mut spare_idx,
+            &mut spare_val,
+            1,
+        );
     }
 
     // Armed phase: the same iteration, repeated, must not allocate at all.
     ARMED.with(|a| a.set(true));
     let mut armed_nnz = 0;
     for _ in 0..5 {
-        armed_nnz =
-            hot_iteration(&dense, &peer, k, &mut scratch, &mut spare_idx, &mut spare_val, 1);
+        armed_nnz = hot_iteration(
+            &dense,
+            &mut residual,
+            &peer,
+            k,
+            &mut scratch,
+            &mut spare_idx,
+            &mut spare_val,
+            1,
+        );
     }
     ARMED.with(|a| a.set(false));
 
@@ -141,6 +169,7 @@ fn steady_state_selection_path_is_allocation_free() {
     for _ in 0..3 {
         pool_warm_nnz = hot_iteration(
             &dense,
+            &mut residual,
             &peer,
             k,
             &mut scratch,
@@ -154,6 +183,7 @@ fn steady_state_selection_path_is_allocation_free() {
     for _ in 0..5 {
         pool_nnz = hot_iteration(
             &dense,
+            &mut residual,
             &peer,
             k,
             &mut scratch,

@@ -10,6 +10,9 @@
 #   below 1.5, unless the row is flagged serial_fallback (the adaptive
 #   granularity policy chose 1 thread, or the host resolved to the scalar lane
 #   path — parallel == serial by design, e.g. on a single-core/non-SIMD host).
+#   At n = 2^22 it fails if the fused accumulate+select is under 1.2x the
+#   two-buffer composition (skipped where the host's caches hold n) or the
+#   radix select under 2x the full sort.
 #   It also fails if the obs_off_vs_on row shows the metrics registry costing
 #   more than 2% on a messaging-heavy collective workload.
 # - msgpath fails the script if the pooled message path loses to the boxed
@@ -55,6 +58,14 @@ echo "== env-knob inventory (crates vs README.md) =="
 diff <(grep -rhoE '"(SIMNET|OKTOPK|OKBENCH)_[A-Z_]+"' crates --include=*.rs --exclude-dir=shims \
          | tr -d '"' | sort -u) \
      <(grep -oE '^\| `(SIMNET|OKTOPK|OKBENCH)_[A-Z_]+`' README.md | tr -d '|` ' | sort -u)
+
+echo "== one exact-threshold path (no quickselect, no magnitude copy) =="
+# The radix select replaced quickselect over a copied |value| buffer; neither
+# may come back beside it.
+if grep -rn 'quickselect\|\.mags\b' crates --include=*.rs; then
+  echo "FAIL: the deleted exact-threshold path is back (lines above)" >&2
+  exit 1
+fi
 
 echo "== tests =="
 cargo test -q --workspace

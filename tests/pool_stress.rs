@@ -10,7 +10,7 @@
 //! a stuck dispatch would hang the join and trip the test harness timeout.
 
 use dnn::ops::{matmul_acc_with_threads, matmul_acc_wt_with_threads, matmul_acc_xt_with_threads};
-use sparse::scratch::{exact_threshold_with_threads, select_ge_with_threads, SelectScratch};
+use sparse::scratch::{exact_threshold_scratch, select_ge_with_threads, SelectScratch};
 
 fn pseudo(n: usize, seed: u64) -> Vec<f32> {
     (0..n)
@@ -48,7 +48,7 @@ fn eight_concurrent_callers_mixed_kernels_bit_identical() {
     let mut dw_ref = vec![0.5f32; inner * cols];
     matmul_acc_xt_with_threads(&x, &dy, &mut dw_ref, rows, inner, cols, 1);
     let mut scratch0 = SelectScratch::new();
-    let th_ref = exact_threshold_with_threads(&dense, k, &mut scratch0, 1);
+    let th_ref = exact_threshold_scratch(&dense, k, &mut scratch0);
     let sel_ref = select_ge_with_threads(&dense, th_ref, &mut scratch0, 1);
 
     std::thread::scope(|s| {
@@ -72,7 +72,7 @@ fn eight_concurrent_callers_mixed_kernels_bit_identical() {
                     matmul_acc_xt_with_threads(x, dy, &mut dw, rows, inner, cols, threads);
                     assert_eq!(dw, *dw_ref, "xt caller={caller} iter={iter} t={threads}");
 
-                    let th = exact_threshold_with_threads(dense, k, &mut scratch, threads);
+                    let th = exact_threshold_scratch(dense, k, &mut scratch);
                     assert_eq!(th.to_bits(), th_ref.to_bits(), "th caller={caller} iter={iter}");
                     let sel = select_ge_with_threads(dense, th, &mut scratch, threads);
                     assert_eq!(&sel, sel_ref, "sel caller={caller} iter={iter} t={threads}");
