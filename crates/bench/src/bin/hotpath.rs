@@ -1,21 +1,13 @@
 //! Hot-path wall-clock benchmark: selection throughput, SIMD lane-kernel
-//! headroom, dense-kernel and dispatch costs across a thread-count sweep,
-//! per-iteration SGD step time, and end-to-end trainer wall-clock.
+//! headroom, per-iteration SGD step time, and end-to-end trainer wall-clock.
 //!
 //! Emits `BENCH_PR6.json` (in the working directory — repo root under
 //! `cargo run`) with per-bench baseline/optimized nanoseconds, speedups, and a
-//! per-thread-count sweep so numbers are comparable across machines:
+//! per-lane-width sweep so numbers are comparable across machines:
 //!
 //! - *baseline* for the selection benches is the allocating `sparse::select`
 //!   path (fresh `Vec`s every call), exactly what the hot loop did before the
 //!   scratch subsystem.
-//! - the `*_serial_vs_parallel` headline rows compare explicit `threads = 1`
-//!   against the **auto-dispatch path at the default thread count** — what a
-//!   caller actually gets. When the adaptive granularity policy picks one
-//!   thread (e.g. on a single-core host), the row is flagged
-//!   `serial_fallback: true`: parallel == serial *by design*, not a
-//!   regression. The accompanying `sweep` arrays record explicit
-//!   1/2/4/`available_parallelism` timings regardless.
 //! - the `*_scalar_vs_simd` headline rows compare the forced-scalar lane
 //!   kernels (`Lanes::S1`) against the auto-dispatched SIMD width, with a
 //!   per-lane-width sweep. When the process resolved to the scalar path
@@ -29,33 +21,22 @@
 //!   `serial_fallback` when the host's caches hold its n.
 //! - `exact_threshold_sort_vs_radix_*` time the full-sort reference against the
 //!   pooled radix select at the same two sizes.
-//! - `dispatch_spawn_vs_pool` isolates the PR 2 change: the same chunked
-//!   kernel at 2 threads dispatched by spawning scoped threads per call (the
-//!   PR 1 mechanism) vs through the persistent okpar worker pool.
 //!
 //! The JSON header records the resolved SIMD capability (ISA, lane width,
 //! `OKTOPK_SIMD` state, compile flag) so perf trajectories across hosts stay
-//! interpretable. The pool is prewarmed before any timing so no measurement
-//! pays one-time thread creation.
+//! interpretable.
 //!
 //! Usage: `cargo run --release -p okbench --bin hotpath [-- --quick] [--gate]
-//! [--out PATH]`. `--gate` exits non-zero if a `*_serial_vs_parallel` headline
-//! falls below 0.98 (2% noise floor) without the serial-fallback flag, the
-//! `scan_scalar_vs_simd` headline falls below 1.5x on a SIMD-capable host, the
-//! fused accumulate+select falls below 1.2x or the radix select below 2x at
-//! n = 2²², or the `obs_off_vs_on` row shows the metrics registry costing more
-//! than the
-//! same 2% floor — the pre-PR regression gate run by `scripts/check.sh`.
+//! [--out PATH]`. `--gate` is the pre-PR regression gate run by
+//! `scripts/check.sh`; see [`floor_of`] for the rows it checks and
+//! [`measure_gated`] for its three-attempt rule.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use dnn::ops::matmul_acc_with_threads;
 use oktopk::{OkTopkConfig, OkTopkSgd};
 use simnet::{Cluster, CostModel};
-use sparse::scratch::{
-    exact_threshold_scratch, select_ge_scratch, select_ge_with_threads, SelectScratch, SCAN_GRAIN,
-};
+use sparse::scratch::{exact_threshold_scratch, select_ge_scratch, SelectScratch};
 use sparse::select::{exact_threshold, exact_threshold_by_sort, select_ge};
 use sparse::simd::{self, Lanes};
 
@@ -64,13 +45,14 @@ struct BenchResult {
     baseline_ns: Option<f64>,
     optimized_ns: Option<f64>,
     /// True when the optimized path deliberately ran without its optimization
-    /// (adaptive granularity chose 1 thread; the SIMD dispatch resolved to
-    /// scalar), so speedup ≈ 1.0 is by design and the gates skip the row.
+    /// (the SIMD dispatch resolved to scalar; the host's caches hold the input),
+    /// so speedup ≈ 1.0 is by design and the gates skip the row.
     serial_fallback: bool,
-    /// Sweep over the dispatch axis: (`sweep_key` value, ns per rep).
+    /// Lane-width sweep: (lanes, ns per rep).
     sweep: Vec<(usize, f64)>,
-    /// JSON key for the sweep axis: "threads" or "lanes".
-    sweep_key: &'static str,
+    /// Speedup of every measurement [`measure_gated`] took of this row, in
+    /// order; the other fields hold the last one.
+    attempts: Vec<f64>,
     note: String,
 }
 
@@ -114,7 +96,7 @@ fn pseudo_dense(n: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Selection: allocating `select` path vs pooled scratch path (auto-dispatch).
+/// Selection: allocating `select` path vs pooled scratch path.
 fn bench_selection_scratch(n: usize, k: usize, reps: usize, trials: usize) -> BenchResult {
     let dense = pseudo_dense(n, 1);
     let baseline = time_ns(reps, trials, || {
@@ -134,7 +116,7 @@ fn bench_selection_scratch(n: usize, k: usize, reps: usize, trials: usize) -> Be
         optimized_ns: Some(optimized),
         serial_fallback: false,
         sweep: Vec::new(),
-        sweep_key: "threads",
+        attempts: Vec::new(),
         note: format!(
             "n={n} k={k}; exact_threshold + select_ge per rep; baseline is the scalar \
              allocating select path, scratch runs pooled buffers + SIMD lanes (PR2's \
@@ -142,47 +124,6 @@ fn bench_selection_scratch(n: usize, k: usize, reps: usize, trials: usize) -> Be
              pooled path saves allocation but did identical scalar arithmetic; the \
              lane kernels now pull it decisively ahead)"
         ),
-    }
-}
-
-/// Selection: serial vs the auto-dispatch path at the default thread count,
-/// plus an explicit thread sweep through the same pool-backed kernels.
-fn bench_selection_parallel(
-    n: usize,
-    k: usize,
-    reps: usize,
-    trials: usize,
-    sweep_threads: &[usize],
-) -> BenchResult {
-    let dense = pseudo_dense(n, 2);
-    let mut scratch = SelectScratch::new();
-    let mut at = |threads: usize| {
-        time_ns(reps, trials, || {
-            let th = exact_threshold_scratch(black_box(&dense), k, &mut scratch);
-            let g = select_ge_with_threads(&dense, th, &mut scratch, threads);
-            black_box(g.nnz());
-            scratch.recycle(g);
-        })
-    };
-    let sweep: Vec<(usize, f64)> = sweep_threads.iter().map(|&t| (t, at(t))).collect();
-    let serial = sweep.iter().find(|(t, _)| *t == 1).map(|&(_, ns)| ns).unwrap_or_else(|| at(1));
-    // The path callers actually hit: adaptive granularity at the default count.
-    let auto_threads = okpar::threads_for(n, SCAN_GRAIN);
-    let mut scratch = SelectScratch::new();
-    let optimized = time_ns(reps, trials, || {
-        let th = exact_threshold_scratch(black_box(&dense), k, &mut scratch);
-        let g = select_ge_scratch(&dense, th, &mut scratch);
-        black_box(g.nnz());
-        scratch.recycle(g);
-    });
-    BenchResult {
-        name: "selection_serial_vs_parallel",
-        baseline_ns: Some(serial),
-        optimized_ns: Some(optimized),
-        serial_fallback: auto_threads <= 1,
-        sweep,
-        sweep_key: "threads",
-        note: format!("n={n} k={k}; threads 1 vs auto ({auto_threads})"),
     }
 }
 
@@ -215,7 +156,7 @@ fn bench_scan_simd(n: usize, reps: usize, trials: usize) -> BenchResult {
         optimized_ns: Some(auto),
         serial_fallback: caps.lanes == Lanes::S1,
         sweep,
-        sweep_key: "lanes",
+        attempts: Vec::new(),
         note: format!(
             "n={n} th={th}; count_abs_ge scalar vs auto ({} lanes, {})",
             caps.lanes.width(),
@@ -251,7 +192,7 @@ fn bench_select_fill_simd(n: usize, reps: usize, trials: usize) -> BenchResult {
         optimized_ns: Some(auto),
         serial_fallback: caps.lanes == Lanes::S1,
         sweep,
-        sweep_key: "lanes",
+        attempts: Vec::new(),
         note: format!("n={n} th={th}; scan_keep_append scalar vs auto; informational (not gated)"),
     }
 }
@@ -281,7 +222,7 @@ fn bench_residual_fuse_simd(n: usize, reps: usize, trials: usize) -> BenchResult
         optimized_ns: Some(auto),
         serial_fallback: caps.lanes == Lanes::S1,
         sweep,
-        sweep_key: "lanes",
+        attempts: Vec::new(),
         note: format!("n={n}; fused_scale_add scalar vs auto; informational (not gated)"),
     }
 }
@@ -361,7 +302,7 @@ fn bench_accumulate_select(
         optimized_ns: Some(fused),
         serial_fallback: !is_dram_resident(n, trials),
         sweep: Vec::new(),
-        sweep_key: "threads",
+        attempts: Vec::new(),
         note: format!(
             "n={n} scale={scale} th={th}, {} selected by the last call; fused_scale_add + \
              scan_keep_append + swap vs accumulate_scan_keep_append in place; flagged when \
@@ -388,106 +329,10 @@ fn bench_exact_threshold(name: &'static str, n: usize, reps: usize, trials: usiz
         optimized_ns: Some(radix),
         serial_fallback: false,
         sweep: Vec::new(),
-        sweep_key: "threads",
+        attempts: Vec::new(),
         note: format!(
             "n={n} k={k}; exact_threshold_by_sort vs exact_threshold_scratch ({:.2} ns/elem)",
             radix / n as f64
-        ),
-    }
-}
-
-/// Dense forward kernel: serial vs auto-dispatch `matmul_acc`, plus sweep.
-fn bench_matmul_parallel(
-    dim: usize,
-    reps: usize,
-    trials: usize,
-    sweep_threads: &[usize],
-) -> BenchResult {
-    let x = pseudo_dense(dim * dim, 3);
-    let w = pseudo_dense(dim * dim, 4);
-    let mut out = vec![0.0f32; dim * dim];
-    let mut at = |threads: usize| {
-        time_ns(reps, trials, || {
-            out.iter_mut().for_each(|o| *o = 0.0);
-            matmul_acc_with_threads(black_box(&x), &w, &mut out, dim, dim, dim, threads);
-            black_box(out[0]);
-        })
-    };
-    let sweep: Vec<(usize, f64)> = sweep_threads.iter().map(|&t| (t, at(t))).collect();
-    let serial = sweep.iter().find(|(t, _)| *t == 1).map(|&(_, ns)| ns).unwrap_or_else(|| at(1));
-    let auto_threads = okpar::threads_for(dim * dim * dim, dnn::ops::MATMUL_GRAIN_FLOPS);
-    let optimized = time_ns(reps, trials, || {
-        out.iter_mut().for_each(|o| *o = 0.0);
-        dnn::ops::matmul_acc(black_box(&x), &w, &mut out, dim, dim, dim);
-        black_box(out[0]);
-    });
-    BenchResult {
-        name: "matmul_serial_vs_parallel",
-        baseline_ns: Some(serial),
-        optimized_ns: Some(optimized),
-        serial_fallback: auto_threads <= 1,
-        sweep,
-        sweep_key: "threads",
-        note: format!("{dim}x{dim}x{dim} matmul_acc; threads 1 vs auto ({auto_threads})"),
-    }
-}
-
-/// The PR 1 dispatch mechanism, preserved here as the baseline: spawn scoped
-/// threads per call over the same chunk partition the pool kernels use.
-fn spawn_matmul_acc(x: &[f32], w: &[f32], out: &mut [f32], dim: usize, threads: usize) {
-    let chunks: Vec<std::ops::Range<usize>> = okpar::chunk_ranges(dim, threads);
-    std::thread::scope(|s| {
-        let mut rest = &mut *out;
-        for r in &chunks {
-            let (head, tail) = rest.split_at_mut(r.len() * dim);
-            rest = tail;
-            let xp = &x[r.start * dim..r.end * dim];
-            s.spawn(move || {
-                for b in 0..r.len() {
-                    let xb = &xp[b * dim..(b + 1) * dim];
-                    let ob = &mut head[b * dim..(b + 1) * dim];
-                    for (i, &xv) in xb.iter().enumerate() {
-                        if xv == 0.0 {
-                            continue;
-                        }
-                        for (o, &wv) in ob.iter_mut().zip(&w[i * dim..(i + 1) * dim]) {
-                            *o += xv * wv;
-                        }
-                    }
-                }
-            });
-        }
-    });
-}
-
-/// Dispatch cost head-to-head at a fixed 2 threads: spawn-per-call (PR 1)
-/// vs the persistent pool, on a kernel small enough that dispatch overhead
-/// is a visible fraction of the runtime.
-fn bench_dispatch_spawn_vs_pool(dim: usize, reps: usize, trials: usize) -> BenchResult {
-    const THREADS: usize = 2;
-    let x = pseudo_dense(dim * dim, 5);
-    let w = pseudo_dense(dim * dim, 6);
-    let mut out = vec![0.0f32; dim * dim];
-    let spawn = time_ns(reps, trials, || {
-        out.iter_mut().for_each(|o| *o = 0.0);
-        spawn_matmul_acc(black_box(&x), &w, &mut out, dim, THREADS);
-        black_box(out[0]);
-    });
-    let pool = time_ns(reps, trials, || {
-        out.iter_mut().for_each(|o| *o = 0.0);
-        matmul_acc_with_threads(black_box(&x), &w, &mut out, dim, dim, dim, THREADS);
-        black_box(out[0]);
-    });
-    BenchResult {
-        name: "dispatch_spawn_vs_pool",
-        baseline_ns: Some(spawn),
-        optimized_ns: Some(pool),
-        serial_fallback: false,
-        sweep: Vec::new(),
-        sweep_key: "threads",
-        note: format!(
-            "{dim}x{dim}x{dim} matmul_acc at {THREADS} threads; scoped spawn per call vs \
-             persistent pool"
         ),
     }
 }
@@ -514,7 +359,7 @@ fn bench_sgd_step(p: usize, n: usize, k: usize, iters: usize) -> BenchResult {
         optimized_ns: Some(per_iter),
         serial_fallback: false,
         sweep: Vec::new(),
-        sweep_key: "threads",
+        attempts: Vec::new(),
         note: format!("p={p} n={n} k={k}; wall-clock per collective step, {iters} iters"),
     }
 }
@@ -546,17 +391,16 @@ fn bench_e2e_trainer(p: usize, n: usize, k: usize, iters: usize) -> BenchResult 
         optimized_ns: Some(total),
         serial_fallback: false,
         sweep: Vec::new(),
-        sweep_key: "threads",
+        attempts: Vec::new(),
         note: format!("p={p} n={n} k={k} iters={iters}; total wall-clock ns"),
     }
 }
 
 /// Observability overhead on the simnet hot path: the same messaging-heavy
 /// collective workload with the per-run metrics registry disabled (baseline)
-/// vs enabled (optimized column). The gate demands the enabled run stays
-/// within the 2% noise floor — the kill switch must make obs effectively
-/// free, and the enabled fast path (relaxed atomics, single-writer slots)
-/// must stay cheap.
+/// vs enabled (optimized column). The gate ([`OBS_FLOOR`]) trips when the
+/// enabled run costs more than 5% — the enabled fast path (relaxed atomics,
+/// single-writer slots) must stay cheap.
 fn bench_obs_overhead(p: usize, n: usize, k: usize, iters: usize, trials: usize) -> BenchResult {
     let run = |obs_on: bool| {
         let start = Instant::now();
@@ -596,12 +440,17 @@ fn bench_obs_overhead(p: usize, n: usize, k: usize, iters: usize, trials: usize)
         optimized_ns: Some(on),
         serial_fallback: false,
         sweep: Vec::new(),
-        sweep_key: "threads",
+        attempts: Vec::new(),
         note: format!(
             "p={p} n={n} k={k}; per-step wall, registry off vs on, paired-ratio \
-             median over {trials} trials (gate: on within 2% of off)"
+             median over {trials} trials (gate: on within 5% of off)"
         ),
     }
+}
+
+/// `attempts` as a comma-separated list of 3-decimal speedups.
+fn fmt_attempts(attempts: &[f64]) -> String {
+    attempts.iter().map(|s| format!("{s:.3}")).collect::<Vec<_>>().join(", ")
 }
 
 fn json_f64(v: Option<f64>) -> String {
@@ -611,29 +460,15 @@ fn json_f64(v: Option<f64>) -> String {
     }
 }
 
-fn write_json(
-    path: &str,
-    header: &okbench::Header,
-    default_threads: usize,
-    sweep_threads: &[usize],
-    results: &[BenchResult],
-) {
-    let threads_env = std::env::var("OKTOPK_THREADS").ok();
+fn write_json(path: &str, header: &okbench::Header, results: &[BenchResult]) {
     let caps = simd::caps();
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&header.json_fields());
     out.push_str(&format!(
-        "  \"oktopk_threads_env\": {},\n",
-        threads_env.map_or("null".to_string(), |v| format!("\"{v}\""))
-    ));
-    out.push_str(&format!("  \"default_threads\": {default_threads},\n"));
-    out.push_str(&format!(
         "  \"oktopk_simd_env\": {},\n",
         caps.env.as_ref().map_or("null".to_string(), |v| format!("\"{v}\""))
     ));
-    let sweep_list: Vec<String> = sweep_threads.iter().map(|t| t.to_string()).collect();
-    out.push_str(&format!("  \"thread_sweep\": [{}],\n", sweep_list.join(", ")));
     out.push_str("  \"benches\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str("    {\n");
@@ -645,16 +480,16 @@ fn write_json(
             _ => "null".to_string(),
         };
         out.push_str(&format!("      \"speedup\": {speedup},\n"));
+        out.push_str(&format!("      \"attempts\": [{}],\n", fmt_attempts(&r.attempts)));
         out.push_str(&format!("      \"serial_fallback\": {},\n", r.serial_fallback));
         if r.sweep.is_empty() {
             out.push_str("      \"sweep\": [],\n");
         } else {
             out.push_str("      \"sweep\": [\n");
-            for (j, (t, ns)) in r.sweep.iter().enumerate() {
+            for (j, (lanes, ns)) in r.sweep.iter().enumerate() {
                 let sep = if j + 1 < r.sweep.len() { "," } else { "" };
                 out.push_str(&format!(
-                    "        {{ \"{}\": {t}, \"ns\": {} }}{sep}\n",
-                    r.sweep_key,
+                    "        {{ \"lanes\": {lanes}, \"ns\": {} }}{sep}\n",
                     json_f64(Some(*ns))
                 ));
             }
@@ -667,12 +502,19 @@ fn write_json(
     std::fs::write(path, out).expect("write bench json");
 }
 
-/// Regression gate over the headline rows.
+/// `obs_off_vs_on` floor: the gate trips when the enabled registry costs more
+/// than 5% of a step. The row's workload is a 150–230 µs P = 4 step on a
+/// shared host, and 24 recorded runs of it on unchanged code read
+/// 0.97, 1.01, 1.01, 1.18, 0.94, 1.03, 0.96, 0.95, 0.98, 0.96, 0.95, 0.90,
+/// 1.12, 1.02, 1.03, 1.00 (PR 13) and 0.970, 0.979, 0.985, 0.956, 1.071,
+/// 0.987, 0.978, 0.979 (PR 17): median ≈ 0.98, i.e. obs costs about 2%, and
+/// half the runs land under 0.98 by noise alone. 0.95 is where a real
+/// regression separates from that spread.
+const OBS_FLOOR: f64 = 0.95;
+
+/// The speedup a gated row must reach; `None` for informational rows.
 ///
-/// - `*_serial_vs_parallel`: at the default thread count the auto-dispatch
-///   path must not lose to serial. A 2% noise floor avoids flaking on timer
-///   jitter; rows flagged `serial_fallback` (parallel == serial by design,
-///   e.g. single-core hosts) always pass.
+/// - `obs_off_vs_on`: see [`OBS_FLOOR`].
 /// - `scan_scalar_vs_simd`: the vectorized threshold scan must beat the
 ///   forced-scalar kernel by ≥1.5x on a SIMD-capable host. When the process
 ///   resolved to the scalar path (`serial_fallback` flag: `OKTOPK_SIMD=off`,
@@ -682,31 +524,65 @@ fn write_json(
 ///   (flagged `serial_fallback` where it does not).
 /// - `exact_threshold_sort_vs_radix_n4m`: the radix select must beat the
 ///   full sort by ≥2x.
-fn gate(results: &[BenchResult]) -> Result<(), String> {
-    const NOISE_FLOOR: f64 = 0.98;
-    const SIMD_FLOOR: f64 = 1.5;
-    const FUSED_FLOOR: f64 = 1.2;
-    const RADIX_FLOOR: f64 = 2.0;
-    let mut failures = Vec::new();
-    for r in results {
-        let floor = match r.name {
-            "obs_off_vs_on" => NOISE_FLOOR,
-            "scan_scalar_vs_simd" => SIMD_FLOOR,
-            "accumulate_select_separate_vs_fused_n4m" => FUSED_FLOOR,
-            "exact_threshold_sort_vs_radix_n4m" => RADIX_FLOOR,
-            name if name.ends_with("_serial_vs_parallel") => NOISE_FLOOR,
-            _ => continue,
-        };
-        if r.serial_fallback {
-            continue;
-        }
-        match r.speedup() {
-            Some(s) if s < floor => {
-                failures.push(format!("{}: speedup {s:.3} < {floor} (not a fallback row)", r.name))
+fn floor_of(name: &str) -> Option<f64> {
+    match name {
+        "obs_off_vs_on" => Some(OBS_FLOOR),
+        "scan_scalar_vs_simd" => Some(1.5),
+        "accumulate_select_separate_vs_fused_n4m" => Some(1.2),
+        "exact_threshold_sort_vs_radix_n4m" => Some(2.0),
+        _ => None,
+    }
+}
+
+/// The floor `r` is under, if it is a gated, non-fallback row that missed it.
+fn missed_floor(r: &BenchResult) -> Option<f64> {
+    let floor = floor_of(r.name)?;
+    (!r.serial_fallback && r.speedup()? < floor).then_some(floor)
+}
+
+/// Measurements the gate takes of a row before it calls it a failure.
+const MAX_ATTEMPTS: usize = 3;
+
+/// Measure a row; with `retry`, measure it again (same reps and trials) while
+/// it lands under its floor, [`MAX_ATTEMPTS`] times at most. Every row here
+/// times microseconds to milliseconds on a shared host, so one reading under
+/// the floor is weak evidence; three in a row are not. Returns the last
+/// measurement, with every attempt's speedup recorded.
+fn measure_gated(retry: bool, mut measure: impl FnMut() -> BenchResult) -> BenchResult {
+    let mut attempts = Vec::new();
+    loop {
+        let mut r = measure();
+        attempts.extend(r.speedup());
+        match missed_floor(&r) {
+            Some(floor) if retry && attempts.len() < MAX_ATTEMPTS => {
+                eprintln!(
+                    "  {}: [{}] under its floor {floor}; measuring again",
+                    r.name,
+                    fmt_attempts(&attempts)
+                )
             }
-            _ => {}
+            _ => {
+                r.attempts = attempts;
+                return r;
+            }
         }
     }
+}
+
+/// Regression gate over rows measured by [`measure_gated`]: a row fails when
+/// its last attempt — hence every attempt — is under its floor.
+fn gate(results: &[BenchResult]) -> Result<(), String> {
+    let failures: Vec<String> = results
+        .iter()
+        .filter_map(|r| {
+            let floor = missed_floor(r)?;
+            Some(format!(
+                "{}: speedup [{}] < {floor} on every attempt",
+                r.name,
+                fmt_attempts(&r.attempts)
+            ))
+        })
+        .collect();
     if failures.is_empty() {
         Ok(())
     } else {
@@ -727,31 +603,13 @@ fn main() {
         .unwrap_or("BENCH_PR6.json")
         .to_string();
 
-    let default_threads = okpar::configured_threads();
-    let host_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // Sweep 1/2/4/available_parallelism (plus the default count), deduped.
-    let mut sweep_threads = vec![1usize, 2, 4, host_threads, default_threads];
-    sweep_threads.sort_unstable();
-    sweep_threads.dedup();
-
     let (n, k, reps, trials) =
         if quick { (1 << 15, 1 << 9, 5, 3) } else { (1 << 18, 1 << 12, 10, 5) };
-    // The matmul/dispatch kernels are ~2 orders of magnitude shorter than a
-    // selection pass; give them proportionally more reps per trial so the
-    // median is not dominated by scheduler noise.
-    let (mm_reps, mm_trials) = if quick { (20, 5) } else { (100, 9) };
-    let mm_dim = if quick { 48 } else { 128 };
-    let disp_dim = if quick { 48 } else { 64 };
     let (sgd_n, sgd_iters) = if quick { (1 << 12, 30) } else { (1 << 14, 100) };
     let e2e_iters = if quick { 60 } else { 300 };
 
-    // No timed region pays one-time worker creation or queue growth.
-    okpar::prewarm(*sweep_threads.last().unwrap());
-
-    eprintln!(
-        "hotpath: n={n} k={k} default_threads={default_threads} host_threads={host_threads} \
-         sweep={sweep_threads:?} quick={quick}"
-    );
+    let host_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    eprintln!("hotpath: n={n} k={k} host_threads={host_threads} quick={quick}");
     let caps = simd::caps();
     eprintln!(
         "hotpath: simd isa={} lanes={} env={:?} compiled={} forced_scalar={}",
@@ -761,21 +619,29 @@ fn main() {
         caps.compiled,
         caps.forced_scalar
     );
+    let obs_trials = if quick { 11 } else { 15 };
     let results = vec![
-        bench_scan_simd(n, reps, trials),
-        bench_select_fill_simd(n, reps, trials),
-        bench_residual_fuse_simd(n, reps, trials),
-        bench_accumulate_select("accumulate_select_separate_vs_fused_n64k", 1 << 16, 50, trials),
-        bench_accumulate_select("accumulate_select_separate_vs_fused_n4m", 1 << 22, 3, trials),
-        bench_exact_threshold("exact_threshold_sort_vs_radix_n64k", 1 << 16, 5, trials),
-        bench_exact_threshold("exact_threshold_sort_vs_radix_n4m", 1 << 22, 1, trials),
-        bench_selection_scratch(n, k, reps, trials),
-        bench_selection_parallel(n, k, reps, trials, &sweep_threads),
-        bench_matmul_parallel(mm_dim, mm_reps, mm_trials, &sweep_threads),
-        bench_dispatch_spawn_vs_pool(disp_dim, mm_reps, mm_trials),
-        bench_sgd_step(4, sgd_n, sgd_n / 64, sgd_iters),
-        bench_e2e_trainer(4, 4096, 256, e2e_iters),
-        bench_obs_overhead(4, sgd_n, sgd_n / 64, sgd_iters * 4, if quick { 11 } else { 15 }),
+        measure_gated(run_gate, || bench_scan_simd(n, reps, trials)),
+        measure_gated(run_gate, || bench_select_fill_simd(n, reps, trials)),
+        measure_gated(run_gate, || bench_residual_fuse_simd(n, reps, trials)),
+        measure_gated(run_gate, || {
+            bench_accumulate_select("accumulate_select_separate_vs_fused_n64k", 1 << 16, 50, trials)
+        }),
+        measure_gated(run_gate, || {
+            bench_accumulate_select("accumulate_select_separate_vs_fused_n4m", 1 << 22, 3, trials)
+        }),
+        measure_gated(run_gate, || {
+            bench_exact_threshold("exact_threshold_sort_vs_radix_n64k", 1 << 16, 5, trials)
+        }),
+        measure_gated(run_gate, || {
+            bench_exact_threshold("exact_threshold_sort_vs_radix_n4m", 1 << 22, 1, trials)
+        }),
+        measure_gated(run_gate, || bench_selection_scratch(n, k, reps, trials)),
+        measure_gated(run_gate, || bench_sgd_step(4, sgd_n, sgd_n / 64, sgd_iters)),
+        measure_gated(run_gate, || bench_e2e_trainer(4, 4096, 256, e2e_iters)),
+        measure_gated(run_gate, || {
+            bench_obs_overhead(4, sgd_n, sgd_n / 64, sgd_iters * 4, obs_trials)
+        }),
     ];
 
     for r in &results {
@@ -789,19 +655,22 @@ fn main() {
             speedup,
             fb
         );
-        for (t, ns) in &r.sweep {
-            eprintln!("      {}={t:<3} {:>12} ns", r.sweep_key, json_f64(Some(*ns)));
+        for (lanes, ns) in &r.sweep {
+            eprintln!("      lanes={lanes:<3} {:>12} ns", json_f64(Some(*ns)));
+        }
+        if r.attempts.len() > 1 {
+            eprintln!("      attempts [{}]", fmt_attempts(&r.attempts));
         }
     }
-    write_json(&out_path, &header, default_threads, &sweep_threads, &results);
+    write_json(&out_path, &header, &results);
     eprintln!("wrote {out_path}");
 
     if run_gate {
         match gate(&results) {
             Ok(()) => {
                 eprintln!(
-                    "gate: OK (serial-vs-parallel >= 0.98, scan scalar-vs-simd >= 1.5, \
-                     fused accumulate+select >= 1.2, radix select >= 2, obs overhead <= 2%)"
+                    "gate: OK (scan scalar-vs-simd >= 1.5, fused accumulate+select >= 1.2, \
+                     radix select >= 2, obs off-vs-on >= {OBS_FLOOR}; best of {MAX_ATTEMPTS})"
                 )
             }
             Err(msg) => {
@@ -809,5 +678,55 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A gated row (`obs_off_vs_on`, floor [`OBS_FLOOR`]) replaying `speedups`.
+    fn scripted(retry: bool, speedups: &[f64], serial_fallback: bool) -> BenchResult {
+        let mut left = speedups.iter();
+        measure_gated(retry, || BenchResult {
+            name: "obs_off_vs_on",
+            baseline_ns: Some(*left.next().expect("measured more often than scripted")),
+            optimized_ns: Some(1.0),
+            serial_fallback,
+            sweep: Vec::new(),
+            attempts: Vec::new(),
+            note: String::new(),
+        })
+    }
+
+    #[test]
+    fn gate_fails_only_when_three_attempts_land_under_the_floor() {
+        let first = scripted(true, &[0.99], false);
+        assert_eq!(first.attempts, [0.99]);
+        assert!(gate(&[first]).is_ok());
+
+        let second = scripted(true, &[0.90, 1.02], false);
+        assert_eq!(second.attempts, [0.90, 1.02], "a passing attempt ends the retries");
+        assert!(gate(&[second]).is_ok());
+
+        let third = scripted(true, &[0.90, 0.94, 0.96], false);
+        assert_eq!(third.attempts, [0.90, 0.94, 0.96]);
+        assert_eq!(third.speedup(), Some(0.96));
+        assert!(gate(&[third]).is_ok());
+
+        let failed = scripted(true, &[0.90, 0.94, 0.93], false);
+        assert_eq!(failed.attempts, [0.90, 0.94, 0.93], "no fourth attempt");
+        let msg = gate(&[failed]).unwrap_err();
+        assert!(msg.contains("obs_off_vs_on") && msg.contains("0.93"), "{msg}");
+    }
+
+    #[test]
+    fn fallback_rows_and_ungated_runs_are_measured_once() {
+        let fallback = scripted(true, &[0.5], true);
+        assert_eq!(fallback.attempts, [0.5]);
+        assert!(gate(&[fallback]).is_ok());
+
+        let no_retry = scripted(false, &[0.5], false);
+        assert_eq!(no_retry.attempts, [0.5], "without --gate nothing is re-measured");
     }
 }

@@ -22,28 +22,12 @@
 //! asserted by the `kernel_parity` proptest suite against an explicit-loop
 //! reference implementation.
 //!
-//! The kernels are also data-parallel: the public entry points dispatch chunked
-//! workers through the persistent `okpar` pool ([`okpar::run_chunks`] over
-//! partitions of the *output* space) — no threads are spawned per call, and
-//! SIMD composes with the chunking (lanes inside each worker's panel walk).
-//! The thread count adapts to the problem: one worker per
-//! [`MATMUL_GRAIN_FLOPS`] multiply-accumulates, capped at
-//! [`okpar::configured_threads`] (the `OKTOPK_THREADS` knob), so small matmuls
-//! stay serial with zero dispatch overhead. Because each worker owns a disjoint
-//! slice of the output and walks it in the same order as the serial loop, the
-//! result is bit-identical to the serial kernel for any thread count. The
-//! `*_with_threads` variants take the thread count explicitly (no size gate)
-//! for tests and benches, which must not race on the process-global knob; the
-//! `*_with_lanes` variants force the SIMD width the same way.
+//! The kernels run serially on the calling rank's thread — ranks are the unit
+//! of host parallelism, `simnet`'s event engine shares the cores between them
+//! (DESIGN.md §7). The `*_with_lanes` variants force the SIMD width for the
+//! parity tests.
 
-use okpar::SendPtr;
 use sparse::simd::{self, Lanes};
-
-/// Multiply-accumulate count per worker chunk — the matmul granularity cutoff.
-/// One worker per this many MACs (so problems under twice this stay serial);
-/// calibrated so a chunk's arithmetic (tens of µs) dwarfs the ~1µs pool
-/// dispatch.
-pub const MATMUL_GRAIN_FLOPS: usize = 1 << 15;
 
 /// Reduction-block width for the nonzero gather in [`matmul_acc`] /
 /// [`matmul_acc_xt`]: the `(index, multiplier)` pairs of one block fit in two
@@ -54,41 +38,12 @@ pub const KC: usize = 64;
 /// panel of the output row plus four source rows stay L1-resident (20 KiB).
 pub const NC: usize = 1024;
 
-fn matmul_threads(rows: usize, inner: usize, cols: usize) -> usize {
-    okpar::threads_for(rows.saturating_mul(inner).saturating_mul(cols), MATMUL_GRAIN_FLOPS)
-}
-
 /// `out[b, j] += Σᵢ x[b, i] · w[i, j]` — x: `[rows, inner]`, w: `[inner, cols]`.
 pub fn matmul_acc(x: &[f32], w: &[f32], out: &mut [f32], rows: usize, inner: usize, cols: usize) {
-    matmul_acc_with_threads(x, w, out, rows, inner, cols, matmul_threads(rows, inner, cols));
+    matmul_acc_rows(x, w, out, rows, inner, cols, simd::lanes());
 }
 
-/// [`matmul_acc`] with an explicit thread count; bit-identical for any `threads`.
-pub fn matmul_acc_with_threads(
-    x: &[f32],
-    w: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    inner: usize,
-    cols: usize,
-    threads: usize,
-) {
-    debug_assert_eq!(x.len(), rows * inner);
-    debug_assert_eq!(w.len(), inner * cols);
-    debug_assert_eq!(out.len(), rows * cols);
-    if okpar::chunk_count(rows, threads) <= 1 {
-        return matmul_acc_rows(x, w, out, rows, inner, cols, simd::lanes());
-    }
-    let lanes = simd::lanes();
-    let out_ptr = SendPtr::new(out.as_mut_ptr());
-    okpar::run_chunks(rows, threads, |_, r| {
-        // Safety: chunk row-ranges are disjoint, so the output row blocks are.
-        let op = unsafe { out_ptr.slice_mut(r.start * cols, r.len() * cols) };
-        matmul_acc_rows(&x[r.start * inner..r.end * inner], w, op, r.len(), inner, cols, lanes);
-    });
-}
-
-/// [`matmul_acc`] serial at a forced SIMD width (the lane-parity test surface);
+/// [`matmul_acc`] at a forced SIMD width (the lane-parity test surface);
 /// bit-identical to the auto path for every `lanes`.
 pub fn matmul_acc_with_lanes(
     x: &[f32],
@@ -99,13 +54,10 @@ pub fn matmul_acc_with_lanes(
     cols: usize,
     lanes: Lanes,
 ) {
-    debug_assert_eq!(x.len(), rows * inner);
-    debug_assert_eq!(w.len(), inner * cols);
-    debug_assert_eq!(out.len(), rows * cols);
     matmul_acc_rows(x, w, out, rows, inner, cols, lanes);
 }
 
-/// Tiled row-range worker for [`matmul_acc`]: gather the nonzero `(i, x[b,i])`
+/// Tiled body of [`matmul_acc`]: gather the nonzero `(i, x[b,i])`
 /// pairs of each [`KC`] block, then run the gathered quads through the
 /// [`simd::axpy4`] microkernel over [`NC`]-wide panels of the output row.
 /// Per output element the reduction order is ascending `i` with zero-skip —
@@ -119,6 +71,9 @@ fn matmul_acc_rows(
     cols: usize,
     lanes: Lanes,
 ) {
+    debug_assert_eq!(x.len(), rows * inner);
+    debug_assert_eq!(w.len(), inner * cols);
+    debug_assert_eq!(out.len(), rows * cols);
     let mut idxs = [0usize; KC];
     let mut vals = [0f32; KC];
     for b in 0..rows {
@@ -175,60 +130,9 @@ pub fn matmul_acc_wt(
     inner: usize,
     cols: usize,
 ) {
-    matmul_acc_wt_with_threads(dy, w, out, rows, inner, cols, matmul_threads(rows, inner, cols));
-}
-
-/// [`matmul_acc_wt`] with an explicit thread count; bit-identical for any `threads`.
-pub fn matmul_acc_wt_with_threads(
-    dy: &[f32],
-    w: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    inner: usize,
-    cols: usize,
-    threads: usize,
-) {
     debug_assert_eq!(dy.len(), rows * cols);
     debug_assert_eq!(w.len(), inner * cols);
     debug_assert_eq!(out.len(), rows * inner);
-    if okpar::chunk_count(rows, threads) <= 1 {
-        return matmul_acc_wt_rows(dy, w, out, rows, inner, cols);
-    }
-    let out_ptr = SendPtr::new(out.as_mut_ptr());
-    okpar::run_chunks(rows, threads, |_, r| {
-        // Safety: chunk row-ranges are disjoint, so the output row blocks are.
-        let op = unsafe { out_ptr.slice_mut(r.start * inner, r.len() * inner) };
-        matmul_acc_wt_rows(&dy[r.start * cols..r.end * cols], w, op, r.len(), inner, cols);
-    });
-}
-
-/// Four dot products against a shared left vector, as four *independent*
-/// scalar accumulator chains walking `j` in ascending order. This is register
-/// tiling without lane vectorization: each accumulator sees the exact f32
-/// operation sequence of a lone serial dot product (no reassociation), while
-/// the four chains give the core ILP and amortize the `d` loads 4×.
-#[inline]
-fn dot4(d: &[f32], w0: &[f32], w1: &[f32], w2: &[f32], w3: &[f32]) -> [f32; 4] {
-    let mut a = [0.0f32; 4];
-    for (j, &dv) in d.iter().enumerate() {
-        a[0] += dv * w0[j];
-        a[1] += dv * w1[j];
-        a[2] += dv * w2[j];
-        a[3] += dv * w3[j];
-    }
-    a
-}
-
-/// Register-tiled row-range worker for [`matmul_acc_wt`]: four outputs per
-/// pass via [`dot4`]. Bit-identical to the per-output serial dot products.
-fn matmul_acc_wt_rows(
-    dy: &[f32],
-    w: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    inner: usize,
-    cols: usize,
-) {
     for b in 0..rows {
         let dyb = &dy[b * cols..(b + 1) * cols];
         let ob = &mut out[b * inner..(b + 1) * inner];
@@ -259,6 +163,23 @@ fn matmul_acc_wt_rows(
     }
 }
 
+/// Four dot products against a shared left vector, as four *independent*
+/// scalar accumulator chains walking `j` in ascending order. This is register
+/// tiling without lane vectorization: each accumulator sees the exact f32
+/// operation sequence of a lone serial dot product (no reassociation), while
+/// the four chains give the core ILP and amortize the `d` loads 4×.
+#[inline]
+fn dot4(d: &[f32], w0: &[f32], w1: &[f32], w2: &[f32], w3: &[f32]) -> [f32; 4] {
+    let mut a = [0.0f32; 4];
+    for (j, &dv) in d.iter().enumerate() {
+        a[0] += dv * w0[j];
+        a[1] += dv * w1[j];
+        a[2] += dv * w2[j];
+        a[3] += dv * w3[j];
+    }
+    a
+}
+
 /// `dw[i, j] += Σ_b x[b, i] · dy[b, j]` — gradient w.r.t. the weights of a matmul.
 pub fn matmul_acc_xt(
     x: &[f32],
@@ -268,40 +189,10 @@ pub fn matmul_acc_xt(
     inner: usize,
     cols: usize,
 ) {
-    matmul_acc_xt_with_threads(x, dy, dw, rows, inner, cols, matmul_threads(rows, inner, cols));
+    matmul_acc_xt_inner(x, dy, dw, rows, inner, cols, simd::lanes());
 }
 
-/// [`matmul_acc_xt`] with an explicit thread count; bit-identical for any `threads`.
-///
-/// Unlike the other two kernels this one reduces over the batch dimension, so
-/// the partition is over the *inner* dimension (disjoint `dw` row blocks): each
-/// worker keeps the serial `b`-outer accumulation order for its rows, preserving
-/// bit-identity.
-pub fn matmul_acc_xt_with_threads(
-    x: &[f32],
-    dy: &[f32],
-    dw: &mut [f32],
-    rows: usize,
-    inner: usize,
-    cols: usize,
-    threads: usize,
-) {
-    debug_assert_eq!(x.len(), rows * inner);
-    debug_assert_eq!(dy.len(), rows * cols);
-    debug_assert_eq!(dw.len(), inner * cols);
-    if okpar::chunk_count(inner, threads) <= 1 {
-        return matmul_acc_xt_inner(x, dy, dw, rows, inner, cols, 0..inner, simd::lanes());
-    }
-    let lanes = simd::lanes();
-    let dw_ptr = SendPtr::new(dw.as_mut_ptr());
-    okpar::run_chunks(inner, threads, |_, r| {
-        // Safety: chunk inner-ranges are disjoint, so the dw row blocks are.
-        let dwp = unsafe { dw_ptr.slice_mut(r.start * cols, r.len() * cols) };
-        matmul_acc_xt_inner(x, dy, dwp, rows, inner, cols, r, lanes);
-    });
-}
-
-/// [`matmul_acc_xt`] serial at a forced SIMD width (the lane-parity test
+/// [`matmul_acc_xt`] at a forced SIMD width (the lane-parity test
 /// surface); bit-identical to the auto path for every `lanes`.
 pub fn matmul_acc_xt_with_lanes(
     x: &[f32],
@@ -312,14 +203,10 @@ pub fn matmul_acc_xt_with_lanes(
     cols: usize,
     lanes: Lanes,
 ) {
-    debug_assert_eq!(x.len(), rows * inner);
-    debug_assert_eq!(dy.len(), rows * cols);
-    debug_assert_eq!(dw.len(), inner * cols);
-    matmul_acc_xt_inner(x, dy, dw, rows, inner, cols, 0..inner, lanes);
+    matmul_acc_xt_inner(x, dy, dw, rows, inner, cols, lanes);
 }
 
-/// Tiled worker for [`matmul_acc_xt`] restricted to inner indexes `i_range`;
-/// `dw` holds only that block's rows.
+/// Tiled body of [`matmul_acc_xt`].
 ///
 /// The loop nest is `i` outer / `b` inner (the transpose of the naive kernel's
 /// order): per `dw` row, gather the nonzero `(b, x[b,i])` pairs of each [`KC`]
@@ -327,7 +214,6 @@ pub fn matmul_acc_xt_with_lanes(
 /// panels. Every `dw[i, j]` still accumulates its batch contributions in
 /// ascending `b` with zero-skip — the identical f32 sequence the naive
 /// `b`-outer loop produces, because distinct `dw` rows never interact.
-#[allow(clippy::too_many_arguments)]
 fn matmul_acc_xt_inner(
     x: &[f32],
     dy: &[f32],
@@ -335,14 +221,15 @@ fn matmul_acc_xt_inner(
     rows: usize,
     inner: usize,
     cols: usize,
-    i_range: std::ops::Range<usize>,
     lanes: Lanes,
 ) {
+    debug_assert_eq!(x.len(), rows * inner);
+    debug_assert_eq!(dy.len(), rows * cols);
+    debug_assert_eq!(dw.len(), inner * cols);
     let mut bidx = [0usize; KC];
     let mut vals = [0f32; KC];
-    for i in i_range.clone() {
-        let local = i - i_range.start;
-        let dwrow = &mut dw[local * cols..(local + 1) * cols];
+    for i in 0..inner {
+        let dwrow = &mut dw[i * cols..(i + 1) * cols];
         for bs in (0..rows).step_by(KC) {
             let be = (bs + KC).min(rows);
             let mut m = 0usize;
@@ -536,37 +423,6 @@ mod tests {
                 }
                 assert!((dw[i * cols + j] - want).abs() < 1e-6);
             }
-        }
-    }
-
-    #[test]
-    fn chunked_matmuls_bit_identical_to_serial() {
-        // Deterministic pseudo-random shapes/values; compare every parallel
-        // variant bitwise against the single-thread run.
-        let (rows, inner, cols) = (7, 13, 5);
-        let x: Vec<f32> = (0..rows * inner)
-            .map(|i| if i % 5 == 0 { 0.0 } else { ((i * 37 % 101) as f32 - 50.0) * 0.01 })
-            .collect();
-        let w: Vec<f32> = (0..inner * cols).map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.02).collect();
-        let dy: Vec<f32> = (0..rows * cols).map(|i| ((i * 29 % 89) as f32 - 44.0) * 0.03).collect();
-
-        let mut out1 = vec![0.1f32; rows * cols];
-        matmul_acc_with_threads(&x, &w, &mut out1, rows, inner, cols, 1);
-        let mut dx1 = vec![0.2f32; rows * inner];
-        matmul_acc_wt_with_threads(&dy, &w, &mut dx1, rows, inner, cols, 1);
-        let mut dw1 = vec![0.3f32; inner * cols];
-        matmul_acc_xt_with_threads(&x, &dy, &mut dw1, rows, inner, cols, 1);
-
-        for threads in [2usize, 3, 4, 7, 16] {
-            let mut out = vec![0.1f32; rows * cols];
-            matmul_acc_with_threads(&x, &w, &mut out, rows, inner, cols, threads);
-            assert_eq!(out, out1, "matmul_acc threads={threads}");
-            let mut dx = vec![0.2f32; rows * inner];
-            matmul_acc_wt_with_threads(&dy, &w, &mut dx, rows, inner, cols, threads);
-            assert_eq!(dx, dx1, "matmul_acc_wt threads={threads}");
-            let mut dw = vec![0.3f32; inner * cols];
-            matmul_acc_xt_with_threads(&x, &dy, &mut dw, rows, inner, cols, threads);
-            assert_eq!(dw, dw1, "matmul_acc_xt threads={threads}");
         }
     }
 

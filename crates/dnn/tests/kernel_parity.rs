@@ -1,26 +1,16 @@
-//! Parallel/serial and SIMD/scalar parity for the chunked dense kernels.
+//! Parity of the tiled dense kernels with the naive loops.
 //!
-//! `matmul_acc*_with_threads` partition the output (or, for `xt`, the inner
-//! dimension) into disjoint blocks and keep the serial per-element accumulation
-//! order inside each block, so results must be *bit-identical* to the serial
-//! kernel for every thread count — including thread counts that do not divide
-//! the partitioned dimension and counts (8, 17) oversubscribed beyond any
-//! plausible core count. Every parallel call goes through the persistent
-//! okpar worker pool.
-//!
-//! The tiled/lane-vectorized kernels additionally promise bit-identity to the
-//! *naive explicit loops* (ascending reduction index, zero-skip) at every SIMD
-//! lane width — checked here against reference implementations written out
-//! longhand, at widths {scalar, 4, 8} via the `*_with_lanes` surface.
+//! The tiled/lane-vectorized kernels promise bit-identity to the *naive
+//! explicit loops* (ascending reduction index, zero-skip) at every SIMD lane
+//! width — checked here against reference implementations written out
+//! longhand, through the public entries and at widths {scalar, 4, 8} via the
+//! `*_with_lanes` surface.
 
 use dnn::ops::{
-    matmul_acc_with_lanes, matmul_acc_with_threads, matmul_acc_wt_with_threads,
-    matmul_acc_xt_with_lanes, matmul_acc_xt_with_threads,
+    matmul_acc, matmul_acc_with_lanes, matmul_acc_wt, matmul_acc_xt, matmul_acc_xt_with_lanes,
 };
 use proptest::prelude::*;
 use sparse::simd::Lanes;
-
-const THREADS: [usize; 6] = [1, 2, 4, 7, 8, 17];
 
 fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
@@ -40,64 +30,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn matmul_acc_parity(
-        (rows, inner, cols) in (1usize..9, 1usize..9, 1usize..9),
-        seed in 0u64..1000,
-    ) {
-        let (x, w, init) = materialize(rows * inner, inner * cols, rows * cols, seed);
-        let mut want = init.clone();
-        matmul_acc_with_threads(&x, &w, &mut want, rows, inner, cols, 1);
-        for threads in THREADS {
-            let mut got = init.clone();
-            matmul_acc_with_threads(&x, &w, &mut got, rows, inner, cols, threads);
-            prop_assert_eq!(bits(&got), bits(&want), "threads={}", threads);
-        }
-    }
-
-    #[test]
-    fn matmul_acc_wt_parity(
-        (rows, inner, cols) in (1usize..9, 1usize..9, 1usize..9),
-        seed in 0u64..1000,
-    ) {
-        let (dy, w, init) = materialize(rows * cols, inner * cols, rows * inner, seed);
-        let mut want = init.clone();
-        matmul_acc_wt_with_threads(&dy, &w, &mut want, rows, inner, cols, 1);
-        for threads in THREADS {
-            let mut got = init.clone();
-            matmul_acc_wt_with_threads(&dy, &w, &mut got, rows, inner, cols, threads);
-            prop_assert_eq!(bits(&got), bits(&want), "threads={}", threads);
-        }
-    }
-
-    #[test]
-    fn matmul_acc_xt_parity(
-        (rows, inner, cols) in (1usize..9, 1usize..9, 1usize..9),
-        seed in 0u64..1000,
-    ) {
-        let (x, dy, init) = materialize(rows * inner, rows * cols, inner * cols, seed);
-        let mut want = init.clone();
-        matmul_acc_xt_with_threads(&x, &dy, &mut want, rows, inner, cols, 1);
-        for threads in THREADS {
-            let mut got = init.clone();
-            matmul_acc_xt_with_threads(&x, &dy, &mut got, rows, inner, cols, threads);
-            prop_assert_eq!(bits(&got), bits(&want), "threads={}", threads);
-        }
-    }
-
-    #[test]
-    fn random_values_parity(
+    fn random_values_match_naive_reference(
         a in mat(7 * 5),
         b in mat(5 * 3),
         init in mat(7 * 3),
     ) {
         // Proptest-drawn values (zeros included) through the forward kernel.
         let mut want = init.clone();
-        matmul_acc_with_threads(&a, &b, &mut want, 7, 5, 3, 1);
-        for threads in THREADS {
-            let mut got = init.clone();
-            matmul_acc_with_threads(&a, &b, &mut got, 7, 5, 3, threads);
-            prop_assert_eq!(bits(&got), bits(&want), "threads={}", threads);
-        }
+        reference_matmul_acc(&a, &b, &mut want, 7, 5, 3);
+        let mut got = init.clone();
+        matmul_acc(&a, &b, &mut got, 7, 5, 3);
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 }
 
@@ -146,6 +89,26 @@ fn reference_matmul_acc_xt(
     }
 }
 
+/// Naive reference for `matmul_acc_wt` — one lone dot product per output.
+fn reference_matmul_acc_wt(
+    dy: &[f32],
+    w: &[f32],
+    out: &mut [f32],
+    rows: usize,
+    inner: usize,
+    cols: usize,
+) {
+    for b in 0..rows {
+        for i in 0..inner {
+            let mut acc = 0.0f32;
+            for j in 0..cols {
+                acc += dy[b * cols + j] * w[i * cols + j];
+            }
+            out[b * inner + i] += acc;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -190,17 +153,9 @@ proptest! {
         // (`inner` crosses the 4-output tile boundary at every remainder).
         let (dy, w, init) = materialize(rows * cols, inner * cols, rows * inner, seed);
         let mut want = init.clone();
-        for b in 0..rows {
-            for i in 0..inner {
-                let mut acc = 0.0f32;
-                for j in 0..cols {
-                    acc += dy[b * cols + j] * w[i * cols + j];
-                }
-                want[b * inner + i] += acc;
-            }
-        }
+        reference_matmul_acc_wt(&dy, &w, &mut want, rows, inner, cols);
         let mut got = init.clone();
-        matmul_acc_wt_with_threads(&dy, &w, &mut got, rows, inner, cols, 1);
+        matmul_acc_wt(&dy, &w, &mut got, rows, inner, cols);
         prop_assert_eq!(bits(&got), bits(&want));
     }
 }
@@ -227,7 +182,7 @@ fn panel_boundary_columns_match_reference() {
 }
 
 /// Deterministic pseudo-random matrices (sin-based, ~20% exact zeros) so the
-/// shape-sweep test below needs no RNG plumbing.
+/// shape sweeps need no RNG plumbing.
 fn materialize(la: usize, lb: usize, lout: usize, seed: u64) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let gen = |len: usize, salt: u64| -> Vec<f32> {
         (0..len)
@@ -247,40 +202,38 @@ fn materialize(la: usize, lb: usize, lout: usize, seed: u64) -> (Vec<f32>, Vec<f
     (gen(la, 1), gen(lb, 2), gen(lout, 3))
 }
 
-/// Shapes where the partitioned dimension is smaller than, equal to, and not a
-/// multiple of the thread count.
+/// Degenerate and odd shapes through the public entries: single elements,
+/// dimensions below, at and off multiples of the 4-wide register tiles.
 #[test]
-fn awkward_shapes_are_bit_identical() {
-    for &threads in &THREADS {
-        for &(rows, inner, cols) in &[
-            (1usize, 1usize, 1usize),
-            (2, 3, 1),
-            (3, 7, 2),
-            (7, 13, 5),
-            (8, 8, 8),
-            (13, 4, 9),
-            (17, 2, 3),
-        ] {
-            let (x, w, init) = materialize(rows * inner, inner * cols, rows * cols, 42);
-            let mut want = init.clone();
-            matmul_acc_with_threads(&x, &w, &mut want, rows, inner, cols, 1);
-            let mut got = init.clone();
-            matmul_acc_with_threads(&x, &w, &mut got, rows, inner, cols, threads);
-            assert_eq!(got, want, "matmul_acc {rows}x{inner}x{cols} threads={threads}");
+fn awkward_shapes_match_reference() {
+    for &(rows, inner, cols) in &[
+        (1usize, 1usize, 1usize),
+        (2, 3, 1),
+        (3, 7, 2),
+        (7, 13, 5),
+        (8, 8, 8),
+        (13, 4, 9),
+        (17, 2, 3),
+    ] {
+        let (x, w, init) = materialize(rows * inner, inner * cols, rows * cols, 42);
+        let mut want = init.clone();
+        reference_matmul_acc(&x, &w, &mut want, rows, inner, cols);
+        let mut got = init.clone();
+        matmul_acc(&x, &w, &mut got, rows, inner, cols);
+        assert_eq!(got, want, "matmul_acc {rows}x{inner}x{cols}");
 
-            let (dy, w2, init2) = materialize(rows * cols, inner * cols, rows * inner, 43);
-            let mut want2 = init2.clone();
-            matmul_acc_wt_with_threads(&dy, &w2, &mut want2, rows, inner, cols, 1);
-            let mut got2 = init2.clone();
-            matmul_acc_wt_with_threads(&dy, &w2, &mut got2, rows, inner, cols, threads);
-            assert_eq!(got2, want2, "matmul_acc_wt {rows}x{inner}x{cols} threads={threads}");
+        let (dy, w2, init2) = materialize(rows * cols, inner * cols, rows * inner, 43);
+        let mut want2 = init2.clone();
+        reference_matmul_acc_wt(&dy, &w2, &mut want2, rows, inner, cols);
+        let mut got2 = init2.clone();
+        matmul_acc_wt(&dy, &w2, &mut got2, rows, inner, cols);
+        assert_eq!(got2, want2, "matmul_acc_wt {rows}x{inner}x{cols}");
 
-            let (x3, dy3, init3) = materialize(rows * inner, rows * cols, inner * cols, 44);
-            let mut want3 = init3.clone();
-            matmul_acc_xt_with_threads(&x3, &dy3, &mut want3, rows, inner, cols, 1);
-            let mut got3 = init3.clone();
-            matmul_acc_xt_with_threads(&x3, &dy3, &mut got3, rows, inner, cols, threads);
-            assert_eq!(got3, want3, "matmul_acc_xt {rows}x{inner}x{cols} threads={threads}");
-        }
+        let (x3, dy3, init3) = materialize(rows * inner, rows * cols, inner * cols, 44);
+        let mut want3 = init3.clone();
+        reference_matmul_acc_xt(&x3, &dy3, &mut want3, rows, inner, cols);
+        let mut got3 = init3.clone();
+        matmul_acc_xt(&x3, &dy3, &mut got3, rows, inner, cols);
+        assert_eq!(got3, want3, "matmul_acc_xt {rows}x{inner}x{cols}");
     }
 }

@@ -80,10 +80,9 @@ pub fn clear_enabled_override() {
     OVERRIDE.store(0, Ordering::Relaxed);
 }
 
-/// The process-global registry: long-lived subsystems that outlive any single
-/// simulation run (e.g. okpar's persistent worker pool) record here, and
-/// per-run registries fold their totals in at run end so one snapshot can
-/// summarize the whole process (see [`Registry::absorb`]). Every global metric
+/// The process-global registry: per-run registries fold their totals in at
+/// run end so one snapshot can summarize the whole process (see
+/// [`Registry::absorb`]). Every global metric
 /// is [`Class::Host`] by convention — process-lifetime totals depend on how
 /// many runs happened, not on modeled time.
 pub fn global() -> &'static Registry {

@@ -13,7 +13,7 @@
 //! - threshold estimators ([`threshold`]): the paper's periodic exact re-evaluation
 //!   with reuse (Ok-Topk) and the Gaussian percent-point estimator (Gaussiank),
 //! - balanced gradient-space partitioning for split-and-reduce ([`partition`]),
-//! - pooled scratch buffers + parallel scans for the zero-allocation steady-state
+//! - pooled scratch buffers for the zero-allocation steady-state
 //!   selection path ([`scratch`]),
 //! - explicit-lane SIMD kernels for the O(n) hot loops, with runtime dispatch and
 //!   a scalar fallback ([`simd`]),

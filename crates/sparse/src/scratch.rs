@@ -11,33 +11,14 @@
 //! working set and the whole selection path performs **zero heap allocations**
 //! (asserted by the `zero_alloc` integration test).
 //!
-//! The `*_with_threads` variants additionally run their O(n) passes
-//! data-parallel over [`okpar`] chunk partitions, dispatched through okpar's
-//! persistent worker pool (no per-call thread spawns). Chunks are always
-//! consumed in index order, so the output is bit-identical to the serial pass
-//! for every thread count (asserted by the `parity` proptest suite). The
-//! auto-dispatching wrappers (`select_ge_scratch`, …) pick their thread count
-//! adaptively — one worker per [`SCAN_GRAIN`] elements, capped at
-//! [`okpar::configured_threads`] (the `OKTOPK_THREADS` knob) — so small inputs
-//! take the serial path with zero dispatch overhead. The zero-allocation
-//! steady-state guarantee holds on both paths: the serial path touches only
-//! pooled buffers, and the pool's dispatch enqueues into a queue retained for
-//! the process lifetime (allocation-free on the caller thread after warm-up).
-//!
-//! Within each chunk (and on the serial path) the O(n) loop bodies run through
-//! the explicit-lane kernels in [`crate::simd`], so SIMD composes with the
-//! okpar data-parallelism. The lane kernels are bit-identical to the scalar
-//! scan at every width, so the parity guarantee above is unchanged.
+//! Every pass here runs serially on the calling rank's thread, its O(n) loop
+//! bodies through the explicit-lane kernels in [`crate::simd`] (bit-identical
+//! to the scalar scan at every width — the `parity` proptest suite). Ranks are
+//! the unit of host parallelism: cores are shared between ranks by `simnet`'s
+//! event engine, never inside a kernel (DESIGN.md §7).
 
 use crate::coo::CooGradient;
 use crate::select::{radix_select, RADIX_HIST_WORDS};
-use okpar::SendPtr;
-
-/// Elements per worker chunk for the O(n) scan passes — the selection
-/// granularity cutoff. One worker per this many elements (so inputs under
-/// twice this stay serial); calibrated so a chunk's scan (tens of µs) dwarfs
-/// the ~1µs pool dispatch.
-pub const SCAN_GRAIN: usize = 1 << 14;
 
 /// Most buffer pairs ever retained in the pool; `recycle` beyond this drops the
 /// buffers instead of hoarding them.
@@ -48,10 +29,6 @@ const MAX_POOL: usize = 8;
 pub struct SelectScratch {
     /// The radix select's histograms ([`RADIX_HIST_WORDS`] once first used).
     hist: Vec<u32>,
-    /// Per-chunk survivor counts for the two-pass parallel threshold scan.
-    counts: Vec<usize>,
-    /// Per-chunk output offsets (exclusive prefix sums of `counts`).
-    offsets: Vec<usize>,
     idx_pool: Vec<Vec<u32>>,
     val_pool: Vec<Vec<f32>>,
     /// Largest nnz produced so far; `take_pair` pre-reserves this much so the
@@ -109,71 +86,29 @@ impl SelectScratch {
     }
 }
 
-/// Pick the thread count for an auto-dispatched pass over `len` elements:
-/// one worker per [`SCAN_GRAIN`] elements, capped at the configured count.
-fn auto_threads(len: usize) -> usize {
-    okpar::threads_for(len, SCAN_GRAIN)
-}
-
-/// [`crate::select::select_ge`] on pooled buffers, auto-parallel
-/// (`OKTOPK_THREADS`). Allocation-free at steady state on the serial path.
+/// [`crate::select::select_ge`] on pooled buffers. Allocation-free at steady
+/// state.
 pub fn select_ge_scratch(
     dense: &[f32],
     threshold: f32,
     scratch: &mut SelectScratch,
 ) -> CooGradient {
-    select_ge_with_threads(dense, threshold, scratch, auto_threads(dense.len()))
+    let (mut idx, mut val) = scratch.take_pair();
+    crate::simd::scan_keep_append(dense, threshold, 0, &mut idx, &mut val);
+    scratch.note_nnz(idx.len());
+    CooGradient::from_sorted(idx, val)
 }
 
-/// [`select_ge_scratch`] with an explicit thread count (no size gate); the
-/// result is bit-identical to the serial scan for every `threads`.
+/// Frozen benchmark surface: `benchmark/src/probes.rs:188` times this at 1 and
+/// 2 threads for `okpar.select_t2_over_t1`. Delete with that call.
+#[doc(hidden)]
 pub fn select_ge_with_threads(
     dense: &[f32],
     threshold: f32,
     scratch: &mut SelectScratch,
-    threads: usize,
+    _threads: usize,
 ) -> CooGradient {
-    let (mut idx, mut val) = scratch.take_pair();
-    let chunks = okpar::chunk_count(dense.len(), threads);
-    if chunks <= 1 {
-        crate::simd::scan_keep_append(dense, threshold, 0, &mut idx, &mut val);
-    } else {
-        // Two passes so every entry lands exactly where the serial scan would
-        // put it: count matches per chunk, prefix-sum into disjoint output
-        // windows, then fill the windows in parallel — all through the
-        // persistent pool, on pooled buffers (no per-call allocation).
-        let SelectScratch { counts, offsets, .. } = scratch;
-        counts.clear();
-        counts.resize(chunks, 0);
-        let counts_ptr = SendPtr::new(counts.as_mut_ptr());
-        okpar::run_chunks(dense.len(), threads, |ci, r| {
-            let c = crate::simd::count_keep(&dense[r], threshold);
-            // Safety: each chunk index writes only its own counts slot.
-            unsafe { *counts_ptr.get().add(ci) = c };
-        });
-        offsets.clear();
-        let mut total = 0usize;
-        for &c in counts.iter() {
-            offsets.push(total);
-            total += c;
-        }
-        idx.resize(total, 0);
-        val.resize(total, 0.0);
-        let idx_ptr = SendPtr::new(idx.as_mut_ptr());
-        let val_ptr = SendPtr::new(val.as_mut_ptr());
-        let (counts, offsets) = (&*counts, &*offsets);
-        okpar::run_chunks(dense.len(), threads, |ci, r| {
-            // Safety: output windows [offsets[ci], offsets[ci] + counts[ci])
-            // are disjoint by construction of the prefix sums.
-            let ip = unsafe { idx_ptr.slice_mut(offsets[ci], counts[ci]) };
-            let vp = unsafe { val_ptr.slice_mut(offsets[ci], counts[ci]) };
-            let base = r.start as u32;
-            let w = crate::simd::scan_keep_write(&dense[r], threshold, base, ip, vp);
-            debug_assert_eq!(w, ip.len());
-        });
-    }
-    scratch.note_nnz(idx.len());
-    CooGradient::from_sorted(idx, val)
+    select_ge_scratch(dense, threshold, scratch)
 }
 
 /// [`crate::simd::accumulate_scan_keep_append`] on pooled buffers: error
@@ -199,52 +134,6 @@ pub fn exact_threshold_scratch(values: &[f32], k: usize, scratch: &mut SelectScr
     radix_select(values, k, &mut scratch.hist)
 }
 
-/// [`crate::select::topk_exact`] on pooled buffers, auto-parallel.
-pub fn topk_exact_scratch(dense: &[f32], k: usize, scratch: &mut SelectScratch) -> CooGradient {
-    topk_exact_with_threads(dense, k, scratch, auto_threads(dense.len()))
-}
-
-/// [`topk_exact_scratch`] with an explicit thread count.
-pub fn topk_exact_with_threads(
-    dense: &[f32],
-    k: usize,
-    scratch: &mut SelectScratch,
-    threads: usize,
-) -> CooGradient {
-    if k == 0 || dense.is_empty() {
-        return CooGradient::new();
-    }
-    let k = k.min(dense.len());
-    let th = exact_threshold_scratch(dense, k, scratch);
-    let selected = select_ge_with_threads(dense, th, scratch, threads);
-    if selected.nnz() <= k {
-        return selected;
-    }
-    // The scan overshot k on threshold-magnitude ties; drop the *last* excess
-    // tied entries in place (keep lowest indexes, like `topk_exact`).
-    let excess = selected.nnz() - k;
-    let (mut idx, mut val) = selected.into_parts();
-    let ties = val.iter().filter(|v| v.abs() == th).count();
-    debug_assert!(ties >= excess);
-    let keep_ties = ties - excess;
-    let (mut seen, mut w) = (0usize, 0usize);
-    for r in 0..idx.len() {
-        if val[r].abs() == th {
-            seen += 1;
-            if seen > keep_ties {
-                continue;
-            }
-        }
-        idx[w] = idx[r];
-        val[w] = val[r];
-        w += 1;
-    }
-    debug_assert_eq!(w, k);
-    idx.truncate(w);
-    val.truncate(w);
-    CooGradient::from_sorted(idx, val)
-}
-
 /// [`CooGradient::filter_abs_ge`] writing into pooled buffers.
 pub fn filter_abs_ge_scratch(
     g: &CooGradient,
@@ -265,7 +154,7 @@ pub fn filter_abs_ge_scratch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::{exact_threshold, select_ge, topk_exact};
+    use crate::select::{exact_threshold, select_ge};
     use rand::prelude::*;
 
     fn random_dense(n: usize, seed: u64) -> Vec<f32> {
@@ -314,33 +203,15 @@ mod tests {
     }
 
     #[test]
-    fn scratch_topk_matches_plain_topk() {
+    fn frozen_forwarder_ignores_its_thread_count() {
         let mut scratch = SelectScratch::new();
-        for n in [1usize, 8, 100, 999] {
-            let dense = random_dense(n, 1 + n as u64);
-            for k in [1usize, 3, n / 2 + 1, n] {
-                let got = topk_exact_scratch(&dense, k, &mut scratch);
-                let want = topk_exact(&dense, k);
-                assert_eq!(got, want, "n={n} k={k}");
-                scratch.recycle(got);
-            }
-        }
-        // Tie-heavy input exercises the in-place trim.
-        let ties = [0.5f32; 8];
-        let got = topk_exact_scratch(&ties, 3, &mut scratch);
-        assert_eq!(got.indexes(), &[0, 1, 2]);
-    }
-
-    #[test]
-    fn parallel_paths_bit_identical_to_serial() {
-        for n in [1usize, 2, 7, 100, 101, 1000, 4097] {
+        for n in [0usize, 7, 4097] {
             let dense = random_dense(n, 90 + n as u64);
-            let mut s1 = SelectScratch::new();
-            let serial = select_ge_with_threads(&dense, 0.3, &mut s1, 1);
-            for threads in [2usize, 3, 4, 7] {
-                let mut sp = SelectScratch::new();
-                let par = select_ge_with_threads(&dense, 0.3, &mut sp, threads);
-                assert_eq!(par, serial, "n={n} threads={threads}");
+            let want = select_ge_scratch(&dense, 0.3, &mut scratch);
+            for threads in [1usize, 2, 17] {
+                let got = select_ge_with_threads(&dense, 0.3, &mut scratch, threads);
+                assert_eq!(got, want, "n={n} threads={threads}");
+                scratch.recycle(got);
             }
         }
     }

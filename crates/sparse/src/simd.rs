@@ -177,8 +177,7 @@ fn detect() -> SimdCaps {
 }
 
 /// The process-wide resolved SIMD capability (first call snapshots
-/// `OKTOPK_SIMD` and probes the CPU; later env mutations are ignored, matching
-/// the `OKTOPK_THREADS` snapshot semantics in `okpar`).
+/// `OKTOPK_SIMD` and probes the CPU; later env mutations are ignored).
 pub fn caps() -> &'static SimdCaps {
     CAPS.get_or_init(detect)
 }
@@ -214,22 +213,6 @@ fn count_abs_ge_core<const L: usize>(values: &[f32], th: f32) -> usize {
 #[inline(always)]
 fn keep(v: f32, th: f32) -> bool {
     v.abs() >= th && v != 0.0
-}
-
-#[inline(always)]
-fn count_keep_core<const L: usize>(values: &[f32], th: f32) -> usize {
-    let mut lane = [0usize; L];
-    let mut it = values.chunks_exact(L);
-    for chunk in &mut it {
-        for j in 0..L {
-            lane[j] += usize::from(keep(chunk[j], th));
-        }
-    }
-    let mut total: usize = lane.iter().sum();
-    for &v in it.remainder() {
-        total += usize::from(keep(v, th));
-    }
-    total
 }
 
 /// Bitmask of keep-lanes for one L-block (bit j = block[j] survives).
@@ -425,52 +408,6 @@ mod x86 {
         total
     }
 
-    /// AVX2 keep-count (`|v| >= th && v != 0`).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn count_keep_w8(values: &[f32], th: f32) -> usize {
-        let absmask = _mm256_set1_ps(f32::from_bits(ABS_MASK));
-        let t = _mm256_set1_ps(th);
-        let zero = _mm256_setzero_ps();
-        let mut c = _mm256_setzero_si256();
-        let mut it = values.chunks_exact(8);
-        for chunk in &mut it {
-            let v = _mm256_loadu_ps(chunk.as_ptr());
-            let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_and_ps(v, absmask), t);
-            // NEQ_UQ matches scalar `v != 0.0` (true for NaN lanes, which the
-            // `ge` term rejects anyway).
-            let nz = _mm256_cmp_ps::<_CMP_NEQ_UQ>(v, zero);
-            c = _mm256_sub_epi32(c, _mm256_castps_si256(_mm256_and_ps(ge, nz)));
-        }
-        let mut total = hsum_epi32(c) as usize;
-        for &v in it.remainder() {
-            total += usize::from(super::keep(v, th));
-        }
-        total
-    }
-
-    /// SSE2 keep-count.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn count_keep_w4(values: &[f32], th: f32) -> usize {
-        let absmask = _mm_set1_ps(f32::from_bits(ABS_MASK));
-        let t = _mm_set1_ps(th);
-        let zero = _mm_setzero_ps();
-        let mut c = _mm_setzero_si128();
-        let mut it = values.chunks_exact(4);
-        for chunk in &mut it {
-            let v = _mm_loadu_ps(chunk.as_ptr());
-            let ge = _mm_cmpge_ps(_mm_and_ps(v, absmask), t);
-            let nz = _mm_cmpneq_ps(v, zero);
-            c = _mm_sub_epi32(c, _mm_castps_si128(_mm_and_ps(ge, nz)));
-        }
-        let s = _mm_add_epi32(c, _mm_unpackhi_epi64(c, c));
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b01>(s));
-        let mut total = _mm_cvtsi128_si32(s) as usize;
-        for &v in it.remainder() {
-            total += usize::from(super::keep(v, th));
-        }
-        total
-    }
-
     /// Keep-lane bitmask for one 8-block (bit j = lane j survives).
     #[target_feature(enable = "avx2")]
     pub unsafe fn keep_mask_w8(block: *const f32, th: f32) -> u32 {
@@ -528,33 +465,6 @@ pub fn count_abs_ge_with_lanes(values: &[f32], th: f32, lanes: Lanes) -> usize {
                 return unsafe { x86::count_abs_ge_w8(values, th) };
             }
             count_abs_ge_core::<8>(values, th)
-        }
-    }
-}
-
-/// Count `select_ge` survivors (`|v| >= th` and `v != 0`).
-pub fn count_keep(values: &[f32], th: f32) -> usize {
-    count_keep_with_lanes(values, th, lanes())
-}
-
-/// [`count_keep`] at an explicit lane width.
-pub fn count_keep_with_lanes(values: &[f32], th: f32, lanes: Lanes) -> usize {
-    match lanes {
-        Lanes::S1 => values.iter().filter(|&&v| keep(v, th)).count(),
-        Lanes::W4 => {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            // Safety: SSE2 is part of the x86-64 baseline.
-            return unsafe { x86::count_keep_w4(values, th) };
-            #[allow(unreachable_code)]
-            count_keep_core::<4>(values, th)
-        }
-        Lanes::W8 => {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            if have_avx2() {
-                // Safety: AVX2 presence just checked.
-                return unsafe { x86::count_keep_w8(values, th) };
-            }
-            count_keep_core::<8>(values, th)
         }
     }
 }
@@ -634,48 +544,6 @@ pub fn scan_keep_append_with_lanes(
         idx.push(i);
         val.push(v);
     });
-}
-
-/// Write `select_ge` survivors into pre-sized windows (the parallel fill pass);
-/// returns the number written. The windows must hold exactly the survivor
-/// count ([`count_keep`] with the same threshold).
-pub fn scan_keep_write(
-    dense: &[f32],
-    th: f32,
-    base: u32,
-    idx: &mut [u32],
-    val: &mut [f32],
-) -> usize {
-    scan_keep_write_with_lanes(dense, th, base, idx, val, lanes())
-}
-
-/// [`scan_keep_write`] at an explicit lane width.
-pub fn scan_keep_write_with_lanes(
-    dense: &[f32],
-    th: f32,
-    base: u32,
-    idx: &mut [u32],
-    val: &mut [f32],
-    lanes: Lanes,
-) -> usize {
-    let mut w = 0usize;
-    let width = effective_mask_width(lanes);
-    if width == 1 {
-        for (off, &v) in dense.iter().enumerate() {
-            if keep(v, th) {
-                idx[w] = base + off as u32;
-                val[w] = v;
-                w += 1;
-            }
-        }
-        return w;
-    }
-    scan_keep_blocks(dense, th, base, width, |i, v| {
-        idx[w] = i;
-        val[w] = v;
-        w += 1;
-    });
-    w
 }
 
 /// The mask-kernel width a requested lane setting resolves to: W8 drops to 4
@@ -865,17 +733,15 @@ mod tests {
             let v = mixed(n, 42);
             for th in [0.0f32, 0.3, 0.5, 0.95, f32::INFINITY] {
                 let want_ge = v.iter().filter(|x| x.abs() >= th).count();
-                let want_keep = v.iter().filter(|&&x| keep(x, th)).count();
                 for l in Lanes::ALL {
                     assert_eq!(count_abs_ge_with_lanes(&v, th, l), want_ge, "n={n} th={th} {l:?}");
-                    assert_eq!(count_keep_with_lanes(&v, th, l), want_keep, "n={n} th={th} {l:?}");
                 }
             }
         }
     }
 
     #[test]
-    fn scan_append_and_write_match_scalar() {
+    fn scan_append_matches_scalar() {
         for n in [0usize, 1, 5, 8, 9, 63, 64, 65, 1000] {
             let v = mixed(n, 7);
             let th = 0.5f32;
@@ -887,12 +753,6 @@ mod tests {
                 scan_keep_append_with_lanes(&v, th, 10, &mut gi, &mut gv, l);
                 assert_eq!(gi, want_i, "append n={n} {l:?}");
                 assert_eq!(gv, want_v, "append n={n} {l:?}");
-                let mut wi = vec![0u32; want_i.len()];
-                let mut wv = vec![0f32; want_v.len()];
-                let written = scan_keep_write_with_lanes(&v, th, 10, &mut wi, &mut wv, l);
-                assert_eq!(written, want_i.len(), "write n={n} {l:?}");
-                assert_eq!(wi, want_i, "write n={n} {l:?}");
-                assert_eq!(wv, want_v, "write n={n} {l:?}");
             }
         }
     }
@@ -957,10 +817,14 @@ mod tests {
         v[40] = -f32::NAN;
         for th in [0.0f32, 0.5] {
             let want = count_abs_ge_with_lanes(&v, th, Lanes::S1);
-            let want_keep = count_keep_with_lanes(&v, th, Lanes::S1);
+            let (mut want_i, mut want_v) = (Vec::new(), Vec::new());
+            scan_keep_append_with_lanes(&v, th, 0, &mut want_i, &mut want_v, Lanes::S1);
             for l in [Lanes::W4, Lanes::W8] {
                 assert_eq!(count_abs_ge_with_lanes(&v, th, l), want);
-                assert_eq!(count_keep_with_lanes(&v, th, l), want_keep);
+                let (mut gi, mut gv) = (Vec::new(), Vec::new());
+                scan_keep_append_with_lanes(&v, th, 0, &mut gi, &mut gv, l);
+                assert_eq!(gi, want_i);
+                assert_eq!(gv, want_v);
             }
         }
     }

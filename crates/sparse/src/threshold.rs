@@ -14,29 +14,10 @@
 //!   The optional scaling mode reproduces §5.4's fairness adjustment: scale the
 //!   threshold down until at least `3k/4` values are selected.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crate::scratch::{exact_threshold_scratch, SelectScratch, SCAN_GRAIN};
+use crate::scratch::{exact_threshold_scratch, SelectScratch};
 use crate::select::exact_threshold;
+use crate::simd::count_abs_ge;
 use crate::stats::{mean_std, normal_ppf};
-
-/// Count entries with `|v| >= th`: SIMD lanes within each chunk
-/// ([`crate::simd::count_abs_ge`]), data-parallel through the okpar pool above
-/// the [`SCAN_GRAIN`] granularity cutoff. A count is an integer reduction, so
-/// the result is identical to the serial scan regardless of chunk completion
-/// order or lane width.
-fn count_abs_ge(values: &[f32], th: f32) -> usize {
-    let threads = okpar::threads_for(values.len(), SCAN_GRAIN);
-    if threads <= 1 {
-        return crate::simd::count_abs_ge(values, th);
-    }
-    let total = AtomicUsize::new(0);
-    okpar::run_chunks(values.len(), threads, |_, r| {
-        let c = crate::simd::count_abs_ge(&values[r], th);
-        total.fetch_add(c, Ordering::Relaxed);
-    });
-    total.into_inner()
-}
 
 /// Strategy for producing the |value| cut-off used to sparsify a gradient.
 pub trait ThresholdEstimator {

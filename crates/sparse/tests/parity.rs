@@ -1,30 +1,24 @@
-//! Parallel/serial parity for the scratch-based selection kernels.
+//! Parity of the scratch-based selection kernels and the SIMD lane kernels
+//! with their plain references.
 //!
-//! The chunked two-pass implementations in `sparse::scratch` promise results
-//! *bit-identical* to the serial reference in `sparse::select` for every thread
-//! count. These properties exercise the explicit `*_with_threads` variants (no
-//! size gate) so the parallel code paths run even on small inputs, with thread
-//! counts and lengths deliberately chosen not to divide evenly into chunks,
-//! and counts (8, 17) oversubscribed beyond any plausible core count so the
-//! pool's help-drain path is covered. Every parallel call goes through the
-//! persistent okpar worker pool.
+//! `sparse::scratch` promises results *bit-identical* to the allocating
+//! references in `sparse::select`, on a cold scratch and on one whose pooled
+//! buffers and histograms have been used; `sparse::simd` promises every kernel
+//! bit-identical to the scalar loop at every lane width.
 
 use proptest::prelude::*;
 use sparse::scratch::{
-    exact_threshold_scratch, filter_abs_ge_scratch, select_ge_with_threads,
-    topk_exact_with_threads, SelectScratch,
+    exact_threshold_scratch, filter_abs_ge_scratch, select_ge_scratch, SelectScratch,
 };
-use sparse::select::{exact_threshold, select_ge, topk_exact};
+use sparse::select::{exact_threshold, select_ge};
 use sparse::CooGradient;
-
-const THREADS: [usize; 6] = [1, 2, 3, 4, 8, 17];
 
 fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
 /// Dense vectors with repeated magnitudes (ties), exact zeros and signed
-/// values — the cases where a sloppy parallel merge would diverge first.
+/// values — the cases where a sloppy scan would diverge first.
 fn dense_vec() -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(
         prop_oneof![
@@ -43,26 +37,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
-    fn select_ge_matches_serial_for_all_thread_counts(
+    fn select_ge_scratch_matches_allocating(
         dense in dense_vec(),
         threshold in 0.0f32..0.9,
     ) {
-        let serial = select_ge(&dense, threshold);
-        for threads in THREADS {
-            let mut scratch = SelectScratch::new();
-            // Run twice per scratch so the warm (pooled-buffer) path is hit too.
-            for round in 0..2 {
-                let got = select_ge_with_threads(&dense, threshold, &mut scratch, threads);
-                prop_assert_eq!(
-                    got.indexes(), serial.indexes(),
-                    "indexes diverged: threads={} round={}", threads, round
-                );
-                prop_assert_eq!(
-                    bits(got.values()), bits(serial.values()),
-                    "values diverged: threads={} round={}", threads, round
-                );
-                scratch.recycle(got);
-            }
+        let want = select_ge(&dense, threshold);
+        let mut scratch = SelectScratch::new();
+        // Twice per scratch: the second call runs on recycled buffers.
+        for round in 0..2 {
+            let got = select_ge_scratch(&dense, threshold, &mut scratch);
+            prop_assert_eq!(got.indexes(), want.indexes(), "indexes diverged: round={}", round);
+            prop_assert_eq!(
+                bits(got.values()), bits(want.values()),
+                "values diverged: round={}", round
+            );
+            scratch.recycle(got);
         }
     }
 
@@ -81,20 +70,6 @@ proptest! {
     }
 
     #[test]
-    fn topk_exact_matches_serial_for_all_thread_counts(
-        dense in dense_vec(),
-        k in 0usize..64,
-    ) {
-        let serial = topk_exact(&dense, k);
-        for threads in THREADS {
-            let mut scratch = SelectScratch::new();
-            let got = topk_exact_with_threads(&dense, k, &mut scratch, threads);
-            prop_assert_eq!(got.indexes(), serial.indexes(), "threads={}", threads);
-            prop_assert_eq!(bits(got.values()), bits(serial.values()), "threads={}", threads);
-        }
-    }
-
-    #[test]
     fn filter_abs_ge_scratch_matches_coo_filter(
         dense in dense_vec(),
         threshold in 0.0f32..0.9,
@@ -109,30 +84,47 @@ proptest! {
     }
 }
 
-/// Deterministic sweep over lengths straddling chunk boundaries: `len % threads`
-/// covers 0, 1 and threads−1 so the uneven-chunk split (first `len % threads`
-/// chunks one element longer) is exercised explicitly.
+/// Tie-heavy input with exact zeros, far longer than any tile or lane width.
+fn large_quantized(n: usize, seed: u64) -> Vec<f32> {
+    (0..n)
+        .map(|i| {
+            let h = (i as u64).wrapping_mul(6364136223846793005).wrapping_add(seed);
+            let v = ((h >> 33) % 2000) as f32 / 1000.0 - 1.0;
+            if v.abs() < 0.5 {
+                0.0
+            } else {
+                (v * 8.0).round() / 8.0
+            }
+        })
+        .collect()
+}
+
+/// Deterministic sweep over lengths straddling the lane widths (4, 8) and the
+/// scan's block boundaries, plus one large tie-heavy input, all on one shared
+/// scratch.
 #[test]
 fn boundary_lengths_are_bit_identical() {
     let mut scratch = SelectScratch::new();
-    for &threads in &THREADS {
-        for len in [0, 1, 2, 6, 7, 8, 13, 27, 28, 29, 255, 256, 257] {
-            let dense: Vec<f32> =
-                (0..len).map(|i| ((i as f32 * 0.37).sin() * 100.0).round() / 100.0).collect();
-            let serial_sel = select_ge(&dense, 0.25);
-            let got_sel = select_ge_with_threads(&dense, 0.25, &mut scratch, threads);
-            assert_eq!(got_sel, serial_sel, "select_ge len={len} threads={threads}");
-            scratch.recycle(got_sel);
+    let mut inputs: Vec<Vec<f32>> = [0, 1, 2, 6, 7, 8, 13, 27, 28, 29, 255, 256, 257]
+        .iter()
+        .map(|&len| (0..len).map(|i| ((i as f32 * 0.37).sin() * 100.0).round() / 100.0).collect())
+        .collect();
+    inputs.push(large_quantized(8 * (1 << 14) + 13, 7));
+    for dense in &inputs {
+        let len = dense.len();
+        let want_sel = select_ge(dense, 0.25);
+        let got_sel = select_ge_scratch(dense, 0.25, &mut scratch);
+        assert_eq!(got_sel, want_sel, "select_ge len={len}");
+        scratch.recycle(got_sel);
 
-            for k in [0, 1, len / 2, len] {
-                let want = exact_threshold(&dense, k);
-                let got = exact_threshold_scratch(&dense, k, &mut scratch);
-                assert_eq!(got.to_bits(), want.to_bits(), "exact_threshold len={len} k={k}");
-
-                let want_k = topk_exact(&dense, k);
-                let got_k = topk_exact_with_threads(&dense, k, &mut scratch, threads);
-                assert_eq!(got_k, want_k, "topk_exact len={len} k={k} threads={threads}");
-            }
+        for k in [0, 1, len / 50, len / 2, len] {
+            let want = exact_threshold(dense, k);
+            let got = exact_threshold_scratch(dense, k, &mut scratch);
+            assert_eq!(got.to_bits(), want.to_bits(), "exact_threshold len={len} k={k}");
+            let want_k = select_ge(dense, want);
+            let got_k = select_ge_scratch(dense, got, &mut scratch);
+            assert_eq!(got_k, want_k, "select at exact threshold len={len} k={k}");
+            scratch.recycle(got_k);
         }
     }
 }
@@ -152,12 +144,9 @@ mod lane_parity {
         #[test]
         fn counts_match_scalar(dense in dense_vec(), th in 0.0f32..0.9) {
             let want_ge = dense.iter().filter(|v| v.abs() >= th).count();
-            let want_keep = dense.iter().filter(|&&v| v.abs() >= th && v != 0.0).count();
             for lanes in Lanes::ALL {
                 prop_assert_eq!(simd::count_abs_ge_with_lanes(&dense, th, lanes), want_ge,
                     "count_abs_ge lanes={:?}", lanes);
-                prop_assert_eq!(simd::count_keep_with_lanes(&dense, th, lanes), want_keep,
-                    "count_keep lanes={:?}", lanes);
             }
         }
 
@@ -170,12 +159,6 @@ mod lane_parity {
                 simd::scan_keep_append_with_lanes(&dense, th, base, &mut gi, &mut gv, lanes);
                 prop_assert_eq!(&gi, &want_i, "append indexes lanes={:?}", lanes);
                 prop_assert_eq!(bits(&gv), bits(&want_v), "append values lanes={:?}", lanes);
-                let mut wi = vec![0u32; want_i.len()];
-                let mut wv = vec![0f32; want_v.len()];
-                let n = simd::scan_keep_write_with_lanes(&dense, th, base, &mut wi, &mut wv, lanes);
-                prop_assert_eq!(n, want_i.len(), "write count lanes={:?}", lanes);
-                prop_assert_eq!(&wi, &want_i, "write indexes lanes={:?}", lanes);
-                prop_assert_eq!(bits(&wv), bits(&want_v), "write values lanes={:?}", lanes);
             }
         }
 
@@ -299,11 +282,11 @@ fn scratch_reuse_across_mixed_calls_is_stateless() {
     let a: Vec<f32> = (0..300).map(|i| ((i * 7 % 13) as f32 - 6.0) / 6.0).collect();
     let b: Vec<f32> = (0..41).map(|i| ((i * 5 % 11) as f32 - 5.0) / 5.0).collect();
     for _ in 0..3 {
-        for threads in THREADS {
-            assert_eq!(select_ge_with_threads(&a, 0.5, &mut scratch, threads), select_ge(&a, 0.5));
-            assert_eq!(topk_exact_with_threads(&b, 9, &mut scratch, threads), topk_exact(&b, 9));
-            let g = CooGradient::from_sorted(vec![2, 5, 9], vec![0.1, -0.9, 0.4]);
-            assert_eq!(filter_abs_ge_scratch(&g, 0.3, &mut scratch), g.filter_abs_ge(0.3));
-        }
+        let got = select_ge_scratch(&a, 0.5, &mut scratch);
+        assert_eq!(got, select_ge(&a, 0.5));
+        scratch.recycle(got);
+        assert_eq!(exact_threshold_scratch(&b, 9, &mut scratch), exact_threshold(&b, 9));
+        let g = CooGradient::from_sorted(vec![2, 5, 9], vec![0.1, -0.9, 0.4]);
+        assert_eq!(filter_abs_ge_scratch(&g, 0.3, &mut scratch), g.filter_abs_ge(0.3));
     }
 }

@@ -17,8 +17,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sparse::scratch::{
-    accumulate_select_scratch, exact_threshold_scratch, filter_abs_ge_scratch,
-    select_ge_with_threads, SelectScratch,
+    accumulate_select_scratch, exact_threshold_scratch, filter_abs_ge_scratch, select_ge_scratch,
+    SelectScratch,
 };
 use sparse::CooGradient;
 
@@ -60,11 +60,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// estimate the exact threshold, select ≥-threshold entries, run the fused
 /// accumulate+select a reuse step runs instead, merge a peer's contribution
 /// without allocating, re-filter against the threshold, and return all storage
-/// to the pool. `threads = 1` is the serial path; `threads > 1` dispatches the
-/// two-pass select through the persistent okpar worker pool, which after
-/// [`okpar::prewarm`] is also allocation-free on the caller thread (jobs
-/// enqueue into a process-lifetime queue; the latch lives on the stack).
-#[allow(clippy::too_many_arguments)]
+/// to the pool.
 fn hot_iteration(
     dense: &[f32],
     residual: &mut [f32],
@@ -73,10 +69,9 @@ fn hot_iteration(
     scratch: &mut SelectScratch,
     spare_idx: &mut Vec<u32>,
     spare_val: &mut Vec<f32>,
-    threads: usize,
 ) -> usize {
     let th = exact_threshold_scratch(dense, k, scratch);
-    let mut selected = select_ge_with_threads(dense, th, scratch, threads);
+    let mut selected = select_ge_scratch(dense, th, scratch);
     // ε = 0 before, so ε + 1·dense = dense after: the same selection again.
     residual.fill(0.0);
     let fused = accumulate_select_scratch(residual, dense, 1.0, th, scratch);
@@ -118,7 +113,7 @@ fn steady_state_selection_path_is_allocation_free() {
     // including the full-capacity select (threshold 0 keeps every nonzero).
     ARMED.with(|a| a.set(false));
     ALLOCS.with(|c| c.set(0));
-    let full = select_ge_with_threads(&dense, 0.0, &mut scratch, 1);
+    let full = select_ge_scratch(&dense, 0.0, &mut scratch);
     scratch.recycle(full);
     let mut warm_nnz = 0;
     for _ in 0..3 {
@@ -130,7 +125,6 @@ fn steady_state_selection_path_is_allocation_free() {
             &mut scratch,
             &mut spare_idx,
             &mut spare_val,
-            1,
         );
     }
 
@@ -146,7 +140,6 @@ fn steady_state_selection_path_is_allocation_free() {
             &mut scratch,
             &mut spare_idx,
             &mut spare_val,
-            1,
         );
     }
     ARMED.with(|a| a.set(false));
@@ -156,48 +149,4 @@ fn steady_state_selection_path_is_allocation_free() {
     // Sanity: the armed iterations did real work identical to the warm ones.
     assert_eq!(armed_nnz, warm_nnz);
     assert!(armed_nnz > 0);
-
-    // Parallel window: the same iterations dispatched through the okpar pool
-    // (threads = 3) must also be allocation-free *on the caller thread* once
-    // the pool is prewarmed — job enqueue reuses the process-lifetime queue,
-    // the completion latch lives on the stack, and all scan buffers are
-    // pooled. (Worker-thread bookkeeping is not charged by this thread-local
-    // counter, and the workers' kernel closures do not allocate either.)
-    const POOL_THREADS: usize = 3;
-    okpar::prewarm(POOL_THREADS);
-    let mut pool_warm_nnz = 0;
-    for _ in 0..3 {
-        pool_warm_nnz = hot_iteration(
-            &dense,
-            &mut residual,
-            &peer,
-            k,
-            &mut scratch,
-            &mut spare_idx,
-            &mut spare_val,
-            POOL_THREADS,
-        );
-    }
-    ARMED.with(|a| a.set(true));
-    let mut pool_nnz = 0;
-    for _ in 0..5 {
-        pool_nnz = hot_iteration(
-            &dense,
-            &mut residual,
-            &peer,
-            k,
-            &mut scratch,
-            &mut spare_idx,
-            &mut spare_val,
-            POOL_THREADS,
-        );
-    }
-    ARMED.with(|a| a.set(false));
-    let pool_allocs = ALLOCS.with(|c| c.get()) - allocs;
-    assert_eq!(
-        pool_allocs, 0,
-        "steady-state pooled-parallel iteration performed {pool_allocs} caller-thread allocations"
-    );
-    assert_eq!(pool_nnz, pool_warm_nnz);
-    assert_eq!(pool_nnz, armed_nnz, "parallel iteration diverged from serial");
 }
