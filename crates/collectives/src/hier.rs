@@ -46,32 +46,57 @@ fn leaders(size: usize, rpn: usize) -> Vec<usize> {
     (0..size).step_by(rpn).collect()
 }
 
-/// Dense sum-reduce to rank 0 of `comm`: reduce-scatter, then gather the
-/// fully-reduced shards at the root. On return rank 0's `data` holds the
-/// communicator-wide sum; other ranks' buffers hold partial sums (clobbered).
+/// Dense sum-reduce to rank 0 of `comm`, in place at the root: reduce-scatter,
+/// then gather the fully-reduced shards at the root. On return rank 0's `data`
+/// holds the communicator-wide sum. `data` is only *read* on every other rank —
+/// a non-root buffer comes back exactly as it went in.
 ///
 /// This is the intra-node phase of the hierarchical schemes, exposed so
 /// Ok-Topk's hierarchical variant can leave the node sum at the leader for a
 /// single re-selection instead of paying a full intra-node allreduce.
 pub fn reduce_to_root_dense<C: Net>(comm: &mut C, data: &mut [f32]) {
-    let gsize = comm.size();
-    if gsize == 1 {
+    if comm.size() == 1 {
         return;
     }
-    let n = data.len();
-    let (offset, mine) = reduce_scatter_block(comm, data);
+    let shard = reduce_scatter_block(comm, data);
+    gather_at_root(comm, shard, data);
+}
+
+/// [`reduce_to_root_dense`] out of place: `data` is read-only on every rank;
+/// rank 0 gets the communicator-wide sum in `out` (resized to `data.len()`),
+/// and every other rank's `out` is left untouched. Same messages in the same
+/// order as the in-place entry, so clocks and ledgers are identical — but a
+/// caller that only borrows its input needs no copy of it, and only the root
+/// ever holds a destination buffer.
+pub fn reduce_to_root_dense_into<C: Net>(comm: &mut C, data: &[f32], out: &mut Vec<f32>) {
     if comm.rank() == 0 {
-        data[offset..offset + mine.len()].copy_from_slice(&mine);
-        for src in 1..gsize {
-            // Shard boundaries are the deterministic equal partition, so only
-            // the payload travels.
-            let lo = n * src / gsize;
-            let got: Vec<f32> = comm.recv(src, TAG_HIER_GATHER);
-            data[lo..lo + got.len()].copy_from_slice(&got);
-            comm.recycle_f32(got);
-        }
-    } else {
-        comm.send(0, TAG_HIER_GATHER, mine);
+        out.resize(data.len(), 0.0);
+    }
+    if comm.size() == 1 {
+        out.copy_from_slice(data);
+        return;
+    }
+    let shard = reduce_scatter_block(comm, data);
+    gather_at_root(comm, shard, out);
+}
+
+/// Second half of a reduce-to-root: every rank hands in the `(offset, shard)`
+/// [`reduce_scatter_block`] left it with; rank 0 assembles the shards in `out`
+/// (the full vector's length), every other rank sends its shard and never
+/// touches `out`.
+fn gather_at_root<C: Net>(comm: &mut C, (offset, mine): (usize, Vec<f32>), out: &mut [f32]) {
+    if comm.rank() != 0 {
+        return comm.send(0, TAG_HIER_GATHER, mine);
+    }
+    let (gsize, n) = (comm.size(), out.len());
+    out[offset..offset + mine.len()].copy_from_slice(&mine);
+    for src in 1..gsize {
+        // Shard boundaries are the deterministic equal partition, so only
+        // the payload travels.
+        let lo = n * src / gsize;
+        let got: Vec<f32> = comm.recv(src, TAG_HIER_GATHER);
+        out[lo..lo + got.len()].copy_from_slice(&got);
+        comm.recycle_f32(got);
     }
 }
 

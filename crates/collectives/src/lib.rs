@@ -38,7 +38,10 @@ pub use dense::{
     broadcast, reduce_scatter_block,
 };
 pub use gtopk::{gtopk_allreduce, gtopk_reduce_to_root};
-pub use hier::{hier_dense_allreduce, hier_gtopk_allreduce, ranks_per_node, reduce_to_root_dense};
+pub use hier::{
+    hier_dense_allreduce, hier_gtopk_allreduce, ranks_per_node, reduce_to_root_dense,
+    reduce_to_root_dense_into,
+};
 pub use quantized::quantized_allgather_allreduce;
 pub use topk_a::topk_allgather_allreduce;
 pub use topk_dsa::{dsa_allreduce, DsaOutput, DsaStats};

@@ -2,7 +2,7 @@
 
 use collectives::{
     allgather_items, allreduce_inplace, broadcast, dsa_allreduce, gtopk_allreduce,
-    topk_allgather_allreduce,
+    reduce_to_root_dense, reduce_to_root_dense_into, topk_allgather_allreduce,
 };
 use proptest::prelude::*;
 use simnet::{Cluster, CostModel};
@@ -131,6 +131,46 @@ proptest! {
             prop_assert_eq!(b, &vec![root as u32]);
             for (r, item) in all.iter().enumerate() {
                 prop_assert_eq!(item.len(), len + r);
+            }
+        }
+    }
+}
+
+/// The two reduce-to-root entries are one collective: same root sum bit for
+/// bit, same clocks and ledger — and neither writes anything but the root's
+/// destination (inputs are read-only on every rank, a non-root `out` is never
+/// touched), so no caller has to hand either of them a defensive copy.
+#[test]
+fn reduce_to_root_into_matches_in_place() {
+    const SENTINEL: f32 = -7.25;
+    for g in 1usize..=9 {
+        for n in [0, 1, g - 1, 103, 4096] {
+            let input = move |rank: usize| -> Vec<f32> {
+                (0..n).map(|i| ((rank * 131 + i * 7) % 257) as f32 * 0.37 - 40.0).collect()
+            };
+            let in_place = Cluster::new(g, CostModel::aries()).run(move |comm| {
+                let mut data = input(comm.rank());
+                reduce_to_root_dense(comm, &mut data);
+                data
+            });
+            let into = Cluster::new(g, CostModel::aries()).run(move |comm| {
+                let data = input(comm.rank());
+                let mut out = if comm.rank() == 0 { Vec::new() } else { vec![SENTINEL; 5] };
+                reduce_to_root_dense_into(comm, &data, &mut out);
+                (data, out)
+            });
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let what = format!("g={g} n={n}");
+            assert_eq!(bits(&into.results[0].1), bits(&in_place.results[0]), "{what}: root sum");
+            assert_eq!(into.times, in_place.times, "{what}: clocks");
+            assert_eq!(into.ledger.total_messages(), in_place.ledger.total_messages(), "{what}");
+            assert_eq!(into.ledger.total_elements(), in_place.ledger.total_elements(), "{what}");
+            for (rank, (data, out)) in into.results.iter().enumerate() {
+                assert_eq!(data, &input(rank), "{what}: rank {rank}'s input was written");
+                if rank != 0 {
+                    assert_eq!(out, &vec![SENTINEL; 5], "{what}: rank {rank}'s out was written");
+                    assert_eq!(in_place.results[rank], input(rank), "{what}: rank {rank} in place");
+                }
             }
         }
     }

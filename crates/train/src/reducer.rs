@@ -5,7 +5,7 @@ use crate::cost::CostProfile;
 use collectives::hier::LEADER_GROUP;
 use collectives::{
     allreduce_overlapped, broadcast, dsa_allreduce, gtopk_allreduce, hier_dense_allreduce,
-    hier_gtopk_allreduce, quantized_allgather_allreduce, reduce_to_root_dense,
+    hier_gtopk_allreduce, quantized_allgather_allreduce, reduce_to_root_dense_into,
     topk_allgather_allreduce,
 };
 use oktopk::oktopk::intersect_sorted;
@@ -121,9 +121,12 @@ pub struct Reducer {
     k: usize,
     cost: CostProfile,
     /// Residual ε for the sparse baselines (Ok-Topk keeps its own inside
-    /// [`OkTopkSgd`]).
+    /// [`OkTopkSgd`]). Between steps it holds ε; during one, the accumulator.
     residual: Vec<f32>,
     oktopk: Option<OkTopkSgd>,
+    /// Hier-Ok-Topk's intra-node gradient sum: n-sized on a node leader after
+    /// its first step, empty on every other rank for good.
+    node_sum: Vec<f32>,
     /// Optional SparCML-style value quantization on the wire (TopkA transport
     /// only); the quantization error flows into the residual like any noise.
     quantization: Option<QuantMode>,
@@ -160,7 +163,8 @@ impl Reducer {
             } else {
                 Vec::new()
             };
-        Self { scheme, n, k, cost, residual, oktopk, quantization: None, rpn: 1, t: 0 }
+        let node_sum = Vec::new();
+        Self { scheme, n, k, cost, residual, oktopk, node_sum, quantization: None, rpn: 1, t: 0 }
     }
 
     /// Set the node grouping the hierarchical schemes use (ranks per node).
@@ -247,12 +251,12 @@ impl Reducer {
                 (Update::Dense(sum), metrics)
             }
             Scheme::TopkA | Scheme::TopkDsa | Scheme::GTopk | Scheme::HierGTopk => {
-                let acc = self.accumulate(grad, scale);
+                sparse::simd::axpy(&mut self.residual, grad, scale);
                 // Exact top-k selection (torch.topk-style cost).
                 let sp = self.cost.topk_exact(self.n);
                 comm.compute(sp);
                 metrics.sparsify_time = sp;
-                let local = topk_exact(&acc, self.k);
+                let local = topk_exact(&self.residual, self.k);
                 metrics.local_nnz = Some(local.nnz());
 
                 let (result, contributed) = match self.scheme {
@@ -287,16 +291,17 @@ impl Reducer {
                     _ => unreachable!(),
                 };
                 metrics.global_nnz = Some(result.nnz());
-                self.update_residual(&acc, &contributed);
+                self.clear_contributed(&contributed);
                 let mut avg = result;
                 avg.scale(1.0 / p);
                 (Update::Sparse(avg), metrics)
             }
             Scheme::GaussianK => {
-                let acc = self.accumulate(grad, scale);
+                sparse::simd::axpy(&mut self.residual, grad, scale);
+                let acc = self.residual.as_slice();
                 // Gaussian-PPF threshold + the §5.4 scale-until-3k/4 adjustment;
                 // every probe is one O(n) scan.
-                let mut th = GaussianEstimator::raw_threshold(&acc, self.k);
+                let mut th = GaussianEstimator::raw_threshold(acc, self.k);
                 let raw_count = acc.iter().filter(|v| v.abs() >= th).count();
                 metrics.gaussian_pred = Some(raw_count);
                 let target = (3 * self.k) / 4;
@@ -310,13 +315,13 @@ impl Reducer {
                 let sp = self.cost.scan(self.n, probes);
                 comm.compute(sp);
                 metrics.sparsify_time = sp;
-                let local = select_ge(&acc, th);
+                let local = select_ge(acc, th);
                 metrics.local_nnz = Some(local.nnz());
 
                 let sum = topk_allgather_allreduce(comm, local.clone());
                 metrics.global_nnz = Some(sum.nnz());
                 let contributed = local.indexes().to_vec();
-                self.update_residual(&acc, &contributed);
+                self.clear_contributed(&contributed);
                 let mut avg = sum;
                 avg.scale(1.0 / p);
                 (Update::Sparse(avg), metrics)
@@ -360,10 +365,9 @@ impl Reducer {
                     // leader. Error feedback lives at the leader — one residual
                     // and one re-selection point per node, so selection cost is
                     // paid per node, not per rank.
-                    let mut node_sum = grad.to_vec();
                     {
                         let mut g = GroupComm::new(comm, members.clone(), node as u16);
-                        reduce_to_root_dense(&mut g, &mut node_sum);
+                        reduce_to_root_dense_into(&mut g, grad, &mut self.node_sum);
                     }
 
                     // Phase 2 (inter): the leader steps Ok-Topk over the leader
@@ -383,7 +387,7 @@ impl Reducer {
                         let eff = scale * nodes as f32 / size as f32;
                         let mut g =
                             GroupComm::new(comm, (0..size).step_by(rpn).collect(), LEADER_GROUP);
-                        Some(sgd.step(&mut g, &node_sum, eff))
+                        Some(sgd.step(&mut g, &self.node_sum, eff))
                     } else {
                         None
                     };
@@ -419,12 +423,9 @@ impl Reducer {
         self.oktopk.as_ref().map(|s| s.peek_accumulator(grad, scale))
     }
 
-    fn accumulate(&mut self, grad: &[f32], scale: f32) -> Vec<f32> {
-        self.residual.iter().zip(grad).map(|(&e, &g)| e + scale * g).collect()
-    }
-
-    fn update_residual(&mut self, acc: &[f32], contributed: &[u32]) {
-        self.residual.copy_from_slice(acc);
+    /// What was sent and survived the exchange leaves ε; the rest of the
+    /// accumulator (already in `residual`) carries over.
+    fn clear_contributed(&mut self, contributed: &[u32]) {
         for &i in contributed {
             self.residual[i as usize] = 0.0;
         }
@@ -666,6 +667,112 @@ mod tests {
         let hier = run(Scheme::HierOkTopk, rpn);
         for (a, b) in flat.iter().zip(&hier) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        }
+    }
+
+    /// One Hier-Ok-Topk step as a composition of public parts, the way the arm
+    /// was first written: in-place intra-node reduce on a private copy of the
+    /// gradient → `OkTopkSgd::step` over the leader group → intra-node
+    /// broadcast. The reference the leader-owned `node_sum` arm is held to.
+    fn hier_oktopk_from_parts<C: Net>(
+        comm: &mut C,
+        sgd: &mut OkTopkSgd,
+        cost: &CostProfile,
+        rpn: usize,
+        grad: &[f32],
+        scale: f32,
+    ) -> (CooGradient, ReduceMetrics) {
+        let (size, rank, n) = (comm.size(), comm.rank(), grad.len());
+        let mut metrics = ReduceMetrics::default();
+        comm.set_phase("hier-oktopk");
+        let (node, lo, nodes) = (rank / rpn, rank / rpn * rpn, size.div_ceil(rpn));
+        let members: Vec<usize> = (lo..(lo + rpn).min(size)).collect();
+        let mut node_sum = grad.to_owned();
+        {
+            let mut g = GroupComm::new(comm, members.clone(), node as u16);
+            collectives::reduce_to_root_dense(&mut g, &mut node_sum);
+        }
+        let leader_out = (rank == lo).then(|| {
+            let reeval = sgd.allreduce_state().is_reeval_iteration(sgd.iteration() + 1);
+            let sp = if reeval { cost.topk_exact(n) + cost.topk_launch } else { cost.scan(n, 1) };
+            comm.compute(sp);
+            metrics.sparsify_time = sp;
+            let eff = scale * nodes as f32 / size as f32;
+            let mut g = GroupComm::new(comm, (0..size).step_by(rpn).collect(), LEADER_GROUP);
+            sgd.step(&mut g, &node_sum, eff)
+        });
+        comm.set_phase("hier-oktopk");
+        let meta3 = leader_out.as_ref().map(|s| {
+            vec![s.meta.local_nnz as u32, s.meta.global_nnz as u32, s.meta.balanced as u32]
+        });
+        let parts = leader_out.map(|s| s.update.into_parts());
+        let mut g = GroupComm::new(comm, members, node as u16);
+        let (idx, val) = broadcast(&mut g, 0, parts);
+        g.set_free_mode(true);
+        let meta3 = broadcast(&mut g, 0, meta3);
+        g.set_free_mode(false);
+        metrics.local_nnz = Some(meta3[0] as usize);
+        metrics.global_nnz = Some(meta3[1] as usize);
+        metrics.balanced = Some(meta3[2] != 0);
+        (CooGradient::from_sorted(idx, val), metrics)
+    }
+
+    #[test]
+    fn hier_oktopk_matches_composition_from_parts() {
+        // Leader-owned node sums are a host-side change only: on a two-tier
+        // topology under chaos, full and partial last node, the arm must emit
+        // the composition's updates, metrics and clocks bit for bit across
+        // re-evaluation and reuse steps alike.
+        use simnet::{ChaosPlan, Topology};
+        let (n, density, tau, tau_prime) = (600, 0.05, 3, 2);
+        let cost = CostProfile::paper_calibrated();
+        for (p, rpn) in [(8usize, 4usize), (6, 4)] {
+            let run = |from_parts: bool| {
+                let gs = grads(p, n, 41);
+                let topo =
+                    Topology::two_tier(rpn, (1e-6, 1e-9), (25e-6, 4e-9)).with_oversubscription(4.0);
+                let plan = ChaosPlan::new(29)
+                    .straggler(rpn, 1.5)
+                    .degrade_all_links(1.2, 1.5, 0.0, 1e-3)
+                    .jitter(2e-6)
+                    .pause(1, 1e-4, 5e-4);
+                Cluster::new(p, cost.network()).with_topology(topo).with_chaos(plan).run(
+                    move |comm| {
+                        let mut r =
+                            Reducer::new(Scheme::HierOkTopk, n, density, cost, tau, tau_prime)
+                                .with_ranks_per_node(rpn);
+                        let mut sgd = OkTopkSgd::new(
+                            OkTopkConfig::new(n, r.k())
+                                .with_periods(tau, tau_prime)
+                                .with_merge_cost(cost.merge_per_elem),
+                        );
+                        let mut out = Vec::new();
+                        for t in 0..3 * tau_prime {
+                            let g: Vec<f32> = gs[comm.rank()]
+                                .iter()
+                                .enumerate()
+                                .map(|(i, v)| v * (1.0 + ((i + t) % 7) as f32 * 0.3))
+                                .collect();
+                            let (update, m) = if from_parts {
+                                hier_oktopk_from_parts(comm, &mut sgd, &cost, rpn, &g, 0.1)
+                            } else {
+                                match r.reduce(comm, &g, 0.1) {
+                                    (Update::Sparse(u), m) => (u, m),
+                                    _ => panic!("sparse"),
+                                }
+                            };
+                            let bits: Vec<u32> =
+                                update.values().iter().map(|v| v.to_bits()).collect();
+                            out.push((update.indexes().to_vec(), bits, format!("{m:?}")));
+                        }
+                        out
+                    },
+                )
+            };
+            let (arm, parts) = (run(false), run(true));
+            assert_eq!(arm.results, parts.results, "p={p} rpn={rpn}: updates or metrics");
+            assert_eq!(arm.times, parts.times, "p={p} rpn={rpn}: clocks");
+            assert!(arm.results[0].iter().all(|(idx, ..)| !idx.is_empty()), "empty updates");
         }
     }
 

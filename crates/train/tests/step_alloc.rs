@@ -1,0 +1,115 @@
+//! Who may allocate a gradient-sized buffer in a steady-state step: nobody,
+//! except the dense schemes, whose returned `Update::Dense` *is* one.
+//!
+//! A counting `#[global_allocator]` (the `collectives/tests/zero_alloc_ring.rs`
+//! pattern, but process-wide: every rank thread counts) charges each
+//! allocation of at least 4n bytes made while the window is armed. After two
+//! warm-up steps — the sparse baselines' ε, Ok-Topk's ε and a node leader's
+//! `node_sum` exist by then — three more steps of every sparse scheme must
+//! make none, on any rank: error feedback accumulates in place, non-leaders of
+//! Hier-Ok-Topk read their gradient straight into the intra-node reduce, and
+//! the leader's node sum is reused. (TopkDSA's switch to dense is per region,
+//! at most n/2.) Dense makes exactly one per rank per step.
+//!
+//! This file must stay a single-test binary: the counter is process-wide, so
+//! a sibling test running on another thread would be charged to the window.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+use simnet::{Cluster, CostModel};
+use train::{CostProfile, Reducer, Scheme};
+
+const P: usize = 8;
+const RPN: usize = 4;
+const N: usize = 1 << 15;
+const WARMUP: usize = 2;
+const STEPS: usize = 3;
+
+struct CountingAlloc;
+
+static ARMED: AtomicBool = AtomicBool::new(false);
+static GRADIENT_SIZED: AtomicUsize = AtomicUsize::new(0);
+
+fn charge(bytes: usize) {
+    if bytes >= 4 * N && ARMED.load(Ordering::Relaxed) {
+        GRADIENT_SIZED.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        charge(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        charge(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        charge(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Heavy-tailed deterministic gradient: a fixed function of (rank, step, index).
+fn grad(rank: usize, step: usize) -> Vec<f32> {
+    (0..N)
+        .map(|i| {
+            let h = ((rank * 7919 + step * 104729 + i) as u64).wrapping_mul(0x9e3779b97f4a7c15);
+            let u = (h >> 40) as f32 / (1 << 24) as f32 - 0.5;
+            u * u * u
+        })
+        .collect()
+}
+
+/// Gradient-sized allocations, process-wide, over `STEPS` steady-state steps.
+fn gradient_sized_allocs(scheme: Scheme) -> usize {
+    GRADIENT_SIZED.store(0, Ordering::SeqCst);
+    Cluster::new(P, CostModel::aries()).run(move |comm| {
+        // tau = tau' = 2: the window holds re-evaluation and reuse steps alike.
+        let mut r = Reducer::new(scheme, N, 0.01, CostProfile::paper_calibrated(), 2, 2)
+            .with_ranks_per_node(RPN);
+        let grads: Vec<Vec<f32>> = (0..WARMUP + STEPS).map(|t| grad(comm.rank(), t)).collect();
+        for (t, g) in grads.iter().enumerate() {
+            if t == WARMUP {
+                // Every rank is past its warm-up before the window opens.
+                comm.barrier();
+                ARMED.store(true, Ordering::SeqCst);
+                comm.barrier();
+            }
+            r.reduce(comm, g, 0.1);
+        }
+        comm.barrier();
+        ARMED.store(false, Ordering::SeqCst);
+    });
+    GRADIENT_SIZED.load(Ordering::SeqCst)
+}
+
+#[test]
+fn steady_state_steps_allocate_no_gradient_sized_buffer() {
+    for scheme in [
+        Scheme::OkTopk,
+        Scheme::HierOkTopk,
+        Scheme::TopkA,
+        Scheme::TopkDsa,
+        Scheme::GTopk,
+        Scheme::HierGTopk,
+        Scheme::GaussianK,
+    ] {
+        let got = gradient_sized_allocs(scheme);
+        assert_eq!(got, 0, "{}: {got} allocations of >= 4n bytes in {STEPS} steps", scheme.name());
+    }
+    // The counter does count: Dense's one copy of the gradient per rank per
+    // step is the `Update::Dense` it returns.
+    assert_eq!(gradient_sized_allocs(Scheme::Dense), P * STEPS);
+}

@@ -31,6 +31,10 @@
 #   chaos cell) under a hard wall budget; fig8/fig12 run the same sweep with
 #   CHECK_PAPER_AXIS=1.
 #
+# - the frozen benchmark/ package is copied to .bench_check/ and its
+#   selftest.sh run there (build against these crates, every workload at its
+#   quick shape, metric names vs BENCHMARK.json, fmt, clippy).
+#
 # Quick numbers go to target/*-gate.json so they never overwrite the checked-in
 # full-run BENCH_PR6.json / BENCH_PR4.json / BENCH_PR5.json / BENCH_PR7.json /
 # BENCH_PR9.json / BENCH_PR10.json; regenerate those with
@@ -87,6 +91,17 @@ for name in 'okpar::configured_threads' 'okpar::prewarm' 'okpar::run_chunks' \
     exit 1
   fi
 done
+
+echo "== frozen benchmark builds and self-tests against these crates =="
+# The greps above only look for names; this compiles benchmark/ against
+# crates/ and runs every workload at its quick shape, so a PR that breaks a
+# public name the benchmark calls learns it here. In a git-ignored sibling
+# copy (../crates and ../BENCHMARK.json still resolve): building in place
+# makes cargo rewrite the tracked benchmark/Cargo.lock.
+mkdir -p .bench_check
+find .bench_check -mindepth 1 -maxdepth 1 ! -name target -exec rm -rf {} +
+tar -C benchmark --exclude=./target --exclude=./out -cf - . | tar -C .bench_check -xf -
+bash .bench_check/selftest.sh
 
 echo "== tests =="
 cargo test -q --workspace
