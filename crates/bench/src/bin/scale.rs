@@ -11,8 +11,8 @@
 //!   makespan and update checksum;
 //! - with `--gate`, asserts Ok-Topk at P=1024 completes within a wall/memory
 //!   budget and holds the PR 9 headline at P=2048 (≥1.5x over the BENCH_PR7
-//!   baseline, with direct handoff carrying grants). All legs are hard
-//!   failures.
+//!   baseline, with direct handoff carrying grants, inside its own memory
+//!   budget). All legs are hard failures.
 //!
 //! Every row also records the scheduler's counters (parks per rank per step,
 //! handoff rate, spin hits, elided parks) so regressions in the dispatch path
@@ -33,12 +33,15 @@ const STACK_BYTES: usize = 1 << 20;
 
 const SCHEMES: [Scheme; 3] = [Scheme::Dense, Scheme::GTopk, Scheme::OkTopk];
 
-/// Gate budgets for Ok-Topk at P=1024. Calibrated on a single-core CI-class
-/// host, which measures ~4 s wall / ~0.4 GiB peak; the budgets are absolute
-/// with generous headroom.
+/// Gate budgets for Ok-Topk at P=1024. The wall budget is absolute with
+/// generous headroom (~3 s measured on a 2-core CI-class host). The memory
+/// budget is meant to fail: peak RSS repeats to within a MiB or two, so it
+/// sits between what per-rank scratch of length P costs (257 MiB: P shards,
+/// order vectors and deep-cloned gather slots on every rank, O(P²) per
+/// process) and what the step costs without it (155 MiB).
 const GATE_P: usize = 1024;
 const GATE_WALL_BUDGET: Duration = Duration::from_secs(60);
-const GATE_MEM_BUDGET_KB: u64 = 4 * 1024 * 1024; // 4 GiB peak RSS
+const GATE_MEM_BUDGET_KB: u64 = 224 * 1024; // 224 MiB peak RSS
 
 /// PR 9 headline leg: Ok-Topk at P=2048. The PR 7 baseline recorded ~46.2 s
 /// there (`BENCH_PR7.json`); direct handoff, cohort wakeups and adaptive spin
@@ -47,6 +50,9 @@ const GATE_MEM_BUDGET_KB: u64 = 4 * 1024 * 1024; // 4 GiB peak RSS
 /// the measured wall for CI noise.
 const HEADLINE_P: usize = 2048;
 const HEADLINE_WALL_BUDGET: Duration = Duration::from_secs(30);
+/// Peak RSS budget at the headline cell, set the same way as the P=1024 one:
+/// 677–681 MiB with length-P scratch on every rank, 340–344 MiB without.
+const HEADLINE_MEM_BUDGET_KB: u64 = 512 * 1024; // 512 MiB peak RSS
 /// Ok-Topk P=2048 event-engine wall from BENCH_PR7.json, for the speedup line.
 const BASELINE_PR7_MS: f64 = 46165.1;
 
@@ -224,10 +230,12 @@ fn write_json(
             "    \"headline_wall_budget_ms\": {},\n",
             HEADLINE_WALL_BUDGET.as_millis()
         ));
+        out.push_str(&format!("    \"headline_mem_budget_kb\": {HEADLINE_MEM_BUDGET_KB},\n"));
         out.push_str(&format!(
             "    \"headline_wall_ms\": {:.1},\n",
             headline_row.wall.as_secs_f64() * 1e3
         ));
+        out.push_str(&format!("    \"headline_vm_hwm_kb\": {},\n", headline_row.vm_hwm_kb));
         out.push_str(&format!("    \"baseline_pr7_wall_ms\": {BASELINE_PR7_MS},\n"));
         out.push_str(&format!(
             "    \"speedup_vs_pr7\": {:.2}\n",
@@ -376,6 +384,12 @@ fn main() {
                 BASELINE_PR7_MS / 1e3
             ));
         }
+        if headline_row.vm_hwm_kb > HEADLINE_MEM_BUDGET_KB {
+            failures.push(format!(
+                "event engine exceeded the memory budget at P={HEADLINE_P}: {} KiB > {} KiB",
+                headline_row.vm_hwm_kb, HEADLINE_MEM_BUDGET_KB
+            ));
+        }
         if headline_row.sched.handoff_rate() <= 0.0 {
             failures.push(format!(
                 "scheduler handoff rate is zero at P={HEADLINE_P}: direct handoff is not \
@@ -403,9 +417,12 @@ fn main() {
     }
     if run_gate {
         eprintln!(
-            "gate: OK (parity holds at P=32; event engine ran Ok-Topk at P={GATE_P} within {:.0}s / {} MiB)",
+            "gate: OK (parity holds at P=32; event engine ran Ok-Topk at P={GATE_P} within {:.0}s / {} MiB \
+             and at P={HEADLINE_P} within {:.0}s / {} MiB)",
             GATE_WALL_BUDGET.as_secs_f64(),
-            GATE_MEM_BUDGET_KB / 1024
+            GATE_MEM_BUDGET_KB / 1024,
+            HEADLINE_WALL_BUDGET.as_secs_f64(),
+            HEADLINE_MEM_BUDGET_KB / 1024
         );
     }
 }

@@ -205,69 +205,56 @@ pub fn reduce_scatter_block<C: Net>(comm: &mut C, data: &[f32]) -> (usize, Vec<f
     (region(n, p, rank, rank).start, mine)
 }
 
-/// An item tagged with its origin rank. The rank is *schedule metadata* — in a real
-/// MPI allgatherv the origin is implied by the displacement array, not transmitted —
-/// so the wire size counts only the payload.
-struct Keyed<T>(u32, T);
-
-impl<T: Clone> Clone for Keyed<T> {
-    fn clone(&self) -> Self {
-        Keyed(self.0, self.1.clone())
-    }
-}
-
-impl<T: WireSize> WireSize for Keyed<T> {
-    fn wire_elems(&self) -> u64 {
-        self.1.wire_elems()
-    }
-}
-
-/// Allgather of one item per rank; returns the items indexed by rank.
+/// Allgather of one item per rank: `result[r]` is rank `r`'s item.
 ///
-/// Uses recursive doubling (log P steps) for power-of-two P, a ring otherwise.
-/// The item type carries its own wire size, so variable-size payloads (an
+/// Recursive doubling (log P steps) for power-of-two P, a ring otherwise. The
+/// item type carries its own wire size, so variable-size payloads (an
 /// *allgatherv*) are natural.
-pub fn allgather_items<C: Net, T>(comm: &mut C, mine: T) -> Vec<T>
+///
+/// Zero-copy: a rank wraps its item in one `Arc` and only handles travel, so
+/// after the gather all P ranks hold the *same* allocation for each origin.
+/// Pieces are immutable and shared; whoever drops the last handle frees. The
+/// wire is charged for the items the handles stand for, in the order a real
+/// allgatherv would move them.
+pub fn allgather_items<C: Net, T>(comm: &mut C, mine: T) -> Vec<Arc<T>>
 where
-    T: Clone + Send + WireSize + 'static,
+    T: Send + Sync + WireSize + 'static,
 {
     let p = comm.size();
     let rank = comm.rank();
-    let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
-    slots[rank] = Some(mine);
-    if p == 1 {
-        return slots.into_iter().map(|s| s.expect("own slot filled")).collect();
-    }
+    let mut have = Vec::with_capacity(p);
+    have.push(Arc::new(mine));
     if p.is_power_of_two() {
-        // Recursive doubling: exchange everything gathered so far with rank ^ dist.
+        // Recursive doubling: at distance `dist` a rank holds the rank-ordered
+        // block of the `dist` origins that agree with it above that bit, and
+        // its partner the adjacent block — below it if the rank's bit is set.
+        // The origin is implied by position, as in MPI's displacement array.
         let mut dist = 1;
         while dist < p {
             let partner = rank ^ dist;
-            let have: Vec<Keyed<T>> = slots
-                .iter()
-                .enumerate()
-                .filter_map(|(r, s)| s.clone().map(|v| Keyed(r as u32, v)))
-                .collect();
-            let got: Vec<Keyed<T>> = comm.sendrecv(partner, TAG_ITEMS, have, partner, TAG_ITEMS);
-            for Keyed(r, v) in got {
-                slots[r as usize] = Some(v);
+            let got: Vec<Arc<T>> =
+                comm.sendrecv(partner, TAG_ITEMS, have.clone(), partner, TAG_ITEMS);
+            if rank & dist == 0 {
+                have.extend(got);
+            } else {
+                have.splice(..0, got);
             }
             dist *= 2;
         }
     } else {
-        // Ring: at step s forward the item received at step s−1.
+        // Ring: forward the item that arrived last. Origins arrive in the order
+        // rank, rank−1, …, rank+1 (mod P); reversed and rotated that is 0..P.
         let right = (rank + 1) % p;
         let left = (rank + p - 1) % p;
-        for s in 0..p - 1 {
-            let fwd = (rank + p - s) % p;
-            // The forwarded item must also stay in the result, so this clone is
-            // semantically required (the wire takes ownership).
-            let item = slots[fwd].clone().expect("ring invariant: item present");
-            let got: T = comm.sendrecv(right, TAG_ITEMS, item, left, TAG_ITEMS);
-            slots[(rank + p - s - 1) % p] = Some(got);
+        for _ in 1..p {
+            let fwd = Arc::clone(have.last().expect("starts with the rank's own item"));
+            comm.send_shared(right, TAG_ITEMS, fwd);
+            have.push(comm.recv_shared(left, TAG_ITEMS));
         }
+        have.reverse();
+        have.rotate_right(rank + 1);
     }
-    slots.into_iter().map(|s| s.expect("allgather filled every slot")).collect()
+    have
 }
 
 /// Binomial-tree broadcast from `root`.
@@ -360,10 +347,9 @@ pub fn allreduce_sum_f64<C: Net>(comm: &mut C, mut data: Vec<f64>) -> Vec<f64> {
         data
     } else {
         // Gather-and-sum over a ring; fine for tiny vectors.
-        let all = allgather_items(comm, data.clone());
         let mut sum = vec![0.0f64; data.len()];
-        for v in all {
-            for (s, x) in sum.iter_mut().zip(&v) {
+        for v in allgather_items(comm, data) {
+            for (s, x) in sum.iter_mut().zip(v.iter()) {
                 *s += x;
             }
         }
@@ -466,7 +452,7 @@ mod tests {
             });
             for got in &report.results {
                 for (r, item) in got.iter().enumerate() {
-                    assert_eq!(item, &vec![r as u32; r + 1], "p={p}");
+                    assert_eq!(**item, vec![r as u32; r + 1], "p={p}");
                 }
             }
         }
@@ -529,7 +515,7 @@ mod tests {
         });
         let (d, all, b) = &report.results[0];
         assert_eq!(d, &vec![1.0, 2.0]);
-        assert_eq!(all, &vec![vec![5u32]]);
+        assert_eq!(all, &vec![Arc::new(vec![5u32])]);
         assert_eq!(*b, 7);
         assert_eq!(report.ledger.total_elements(), 0);
     }

@@ -6,7 +6,8 @@
 //!
 //! - [`dense`]: Rabenseifner's allreduce (recursive-halving reduce-scatter +
 //!   recursive-doubling allgather) with a ring fallback for non-power-of-two P,
-//!   generic allgather/allgatherv, broadcast, and a small f64 allreduce used for
+//!   generic allgather/allgatherv whose gathered pieces are shared by `Arc`
+//!   rather than copied per rank, broadcast, and a small f64 allreduce used for
 //!   Ok-Topk's boundary consensus. Dense allreduce achieves the `2n(P−1)/P`
 //!   bandwidth bound quoted in Table 1.
 //! - [`topk_a`]: the allgather-based sparse allreduce (TopkA, §2) — also the

@@ -22,7 +22,7 @@ pub fn quantized_allgather_allreduce<C: Net>(
     comm.set_phase("topk_a_quant");
     let q = QuantizedCoo::quantize(&local, mode);
     let all = allgather_items(comm, q);
-    let dequantized: Vec<CooGradient> = all.iter().map(QuantizedCoo::dequantize).collect();
+    let dequantized: Vec<CooGradient> = all.iter().map(|q| q.dequantize()).collect();
     CooGradient::merge_sum_many(&dequantized)
 }
 

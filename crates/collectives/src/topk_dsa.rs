@@ -12,11 +12,12 @@ use crate::dense::allgather_items;
 use simnet::{Net, WireSize};
 use sparse::partition::equal_boundaries;
 use sparse::CooGradient;
+use std::borrow::Cow;
 
 const TAG_DSA: u64 = 0x20;
 
 /// Wire format of one reduce-scatter chunk: whichever of COO and dense is smaller.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum DsaMsg {
     Sparse(CooGradient),
     Dense { offset: u32, values: Vec<f32> },
@@ -50,19 +51,21 @@ impl DsaMsg {
     }
 
     /// Decode back to COO (lossless: a dense chunk's zeros carry no information).
-    fn decode(self) -> CooGradient {
+    /// A sparse chunk is read where it lies — after the allgather it is shared
+    /// by every rank.
+    fn decode(&self) -> Cow<'_, CooGradient> {
         match self {
-            DsaMsg::Sparse(g) => g,
+            DsaMsg::Sparse(g) => Cow::Borrowed(g),
             DsaMsg::Dense { offset, values } => {
                 let mut idx = Vec::new();
                 let mut val = Vec::new();
-                for (i, v) in values.into_iter().enumerate() {
+                for (i, &v) in values.iter().enumerate() {
                     if v != 0.0 {
                         idx.push(offset + i as u32);
                         val.push(v);
                     }
                 }
-                CooGradient::from_sorted(idx, val)
+                Cow::Owned(CooGradient::from_sorted(idx, val))
             }
         }
     }
@@ -128,7 +131,7 @@ pub fn dsa_allreduce<C: Net>(comm: &mut C, local: CooGradient, n: usize) -> DsaO
     let msg = DsaMsg::encode(owned, bounds[owned_region], bounds[owned_region + 1]);
     switched |= msg.is_dense();
     let all = allgather_items(comm, msg);
-    let shards: Vec<CooGradient> = all.into_iter().map(DsaMsg::decode).collect();
+    let shards: Vec<Cow<CooGradient>> = all.iter().map(|m| m.decode()).collect();
     let sum = CooGradient::concat_ordered(&shards);
     let output_nnz = sum.nnz();
     max_nnz = max_nnz.max(output_nnz);

@@ -5,9 +5,10 @@ use collectives::{
     reduce_to_root_dense, reduce_to_root_dense_into, topk_allgather_allreduce,
 };
 use proptest::prelude::*;
-use simnet::{Cluster, CostModel};
+use simnet::{Cluster, CostModel, Net, WireSize};
 use sparse::select::topk_exact;
 use sparse::CooGradient;
+use std::sync::Arc;
 
 fn coo_close(a: &CooGradient, b: &CooGradient) -> bool {
     a.indexes() == b.indexes()
@@ -172,6 +173,99 @@ fn reduce_to_root_into_matches_in_place() {
                     assert_eq!(in_place.results[rank], input(rank), "{what}: rank {rank} in place");
                 }
             }
+        }
+    }
+}
+
+/// The allgather this crate had before pieces were shared, kept only as the
+/// reference [`allgather_items`] is compared against: origin-keyed items in
+/// `Option` slots, and every doubling round deep-clones everything gathered so
+/// far. Same tag, partners, message order and wire elements.
+fn allgather_items_cloning<C: Net, T>(comm: &mut C, mine: T) -> Vec<T>
+where
+    T: Clone + Send + WireSize + 'static,
+{
+    const TAG_ITEMS: u64 = 0x14;
+    struct FromRank<T>(u32, T);
+    impl<T: WireSize> WireSize for FromRank<T> {
+        fn wire_elems(&self) -> u64 {
+            self.1.wire_elems()
+        }
+    }
+
+    let p = comm.size();
+    let rank = comm.rank();
+    let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
+    slots[rank] = Some(mine);
+    if p.is_power_of_two() {
+        let mut dist = 1;
+        while dist < p {
+            let partner = rank ^ dist;
+            let have: Vec<FromRank<T>> = slots
+                .iter()
+                .enumerate()
+                .filter_map(|(r, s)| s.clone().map(|v| FromRank(r as u32, v)))
+                .collect();
+            let got: Vec<FromRank<T>> = comm.sendrecv(partner, TAG_ITEMS, have, partner, TAG_ITEMS);
+            for FromRank(r, v) in got {
+                slots[r as usize] = Some(v);
+            }
+            dist *= 2;
+        }
+    } else {
+        let right = (rank + 1) % p;
+        let left = (rank + p - 1) % p;
+        for s in 0..p - 1 {
+            let item = slots[(rank + p - s) % p].clone().expect("ring invariant: item present");
+            let got: T = comm.sendrecv(right, TAG_ITEMS, item, left, TAG_ITEMS);
+            slots[(rank + p - s - 1) % p] = Some(got);
+        }
+    }
+    slots.into_iter().map(|s| s.expect("allgather filled every slot")).collect()
+}
+
+/// The shared-piece allgather delivers rank r's item at `result[r]` for every
+/// P (doubling and ring) and item size (empty ones included), is the deep-
+/// cloning gather it replaced on the modeled side — same clocks, same per-rank
+/// messages and elements — and is zero-copy: all P ranks end up holding the
+/// *same* allocation for each origin.
+#[test]
+fn allgather_items_shares_pieces_and_matches_the_cloning_gather() {
+    for p in 1usize..=9 {
+        // Sizes 0, 3, 1, 4, 2, 0, 3, 1, 4: variable, and empty at ranks 0 and 5.
+        let item = |rank: usize| -> Vec<u32> {
+            (0..(rank * 3) % 5).map(|i| (rank * 100 + i) as u32).collect()
+        };
+        let shared = Cluster::new(p, CostModel::aries()).run(move |comm| {
+            comm.set_phase("gather");
+            allgather_items(comm, item(comm.rank()))
+        });
+        let cloning = Cluster::new(p, CostModel::aries()).run(move |comm| {
+            comm.set_phase("gather");
+            allgather_items_cloning(comm, item(comm.rank()))
+        });
+
+        assert_eq!(shared.times, cloning.times, "p={p}: clocks");
+        for rank in 0..p {
+            assert_eq!(
+                shared.ledger.cell(rank, "gather"),
+                cloning.ledger.cell(rank, "gather"),
+                "p={p}: rank {rank}'s messages and elements"
+            );
+            assert_eq!(shared.results[rank].len(), p, "p={p}: rank {rank}'s piece count");
+            for origin in 0..p {
+                let piece = &shared.results[rank][origin];
+                assert_eq!(**piece, item(origin), "p={p}: rank {rank}'s piece from {origin}");
+                assert_eq!(**piece, cloning.results[rank][origin], "p={p}: against the reference");
+                assert!(
+                    Arc::ptr_eq(piece, &shared.results[0][origin]),
+                    "p={p}: ranks 0 and {rank} hold different copies of {origin}'s item"
+                );
+            }
+        }
+        // The run's handles are all that is left: one allocation per origin.
+        for piece in &shared.results[0] {
+            assert_eq!(Arc::strong_count(piece), p, "p={p}");
         }
     }
 }

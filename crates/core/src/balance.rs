@@ -12,6 +12,7 @@ use crate::config::OkTopkConfig;
 use collectives::allgather_items;
 use simnet::Net;
 use sparse::CooGradient;
+use std::sync::Arc;
 
 const TAG_BAL: u64 = 0x50;
 
@@ -42,23 +43,24 @@ pub fn balance_and_allgatherv<C: Net>(
         return BalanceOutput { global_topk: survivors, global_nnz, balanced: false };
     }
 
-    // Allgather of buffer sizes: P words, latency-dominated (§3.1.2).
+    // Allgather of buffer sizes: P words, latency-dominated (§3.1.2). The size
+    // handles are dropped before the data gather starts.
     comm.set_phase("okt_size_gather");
-    let sizes: Vec<u64> = allgather_items(comm, survivors.nnz() as u64);
-    let total: u64 = sizes.iter().sum();
-    let max = sizes.iter().copied().max().unwrap_or(0);
+    let sizes = allgather_items(comm, survivors.nnz() as u64);
+    let total: u64 = sizes.iter().map(|s| **s).sum();
+    let max = sizes.iter().map(|s| **s).max().unwrap_or(0);
     let mean = total as f64 / p as f64;
     let need_balance = cfg.data_balancing && total > 0 && (max as f64) > cfg.balance_trigger * mean;
 
-    let chunks: Vec<CooGradient> = if need_balance {
+    let mine = if need_balance {
         comm.set_phase("okt_balance");
-        let balanced = rebalance(comm, survivors, &sizes);
-        comm.set_phase("okt_allgather");
-        allgather_items(comm, balanced)
+        rebalance(comm, survivors, &sizes)
     } else {
-        comm.set_phase("okt_allgather");
-        allgather_items(comm, survivors)
+        survivors
     };
+    drop(sizes);
+    comm.set_phase("okt_allgather");
+    let chunks = allgather_items(comm, mine);
 
     let global_topk = CooGradient::concat_ordered(&chunks);
     let global_nnz = global_topk.nnz();
@@ -68,15 +70,15 @@ pub fn balance_and_allgatherv<C: Net>(
 /// Redistribute the concatenation of all workers' buffers into P equal chunks by
 /// point-to-point messages (blue arrows in Fig. 3). Worker `c` ends up with global
 /// positions `[c·S/P, (c+1)·S/P)` of the rank-ordered concatenation.
-fn rebalance<C: Net>(comm: &mut C, mine: CooGradient, sizes: &[u64]) -> CooGradient {
+fn rebalance<C: Net>(comm: &mut C, mine: CooGradient, sizes: &[Arc<u64>]) -> CooGradient {
     let p = comm.size();
     let rank = comm.rank();
-    let total: u64 = sizes.iter().sum();
 
     let mut prefix = vec![0u64; p + 1];
     for r in 0..p {
-        prefix[r + 1] = prefix[r] + sizes[r];
+        prefix[r + 1] = prefix[r] + *sizes[r];
     }
+    let total = prefix[p];
     let chunk_bound = |c: usize| -> u64 { c as u64 * total / p as u64 };
 
     let my_start = prefix[rank];
@@ -93,9 +95,7 @@ fn rebalance<C: Net>(comm: &mut C, mine: CooGradient, sizes: &[u64]) -> CooGradi
         if lo < hi {
             let a = (lo - my_start) as usize;
             let b = (hi - my_start) as usize;
-            let pairs: Vec<(u32, f32)> =
-                idx[a..b].iter().copied().zip(val[a..b].iter().copied()).collect();
-            comm.send(c, TAG_BAL, pairs);
+            comm.send(c, TAG_BAL, (idx[a..b].to_vec(), val[a..b].to_vec()));
         }
     }
 
@@ -117,12 +117,10 @@ fn rebalance<C: Net>(comm: &mut C, mine: CooGradient, sizes: &[u64]) -> CooGradi
             out_idx.extend_from_slice(&idx[a..b]);
             out_val.extend_from_slice(&val[a..b]);
         } else {
-            let pairs: Vec<(u32, f32)> = comm.recv(src, TAG_BAL);
-            debug_assert_eq!(pairs.len() as u64, hi - lo);
-            for (i, v) in pairs {
-                out_idx.push(i);
-                out_val.push(v);
-            }
+            let (i, v): (Vec<u32>, Vec<f32>) = comm.recv(src, TAG_BAL);
+            debug_assert_eq!(i.len() as u64, hi - lo);
+            out_idx.extend_from_slice(&i);
+            out_val.extend_from_slice(&v);
         }
     }
     CooGradient::from_sorted(out_idx, out_val)

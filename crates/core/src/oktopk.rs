@@ -173,7 +173,7 @@ impl OkTopk {
         // allocations happen once per τ′, not per iteration).
         if self.is_reeval_iteration(t) {
             comm.set_phase("okt_reeval_gather");
-            let all: Vec<CooGradient> = allgather_items(comm, sr.reduced_region.clone());
+            let all = allgather_items(comm, sr.reduced_region.clone());
             let values: Vec<f32> = all.iter().flat_map(|g| g.values().iter().copied()).collect();
             self.global_th = exact_threshold_scratch(&values, self.cfg.k, &mut self.scratch);
         }

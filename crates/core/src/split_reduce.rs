@@ -46,45 +46,51 @@ pub fn split_and_reduce<C: Net>(
         return SplitReduceOutput { reduced_region: local.clone(), local_nnz };
     }
 
-    let mut shards = local.split_by_boundaries(boundaries);
-    debug_assert_eq!(shards.len(), p);
+    debug_assert_eq!(boundaries.len(), p + 1, "one region per rank");
+    debug_assert_eq!(boundaries[0], 0, "regions must cover the index space from 0");
+    debug_assert!(
+        local.indexes().last().is_none_or(|&i| i < boundaries[p]),
+        "a selected index at or past the last boundary lies in no region and would be dropped"
+    );
+
+    // Region j is sliced out of the sorted selection when its message is built,
+    // and copied only into that message: no P shards are held at once.
+    let shard = |j: usize| {
+        let r = local.index_range(boundaries[j], boundaries[j + 1]);
+        CooGradient::from_sorted(local.indexes()[r.clone()].to_vec(), local.values()[r].to_vec())
+    };
 
     // Step s (1-based) pairs: send to (rank+s) mod P, receive from (rank−s) mod P.
-    // Without rotation, everyone walks destinations in the same 0..P order — the
-    // naive pattern of Fig. 2a that congests one endpoint per step.
-    let send_order: Vec<usize> = if cfg.rotation {
-        (1..p).map(|s| (rank + s) % p).collect()
-    } else {
-        (0..p).filter(|&d| d != rank).collect()
-    };
-    let recv_order: Vec<usize> = if cfg.rotation {
-        (1..p).map(|s| (rank + p - s) % p).collect()
-    } else {
-        (0..p).filter(|&d| d != rank).collect()
-    };
+    // Without rotation, everyone walks the peers in the same 0..P order — the
+    // naive pattern of Fig. 2a that congests one endpoint per step. Both orders
+    // are arithmetic in the step number; neither is stored.
+    let steps = p - 1;
+    let skip_self = |s: usize| if s < rank { s } else { s + 1 };
+    let dst_at = |s: usize| if cfg.rotation { (rank + 1 + s) % p } else { skip_self(s) };
+    let src_at = |s: usize| if cfg.rotation { (rank + p - 1 - s) % p } else { skip_self(s) };
 
-    let mut acc = std::mem::take(&mut shards[rank]);
+    let mut acc = shard(rank);
     let (mut spare_idx, mut spare_val) = scratch.take_pair();
     let bucket = cfg.bucket_size.max(1);
     let mut sent = 0usize;
     let mut received = 0usize;
-    while sent < send_order.len() || received < recv_order.len() {
-        // Fire the next bucket of non-blocking sends… (shards move onto the
-        // wire as (indexes, values) pairs — the pooled fast path with the same
-        // 2·nnz wire accounting — instead of being cloned; each is sent once)
-        let send_hi = (sent + bucket).min(send_order.len());
-        for &dst in &send_order[sent..send_hi] {
-            comm.send(dst, TAG_SPLIT, std::mem::take(&mut shards[dst]).into_parts());
+    while sent < steps || received < steps {
+        // Fire the next bucket of non-blocking sends… (shards travel as
+        // (indexes, values) pairs — the pooled fast path with the same 2·nnz
+        // wire accounting; each is sent once)
+        let send_hi = (sent + bucket).min(steps);
+        for s in sent..send_hi {
+            let dst = dst_at(s);
+            comm.send(dst, TAG_SPLIT, shard(dst).into_parts());
         }
         sent = send_hi;
         // …then post the matching bucket of nonblocking receives and resolve
         // them in arrival-schedule order: each shard drains through the
         // reception port while the previous shard's merge — and the next
         // bucket's transfers — proceed in modeled time.
-        let recv_hi = (received + bucket).min(recv_order.len());
-        let reqs: Vec<_> = recv_order[received..recv_hi]
-            .iter()
-            .map(|&src| comm.irecv::<(Vec<u32>, Vec<f32>)>(src, TAG_SPLIT))
+        let recv_hi = (received + bucket).min(steps);
+        let reqs: Vec<_> = (received..recv_hi)
+            .map(|s| comm.irecv::<(Vec<u32>, Vec<f32>)>(src_at(s), TAG_SPLIT))
             .collect();
         for req in reqs {
             let (idx, val) = comm.wait_recv(req);
@@ -150,6 +156,140 @@ mod tests {
                 assert!((x - y).abs() < 1e-4, "{x} vs {y}");
             }
         }
+    }
+
+    /// Split-and-reduce as it was written before regions were sliced on demand,
+    /// kept only as the reference: all P shards materialised up front by
+    /// `split_by_boundaries`, and the send and receive orders stored as vectors.
+    fn split_and_reduce_materialised<C: Net>(
+        comm: &mut C,
+        cfg: &OkTopkConfig,
+        local: &CooGradient,
+        boundaries: &[u32],
+    ) -> CooGradient {
+        comm.set_phase("okt_split_reduce");
+        let p = comm.size();
+        let rank = comm.rank();
+        let mut shards = local.split_by_boundaries(boundaries);
+        let send_order: Vec<usize> = if cfg.rotation {
+            (1..p).map(|s| (rank + s) % p).collect()
+        } else {
+            (0..p).filter(|&d| d != rank).collect()
+        };
+        let recv_order: Vec<usize> = if cfg.rotation {
+            (1..p).map(|s| (rank + p - s) % p).collect()
+        } else {
+            (0..p).filter(|&d| d != rank).collect()
+        };
+        let mut acc = std::mem::take(&mut shards[rank]);
+        let bucket = cfg.bucket_size.max(1);
+        let (mut sent, mut received) = (0usize, 0usize);
+        while sent < send_order.len() || received < recv_order.len() {
+            let send_hi = (sent + bucket).min(send_order.len());
+            for &dst in &send_order[sent..send_hi] {
+                comm.send(dst, TAG_SPLIT, std::mem::take(&mut shards[dst]).into_parts());
+            }
+            sent = send_hi;
+            let recv_hi = (received + bucket).min(recv_order.len());
+            for &src in &recv_order[received..recv_hi] {
+                let (idx, val): (Vec<u32>, Vec<f32>) = comm.recv(src, TAG_SPLIT);
+                let got = CooGradient::from_sorted(idx, val);
+                let merged = acc.nnz() + got.nnz();
+                acc.merge_sum_into(&got);
+                if cfg.merge_cost_per_elem > 0.0 {
+                    comm.compute(cfg.merge_cost_per_elem * merged as f64);
+                }
+            }
+            received = recv_hi;
+        }
+        acc
+    }
+
+    #[test]
+    fn slicing_on_demand_is_the_materialised_schedule_bit_for_bit() {
+        let (n, k) = (600usize, 48usize);
+        for p in [2usize, 3, 5, 8] {
+            let mut rng = StdRng::seed_from_u64(40 + p as u64);
+            let locals: Vec<CooGradient> = (0..p)
+                .map(|_| {
+                    let dense: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                    topk_exact(&dense, k)
+                })
+                .collect();
+            // Uneven regions, one of them empty (p ≥ 3), so shard sizes differ.
+            let mut bounds = equal_boundaries(n as u32, p);
+            if p >= 3 {
+                bounds[1] = bounds[2];
+            }
+            for rotation in [true, false] {
+                for bucket in [1usize, 3, 8] {
+                    let cfg = OkTopkConfig::new(n, k)
+                        .with_rotation(rotation)
+                        .with_bucket_size(bucket)
+                        .with_merge_cost(1e-8);
+                    let now = Cluster::new(p, CostModel::aries()).run(|comm| {
+                        let mut scratch = SelectScratch::new();
+                        split_and_reduce(comm, &cfg, &locals[comm.rank()], &bounds, &mut scratch)
+                            .reduced_region
+                    });
+                    let then = Cluster::new(p, CostModel::aries()).run(|comm| {
+                        split_and_reduce_materialised(comm, &cfg, &locals[comm.rank()], &bounds)
+                    });
+                    let what = format!("p={p} rotation={rotation} bucket={bucket}");
+                    assert_eq!(now.times, then.times, "{what}: clocks");
+                    for rank in 0..p {
+                        let bits = |g: &CooGradient| -> Vec<u32> {
+                            g.values().iter().map(|v| v.to_bits()).collect()
+                        };
+                        let (a, b) = (&now.results[rank], &then.results[rank]);
+                        assert_eq!(a.indexes(), b.indexes(), "{what}: rank {rank}'s region");
+                        assert_eq!(bits(a), bits(b), "{what}: rank {rank}'s sums");
+                        assert_eq!(
+                            now.ledger.cell(rank, "okt_split_reduce"),
+                            then.ledger.cell(rank, "okt_split_reduce"),
+                            "{what}: rank {rank}'s ledger cell"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_regions_boundary_entries_and_empty_selections() {
+        // Regions [0,5) [5,5) [5,9) [9,12): region 1 is empty, index 5 sits on
+        // the boundary that opens region 2, index 11 is the last one covered.
+        let bounds = [0u32, 5, 5, 9, 12];
+        let locals = [
+            CooGradient::from_sorted(vec![0, 5, 11], vec![1.0, 2.0, 3.0]),
+            CooGradient::new(),
+            CooGradient::from_sorted(vec![4, 5, 8, 9], vec![0.5, 0.25, -1.0, 4.0]),
+            CooGradient::from_sorted(vec![5], vec![-2.25]),
+        ];
+        let cfg = OkTopkConfig::new(12, 4);
+        let report = Cluster::new(4, CostModel::aries()).run(|comm| {
+            let mut scratch = SelectScratch::new();
+            split_and_reduce(comm, &cfg, &locals[comm.rank()], &bounds, &mut scratch).reduced_region
+        });
+        let expect = [
+            CooGradient::from_sorted(vec![0, 4], vec![1.0, 0.5]),
+            CooGradient::new(),
+            CooGradient::from_sorted(vec![5, 8], vec![0.0, -1.0]),
+            CooGradient::from_sorted(vec![9, 11], vec![4.0, 3.0]),
+        ];
+        assert_eq!(report.results, expect);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lies in no region")]
+    fn an_index_past_the_last_boundary_is_refused_not_dropped() {
+        let local = CooGradient::from_sorted(vec![3, 10], vec![1.0, 1.0]);
+        let cfg = OkTopkConfig::new(10, 2);
+        Cluster::new(2, CostModel::free()).run(|comm| {
+            let mut scratch = SelectScratch::new();
+            split_and_reduce(comm, &cfg, &local, &[0, 5, 10], &mut scratch).local_nnz
+        });
     }
 
     #[test]

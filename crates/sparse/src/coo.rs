@@ -6,6 +6,8 @@
 //! merge-sum (the reduction kernel of every sparse allreduce here) a linear sort-merge.
 
 use simnet::WireSize;
+use std::borrow::Borrow;
+use std::ops::Range;
 
 /// A sparse gradient in coordinate format with sorted, unique indexes.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -159,11 +161,15 @@ impl CooGradient {
     /// for large worker counts this concat-and-sort formulation's
     /// `O(total · log total)` is far cheaper and is what the allgather-based
     /// reductions use.
-    pub fn merge_sum_many(items: &[Self]) -> Self {
-        let total: usize = items.iter().map(Self::nnz).sum();
+    ///
+    /// Items are read through [`Borrow`], so a slice of owned gradients and a
+    /// slice of shared handles (`Arc<CooGradient>`, what the item allgather
+    /// returns) reduce through the same code.
+    pub fn merge_sum_many<G: Borrow<Self>>(items: &[G]) -> Self {
+        let total: usize = items.iter().map(|g| g.borrow().nnz()).sum();
         let mut pairs: Vec<(u32, f32)> = Vec::with_capacity(total);
         for g in items {
-            pairs.extend(g.iter());
+            pairs.extend(g.borrow().iter());
         }
         Self::from_unsorted(pairs)
     }
@@ -199,31 +205,39 @@ impl CooGradient {
         Self { indexes, values }
     }
 
-    /// Split into per-region shards given region boundaries `b[0]=0 ≤ … ≤ b[P]=n`;
-    /// shard `j` receives the entries with index in `[b[j], b[j+1])`.
-    pub fn split_by_boundaries(&self, boundaries: &[u32]) -> Vec<Self> {
-        assert!(boundaries.len() >= 2, "need at least one region");
-        let regions = boundaries.len() - 1;
-        let mut shards = Vec::with_capacity(regions);
-        let mut start = 0usize;
-        for j in 0..regions {
-            let hi = boundaries[j + 1];
-            let end = start + self.indexes[start..].partition_point(|&i| i < hi);
-            shards.push(Self {
-                indexes: self.indexes[start..end].to_vec(),
-                values: self.values[start..end].to_vec(),
-            });
-            start = end;
-        }
-        shards
+    /// Positions of the entries whose index lies in `[lo, hi)` — *the*
+    /// definition of "which entries fall in a region": slice
+    /// [`indexes`](Self::indexes) and [`values`](Self::values) with it. Two
+    /// binary searches, no allocation; empty when `hi <= lo`.
+    pub fn index_range(&self, lo: u32, hi: u32) -> Range<usize> {
+        let start = self.indexes.partition_point(|&i| i < lo);
+        start..start + self.indexes[start..].partition_point(|&i| i < hi)
     }
 
-    /// Concatenate shards whose index ranges are disjoint and ordered.
-    pub fn concat_ordered(shards: &[Self]) -> Self {
-        let total: usize = shards.iter().map(Self::nnz).sum();
+    /// Split into per-region shards given region boundaries `b[0]=0 ≤ … ≤ b[P]=n`;
+    /// shard `j` receives the entries with index in `[b[j], b[j+1])`
+    /// ([`index_range`](Self::index_range)). An entry below `b[0]` or at or
+    /// above `b[P]` lies in no region and is in no shard.
+    pub fn split_by_boundaries(&self, boundaries: &[u32]) -> Vec<Self> {
+        assert!(boundaries.len() >= 2, "need at least one region");
+        boundaries
+            .windows(2)
+            .map(|b| {
+                let r = self.index_range(b[0], b[1]);
+                Self { indexes: self.indexes[r.clone()].to_vec(), values: self.values[r].to_vec() }
+            })
+            .collect()
+    }
+
+    /// Concatenate shards whose index ranges are disjoint and ordered. Like
+    /// [`merge_sum_many`](Self::merge_sum_many), reads owned shards and shared
+    /// handles alike.
+    pub fn concat_ordered<G: Borrow<Self>>(shards: &[G]) -> Self {
+        let total: usize = shards.iter().map(|s| s.borrow().nnz()).sum();
         let mut indexes = Vec::with_capacity(total);
         let mut values = Vec::with_capacity(total);
         for s in shards {
+            let s = s.borrow();
             debug_assert!(
                 indexes.last().is_none_or(|&last| s.indexes.first().is_none_or(|&f| last < f)),
                 "shards must be ordered and disjoint"
@@ -332,6 +346,23 @@ mod tests {
         let shards = g.split_by_boundaries(&[0, 5, 10]);
         assert_eq!(shards[0].nnz(), 0);
         assert_eq!(shards[1].nnz(), 1);
+    }
+
+    #[test]
+    fn index_range_is_half_open_and_total() {
+        let g = coo(&[(2, 1.0), (5, 2.0), (6, 3.0), (9, 4.0)]);
+        assert_eq!(g.index_range(0, 2), 0..0);
+        assert_eq!(g.index_range(2, 5), 0..1); // 2 is in, 5 is not
+        assert_eq!(g.index_range(5, 5), 1..1); // empty region
+        assert_eq!(g.index_range(5, 10), 1..4);
+        assert_eq!(g.index_range(7, 3), 3..3); // inverted bounds select nothing
+        assert_eq!(CooGradient::new().index_range(0, 10), 0..0);
+        // Duplicate boundaries make an empty shard; an entry on a boundary goes
+        // to the region it opens; entries outside [b[0], b[P]) are in no shard.
+        let shards = g.split_by_boundaries(&[3, 5, 5, 9]);
+        assert_eq!(shards[0].nnz(), 0);
+        assert_eq!(shards[1].nnz(), 0);
+        assert_eq!(shards[2].indexes(), &[5, 6]);
     }
 
     #[test]

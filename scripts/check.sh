@@ -24,9 +24,11 @@
 #   effective inter/intra beta ratio reaches 8x, if a repeated cell is not
 #   bit-identical, or if inter-link chaos speeds any cell up.
 # - scale checks bit-parity with the thread-engine oracle at P=32, then fails
-#   the script if Ok-Topk at P=1024 misses its wall/memory budget, or if the
-#   P=2048 headline misses its 30 s budget (>= 1.5x over the PR 7 baseline) or
-#   reports a zero scheduler handoff rate.
+#   the script if Ok-Topk at P=1024 misses its wall/memory budget (60 s /
+#   224 MiB), or if the P=2048 headline misses its 30 s budget (>= 1.5x over
+#   the PR 7 baseline), its 512 MiB memory budget, or reports a zero scheduler
+#   handoff rate. The memory budgets sit between what a length-P scratch
+#   vector on every rank costs and what the step costs without one.
 # - fig10 --paper-axis sweeps the weak-scaling axis to P=4096 (clean + one
 #   chaos cell) under a hard wall budget; fig8/fig12 run the same sweep with
 #   CHECK_PAPER_AXIS=1.
