@@ -3,16 +3,20 @@
 //! Rabenseifner's algorithm \[12\] = recursive-halving reduce-scatter followed by a
 //! recursive-doubling allgather. It meets the `2n(P−1)/P` bandwidth lower bound
 //! quoted in Table 1 with `2·log P` latency, but requires a power-of-two rank count;
-//! [`allreduce_inplace`] falls back to a ring (same bandwidth, `2(P−1)` latency) for
+//! [`allreduce_shared`] falls back to a ring (same bandwidth, `2(P−1)` latency) for
 //! other sizes.
 //!
-//! The hot paths are allocation-free in the steady state: chunk regions are
-//! computed arithmetically (no boundary vector), send chunks come from the
-//! communicator's recycled-buffer pool, and every received chunk is recycled
-//! after accumulation.
+//! The allreduce is out of place and its result is shared: the reduce-scatter
+//! half reads the caller's vector and accumulates in the pooled buffers the
+//! messages arrive in, the gather half moves `Arc` handles of the reduced
+//! regions, and the n-word result is assembled once per process — every rank
+//! returns a handle to the same allocation. Chunk regions are computed
+//! arithmetically (no boundary vector), send chunks come from the
+//! communicator's recycled-buffer pool, and every received chunk goes back to
+//! it.
 
 use simnet::{Net, WireSize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const TAG_RS: u64 = 0x10; // reduce-scatter phase
 const TAG_AG: u64 = 0x11; // allgather phase
@@ -48,36 +52,83 @@ impl StepBudget {
     }
 }
 
-/// In-place sum-allreduce of a dense f32 vector across all ranks.
-///
-/// Picks Rabenseifner for power-of-two cluster sizes, ring otherwise. `data` must
-/// have the same length on every rank.
-pub fn allreduce_inplace<C: Net>(comm: &mut C, data: &mut [f32]) {
-    allreduce_overlapped(comm, data, 0.0);
+/// One fully reduced region of an allreduce, travelling by handle through the
+/// gather half.
+struct Piece {
+    data: Vec<f32>,
+    /// The step's assembled result. Only region 0's piece — the one handle
+    /// every rank ends up holding first in its list — ever fills it.
+    whole: OnceLock<Arc<Vec<f32>>>,
 }
 
-/// [`allreduce_inplace`] with `overlap_compute` seconds of caller-attributed
-/// local work (e.g. the DenseOvlp backward tail) interleaved into the exchange.
+impl WireSize for Piece {
+    fn wire_elems(&self) -> u64 {
+        self.data.len() as u64
+    }
+}
+
+/// Sum-allreduce of a dense f32 vector across all ranks, out of place: `grad` is
+/// only read, and every rank returns a handle to the *same* n-word result.
 ///
-/// The budget is spread evenly over the algorithm's steps and spent between
-/// posting each step's receive and waiting on it, so compute runs while the
-/// message drains through the reception port — real overlap in modeled time,
-/// not an accounting fiction. A budget of `0.0` is bit-identical to
-/// [`allreduce_inplace`] in both results and timing.
-pub fn allreduce_overlapped<C: Net>(comm: &mut C, data: &mut [f32], overlap_compute: f64) {
+/// Picks Rabenseifner for power-of-two cluster sizes, ring otherwise. `grad`
+/// must have the same length on every rank. `finish` is applied to the sum
+/// before it is shared — each rank runs it on the one region it reduced, so an
+/// elementwise `finish` (the `/= P` of an average) costs n/P per rank instead
+/// of n.
+///
+/// `overlap_compute` seconds of caller-attributed local work (e.g. the
+/// DenseOvlp backward tail) are interleaved into the exchange: the budget is
+/// spread evenly over the algorithm's steps and spent between posting each
+/// step's receive and waiting on it, so compute runs while the message drains
+/// through the reception port — real overlap in modeled time, not an
+/// accounting fiction.
+///
+/// Whichever rank finishes its gather first concatenates the P regions into
+/// the result; the others clone its handle. Region order fixes the content, so
+/// only *who* copies depends on the schedule, never what any rank returns.
+pub fn allreduce_shared<C: Net>(
+    comm: &mut C,
+    grad: &[f32],
+    overlap_compute: f64,
+    finish: impl FnOnce(&mut [f32]),
+) -> Arc<Vec<f32>> {
     let p = comm.size();
     if p == 1 {
         if overlap_compute > 0.0 {
             comm.compute(overlap_compute);
         }
-        return;
+        let mut sum = grad.to_vec();
+        finish(&mut sum);
+        return Arc::new(sum);
     }
-    if p.is_power_of_two() {
+    let pieces = if p.is_power_of_two() {
         let steps = 2 * p.trailing_zeros() as usize;
-        rabenseifner(comm, data, StepBudget::new(overlap_compute, steps));
+        rabenseifner(comm, grad, StepBudget::new(overlap_compute, steps), finish)
     } else {
-        ring_allreduce(comm, data, StepBudget::new(overlap_compute, 2 * (p - 1)));
-    }
+        ring_allreduce(comm, grad, StepBudget::new(overlap_compute, 2 * (p - 1)), finish)
+    };
+    let assemble = || {
+        let mut whole = Vec::with_capacity(grad.len());
+        for piece in &pieces {
+            whole.extend_from_slice(&piece.data);
+        }
+        Arc::new(whole)
+    };
+    Arc::clone(pieces[0].whole.get_or_init(assemble))
+}
+
+/// In-place form of [`allreduce_shared`]: runs the shared schedule and copies
+/// the result back over `data`.
+pub fn allreduce_inplace<C: Net>(comm: &mut C, data: &mut [f32]) {
+    allreduce_overlapped(comm, data, 0.0);
+}
+
+/// [`allreduce_inplace`] with `overlap_compute` seconds interleaved into the
+/// exchange (see [`allreduce_shared`]). A budget of `0.0` is bit-identical to
+/// [`allreduce_inplace`] in both results and timing.
+pub fn allreduce_overlapped<C: Net>(comm: &mut C, data: &mut [f32], overlap_compute: f64) {
+    let sum = allreduce_shared(comm, data, overlap_compute, |_| {});
+    data.copy_from_slice(&sum);
 }
 
 /// Copy `data[range]` into a pooled buffer, ready to send.
@@ -87,15 +138,60 @@ fn pooled_chunk<C: Net>(comm: &mut C, data: &[f32], range: std::ops::Range<usize
     chunk
 }
 
-/// Rabenseifner's allreduce for power-of-two P.
-fn rabenseifner<C: Net>(comm: &mut C, data: &mut [f32], overlap: StepBudget) {
+/// `got ← mine + got`: the received buffer becomes the accumulator. The
+/// operand order is the in-place `mine += got`'s, so NaN payloads and signed
+/// zeros come out bit-identical to it (`*g += *d` would put `got` first).
+#[allow(clippy::assign_op_pattern)]
+fn accumulate(got: &mut [f32], mine: &[f32]) {
+    for (g, d) in got.iter_mut().zip(mine) {
+        *g = *d + *g;
+    }
+}
+
+/// End of a reduce-scatter half: the rank's reduced region, `finish` applied,
+/// as the piece it contributes to the gather. The piece is an exact-size copy
+/// and the pooled accumulator goes back to the pool — a piece is freed by
+/// whichever rank drops it last, so a pooled buffer that left as one would
+/// never return, and every step would open with a pool miss.
+///
+/// `spent` is the accumulator before `acc`, if the caller still holds it. The
+/// larger of the two is recycled last: the pool is a stack and the next
+/// allreduce's first chunk is its largest, so it pops the buffer that fits
+/// instead of growing the small one until every pooled buffer is n/2 wide.
+fn own_piece<C: Net>(
+    comm: &mut C,
+    acc: Vec<f32>,
+    spent: Option<Vec<f32>>,
+    finish: impl FnOnce(&mut [f32]),
+) -> Arc<Piece> {
+    let mut data = acc.as_slice().to_vec();
+    let mut pooled = [Some(acc), spent];
+    pooled.sort_by_key(|buf| buf.as_ref().map_or(0, Vec::capacity));
+    for buf in pooled.into_iter().flatten() {
+        comm.recycle_f32(buf);
+    }
+    finish(&mut data);
+    Arc::new(Piece { data, whole: OnceLock::new() })
+}
+
+/// Rabenseifner's allreduce for power-of-two P; returns the reduced regions in
+/// region order.
+fn rabenseifner<C: Net>(
+    comm: &mut C,
+    grad: &[f32],
+    overlap: StepBudget,
+    finish: impl FnOnce(&mut [f32]),
+) -> Vec<Arc<Piece>> {
     let p = comm.size();
     let rank = comm.rank();
-    let n = data.len();
-    debug_assert!(p.is_power_of_two());
+    let n = grad.len();
+    debug_assert!(p.is_power_of_two() && p > 1);
 
     // Recursive-halving reduce-scatter: the segment of regions this rank still
-    // reduces shrinks by half each step.
+    // reduces shrinks by half each step. Its partial sums live in `acc`, the
+    // buffer the previous step received (`grad` itself before the first).
+    let mut acc: Option<Vec<f32>> = None;
+    let mut spent: Option<Vec<f32>> = None;
     let (mut seg_lo, mut seg_len) = (0usize, p);
     let mut dist = p / 2;
     while dist >= 1 {
@@ -106,75 +202,64 @@ fn rabenseifner<C: Net>(comm: &mut C, data: &mut [f32], overlap: StepBudget) {
         } else {
             ((mid, seg_lo + seg_len), (seg_lo, mid))
         };
-        let chunk = pooled_chunk(comm, data, region(n, p, give.0, give.1));
+        if let Some(spent) = spent.take() {
+            comm.recycle_f32(spent);
+        }
+        // `sums` covers the segment, so it starts at the segment's first element.
+        let sums = acc.as_deref().unwrap_or(grad);
+        let base = region(n, p, seg_lo, seg_lo).start;
+        let within = |r: std::ops::Range<usize>| r.start - base..r.end - base;
+        let chunk = pooled_chunk(comm, sums, within(region(n, p, give.0, give.1)));
         comm.send(partner, TAG_RS, chunk);
         let req = comm.irecv::<Vec<f32>>(partner, TAG_RS);
         overlap.spend(comm);
-        let got = comm.wait_recv(req);
-        for (d, g) in data[region(n, p, keep.0, keep.1)].iter_mut().zip(&got) {
-            *d += g;
-        }
-        comm.recycle_f32(got);
+        let mut got = comm.wait_recv(req);
+        accumulate(&mut got, &sums[within(region(n, p, keep.0, keep.1))]);
+        spent = acc.replace(got);
         seg_lo = keep.0;
         seg_len /= 2;
         dist /= 2;
     }
+    debug_assert_eq!((seg_lo, seg_len), (rank, 1));
+    let piece = own_piece(comm, acc.expect("p > 1 runs at least one step"), spent, finish);
 
-    // Recursive-doubling allgather: segments re-merge in reverse order. At distance
-    // `d`, rank and partner hold adjacent equal-length blocks (lower block at the
-    // rank whose `d` bit is clear).
-    let mut dist = 1;
-    while dist < p {
-        let partner = rank ^ dist;
-        let chunk = pooled_chunk(comm, data, region(n, p, seg_lo, seg_lo + seg_len));
-        comm.send(partner, TAG_AG, chunk);
-        let req = comm.irecv::<Vec<f32>>(partner, TAG_AG);
-        overlap.spend(comm);
-        let got = comm.wait_recv(req);
-        let partner_lo = if rank & dist == 0 { seg_lo + seg_len } else { seg_lo - seg_len };
-        data[region(n, p, partner_lo, partner_lo + seg_len)].copy_from_slice(&got);
-        comm.recycle_f32(got);
-        seg_lo = seg_lo.min(partner_lo);
-        seg_len *= 2;
-        dist *= 2;
-    }
+    // Recursive-doubling allgather: segments re-merge in reverse order.
+    gather_handles(comm, piece, TAG_AG, overlap)
 }
 
-/// Ring allreduce for arbitrary P: P−1 reduce-scatter steps + P−1 allgather steps.
-fn ring_allreduce<C: Net>(comm: &mut C, data: &mut [f32], overlap: StepBudget) {
+/// Ring allreduce for arbitrary P: P−1 reduce-scatter steps + P−1 allgather
+/// steps; returns the reduced regions in region order.
+fn ring_allreduce<C: Net>(
+    comm: &mut C,
+    grad: &[f32],
+    overlap: StepBudget,
+    finish: impl FnOnce(&mut [f32]),
+) -> Vec<Arc<Piece>> {
     let p = comm.size();
     let rank = comm.rank();
-    let n = data.len();
+    let n = grad.len();
     let right = (rank + 1) % p;
     let left = (rank + p - 1) % p;
 
     // Reduce-scatter: at step s, send the partial sum of chunk (rank − s) and
-    // accumulate chunk (rank − s − 1) arriving from the left.
+    // accumulate chunk (rank − s − 1) arriving from the left — which is the
+    // chunk the next step sends, so the accumulated buffer itself is forwarded.
+    let mut partial = pooled_chunk(comm, grad, region(n, p, rank, rank + 1));
     for s in 0..p - 1 {
-        let send_chunk = (rank + p - s) % p;
         let recv_chunk = (rank + p - s - 1) % p;
-        let chunk = pooled_chunk(comm, data, region(n, p, send_chunk, send_chunk + 1));
-        comm.send(right, TAG_RS, chunk);
+        comm.send(right, TAG_RS, partial);
         let req = comm.irecv::<Vec<f32>>(left, TAG_RS);
         overlap.spend(comm);
-        let got = comm.wait_recv(req);
-        for (d, g) in data[region(n, p, recv_chunk, recv_chunk + 1)].iter_mut().zip(&got) {
-            *d += g;
-        }
-        comm.recycle_f32(got);
+        partial = comm.wait_recv(req);
+        accumulate(&mut partial, &grad[region(n, p, recv_chunk, recv_chunk + 1)]);
     }
-    // Allgather: circulate the fully reduced chunks.
-    for s in 0..p - 1 {
-        let send_chunk = (rank + 1 + p - s) % p;
-        let recv_chunk = (rank + p - s) % p;
-        let chunk = pooled_chunk(comm, data, region(n, p, send_chunk, send_chunk + 1));
-        comm.send(right, TAG_AG, chunk);
-        let req = comm.irecv::<Vec<f32>>(left, TAG_AG);
-        overlap.spend(comm);
-        let got = comm.wait_recv(req);
-        data[region(n, p, recv_chunk, recv_chunk + 1)].copy_from_slice(&got);
-        comm.recycle_f32(got);
-    }
+    let piece = own_piece(comm, partial, None, finish);
+
+    // Allgather: circulate the fully reduced chunks. The ring leaves rank r
+    // holding region r + 1, so origin order is region order rotated by one.
+    let mut pieces = gather_handles(comm, piece, TAG_AG, overlap);
+    pieces.rotate_right(1);
+    pieces
 }
 
 /// Block reduce-scatter: afterwards each rank holds the fully reduced region `rank`
@@ -220,10 +305,25 @@ pub fn allgather_items<C: Net, T>(comm: &mut C, mine: T) -> Vec<Arc<T>>
 where
     T: Send + Sync + WireSize + 'static,
 {
+    gather_handles(comm, Arc::new(mine), TAG_ITEMS, StepBudget::new(0.0, 0))
+}
+
+/// The handle allgather behind [`allgather_items`] and the gather half of the
+/// dense allreduce, which differ in `tag` and in the `overlap` share spent
+/// between each step's send and its receive.
+fn gather_handles<C: Net, T>(
+    comm: &mut C,
+    mine: Arc<T>,
+    tag: u64,
+    overlap: StepBudget,
+) -> Vec<Arc<T>>
+where
+    T: Send + Sync + WireSize + 'static,
+{
     let p = comm.size();
     let rank = comm.rank();
     let mut have = Vec::with_capacity(p);
-    have.push(Arc::new(mine));
+    have.push(mine);
     if p.is_power_of_two() {
         // Recursive doubling: at distance `dist` a rank holds the rank-ordered
         // block of the `dist` origins that agree with it above that bit, and
@@ -232,8 +332,10 @@ where
         let mut dist = 1;
         while dist < p {
             let partner = rank ^ dist;
-            let got: Vec<Arc<T>> =
-                comm.sendrecv(partner, TAG_ITEMS, have.clone(), partner, TAG_ITEMS);
+            comm.send(partner, tag, have.clone());
+            let req = comm.irecv::<Vec<Arc<T>>>(partner, tag);
+            overlap.spend(comm);
+            let got = comm.wait_recv(req);
             if rank & dist == 0 {
                 have.extend(got);
             } else {
@@ -244,12 +346,14 @@ where
     } else {
         // Ring: forward the item that arrived last. Origins arrive in the order
         // rank, rank−1, …, rank+1 (mod P); reversed and rotated that is 0..P.
+        // (`recv_shared` resolves where it is called, like `wait_recv`.)
         let right = (rank + 1) % p;
         let left = (rank + p - 1) % p;
         for _ in 1..p {
             let fwd = Arc::clone(have.last().expect("starts with the rank's own item"));
-            comm.send_shared(right, TAG_ITEMS, fwd);
-            have.push(comm.recv_shared(left, TAG_ITEMS));
+            comm.send_shared(right, tag, fwd);
+            overlap.spend(comm);
+            have.push(comm.recv_shared(left, tag));
         }
         have.reverse();
         have.rotate_right(rank + 1);
@@ -259,20 +363,30 @@ where
 
 /// Binomial-tree broadcast from `root`.
 ///
-/// The payload travels as one `Arc`-shared buffer: relays clone the handle, not
-/// the data, so a P-rank broadcast allocates the value once at the root instead
-/// of once per tree edge. Each rank materializes its own copy only on return
-/// (and the last holder of the handle gets the original back without copying).
+/// The payload travels as one `Arc`-shared buffer ([`broadcast_shared`]); each
+/// rank materializes its own copy only on return, and the last holder of the
+/// handle gets the original back without copying.
 pub fn broadcast<C: Net, T>(comm: &mut C, root: usize, value: Option<T>) -> T
 where
     T: Clone + Send + Sync + WireSize + 'static,
+{
+    let arc = broadcast_shared(comm, root, value.map(Arc::new));
+    Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone())
+}
+
+/// Binomial-tree broadcast of a handle: relays clone the `Arc`, not the data,
+/// so a P-rank broadcast allocates nothing and every rank returns a handle to
+/// the root's allocation.
+pub fn broadcast_shared<C: Net, T>(comm: &mut C, root: usize, value: Option<Arc<T>>) -> Arc<T>
+where
+    T: Send + Sync + WireSize + 'static,
 {
     let p = comm.size();
     let rank = comm.rank();
     // Work in a rotated space where the root is rank 0.
     let vrank = (rank + p - root) % p;
-    let mut have: Option<Arc<T>> = if rank == root {
-        Some(Arc::new(value.expect("root must provide the broadcast value")))
+    let mut have = if rank == root {
+        Some(value.expect("root must provide the broadcast value"))
     } else {
         None
     };
@@ -291,8 +405,7 @@ where
         }
         dist *= 2;
     }
-    let arc = have.expect("broadcast reached every rank");
-    Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone())
+    have.expect("broadcast reached every rank")
 }
 
 /// Personalized all-to-all exchange (MPI_Alltoallv): rank `i` sends `items[j]` to

@@ -15,10 +15,11 @@
 //! algorithm degenerates to its flat counterpart — that is the behaviour on a
 //! cluster with no topology installed.
 
-use crate::dense::{allreduce_inplace, broadcast, reduce_scatter_block};
+use crate::dense::{allreduce_shared, broadcast, broadcast_shared, reduce_scatter_block};
 use crate::gtopk::{gtopk_allreduce, gtopk_reduce_to_root};
 use simnet::{Comm, GroupComm, Net};
 use sparse::CooGradient;
+use std::sync::Arc;
 
 /// Tag for gathering reduce-scattered shards at the node leader.
 const TAG_HIER_GATHER: u64 = 0x41;
@@ -100,17 +101,28 @@ fn gather_at_root<C: Net>(comm: &mut C, (offset, mine): (usize, Vec<f32>), out: 
     }
 }
 
-/// Hierarchical dense sum-allreduce: intra-node reduce-scatter + gather at the
-/// leader, leader-group allreduce, intra-node broadcast.
+/// Hierarchical dense sum-allreduce, out of place with a shared result:
+/// intra-node reduce-scatter + gather into the leader's `node_sum`,
+/// leader-group [`allreduce_shared`] (which applies `finish`), intra-node
+/// broadcast of the result's handle.
 ///
-/// `data` must have the same length on every rank; afterwards every rank holds
-/// the global sum. With `rpn = 1` this is exactly [`allreduce_inplace`].
-pub fn hier_dense_allreduce<C: Net>(comm: &mut C, data: &mut [f32], rpn: usize) {
+/// `grad` must have the same length on every rank and is only read; every rank
+/// returns a handle to the same allocation. `node_sum` is written on node
+/// leaders only (a leader that keeps it between calls allocates it once); off
+/// the leader a rank allocates and copies nothing n-sized. With `rpn = 1` this
+/// is exactly [`allreduce_shared`].
+pub fn hier_dense_shared<C: Net>(
+    comm: &mut C,
+    grad: &[f32],
+    rpn: usize,
+    node_sum: &mut Vec<f32>,
+    finish: impl FnOnce(&mut [f32]),
+) -> Arc<Vec<f32>> {
     let size = comm.size();
     let rank = comm.rank();
     let rpn = rpn.clamp(1, size);
     if rpn == 1 || size == 1 {
-        return allreduce_inplace(comm, data);
+        return allreduce_shared(comm, grad, 0.0, finish);
     }
     comm.set_phase("hier-dense");
     let (node, members) = node_group(rank, size, rpn);
@@ -121,22 +133,27 @@ pub fn hier_dense_allreduce<C: Net>(comm: &mut C, data: &mut [f32], rpn: usize) 
     // leaves the leader with the full node-local sum.
     {
         let mut g = GroupComm::new(comm, members.clone(), node as u16);
-        reduce_to_root_dense(&mut g, data);
+        reduce_to_root_dense_into(&mut g, grad, node_sum);
     }
 
     // Phase 2 (inter): leaders allreduce their node sums over the slow tier.
-    if rank == members[0] {
+    let global = (rank == members[0]).then(|| {
         let mut g = GroupComm::new(comm, leaders(size, rpn), LEADER_GROUP);
-        allreduce_inplace(&mut g, data);
-    }
+        allreduce_shared(&mut g, node_sum, 0.0, finish)
+    });
 
-    // Phase 3 (intra): leader broadcasts the global sum within its node.
+    // Phase 3 (intra): leader broadcasts the global sum's handle within its node.
     let mut g = GroupComm::new(comm, members, node as u16);
-    let v = if Net::rank(&g) == 0 { Some(data.to_vec()) } else { None };
-    let out = broadcast(&mut g, 0, v);
-    if Net::rank(&g) != 0 {
-        data.copy_from_slice(&out);
-    }
+    broadcast_shared(&mut g, 0, global)
+}
+
+/// In-place form of [`hier_dense_shared`]: afterwards every rank's `data` holds
+/// the global sum. With `rpn = 1` this is exactly [`allreduce_inplace`].
+///
+/// [`allreduce_inplace`]: crate::dense::allreduce_inplace
+pub fn hier_dense_allreduce<C: Net>(comm: &mut C, data: &mut [f32], rpn: usize) {
+    let sum = hier_dense_shared(comm, data, rpn, &mut Vec::new(), |_| {});
+    data.copy_from_slice(&sum);
 }
 
 /// Hierarchical gTopk sparse allreduce: intra-node reduction tree with top-k
@@ -188,6 +205,7 @@ pub fn hier_gtopk_allreduce<C: Net>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::allreduce_inplace;
     use rand::prelude::*;
     use simnet::{Cluster, CostModel, Topology};
     use sparse::select::topk_exact;

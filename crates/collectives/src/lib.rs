@@ -6,8 +6,9 @@
 //!
 //! - [`dense`]: Rabenseifner's allreduce (recursive-halving reduce-scatter +
 //!   recursive-doubling allgather) with a ring fallback for non-power-of-two P,
-//!   generic allgather/allgatherv whose gathered pieces are shared by `Arc`
-//!   rather than copied per rank, broadcast, and a small f64 allreduce used for
+//!   out of place and with one `Arc`-shared result per process rather than a
+//!   copy per rank; generic allgather/allgatherv whose gathered pieces are
+//!   shared the same way, broadcast, and a small f64 allreduce used for
 //!   Ok-Topk's boundary consensus. Dense allreduce achieves the `2n(P−1)/P`
 //!   bandwidth bound quoted in Table 1.
 //! - [`topk_a`]: the allgather-based sparse allreduce (TopkA, §2) — also the
@@ -35,13 +36,13 @@ pub mod topk_a;
 pub mod topk_dsa;
 
 pub use dense::{
-    allgather_items, allreduce_inplace, allreduce_overlapped, allreduce_sum_f64, alltoallv,
-    broadcast, reduce_scatter_block,
+    allgather_items, allreduce_inplace, allreduce_overlapped, allreduce_shared, allreduce_sum_f64,
+    alltoallv, broadcast, broadcast_shared, reduce_scatter_block,
 };
 pub use gtopk::{gtopk_allreduce, gtopk_reduce_to_root};
 pub use hier::{
-    hier_dense_allreduce, hier_gtopk_allreduce, ranks_per_node, reduce_to_root_dense,
-    reduce_to_root_dense_into,
+    hier_dense_allreduce, hier_dense_shared, hier_gtopk_allreduce, ranks_per_node,
+    reduce_to_root_dense, reduce_to_root_dense_into,
 };
 pub use quantized::quantized_allgather_allreduce;
 pub use topk_a::topk_allgather_allreduce;

@@ -1,11 +1,11 @@
 //! Property tests: every collective matches its serial reference on random inputs.
 
 use collectives::{
-    allgather_items, allreduce_inplace, broadcast, dsa_allreduce, gtopk_allreduce,
-    reduce_to_root_dense, reduce_to_root_dense_into, topk_allgather_allreduce,
+    allgather_items, allreduce_inplace, allreduce_shared, broadcast, dsa_allreduce,
+    gtopk_allreduce, reduce_to_root_dense, reduce_to_root_dense_into, topk_allgather_allreduce,
 };
 use proptest::prelude::*;
-use simnet::{Cluster, CostModel, Net, WireSize};
+use simnet::{Cluster, CostModel, Engine, GroupComm, Net, WireSize};
 use sparse::select::topk_exact;
 use sparse::CooGradient;
 use std::sync::Arc;
@@ -266,6 +266,201 @@ fn allgather_items_shares_pieces_and_matches_the_cloning_gather() {
         // The run's handles are all that is left: one allocation per origin.
         for piece in &shared.results[0] {
             assert_eq!(Arc::strong_count(piece), p, "p={p}");
+        }
+    }
+}
+
+/// The in-place dense allreduce this crate had before its result was shared,
+/// kept only as the reference [`allreduce_shared`] is compared against: a
+/// working copy the caller owns, every chunk copied into a pooled buffer on
+/// the way out and out of one on the way in, each rank left with its own n
+/// words. Same tags, partners, message order, wire elements and overlap
+/// interleave.
+fn allreduce_in_place_copying<C: Net>(comm: &mut C, data: &mut [f32], overlap_compute: f64) {
+    const TAG_RS: u64 = 0x10;
+    const TAG_AG: u64 = 0x11;
+    let region = |n: usize, p: usize, a: usize, b: usize| n * a / p..n * b / p;
+    fn pooled_chunk<C: Net>(comm: &mut C, data: &[f32]) -> Vec<f32> {
+        let mut chunk = comm.take_f32(data.len());
+        chunk.extend_from_slice(data);
+        chunk
+    }
+
+    let (p, rank, n) = (comm.size(), comm.rank(), data.len());
+    if p == 1 {
+        if overlap_compute > 0.0 {
+            comm.compute(overlap_compute);
+        }
+        return;
+    }
+    let steps = if p.is_power_of_two() { 2 * p.trailing_zeros() as usize } else { 2 * (p - 1) };
+    let per_step = overlap_compute / steps as f64;
+    let spend = |comm: &mut C| {
+        if per_step > 0.0 {
+            comm.compute(per_step);
+        }
+    };
+
+    if p.is_power_of_two() {
+        // Rabenseifner: recursive-halving reduce-scatter, recursive-doubling allgather.
+        let (mut seg_lo, mut seg_len) = (0usize, p);
+        let mut dist = p / 2;
+        while dist >= 1 {
+            let partner = rank ^ dist;
+            let mid = seg_lo + seg_len / 2;
+            let (keep, give) = if rank & dist == 0 {
+                ((seg_lo, mid), (mid, seg_lo + seg_len))
+            } else {
+                ((mid, seg_lo + seg_len), (seg_lo, mid))
+            };
+            let chunk = pooled_chunk(comm, &data[region(n, p, give.0, give.1)]);
+            comm.send(partner, TAG_RS, chunk);
+            let req = comm.irecv::<Vec<f32>>(partner, TAG_RS);
+            spend(comm);
+            let got = comm.wait_recv(req);
+            for (d, g) in data[region(n, p, keep.0, keep.1)].iter_mut().zip(&got) {
+                *d += g;
+            }
+            comm.recycle_f32(got);
+            seg_lo = keep.0;
+            seg_len /= 2;
+            dist /= 2;
+        }
+        let mut dist = 1;
+        while dist < p {
+            let partner = rank ^ dist;
+            let chunk = pooled_chunk(comm, &data[region(n, p, seg_lo, seg_lo + seg_len)]);
+            comm.send(partner, TAG_AG, chunk);
+            let req = comm.irecv::<Vec<f32>>(partner, TAG_AG);
+            spend(comm);
+            let got = comm.wait_recv(req);
+            let partner_lo = if rank & dist == 0 { seg_lo + seg_len } else { seg_lo - seg_len };
+            data[region(n, p, partner_lo, partner_lo + seg_len)].copy_from_slice(&got);
+            comm.recycle_f32(got);
+            seg_lo = seg_lo.min(partner_lo);
+            seg_len *= 2;
+            dist *= 2;
+        }
+    } else {
+        // Ring: P−1 reduce-scatter steps, P−1 allgather steps.
+        let right = (rank + 1) % p;
+        let left = (rank + p - 1) % p;
+        for s in 0..p - 1 {
+            let send_chunk = (rank + p - s) % p;
+            let recv_chunk = (rank + p - s - 1) % p;
+            let chunk = pooled_chunk(comm, &data[region(n, p, send_chunk, send_chunk + 1)]);
+            comm.send(right, TAG_RS, chunk);
+            let req = comm.irecv::<Vec<f32>>(left, TAG_RS);
+            spend(comm);
+            let got = comm.wait_recv(req);
+            for (d, g) in data[region(n, p, recv_chunk, recv_chunk + 1)].iter_mut().zip(&got) {
+                *d += g;
+            }
+            comm.recycle_f32(got);
+        }
+        for s in 0..p - 1 {
+            let send_chunk = (rank + 1 + p - s) % p;
+            let recv_chunk = (rank + p - s) % p;
+            let chunk = pooled_chunk(comm, &data[region(n, p, send_chunk, send_chunk + 1)]);
+            comm.send(right, TAG_AG, chunk);
+            let req = comm.irecv::<Vec<f32>>(left, TAG_AG);
+            spend(comm);
+            let got = comm.wait_recv(req);
+            data[region(n, p, recv_chunk, recv_chunk + 1)].copy_from_slice(&got);
+            comm.recycle_f32(got);
+        }
+    }
+}
+
+/// Rank `rank`'s input to the parity test: finite values with every kind of
+/// special mixed in. Each index sees at most one NaN bit pattern (the
+/// canonical one, or the one `inf − inf` makes), so the sum's bits do not
+/// depend on which operand of an add the compiler puts first.
+fn special_input(rank: usize, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|i| match (i % 13, (rank + i) % 3) {
+            (2, 0) => f32::NAN,
+            (4, 0) => f32::INFINITY,
+            (6, 1) => f32::NEG_INFINITY,
+            (8, 0) => f32::INFINITY,
+            (8, 1) => f32::NEG_INFINITY,
+            (10, _) => -0.0,
+            (11, 0) => -0.0,
+            (11, _) => 0.0,
+            _ => ((rank * 131 + i * 7) % 257) as f32 * 0.37 - 40.0,
+        })
+        .collect()
+}
+
+/// The shared-result allreduce is the in-place one it replaced on the modeled
+/// side — same result bits (NaN, ±inf and −0.0 included), same clocks, same
+/// per-rank messages and elements, for both schedules, empty and uneven
+/// regions, with and without an overlap budget, flat and inside a group, on
+/// both engines — and it is shared: every rank returns the same allocation.
+#[test]
+fn allreduce_shared_matches_the_in_place_allreduce_and_shares_its_result() {
+    let halve = |sum: &mut [f32]| sum.iter_mut().for_each(|v| *v *= 0.5);
+    for engine in [Engine::Event, Engine::Thread] {
+        for grouped in [false, true] {
+            for p in 1usize..=9 {
+                for n in [0, 1, p - 1, 103, 4096] {
+                    for budget in [0.0, 3e-4] {
+                        // Grouped: ranks 1..=p of a (p+2)-cluster, in reverse order.
+                        let size = if grouped { p + 2 } else { p };
+                        let members: Vec<usize> = (1..=p).rev().collect();
+                        let cluster = Cluster::new(size, CostModel::aries()).with_engine(engine);
+                        let shared = cluster.run(|comm| {
+                            comm.set_phase("dense");
+                            if !grouped {
+                                let input = special_input(comm.rank(), n);
+                                return Some(allreduce_shared(comm, &input, budget, halve));
+                            }
+                            members.contains(&comm.rank()).then(|| {
+                                let mut g = GroupComm::new(comm, members.clone(), 7);
+                                let input = special_input(Net::rank(&g), n);
+                                allreduce_shared(&mut g, &input, budget, halve)
+                            })
+                        });
+                        let in_place = cluster.run(|comm| {
+                            comm.set_phase("dense");
+                            if !grouped {
+                                let mut data = special_input(comm.rank(), n);
+                                allreduce_in_place_copying(comm, &mut data, budget);
+                                halve(&mut data);
+                                return Some(data);
+                            }
+                            members.contains(&comm.rank()).then(|| {
+                                let mut g = GroupComm::new(comm, members.clone(), 7);
+                                let mut data = special_input(Net::rank(&g), n);
+                                allreduce_in_place_copying(&mut g, &mut data, budget);
+                                halve(&mut data);
+                                data
+                            })
+                        });
+
+                        let what =
+                            format!("{engine:?} grouped={grouped} p={p} n={n} budget={budget}");
+                        assert_eq!(shared.times, in_place.times, "{what}: clocks");
+                        for rank in 0..size {
+                            assert_eq!(
+                                shared.ledger.cell(rank, "dense"),
+                                in_place.ledger.cell(rank, "dense"),
+                                "{what}: rank {rank}'s messages and elements"
+                            );
+                        }
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let handles: Vec<_> = shared.results.iter().flatten().collect();
+                        let copies: Vec<_> = in_place.results.iter().flatten().collect();
+                        assert_eq!((handles.len(), copies.len()), (p, p), "{what}");
+                        for (handle, copy) in handles.iter().zip(&copies) {
+                            assert_eq!(bits(handle), bits(copy), "{what}: result bits");
+                            assert!(Arc::ptr_eq(handle, handles[0]), "{what}: a second copy");
+                        }
+                        // The run's handles are all that is left of the step.
+                        assert_eq!(Arc::strong_count(handles[0]), p, "{what}");
+                    }
+                }
+            }
         }
     }
 }

@@ -1,50 +1,68 @@
-//! Steady-state allocation audit for the pooled dense-allreduce message path.
+//! Steady-state allocation audit for the shared-result dense allreduce.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; a thread-local
-//! flag arms the counter so only allocations made by one rank's thread are
-//! charged. After a warm-up that fills the per-rank buffer pools (and lets the
-//! channel blocks, ledger cells, and thread-locals come into existence), one
-//! full ring-allreduce step on P = 3 ranks must perform **zero** heap
-//! allocations on the armed rank: chunks come from the pool, payloads travel
-//! as inline `Payload::F32` variants (no per-message boxing), and received
-//! buffers are recycled back into the pool.
+//! flag arms the counter, so each rank's thread is charged for its own
+//! allocations only. After a warm-up that fills the per-rank buffer pools (and
+//! lets the channel blocks, ledger cells, and thread-locals come into
+//! existence), one full ring-allreduce step on P = 3 ranks must perform
+//! exactly these heap allocations, and no others:
+//!
+//! - **reduce-scatter half: one**, the rank's reduced region as an exact n/P
+//!   word vector. Chunks come from the pool, payloads travel as inline
+//!   `Payload::F32` variants (no per-message boxing), the accumulated buffer is
+//!   forwarded as it is, and the last one goes back to the pool.
+//! - **gather half: two, neither of them an f32 buffer** — the `Arc` around the
+//!   rank's piece and the P-slot list of piece handles. Only handles travel.
+//! - **the assembler, two more**: the n-word result and the `Arc` around it.
+//!   Whichever rank finishes its gather first assembles, so which rank pays is
+//!   up to the schedule; that exactly one of the P does is not.
+//!
+//! So a rank makes 3 allocations, the assembler 5, and the process makes one
+//! n-sized allocation per step where the in-place allreduce kept P.
 //!
 //! The geometry is deliberate: P = 3 forces the ring path (non-power-of-two),
 //! each rank sends `2(P−1) = 4` messages per iteration into a single
 //! neighbour channel, and the measured iteration starts at message 21 — well
 //! inside the channel's first 31-message block, so no block allocation can
 //! land on the armed iteration. This file must stay a single-test binary so
-//! no sibling test shares the armed thread.
+//! no sibling test shares an armed thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use collectives::allreduce_inplace;
+use collectives::allreduce_shared;
 use simnet::{Cluster, CostModel};
 
 struct CountingAlloc;
 
+const P: usize = 3; // non-power-of-two → ring algorithm
+const N: usize = 96; // divisible by P: equal chunks, stable pool capacities
+
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    static RESULT_SIZED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn charge(bytes: usize) {
+    ARMED.with(|armed| {
+        if armed.get() {
+            ALLOCS.with(|c| c.set(c.get() + 1));
+            if bytes >= 4 * N {
+                RESULT_SIZED.with(|c| c.set(c.get() + 1));
+            }
+        }
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ARMED.with(|armed| {
-            if armed.get() {
-                ALLOCS.with(|c| c.set(c.get() + 1));
-            }
-        });
+        charge(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ARMED.with(|armed| {
-            if armed.get() {
-                ALLOCS.with(|c| c.set(c.get() + 1));
-            }
-        });
+        charge(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -57,9 +75,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
-fn steady_state_ring_allreduce_is_allocation_free() {
-    const P: usize = 3; // non-power-of-two → ring algorithm
-    const N: usize = 96; // divisible by P: equal chunks, stable pool capacities
+fn steady_state_ring_allreduce_allocates_its_piece_and_one_result() {
     const WARMUP: usize = 5;
 
     let report = Cluster::new(P, CostModel::aries()).run(|comm| {
@@ -67,35 +83,39 @@ fn steady_state_ring_allreduce_is_allocation_free() {
         // rank thread must not be charged to the measured iteration.
         ARMED.with(|a| a.set(false));
         ALLOCS.with(|c| c.set(0));
+        RESULT_SIZED.with(|c| c.set(0));
 
         let rank = comm.rank();
-        let mut data: Vec<f32> = (0..N).map(|i| (rank * N + i) as f32 * 1e-3 + 1.0).collect();
+        let data: Vec<f32> = (0..N).map(|i| (rank * N + i) as f32 * 1e-3 + 1.0).collect();
 
         // Warm-up: fills the f32 buffer pool, creates the ledger cell and the
         // channel's first block, and parks/unparks the thread at least once.
         for _ in 0..WARMUP {
-            allreduce_inplace(comm, &mut data);
+            allreduce_shared(comm, &data, 0.0, |_| {});
         }
 
-        // Armed phase: one more identical iteration. Every rank runs it (the
-        // ring needs all participants), but only rank 0's thread is counted.
-        if rank == 0 {
-            ARMED.with(|a| a.set(true));
-        }
-        allreduce_inplace(comm, &mut data);
+        // Armed phase: one more identical iteration, every rank counting its
+        // own thread.
+        ARMED.with(|a| a.set(true));
+        let sum = allreduce_shared(comm, &data, 0.0, |_| {});
         ARMED.with(|a| a.set(false));
 
-        let allocs = ALLOCS.with(|c| c.get());
-        // Sanity: the measured iteration did real work (values grew ×P each
-        // allreduce and stayed finite).
-        let checksum: f32 = data.iter().sum();
-        (allocs, checksum.is_finite() && checksum > 0.0)
+        // Sanity: the measured iteration did real work.
+        let checksum: f32 = sum.iter().sum();
+        let sane = sum.len() == N && checksum.is_finite() && checksum > 0.0;
+        (ALLOCS.with(|c| c.get()), RESULT_SIZED.with(|c| c.get()), sane)
     });
 
-    let (allocs, sane) = report.results[0];
-    assert!(sane, "measured iteration produced a degenerate result");
-    assert_eq!(
-        allocs, 0,
-        "steady-state ring allreduce performed {allocs} heap allocations on rank 0"
-    );
+    let mut assemblers = 0;
+    for (rank, &(allocs, result_sized, sane)) in report.results.iter().enumerate() {
+        assert!(sane, "rank {rank}: measured iteration produced a degenerate result");
+        assert!(result_sized <= 1, "rank {rank} made {result_sized} result-sized allocations");
+        assert_eq!(
+            allocs,
+            3 + 2 * result_sized,
+            "rank {rank}: piece + its Arc + handle list, and result + its Arc on the assembler"
+        );
+        assemblers += result_sized;
+    }
+    assert_eq!(assemblers, 1, "the result is assembled once per process, not once per rank");
 }

@@ -593,24 +593,34 @@ impl Comm {
     }
 
     /// Take a cleared `f32` buffer with capacity ≥ `cap` from this rank's pool,
-    /// allocating only if the free-list is empty. Pair with
+    /// allocating only if the free-list is empty or its top buffer is too small. Pair with
     /// [`recycle_f32`](Self::recycle_f32) to make steady-state messaging
     /// allocation-free. Reusing a pooled buffer returns its bytes to the
     /// cluster-wide idle-pool budget.
     pub fn take_f32(&mut self, cap: usize) -> Vec<f32> {
         match self.pool.f32s.pop() {
-            Some(mut buf) => {
-                self.metrics.pool_hit.inc();
-                self.pool_budget.release(buf.capacity() * 4);
-                buf.clear();
-                buf.reserve(cap);
-                buf
-            }
+            Some(buf) => self.reuse_pooled(buf, cap),
             None => {
                 self.metrics.pool_miss.inc();
                 Vec::with_capacity(cap)
             }
         }
+    }
+
+    /// Hand a popped pool buffer out for a request of `cap` elements. The pool
+    /// pops its most recent buffer whatever its size; one `reserve` has to grow
+    /// is reallocated, so it counts as a miss — `pool.hit` means reuse. The
+    /// buffer's bytes leave the idle-pool budget either way.
+    fn reuse_pooled<T>(&self, mut buf: Vec<T>, cap: usize) -> Vec<T> {
+        if buf.capacity() >= cap {
+            self.metrics.pool_hit.inc();
+        } else {
+            self.metrics.pool_miss.inc();
+        }
+        self.pool_budget.release(buf.capacity() * 4);
+        buf.clear();
+        buf.reserve(cap);
+        buf
     }
 
     /// Return a no-longer-needed `f32` buffer (e.g. one a `recv` produced) to
@@ -632,13 +642,7 @@ impl Comm {
     /// Take a cleared `u32` buffer with capacity ≥ `cap` from this rank's pool.
     pub fn take_u32(&mut self, cap: usize) -> Vec<u32> {
         match self.pool.u32s.pop() {
-            Some(mut buf) => {
-                self.metrics.pool_hit.inc();
-                self.pool_budget.release(buf.capacity() * 4);
-                buf.clear();
-                buf.reserve(cap);
-                buf
-            }
+            Some(buf) => self.reuse_pooled(buf, cap),
             None => {
                 self.metrics.pool_miss.inc();
                 Vec::with_capacity(cap)

@@ -210,3 +210,30 @@ fn pooled_buffers_are_recycled() {
     });
     assert!(report.results[0], "take after recycle must reuse the same allocation");
 }
+
+#[test]
+fn a_pooled_buffer_that_has_to_grow_counts_as_a_miss() {
+    // The pool pops its most recent buffer whatever its size. Reusing it for a
+    // smaller request is a hit; growing it for a larger one reallocates, so
+    // `pool.hit` must not count it — and the budget gets its bytes back in
+    // both cases.
+    let report = Cluster::new(1, CostModel::free()).with_obs(true).run(|comm| {
+        let small = comm.take_f32(64); // empty pool: miss
+        comm.recycle_f32(small);
+        let same = comm.take_f32(32); // fits: hit
+        let idle_after_hit = comm.pooled_bytes();
+        comm.recycle_f32(same);
+        let grown = comm.take_f32(4096); // popped, too small: miss
+        let idle_after_grow = comm.pooled_bytes();
+        assert!(grown.is_empty() && grown.capacity() >= 4096);
+        comm.recycle_f32(grown);
+        let small = comm.take_u32(8); // the u32 list is its own pool: miss
+        comm.recycle_u32(small);
+        let grown = comm.take_u32(1024); // too small: miss
+        comm.recycle_u32(grown);
+        (idle_after_hit, idle_after_grow)
+    });
+    assert_eq!(report.results[0], (0, 0), "a popped buffer leaves the idle pool either way");
+    assert_eq!(report.metrics.get("pool.hit"), Some(&obs::MetricValue::Counter(1)));
+    assert_eq!(report.metrics.get("pool.miss"), Some(&obs::MetricValue::Counter(4)));
+}

@@ -4,7 +4,7 @@
 use crate::cost::CostProfile;
 use collectives::hier::LEADER_GROUP;
 use collectives::{
-    allreduce_overlapped, broadcast, dsa_allreduce, gtopk_allreduce, hier_dense_allreduce,
+    allreduce_shared, broadcast, dsa_allreduce, gtopk_allreduce, hier_dense_shared,
     hier_gtopk_allreduce, quantized_allgather_allreduce, reduce_to_root_dense_into,
     topk_allgather_allreduce,
 };
@@ -15,6 +15,7 @@ use sparse::quant::QuantMode;
 use sparse::select::{exact_threshold, select_ge, topk_exact};
 use sparse::threshold::GaussianEstimator;
 use sparse::CooGradient;
+use std::sync::Arc;
 
 /// The allreduce schemes compared in §5 (Table 1 + DenseOvlp).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -90,8 +91,10 @@ impl Scheme {
 
 /// What a reduce produced, ready to apply to the model.
 pub enum Update {
-    /// Averaged dense gradient (Dense/DenseOvlp): the optimizer applies it.
-    Dense(Vec<f32>),
+    /// Averaged dense gradient (Dense/DenseOvlp/Hier-Dense): the optimizer
+    /// applies it. One immutable allocation per step, shared by every rank of
+    /// the process.
+    Dense(Arc<Vec<f32>>),
     /// Averaged sparse result: in SGD mode this is the model delta (lr folded into
     /// the accumulator); in Adam mode (scale = 1) the averaged sparse gradient.
     Sparse(CooGradient),
@@ -124,8 +127,8 @@ pub struct Reducer {
     /// [`OkTopkSgd`]). Between steps it holds ε; during one, the accumulator.
     residual: Vec<f32>,
     oktopk: Option<OkTopkSgd>,
-    /// Hier-Ok-Topk's intra-node gradient sum: n-sized on a node leader after
-    /// its first step, empty on every other rank for good.
+    /// Hier-Ok-Topk's and Hier-Dense's intra-node gradient sum: n-sized on a
+    /// node leader after its first step, empty on every other rank for good.
     node_sum: Vec<f32>,
     /// Optional SparCML-style value quantization on the wire (TopkA transport
     /// only); the quantization error flows into the residual like any noise.
@@ -232,23 +235,22 @@ impl Reducer {
 
         match self.scheme {
             Scheme::Dense | Scheme::DenseOvlp | Scheme::HierDense => {
-                let mut sum = grad.to_vec();
-                if self.scheme == Scheme::HierDense {
+                // Each rank averages the one region it reduced; the n-word
+                // result is assembled once and shared by every rank.
+                let average = |sum: &mut [f32]| sum.iter_mut().for_each(|v| *v /= p);
+                let avg = if self.scheme == Scheme::HierDense {
                     comm.set_phase("hier-dense");
                     // The hierarchical variant has no interleaved-overlap path;
                     // any budget is spent as plain compute up front.
                     if overlap_budget > 0.0 {
                         comm.compute(overlap_budget);
                     }
-                    hier_dense_allreduce(comm, &mut sum, self.rpn);
+                    hier_dense_shared(comm, grad, self.rpn, &mut self.node_sum, average)
                 } else {
                     comm.set_phase("dense");
-                    allreduce_overlapped(comm, &mut sum, overlap_budget);
-                }
-                for v in &mut sum {
-                    *v /= p;
-                }
-                (Update::Dense(sum), metrics)
+                    allreduce_shared(comm, grad, overlap_budget, average)
+                };
+                (Update::Dense(avg), metrics)
             }
             Scheme::TopkA | Scheme::TopkDsa | Scheme::GTopk | Scheme::HierGTopk => {
                 sparse::simd::axpy(&mut self.residual, grad, scale);
@@ -475,7 +477,7 @@ mod tests {
         let report = Cluster::new(p, CostModel::free()).run(|comm| {
             let mut r = Reducer::new(Scheme::Dense, n, 1.0, CostProfile::paper_calibrated(), 4, 4);
             match r.reduce(comm, &gs[comm.rank()], 0.1).0 {
-                Update::Dense(avg) => avg,
+                Update::Dense(avg) => avg.to_vec(),
                 _ => panic!("dense scheme returns a dense update"),
             }
         });
@@ -595,7 +597,7 @@ mod tests {
                 let g: Vec<f32> =
                     gs[comm.rank()].iter().map(|v| v * (1.0 + t as f32 * 0.3)).collect();
                 match r.reduce(comm, &g, 0.1).0 {
-                    Update::Dense(d) => out.extend(d),
+                    Update::Dense(d) => out.extend_from_slice(&d),
                     Update::Sparse(u) => out.extend(u.to_dense(n)),
                 }
             }

@@ -1,5 +1,5 @@
 //! Who may allocate a gradient-sized buffer in a steady-state step: nobody,
-//! except the dense schemes, whose returned `Update::Dense` *is* one.
+//! except the one rank per step that assembles a dense scheme's result.
 //!
 //! A counting `#[global_allocator]` (the `collectives/tests/zero_alloc_ring.rs`
 //! pattern, but process-wide: every rank thread counts) charges each
@@ -9,7 +9,15 @@
 //! make none, on any rank: error feedback accumulates in place, non-leaders of
 //! Hier-Ok-Topk read their gradient straight into the intra-node reduce, and
 //! the leader's node sum is reused. (TopkDSA's switch to dense is per region,
-//! at most n/2.) Dense makes exactly one per rank per step.
+//! at most n/2.)
+//!
+//! Dense, DenseOvlp and Hier-Dense make exactly one per *step*, not one per
+//! rank per step: the allreduce reads the gradient where it lies, accumulates
+//! in pooled chunks of at most n/2, and whichever rank (Hier-Dense: whichever
+//! node leader) finishes its gather first concatenates the reduced regions
+//! into the one `Update::Dense` every rank then holds a handle to. A
+//! Hier-Dense non-leader gets that handle by broadcast and allocates nothing
+//! n-sized at all.
 //!
 //! This file must stay a single-test binary: the counter is process-wide, so
 //! a sibling test running on another thread would be charged to the window.
@@ -109,7 +117,8 @@ fn steady_state_steps_allocate_no_gradient_sized_buffer() {
         let got = gradient_sized_allocs(scheme);
         assert_eq!(got, 0, "{}: {got} allocations of >= 4n bytes in {STEPS} steps", scheme.name());
     }
-    // The counter does count: Dense's one copy of the gradient per rank per
-    // step is the `Update::Dense` it returns.
-    assert_eq!(gradient_sized_allocs(Scheme::Dense), P * STEPS);
+    // The counter does count: a dense step's one shared result.
+    for scheme in [Scheme::Dense, Scheme::DenseOvlp, Scheme::HierDense] {
+        assert_eq!(gradient_sized_allocs(scheme), STEPS, "{}", scheme.name());
+    }
 }

@@ -83,6 +83,30 @@ if grep -rnE 'OKTOPK_THREADS|SendPtr|run_tasks|set_threads|_with_threads' \
   exit 1
 fi
 
+echo "== one dense allreduce, one copy of its result (DESIGN.md §7) =="
+# allreduce_shared replaced the in-place allreduce; the in-place entries are
+# wrappers around it. A second Rabenseifner or ring outside tests/ (by name, or
+# by its reduce-scatter loop in dense.rs) means the in-place twin came back.
+for name in rabenseifner ring_allreduce; do
+  defs=$(grep -rn "fn $name\b" crates --include=*.rs | grep -vc '/tests/' || true)
+  if [ "$defs" -ne 1 ]; then
+    echo "FAIL: $defs definitions of $name outside tests/ (want exactly 1)" >&2
+    exit 1
+  fi
+done
+for loop in 'dist = p / 2' '(left, TAG_RS)'; do
+  if [ "$(grep -cF "$loop" crates/collectives/src/dense.rs)" -ne 1 ]; then
+    echo "FAIL: dense.rs must hold exactly one reduce-scatter loop with '$loop'" >&2
+    exit 1
+  fi
+done
+# Update::Dense is a handle to the step's one shared result: the Reducer must
+# not build it from (or make) a private copy of the gradient.
+if grep -rnE 'Update::Dense\([^)]*\.to_vec\(\)|grad\.to_vec\(\)' crates/train/src; then
+  echo "FAIL: a per-rank copy of the gradient is back in the Reducer (lines above)" >&2
+  exit 1
+fi
+
 echo "== frozen benchmark surface still has its callers (DESIGN.md §7) =="
 # These names exist only because benchmark/ is frozen between benchmark PRs.
 # When a benchmark PR drops the last call of one, the shim must go with it.
