@@ -120,14 +120,7 @@ pub fn allreduce_shared<C: Net>(
 /// In-place form of [`allreduce_shared`]: runs the shared schedule and copies
 /// the result back over `data`.
 pub fn allreduce_inplace<C: Net>(comm: &mut C, data: &mut [f32]) {
-    allreduce_overlapped(comm, data, 0.0);
-}
-
-/// [`allreduce_inplace`] with `overlap_compute` seconds interleaved into the
-/// exchange (see [`allreduce_shared`]). A budget of `0.0` is bit-identical to
-/// [`allreduce_inplace`] in both results and timing.
-pub fn allreduce_overlapped<C: Net>(comm: &mut C, data: &mut [f32], overlap_compute: f64) {
-    let sum = allreduce_shared(comm, data, overlap_compute, |_| {});
+    let sum = allreduce_shared(comm, data, 0.0, |_| {});
     data.copy_from_slice(&sum);
 }
 

@@ -8,12 +8,10 @@
 //! node-sized exchange to the fast tier, so inter-node volume and round count
 //! drop from `f(P)` to `f(P / ranks_per_node)`.
 //!
-//! Group mechanics: each node's ranks `[node·rpn, min((node+1)·rpn, P))` form a
-//! [`GroupComm`] whose group id is the node index; the node *leaders* (global
-//! rank `node·rpn`, group-local rank 0) form a second group with the reserved
-//! id [`LEADER_GROUP`]. With `rpn = 1` every rank is its own leader and each
-//! algorithm degenerates to its flat counterpart — that is the behaviour on a
-//! cluster with no topology installed.
+//! [`two_tier`] is the one place the node and leader groups are formed; each
+//! scheme here is three closures handed to it. With `rpn = 1` every rank is its
+//! own leader and each algorithm degenerates to its flat counterpart — that is
+//! the behaviour on a cluster with no topology installed.
 
 use crate::dense::{allreduce_shared, broadcast, broadcast_shared, reduce_scatter_block};
 use crate::gtopk::{gtopk_allreduce, gtopk_reduce_to_root};
@@ -35,16 +33,44 @@ pub fn ranks_per_node(comm: &Comm) -> usize {
     comm.topology().map_or(1, |t| t.ranks_per_node()).clamp(1, comm.size())
 }
 
-/// This rank's node index and the global ranks of its node group.
-fn node_group(rank: usize, size: usize, rpn: usize) -> (usize, Vec<usize>) {
-    let node = rank / rpn;
-    let lo = node * rpn;
-    (node, (lo..(lo + rpn).min(size)).collect())
-}
-
-/// Global ranks of the node leaders (first rank of every node).
-fn leaders(size: usize, rpn: usize) -> Vec<usize> {
-    (0..size).step_by(rpn).collect()
+/// The two-tier skeleton every hierarchical scheme is an instance of. Each
+/// node's ranks `[node·rpn, min((node+1)·rpn, P))` form a [`GroupComm`] whose
+/// id is the node index (a partial last node is a smaller group); the node
+/// *leaders* (global rank `node·rpn`, group rank 0) form a second one with the
+/// reserved id [`LEADER_GROUP`]. `up` runs on the node group at every rank and
+/// leaves what the node contributes at its leader; `across` runs on the leader
+/// group, at leaders only, on what `up` returned there; `down` runs on the node
+/// group again at every rank, the leader getting `Some` of what `across`
+/// returned to hand to its node. Traffic is ledgered under `phase`, re-asserted
+/// before `down` because the flat collective `across` runs may have set its own.
+///
+/// Returns what `down` returned — or, when `rpn` clamped to `[1, P]` is 1,
+/// `None`: every rank is its own leader, no closure ran, and the caller runs
+/// its flat scheme on `comm` itself.
+pub fn two_tier<C: Net, U, A, R>(
+    comm: &mut C,
+    rpn: usize,
+    phase: &'static str,
+    up: impl FnOnce(&mut GroupComm<'_, C>) -> U,
+    across: impl FnOnce(&mut GroupComm<'_, C>, U) -> A,
+    down: impl FnOnce(&mut GroupComm<'_, C>, Option<A>) -> R,
+) -> Option<R> {
+    let (size, rank) = (comm.size(), comm.rank());
+    let rpn = rpn.clamp(1, size);
+    if rpn == 1 {
+        return None;
+    }
+    assert!(size.div_ceil(rpn) < LEADER_GROUP as usize, "node count exceeds group-id space");
+    comm.set_phase(phase);
+    let lo = rank / rpn * rpn;
+    let mut node = GroupComm::new(comm, (lo..(lo + rpn).min(size)).collect(), (rank / rpn) as u16);
+    let contribution = up(&mut node);
+    let led = (rank == lo).then(|| {
+        let leaders = (0..size).step_by(rpn).collect();
+        across(&mut GroupComm::new(node.global(), leaders, LEADER_GROUP), contribution)
+    });
+    node.set_phase(phase);
+    Some(down(&mut node, led))
 }
 
 /// Dense sum-reduce to rank 0 of `comm`, in place at the root: reduce-scatter,
@@ -118,33 +144,30 @@ pub fn hier_dense_shared<C: Net>(
     node_sum: &mut Vec<f32>,
     finish: impl FnOnce(&mut [f32]),
 ) -> Arc<Vec<f32>> {
-    let size = comm.size();
-    let rank = comm.rank();
-    let rpn = rpn.clamp(1, size);
-    if rpn == 1 || size == 1 {
-        return allreduce_shared(comm, grad, 0.0, finish);
-    }
-    comm.set_phase("hier-dense");
-    let (node, members) = node_group(rank, size, rpn);
-    assert!(size.div_ceil(rpn) < LEADER_GROUP as usize, "node count exceeds group-id space");
-
-    // Phase 1 (intra): reduce-scatter the node sum across the node group, then
-    // gather the shards at the leader. Bandwidth-optimal on the fast tier and
-    // leaves the leader with the full node-local sum.
-    {
-        let mut g = GroupComm::new(comm, members.clone(), node as u16);
-        reduce_to_root_dense_into(&mut g, grad, node_sum);
-    }
-
-    // Phase 2 (inter): leaders allreduce their node sums over the slow tier.
-    let global = (rank == members[0]).then(|| {
-        let mut g = GroupComm::new(comm, leaders(size, rpn), LEADER_GROUP);
-        allreduce_shared(&mut g, node_sum, 0.0, finish)
-    });
-
-    // Phase 3 (intra): leader broadcasts the global sum's handle within its node.
-    let mut g = GroupComm::new(comm, members, node as u16);
-    broadcast_shared(&mut g, 0, global)
+    // `across` takes `finish` only if the skeleton runs; when it answers
+    // `None` the flat call below still finds it here.
+    let mut finish = Some(finish);
+    let hier = two_tier(
+        comm,
+        rpn,
+        "hier-dense",
+        // Up: reduce-scatter the node sum across the node group, then gather
+        // the shards at the leader. Bandwidth-optimal on the fast tier and
+        // leaves the leader with the full node-local sum.
+        |node| {
+            reduce_to_root_dense_into(node, grad, node_sum);
+            &*node_sum
+        },
+        // Across: leaders allreduce their node sums over the slow tier.
+        |leaders, node_sum| {
+            allreduce_shared(leaders, node_sum, 0.0, finish.take().expect("across runs once"))
+        },
+        // Down: the leader broadcasts the global sum's handle within its node.
+        |node, global| broadcast_shared(node, 0, global),
+    );
+    hier.unwrap_or_else(|| {
+        allreduce_shared(comm, grad, 0.0, finish.take().expect("two_tier ran nothing"))
+    })
 }
 
 /// In-place form of [`hier_dense_shared`]: afterwards every rank's `data` holds
@@ -170,36 +193,23 @@ pub fn hier_gtopk_allreduce<C: Net>(
     k: usize,
     rpn: usize,
 ) -> CooGradient {
-    let size = comm.size();
-    let rank = comm.rank();
-    let rpn = rpn.clamp(1, size);
-    if rpn == 1 || size == 1 {
-        return gtopk_allreduce(comm, local, k);
-    }
-    comm.set_phase("hier-gtopk");
-    let (node, members) = node_group(rank, size, rpn);
-    assert!(size.div_ceil(rpn) < LEADER_GROUP as usize, "node count exceeds group-id space");
-
-    // Phase 1 (intra): tree-reduce with re-selection; the leader (group rank 0)
-    // ends up holding the node's top-k.
-    let node_topk = {
-        let mut g = GroupComm::new(comm, members.clone(), node as u16);
-        gtopk_reduce_to_root(&mut g, local, k)
-    };
-
-    // Phase 2 (inter): leaders run the flat gTopk allreduce among themselves.
-    let result = if rank == members[0] {
-        let mut g = GroupComm::new(comm, leaders(size, rpn), LEADER_GROUP);
-        let mine = node_topk.expect("leader holds its node's reduction");
-        Some(gtopk_allreduce(&mut g, mine, k))
-    } else {
-        None
-    };
-
-    // Phase 3 (intra): leader broadcasts the global selection within its node.
-    comm.set_phase("hier-gtopk");
-    let mut g = GroupComm::new(comm, members, node as u16);
-    broadcast(&mut g, 0, result)
+    // Moved through an `Option` for the same reason as `finish` above.
+    let mut local = Some(local);
+    let hier = two_tier(
+        comm,
+        rpn,
+        "hier-gtopk",
+        // Up: tree-reduce with re-selection; the leader (group rank 0) ends up
+        // holding the node's top-k.
+        |node| gtopk_reduce_to_root(node, local.take().expect("up runs once"), k),
+        // Across: leaders run the flat gTopk allreduce among themselves.
+        |leaders, node_topk| {
+            gtopk_allreduce(leaders, node_topk.expect("leader holds its node's reduction"), k)
+        },
+        // Down: the leader broadcasts the global selection within its node.
+        |node, global| broadcast(node, 0, global),
+    );
+    hier.unwrap_or_else(|| gtopk_allreduce(comm, local.take().expect("two_tier ran nothing"), k))
 }
 
 #[cfg(test)]

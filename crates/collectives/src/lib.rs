@@ -22,7 +22,8 @@
 //!   top-k re-selection at every level (`4k·log P` volume).
 //! - [`hier`]: two-tier hierarchical variants (intra-node reduce → inter-node
 //!   leader exchange → intra-node broadcast) that confine most traffic to the
-//!   fast intra-node tier of a [`simnet::Topology`].
+//!   fast intra-node tier of a [`simnet::Topology`], each three closures handed
+//!   to the one skeleton, [`two_tier`].
 //!
 //! All algorithms move real data over [`simnet`] and are tested against serial
 //! references; their measured traffic (from the simnet ledger) is compared against
@@ -36,13 +37,13 @@ pub mod topk_a;
 pub mod topk_dsa;
 
 pub use dense::{
-    allgather_items, allreduce_inplace, allreduce_overlapped, allreduce_shared, allreduce_sum_f64,
-    alltoallv, broadcast, broadcast_shared, reduce_scatter_block,
+    allgather_items, allreduce_inplace, allreduce_shared, allreduce_sum_f64, alltoallv, broadcast,
+    broadcast_shared, reduce_scatter_block,
 };
 pub use gtopk::{gtopk_allreduce, gtopk_reduce_to_root};
 pub use hier::{
     hier_dense_allreduce, hier_dense_shared, hier_gtopk_allreduce, ranks_per_node,
-    reduce_to_root_dense, reduce_to_root_dense_into,
+    reduce_to_root_dense, reduce_to_root_dense_into, two_tier,
 };
 pub use quantized::quantized_allgather_allreduce;
 pub use topk_a::topk_allgather_allreduce;

@@ -3,6 +3,7 @@
 use collectives::{
     allgather_items, allreduce_inplace, allreduce_shared, broadcast, dsa_allreduce,
     gtopk_allreduce, reduce_to_root_dense, reduce_to_root_dense_into, topk_allgather_allreduce,
+    two_tier,
 };
 use proptest::prelude::*;
 use simnet::{Cluster, CostModel, Engine, GroupComm, Net, WireSize};
@@ -461,6 +462,70 @@ fn allreduce_shared_matches_the_in_place_allreduce_and_shares_its_result() {
                     }
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn two_tier_runs_up_and_down_everywhere_and_across_on_leaders_only() {
+    use std::cell::Cell;
+    for (p, rpn) in [(8usize, 4usize), (6, 4), (7, 2), (8, 8), (5, 1), (1, 1)] {
+        let report = Cluster::new(p, CostModel::aries()).run(move |comm| {
+            let (ups, acrosses, downs) = (Cell::new(0), Cell::new(0), Cell::new(0));
+            let out = two_tier(
+                comm,
+                rpn,
+                "skeleton",
+                |node| {
+                    ups.set(ups.get() + 1);
+                    node.rank()
+                },
+                |leaders, node_rank| {
+                    acrosses.set(acrosses.get() + 1);
+                    assert_eq!(node_rank, 0, "across got what up returned at the leader");
+                    // A flat collective that labels its own traffic.
+                    leaders.set_phase("renamed");
+                    let mut nodes = vec![1.0f32];
+                    allreduce_inplace(leaders, &mut nodes);
+                    nodes[0] as u32
+                },
+                |node, led| {
+                    downs.set(downs.get() + 1);
+                    assert_eq!(led.is_some(), node.rank() == 0, "only the leader led");
+                    broadcast(node, 0, led.map(|nodes| vec![nodes; 3]))
+                },
+            );
+            (out, ups.get(), acrosses.get(), downs.get())
+        });
+        let at = format!("p={p} rpn={rpn}");
+        let flat = rpn.clamp(1, p) == 1;
+        let nodes = p.div_ceil(rpn) as u32;
+        for (rank, (out, ups, acrosses, downs)) in report.results.iter().enumerate() {
+            if flat {
+                assert_eq!((out, *ups, *acrosses, *downs), (&None, 0, 0, 0), "{at} rank {rank}");
+                continue;
+            }
+            assert_eq!(out.as_deref(), Some(&[nodes; 3][..]), "{at} rank {rank}");
+            assert_eq!((*ups, *downs), (1, 1), "{at} rank {rank}");
+            assert_eq!(*acrosses, usize::from(rank % rpn == 0), "{at} rank {rank}");
+        }
+        // What `down` sent is ledgered under the skeleton's phase although
+        // `across` renamed it at the leaders: a node of g ranks broadcasts in
+        // g - 1 messages, the first of them the leader's; the leader group's
+        // own traffic stays under its own label, at leaders only.
+        for rank in 0..p {
+            let (skeleton, renamed) =
+                (report.ledger.cell(rank, "skeleton"), report.ledger.cell(rank, "renamed"));
+            if flat || rank % rpn != 0 {
+                assert_eq!(renamed.messages, 0, "{at} rank {rank}");
+                continue;
+            }
+            let g = rpn.min(p - rank);
+            let node_msgs: u64 =
+                (rank..rank + g).map(|r| report.ledger.cell(r, "skeleton").messages).sum();
+            assert_eq!(node_msgs, g as u64 - 1, "{at} node of rank {rank}");
+            assert_eq!(skeleton.messages > 0, g > 1, "{at} leader {rank}");
+            assert_eq!(renamed.messages > 0, nodes > 1, "{at} leader {rank}");
         }
     }
 }

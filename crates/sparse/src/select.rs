@@ -203,69 +203,6 @@ pub fn topk_exact(dense: &[f32], k: usize) -> CooGradient {
     CooGradient::from_sorted(keep_idx, keep_val)
 }
 
-/// Tournament top-k selection — the CPU analogue of the GPU "bitonic top-k" the
-/// paper cites (\[39\], §2): split the input into k-sized blocks, order each block,
-/// then repeatedly merge block pairs keeping the larger k magnitudes, halving the
-/// candidate set each round (`O(n log k)` comparisons here; the GPU version's
-/// compare-exchange network is `O(n log² k)`).
-///
-/// Returns the same entries as [`topk_exact`] up to ties; used by the selection
-/// benchmarks to compare against the radix select and scans.
-pub fn topk_tournament(dense: &[f32], k: usize) -> CooGradient {
-    if k == 0 || dense.is_empty() {
-        return CooGradient::new();
-    }
-    let k = k.min(dense.len());
-    // Candidate blocks of (magnitude-descending) entries, as (index, value) pairs.
-    let mut blocks: Vec<Vec<(u32, f32)>> = dense
-        .chunks(k)
-        .enumerate()
-        .map(|(b, chunk)| {
-            let mut v: Vec<(u32, f32)> = chunk
-                .iter()
-                .enumerate()
-                .filter(|(_, &x)| x != 0.0)
-                .map(|(i, &x)| ((b * k + i) as u32, x))
-                .collect();
-            v.sort_unstable_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
-            v
-        })
-        .collect();
-    while blocks.len() > 1 {
-        let mut next = Vec::with_capacity(blocks.len().div_ceil(2));
-        let mut it = blocks.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => {
-                    // Merge two magnitude-sorted lists, keep the top k.
-                    let mut merged = Vec::with_capacity(k);
-                    let (mut i, mut j) = (0usize, 0usize);
-                    while merged.len() < k && (i < a.len() || j < b.len()) {
-                        let take_a = match (a.get(i), b.get(j)) {
-                            (Some(x), Some(y)) => x.1.abs() >= y.1.abs(),
-                            (Some(_), None) => true,
-                            (None, Some(_)) => false,
-                            (None, None) => break,
-                        };
-                        if take_a {
-                            merged.push(a[i]);
-                            i += 1;
-                        } else {
-                            merged.push(b[j]);
-                            j += 1;
-                        }
-                    }
-                    next.push(merged);
-                }
-                None => next.push(a),
-            }
-        }
-        blocks = next;
-    }
-    let winner = blocks.pop().unwrap_or_default();
-    CooGradient::from_unsorted(winner.into_iter().take(k).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,35 +259,6 @@ mod tests {
         let dense = [0.3f32, -0.1];
         let g = topk_exact(&dense, 10);
         assert_eq!(g.nnz(), 2);
-    }
-
-    #[test]
-    fn tournament_matches_exact_topk_magnitudes() {
-        let mut rng = StdRng::seed_from_u64(19);
-        for n in [5usize, 64, 257, 1000] {
-            let dense: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            for k in [1usize, 7, n / 3 + 1] {
-                let a = topk_tournament(&dense, k);
-                let b = topk_exact(&dense, k);
-                assert_eq!(a.nnz(), b.nnz(), "n={n} k={k}");
-                // Same multiset of magnitudes (ties may pick different indexes).
-                let mut ma: Vec<f32> = a.values().iter().map(|v| v.abs()).collect();
-                let mut mb: Vec<f32> = b.values().iter().map(|v| v.abs()).collect();
-                ma.sort_unstable_by(f32::total_cmp);
-                mb.sort_unstable_by(f32::total_cmp);
-                assert_eq!(ma, mb, "n={n} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn tournament_edge_cases() {
-        assert!(topk_tournament(&[], 3).is_empty());
-        assert!(topk_tournament(&[1.0, 2.0], 0).is_empty());
-        let g = topk_tournament(&[0.0, 5.0, 0.0], 3);
-        assert_eq!(g.indexes(), &[1]);
-        let g = topk_tournament(&[1.0; 10], 4);
-        assert_eq!(g.nnz(), 4);
     }
 
     #[test]

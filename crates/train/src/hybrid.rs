@@ -12,9 +12,9 @@
 //! actually runs on a simulated `D`-rank cluster with an `n/S`-length gradient.
 
 use crate::cost::CostProfile;
-use crate::reducer::Scheme;
+use crate::reducer::{Family, Scheme};
 use rand::prelude::*;
-use simnet::Cluster;
+use simnet::{Cluster, Comm};
 
 /// Configuration of one hybrid-parallel design point.
 #[derive(Clone, Copy, Debug)]
@@ -106,7 +106,8 @@ impl HybridConfig {
 /// cost study, and running it through residual dynamics would fold the warm-up
 /// over-selection transient into every design point. Ok-Topk's amortized
 /// (τ′-periodic) re-evaluation traffic is excluded by differencing two
-/// deterministic runs.
+/// deterministic runs. A stage group is one flat communicator, so the
+/// hierarchical schemes run at `rpn = 1` — as their flat counterparts.
 fn measure_allreduce(scheme: Scheme, d: usize, n: usize, density: f64, cost: CostProfile) -> f64 {
     if d == 1 {
         return 0.0;
@@ -119,67 +120,38 @@ fn measure_allreduce(scheme: Scheme, d: usize, n: usize, density: f64, cost: Cos
             sparse::select::topk_exact(&dense, k).to_dense(n)
         })
         .collect();
+    // The time the slowest of `d` ranks finishes `body` at.
+    fn makespan(d: usize, cost: &CostProfile, body: impl Fn(&mut Comm) + Send + Sync) -> f64 {
+        let run = Cluster::new(d, cost.network()).run(|comm| {
+            body(comm);
+            comm.now()
+        });
+        run.results.into_iter().fold(0.0, f64::max)
+    }
 
-    match scheme {
-        Scheme::Dense | Scheme::DenseOvlp => {
-            let accs = accs.clone();
-            Cluster::new(d, cost.network())
-                .run(move |comm| {
-                    let mut v = accs[comm.rank()].clone();
-                    collectives::allreduce_inplace(comm, &mut v);
-                    comm.now()
+    match scheme.family().0 {
+        Family::Dense => makespan(d, &cost, |comm| {
+            collectives::allreduce_shared(comm, &accs[comm.rank()], 0.0, |_| {});
+        }),
+        Family::OkTopk => {
+            let run = |iters: usize| {
+                makespan(d, &cost, |comm| {
+                    let mut okt = oktopk::OkTopk::new(
+                        oktopk::OkTopkConfig::new(n, k)
+                            .with_periods(1_000, 1_000)
+                            .with_merge_cost(cost.merge_per_elem),
+                    );
+                    for t in 1..=iters {
+                        okt.allreduce(comm, &accs[comm.rank()], t);
+                    }
                 })
-                .results
-                .iter()
-                .copied()
-                .fold(0.0, f64::max)
-        }
-        Scheme::OkTopk => {
-            let run = |iters: usize| -> f64 {
-                let accs = accs.clone();
-                Cluster::new(d, cost.network())
-                    .run(move |comm| {
-                        let mut okt = oktopk::OkTopk::new(
-                            oktopk::OkTopkConfig::new(n, k)
-                                .with_periods(1_000, 1_000)
-                                .with_merge_cost(cost.merge_per_elem),
-                        );
-                        for t in 1..=iters {
-                            okt.allreduce(comm, &accs[comm.rank()], t);
-                        }
-                        comm.now()
-                    })
-                    .results
-                    .iter()
-                    .copied()
-                    .fold(0.0, f64::max)
             };
             (run(2) - run(1)).max(0.0)
         }
-        other => {
-            let accs = accs.clone();
-            Cluster::new(d, cost.network())
-                .run(move |comm| {
-                    let local = sparse::select::topk_exact(&accs[comm.rank()], k);
-                    match other {
-                        Scheme::TopkA | Scheme::GaussianK => {
-                            collectives::topk_allgather_allreduce(comm, local);
-                        }
-                        Scheme::TopkDsa => {
-                            collectives::dsa_allreduce(comm, local, n);
-                        }
-                        Scheme::GTopk => {
-                            collectives::gtopk_allreduce(comm, local, k);
-                        }
-                        _ => unreachable!(),
-                    }
-                    comm.now()
-                })
-                .results
-                .iter()
-                .copied()
-                .fold(0.0, f64::max)
-        }
+        Family::Baseline(_, exchange) => makespan(d, &cost, |comm| {
+            let local = sparse::select::topk_exact(&accs[comm.rank()], k);
+            exchange.run(comm, local, (n, k), 1);
+        }),
     }
 }
 
@@ -232,6 +204,25 @@ mod tests {
         assert_eq!(dense.compute, okt.compute);
         assert_eq!(dense.bubble, okt.bubble);
         assert_eq!(dense.activation_comm, okt.activation_comm);
+    }
+
+    #[test]
+    fn every_scheme_evaluates_and_hier_schemes_cost_what_their_flat_ones_do() {
+        // A stage group has no tiers: Hier-X must be measured as X, not panic.
+        let cfg = base();
+        assert_eq!(cfg.dp_width(), 4);
+        let comm_of = |s: Scheme| cfg.evaluate(s).gradient_comm;
+        for scheme in Scheme::all() {
+            let t = comm_of(scheme);
+            assert!(t.is_finite() && t >= 0.0, "{}: {t}", scheme.name());
+        }
+        for (hier, flat) in [
+            (Scheme::HierDense, Scheme::Dense),
+            (Scheme::HierGTopk, Scheme::GTopk),
+            (Scheme::HierOkTopk, Scheme::OkTopk),
+        ] {
+            assert_eq!(comm_of(hier).to_bits(), comm_of(flat).to_bits(), "{}", hier.name());
+        }
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! One interface over the gradient-exchange schemes of the evaluation: the
-//! paper's seven plus their two-tier hierarchical variants.
+//! paper's seven plus their two-tier hierarchical variants. `Scheme::family`
+//! is the one table from a scheme's name to what runs, [`Reducer`] that
+//! family's state; a hierarchical variant is its flat scheme in [`two_tier`].
 
 use crate::cost::CostProfile;
-use collectives::hier::LEADER_GROUP;
 use collectives::{
-    allreduce_shared, broadcast, dsa_allreduce, gtopk_allreduce, hier_dense_shared,
-    hier_gtopk_allreduce, quantized_allgather_allreduce, reduce_to_root_dense_into,
-    topk_allgather_allreduce,
+    allreduce_shared, broadcast, dsa_allreduce, hier_dense_shared, hier_gtopk_allreduce,
+    quantized_allgather_allreduce, reduce_to_root_dense_into, topk_allgather_allreduce, two_tier,
 };
 use oktopk::oktopk::intersect_sorted;
-use oktopk::{OkTopkConfig, OkTopkSgd};
-use simnet::{GroupComm, Net};
+use oktopk::{OkTopkConfig, OkTopkSgd, SparseStep};
+use simnet::Net;
 use sparse::quant::QuantMode;
 use sparse::select::{exact_threshold, select_ge, topk_exact};
+use sparse::simd::{axpy, count_abs_ge};
 use sparse::threshold::GaussianEstimator;
 use sparse::CooGradient;
 use std::sync::Arc;
@@ -41,6 +42,64 @@ pub enum Scheme {
     /// Two-tier Ok-Topk: intra-node dense reduce to the leader (one re-selection
     /// point per node) → leader-group Ok-Topk → intra-node broadcast.
     HierOkTopk,
+}
+
+/// What a scheme name means to the code that runs it.
+pub(crate) enum Family {
+    /// Allreduce the whole gradient; no selection, no error feedback.
+    Dense,
+    /// Select locally from ε + scale·grad, exchange the selections, keep in ε
+    /// what did not survive.
+    Baseline(Selector, Exchange),
+    /// [`OkTopkSgd`]: selection, exchange and ε are one algorithm.
+    OkTopk,
+}
+
+/// How a sparse baseline picks its selection from the accumulator.
+#[derive(Clone, Copy)]
+pub(crate) enum Selector {
+    /// Exact top-k selection (torch.topk-style cost).
+    ExactTopk,
+    /// Gaussian-PPF threshold + the §5.4 scale-until-3k/4 adjustment.
+    GaussianPpf,
+}
+
+/// How a sparse baseline's local selections become the global sum.
+#[derive(Clone, Copy)]
+pub(crate) enum Exchange {
+    /// Allgather and sum (TopkA, Gaussiank), the values quantized if TopkA asks.
+    Allgather(Option<QuantMode>),
+    /// SparCML's sparse reduce-scatter + allgatherv.
+    Dsa,
+    /// gTopk's re-selecting reduction tree, regrouped over the two tiers when
+    /// a node has more than one rank.
+    GTopk,
+}
+
+impl Exchange {
+    /// The bare collective: exchange this rank's selection `local` (at most
+    /// `k` entries of an `n`-long accumulator) on `comm`, `rpn` ranks to a
+    /// node. Returns the global, unaveraged sum and TopkDSA's output density
+    /// (§5.2).
+    pub(crate) fn run<C: Net>(
+        self,
+        comm: &mut C,
+        local: CooGradient,
+        (n, k): (usize, usize),
+        rpn: usize,
+    ) -> (CooGradient, Option<f64>) {
+        match self {
+            Exchange::Allgather(None) => (topk_allgather_allreduce(comm, local), None),
+            Exchange::Allgather(Some(mode)) => {
+                (quantized_allgather_allreduce(comm, local, mode), None)
+            }
+            Exchange::Dsa => {
+                let out = dsa_allreduce(comm, local, n);
+                (out.sum, Some(out.stats.output_density))
+            }
+            Exchange::GTopk => (hier_gtopk_allreduce(comm, local, k, rpn), None),
+        }
+    }
 }
 
 impl Scheme {
@@ -79,13 +138,27 @@ impl Scheme {
 
     /// Whether the scheme sparsifies gradients.
     pub fn is_sparse(&self) -> bool {
-        !matches!(self, Scheme::Dense | Scheme::DenseOvlp | Scheme::HierDense)
+        !matches!(self.family().0, Family::Dense)
     }
 
-    /// Whether the scheme is a two-tier hierarchical variant (degenerates to
-    /// its flat counterpart when `ranks_per_node` is 1).
-    pub fn is_hierarchical(&self) -> bool {
-        matches!(self, Scheme::HierDense | Scheme::HierGTopk | Scheme::HierOkTopk)
+    /// The scheme → exchange table: the family a name belongs to, and whether
+    /// it is that family's two-tier variant (the same family run inside
+    /// [`two_tier`], `false` meaning one rank to a node whatever the cluster
+    /// has). A new sparse exchange is one [`Exchange`] variant and one row
+    /// here, two with its two-tier variant.
+    pub(crate) fn family(self) -> (Family, bool) {
+        use {Exchange::*, Selector::*};
+        match self {
+            Scheme::Dense | Scheme::DenseOvlp => (Family::Dense, false),
+            Scheme::HierDense => (Family::Dense, true),
+            Scheme::TopkA => (Family::Baseline(ExactTopk, Allgather(None)), false),
+            Scheme::GaussianK => (Family::Baseline(GaussianPpf, Allgather(None)), false),
+            Scheme::TopkDsa => (Family::Baseline(ExactTopk, Dsa), false),
+            Scheme::GTopk => (Family::Baseline(ExactTopk, GTopk), false),
+            Scheme::HierGTopk => (Family::Baseline(ExactTopk, GTopk), true),
+            Scheme::OkTopk => (Family::OkTopk, false),
+            Scheme::HierOkTopk => (Family::OkTopk, true),
+        }
     }
 }
 
@@ -117,27 +190,31 @@ pub struct ReduceMetrics {
     pub balanced: Option<bool>,
 }
 
+/// The persistent state of one scheme family on one rank.
+enum State {
+    /// Hier-Dense's intra-node gradient sum: n-sized on a node leader after
+    /// its first step, empty for good on every other rank and flat scheme.
+    Dense { node_sum: Vec<f32> },
+    /// The residual ε: between steps it holds ε; during one, the accumulator.
+    Baseline { selector: Selector, exchange: Exchange, residual: Vec<f32> },
+    /// Ok-Topk keeps its ε inside `sgd`, which exists only on a rank that
+    /// steps it: every rank when flat, node leaders — which also own the
+    /// `node_sum` they step on — when hierarchical, so off the leader nothing
+    /// n-sized is ever built.
+    OkTopk { cfg: OkTopkConfig, sgd: Option<Box<OkTopkSgd>>, node_sum: Vec<f32> },
+}
+
 /// Per-rank, scheme-specific persistent state (residuals, thresholds, …).
 pub struct Reducer {
     scheme: Scheme,
     n: usize,
     k: usize,
     cost: CostProfile,
-    /// Residual ε for the sparse baselines (Ok-Topk keeps its own inside
-    /// [`OkTopkSgd`]). Between steps it holds ε; during one, the accumulator.
-    residual: Vec<f32>,
-    oktopk: Option<OkTopkSgd>,
-    /// Hier-Ok-Topk's and Hier-Dense's intra-node gradient sum: n-sized on a
-    /// node leader after its first step, empty on every other rank for good.
-    node_sum: Vec<f32>,
-    /// Optional SparCML-style value quantization on the wire (TopkA transport
-    /// only); the quantization error flows into the residual like any noise.
-    quantization: Option<QuantMode>,
-    /// Ranks per node for the hierarchical schemes; 1 (the default) makes them
-    /// degenerate to their flat counterparts. The trainer sets this from the
-    /// cluster's installed topology.
+    state: State,
+    /// Whether `scheme` is a two-tier variant; a flat scheme ignores `rpn`.
+    two_tier: bool,
+    /// See [`Reducer::with_ranks_per_node`].
     rpn: usize,
-    t: usize,
 }
 
 impl Reducer {
@@ -151,23 +228,24 @@ impl Reducer {
         tau_prime: usize,
     ) -> Self {
         let k = ((n as f64 * density).round() as usize).clamp(1, n);
-        let oktopk = if matches!(scheme, Scheme::OkTopk | Scheme::HierOkTopk) {
-            Some(OkTopkSgd::new(
-                OkTopkConfig::new(n, k)
+        let (family, two_tier) = scheme.family();
+        let state = match family {
+            Family::Dense => State::Dense { node_sum: Vec::new() },
+            Family::Baseline(selector, exchange) => {
+                State::Baseline { selector, exchange, residual: vec![0.0; n] }
+            }
+            Family::OkTopk => {
+                let cfg = OkTopkConfig::new(n, k)
                     .with_periods(tau, tau_prime)
-                    .with_merge_cost(cost.merge_per_elem),
-            ))
-        } else {
-            None
+                    .with_merge_cost(cost.merge_per_elem);
+                // A flat scheme steps on every rank, so its state is built
+                // here, not inside the first (timed) step; a two-tier one
+                // steps at leaders only, and a rank learns which it is there.
+                let sgd = (!two_tier).then(|| Box::new(OkTopkSgd::new(cfg.clone())));
+                State::OkTopk { cfg, sgd, node_sum: Vec::new() }
+            }
         };
-        let residual =
-            if scheme.is_sparse() && !matches!(scheme, Scheme::OkTopk | Scheme::HierOkTopk) {
-                vec![0.0; n]
-            } else {
-                Vec::new()
-            };
-        let node_sum = Vec::new();
-        Self { scheme, n, k, cost, residual, oktopk, node_sum, quantization: None, rpn: 1, t: 0 }
+        Self { scheme, n, k, cost, state, two_tier, rpn: 1 }
     }
 
     /// Set the node grouping the hierarchical schemes use (ranks per node).
@@ -178,16 +256,15 @@ impl Reducer {
         self
     }
 
-    /// Enable SparCML-style wire quantization (effective for the allgather-based
-    /// schemes, i.e. `TopkA` and `GaussianK`).
+    /// Enable SparCML-style value quantization on the wire; the error flows
+    /// into the residual like any noise. `TopkA` only: no other scheme's
+    /// exchange has a quantized transport, so asking for one is an error.
     pub fn with_quantization(mut self, mode: QuantMode) -> Self {
-        self.quantization = Some(mode);
+        assert!(self.scheme == Scheme::TopkA, "{} has no quantized wire", self.scheme.name());
+        if let State::Baseline { exchange, .. } = &mut self.state {
+            *exchange = Exchange::Allgather(Some(mode));
+        }
         self
-    }
-
-    /// The scheme this reducer runs.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
     }
 
     /// The resolved top-k target (density × n, clamped to [1, n]).
@@ -229,208 +306,112 @@ impl Reducer {
             overlap_budget == 0.0 || !self.scheme.is_sparse(),
             "overlap budgets only apply to the dense schemes"
         );
-        self.t += 1;
         let p = comm.size() as f32;
-        let mut metrics = ReduceMetrics::default();
+        let (cost, k) = (&self.cost, self.k);
+        // At one rank to a node every two-tier exchange below is its flat one.
+        let rpn = if self.two_tier { self.rpn } else { 1 };
 
-        match self.scheme {
-            Scheme::Dense | Scheme::DenseOvlp | Scheme::HierDense => {
+        match &mut self.state {
+            State::Dense { node_sum } => {
                 // Each rank averages the one region it reduced; the n-word
                 // result is assembled once and shared by every rank.
                 let average = |sum: &mut [f32]| sum.iter_mut().for_each(|v| *v /= p);
-                let avg = if self.scheme == Scheme::HierDense {
+                let avg = if self.two_tier {
                     comm.set_phase("hier-dense");
                     // The hierarchical variant has no interleaved-overlap path;
                     // any budget is spent as plain compute up front.
                     if overlap_budget > 0.0 {
                         comm.compute(overlap_budget);
                     }
-                    hier_dense_shared(comm, grad, self.rpn, &mut self.node_sum, average)
+                    hier_dense_shared(comm, grad, rpn, node_sum, average)
                 } else {
                     comm.set_phase("dense");
                     allreduce_shared(comm, grad, overlap_budget, average)
                 };
-                (Update::Dense(avg), metrics)
+                (Update::Dense(avg), ReduceMetrics::default())
             }
-            Scheme::TopkA | Scheme::TopkDsa | Scheme::GTopk | Scheme::HierGTopk => {
-                sparse::simd::axpy(&mut self.residual, grad, scale);
-                // Exact top-k selection (torch.topk-style cost).
-                let sp = self.cost.topk_exact(self.n);
-                comm.compute(sp);
-                metrics.sparsify_time = sp;
-                let local = topk_exact(&self.residual, self.k);
-                metrics.local_nnz = Some(local.nnz());
-
-                let (result, contributed) = match self.scheme {
-                    Scheme::TopkA => {
-                        let sum = match self.quantization {
-                            Some(mode) => quantized_allgather_allreduce(comm, local.clone(), mode),
-                            None => topk_allgather_allreduce(comm, local.clone()),
-                        };
-                        (sum, local.indexes().to_vec())
-                    }
-                    Scheme::TopkDsa => {
-                        let out = dsa_allreduce(comm, local.clone(), self.n);
-                        metrics.dsa_density = Some(out.stats.output_density);
-                        (out.sum, local.indexes().to_vec())
-                    }
-                    Scheme::GTopk | Scheme::HierGTopk => {
-                        let result = if self.scheme == Scheme::HierGTopk {
-                            hier_gtopk_allreduce(comm, local.clone(), self.k, self.rpn)
-                        } else {
-                            gtopk_allreduce(comm, local.clone(), self.k)
-                        };
-                        // The paper attributes gTopk's per-level hierarchical
-                        // selections to communication time; each level re-selects
-                        // the top-k of a 2k-entry merge. The two-tier variant
-                        // regroups the tree across tiers but keeps its depth.
-                        let levels =
-                            (usize::BITS - (comm.size().max(2) - 1).leading_zeros()) as f64;
-                        comm.compute(self.cost.topk_exact(2 * self.k) * levels);
-                        let contributed = intersect_sorted(local.indexes(), result.indexes());
-                        (result, contributed)
-                    }
-                    _ => unreachable!(),
-                };
-                metrics.global_nnz = Some(result.nnz());
-                self.clear_contributed(&contributed);
-                let mut avg = result;
-                avg.scale(1.0 / p);
-                (Update::Sparse(avg), metrics)
-            }
-            Scheme::GaussianK => {
-                sparse::simd::axpy(&mut self.residual, grad, scale);
-                let acc = self.residual.as_slice();
-                // Gaussian-PPF threshold + the §5.4 scale-until-3k/4 adjustment;
-                // every probe is one O(n) scan.
-                let mut th = GaussianEstimator::raw_threshold(acc, self.k);
-                let raw_count = acc.iter().filter(|v| v.abs() >= th).count();
-                metrics.gaussian_pred = Some(raw_count);
-                let target = (3 * self.k) / 4;
-                let mut count = raw_count;
-                let mut probes = 2; // moment pass + first selection pass
-                while count < target && probes < 100 {
-                    th *= 0.9;
-                    count = acc.iter().filter(|v| v.abs() >= th).count();
-                    probes += 1;
-                }
-                let sp = self.cost.scan(self.n, probes);
-                comm.compute(sp);
-                metrics.sparsify_time = sp;
-                let local = select_ge(acc, th);
-                metrics.local_nnz = Some(local.nnz());
-
-                let sum = topk_allgather_allreduce(comm, local.clone());
+            State::Baseline { selector, exchange, residual } => {
+                axpy(residual, grad, scale);
+                let (local, mut metrics) = selector.select(cost, k, residual, comm);
+                let (sum, dsa_density) = exchange.run(comm, local.clone(), (self.n, k), rpn);
+                metrics.dsa_density = dsa_density;
                 metrics.global_nnz = Some(sum.nnz());
-                let contributed = local.indexes().to_vec();
-                self.clear_contributed(&contributed);
+                // What was sent and survived the exchange leaves ε; the rest of
+                // the accumulator (already in `residual`) carries over.
+                let contributed = if let Exchange::GTopk = exchange {
+                    // Only gTopk's tree drops what a rank sent: each level
+                    // re-selects the top-k of a 2k-entry merge, which the paper
+                    // attributes to communication time. The two-tier variant
+                    // regroups the tree across tiers but keeps its depth.
+                    let levels = usize::BITS - (comm.size().max(2) - 1).leading_zeros();
+                    comm.compute(cost.topk_exact(2 * k) * levels as f64);
+                    intersect_sorted(local.indexes(), sum.indexes())
+                } else {
+                    local.into_parts().0
+                };
+                for i in contributed {
+                    residual[i as usize] = 0.0;
+                }
                 let mut avg = sum;
                 avg.scale(1.0 / p);
                 (Update::Sparse(avg), metrics)
             }
-            Scheme::OkTopk | Scheme::HierOkTopk => {
-                let size = comm.size();
-                let rank = comm.rank();
-                let rpn =
-                    if self.scheme == Scheme::HierOkTopk { self.rpn.clamp(1, size) } else { 1 };
-                let sgd = self.oktopk.as_mut().expect("Ok-Topk state present");
-                if rpn == 1 || size == 1 {
-                    // Flat Ok-Topk — also the hierarchical variant's degeneration
-                    // when every rank is its own node leader.
-                    // Threshold re-evaluation iterations pay the exact selection;
-                    // all others pay one threshold scan (§3.1.3).
-                    let t_next = sgd.iteration() + 1;
-                    let reeval = sgd.allreduce_state().is_reeval_iteration(t_next);
-                    let sp = if reeval {
-                        // Local exact threshold over n + global exact threshold
-                        // over the gathered ≈2k reduced values.
-                        self.cost.topk_exact(self.n) + self.cost.topk_launch
-                    } else {
-                        self.cost.scan(self.n, 1)
-                    };
-                    comm.compute(sp);
-                    metrics.sparsify_time = sp;
-
-                    let step = sgd.step(comm, grad, scale);
-                    metrics.local_nnz = Some(step.meta.local_nnz);
-                    metrics.global_nnz = Some(step.meta.global_nnz);
-                    metrics.balanced = Some(step.meta.balanced);
-                    (Update::Sparse(step.update), metrics)
-                } else {
-                    comm.set_phase("hier-oktopk");
-                    let node = rank / rpn;
-                    let lo = node * rpn;
-                    let members: Vec<usize> = (lo..(lo + rpn).min(size)).collect();
-                    let nodes = size.div_ceil(rpn);
-
-                    // Phase 1 (intra): dense-reduce the raw gradients to the node
-                    // leader. Error feedback lives at the leader — one residual
-                    // and one re-selection point per node, so selection cost is
-                    // paid per node, not per rank.
-                    {
-                        let mut g = GroupComm::new(comm, members.clone(), node as u16);
-                        reduce_to_root_dense_into(&mut g, grad, &mut self.node_sum);
-                    }
-
-                    // Phase 2 (inter): the leader steps Ok-Topk over the leader
-                    // group. Scaling by nodes/size turns the group's division by
+            State::OkTopk { cfg, sgd, node_sum } => {
+                let hier = two_tier(
+                    comm,
+                    rpn,
+                    "hier-oktopk",
+                    // Up: dense-reduce the raw gradients to the node leader.
+                    // Error feedback lives at the leader — one residual and one
+                    // re-selection point per node, so selection cost is paid
+                    // per node, not per rank.
+                    |node| {
+                        reduce_to_root_dense_into(node, grad, node_sum);
+                        &*node_sum
+                    },
+                    // Across: the leader steps Ok-Topk over the leader group.
+                    // Scaling by nodes/size turns the group's division by
                     // `nodes` into the exact global mean, partial last node
                     // included.
-                    let leader_out = if rank == lo {
-                        let t_next = sgd.iteration() + 1;
-                        let reeval = sgd.allreduce_state().is_reeval_iteration(t_next);
-                        let sp = if reeval {
-                            self.cost.topk_exact(self.n) + self.cost.topk_launch
-                        } else {
-                            self.cost.scan(self.n, 1)
-                        };
-                        comm.compute(sp);
-                        metrics.sparsify_time = sp;
-                        let eff = scale * nodes as f32 / size as f32;
-                        let mut g =
-                            GroupComm::new(comm, (0..size).step_by(rpn).collect(), LEADER_GROUP);
-                        Some(sgd.step(&mut g, &self.node_sum, eff))
-                    } else {
-                        None
-                    };
-
-                    // Phase 3 (intra): broadcast the update so every rank applies
-                    // the same delta. The tiny meta triple rides free mode —
-                    // pure instrumentation, not part of the algorithm.
-                    comm.set_phase("hier-oktopk");
-                    let meta3 = leader_out.as_ref().map(|s| {
-                        vec![
-                            s.meta.local_nnz as u32,
-                            s.meta.global_nnz as u32,
-                            s.meta.balanced as u32,
-                        ]
-                    });
-                    let parts = leader_out.map(|s| s.update.into_parts());
-                    let mut g = GroupComm::new(comm, members, node as u16);
-                    let (idx, val) = broadcast(&mut g, 0, parts);
-                    g.set_free_mode(true);
-                    let meta3 = broadcast(&mut g, 0, meta3);
-                    g.set_free_mode(false);
-                    metrics.local_nnz = Some(meta3[0] as usize);
-                    metrics.global_nnz = Some(meta3[1] as usize);
-                    metrics.balanced = Some(meta3[2] != 0);
-                    (Update::Sparse(CooGradient::from_sorted(idx, val)), metrics)
-                }
+                    |leaders, node_sum| {
+                        let eff = scale * leaders.size() as f32 / p;
+                        oktopk_step(cost, cfg, sgd, leaders, node_sum, eff)
+                    },
+                    // Down: broadcast the update so every rank applies the same
+                    // delta. The tiny meta triple rides free mode — pure
+                    // instrumentation, not part of the algorithm.
+                    |node, led| {
+                        let (sp, update, meta3) =
+                            led.map_or((0.0, None, None), |(sp, u, m)| (sp, Some(u), Some(m)));
+                        let (idx, val) = broadcast(node, 0, update.map(CooGradient::into_parts));
+                        node.set_free_mode(true);
+                        let meta3 = broadcast(node, 0, meta3.map(Vec::from));
+                        node.set_free_mode(false);
+                        (sp, CooGradient::from_sorted(idx, val), [meta3[0], meta3[1], meta3[2]])
+                    },
+                );
+                // Flat Ok-Topk — also the hierarchical variant's degeneration
+                // when every rank is its own node leader.
+                let (sparsify_time, update, meta3) =
+                    hier.unwrap_or_else(|| oktopk_step(cost, cfg, sgd, comm, grad, scale));
+                let metrics = ReduceMetrics {
+                    sparsify_time,
+                    local_nnz: Some(meta3[0] as usize),
+                    global_nnz: Some(meta3[1] as usize),
+                    balanced: Some(meta3[2] != 0),
+                    ..ReduceMetrics::default()
+                };
+                (Update::Sparse(update), metrics)
             }
         }
     }
 
-    /// Peek the accumulator Ok-Topk SGD would use this step (ξ instrumentation).
+    /// Peek the accumulator Ok-Topk SGD would use this step (ξ
+    /// instrumentation): `None` where no Ok-Topk state exists — another
+    /// family, or a Hier-Ok-Topk rank that has not stepped as a leader.
     pub fn peek_oktopk_accumulator(&self, grad: &[f32], scale: f32) -> Option<Vec<f32>> {
-        self.oktopk.as_ref().map(|s| s.peek_accumulator(grad, scale))
-    }
-
-    /// What was sent and survived the exchange leaves ε; the rest of the
-    /// accumulator (already in `residual`) carries over.
-    fn clear_contributed(&mut self, contributed: &[u32]) {
-        for &i in contributed {
-            self.residual[i as usize] = 0.0;
-        }
+        let State::OkTopk { sgd, .. } = &self.state else { return None };
+        sgd.as_ref().map(|s| s.peek_accumulator(grad, scale))
     }
 
     /// The exact top-k count a fresh selection on `values` would produce — used by
@@ -443,26 +424,90 @@ impl Reducer {
     /// The residual ε of the sparse-baseline schemes (empty for dense and Ok-Topk,
     /// which keeps its own). Exposed for tests and checkpointing.
     pub fn residual(&self) -> &[f32] {
-        &self.residual
+        match &self.state {
+            State::Baseline { residual, .. } => residual,
+            _ => &[],
+        }
     }
 
     /// L2 norm of the current error-feedback residual, whichever scheme holds
-    /// it (Ok-Topk keeps its own; dense schemes have none, so 0). An
-    /// observability convenience: the trainer charts this per step to confirm
-    /// the residual mass stays bounded (Assumption 1's premise).
+    /// it (Ok-Topk keeps its own; dense schemes and non-leaders have none, so
+    /// 0). An observability convenience: the trainer charts this per step to
+    /// confirm the residual mass stays bounded (Assumption 1's premise).
     pub fn residual_l2(&self) -> f64 {
-        let r = match &self.oktopk {
-            Some(s) => s.residual(),
-            None => self.residual.as_slice(),
-        };
-        sparse::stats::l2_norm(r)
+        sparse::stats::l2_norm(match &self.state {
+            State::OkTopk { sgd: Some(s), .. } => s.residual(),
+            _ => self.residual(),
+        })
     }
+}
+
+impl Selector {
+    /// This rank's selection from its accumulator `acc`, the selector's
+    /// modeled cost charged to the clock.
+    fn select<C: Net>(
+        self,
+        cost: &CostProfile,
+        k: usize,
+        acc: &[f32],
+        comm: &mut C,
+    ) -> (CooGradient, ReduceMetrics) {
+        let mut metrics = ReduceMetrics::default();
+        let (local, sp) = match self {
+            Selector::ExactTopk => (topk_exact(acc, k), cost.topk_exact(acc.len())),
+            Selector::GaussianPpf => {
+                let mut th = GaussianEstimator::raw_threshold(acc, k);
+                let mut count = count_abs_ge(acc, th);
+                metrics.gaussian_pred = Some(count);
+                // Every probe is one O(n) scan.
+                let mut probes = 2; // moment pass + first selection pass
+                while count < (3 * k) / 4 && probes < 100 {
+                    th *= 0.9;
+                    count = count_abs_ge(acc, th);
+                    probes += 1;
+                }
+                (select_ge(acc, th), cost.scan(acc.len(), probes))
+            }
+        };
+        comm.compute(sp);
+        metrics.sparsify_time = sp;
+        metrics.local_nnz = Some(local.nnz());
+        (local, metrics)
+    }
+}
+
+/// One Ok-Topk SGD step on `comm` — the whole cluster when flat, the leader
+/// group when hierarchical, building a leader's state at its first. Returns the
+/// modeled selection cost it charged, the update, and `[local_nnz, global_nnz,
+/// balanced]` in the form a leader ships to its node.
+fn oktopk_step<C: Net>(
+    cost: &CostProfile,
+    cfg: &OkTopkConfig,
+    sgd: &mut Option<Box<OkTopkSgd>>,
+    comm: &mut C,
+    grad: &[f32],
+    scale: f32,
+) -> (f64, CooGradient, [u32; 3]) {
+    let sgd = sgd.get_or_insert_with(|| Box::new(OkTopkSgd::new(cfg.clone())));
+    // Threshold re-evaluation iterations pay the exact selection; all others
+    // pay one threshold scan (§3.1.3).
+    let sp = if sgd.allreduce_state().is_reeval_iteration(sgd.iteration() + 1) {
+        // Local exact threshold over n + global exact threshold over the
+        // gathered ≈2k reduced values.
+        cost.topk_exact(grad.len()) + cost.topk_launch
+    } else {
+        cost.scan(grad.len(), 1)
+    };
+    comm.compute(sp);
+    let SparseStep { update, meta } = sgd.step(comm, grad, scale);
+    (sp, update, [meta.local_nnz as u32, meta.global_nnz as u32, meta.balanced as u32])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{Cluster, CostModel};
+    use collectives::hier::LEADER_GROUP;
+    use simnet::{Cluster, CostModel, GroupComm};
 
     fn grads(p: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
         use rand::prelude::*;

@@ -19,10 +19,16 @@
 //! Hier-Dense non-leader gets that handle by broadcast and allocates nothing
 //! n-sized at all.
 //!
+//! Over a Hier-Ok-Topk reducer's whole life — `Reducer::new` through three
+//! steps, counted per rank thread — a rank that is not a node leader makes no
+//! such allocation at all (it never builds an `OkTopkSgd`), and a leader makes
+//! exactly 2: its ε and its `node_sum`.
+//!
 //! This file must stay a single-test binary: the counter is process-wide, so
 //! a sibling test running on another thread would be charged to the window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use simnet::{Cluster, CostModel};
@@ -39,9 +45,15 @@ struct CountingAlloc;
 static ARMED: AtomicBool = AtomicBool::new(false);
 static GRADIENT_SIZED: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// The share of `GRADIENT_SIZED` this thread (one rank) was charged.
+    static MINE: Cell<usize> = const { Cell::new(0) };
+}
+
 fn charge(bytes: usize) {
     if bytes >= 4 * N && ARMED.load(Ordering::Relaxed) {
         GRADIENT_SIZED.fetch_add(1, Ordering::Relaxed);
+        MINE.with(|c| c.set(c.get() + 1));
     }
 }
 
@@ -103,6 +115,29 @@ fn gradient_sized_allocs(scheme: Scheme) -> usize {
     GRADIENT_SIZED.load(Ordering::SeqCst)
 }
 
+/// Gradient-sized allocations of each rank over a Hier-Ok-Topk reducer's whole
+/// life: construction and its first `STEPS` steps.
+fn whole_life_allocs_per_rank() -> Vec<usize> {
+    let report = Cluster::new(P, CostModel::aries()).run(move |comm| {
+        let grads: Vec<Vec<f32>> = (0..STEPS).map(|t| grad(comm.rank(), t)).collect();
+        comm.barrier();
+        ARMED.store(true, Ordering::SeqCst);
+        comm.barrier();
+        let before = MINE.with(Cell::get);
+        let mut r =
+            Reducer::new(Scheme::HierOkTopk, N, 0.01, CostProfile::paper_calibrated(), 2, 2)
+                .with_ranks_per_node(RPN);
+        for g in &grads {
+            r.reduce(comm, g, 0.1);
+        }
+        let mine = MINE.with(Cell::get) - before;
+        comm.barrier();
+        ARMED.store(false, Ordering::SeqCst);
+        mine
+    });
+    report.results
+}
+
 #[test]
 fn steady_state_steps_allocate_no_gradient_sized_buffer() {
     for scheme in [
@@ -120,5 +155,10 @@ fn steady_state_steps_allocate_no_gradient_sized_buffer() {
     // The counter does count: a dense step's one shared result.
     for scheme in [Scheme::Dense, Scheme::DenseOvlp, Scheme::HierDense] {
         assert_eq!(gradient_sized_allocs(scheme), STEPS, "{}", scheme.name());
+    }
+    // Hier-Ok-Topk's n-sized state is leader-only from construction on.
+    for (rank, got) in whole_life_allocs_per_rank().into_iter().enumerate() {
+        let want = if rank % RPN == 0 { 2 } else { 0 };
+        assert_eq!(got, want, "rank {rank}: allocations of >= 4n bytes over a reducer's life");
     }
 }

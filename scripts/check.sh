@@ -107,6 +107,33 @@ if grep -rnE 'Update::Dense\([^)]*\.to_vec\(\)|grad\.to_vec\(\)' crates/train/sr
   exit 1
 fi
 
+echo "== one two-tier skeleton, one scheme table (DESIGN.md §12) =="
+# collectives::two_tier is the only code that forms node and leader groups;
+# a hierarchical scheme is three closures handed to it. Outside #[cfg(test)]
+# the trainer crate therefore names neither GroupComm::new nor LEADER_GROUP,
+# hier.rs builds the leader group at one site, and the scheme -> family table
+# is total: no unreachable!() arm for "a scheme this match does not expect".
+non_test() {
+  for f in "$@"; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ":" $0 }' "$f"
+  done
+}
+if non_test crates/train/src/*.rs | grep -E 'GroupComm::new|LEADER_GROUP'; then
+  echo "FAIL: a private copy of the two-tier skeleton is back in train (lines above)" >&2
+  exit 1
+fi
+if non_test crates/train/src/reducer.rs crates/train/src/hybrid.rs | grep -F 'unreachable!'; then
+  echo "FAIL: a scheme match that is not total (lines above)" >&2
+  exit 1
+fi
+sites=$(non_test crates/collectives/src/hier.rs | grep -c 'GroupComm::new(.*LEADER_GROUP' || true)
+groups=$(non_test crates/collectives/src/hier.rs | grep -c 'GroupComm::new(' || true)
+if [ "$sites" -ne 1 ] || [ "$groups" -ne 2 ]; then
+  echo "FAIL: hier.rs forms $groups groups, $sites of them the leader group (want 2 and 1," \
+       "both inside two_tier)" >&2
+  exit 1
+fi
+
 echo "== frozen benchmark surface still has its callers (DESIGN.md §7) =="
 # These names exist only because benchmark/ is frozen between benchmark PRs.
 # When a benchmark PR drops the last call of one, the shim must go with it.
