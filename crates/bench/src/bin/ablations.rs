@@ -10,7 +10,7 @@
 use okbench::print_series;
 use oktopk::{OkTopk, OkTopkConfig};
 use rand::prelude::*;
-use simnet::Cluster;
+use simnet::{Cluster, Topology};
 use sparse::select::topk_exact;
 use train::CostProfile;
 
@@ -175,15 +175,21 @@ fn main() {
 
     println!("\nAblation 5 — two-level topology (8 ranks/node, intra-node link 8x faster)");
     println!("(steady-state exchange, P = {p}, modeled ms; flat vs hierarchical network)");
+    let net = CostProfile::paper_calibrated().network();
+    let two_tier = Topology::two_tier(8, (net.alpha / 8.0, net.beta / 8.0), (net.alpha, net.beta));
     for (name, hier) in [("flat", false), ("hierarchical", true)] {
-        let mut net = CostProfile::paper_calibrated().network();
-        if hier {
-            net = net.with_hierarchy(8, 8.0);
-        }
+        let cluster = || {
+            let c = Cluster::new(p, net);
+            if hier {
+                c.with_topology(two_tier)
+            } else {
+                c
+            }
+        };
         let mut rng = StdRng::seed_from_u64(17);
         let dense_in: Vec<Vec<f32>> =
             (0..p).map(|_| (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect();
-        let t_dense = Cluster::new(p, net)
+        let t_dense = cluster()
             .run(|comm| {
                 let mut d = dense_in[comm.rank()].clone();
                 collectives::allreduce_inplace(comm, &mut d);
@@ -201,7 +207,7 @@ fn main() {
             .collect();
         let t_okt = {
             let accs = accs.clone();
-            Cluster::new(p, net)
+            cluster()
                 .run(move |comm| {
                     let mut okt = OkTopk::new(OkTopkConfig::new(n, k).with_periods(1000, 1000));
                     okt.allreduce(comm, &accs[comm.rank()], 1);

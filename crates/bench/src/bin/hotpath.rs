@@ -8,10 +8,9 @@
 //! - *baseline* for the selection benches is the allocating `sparse::select`
 //!   path (fresh `Vec`s every call), exactly what the hot loop did before the
 //!   scratch subsystem.
-//! - the `*_scalar_vs_simd` headline rows compare the forced-scalar lane
-//!   kernels (`Lanes::S1`) against the auto-dispatched SIMD width, with a
-//!   per-lane-width sweep. When the process resolved to the scalar path
-//!   (`OKTOPK_SIMD=off`, feature compiled out, or no vector unit) the row is
+//! - the `scan_scalar_vs_simd` headline row and `select_fill_simd` compare the
+//!   scalar mask kernels (`Lanes::S1`) against the auto-dispatched SIMD width,
+//!   with a per-lane-width sweep. On a host with no vector unit the row is
 //!   flagged `serial_fallback: true` and the SIMD gate auto-skips.
 //! - `accumulate_select_separate_vs_fused_*` run one rank's error-feedback
 //!   recurrence (accumulate, select, zero what was selected) the two-buffer way
@@ -22,9 +21,8 @@
 //! - `exact_threshold_sort_vs_radix_*` time the full-sort reference against the
 //!   pooled radix select at the same two sizes.
 //!
-//! The JSON header records the resolved SIMD capability (ISA, lane width,
-//! `OKTOPK_SIMD` state, compile flag) so perf trajectories across hosts stay
-//! interpretable.
+//! The JSON header records the probed SIMD capability (ISA, lane width) so
+//! perf trajectories across hosts stay interpretable.
 //!
 //! Usage: `cargo run --release -p okbench --bin hotpath [-- --quick] [--gate]
 //! [--out PATH]`. `--gate` is the pre-PR regression gate run by
@@ -194,36 +192,6 @@ fn bench_select_fill_simd(n: usize, reps: usize, trials: usize) -> BenchResult {
         sweep,
         attempts: Vec::new(),
         note: format!("n={n} th={th}; scan_keep_append scalar vs auto; informational (not gated)"),
-    }
-}
-
-/// Residual-accumulate headroom: `acc = e + s·g` (Algorithm 2 line 4),
-/// forced-scalar vs auto SIMD. Informational — LLVM already autovectorizes
-/// the scalar elementwise loop at the SSE2 baseline and the stream is
-/// memory-bound, so ~1.0x is the expected (and desired) reading; this row
-/// exists to catch the lane cores *regressing* below the autovectorized
-/// baseline (an explicit AVX2 wrapper once cost 0.8x here and was removed).
-fn bench_residual_fuse_simd(n: usize, reps: usize, trials: usize) -> BenchResult {
-    let e = pseudo_dense(n, 9);
-    let g = pseudo_dense(n, 10);
-    let mut acc = vec![0.0f32; n];
-    let caps = simd::caps();
-    let (sweep, scalar) = lane_sweep(reps, trials, |l| {
-        simd::fused_scale_add_with_lanes(&mut acc, black_box(&e), &g, 0.01, l);
-        black_box(acc[0]);
-    });
-    let auto = time_ns(reps, trials, || {
-        simd::fused_scale_add(&mut acc, black_box(&e), &g, 0.01);
-        black_box(acc[0]);
-    });
-    BenchResult {
-        name: "residual_fuse_simd",
-        baseline_ns: Some(scalar),
-        optimized_ns: Some(auto),
-        serial_fallback: caps.lanes == Lanes::S1,
-        sweep,
-        attempts: Vec::new(),
-        note: format!("n={n}; fused_scale_add scalar vs auto; informational (not gated)"),
     }
 }
 
@@ -461,14 +429,9 @@ fn json_f64(v: Option<f64>) -> String {
 }
 
 fn write_json(path: &str, header: &okbench::Header, results: &[BenchResult]) {
-    let caps = simd::caps();
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&header.json_fields());
-    out.push_str(&format!(
-        "  \"oktopk_simd_env\": {},\n",
-        caps.env.as_ref().map_or("null".to_string(), |v| format!("\"{v}\""))
-    ));
     out.push_str("  \"benches\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str("    {\n");
@@ -516,9 +479,8 @@ const OBS_FLOOR: f64 = 0.95;
 ///
 /// - `obs_off_vs_on`: see [`OBS_FLOOR`].
 /// - `scan_scalar_vs_simd`: the vectorized threshold scan must beat the
-///   forced-scalar kernel by ≥1.5x on a SIMD-capable host. When the process
-///   resolved to the scalar path (`serial_fallback` flag: `OKTOPK_SIMD=off`,
-///   feature off, or no vector unit) the row auto-skips.
+///   scalar kernel by ≥1.5x on a SIMD-capable host. On a host with no vector
+///   unit (`serial_fallback` flag) the row auto-skips.
 /// - `accumulate_select_separate_vs_fused_n4m`: the in-place fused pass must
 ///   beat the two-buffer composition by ≥1.2x where n = 2²² streams from DRAM
 ///   (flagged `serial_fallback` where it does not).
@@ -611,19 +573,11 @@ fn main() {
     let host_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     eprintln!("hotpath: n={n} k={k} host_threads={host_threads} quick={quick}");
     let caps = simd::caps();
-    eprintln!(
-        "hotpath: simd isa={} lanes={} env={:?} compiled={} forced_scalar={}",
-        caps.isa,
-        caps.lanes.width(),
-        caps.env,
-        caps.compiled,
-        caps.forced_scalar
-    );
+    eprintln!("hotpath: simd isa={} lanes={}", caps.isa, caps.lanes.width());
     let obs_trials = if quick { 11 } else { 15 };
     let results = vec![
         measure_gated(run_gate, || bench_scan_simd(n, reps, trials)),
         measure_gated(run_gate, || bench_select_fill_simd(n, reps, trials)),
-        measure_gated(run_gate, || bench_residual_fuse_simd(n, reps, trials)),
         measure_gated(run_gate, || {
             bench_accumulate_select("accumulate_select_separate_vs_fused_n64k", 1 << 16, 50, trials)
         }),

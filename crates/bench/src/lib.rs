@@ -115,12 +115,9 @@ impl Header {
         out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
         out.push_str(&format!("  \"simd_isa\": \"{}\",\n", caps.isa));
         out.push_str(&format!("  \"simd_lanes\": {},\n", caps.lanes.width()));
-        out.push_str(&format!("  \"simd_compiled\": {},\n", caps.compiled));
-        out.push_str(&format!("  \"simd_forced_scalar\": {},\n", caps.forced_scalar));
         out.push_str(&format!("  \"engine\": \"{}\",\n", Self::engine_name()));
         out.push_str(&format!("  \"wall_secs\": {:.3},\n", self.start.elapsed().as_secs_f64()));
         out.push_str(&format!("  \"peak_rss_kb\": {},\n", Self::peak_rss_kb()));
-        out.push_str(&format!("  \"obs_enabled\": {},\n", obs::enabled()));
         out.push_str(&format!("  \"obs\": {},\n", obs::global().snapshot().to_json()));
         out
     }
@@ -130,14 +127,13 @@ impl Header {
     pub fn print_text(&self) {
         let caps = sparse::simd::caps();
         println!(
-            "[{}] engine={} simd={}x{} cores={} quick={} obs={}",
+            "[{}] engine={} simd={}x{} cores={} quick={}",
             self.bench,
             Self::engine_name(),
             caps.isa,
             caps.lanes.width(),
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             self.quick,
-            if obs::enabled() { "on" } else { "off" },
         );
     }
 }

@@ -17,14 +17,11 @@ pub struct Dump {
 }
 
 /// Run a small Ok-Topk training job (P ranks, a few iterations) with full
-/// profiling and return the exported artifacts. Observability is forced on
-/// for the run via [`obs::set_enabled`], honoring an explicit
-/// `OKTOPK_OBS=off` would defeat the point of a profiling command.
+/// profiling and return the exported artifacts.
 pub fn run(p: usize, iters: usize) -> Dump {
     use dnn::data::SyntheticImages;
     use dnn::models::VggLite;
 
-    obs::set_enabled(true);
     let mut cfg = TrainConfig::new(Scheme::OkTopk, 0.05);
     cfg.iters = iters;
     cfg.local_batch = 2;

@@ -18,16 +18,15 @@
 //!
 //! Every tiling decision preserves the exact per-element operation sequence of
 //! the naive ikj loops (ascending reduction index, zero-skip included), so the
-//! results are **bit-identical** to the scalar reference at every lane width —
-//! asserted by the `kernel_parity` proptest suite against an explicit-loop
-//! reference implementation.
+//! results are **bit-identical** to the scalar reference — asserted by the
+//! `kernel_parity` proptest suite against an explicit-loop reference
+//! implementation.
 //!
 //! The kernels run serially on the calling rank's thread — ranks are the unit
 //! of host parallelism, `simnet`'s event engine shares the cores between them
-//! (DESIGN.md §7). The `*_with_lanes` variants force the SIMD width for the
-//! parity tests.
+//! (DESIGN.md §7).
 
-use sparse::simd::{self, Lanes};
+use sparse::simd;
 
 /// Reduction-block width for the nonzero gather in [`matmul_acc`] /
 /// [`matmul_acc_xt`]: the `(index, multiplier)` pairs of one block fit in two
@@ -39,38 +38,13 @@ pub const KC: usize = 64;
 pub const NC: usize = 1024;
 
 /// `out[b, j] += Σᵢ x[b, i] · w[i, j]` — x: `[rows, inner]`, w: `[inner, cols]`.
+///
+/// Tiled: gather the nonzero `(i, x[b,i])` pairs of each [`KC`] block, then
+/// run the gathered quads through the [`simd::axpy4`] microkernel over
+/// [`NC`]-wide panels of the output row. Per output element the reduction
+/// order is ascending `i` with zero-skip — exactly the naive ikj loop, hence
+/// bit-identical.
 pub fn matmul_acc(x: &[f32], w: &[f32], out: &mut [f32], rows: usize, inner: usize, cols: usize) {
-    matmul_acc_rows(x, w, out, rows, inner, cols, simd::lanes());
-}
-
-/// [`matmul_acc`] at a forced SIMD width (the lane-parity test surface);
-/// bit-identical to the auto path for every `lanes`.
-pub fn matmul_acc_with_lanes(
-    x: &[f32],
-    w: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    inner: usize,
-    cols: usize,
-    lanes: Lanes,
-) {
-    matmul_acc_rows(x, w, out, rows, inner, cols, lanes);
-}
-
-/// Tiled body of [`matmul_acc`]: gather the nonzero `(i, x[b,i])`
-/// pairs of each [`KC`] block, then run the gathered quads through the
-/// [`simd::axpy4`] microkernel over [`NC`]-wide panels of the output row.
-/// Per output element the reduction order is ascending `i` with zero-skip —
-/// exactly the naive ikj loop, hence bit-identical.
-fn matmul_acc_rows(
-    x: &[f32],
-    w: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    inner: usize,
-    cols: usize,
-    lanes: Lanes,
-) {
     debug_assert_eq!(x.len(), rows * inner);
     debug_assert_eq!(w.len(), inner * cols);
     debug_assert_eq!(out.len(), rows * cols);
@@ -107,12 +81,12 @@ fn matmul_acc_rows(
                         &w[idxs[q + 3] * cols + jp..idxs[q + 3] * cols + je],
                     ];
                     let a = [vals[q], vals[q + 1], vals[q + 2], vals[q + 3]];
-                    simd::axpy4_with_lanes(op, rows4, a, lanes);
+                    simd::axpy4(op, rows4, a);
                     q += 4;
                 }
                 while q < m {
                     let wrow = &w[idxs[q] * cols + jp..idxs[q] * cols + je];
-                    simd::axpy_with_lanes(op, wrow, vals[q], lanes);
+                    simd::axpy(op, wrow, vals[q]);
                     q += 1;
                 }
             }
@@ -181,6 +155,13 @@ fn dot4(d: &[f32], w0: &[f32], w1: &[f32], w2: &[f32], w3: &[f32]) -> [f32; 4] {
 }
 
 /// `dw[i, j] += Σ_b x[b, i] · dy[b, j]` — gradient w.r.t. the weights of a matmul.
+///
+/// Tiled: the loop nest is `i` outer / `b` inner (the transpose of the naive kernel's
+/// order): per `dw` row, gather the nonzero `(b, x[b,i])` pairs of each [`KC`]
+/// batch block and run the quads through [`simd::axpy4`] over [`NC`]-wide
+/// panels. Every `dw[i, j]` still accumulates its batch contributions in
+/// ascending `b` with zero-skip — the identical f32 sequence the naive
+/// `b`-outer loop produces, because distinct `dw` rows never interact.
 pub fn matmul_acc_xt(
     x: &[f32],
     dy: &[f32],
@@ -188,40 +169,6 @@ pub fn matmul_acc_xt(
     rows: usize,
     inner: usize,
     cols: usize,
-) {
-    matmul_acc_xt_inner(x, dy, dw, rows, inner, cols, simd::lanes());
-}
-
-/// [`matmul_acc_xt`] at a forced SIMD width (the lane-parity test
-/// surface); bit-identical to the auto path for every `lanes`.
-pub fn matmul_acc_xt_with_lanes(
-    x: &[f32],
-    dy: &[f32],
-    dw: &mut [f32],
-    rows: usize,
-    inner: usize,
-    cols: usize,
-    lanes: Lanes,
-) {
-    matmul_acc_xt_inner(x, dy, dw, rows, inner, cols, lanes);
-}
-
-/// Tiled body of [`matmul_acc_xt`].
-///
-/// The loop nest is `i` outer / `b` inner (the transpose of the naive kernel's
-/// order): per `dw` row, gather the nonzero `(b, x[b,i])` pairs of each [`KC`]
-/// batch block and run the quads through [`simd::axpy4`] over [`NC`]-wide
-/// panels. Every `dw[i, j]` still accumulates its batch contributions in
-/// ascending `b` with zero-skip — the identical f32 sequence the naive
-/// `b`-outer loop produces, because distinct `dw` rows never interact.
-fn matmul_acc_xt_inner(
-    x: &[f32],
-    dy: &[f32],
-    dw: &mut [f32],
-    rows: usize,
-    inner: usize,
-    cols: usize,
-    lanes: Lanes,
 ) {
     debug_assert_eq!(x.len(), rows * inner);
     debug_assert_eq!(dy.len(), rows * cols);
@@ -256,12 +203,12 @@ fn matmul_acc_xt_inner(
                         &dy[bidx[q + 3] * cols + jp..bidx[q + 3] * cols + je],
                     ];
                     let a = [vals[q], vals[q + 1], vals[q + 2], vals[q + 3]];
-                    simd::axpy4_with_lanes(dwp, rows4, a, lanes);
+                    simd::axpy4(dwp, rows4, a);
                     q += 4;
                 }
                 while q < m {
                     let dyrow = &dy[bidx[q] * cols + jp..bidx[q] * cols + je];
-                    simd::axpy_with_lanes(dwp, dyrow, vals[q], lanes);
+                    simd::axpy(dwp, dyrow, vals[q]);
                     q += 1;
                 }
             }

@@ -1,16 +1,12 @@
 //! Parity of the tiled dense kernels with the naive loops.
 //!
 //! The tiled/lane-vectorized kernels promise bit-identity to the *naive
-//! explicit loops* (ascending reduction index, zero-skip) at every SIMD lane
-//! width — checked here against reference implementations written out
-//! longhand, through the public entries and at widths {scalar, 4, 8} via the
-//! `*_with_lanes` surface.
+//! explicit loops* (ascending reduction index, zero-skip) — checked here
+//! against reference implementations written out longhand, through the
+//! public entries.
 
-use dnn::ops::{
-    matmul_acc, matmul_acc_with_lanes, matmul_acc_wt, matmul_acc_xt, matmul_acc_xt_with_lanes,
-};
+use dnn::ops::{matmul_acc, matmul_acc_wt, matmul_acc_xt};
 use proptest::prelude::*;
-use sparse::simd::Lanes;
 
 fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
@@ -121,11 +117,9 @@ proptest! {
         let (x, w, init) = materialize(rows * inner, inner * cols, rows * cols, seed);
         let mut want = init.clone();
         reference_matmul_acc(&x, &w, &mut want, rows, inner, cols);
-        for lanes in Lanes::ALL {
-            let mut got = init.clone();
-            matmul_acc_with_lanes(&x, &w, &mut got, rows, inner, cols, lanes);
-            prop_assert_eq!(bits(&got), bits(&want), "lanes={:?}", lanes);
-        }
+        let mut got = init.clone();
+        matmul_acc(&x, &w, &mut got, rows, inner, cols);
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
@@ -137,11 +131,9 @@ proptest! {
         let (x, dy, init) = materialize(rows * inner, rows * cols, inner * cols, seed);
         let mut want = init.clone();
         reference_matmul_acc_xt(&x, &dy, &mut want, rows, inner, cols);
-        for lanes in Lanes::ALL {
-            let mut got = init.clone();
-            matmul_acc_xt_with_lanes(&x, &dy, &mut got, rows, inner, cols, lanes);
-            prop_assert_eq!(bits(&got), bits(&want), "lanes={:?}", lanes);
-        }
+        let mut got = init.clone();
+        matmul_acc_xt(&x, &dy, &mut got, rows, inner, cols);
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
@@ -160,7 +152,7 @@ proptest! {
     }
 }
 
-/// Column counts straddling the NC=1024 panel boundary, at every lane width.
+/// Column counts straddling the NC=1024 panel boundary.
 #[test]
 fn panel_boundary_columns_match_reference() {
     for &(rows, inner, cols) in &[(2usize, 5usize, 1023usize), (1, 9, 1024), (2, 3, 1030)] {
@@ -170,14 +162,12 @@ fn panel_boundary_columns_match_reference() {
         let (x2, dy2, init2) = materialize(rows * inner, rows * cols, inner * cols, 78);
         let mut want2 = init2.clone();
         reference_matmul_acc_xt(&x2, &dy2, &mut want2, rows, inner, cols);
-        for lanes in Lanes::ALL {
-            let mut got = init.clone();
-            matmul_acc_with_lanes(&x, &w, &mut got, rows, inner, cols, lanes);
-            assert_eq!(got, want, "matmul_acc {rows}x{inner}x{cols} lanes={lanes:?}");
-            let mut got2 = init2.clone();
-            matmul_acc_xt_with_lanes(&x2, &dy2, &mut got2, rows, inner, cols, lanes);
-            assert_eq!(got2, want2, "matmul_acc_xt {rows}x{inner}x{cols} lanes={lanes:?}");
-        }
+        let mut got = init.clone();
+        matmul_acc(&x, &w, &mut got, rows, inner, cols);
+        assert_eq!(got, want, "matmul_acc {rows}x{inner}x{cols}");
+        let mut got2 = init2.clone();
+        matmul_acc_xt(&x2, &dy2, &mut got2, rows, inner, cols);
+        assert_eq!(got2, want2, "matmul_acc_xt {rows}x{inner}x{cols}");
     }
 }
 

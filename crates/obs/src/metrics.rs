@@ -34,31 +34,12 @@ impl Class {
     }
 }
 
-/// How a handle decides whether recording is on: fixed at registry creation
-/// (per-run registries) or consulted dynamically (the process-global registry,
-/// which must honor `set_enabled` flips made after its creation).
-#[derive(Clone, Copy, Debug)]
-enum OnState {
-    Fixed(bool),
-    Dynamic,
-}
-
-impl OnState {
-    #[inline]
-    fn on(self) -> bool {
-        match self {
-            OnState::Fixed(b) => b,
-            OnState::Dynamic => crate::enabled(),
-        }
-    }
-}
-
 /// A monotonically increasing integer counter (atomic adds — commutative, so
 /// totals are deterministic regardless of thread interleaving).
 #[derive(Clone)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
-    on: OnState,
+    on: bool,
 }
 
 impl Counter {
@@ -71,7 +52,7 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.on.on() {
+        if self.on {
             self.cell.fetch_add(n, Ordering::Relaxed);
         }
     }
@@ -88,13 +69,13 @@ impl Counter {
 #[derive(Clone)]
 pub struct FCounter {
     bits: Arc<AtomicU64>,
-    on: OnState,
+    on: bool,
 }
 
 impl FCounter {
     /// Add `v`.
     pub fn add(&self, v: f64) {
-        if !self.on.on() {
+        if !self.on {
             return;
         }
         let mut cur = self.bits.load(Ordering::Relaxed);
@@ -117,14 +98,14 @@ impl FCounter {
 #[derive(Clone)]
 pub struct Gauge {
     cell: Arc<AtomicU64>,
-    on: OnState,
+    on: bool,
 }
 
 impl Gauge {
     /// Raise the gauge to at least `v`.
     #[inline]
     pub fn set_max(&self, v: u64) {
-        if self.on.on() {
+        if self.on {
             self.cell.fetch_max(v, Ordering::Relaxed);
         }
     }
@@ -147,14 +128,14 @@ struct HistInner {
 #[derive(Clone)]
 pub struct Histogram {
     inner: Arc<HistInner>,
-    on: OnState,
+    on: bool,
 }
 
 impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        if !self.on.on() {
+        if !self.on {
             return;
         }
         let bucket = if v == 0 { 0 } else { 64 - v.leading_zeros() as usize };
@@ -176,14 +157,14 @@ impl Histogram {
 #[derive(Clone)]
 pub struct RankF64 {
     slots: Arc<Vec<AtomicU64>>,
-    on: OnState,
+    on: bool,
 }
 
 impl RankF64 {
     /// Add `v` to rank `rank`'s slot (single writer per slot).
     #[inline]
     pub fn add(&self, rank: usize, v: f64) {
-        if self.on.on() {
+        if self.on {
             let slot = &self.slots[rank];
             let cur = f64::from_bits(slot.load(Ordering::Relaxed));
             slot.store((cur + v).to_bits(), Ordering::Relaxed);
@@ -193,7 +174,7 @@ impl RankF64 {
     /// Raise rank `rank`'s slot to at least `v` (single writer per slot).
     #[inline]
     pub fn set_max(&self, rank: usize, v: f64) {
-        if self.on.on() {
+        if self.on {
             let slot = &self.slots[rank];
             let cur = f64::from_bits(slot.load(Ordering::Relaxed));
             if v > cur {
@@ -213,14 +194,14 @@ impl RankF64 {
 #[derive(Clone)]
 pub struct RankU64 {
     slots: Arc<Vec<AtomicU64>>,
-    on: OnState,
+    on: bool,
 }
 
 impl RankU64 {
     /// Add `n` to slot `idx`.
     #[inline]
     pub fn add(&self, idx: usize, n: u64) {
-        if self.on.on() {
+        if self.on {
             self.slots[idx].fetch_add(n, Ordering::Relaxed);
         }
     }
@@ -263,11 +244,10 @@ impl Slot {
     }
 }
 
-/// One named metrics namespace. Per-run registries are created with a fixed
-/// enabled flag and a rank count; the process-global registry
-/// ([`crate::global`]) consults [`crate::enabled`] dynamically.
+/// One named metrics namespace, created with a rank count and an enabled flag
+/// fixed for its lifetime.
 pub struct Registry {
-    enabled: OnState,
+    enabled: bool,
     ranks: usize,
     inner: Mutex<HashMap<String, (Class, Slot)>>,
 }
@@ -275,17 +255,12 @@ pub struct Registry {
 impl Registry {
     /// A registry for a run of `ranks` ranks with recording fixed on or off.
     pub fn with_ranks(ranks: usize, enabled: bool) -> Self {
-        Self { enabled: OnState::Fixed(enabled), ranks, inner: Mutex::new(HashMap::new()) }
+        Self { enabled, ranks, inner: Mutex::new(HashMap::new()) }
     }
 
-    /// The dynamic-enabled, rankless registry behind [`crate::global`].
-    pub(crate) fn new_dynamic() -> Self {
-        Self { enabled: OnState::Dynamic, ranks: 0, inner: Mutex::new(HashMap::new()) }
-    }
-
-    /// Whether handles from this registry record right now.
+    /// Whether handles from this registry record.
     pub fn enabled(&self) -> bool {
-        self.enabled.on()
+        self.enabled
     }
 
     /// Number of ranks this registry's per-rank metrics cover.
@@ -382,8 +357,12 @@ impl Registry {
         }
     }
 
-    /// A point-in-time copy of every metric, sorted by name.
+    /// A point-in-time copy of every metric, sorted by name; empty when the
+    /// registry is disabled.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        if !self.enabled {
+            return MetricsSnapshot::default();
+        }
         let inner = self.inner.lock();
         let mut entries: Vec<SnapEntry> = inner
             .iter()

@@ -2,11 +2,12 @@
 //! and traffic — on the event engine, or on the thread oracle when a test asks
 //! for it (see [`Engine`]).
 
-use crate::comm::{Backend, BarrierState, Comm, PoolBudget, SimMetrics};
-use crate::cost::CostModel;
-use crate::engine::{
-    default_workers, Cascade, Engine, EngineMetrics, EventCore, SchedEvent, SchedMode,
+use crate::comm::{
+    Backend, BarrierState, Comm, PoolBudget, SimMetrics, POOL_BUDGET_DEFAULT_BYTES,
+    RECV_DEADLOCK_DEFAULT,
 };
+use crate::cost::CostModel;
+use crate::engine::{Cascade, Engine, EngineMetrics, EventCore, SchedEvent, SchedMode};
 use crate::envelope::Envelope;
 use crate::ledger::{Ledger, LedgerSnapshot};
 use chaos::{ChaosPlan, ChaosView, CompiledChaos};
@@ -32,24 +33,18 @@ pub struct Cluster {
     /// Stack size for rank threads. Training loops keep their state on the heap, but a
     /// little headroom avoids surprises with deep call chains in debug builds.
     stack_bytes: usize,
-    /// Wall-clock recv deadline override; `None` defers to `SIMNET_RECV_DEADLOCK_SECS`
-    /// (else the 180 s default). Thread engine only — the event engine detects
+    /// Wall-clock recv deadline. Thread engine only — the event engine detects
     /// deadlocks exactly without any wall-clock deadline.
-    recv_timeout: Option<Duration>,
+    recv_timeout: Duration,
     /// Fault/perturbation schedule applied to every run; `None` is the clean model.
     chaos: Option<ChaosPlan>,
     engine: Engine,
-    /// Event-engine run-token count; `None` defers to `SIMNET_WORKERS`, else
-    /// the machine's available parallelism.
-    workers: Option<usize>,
-    /// Idle-pool byte budget; `None` defers to `SIMNET_POOL_BUDGET_BYTES`
-    /// (else 64 MiB).
-    pool_budget_bytes: Option<usize>,
-    /// Thread-engine watchdog poll interval. Unused by the event engine.
-    watchdog_poll: Duration,
-    /// Per-run observability override; `None` defers to [`obs::enabled`]
-    /// (the `OKTOPK_OBS` kill switch / `obs::set_enabled`).
-    obs: Option<bool>,
+    /// Event-engine run-token count.
+    workers: usize,
+    /// Idle-pool byte budget.
+    pool_budget_bytes: usize,
+    /// Whether runs record metrics.
+    obs: bool,
     /// Record event-engine scheduler decisions for trace export.
     sched_trace: bool,
     /// Two-tier topology consulted at every link-charging point and by the
@@ -66,8 +61,8 @@ pub struct SimReport<T> {
     pub times: Vec<f64>,
     /// Traffic accounting for the whole run.
     pub ledger: LedgerSnapshot,
-    /// Metrics recorded during the run (empty values when observability is
-    /// disabled). Virtual-class entries are bit-identical across engines.
+    /// Metrics recorded during the run (empty when observability is disabled).
+    /// Virtual-class entries are bit-identical across engines.
     pub metrics: obs::MetricsSnapshot,
     /// Event-engine scheduler decisions; non-empty only when
     /// [`Cluster::with_sched_trace`] was on and the run used [`Engine::Event`].
@@ -90,13 +85,12 @@ impl Cluster {
             size,
             cost,
             stack_bytes: 8 << 20,
-            recv_timeout: None,
+            recv_timeout: RECV_DEADLOCK_DEFAULT,
             chaos: None,
             engine: Engine::default(),
-            workers: None,
-            pool_budget_bytes: None,
-            watchdog_poll: crate::comm::WATCHDOG_POLL_DEFAULT,
-            obs: None,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            pool_budget_bytes: POOL_BUDGET_DEFAULT_BYTES,
+            obs: true,
             sched_trace: false,
             topo: Topology::from_env().map(|t| Arc::new(*t)),
         }
@@ -132,13 +126,13 @@ impl Cluster {
     }
 
     /// Override the wall-clock deadline after which a blocking thread-engine
-    /// `recv` (or barrier wait) declares the simulation deadlocked (default:
-    /// `SIMNET_RECV_DEADLOCK_SECS`, else 180 s). Tests that *expect* a deadlock
-    /// set this low to fail fast; long sweeps on oversubscribed machines raise
-    /// it. The event engine ignores it — detection there is exact and instant.
+    /// `recv` (or barrier wait) declares the simulation deadlocked (default
+    /// 600 s). Tests that *expect* a deadlock set this low to fail fast; long
+    /// sweeps on oversubscribed machines raise it. The event engine ignores it
+    /// — detection there is exact and instant.
     pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
         assert!(timeout > Duration::ZERO, "recv timeout must be positive");
-        self.recv_timeout = Some(timeout);
+        self.recv_timeout = timeout;
         self
     }
 
@@ -150,11 +144,11 @@ impl Cluster {
     }
 
     /// Bound the number of concurrently-runnable rank continuations under the
-    /// event engine (default: `SIMNET_WORKERS`, else available parallelism).
-    /// Results never depend on this value.
+    /// event engine (default: available parallelism). Results never depend on
+    /// this value.
     pub fn with_workers(mut self, workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
-        self.workers = Some(workers);
+        self.workers = workers;
         self
     }
 
@@ -168,30 +162,18 @@ impl Cluster {
     }
 
     /// Cap the total bytes retained *idle* across all ranks' recycled-buffer
-    /// free-lists (default: `SIMNET_POOL_BUDGET_BYTES`, else 64 MiB). Memory in
-    /// flight is never charged; the cap only stops P=2048 runs from hoarding
-    /// O(P · bucket) idle buffers.
+    /// free-lists (default 64 MiB). Memory in flight is never charged; the cap
+    /// only stops P=2048 runs from hoarding O(P · bucket) idle buffers.
     pub fn with_pool_budget(mut self, bytes: usize) -> Self {
-        self.pool_budget_bytes = Some(bytes);
+        self.pool_budget_bytes = bytes;
         self
     }
 
-    /// Set the thread-engine watchdog poll interval (default 50 ms): how
-    /// quickly a blocked wait notices a dead peer. The event engine needs no
-    /// watchdog and skips this entirely.
-    pub fn with_watchdog_poll(mut self, poll: Duration) -> Self {
-        assert!(poll > Duration::ZERO, "watchdog poll must be positive");
-        self.watchdog_poll = poll;
-        self
-    }
-
-    /// Force observability on or off for this cluster's runs, overriding the
-    /// `OKTOPK_OBS` kill switch and any `obs::set_enabled` override. Tests
-    /// that must observe metrics regardless of the environment force `true`;
-    /// overhead benchmarks compare `true` vs `false` in one process without
-    /// racing on global state.
+    /// Turn metrics recording on or off for this cluster's runs (default on).
+    /// Off records nothing and leaves [`SimReport::metrics`] empty; overhead
+    /// benchmarks compare `true` vs `false` in one process.
     pub fn with_obs(mut self, on: bool) -> Self {
-        self.obs = Some(on);
+        self.obs = on;
         self
     }
 
@@ -242,11 +224,8 @@ impl Cluster {
     {
         let ledger = Arc::new(Ledger::new());
         let compiled = self.chaos.as_ref().map(|plan| Arc::new(plan.compile(self.size)));
-        let budget = Arc::new(PoolBudget::new(
-            self.pool_budget_bytes.unwrap_or_else(crate::comm::default_pool_budget_bytes),
-        ));
-        let obs_on = self.obs.unwrap_or_else(obs::enabled);
-        let registry = Arc::new(obs::Registry::with_ranks(self.size, obs_on));
+        let budget = Arc::new(PoolBudget::new(self.pool_budget_bytes));
+        let registry = Arc::new(obs::Registry::with_ranks(self.size, self.obs));
         let metrics = SimMetrics::new(&registry);
         let wall_start = std::time::Instant::now();
         let (slots, panics, fault, sched) = match self.engine {
@@ -270,7 +249,7 @@ impl Cluster {
             .add(wall_start.elapsed().as_nanos() as f64);
         registry.counter("sim.runs", obs::Class::Host).inc();
         let metrics = registry.snapshot();
-        if obs_on {
+        if self.obs {
             // Fold the finished run into the process-global registry so bench
             // headers can embed one cumulative snapshot.
             obs::global().absorb(&metrics);
@@ -297,8 +276,7 @@ impl Cluster {
     {
         let barrier = Arc::new(BarrierState::new());
         let poisoned = Arc::new(AtomicBool::new(false));
-        let recv_deadline = self.recv_timeout.unwrap_or_else(crate::comm::default_recv_deadline);
-        let poll = self.watchdog_poll;
+        let recv_deadline = self.recv_timeout;
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..self.size).map(|_| unbounded::<Envelope>()).unzip();
 
@@ -332,7 +310,6 @@ impl Cluster {
                                     inbox,
                                     barrier,
                                     recv_deadline,
-                                    poll,
                                     poisoned: Arc::clone(&poisoned),
                                 },
                                 budget,
@@ -378,10 +355,9 @@ impl Cluster {
         T: Send,
         F: Fn(&mut Comm) -> T + Send + Sync,
     {
-        let workers = self.workers.unwrap_or_else(default_workers).max(1);
         let core = Arc::new(EventCore::new(
             self.size,
-            workers,
+            self.workers,
             Some(EngineMetrics::new(registry)),
             self.sched_trace,
         ));
@@ -504,7 +480,7 @@ mod tests {
 
     #[test]
     fn recv_time_is_alpha_plus_beta_l() {
-        let cost = CostModel { alpha: 1.0, beta: 0.1, hierarchy: None };
+        let cost = CostModel { alpha: 1.0, beta: 0.1 };
         let report = Cluster::new(2, cost).run(|comm| {
             if comm.rank() == 0 {
                 comm.send(1, 0, vec![0.0f32; 10]);
@@ -525,7 +501,7 @@ mod tests {
     #[test]
     fn endpoint_congestion_serializes_reception() {
         // Three senders target rank 0 simultaneously with 100-element messages.
-        let cost = CostModel { alpha: 1.0, beta: 0.01, hierarchy: None };
+        let cost = CostModel { alpha: 1.0, beta: 0.01 };
         let report = Cluster::new(4, cost).run(|comm| {
             if comm.rank() == 0 {
                 for src in 1..comm.size() {
@@ -543,7 +519,7 @@ mod tests {
 
     #[test]
     fn barrier_aligns_clocks_to_slowest() {
-        let cost = CostModel { alpha: 0.5, beta: 0.0, hierarchy: None };
+        let cost = CostModel { alpha: 0.5, beta: 0.0 };
         let report = Cluster::new(4, cost).run(|comm| {
             comm.compute(comm.rank() as f64); // ranks finish at 0,1,2,3
             comm.barrier();
@@ -583,7 +559,7 @@ mod tests {
     fn short_recv_timeout_turns_deadlock_into_fast_panic() {
         // A recv with no matching send is a deadlock; with the per-cluster timeout
         // lowered the thread engine's watchdog must surface it as a panic within
-        // the timeout, not after 180 s. (The event engine has no deadline:
+        // the timeout, not after 600 s. (The event engine has no deadline:
         // detection is exact and immediate, see tests/engines.rs.)
         let start = std::time::Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -633,19 +609,16 @@ mod tests {
     fn peer_death_cascades_blocked_recv_quickly() {
         // Rank 1 dies; rank 0 is blocked receiving from it. The thread engine's
         // poisoned-flag watchdog must fail the run in ~one poll interval — no
-        // hard-coded sleeps, and nowhere near the 180 s default recv deadline.
+        // hard-coded sleeps, and nowhere near the 600 s default recv deadline.
         // (The event engine's fault broadcast is covered in tests/engines.rs.)
         let start = std::time::Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            Cluster::new(2, CostModel::free())
-                .with_engine(Engine::Thread)
-                .with_watchdog_poll(Duration::from_millis(10))
-                .run(|comm| {
-                    if comm.rank() == 1 {
-                        panic!("early exit");
-                    }
-                    let _: Vec<f32> = comm.recv(1, 0); // rank 1 never sends
-                })
+            Cluster::new(2, CostModel::free()).with_engine(Engine::Thread).run(|comm| {
+                if comm.rank() == 1 {
+                    panic!("early exit");
+                }
+                let _: Vec<f32> = comm.recv(1, 0); // rank 1 never sends
+            })
         }));
         assert!(result.is_err(), "peer death must fail the run");
         assert!(
@@ -656,49 +629,8 @@ mod tests {
     }
 
     #[test]
-    fn hierarchy_makes_intra_node_links_cheaper() {
-        // 4 ranks, 2 per node; intra-node 10× faster. Rank 0→1 is intra, 0→2 inter.
-        let cost = CostModel { alpha: 1.0, beta: 0.1, hierarchy: None }.with_hierarchy(2, 10.0);
-        assert_eq!(cost.link(0, 1), (0.1, 0.01));
-        assert_eq!(cost.link(2, 3), (0.1, 0.01));
-        assert_eq!(cost.link(1, 2), (1.0, 0.1));
-        let report = Cluster::new(4, cost).run(|comm| match comm.rank() {
-            0 => {
-                comm.send(1, 0, vec![0.0f32; 10]);
-                0.0
-            }
-            1 => {
-                let _: Vec<f32> = comm.recv(0, 0);
-                comm.now() // intra: 0.1 + 0.01·10 = 0.2
-            }
-            2 => {
-                comm.send(3, 0, vec![0.0f32; 10]);
-                0.0
-            }
-            _ => {
-                let _: Vec<f32> = comm.recv(2, 0);
-                comm.now() // also intra
-            }
-        });
-        assert!((report.results[1] - 0.2).abs() < 1e-12, "{}", report.results[1]);
-        // Cross-node message costs the full price.
-        let report = Cluster::new(4, cost).run(|comm| match comm.rank() {
-            0 => {
-                comm.send(2, 0, vec![0.0f32; 10]);
-                0.0
-            }
-            2 => {
-                let _: Vec<f32> = comm.recv(0, 0);
-                comm.now() // inter: 1.0 + 0.1·10 = 2.0
-            }
-            _ => 0.0,
-        });
-        assert!((report.results[2] - 2.0).abs() < 1e-12, "{}", report.results[2]);
-    }
-
-    #[test]
     fn free_mode_moves_data_at_zero_cost() {
-        let cost = CostModel { alpha: 1.0, beta: 1.0, hierarchy: None };
+        let cost = CostModel { alpha: 1.0, beta: 1.0 };
         let report = Cluster::new(2, cost).run(|comm| {
             comm.set_free_mode(true);
             if comm.rank() == 0 {
@@ -746,7 +678,7 @@ mod tests {
     #[test]
     fn topology_charges_links_by_tier() {
         // 4 ranks, 2 per node; 0→1 is intra (fast), 0→2 inter (slow).
-        let cost = CostModel { alpha: 9.0, beta: 9.0, hierarchy: None }; // must be superseded
+        let cost = CostModel { alpha: 9.0, beta: 9.0 }; // must be superseded
         let topo = Topology::two_tier(2, (0.1, 0.01), (1.0, 0.1));
         let run = |dst: usize| {
             Cluster::new(4, cost).with_topology(topo.clone()).run(move |comm| {
@@ -789,7 +721,7 @@ mod tests {
     fn shape_only_topology_is_timing_neutral() {
         // The SIMNET_TOPO session default installs a shape-only topology; it
         // must never move modeled clocks relative to no topology at all.
-        let cost = CostModel { alpha: 1.0, beta: 0.1, hierarchy: None };
+        let cost = CostModel { alpha: 1.0, beta: 0.1 };
         let work = |comm: &mut Comm| {
             for dst in 0..comm.size() {
                 if dst != comm.rank() {

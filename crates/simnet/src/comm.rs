@@ -27,22 +27,23 @@ use topo::Topology;
 /// Message tag, used to match sends with receives (like an MPI tag).
 pub type Tag = u64;
 
-/// Default wall-clock deadline for a `recv` blocking on the real channel before the
-/// simulation is declared deadlocked. Virtual time is unrelated; this only catches
-/// algorithm bugs in tests. (Thread engine only — the event engine detects
-/// deadlocks exactly and ignores this.)
-const RECV_DEADLOCK_DEFAULT_SECS: u64 = 180;
+/// Wall-clock deadline for a `recv` blocking on the real channel before the
+/// simulation is declared deadlocked, unless [`crate::Cluster::with_recv_timeout`]
+/// sets one. Virtual time is unrelated; this only catches algorithm bugs in
+/// tests. (Thread engine only — the event engine detects deadlocks exactly and
+/// ignores this.)
+pub(crate) const RECV_DEADLOCK_DEFAULT: Duration = Duration::from_secs(600);
 
-/// Default interval at which a blocked thread-engine wait (recv or barrier)
-/// wakes to check whether a peer rank died, so one rank's panic cascades in
-/// ~this much wall time instead of the full recv deadline.
-pub(crate) const WATCHDOG_POLL_DEFAULT: Duration = Duration::from_millis(50);
+/// Interval at which a blocked thread-engine wait (recv or barrier) wakes to
+/// check whether a peer rank died, so one rank's panic cascades in ~this much
+/// wall time instead of the full recv deadline.
+const WATCHDOG_POLL_DEFAULT: Duration = Duration::from_millis(50);
 
 /// Default global byte budget for idle pooled buffers across all ranks of one
 /// run (64 MiB). At P=2048 an uncapped per-rank pool would retain
 /// O(P · MAX_POOL · bucket) bytes of idle free-list memory; the budget bounds
 /// the total while leaving small-P runs effectively uncapped.
-const POOL_BUDGET_DEFAULT_BYTES: usize = 64 << 20;
+pub(crate) const POOL_BUDGET_DEFAULT_BYTES: usize = 64 << 20;
 
 /// Most recycled buffers a rank keeps per element type. Sized to cover a full
 /// bucket of the bucketed collectives (send a bucket, then drain a bucket):
@@ -52,46 +53,6 @@ const POOL_BUDGET_DEFAULT_BYTES: usize = 64 << 20;
 /// buffers a `recv` actually returned. The global [`PoolBudget`] additionally
 /// caps the *bytes* retained across all ranks.
 const MAX_POOL: usize = 32;
-
-/// The recv-deadlock deadline in effect when a [`crate::Cluster`] does not set one
-/// explicitly: `SIMNET_RECV_DEADLOCK_SECS` (positive integer seconds, read once at
-/// first use), else [`RECV_DEADLOCK_DEFAULT_SECS`]. Long sweeps on loaded machines
-/// raise it; tests that *expect* a deadlock lower it to fail fast.
-pub(crate) fn default_recv_deadline() -> Duration {
-    static SECS: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    Duration::from_secs(*SECS.get_or_init(|| match std::env::var("SIMNET_RECV_DEADLOCK_SECS") {
-        Ok(raw) => match raw.trim().parse::<u64>() {
-            Ok(s) if s > 0 => s,
-            _ => {
-                eprintln!(
-                    "simnet: ignoring invalid SIMNET_RECV_DEADLOCK_SECS={raw:?} \
-                         (want a positive integer of seconds)"
-                );
-                RECV_DEADLOCK_DEFAULT_SECS
-            }
-        },
-        Err(_) => RECV_DEADLOCK_DEFAULT_SECS,
-    }))
-}
-
-/// The idle-pool byte budget when the cluster does not set one:
-/// `SIMNET_POOL_BUDGET_BYTES` (non-negative integer), else 64 MiB.
-pub(crate) fn default_pool_budget_bytes() -> usize {
-    static BYTES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *BYTES.get_or_init(|| match std::env::var("SIMNET_POOL_BUDGET_BYTES") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(b) => b,
-            Err(_) => {
-                eprintln!(
-                    "simnet: ignoring invalid SIMNET_POOL_BUDGET_BYTES={raw:?} \
-                         (want a non-negative integer of bytes)"
-                );
-                POOL_BUDGET_DEFAULT_BYTES
-            }
-        },
-        Err(_) => POOL_BUDGET_DEFAULT_BYTES,
-    })
-}
 
 /// Global byte budget for *idle* pooled buffers, shared by all ranks of one
 /// run. A `recycle_*` only retains its buffer if it can reserve the buffer's
@@ -246,17 +207,10 @@ impl BarrierState {
 
     /// Block until all `size` ranks have arrived; returns the maximum of the
     /// submitted clock values. Safe for repeated use (generation-counted).
-    /// Waits in `poll`-sized slices so a peer's death (`poisoned`) cascades
+    /// Waits in [`WATCHDOG_POLL_DEFAULT`] slices so a peer's death (`poisoned`) cascades
     /// quickly instead of hanging, and gives up after `deadline` — a rank that
     /// never arrives is a deadlock just like a missing send.
-    fn wait(
-        &self,
-        size: usize,
-        t_in: f64,
-        poll: Duration,
-        deadline: Duration,
-        poisoned: &AtomicBool,
-    ) -> f64 {
+    fn wait(&self, size: usize, t_in: f64, deadline: Duration, poisoned: &AtomicBool) -> f64 {
         let mut inner = self.inner.lock();
         inner.max_time = inner.max_time.max(t_in);
         inner.arrived += 1;
@@ -278,11 +232,10 @@ impl BarrierState {
                 if elapsed >= deadline {
                     panic!(
                         "barrier timed out after {deadline:?} — some rank never arrived \
-                         (likely deadlock; deadline configurable via Cluster::with_recv_timeout \
-                         or SIMNET_RECV_DEADLOCK_SECS)"
+                         (likely deadlock; deadline configurable via Cluster::with_recv_timeout)"
                     );
                 }
-                let step = poll.min(deadline - elapsed);
+                let step = WATCHDOG_POLL_DEFAULT.min(deadline - elapsed);
                 self.cv.wait_for(&mut inner, step);
             }
             inner.result
@@ -304,10 +257,8 @@ pub(crate) enum Backend {
         /// Already includes the chaos plan's wall-hold budget (see
         /// [`Comm::new`]), so injected pauses are never misreported.
         recv_deadline: Duration,
-        /// Interval at which blocked waits recheck `poisoned`.
-        poll: Duration,
         /// Set by the cluster when any rank panics; blocked waits observe it
-        /// within one poll interval and cascade instead of hanging.
+        /// within one [`WATCHDOG_POLL_DEFAULT`] and cascade instead of hanging.
         poisoned: Arc<AtomicBool>,
     },
     /// Discrete-event engine: the shared core owns delivery, parking, barrier
@@ -441,12 +392,12 @@ impl Comm {
 
     /// Effective clean `(α, β)` for the `self.rank → dst` link: the topology's
     /// tier parameters when it carries them (oversubscription folded in), else
-    /// the flat cost model (which may itself carry a [`crate::Hierarchy`]).
+    /// the flat cost model.
     fn link_params(&self, dst: usize) -> (f64, f64) {
         self.topo
             .as_ref()
             .and_then(|t| t.tier_params(self.rank, dst))
-            .unwrap_or_else(|| self.cost.link(self.rank, dst))
+            .unwrap_or((self.cost.alpha, self.cost.beta))
     }
 
     /// Current virtual time of this rank, in modeled seconds.
@@ -803,7 +754,7 @@ impl Comm {
     /// port, advance the clock, and trace the drain interval. The per-element
     /// time comes from the envelope — the sender evaluated any chaos link
     /// degradation at injection start, so both endpoints charge the same β
-    /// (bit-identical to `cost.link(src, rank)` when no plan is installed).
+    /// (bit-identical to the clean link's β when no plan is installed).
     fn complete_reception(&mut self, env: &Envelope) {
         if self.free_mode {
             return;
@@ -933,12 +884,12 @@ impl Comm {
 
     /// Next envelope delivered to this rank, in arrival order, blocking until
     /// one exists. Thread engine: poll the channel in watchdog slices (peer
-    /// death cascades within one `poll`; a quiet `recv_deadline` is a
+    /// death cascades within one watchdog poll; a quiet `recv_deadline` is a
     /// deadlock). Event engine: the core hands envelopes out and parks the
     /// continuation exactly while the inbox is empty.
     fn next_raw_envelope(&mut self, src: usize, tag: Tag) -> Envelope {
         match &self.backend {
-            Backend::Thread { inbox, recv_deadline, poll, poisoned, .. } => {
+            Backend::Thread { inbox, recv_deadline, poisoned, .. } => {
                 let start = Instant::now();
                 loop {
                     if poisoned.load(Ordering::Relaxed) {
@@ -952,11 +903,11 @@ impl Comm {
                         panic!(
                             "rank {}: recv(src={src}, tag={tag}) timed out after {:?} — likely \
                              deadlock or mismatched send/recv pattern (deadline configurable via \
-                             Cluster::with_recv_timeout or SIMNET_RECV_DEADLOCK_SECS)",
+                             Cluster::with_recv_timeout)",
                             self.rank, recv_deadline
                         );
                     }
-                    let step = (*poll).min(*recv_deadline - elapsed);
+                    let step = WATCHDOG_POLL_DEFAULT.min(*recv_deadline - elapsed);
                     match inbox.recv_timeout(step) {
                         Ok(env) => return env,
                         Err(RecvTimeoutError::Timeout) => continue,
@@ -1023,8 +974,8 @@ impl Comm {
     /// One barrier rendezvous round: fold `value`, return the cluster maximum.
     fn barrier_exchange(&self, value: f64) -> f64 {
         match &self.backend {
-            Backend::Thread { barrier, recv_deadline, poll, poisoned, .. } => {
-                barrier.wait(self.size, value, *poll, *recv_deadline, poisoned)
+            Backend::Thread { barrier, recv_deadline, poisoned, .. } => {
+                barrier.wait(self.size, value, *recv_deadline, poisoned)
             }
             Backend::Event { core } => core.barrier_wait(self.rank, value, self.now),
         }
@@ -1037,7 +988,7 @@ mod tests {
 
     #[test]
     fn barrier_latency_is_log2() {
-        let c = CostModel { alpha: 1.0, beta: 0.0, hierarchy: None };
+        let c = CostModel { alpha: 1.0, beta: 0.0 };
         assert_eq!(barrier_latency(&c, 1), 0.0);
         assert_eq!(barrier_latency(&c, 2), 1.0);
         assert_eq!(barrier_latency(&c, 3), 2.0);

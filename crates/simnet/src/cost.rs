@@ -1,19 +1,5 @@
 //! Latency–bandwidth cost model and wire-size accounting.
 
-/// Optional two-level network hierarchy: consecutive ranks share a node with a
-/// faster intra-node link (NVLink/shared-memory class), while cross-node traffic
-/// pays the base α/β. Lets topology effects be studied without leaving the α–β
-/// framework (a step toward the paper's hybrid-parallelism future work, §6).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Hierarchy {
-    /// Ranks `[i·r, (i+1)·r)` share node `i`.
-    pub ranks_per_node: usize,
-    /// Intra-node per-message latency (s).
-    pub intra_alpha: f64,
-    /// Intra-node per-element transfer time (s).
-    pub intra_beta: f64,
-}
-
 /// Network/compute cost parameters for the simulation.
 ///
 /// The communication part is the classic α–β model used throughout the paper
@@ -26,8 +12,6 @@ pub struct CostModel {
     pub alpha: f64,
     /// Per-element transfer time in seconds (4-byte words).
     pub beta: f64,
-    /// Optional two-level topology; `None` models a flat network.
-    pub hierarchy: Option<Hierarchy>,
 }
 
 impl CostModel {
@@ -40,41 +24,19 @@ impl CostModel {
     ///   model cost ≈0.2 s, the same order as the paper's measured dense
     ///   communication time, so breakdown proportions land in the paper's regime.
     pub fn aries() -> Self {
-        Self { alpha: 1.5e-6, beta: 4.0e-9, hierarchy: None }
+        Self { alpha: 1.5e-6, beta: 4.0e-9 }
     }
 
     /// Commodity-cloud calibration (≈25 µs latency, ≈100 MB/s effective bandwidth).
     /// The paper predicts its speedups grow on such networks; the ablation harness
     /// uses this preset to check that claim directionally.
     pub fn commodity() -> Self {
-        Self { alpha: 25.0e-6, beta: 40.0e-9, hierarchy: None }
+        Self { alpha: 25.0e-6, beta: 40.0e-9 }
     }
 
     /// Zero-cost network; useful in tests that only check data correctness.
     pub fn free() -> Self {
-        Self { alpha: 0.0, beta: 0.0, hierarchy: None }
-    }
-
-    /// Add a two-level hierarchy: `ranks_per_node` ranks share an intra-node link
-    /// that is `speedup`× faster (both latency and bandwidth) than the base link.
-    pub fn with_hierarchy(mut self, ranks_per_node: usize, speedup: f64) -> Self {
-        assert!(ranks_per_node >= 1 && speedup >= 1.0);
-        self.hierarchy = Some(Hierarchy {
-            ranks_per_node,
-            intra_alpha: self.alpha / speedup,
-            intra_beta: self.beta / speedup,
-        });
-        self
-    }
-
-    /// (latency, per-element time) of the link between `src` and `dst`.
-    pub fn link(&self, src: usize, dst: usize) -> (f64, f64) {
-        if let Some(h) = &self.hierarchy {
-            if src / h.ranks_per_node == dst / h.ranks_per_node {
-                return (h.intra_alpha, h.intra_beta);
-            }
-        }
-        (self.alpha, self.beta)
+        Self { alpha: 0.0, beta: 0.0 }
     }
 
     /// Modeled cost of one point-to-point message of `elems` elements (base link).
@@ -175,7 +137,7 @@ mod tests {
 
     #[test]
     fn msg_cost_is_affine_in_size() {
-        let m = CostModel { alpha: 1.0, beta: 0.5, hierarchy: None };
+        let m = CostModel { alpha: 1.0, beta: 0.5 };
         assert_eq!(m.msg_cost(0), 1.0);
         assert_eq!(m.msg_cost(10), 6.0);
     }

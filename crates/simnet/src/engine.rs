@@ -242,19 +242,6 @@ pub enum SchedMode {
     Fast,
 }
 
-/// Default worker count for the event engine: `SIMNET_WORKERS`, else the
-/// machine's available parallelism. Determinism never depends on this — it
-/// only bounds how many rank continuations may run concurrently.
-pub(crate) fn default_workers() -> usize {
-    if let Ok(raw) = std::env::var("SIMNET_WORKERS") {
-        match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => return n,
-            _ => eprintln!("simnet: ignoring invalid SIMNET_WORKERS={raw:?} (want a positive int)"),
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 /// Panic payload for ranks aborted *because some other rank failed* (panic or
 /// detected deadlock). Unwinding with `resume_unwind` and this marker skips
 /// the panic hook, so a 1000-rank cascade prints nothing; the cluster joiner

@@ -81,7 +81,6 @@ pub mod trace;
 pub use chaos::{ChaosPlan, ChaosView, CompiledChaos, Perturbation, SendPerturb, Window};
 pub use cluster::{Cluster, SimReport};
 pub use comm::{Comm, Tag};
-pub use cost::Hierarchy;
 pub use cost::{CostModel, WireSize};
 pub use engine::{Engine, SchedEvent, SchedKind, SchedMode};
 pub use ledger::{Ledger, LedgerSnapshot, PhaseVolume};

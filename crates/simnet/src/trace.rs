@@ -275,7 +275,7 @@ mod tests {
 
     #[test]
     fn traces_record_all_activity_kinds() {
-        let cost = CostModel { alpha: 1.0, beta: 0.1, hierarchy: None };
+        let cost = CostModel { alpha: 1.0, beta: 0.1 };
         let report = Cluster::new(2, cost).run(|comm| {
             comm.enable_trace();
             comm.compute(2.0);

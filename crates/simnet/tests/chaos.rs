@@ -4,7 +4,7 @@ use simnet::{ChaosPlan, Cluster, CostModel, Engine, TraceKind};
 use std::time::Duration;
 
 fn unit_cost() -> CostModel {
-    CostModel { alpha: 1.0, beta: 0.1, hierarchy: None }
+    CostModel { alpha: 1.0, beta: 0.1 }
 }
 
 #[test]

@@ -5,7 +5,7 @@ use simnet::{Cluster, CostModel};
 
 /// α=1, β=0.1 — round numbers so modeled times can be asserted exactly.
 fn unit_cost() -> CostModel {
-    CostModel { alpha: 1.0, beta: 0.1, hierarchy: None }
+    CostModel { alpha: 1.0, beta: 0.1 }
 }
 
 #[test]

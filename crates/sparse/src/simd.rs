@@ -2,41 +2,35 @@
 //!
 //! Every Ok-Topk step burns most of its compute in a handful of O(n) per-element
 //! passes: the threshold count/scan, the survivor filter, and the residual
-//! accumulate (fused with the scan on a steady-state step). This module
-//! vectorizes those passes with explicit lanes behind a runtime capability
-//! dispatch with a scalar fallback. Two kinds of kernels, deliberately
-//! implemented differently:
+//! accumulate (fused with the scan on a steady-state step). Two kinds of
+//! kernels, deliberately implemented differently:
 //!
-//! - **Compare/mask kernels** (counts, keep-scans) use hand-written AVX2/SSE2
-//!   intrinsics on x86-64 — the compare → movemask → trailing_zeros survivor
-//!   emission is a shape LLVM does not autovectorize, and it is worth >3× on
-//!   the steady-state threshold scan.
-//! - **Elementwise streaming kernels** (residual fuse, scale, axpy)
-//!   use portable fixed-width `[f32; L]` cores that LLVM autovectorizes at the
+//! - **Compare/mask kernels** ([`count_abs_ge`], [`scan_keep_append`]) use
+//!   hand-written AVX2/SSE2 intrinsics on x86-64 — the compare → movemask →
+//!   trailing_zeros survivor emission is a shape LLVM does not autovectorize,
+//!   and it is worth >3× on the steady-state threshold scan. These dispatch on
+//!   a lane width and keep `*_with_lanes` variants, with [`Lanes::S1`] as the
+//!   scalar reference the parity suites compare against.
+//! - **Elementwise streaming kernels** (residual fuse, scale, max-abs, axpy)
+//!   are one portable `[f32; 8]` core each, which LLVM autovectorizes at the
 //!   build's baseline ISA. Explicit `target_feature` wrappers were measured
-//!   *slower* here (see the note on the x86 module): these loops are
-//!   memory-bound, so wider registers add nothing.
+//!   *slower* here (see the note on the x86 module), and a width sweep read
+//!   within 3% across 1/4/8 lanes: these loops are memory-bound, so wider
+//!   registers add nothing.
 //!
-//! ## Selection and fallback rules
+//! ## Lane width
 //!
-//! The lane width is resolved **once** per process (first use) from, in order:
-//!
-//! 1. the `simd` cargo feature (on by default; compiled out → scalar always);
-//! 2. the `OKTOPK_SIMD` environment variable:
-//!    `off`/`0`/`scalar` force the scalar path, `4`/`w4`/`sse` force 4 lanes,
-//!    `8`/`w8`/`avx2` request 8 lanes (granted only if the CPU has AVX2),
-//!    `on`/`auto`/unset pick the widest supported width;
-//! 3. runtime CPU detection: AVX2 → 8 lanes, x86-64 baseline SSE2 → 4 lanes,
-//!    aarch64 NEON → 4 lanes (portable cores, NEON codegen), otherwise scalar.
-//!
-//! [`caps`] reports the resolved state; bench harnesses record it in their JSON
-//! headers so perf trajectories across hosts stay interpretable.
+//! The mask kernels' width is a CPU probe, resolved once per process: AVX2 →
+//! 8 lanes, x86-64 baseline SSE2 → 4 lanes, aarch64 NEON → 4 lanes (portable
+//! mask core, NEON codegen), otherwise scalar. [`caps`] reports it; bench
+//! harnesses record it in their JSON headers so perf trajectories across hosts
+//! stay interpretable.
 //!
 //! ## Bit-compatibility (reassociation tolerance policy)
 //!
-//! Every kernel here is **bit-identical to the scalar reference at every lane
-//! width** — asserted by the `lane_parity` proptest suite. That is possible
-//! because none of them reassociates a float reduction:
+//! Every kernel here is **bit-identical to its scalar reference** — asserted by
+//! the `lane_parity` proptest suite. That is possible because none of them
+//! reassociates a float reduction:
 //!
 //! - counts are integer reductions (order-free);
 //! - `fused_scale_add`, `scale_inplace`, `axpy`/`axpy4` are elementwise (each
@@ -49,7 +43,7 @@
 //! - `max_abs` is a max-reduction: `max` is associative and commutative, so any
 //!   lane split yields the same result on the NaN-free inputs the pipeline
 //!   carries (and `f32::max` drops NaN in either operand, so even a stray NaN
-//!   cannot make widths disagree).
+//!   cannot make it disagree with a serial fold).
 //!
 //! Kernels that *would* need to reassociate (e.g. a lane-parallel dot product)
 //! are deliberately not provided; the dnn matmul family instead uses
@@ -57,15 +51,10 @@
 //! order serial (see `dnn::ops`). If a future kernel must reassociate, its
 //! parity test drops from bitwise equality to a documented relative-error
 //! tolerance — that is the only sanctioned relaxation.
-//!
-//! The explicit `*_with_lanes` variants take the width as a parameter (for
-//! tests and benches, which must not depend on the process-global resolution);
-//! the plain names auto-dispatch on [`caps`]. Forced widths the CPU cannot
-//! accelerate still produce correct results through the portable cores.
 
 use std::sync::OnceLock;
 
-/// Lane width for the kernels in this module.
+/// Lane width for the compare/mask kernels in this module.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Lanes {
     /// Scalar reference path (1 element per step).
@@ -90,106 +79,40 @@ impl Lanes {
     pub const ALL: [Lanes; 3] = [Lanes::S1, Lanes::W4, Lanes::W8];
 }
 
-/// Resolved SIMD capability of this process (see module docs for the rules).
+/// The host's SIMD capability, probed once per process.
 #[derive(Clone, Debug)]
 pub struct SimdCaps {
-    /// The lane width the auto-dispatching kernels use.
+    /// The lane width the auto-dispatching mask kernels use.
     pub lanes: Lanes,
     /// Human-readable ISA the width maps to (`"avx2"`, `"sse2"`, `"neon"`,
-    /// `"portable"`, `"scalar"`).
+    /// `"scalar"`).
     pub isa: &'static str,
-    /// Raw `OKTOPK_SIMD` value at first use (`None` if unset).
-    pub env: Option<String>,
-    /// Whether the `simd` cargo feature was compiled in.
-    pub compiled: bool,
-    /// True when the scalar path was *forced* (feature off or `OKTOPK_SIMD=off`)
-    /// rather than the host simply lacking vector units.
-    pub forced_scalar: bool,
-}
-
-static CAPS: OnceLock<SimdCaps> = OnceLock::new();
-
-fn widest_supported() -> (Lanes, &'static str) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return (Lanes::W8, "avx2");
-        }
-        return (Lanes::W4, "sse2"); // x86-64 baseline
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        return (Lanes::W4, "neon"); // NEON is baseline on aarch64
-    }
-    #[allow(unreachable_code)]
-    (Lanes::S1, "scalar")
 }
 
 fn detect() -> SimdCaps {
-    let env = std::env::var("OKTOPK_SIMD").ok();
-    let compiled = cfg!(feature = "simd");
-    if !compiled {
-        return SimdCaps { lanes: Lanes::S1, isa: "scalar", env, compiled, forced_scalar: true };
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return SimdCaps { lanes: Lanes::W8, isa: "avx2" };
+        }
+        return SimdCaps { lanes: Lanes::W4, isa: "sse2" }; // x86-64 baseline
     }
-    let (best, best_isa) = widest_supported();
-    let choice = env.as_deref().map(|s| s.trim().to_ascii_lowercase());
-    match choice.as_deref() {
-        Some("off") | Some("0") | Some("scalar") => {
-            SimdCaps { lanes: Lanes::S1, isa: "scalar", env, compiled, forced_scalar: true }
-        }
-        Some("4") | Some("w4") | Some("sse") => {
-            let lanes = if best.width() >= 4 { Lanes::W4 } else { best };
-            let isa = if lanes == Lanes::W4 {
-                if best_isa == "avx2" {
-                    "sse2"
-                } else {
-                    best_isa
-                }
-            } else {
-                best_isa
-            };
-            SimdCaps { lanes, isa, env, compiled, forced_scalar: false }
-        }
-        Some("8") | Some("w8") | Some("avx2") => {
-            if best == Lanes::W8 {
-                SimdCaps { lanes: Lanes::W8, isa: best_isa, env, compiled, forced_scalar: false }
-            } else {
-                eprintln!(
-                    "sparse::simd: OKTOPK_SIMD requested 8 lanes but the host supports only \
-                     {} ({}); using that instead",
-                    best.width(),
-                    best_isa
-                );
-                SimdCaps { lanes: best, isa: best_isa, env, compiled, forced_scalar: false }
-            }
-        }
-        None | Some("on") | Some("auto") | Some("") => {
-            SimdCaps { lanes: best, isa: best_isa, env, compiled, forced_scalar: false }
-        }
-        Some(other) => {
-            eprintln!(
-                "sparse::simd: ignoring invalid OKTOPK_SIMD={other:?} \
-                 (want off|4|8|auto); auto-detecting"
-            );
-            SimdCaps { lanes: best, isa: best_isa, env, compiled, forced_scalar: false }
-        }
+    #[cfg(target_arch = "aarch64")]
+    {
+        return SimdCaps { lanes: Lanes::W4, isa: "neon" }; // NEON is baseline on aarch64
     }
+    #[allow(unreachable_code)]
+    SimdCaps { lanes: Lanes::S1, isa: "scalar" }
 }
 
-/// The process-wide resolved SIMD capability (first call snapshots
-/// `OKTOPK_SIMD` and probes the CPU; later env mutations are ignored).
+/// The process-wide SIMD capability (the first call probes the CPU).
 pub fn caps() -> &'static SimdCaps {
+    static CAPS: OnceLock<SimdCaps> = OnceLock::new();
     CAPS.get_or_init(detect)
 }
 
-/// The lane width the auto-dispatching kernels use.
-pub fn lanes() -> Lanes {
-    caps().lanes
-}
-
 // ---------------------------------------------------------------------------
-// Portable fixed-width cores. `#[inline(always)]` so the x86 `target_feature`
-// wrappers below inline them and codegen with the wider ISA enabled.
+// Portable fixed-width mask cores, for widths without an intrinsic kernel.
 // ---------------------------------------------------------------------------
 
 #[inline(always)]
@@ -216,7 +139,7 @@ fn keep(v: f32, th: f32) -> bool {
 }
 
 /// Bitmask of keep-lanes for one L-block (bit j = block[j] survives).
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+#[cfg(not(target_arch = "x86_64"))]
 #[inline(always)]
 fn keep_mask_core<const L: usize>(block: &[f32], th: f32) -> u32 {
     let mut mask = 0u32;
@@ -226,119 +149,11 @@ fn keep_mask_core<const L: usize>(block: &[f32], th: f32) -> u32 {
     mask
 }
 
-#[inline(always)]
-fn fused_scale_add_core<const L: usize>(acc: &mut [f32], e: &[f32], g: &[f32], s: f32) {
-    debug_assert_eq!(acc.len(), e.len());
-    debug_assert_eq!(acc.len(), g.len());
-    let mut a = acc.chunks_exact_mut(L);
-    let mut ei = e.chunks_exact(L);
-    let mut gi = g.chunks_exact(L);
-    for ((ac, ec), gc) in (&mut a).zip(&mut ei).zip(&mut gi) {
-        for j in 0..L {
-            ac[j] = ec[j] + s * gc[j];
-        }
-    }
-    for ((av, &ev), &gv) in a.into_remainder().iter_mut().zip(ei.remainder()).zip(gi.remainder()) {
-        *av = ev + s * gv;
-    }
-}
-
-#[inline(always)]
-fn scale_inplace_core<const L: usize>(values: &mut [f32], c: f32) {
-    let mut it = values.chunks_exact_mut(L);
-    for chunk in &mut it {
-        for v in chunk {
-            *v *= c;
-        }
-    }
-    for v in it.into_remainder() {
-        *v *= c;
-    }
-}
-
-#[inline(always)]
-fn max_abs_core<const L: usize>(values: &[f32]) -> f32 {
-    let mut lane = [0.0f32; L];
-    let mut it = values.chunks_exact(L);
-    for chunk in &mut it {
-        for j in 0..L {
-            lane[j] = lane[j].max(chunk[j].abs());
-        }
-    }
-    let mut m = 0.0f32;
-    for &l in &lane {
-        m = m.max(l);
-    }
-    for &v in it.remainder() {
-        m = m.max(v.abs());
-    }
-    m
-}
-
-#[inline(always)]
-fn axpy_core<const L: usize>(out: &mut [f32], row: &[f32], a: f32) {
-    debug_assert_eq!(out.len(), row.len());
-    let mut o = out.chunks_exact_mut(L);
-    let mut r = row.chunks_exact(L);
-    for (oc, rc) in (&mut o).zip(&mut r) {
-        for j in 0..L {
-            oc[j] += a * rc[j];
-        }
-    }
-    for (ov, rv) in o.into_remainder().iter_mut().zip(r.remainder()) {
-        *ov += a * rv;
-    }
-}
-
-/// `out[j] += a0·r0[j] + a1·r1[j] + a2·r2[j] + a3·r3[j]`, adding the four terms
-/// in ascending-row order per element — bit-identical to four sequential
-/// [`axpy`] calls, but with one load/store of `out` per element instead of four.
-#[inline(always)]
-fn axpy4_core<const L: usize>(
-    out: &mut [f32],
-    r0: &[f32],
-    r1: &[f32],
-    r2: &[f32],
-    r3: &[f32],
-    a: [f32; 4],
-) {
-    let n = out.len();
-    // Pre-slice to `n` so the chunk iterators stay in lock-step and LLVM can
-    // elide the per-element bounds checks.
-    let (r0, r1, r2, r3) = (&r0[..n], &r1[..n], &r2[..n], &r3[..n]);
-    let mut o = out.chunks_exact_mut(L);
-    let mut i0 = r0.chunks_exact(L);
-    let mut i1 = r1.chunks_exact(L);
-    let mut i2 = r2.chunks_exact(L);
-    let mut i3 = r3.chunks_exact(L);
-    for ((((oc, c0), c1), c2), c3) in (&mut o).zip(&mut i0).zip(&mut i1).zip(&mut i2).zip(&mut i3) {
-        for j in 0..L {
-            let mut v = oc[j];
-            v += a[0] * c0[j];
-            v += a[1] * c1[j];
-            v += a[2] * c2[j];
-            v += a[3] * c3[j];
-            oc[j] = v;
-        }
-    }
-    let tail = o.into_remainder();
-    let base = n - tail.len();
-    for (j, ov) in tail.iter_mut().enumerate() {
-        let i = base + j;
-        let mut v = *ov;
-        v += a[0] * r0[i];
-        v += a[1] * r1[i];
-        v += a[2] * r2[i];
-        v += a[3] * r3[i];
-        *ov = v;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // x86-64 intrinsic kernels — count/mask only. These use hand-written AVX2/SSE2
 // compares because LLVM does not reliably turn the portable mask fold into
 // movemask. The elementwise streaming kernels deliberately have NO intrinsic
-// variants: their portable cores already autovectorize at the build's baseline
+// variants: their portable core already autovectorizes at the build's baseline
 // ISA, and `#[target_feature(enable = "avx2")]` wrappers around them measured
 // consistently *slower* than baseline codegen on memory-bound sizes (the
 // hotpath bench's residual_fuse row read 0.79–0.92x with a wrapper) — wider
@@ -346,7 +161,7 @@ fn axpy4_core<const L: usize>(
 // non-inlinable target_feature boundary costs scheduling freedom.
 // ---------------------------------------------------------------------------
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::*;
 
@@ -429,7 +244,7 @@ mod x86 {
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[inline]
 fn have_avx2() -> bool {
     // `is_x86_feature_detected!` caches after the first probe.
@@ -437,14 +252,14 @@ fn have_avx2() -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Public dispatchers. The `*_with_lanes` variants are the parity-test surface:
-// a forced width the CPU cannot accelerate still computes through the portable
-// core at that width (same math, same result).
+// Mask-kernel dispatchers. The `*_with_lanes` variants are the parity-test
+// surface: a forced width the CPU cannot accelerate still computes through the
+// portable core at that width (same math, same result).
 // ---------------------------------------------------------------------------
 
 /// Count entries with `|v| >= th` (the steady-state threshold scan).
 pub fn count_abs_ge(values: &[f32], th: f32) -> usize {
-    count_abs_ge_with_lanes(values, th, lanes())
+    count_abs_ge_with_lanes(values, th, caps().lanes)
 }
 
 /// [`count_abs_ge`] at an explicit lane width.
@@ -452,14 +267,14 @@ pub fn count_abs_ge_with_lanes(values: &[f32], th: f32, lanes: Lanes) -> usize {
     match lanes {
         Lanes::S1 => values.iter().filter(|v| v.abs() >= th).count(),
         Lanes::W4 => {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             // Safety: SSE2 is part of the x86-64 baseline.
             return unsafe { x86::count_abs_ge_w4(values, th) };
             #[allow(unreachable_code)]
             count_abs_ge_core::<4>(values, th)
         }
         Lanes::W8 => {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             if have_avx2() {
                 // Safety: AVX2 presence just checked.
                 return unsafe { x86::count_abs_ge_w8(values, th) };
@@ -482,7 +297,7 @@ fn scan_keep_blocks<F: FnMut(u32, f32)>(dense: &[f32], th: f32, base: u32, width
         let block = &dense[off..off + width];
         #[allow(unused_mut)]
         let mut mask;
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         {
             // Safety: the block has `width` readable elements; SSE2 is
             // baseline and the W8 path is only reached when AVX2 is present
@@ -493,7 +308,7 @@ fn scan_keep_blocks<F: FnMut(u32, f32)>(dense: &[f32], th: f32, base: u32, width
                 unsafe { x86::keep_mask_w4(block.as_ptr(), th) }
             };
         }
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         {
             mask = if width == 8 {
                 keep_mask_core::<8>(block, th)
@@ -518,7 +333,7 @@ fn scan_keep_blocks<F: FnMut(u32, f32)>(dense: &[f32], th: f32, base: u32, width
 /// Append `select_ge` survivors of `dense` (indexes offset by `base`) to the
 /// output vectors, in index order — the serial selection scan.
 pub fn scan_keep_append(dense: &[f32], th: f32, base: u32, idx: &mut Vec<u32>, val: &mut Vec<f32>) {
-    scan_keep_append_with_lanes(dense, th, base, idx, val, lanes())
+    scan_keep_append_with_lanes(dense, th, base, idx, val, caps().lanes)
 }
 
 /// [`scan_keep_append`] at an explicit lane width.
@@ -554,7 +369,7 @@ fn effective_mask_width(lanes: Lanes) -> usize {
         Lanes::S1 => 1,
         Lanes::W4 => 4,
         Lanes::W8 => {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             if !have_avx2() {
                 return 4;
             }
@@ -563,73 +378,114 @@ fn effective_mask_width(lanes: Lanes) -> usize {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Elementwise kernels: one portable `[f32; EW]` core each.
+// ---------------------------------------------------------------------------
+
+/// Lane width of the elementwise cores. The loops are memory-bound, so the
+/// width only has to be wide enough for LLVM to emit full vector registers.
+const EW: usize = 8;
+
 /// `acc[i] = e[i] + s·g[i]` — the fused residual-accumulate of Algorithm 2
 /// line 4. Slices must be equal length.
 pub fn fused_scale_add(acc: &mut [f32], e: &[f32], g: &[f32], s: f32) {
-    fused_scale_add_with_lanes(acc, e, g, s, lanes())
-}
-
-/// [`fused_scale_add`] at an explicit lane width.
-pub fn fused_scale_add_with_lanes(acc: &mut [f32], e: &[f32], g: &[f32], s: f32, lanes: Lanes) {
-    match lanes {
-        Lanes::S1 => {
-            for ((a, &ev), &gv) in acc.iter_mut().zip(e).zip(g) {
-                *a = ev + s * gv;
-            }
+    debug_assert_eq!(acc.len(), e.len());
+    debug_assert_eq!(acc.len(), g.len());
+    let mut a = acc.chunks_exact_mut(EW);
+    let mut ei = e.chunks_exact(EW);
+    let mut gi = g.chunks_exact(EW);
+    for ((ac, ec), gc) in (&mut a).zip(&mut ei).zip(&mut gi) {
+        for j in 0..EW {
+            ac[j] = ec[j] + s * gc[j];
         }
-        Lanes::W4 => fused_scale_add_core::<4>(acc, e, g, s),
-        Lanes::W8 => fused_scale_add_core::<8>(acc, e, g, s),
+    }
+    for ((av, &ev), &gv) in a.into_remainder().iter_mut().zip(ei.remainder()).zip(gi.remainder()) {
+        *av = ev + s * gv;
     }
 }
 
 /// `v[i] *= c` in place.
 pub fn scale_inplace(values: &mut [f32], c: f32) {
-    scale_inplace_with_lanes(values, c, lanes())
-}
-
-/// [`scale_inplace`] at an explicit lane width.
-pub fn scale_inplace_with_lanes(values: &mut [f32], c: f32, lanes: Lanes) {
-    match lanes {
-        Lanes::S1 => {
-            for v in values {
-                *v *= c;
-            }
+    let mut it = values.chunks_exact_mut(EW);
+    for chunk in &mut it {
+        for v in chunk {
+            *v *= c;
         }
-        Lanes::W4 => scale_inplace_core::<4>(values, c),
-        Lanes::W8 => scale_inplace_core::<8>(values, c),
+    }
+    for v in it.into_remainder() {
+        *v *= c;
     }
 }
 
 /// `max_i |v[i]|` (0 for an empty slice) — the quantization scale pass.
 pub fn max_abs(values: &[f32]) -> f32 {
-    max_abs_with_lanes(values, lanes())
-}
-
-/// [`max_abs`] at an explicit lane width.
-pub fn max_abs_with_lanes(values: &[f32], lanes: Lanes) -> f32 {
-    match lanes {
-        Lanes::S1 => values.iter().fold(0.0f32, |a, &v| a.max(v.abs())),
-        Lanes::W4 => max_abs_core::<4>(values),
-        Lanes::W8 => max_abs_core::<8>(values),
+    let mut lane = [0.0f32; EW];
+    let mut it = values.chunks_exact(EW);
+    for chunk in &mut it {
+        for j in 0..EW {
+            lane[j] = lane[j].max(chunk[j].abs());
+        }
     }
+    let mut m = 0.0f32;
+    for &l in &lane {
+        m = m.max(l);
+    }
+    for &v in it.remainder() {
+        m = m.max(v.abs());
+    }
+    m
 }
 
 /// `out[j] += a·row[j]` — the elementwise row update of the ikj matmul.
 /// `row` must be at least as long as `out`.
 pub fn axpy(out: &mut [f32], row: &[f32], a: f32) {
-    axpy_with_lanes(out, row, a, lanes())
+    let row = &row[..out.len()];
+    let mut o = out.chunks_exact_mut(EW);
+    let mut r = row.chunks_exact(EW);
+    for (oc, rc) in (&mut o).zip(&mut r) {
+        for j in 0..EW {
+            oc[j] += a * rc[j];
+        }
+    }
+    for (ov, rv) in o.into_remainder().iter_mut().zip(r.remainder()) {
+        *ov += a * rv;
+    }
 }
 
-/// [`axpy`] at an explicit lane width.
-pub fn axpy_with_lanes(out: &mut [f32], row: &[f32], a: f32, lanes: Lanes) {
-    match lanes {
-        Lanes::S1 => {
-            for (o, &r) in out.iter_mut().zip(row) {
-                *o += a * r;
-            }
+/// Four-row [`axpy`]: `out[j] += a0·r0[j] + a1·r1[j] + a2·r2[j] + a3·r3[j]`
+/// with a single load/store of `out` per element. Terms are added in
+/// ascending-row order, so the result is bit-identical to four sequential
+/// `axpy` calls. Rows must be at least as long as `out`.
+pub fn axpy4(out: &mut [f32], rows: [&[f32]; 4], a: [f32; 4]) {
+    let n = out.len();
+    // Pre-slice to `n` so the chunk iterators stay in lock-step and LLVM can
+    // elide the per-element bounds checks.
+    let [r0, r1, r2, r3] = rows.map(|r| &r[..n]);
+    let mut o = out.chunks_exact_mut(EW);
+    let mut i0 = r0.chunks_exact(EW);
+    let mut i1 = r1.chunks_exact(EW);
+    let mut i2 = r2.chunks_exact(EW);
+    let mut i3 = r3.chunks_exact(EW);
+    for ((((oc, c0), c1), c2), c3) in (&mut o).zip(&mut i0).zip(&mut i1).zip(&mut i2).zip(&mut i3) {
+        for j in 0..EW {
+            let mut v = oc[j];
+            v += a[0] * c0[j];
+            v += a[1] * c1[j];
+            v += a[2] * c2[j];
+            v += a[3] * c3[j];
+            oc[j] = v;
         }
-        Lanes::W4 => axpy_core::<4>(out, row, a),
-        Lanes::W8 => axpy_core::<8>(out, row, a),
+    }
+    let tail = o.into_remainder();
+    let base = n - tail.len();
+    for (j, ov) in tail.iter_mut().enumerate() {
+        let i = base + j;
+        let mut v = *ov;
+        v += a[0] * r0[i];
+        v += a[1] * r1[i];
+        v += a[2] * r2[i];
+        v += a[3] * r3[i];
+        *ov = v;
     }
 }
 
@@ -650,51 +506,13 @@ pub fn accumulate_scan_keep_append(
     idx: &mut Vec<u32>,
     val: &mut Vec<f32>,
 ) {
-    accumulate_scan_keep_append_with_lanes(residual, grad, scale, th, idx, val, lanes())
-}
-
-/// [`accumulate_scan_keep_append`] at an explicit lane width.
-pub fn accumulate_scan_keep_append_with_lanes(
-    residual: &mut [f32],
-    grad: &[f32],
-    scale: f32,
-    th: f32,
-    idx: &mut Vec<u32>,
-    val: &mut Vec<f32>,
-    lanes: Lanes,
-) {
     assert_eq!(residual.len(), grad.len());
+    let lanes = caps().lanes;
     let mut base = 0u32;
     for (r, g) in residual.chunks_mut(ACCUMULATE_TILE).zip(grad.chunks(ACCUMULATE_TILE)) {
-        axpy_with_lanes(r, g, scale, lanes);
+        axpy(r, g, scale);
         scan_keep_append_with_lanes(r, th, base, idx, val, lanes);
         base += r.len() as u32;
-    }
-}
-
-/// Four-row [`axpy`] with a single load/store of `out` per element; terms are
-/// added in ascending-row order, so the result is bit-identical to four
-/// sequential `axpy` calls. Rows must be at least as long as `out`.
-pub fn axpy4(out: &mut [f32], rows: [&[f32]; 4], a: [f32; 4]) {
-    axpy4_with_lanes(out, rows, a, lanes())
-}
-
-/// [`axpy4`] at an explicit lane width.
-pub fn axpy4_with_lanes(out: &mut [f32], rows: [&[f32]; 4], a: [f32; 4], lanes: Lanes) {
-    let [r0, r1, r2, r3] = rows;
-    match lanes {
-        Lanes::S1 => {
-            for (i, o) in out.iter_mut().enumerate() {
-                let mut v = *o;
-                v += a[0] * r0[i];
-                v += a[1] * r1[i];
-                v += a[2] * r2[i];
-                v += a[3] * r3[i];
-                *o = v;
-            }
-        }
-        Lanes::W4 => axpy4_core::<4>(out, r0, r1, r2, r3, a),
-        Lanes::W8 => axpy4_core::<8>(out, r0, r1, r2, r3, a),
     }
 }
 
@@ -722,9 +540,6 @@ mod tests {
         let c2 = caps();
         assert_eq!(c1.lanes, c2.lanes);
         assert!(c1.lanes.width() >= 1);
-        if !c1.compiled {
-            assert_eq!(c1.lanes, Lanes::S1);
-        }
     }
 
     #[test]
@@ -762,25 +577,21 @@ mod tests {
         for n in [0usize, 1, 7, 8, 9, 100, 1001] {
             let src = mixed(n, 3);
             let g = mixed(n, 5);
-            for l in Lanes::ALL {
-                let mut a_want = vec![0f32; n];
-                fused_scale_add_with_lanes(&mut a_want, &src, &g, 0.37, Lanes::S1);
-                let mut a = vec![0f32; n];
-                fused_scale_add_with_lanes(&mut a, &src, &g, 0.37, l);
-                assert_eq!(a, a_want, "fused_scale_add n={n} {l:?}");
+            let a_want: Vec<f32> = src.iter().zip(&g).map(|(&ev, &gv)| ev + 0.37 * gv).collect();
+            let mut a = vec![0f32; n];
+            fused_scale_add(&mut a, &src, &g, 0.37);
+            assert_eq!(a, a_want, "fused_scale_add n={n}");
 
-                let mut s_want = src.clone();
-                scale_inplace_with_lanes(&mut s_want, -1.5, Lanes::S1);
-                let mut s = src.clone();
-                scale_inplace_with_lanes(&mut s, -1.5, l);
-                assert_eq!(s, s_want, "scale n={n} {l:?}");
+            let s_want: Vec<f32> = src.iter().map(|&v| v * -1.5).collect();
+            let mut s = src.clone();
+            scale_inplace(&mut s, -1.5);
+            assert_eq!(s, s_want, "scale n={n}");
 
-                assert_eq!(
-                    max_abs_with_lanes(&src, l).to_bits(),
-                    max_abs_with_lanes(&src, Lanes::S1).to_bits(),
-                    "max_abs n={n} {l:?}"
-                );
-            }
+            assert_eq!(
+                max_abs(&src).to_bits(),
+                src.iter().fold(0.0f32, |a, &v| a.max(v.abs())).to_bits(),
+                "max_abs n={n}"
+            );
         }
     }
 
@@ -790,22 +601,22 @@ mod tests {
         let rows: Vec<Vec<f32>> = (0..4).map(|s| mixed(n, 20 + s)).collect();
         let a = [0.5f32, -1.25, 0.0, 2.0];
         let init = mixed(n, 9);
-        // axpy4 == four sequential axpy calls == scalar loop, at every width.
+        // axpy4 == four sequential axpy calls == scalar loop.
         let mut want = init.clone();
         for (r, &c) in rows.iter().zip(&a) {
-            axpy_with_lanes(&mut want, r, c, Lanes::S1);
-        }
-        for l in Lanes::ALL {
-            let mut got = init.clone();
-            axpy4_with_lanes(&mut got, [&rows[0], &rows[1], &rows[2], &rows[3]], a, l);
-            assert_eq!(got, want, "axpy4 {l:?}");
-
-            let mut got1 = init.clone();
-            for (r, &c) in rows.iter().zip(&a) {
-                axpy_with_lanes(&mut got1, r, c, l);
+            for (o, &rv) in want.iter_mut().zip(r) {
+                *o += c * rv;
             }
-            assert_eq!(got1, want, "axpy chain {l:?}");
         }
+        let mut got = init.clone();
+        axpy4(&mut got, [&rows[0], &rows[1], &rows[2], &rows[3]], a);
+        assert_eq!(got, want, "axpy4");
+
+        let mut got1 = init.clone();
+        for (r, &c) in rows.iter().zip(&a) {
+            axpy(&mut got1, r, c);
+        }
+        assert_eq!(got1, want, "axpy chain");
     }
 
     #[test]

@@ -130,9 +130,9 @@ fn boundary_lengths_are_bit_identical() {
 }
 
 /// SIMD/scalar lane parity: every `sparse::simd` kernel must be bit-identical
-/// to the scalar reference at widths {scalar, 4, 8}, regardless of whether the
-/// host accelerates the width (unsupported widths fall back to portable lane
-/// cores computing the same math).
+/// to the scalar reference — the mask kernels at widths {scalar, 4, 8},
+/// regardless of whether the host accelerates the width (unsupported widths
+/// fall back to portable lane cores computing the same math).
 mod lane_parity {
     use super::{bits, dense_vec};
     use proptest::prelude::*;
@@ -170,23 +170,18 @@ mod lane_parity {
         ) {
             let n = dense.len().min(other.len());
             let (a, g) = (&dense[..n], &other[..n]);
-            for lanes in Lanes::ALL {
-                let mut acc = vec![0f32; n];
-                simd::fused_scale_add_with_lanes(&mut acc, a, g, scale, lanes);
-                let want: Vec<f32> = a.iter().zip(g).map(|(&e, &gv)| e + scale * gv).collect();
-                prop_assert_eq!(bits(&acc), bits(&want), "fused_scale_add lanes={:?}", lanes);
+            let mut acc = vec![0f32; n];
+            simd::fused_scale_add(&mut acc, a, g, scale);
+            let want: Vec<f32> = a.iter().zip(g).map(|(&e, &gv)| e + scale * gv).collect();
+            prop_assert_eq!(bits(&acc), bits(&want), "fused_scale_add");
 
-                let mut scaled = a.to_vec();
-                simd::scale_inplace_with_lanes(&mut scaled, scale, lanes);
-                let want: Vec<f32> = a.iter().map(|&v| v * scale).collect();
-                prop_assert_eq!(bits(&scaled), bits(&want), "scale_inplace lanes={:?}", lanes);
+            let mut scaled = a.to_vec();
+            simd::scale_inplace(&mut scaled, scale);
+            let want: Vec<f32> = a.iter().map(|&v| v * scale).collect();
+            prop_assert_eq!(bits(&scaled), bits(&want), "scale_inplace");
 
-                let want_max = a.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                prop_assert_eq!(
-                    simd::max_abs_with_lanes(a, lanes).to_bits(), want_max.to_bits(),
-                    "max_abs lanes={:?}", lanes
-                );
-            }
+            let want_max = a.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+            prop_assert_eq!(simd::max_abs(a).to_bits(), want_max.to_bits(), "max_abs");
         }
 
         /// The fused accumulate+select leaves the residual bits and emits the
@@ -224,20 +219,16 @@ mod lane_parity {
                     .collect()
             };
             let (e, g) = (draw(1), draw(2));
-            for lanes in Lanes::ALL {
-                let mut acc = vec![0f32; len];
-                simd::fused_scale_add_with_lanes(&mut acc, &e, &g, scale, lanes);
-                let want = sparse::select::select_ge(&acc, th);
+            let mut acc = vec![0f32; len];
+            simd::fused_scale_add(&mut acc, &e, &g, scale);
+            let want = sparse::select::select_ge(&acc, th);
 
-                let mut residual = e.clone();
-                let (mut gi, mut gv) = (Vec::new(), Vec::new());
-                simd::accumulate_scan_keep_append_with_lanes(
-                    &mut residual, &g, scale, th, &mut gi, &mut gv, lanes,
-                );
-                prop_assert_eq!(bits(&residual), bits(&acc), "residual lanes={:?}", lanes);
-                prop_assert_eq!(&gi[..], want.indexes(), "indexes lanes={:?}", lanes);
-                prop_assert_eq!(bits(&gv), bits(want.values()), "values lanes={:?}", lanes);
-            }
+            let mut residual = e.clone();
+            let (mut gi, mut gv) = (Vec::new(), Vec::new());
+            simd::accumulate_scan_keep_append(&mut residual, &g, scale, th, &mut gi, &mut gv);
+            prop_assert_eq!(bits(&residual), bits(&acc), "residual");
+            prop_assert_eq!(&gi[..], want.indexes(), "indexes");
+            prop_assert_eq!(bits(&gv), bits(want.values()), "values");
         }
 
         #[test]
@@ -254,22 +245,19 @@ mod lane_parity {
                     *o += c * rv;
                 }
             }
-            for lanes in Lanes::ALL {
-                let mut got = init.clone();
-                simd::axpy4_with_lanes(
-                    &mut got,
-                    [&rows[0][..n], &rows[1][..n], &rows[2][..n], &rows[3][..n]],
-                    [coef[0], coef[1], coef[2], coef[3]],
-                    lanes,
-                );
-                prop_assert_eq!(bits(&got), bits(&want), "axpy4 lanes={:?}", lanes);
+            let mut got = init.clone();
+            simd::axpy4(
+                &mut got,
+                [&rows[0][..n], &rows[1][..n], &rows[2][..n], &rows[3][..n]],
+                [coef[0], coef[1], coef[2], coef[3]],
+            );
+            prop_assert_eq!(bits(&got), bits(&want), "axpy4");
 
-                let mut got1 = init.clone();
-                for (r, &c) in rows.iter().zip(&coef) {
-                    simd::axpy_with_lanes(&mut got1, &r[..n], c, lanes);
-                }
-                prop_assert_eq!(bits(&got1), bits(&want), "axpy chain lanes={:?}", lanes);
+            let mut got1 = init.clone();
+            for (r, &c) in rows.iter().zip(&coef) {
+                simd::axpy(&mut got1, &r[..n], c);
             }
+            prop_assert_eq!(bits(&got1), bits(&want), "axpy chain");
         }
     }
 }

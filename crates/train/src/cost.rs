@@ -91,7 +91,7 @@ impl CostProfile {
 
     /// The simnet network model (α, β) of this profile.
     pub fn network(&self) -> CostModel {
-        CostModel { alpha: self.alpha, beta: self.beta, hierarchy: None }
+        CostModel { alpha: self.alpha, beta: self.beta }
     }
 
     /// Modeled forward+backward seconds for a model with `n` parameters.

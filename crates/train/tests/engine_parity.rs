@@ -4,9 +4,10 @@
 //! during a run (recv-wait, tx/rx bytes, message histograms, chaos counters,
 //! trainer phase times, …) must be bit-identical between `Engine::Thread` and
 //! `Engine::Event` — clean and under a chaos plan. Host-class metrics (pool
-//! behavior, scheduler token traffic, wall time) are exempt by design.
+//! behavior, scheduler token traffic, wall time) are exempt by design. Turning
+//! observability off must change nothing but the (then empty) metrics.
 
-use simnet::{ChaosPlan, Cluster, Engine};
+use simnet::{ChaosPlan, Cluster, Engine, PhaseVolume, SimReport};
 use train::{CostProfile, Reducer, Scheme, Update};
 
 /// Deterministic pseudo-gradient: a fixed function of (rank, iter, index).
@@ -20,17 +21,41 @@ fn grad(rank: usize, t: usize, n: usize) -> Vec<f32> {
         .collect()
 }
 
+/// What one run is compared on.
+struct Run {
+    clocks: Vec<f64>,
+    /// The Virtual-metric bit view.
+    metrics: Vec<(String, Vec<u64>)>,
+    results: Vec<f64>,
+    /// Per-(phase, rank) traffic, in a canonical order.
+    ledger: Vec<((String, usize), PhaseVolume)>,
+}
+
+impl Run {
+    fn of(report: SimReport<f64>) -> Self {
+        let size = report.results.len();
+        let snap = &report.ledger;
+        let ledger = snap
+            .phases()
+            .into_iter()
+            .flat_map(|ph| (0..size).map(move |r| ((ph.to_string(), r), snap.cell(r, ph))))
+            .collect();
+        Run {
+            clocks: report.times,
+            metrics: report.metrics.parity_view(),
+            results: report.results,
+            ledger,
+        }
+    }
+}
+
 /// Run three reduce steps of `scheme` on 4 ranks under `engine`, with
-/// observability forced on; return clocks and the Virtual-metric bit view.
-fn run_once(
-    scheme: Scheme,
-    engine: Engine,
-    chaos: bool,
-) -> (Vec<f64>, Vec<(String, Vec<u64>)>, Vec<f64>) {
+/// observability `obs`.
+fn run_once(scheme: Scheme, engine: Engine, chaos: bool, obs: bool) -> Run {
     let p = 4;
     let n = 512;
     let cost = CostProfile::paper_calibrated();
-    let mut cluster = Cluster::new(p, cost.network()).with_obs(true).with_engine(engine);
+    let mut cluster = Cluster::new(p, cost.network()).with_obs(obs).with_engine(engine);
     if chaos {
         let plan = ChaosPlan::new(11)
             .straggler(1, 1.6)
@@ -52,20 +77,33 @@ fn run_once(
         }
         checksum
     });
-    (report.times.clone(), report.metrics.parity_view(), report.results)
+    Run::of(report)
+}
+
+/// An event-engine run with observability off must match the `on` run in
+/// results, clocks and ledger, and record no metrics at all.
+fn assert_obs_off_changes_nothing(on: &Run, off: &Run, label: &str) {
+    assert_eq!(on.results, off.results, "{label}: obs off changed the results");
+    assert_eq!(on.clocks, off.clocks, "{label}: obs off changed the clocks");
+    assert_eq!(on.ledger, off.ledger, "{label}: obs off changed the ledger");
+    assert!(off.metrics.is_empty(), "{label}: obs off still recorded {:?}", off.metrics);
 }
 
 fn assert_scheme_parity(scheme: Scheme, chaos: bool) {
-    let (t_clocks, t_metrics, t_results) = run_once(scheme, Engine::Thread, chaos);
-    let (e_clocks, e_metrics, e_results) = run_once(scheme, Engine::Event, chaos);
+    let thread = run_once(scheme, Engine::Thread, chaos, true);
+    let event = run_once(scheme, Engine::Event, chaos, true);
     let label = scheme.name();
-    assert_eq!(t_results, e_results, "{label}: reduce results diverged across engines");
-    assert_eq!(t_clocks, e_clocks, "{label}: virtual clocks diverged across engines");
-    assert_eq!(t_metrics, e_metrics, "{label}: virtual-class metrics diverged across engines");
+    assert_eq!(thread.results, event.results, "{label}: reduce results diverged across engines");
+    assert_eq!(thread.clocks, event.clocks, "{label}: virtual clocks diverged across engines");
+    assert_eq!(
+        thread.metrics, event.metrics,
+        "{label}: virtual-class metrics diverged across engines"
+    );
     assert!(
-        t_metrics.iter().any(|(name, _)| name == "sim.recv_wait_vsec"),
+        thread.metrics.iter().any(|(name, _)| name == "sim.recv_wait_vsec"),
         "{label}: recv-wait metric missing with obs forced on"
     );
+    assert_obs_off_changes_nothing(&event, &run_once(scheme, Engine::Event, chaos, false), label);
 }
 
 #[test]
@@ -88,11 +126,7 @@ fn all_schemes_have_metric_parity_under_chaos() {
 /// oversubscription) so the intra-reduce → leader-exchange → broadcast
 /// pipeline itself is held to the same cross-engine bit-parity guarantee,
 /// clean and under chaos.
-fn run_hier(
-    scheme: Scheme,
-    engine: Engine,
-    chaos: bool,
-) -> (Vec<f64>, Vec<(String, Vec<u64>)>, Vec<f64>) {
+fn run_hier(scheme: Scheme, engine: Engine, chaos: bool, obs: bool) -> Run {
     let p = 8;
     let n = 512;
     let rpn = 4;
@@ -100,7 +134,7 @@ fn run_hier(
     let topo =
         simnet::Topology::two_tier(rpn, (1e-6, 1e-9), (25e-6, 4e-9)).with_oversubscription(8.0);
     let mut cluster =
-        Cluster::new(p, cost.network()).with_obs(true).with_engine(engine).with_topology(topo);
+        Cluster::new(p, cost.network()).with_obs(obs).with_engine(engine).with_topology(topo);
     if chaos {
         let plan = ChaosPlan::new(23)
             .straggler(3, 1.5)
@@ -122,7 +156,7 @@ fn run_hier(
         }
         checksum
     });
-    (report.times.clone(), report.metrics.parity_view(), report.results)
+    Run::of(report)
 }
 
 const HIER_SCHEMES: [Scheme; 3] = [Scheme::HierDense, Scheme::HierGTopk, Scheme::HierOkTopk];
@@ -131,12 +165,16 @@ const HIER_SCHEMES: [Scheme; 3] = [Scheme::HierDense, Scheme::HierGTopk, Scheme:
 fn hier_schemes_have_engine_parity_on_two_tier_topology() {
     for scheme in HIER_SCHEMES {
         for chaos in [false, true] {
-            let (t_clocks, t_metrics, t_results) = run_hier(scheme, Engine::Thread, chaos);
-            let (e_clocks, e_metrics, e_results) = run_hier(scheme, Engine::Event, chaos);
+            let thread = run_hier(scheme, Engine::Thread, chaos, true);
+            let event = run_hier(scheme, Engine::Event, chaos, true);
             let label = scheme.name();
-            assert_eq!(t_results, e_results, "{label} chaos={chaos}: results diverged");
-            assert_eq!(t_clocks, e_clocks, "{label} chaos={chaos}: clocks diverged");
-            assert_eq!(t_metrics, e_metrics, "{label} chaos={chaos}: metrics diverged");
+            assert_eq!(thread.results, event.results, "{label} chaos={chaos}: results diverged");
+            assert_eq!(thread.clocks, event.clocks, "{label} chaos={chaos}: clocks diverged");
+            assert_eq!(thread.metrics, event.metrics, "{label} chaos={chaos}: metrics diverged");
+            if chaos {
+                let off = run_hier(scheme, Engine::Event, chaos, false);
+                assert_obs_off_changes_nothing(&event, &off, label);
+            }
         }
     }
 }
@@ -150,7 +188,6 @@ fn trainer_metrics_match_across_engines() {
     use dnn::models::VggLite;
     use train::{run_data_parallel, OptimizerKind, TrainConfig};
 
-    obs::set_enabled(true);
     let run = |engine: Engine| {
         let mut cfg = TrainConfig::new(Scheme::OkTopk, 0.05);
         cfg.iters = 4;

@@ -134,6 +134,28 @@ if [ "$sites" -ne 1 ] || [ "$groups" -ne 2 ]; then
   exit 1
 fi
 
+echo "== one home per run setting (DESIGN.md §11) =="
+# Obs on/off, the SIMD lane width and two-tier link prices each have one home:
+# a Cluster builder call or a CPU probe. Outside #[cfg(test)] no cargo feature,
+# process-global obs switch or second two-tier pricing path may come back, and
+# only the two mask kernels, where a width selects different code, take one.
+# (The engine_parity suite covers obs off; scalar lanes are the parity suites'
+# reference, so neither needs a re-run of the suite under a switch.)
+mapfile -t crate_rs < <(find crates -name '*.rs' -not -path 'crates/shims/*' | sort)
+if non_test "${crate_rs[@]}" | grep -E 'feature = "simd"|set_enabled|with_hierarchy|\bHierarchy\b'; then
+  echo "FAIL: a second home for a run setting is back (lines above)" >&2
+  exit 1
+fi
+if grep -n '^\[features\]' crates/sparse/Cargo.toml; then
+  echo "FAIL: crates/sparse grew a cargo feature again" >&2
+  exit 1
+fi
+lanes=$(non_test "${crate_rs[@]}" | grep -oE 'pub fn [a-z0-9_]+_with_lanes' | sort | tr '\n' ' ')
+if [ "$lanes" != "pub fn count_abs_ge_with_lanes pub fn scan_keep_append_with_lanes " ]; then
+  echo "FAIL: _with_lanes entries are [$lanes] (want count_abs_ge and scan_keep_append)" >&2
+  exit 1
+fi
+
 echo "== frozen benchmark surface still has its callers (DESIGN.md §7) =="
 # These names exist only because benchmark/ is frozen between benchmark PRs.
 # When a benchmark PR drops the last call of one, the shim must go with it.
@@ -159,23 +181,11 @@ bash .bench_check/selftest.sh
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== tests (forced-scalar: OKTOPK_SIMD=off) =="
-# The lane kernels promise bit-identical results on the scalar fallback path;
-# re-run the crates that dispatch through sparse::simd with SIMD forced off so
-# that path stays green, not just compiled.
-OKTOPK_SIMD=off cargo test -q -p sparse -p dnn -p oktopk
-
 echo "== tests (two-tier topology default: SIMNET_TOPO=2x8) =="
 # A session-wide shape-only topology must be timing-neutral: it changes node
 # grouping and tier byte accounting but no modeled clock, so the entire suite
 # must stay green (and flat schemes bit-identical) with it installed.
 SIMNET_TOPO=2x8 cargo test -q --workspace
-
-echo "== tests (observability off: OKTOPK_OBS=off) =="
-# The obs kill switch promises zero behavioural difference: every result,
-# clock and ledger must be unchanged with the metrics registry disabled.
-# Run the suites that instrument the hot paths with obs forced off.
-OKTOPK_OBS=off cargo test -q -p simnet -p train -p okbench
 
 echo "== obs trace export (obsdump, schema-checked) =="
 # The profiling command must produce a loadable Perfetto trace end to end.
