@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use oktopk::{OkTopkConfig, OkTopkSgd};
 use simnet::{Cluster, CostModel};
-use sparse::scratch::{exact_threshold_scratch, select_ge_scratch, SelectScratch};
+use sparse::scratch::{select_ge_scratch, SelectScratch};
 use sparse::select::{exact_threshold, exact_threshold_by_sort, select_ge};
 use sparse::simd::{self, Lanes};
 
@@ -103,7 +103,7 @@ fn bench_selection_scratch(n: usize, k: usize, reps: usize, trials: usize) -> Be
     });
     let mut scratch = SelectScratch::new();
     let optimized = time_ns(reps, trials, || {
-        let th = exact_threshold_scratch(black_box(&dense), k, &mut scratch);
+        let th = exact_threshold(black_box(&dense), k);
         let g = select_ge_scratch(&dense, th, &mut scratch);
         black_box(g.nnz());
         scratch.recycle(g);
@@ -287,9 +287,8 @@ fn bench_exact_threshold(name: &'static str, n: usize, reps: usize, trials: usiz
     let sort = time_ns(reps, trials, || {
         black_box(exact_threshold_by_sort(black_box(&dense), k));
     });
-    let mut scratch = SelectScratch::new();
     let radix = time_ns(reps, trials, || {
-        black_box(exact_threshold_scratch(black_box(&dense), k, &mut scratch));
+        black_box(exact_threshold(black_box(&dense), k));
     });
     BenchResult {
         name,
@@ -299,7 +298,7 @@ fn bench_exact_threshold(name: &'static str, n: usize, reps: usize, trials: usiz
         sweep: Vec::new(),
         attempts: Vec::new(),
         note: format!(
-            "n={n} k={k}; exact_threshold_by_sort vs exact_threshold_scratch ({:.2} ns/elem)",
+            "n={n} k={k}; exact_threshold_by_sort vs exact_threshold ({:.2} ns/elem)",
             radix / n as f64
         ),
     }

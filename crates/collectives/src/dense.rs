@@ -301,6 +301,41 @@ where
     gather_handles(comm, Arc::new(mine), TAG_ITEMS, StepBudget::new(0.0, 0))
 }
 
+/// A rank-ordered block of gathered items in a doubling round: one origin's
+/// item, or two adjacent blocks. Its wire size is its items', so relaying a
+/// block costs one handle and is charged what the items would be.
+enum Block<T> {
+    Leaf(Arc<T>),
+    Join { lo: Arc<Block<T>>, hi: Arc<Block<T>>, elems: u64 },
+}
+
+impl<T: WireSize> Block<T> {
+    fn join(lo: Arc<Self>, hi: Arc<Self>) -> Arc<Self> {
+        let elems = lo.wire_elems() + hi.wire_elems();
+        Arc::new(Block::Join { lo, hi, elems })
+    }
+
+    /// Append the block's items to `out`, in rank order.
+    fn flatten_into(&self, out: &mut Vec<Arc<T>>) {
+        match self {
+            Block::Leaf(item) => out.push(Arc::clone(item)),
+            Block::Join { lo, hi, .. } => {
+                lo.flatten_into(out);
+                hi.flatten_into(out);
+            }
+        }
+    }
+}
+
+impl<T: WireSize> WireSize for Block<T> {
+    fn wire_elems(&self) -> u64 {
+        match self {
+            Block::Leaf(item) => item.wire_elems(),
+            Block::Join { elems, .. } => *elems,
+        }
+    }
+}
+
 /// The handle allgather behind [`allgather_items`] and the gather half of the
 /// dense allreduce, which differ in `tag` and in the `overlap` share spent
 /// between each step's send and its receive.
@@ -315,42 +350,42 @@ where
 {
     let p = comm.size();
     let rank = comm.rank();
-    let mut have = Vec::with_capacity(p);
-    have.push(mine);
     if p.is_power_of_two() {
         // Recursive doubling: at distance `dist` a rank holds the rank-ordered
         // block of the `dist` origins that agree with it above that bit, and
         // its partner the adjacent block — below it if the rank's bit is set.
-        // The origin is implied by position, as in MPI's displacement array.
+        // A round relays the block's one handle; the origin is implied by
+        // position, as in MPI's displacement array. The P-long list exists
+        // only once the last round is in.
+        let mut have = Arc::new(Block::Leaf(mine));
         let mut dist = 1;
         while dist < p {
             let partner = rank ^ dist;
-            comm.send(partner, tag, have.clone());
-            let req = comm.irecv::<Vec<Arc<T>>>(partner, tag);
+            comm.send_shared(partner, tag, Arc::clone(&have));
             overlap.spend(comm);
-            let got = comm.wait_recv(req);
-            if rank & dist == 0 {
-                have.extend(got);
-            } else {
-                have.splice(..0, got);
-            }
+            let got = comm.recv_shared(partner, tag);
+            have = if rank & dist == 0 { Block::join(have, got) } else { Block::join(got, have) };
             dist *= 2;
         }
-    } else {
-        // Ring: forward the item that arrived last. Origins arrive in the order
-        // rank, rank−1, …, rank+1 (mod P); reversed and rotated that is 0..P.
-        // (`recv_shared` resolves where it is called, like `wait_recv`.)
-        let right = (rank + 1) % p;
-        let left = (rank + p - 1) % p;
-        for _ in 1..p {
-            let fwd = Arc::clone(have.last().expect("starts with the rank's own item"));
-            comm.send_shared(right, tag, fwd);
-            overlap.spend(comm);
-            have.push(comm.recv_shared(left, tag));
-        }
-        have.reverse();
-        have.rotate_right(rank + 1);
+        let mut all = Vec::with_capacity(p);
+        have.flatten_into(&mut all);
+        return all;
     }
+    // Ring: forward the item that arrived last. Origins arrive in the order
+    // rank, rank−1, …, rank+1 (mod P); reversed and rotated that is 0..P.
+    // (`recv_shared` resolves where it is called, like `wait_recv`.)
+    let right = (rank + 1) % p;
+    let left = (rank + p - 1) % p;
+    let mut have = Vec::with_capacity(p);
+    have.push(mine);
+    for _ in 1..p {
+        let fwd = Arc::clone(have.last().expect("starts with the rank's own item"));
+        comm.send_shared(right, tag, fwd);
+        overlap.spend(comm);
+        have.push(comm.recv_shared(left, tag));
+    }
+    have.reverse();
+    have.rotate_right(rank + 1);
     have
 }
 

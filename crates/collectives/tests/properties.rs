@@ -181,7 +181,8 @@ fn reduce_to_root_into_matches_in_place() {
 /// The allgather this crate had before pieces were shared, kept only as the
 /// reference [`allgather_items`] is compared against: origin-keyed items in
 /// `Option` slots, and every doubling round deep-clones everything gathered so
-/// far. Same tag, partners, message order and wire elements.
+/// far where the shared gather relays one block handle. Same tag, partners,
+/// message order and wire elements.
 fn allgather_items_cloning<C: Net, T>(comm: &mut C, mine: T) -> Vec<T>
 where
     T: Clone + Send + WireSize + 'static,
@@ -229,10 +230,11 @@ where
 /// P (doubling and ring) and item size (empty ones included), is the deep-
 /// cloning gather it replaced on the modeled side — same clocks, same per-rank
 /// messages and elements — and is zero-copy: all P ranks end up holding the
-/// *same* allocation for each origin.
+/// *same* allocation for each origin. P = 16 and 64 run the doubling gather's
+/// block relay through 4 and 6 rounds.
 #[test]
 fn allgather_items_shares_pieces_and_matches_the_cloning_gather() {
-    for p in 1usize..=9 {
+    for p in (1usize..=9).chain([16, 64]) {
         // Sizes 0, 3, 1, 4, 2, 0, 3, 1, 4: variable, and empty at ranks 0 and 5.
         let item = |rank: usize| -> Vec<u32> {
             (0..(rank * 3) % 5).map(|i| (rank * 100 + i) as u32).collect()

@@ -6,9 +6,8 @@ use crate::split_reduce::split_and_reduce;
 use collectives::{allgather_items, allreduce_sum_f64};
 use simnet::Net;
 use sparse::partition::{balanced_boundaries, consensus_boundaries, equal_boundaries};
-use sparse::scratch::{
-    accumulate_select_scratch, exact_threshold_scratch, filter_abs_ge_scratch, select_ge_scratch,
-};
+use sparse::scratch::{accumulate_select_scratch, filter_abs_ge_scratch, select_ge_scratch};
+use sparse::select::exact_threshold;
 use sparse::threshold::{PeriodicExactEstimator, ThresholdEstimator};
 use sparse::{CooGradient, SelectScratch};
 
@@ -103,8 +102,8 @@ impl OkTopk {
     pub fn allreduce<C: Net>(&mut self, comm: &mut C, acc: &[f32], t: usize) -> OkTopkOutput {
         assert_eq!(acc.len(), self.cfg.n, "accumulator length must equal configured n");
         // Lines 2–4: local threshold, re-evaluated every τ′ iterations, then the
-        // O(n) scan; both run on pooled scratch and touch no heap at steady state.
-        let local_th = self.local_est.threshold_scratch(t, acc, self.cfg.k, &mut self.scratch);
+        // O(n) scan; both run on pooled buffers and touch no heap at steady state.
+        let local_th = self.local_est.threshold(t, acc, self.cfg.k);
         let local = select_ge_scratch(acc, local_th, &mut self.scratch);
         self.exchange(comm, local, local_th, t)
     }
@@ -132,8 +131,7 @@ impl OkTopk {
             }
             None => {
                 sparse::simd::axpy(residual, grad, scale);
-                let th =
-                    self.local_est.threshold_scratch(t, residual, self.cfg.k, &mut self.scratch);
+                let th = self.local_est.threshold(t, residual, self.cfg.k);
                 (th, select_ge_scratch(residual, th, &mut self.scratch))
             }
         };
@@ -175,7 +173,7 @@ impl OkTopk {
             comm.set_phase("okt_reeval_gather");
             let all = allgather_items(comm, sr.reduced_region.clone());
             let values: Vec<f32> = all.iter().flat_map(|g| g.values().iter().copied()).collect();
-            self.global_th = exact_threshold_scratch(&values, self.cfg.k, &mut self.scratch);
+            self.global_th = exact_threshold(&values, self.cfg.k);
         }
 
         // Line 13: balance and allgatherv over the global-threshold survivors.

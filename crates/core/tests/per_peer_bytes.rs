@@ -16,11 +16,12 @@
 //! builds) depends on arrival order and is the ROADMAP's per-message item, not
 //! a length-P structure.
 //!
-//! What is left per peer, 48 bytes: an 8-byte `Arc` handle per gathered piece,
-//! twice (the P-long result, and the blocks a rank sends over the doubling
-//! rounds, which sum to P − 1), in each of the step's two allgathers, and the
-//! 16-byte receive handle of split-and-reduce's bucket rounds. Everything O(k)
-//! — shard copies, merges, the concatenated result — is the same at both sizes
+//! What is left per peer, 32 bytes: an 8-byte `Arc` handle per gathered piece
+//! in the P-long result of each of the step's two allgathers, and the 16-byte
+//! receive handle of split-and-reduce's bucket rounds. The blocks a rank sends
+//! over the doubling rounds no longer cost 8 bytes per peer: a round relays one
+//! handle to a tree node, and a rank makes log P of those. Everything O(k) —
+//! shard copies, merges, the concatenated result — is the same at both sizes
 //! and cancels.
 //!
 //! Readings (bytes requested on rank 0 in one step):
@@ -29,6 +30,7 @@
 //! |-------------------------------------------------------|-------:|--------:|-------------:|
 //! | parent (P shards, order vectors, `Keyed` deep clones) | 29 160 |  84 600 |        288.8 |
 //! | shared-piece gather + slice-on-demand                 | 13 064 |  23 376 |         53.7 |
+//! | + one block handle relayed per doubling round         | 12 616 |  20 016 |         38.5 |
 //!
 //! The readings repeat exactly from run to run. This file must stay a
 //! single-test binary so no sibling test shares the armed thread.
@@ -172,8 +174,9 @@ fn step_bytes(p: usize) -> usize {
 
 #[test]
 fn steady_state_step_has_no_per_peer_scratch() {
-    /// Reads 53.7 (table above); 2× headroom. The parent's 288.8 fails it.
-    const MAX_BYTES_PER_PEER: f64 = 110.0;
+    /// Reads 38.5 (table above). A gather that relays its whole block of
+    /// handles each round reads 53.7 and fails it.
+    const MAX_BYTES_PER_PEER: f64 = 46.0;
 
     let (small, large) = (step_bytes(64), step_bytes(256));
     let slope = (large as f64 - small as f64) / 192.0;

@@ -12,9 +12,9 @@
 //! `v.to_bits() & 0x7fff_ffff` compared as an integer. On finite values that is
 //! the usual order of `|v|`; it also fixes the cases `<` leaves open: `-0.0` and
 //! `+0.0` are equal, subnormals sit between zero and the smallest normal, `±∞`
-//! is above every finite value and every NaN is above `∞`. [`exact_threshold`],
-//! [`crate::scratch::exact_threshold_scratch`] and [`exact_threshold_by_sort`]
-//! all use it, so they agree bit for bit on every input. A NaN among the k
+//! is above every finite value and every NaN is above `∞`. [`exact_threshold`]
+//! and [`exact_threshold_by_sort`] both use it, so they agree bit for bit on
+//! every input. A NaN among the k
 //! largest therefore *counts toward k* — and since `|v| >= th` is false whenever
 //! either side is NaN, the threshold scan never emits it: the selection comes
 //! out short by the number of NaNs (empty, if the threshold itself is NaN).
@@ -23,6 +23,7 @@
 //! them live in [`crate::threshold`].
 
 use crate::coo::CooGradient;
+use std::sync::{Mutex, PoisonError};
 
 /// Clears the sign bit: what is left of an `f32`'s bits is its magnitude key.
 const MAGNITUDE_MASK: u32 = 0x7fff_ffff;
@@ -35,7 +36,14 @@ const LOW_BITS: u32 = 10;
 const TOP_COPIES: usize = 4;
 const LOW_COPIES: usize = 2;
 /// `u32` words of histogram the radix select needs (32 KiB).
-pub(crate) const RADIX_HIST_WORDS: usize = TOP_COPIES << TOP_BITS;
+const RADIX_HIST_WORDS: usize = TOP_COPIES << TOP_BITS;
+
+/// The process's radix histograms, between selects. A select pops one, counts
+/// into it and pushes it back without parking in between, so the pool holds
+/// as many buffers as selects ever ran at once — the run tokens W under the
+/// event engine, P under the thread oracle — and not one per rank, which at
+/// P = 1024 would be 32 MiB for a select Ok-Topk runs once every τ′ steps.
+static HISTOGRAMS: Mutex<Vec<Vec<u32>>> = Mutex::new(Vec::new());
 
 #[inline(always)]
 fn magnitude_key(v: f32) -> u32 {
@@ -45,11 +53,17 @@ fn magnitude_key(v: f32) -> u32 {
 /// The `k`-th largest magnitude in `values` — the exact top-k threshold (see the
 /// module docs for the order on non-finite values).
 ///
-/// `O(n)` by radix select; allocates its 32 KiB of histograms, which
-/// [`crate::scratch::exact_threshold_scratch`] keeps pooled instead.
+/// `O(n)` by radix select, on 32 KiB of histograms from a process-wide pool:
+/// allocation-free once as many selects as run concurrently have finished.
 /// `k` is clamped to `[1, n]`; an empty input or `k = 0` yields `+∞` (select nothing).
 pub fn exact_threshold(values: &[f32], k: usize) -> f32 {
-    radix_select(values, k, &mut vec![0; RADIX_HIST_WORDS])
+    // Any buffer in the pool is valid — the select zeroes the counters it
+    // uses — so a lock poisoned by a panic elsewhere is safe to recover.
+    let pooled = HISTOGRAMS.lock().unwrap_or_else(PoisonError::into_inner).pop();
+    let mut hist = pooled.unwrap_or_else(|| vec![0; RADIX_HIST_WORDS]);
+    let th = radix_select(values, k, &mut hist);
+    HISTOGRAMS.lock().unwrap_or_else(PoisonError::into_inner).push(hist);
+    th
 }
 
 /// MSD radix select of the `k`-th largest magnitude key, reading `values` in
@@ -57,7 +71,7 @@ pub fn exact_threshold(values: &[f32], k: usize) -> f32 {
 /// to the one that holds rank `k`, then twice histogram the next 10 bits of the
 /// keys inside that bucket. Three counting passes whatever the data, no copy and
 /// no data-dependent worst case. `hist` must hold [`RADIX_HIST_WORDS`] words.
-pub(crate) fn radix_select(values: &[f32], k: usize, hist: &mut [u32]) -> f32 {
+fn radix_select(values: &[f32], k: usize, hist: &mut [u32]) -> f32 {
     if values.is_empty() || k == 0 {
         return f32::INFINITY;
     }
@@ -217,6 +231,29 @@ mod tests {
                 let a = exact_threshold(&values, k);
                 let b = exact_threshold_by_sort(&values, k);
                 assert_eq!(a, b, "n={n} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_histograms_carry_nothing_from_one_select_to_the_next() {
+        // Large, then small, then large again: every select but the first runs
+        // on a histogram another one has counted into.
+        let mut rng = StdRng::seed_from_u64(42);
+        for n in [2000usize, 1, 333, 17, 2, 2000] {
+            let values: Vec<f32> = (0..n)
+                .map(|_| {
+                    let v = rng.gen_range(-1.0f32..1.0);
+                    if v.abs() < 0.2 {
+                        0.0
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            for k in [1usize, 2, n / 2 + 1, n, n + 5] {
+                let got = exact_threshold(&values, k);
+                assert_eq!(got, exact_threshold_by_sort(&values, k), "n={n} k={k}");
             }
         }
     }

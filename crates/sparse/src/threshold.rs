@@ -14,7 +14,6 @@
 //!   The optional scaling mode reproduces §5.4's fairness adjustment: scale the
 //!   threshold down until at least `3k/4` values are selected.
 
-use crate::scratch::{exact_threshold_scratch, SelectScratch};
 use crate::select::exact_threshold;
 use crate::simd::count_abs_ge;
 use crate::stats::{mean_std, normal_ppf};
@@ -24,20 +23,6 @@ pub trait ThresholdEstimator {
     /// Threshold for iteration `t` (1-based, matching Algorithm 1) on gradient
     /// `values`, targeting `k` survivors.
     fn threshold(&mut self, t: usize, values: &[f32], k: usize) -> f32;
-
-    /// As [`threshold`](Self::threshold), but any expensive exact computation may
-    /// use the caller's pooled scratch buffers instead of allocating. The default
-    /// ignores the scratch; estimators whose exact pass allocates should override.
-    fn threshold_scratch(
-        &mut self,
-        t: usize,
-        values: &[f32],
-        k: usize,
-        scratch: &mut SelectScratch,
-    ) -> f32 {
-        let _ = scratch;
-        self.threshold(t, values, k)
-    }
 
     /// Whether calling `threshold` at iteration `t` performs the expensive exact
     /// computation (true) or reuses a cached/cheap estimate (false). Harnesses use
@@ -97,19 +82,6 @@ impl ThresholdEstimator for PeriodicExactEstimator {
     fn threshold(&mut self, t: usize, values: &[f32], k: usize) -> f32 {
         if self.due(t) || self.cached.is_none() {
             self.cached = Some(exact_threshold(values, k));
-        }
-        self.cached.expect("cache filled above")
-    }
-
-    fn threshold_scratch(
-        &mut self,
-        t: usize,
-        values: &[f32],
-        k: usize,
-        scratch: &mut SelectScratch,
-    ) -> f32 {
-        if self.due(t) || self.cached.is_none() {
-            self.cached = Some(exact_threshold_scratch(values, k, scratch));
         }
         self.cached.expect("cache filled above")
     }

@@ -3,14 +3,13 @@
 //!
 //! `sparse::scratch` promises results *bit-identical* to the allocating
 //! references in `sparse::select`, on a cold scratch and on one whose pooled
-//! buffers and histograms have been used; `sparse::simd` promises every kernel
-//! bit-identical to the scalar loop at every lane width.
+//! buffers have been used; the radix select agrees with the full sort on cold
+//! and used histograms; `sparse::simd` promises every kernel bit-identical to
+//! the scalar loop at every lane width.
 
 use proptest::prelude::*;
-use sparse::scratch::{
-    exact_threshold_scratch, filter_abs_ge_scratch, select_ge_scratch, SelectScratch,
-};
-use sparse::select::{exact_threshold, select_ge};
+use sparse::scratch::{filter_abs_ge_scratch, select_ge_scratch, SelectScratch};
+use sparse::select::{exact_threshold, exact_threshold_by_sort, select_ge};
 use sparse::CooGradient;
 
 fn bits(values: &[f32]) -> Vec<u32> {
@@ -56,15 +55,14 @@ proptest! {
     }
 
     #[test]
-    fn exact_threshold_scratch_matches_allocating(
+    fn pooled_exact_threshold_matches_sort(
         dense in dense_vec(),
         k in 0usize..64,
     ) {
-        let want = exact_threshold(&dense, k);
-        let mut scratch = SelectScratch::new();
-        // Twice per scratch: the second call runs on used histograms.
+        let want = exact_threshold_by_sort(&dense, k);
+        // Twice: the second call runs on a histogram the first counted into.
         for round in 0..2 {
-            let got = exact_threshold_scratch(&dense, k, &mut scratch);
+            let got = exact_threshold(&dense, k);
             prop_assert_eq!(got.to_bits(), want.to_bits(), "round={}", round);
         }
     }
@@ -118,8 +116,8 @@ fn boundary_lengths_are_bit_identical() {
         scratch.recycle(got_sel);
 
         for k in [0, 1, len / 50, len / 2, len] {
-            let want = exact_threshold(dense, k);
-            let got = exact_threshold_scratch(dense, k, &mut scratch);
+            let want = exact_threshold_by_sort(dense, k);
+            let got = exact_threshold(dense, k);
             assert_eq!(got.to_bits(), want.to_bits(), "exact_threshold len={len} k={k}");
             let want_k = select_ge(dense, want);
             let got_k = select_ge_scratch(dense, got, &mut scratch);
@@ -273,7 +271,7 @@ fn scratch_reuse_across_mixed_calls_is_stateless() {
         let got = select_ge_scratch(&a, 0.5, &mut scratch);
         assert_eq!(got, select_ge(&a, 0.5));
         scratch.recycle(got);
-        assert_eq!(exact_threshold_scratch(&b, 9, &mut scratch), exact_threshold(&b, 9));
+        assert_eq!(exact_threshold(&b, 9), exact_threshold_by_sort(&b, 9));
         let g = CooGradient::from_sorted(vec![2, 5, 9], vec![0.1, -0.9, 0.4]);
         assert_eq!(filter_abs_ge_scratch(&g, 0.3, &mut scratch), g.filter_abs_ge(0.3));
     }

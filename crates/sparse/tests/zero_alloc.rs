@@ -4,9 +4,9 @@
 //! flag arms the counter so only allocations made *by this test's thread* are
 //! charged (the libtest harness thread may allocate concurrently). After a
 //! warm-up that grows every pooled buffer to its steady-state capacity, one
-//! full selection iteration — exact threshold (radix select on pooled
-//! histograms), threshold select, fused accumulate+select, COO merge,
-//! re-filter, recycle — must perform **zero** heap allocations.
+//! full selection iteration — exact threshold (radix select on the
+//! process-wide histogram pool), threshold select, fused accumulate+select,
+//! COO merge, re-filter, recycle — must perform **zero** heap allocations.
 //!
 //! This file must stay a single-test binary: a sibling test running in another
 //! thread while the counter is armed would not be charged, but one running on
@@ -17,9 +17,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sparse::scratch::{
-    accumulate_select_scratch, exact_threshold_scratch, filter_abs_ge_scratch, select_ge_scratch,
-    SelectScratch,
+    accumulate_select_scratch, filter_abs_ge_scratch, select_ge_scratch, SelectScratch,
 };
+use sparse::select::exact_threshold;
 use sparse::CooGradient;
 
 struct CountingAlloc;
@@ -70,7 +70,7 @@ fn hot_iteration(
     spare_idx: &mut Vec<u32>,
     spare_val: &mut Vec<f32>,
 ) -> usize {
-    let th = exact_threshold_scratch(dense, k, scratch);
+    let th = exact_threshold(dense, k);
     let mut selected = select_ge_scratch(dense, th, scratch);
     // ε = 0 before, so ε + 1·dense = dense after: the same selection again.
     residual.fill(0.0);

@@ -25,10 +25,11 @@
 #   bit-identical, or if inter-link chaos speeds any cell up.
 # - scale checks bit-parity with the thread-engine oracle at P=32, then fails
 #   the script if Ok-Topk at P=1024 misses its wall/memory budget (60 s /
-#   224 MiB), or if the P=2048 headline misses its 30 s budget (>= 1.5x over
-#   the PR 7 baseline), its 512 MiB memory budget, or reports a zero scheduler
-#   handoff rate. The memory budgets sit between what a length-P scratch
-#   vector on every rank costs and what the step costs without one.
+#   136 MiB), or if the P=2048 headline misses its 30 s budget (>= 1.5x over
+#   the PR 7 baseline), its 296 MiB memory budget, or reports a zero scheduler
+#   handoff rate. The memory budgets sit between what per-rank radix
+#   histograms and whole-block gather relays cost and what the step costs
+#   without them.
 # - fig10 --paper-axis sweeps the weak-scaling axis to P=4096 (clean + one
 #   chaos cell) under a hard wall budget; fig8/fig12 run the same sweep with
 #   CHECK_PAPER_AXIS=1.
@@ -156,11 +157,31 @@ if [ "$lanes" != "pub fn count_abs_ge_with_lanes pub fn scan_keep_append_with_la
   exit 1
 fi
 
+echo "== one home for the radix histograms (DESIGN.md §7) =="
+# The 32 KiB of histograms live in sparse::select's process-wide pool, not in
+# every rank's SelectScratch: outside #[cfg(test)] their size is named only in
+# select.rs, no estimator takes a scratch for them, and SelectScratch has no
+# hist field.
+if non_test "${crate_rs[@]}" | grep -F 'RADIX_HIST_WORDS' | grep -v '^crates/sparse/src/select.rs:'; then
+  echo "FAIL: the radix histogram size is named outside select.rs (lines above)" >&2
+  exit 1
+fi
+if non_test "${crate_rs[@]}" | grep -E 'fn threshold_scratch\('; then
+  echo "FAIL: a threshold_scratch estimator entry is back (lines above)" >&2
+  exit 1
+fi
+if non_test crates/sparse/src/scratch.rs \
+   | awk '/pub struct SelectScratch/, /:[0-9]+:}$/' \
+   | grep -E ':[0-9]+:\s*(pub(\([a-z]+\))?\s+)?hist\s*:'; then
+  echo "FAIL: SelectScratch keeps a histogram again (lines above)" >&2
+  exit 1
+fi
+
 echo "== frozen benchmark surface still has its callers (DESIGN.md §7) =="
 # These names exist only because benchmark/ is frozen between benchmark PRs.
 # When a benchmark PR drops the last call of one, the shim must go with it.
 for name in 'okpar::configured_threads' 'okpar::prewarm' 'okpar::run_chunks' \
-            'select_ge_with_threads' 'with_sched(' 'SchedMode'; do
+            'select_ge_with_threads' 'exact_threshold_scratch' 'with_sched(' 'SchedMode'; do
   if ! grep -rqF "$name" benchmark/src; then
     echo "FAIL: shim $name has no caller left — delete it" >&2
     exit 1
