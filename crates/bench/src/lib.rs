@@ -1,8 +1,8 @@
 //! # okbench — reproduction harnesses for every table and figure
 //!
 //! One binary per experiment (`cargo run --release -p okbench --bin figNN`),
-//! printing the same rows/series the paper reports, plus Criterion benches over
-//! the real compute kernels (`cargo bench -p okbench`).
+//! printing the same rows/series the paper reports, plus the gated host benches
+//! (`hotpath`, `msgpath`, `chaos`, `hier`, `scale`).
 //!
 //! All harnesses run a *quick* configuration by default (minutes on a laptop
 //! core); set `OKBENCH_FULL=1` for configurations closer to the paper's scale.
@@ -49,11 +49,6 @@ pub fn print_breakdown_row(scheme: Scheme, compute: f64, sparsify: f64, comm: f6
         compute,
         compute + sparsify + comm
     );
-}
-
-/// Standard quick-mode TrainConfig shared by the case studies.
-pub fn base_config(scheme: Scheme, density: f64) -> TrainConfig {
-    TrainConfig::new(scheme, density)
 }
 
 /// Simple fixed-width series printer: `label: v1 v2 v3 …`.

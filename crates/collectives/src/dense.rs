@@ -23,7 +23,6 @@ const TAG_AG: u64 = 0x11; // allgather phase
 const TAG_BC: u64 = 0x12; // broadcast
 const TAG_AR64: u64 = 0x13; // small f64 allreduce
 const TAG_ITEMS: u64 = 0x14; // generic item allgather
-const TAG_A2A: u64 = 0x15; // alltoallv
 
 /// Element range of regions `[a, b)` of the equal partition of `n` elements into
 /// `p` regions (region `j` spans `[n·j/p, n·(j+1)/p)`). Same boundaries as
@@ -436,34 +435,6 @@ where
     have.expect("broadcast reached every rank")
 }
 
-/// Personalized all-to-all exchange (MPI_Alltoallv): rank `i` sends `items[j]` to
-/// rank `j` and receives rank `j`'s `items[i]`, returned indexed by source.
-///
-/// This is the primitive underlying Ok-Topk's split-and-reduce; exposed here for
-/// library users. Destinations are rotated (`(rank+s) mod P` at step `s`) to avoid
-/// the endpoint congestion of Fig. 2a, and `items[rank]` is moved (not sent) to
-/// its own slot.
-pub fn alltoallv<C: Net, T>(comm: &mut C, items: Vec<T>) -> Vec<T>
-where
-    T: Clone + Send + WireSize + 'static,
-{
-    let p = comm.size();
-    let rank = comm.rank();
-    assert_eq!(items.len(), p, "alltoallv needs one item per destination rank");
-    let mut out: Vec<Option<T>> = (0..p).map(|_| None).collect();
-    let mut items: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    out[rank] = items[rank].take();
-    for s in 1..p {
-        let dst = (rank + s) % p;
-        comm.send(dst, TAG_A2A, items[dst].take().expect("each destination item used once"));
-    }
-    for s in 1..p {
-        let src = (rank + p - s) % p;
-        out[src] = Some(comm.recv(src, TAG_A2A));
-    }
-    out.into_iter().map(|o| o.expect("one item per source")).collect()
-}
-
 /// Small-vector f64 sum-allreduce (recursive doubling on the full vector).
 ///
 /// Used for Ok-Topk's boundary consensus (§3.1.1): message size is `P+1` elements,
@@ -594,24 +565,6 @@ mod tests {
             for got in &report.results {
                 for (r, item) in got.iter().enumerate() {
                     assert_eq!(**item, vec![r as u32; r + 1], "p={p}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn alltoallv_exchanges_personalized_items() {
-        for p in [1usize, 2, 3, 5, 8] {
-            let report = Cluster::new(p, CostModel::aries()).run(|comm| {
-                // Item for destination j encodes (my rank, j) with j+1 elements.
-                let items: Vec<Vec<u32>> =
-                    (0..comm.size()).map(|j| vec![(comm.rank() * 100 + j) as u32; j + 1]).collect();
-                alltoallv(comm, items)
-            });
-            for (rank, got) in report.results.iter().enumerate() {
-                assert_eq!(got.len(), p);
-                for (src, item) in got.iter().enumerate() {
-                    assert_eq!(item, &vec![(src * 100 + rank) as u32; rank + 1], "p={p}");
                 }
             }
         }

@@ -106,7 +106,7 @@ mod tests {
         let m = if p.is_power_of_two() {
             p
         } else {
-            1 << (usize::BITS - 1 - p.leading_zeros() as u32) as usize
+            1 << (usize::BITS - 1 - p.leading_zeros()) as usize
         };
         let mut layer: Vec<CooGradient> = locals[..m].to_vec();
         for r in m..p {

@@ -344,7 +344,7 @@ mod tests {
                 other => panic!("missing inter_bytes counter: {other:?}"),
             }
         };
-        let flat_bytes = inter(topo.clone(), false);
+        let flat_bytes = inter(topo, false);
         let hier_bytes = inter(topo, true);
         assert!(
             hier_bytes < flat_bytes / 2,

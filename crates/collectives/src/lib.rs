@@ -32,12 +32,11 @@
 pub mod dense;
 pub mod gtopk;
 pub mod hier;
-pub mod quantized;
 pub mod topk_a;
 pub mod topk_dsa;
 
 pub use dense::{
-    allgather_items, allreduce_inplace, allreduce_shared, allreduce_sum_f64, alltoallv, broadcast,
+    allgather_items, allreduce_inplace, allreduce_shared, allreduce_sum_f64, broadcast,
     broadcast_shared, reduce_scatter_block,
 };
 pub use gtopk::{gtopk_allreduce, gtopk_reduce_to_root};
@@ -45,6 +44,5 @@ pub use hier::{
     hier_dense_allreduce, hier_dense_shared, hier_gtopk_allreduce, ranks_per_node,
     reduce_to_root_dense, reduce_to_root_dense_into, two_tier,
 };
-pub use quantized::quantized_allgather_allreduce;
 pub use topk_a::topk_allgather_allreduce;
 pub use topk_dsa::{dsa_allreduce, DsaOutput, DsaStats};

@@ -67,18 +67,9 @@ impl OkTopk {
         &self.boundaries
     }
 
-    /// Export the reused state (local threshold, global threshold, boundaries) for
-    /// checkpointing; restoring it with [`import_state`](Self::import_state) makes
-    /// a resumed run bit-identical to an uninterrupted one.
+    /// The reused state: local threshold, global threshold, boundaries.
     pub fn export_state(&self) -> (Option<f32>, f32, Vec<u32>) {
         (self.local_est.cached(), self.global_th, self.boundaries.clone())
-    }
-
-    /// Restore state captured by [`export_state`](Self::export_state).
-    pub fn import_state(&mut self, local_th: Option<f32>, global_th: f32, boundaries: Vec<u32>) {
-        self.local_est.set_cached(local_th);
-        self.global_th = global_th;
-        self.boundaries = boundaries;
     }
 
     /// Whether iteration `t` re-evaluates thresholds (both local and global use τ′).

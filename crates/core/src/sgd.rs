@@ -48,24 +48,6 @@ impl OkTopkSgd {
         &self.residual
     }
 
-    /// Restore the residual and iteration counter from a checkpoint.
-    ///
-    /// All ranks must restore to the same iteration (the threshold/boundary
-    /// re-evaluation schedule is a function of it). For bit-exact resumption also
-    /// restore the reused threshold/boundary state via
-    /// [`allreduce_state_mut`](Self::allreduce_state_mut) +
-    /// [`OkTopk::import_state`].
-    pub fn restore(&mut self, residual: Vec<f32>, iteration: usize) {
-        assert_eq!(residual.len(), self.residual.len());
-        self.residual = residual;
-        self.t = iteration;
-    }
-
-    /// Mutable access to the allreduce state (for checkpoint restore).
-    pub fn allreduce_state_mut(&mut self) -> &mut OkTopk {
-        &mut self.allreduce
-    }
-
     /// Iterations completed so far.
     pub fn iteration(&self) -> usize {
         self.t
@@ -128,9 +110,9 @@ mod tests {
                 let step = sgd.step(comm, &grad, 0.1);
                 let contributed: std::collections::HashSet<u32> =
                     step.meta.contributed.iter().copied().collect();
-                for i in 0..n {
-                    let expect = if contributed.contains(&(i as u32)) { 0.0 } else { acc[i] };
-                    ok &= sgd.residual()[i] == expect;
+                for (i, (&got, &a)) in sgd.residual().iter().zip(&acc).enumerate() {
+                    let expect = if contributed.contains(&(i as u32)) { 0.0 } else { a };
+                    ok &= got == expect;
                 }
             }
             ok
@@ -208,8 +190,8 @@ mod tests {
                 // a small constant signal.
                 let mut grad = vec![0.0f32; n];
                 let t = sgd.iteration() as f32;
-                for c in 0..8 {
-                    grad[c] = ((t + c as f32) * 0.7).sin();
+                for (c, g) in grad.iter_mut().take(8).enumerate() {
+                    *g = ((t + c as f32) * 0.7).sin();
                 }
                 grad[40] = 0.05;
                 let step = sgd.step(comm, &grad, 1.0);

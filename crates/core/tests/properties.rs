@@ -106,9 +106,9 @@ proptest! {
             let contributed: std::collections::HashSet<u32> =
                 step.meta.contributed.iter().copied().collect();
             let mut ok = true;
-            for i in 0..n {
-                let expect = if contributed.contains(&(i as u32)) { 0.0 } else { acc[i] };
-                ok &= sgd.residual()[i] == expect;
+            for (i, (&got, &a)) in sgd.residual().iter().zip(&acc).enumerate() {
+                let expect = if contributed.contains(&(i as u32)) { 0.0 } else { a };
+                ok &= got == expect;
             }
             ok
         });

@@ -94,11 +94,6 @@ impl Arena {
         &self.grads
     }
 
-    /// Mutable view of the entire gradient vector.
-    pub fn grads_mut(&mut self) -> &mut [f32] {
-        &mut self.grads
-    }
-
     /// Reset all gradients to zero.
     pub fn zero_grads(&mut self) {
         self.grads.fill(0.0);

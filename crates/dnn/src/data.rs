@@ -367,6 +367,6 @@ mod tests {
             }
         }
         // ~15% of 256 positions, with at least one per sequence.
-        assert!(scored >= 16 && scored < 100, "scored={scored}");
+        assert!((16..100).contains(&scored), "scored={scored}");
     }
 }

@@ -44,11 +44,6 @@ impl Embedding {
             }
         }
     }
-
-    /// Arena slot of the embedding table.
-    pub fn table_slot(&self) -> Slot {
-        self.table
-    }
 }
 
 #[cfg(test)]

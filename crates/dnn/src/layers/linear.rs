@@ -48,16 +48,6 @@ impl Linear {
         matmul_acc_wt(dy, arena.p(self.w), &mut dx, batch, self.in_dim, self.out_dim);
         dx
     }
-
-    /// Arena slot of the weight matrix.
-    pub fn weight_slot(&self) -> Slot {
-        self.w
-    }
-
-    /// Arena slot of the bias vector.
-    pub fn bias_slot(&self) -> Slot {
-        self.b
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 
 pub mod attention;
 pub mod conv;
-pub mod dropout;
 pub mod embedding;
 pub mod linear;
 pub mod lstm;
@@ -15,7 +14,6 @@ pub mod norm;
 
 pub use attention::MultiHeadAttention;
 pub use conv::{Conv2d, MaxPool2d};
-pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use linear::Linear;
 pub use lstm::{LstmCell, LstmState};
@@ -36,8 +34,8 @@ pub(crate) mod gradcheck {
         tol: f32,
     ) {
         let eps = 1e-3f32;
-        let n = arena.len();
-        for i in 0..n {
+        assert_eq!(analytic.len(), arena.len());
+        for (i, &a) in analytic.iter().enumerate() {
             let orig = arena.params()[i];
             arena.params_mut()[i] = orig + eps;
             let fp = forward_loss(arena);
@@ -45,7 +43,6 @@ pub(crate) mod gradcheck {
             let fm = forward_loss(arena);
             arena.params_mut()[i] = orig;
             let num = ((fp - fm) / (2.0 * eps as f64)) as f32;
-            let a = analytic[i];
             let denom = 1.0f32.max(a.abs()).max(num.abs());
             assert!((num - a).abs() / denom < tol, "param {i}: numerical {num} vs analytic {a}");
         }

@@ -141,7 +141,7 @@ mod tests {
         let analytic = arena.grads().to_vec();
 
         let eps = 1e-3f32;
-        for i in 0..arena.len() {
+        for (i, &want) in analytic.iter().enumerate() {
             let orig = arena.params()[i];
             arena.params_mut()[i] = orig + eps;
             let fp = loss(&arena, &x);
@@ -149,7 +149,7 @@ mod tests {
             let fm = loss(&arena, &x);
             arena.params_mut()[i] = orig;
             let num = ((fp - fm) / (2.0 * eps as f64)) as f32;
-            assert!((num - analytic[i]).abs() < 2e-3, "param {i}: {num} vs {}", analytic[i]);
+            assert!((num - want).abs() < 2e-3, "param {i}: {num} vs {want}");
         }
         for i in 0..x.len() {
             let mut xp = x;

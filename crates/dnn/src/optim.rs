@@ -34,17 +34,6 @@ impl Sgd {
             *w -= self.lr * *v;
         }
     }
-
-    /// The momentum buffer (for checkpointing).
-    pub fn velocity(&self) -> &[f32] {
-        &self.velocity
-    }
-
-    /// Restore the momentum buffer from a checkpoint.
-    pub fn set_velocity(&mut self, v: Vec<f32>) {
-        assert_eq!(v.len(), self.velocity.len());
-        self.velocity = v;
-    }
 }
 
 /// Adam with decoupled weight decay (AdamW-style), supporting sparse gradients.
@@ -66,11 +55,6 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// The paper's BERT hyperparameters: lr 2e-4, β₁ 0.9, β₂ 0.999, wd 0.01.
-    pub fn bert_default(n: usize) -> Self {
-        Self::new(2e-4, 0.9, 0.999, 1e-8, 0.01, n)
-    }
-
     /// New optimizer for `n` parameters.
     pub fn new(lr: f32, beta1: f32, beta2: f32, eps: f32, weight_decay: f32, n: usize) -> Self {
         Self { lr, beta1, beta2, eps, weight_decay, m: vec![0.0; n], v: vec![0.0; n], t: 0 }
@@ -101,20 +85,6 @@ impl Adam {
         }
     }
 
-    /// The optimizer state `(m, v, t)` (for checkpointing).
-    pub fn state(&self) -> (&[f32], &[f32], u64) {
-        (&self.m, &self.v, self.t)
-    }
-
-    /// Restore the optimizer state from a checkpoint.
-    pub fn set_state(&mut self, m: Vec<f32>, v: Vec<f32>, t: u64) {
-        assert_eq!(m.len(), self.m.len());
-        assert_eq!(v.len(), self.v.len());
-        self.m = m;
-        self.v = v;
-        self.t = t;
-    }
-
     /// Lazy sparse Adam: update moments and weights only at the given indexes
     /// (the global top-k support). Used in the paper's BERT recipe where Adam runs
     /// on the sparse-allreduced gradient.
@@ -132,105 +102,9 @@ impl Adam {
     }
 }
 
-/// Learning-rate schedules (the paper uses diminishing rates for SGD — required by
-/// Theorem 4.1 — and linear decay for BERT's Adam).
-#[derive(Clone, Copy, Debug)]
-pub enum LrSchedule {
-    /// Constant rate.
-    Constant,
-    /// `lr / (1 + t/t0)` — the "simply diminishing" schedule of §5.4.1.
-    InverseDecay {
-        /// Decay time constant (iterations until the rate halves).
-        t0: f32,
-    },
-    /// Linear decay to zero over `total` iterations (the BERT recipe).
-    Linear {
-        /// Total training iterations.
-        total: usize,
-    },
-    /// Linear warmup over `warmup` iterations, then inverse decay.
-    WarmupInverse {
-        /// Warmup iterations.
-        warmup: usize,
-        /// Decay time constant after warmup.
-        t0: f32,
-    },
-}
-
-impl LrSchedule {
-    /// The rate multiplier at (1-based) iteration `t`; multiply by the base lr.
-    pub fn factor(&self, t: usize) -> f32 {
-        match self {
-            LrSchedule::Constant => 1.0,
-            LrSchedule::InverseDecay { t0 } => 1.0 / (1.0 + t as f32 / t0),
-            LrSchedule::Linear { total } => {
-                (1.0 - (t as f32 - 1.0) / (*total).max(1) as f32).max(0.0)
-            }
-            LrSchedule::WarmupInverse { warmup, t0 } => {
-                if t <= *warmup {
-                    t as f32 / (*warmup).max(1) as f32
-                } else {
-                    1.0 / (1.0 + (t - warmup) as f32 / t0)
-                }
-            }
-        }
-    }
-}
-
-/// Global-norm gradient clipping: if `‖g‖₂ > max_norm`, scale `g` down to the
-/// threshold. Returns the pre-clip norm. Standard practice for RNN/transformer
-/// training; exposed for the LSTM and BERT recipes.
-pub fn clip_grad_norm(grads: &mut [f32], max_norm: f32) -> f64 {
-    let norm = grads.iter().map(|&g| (g as f64) * (g as f64)).sum::<f64>().sqrt();
-    if norm > max_norm as f64 && norm > 0.0 {
-        let scale = (max_norm as f64 / norm) as f32;
-        for g in grads.iter_mut() {
-            *g *= scale;
-        }
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn schedules_have_expected_shapes() {
-        assert_eq!(LrSchedule::Constant.factor(100), 1.0);
-        let inv = LrSchedule::InverseDecay { t0: 10.0 };
-        assert_eq!(inv.factor(10), 0.5);
-        assert!(inv.factor(100) < inv.factor(10));
-        let lin = LrSchedule::Linear { total: 100 };
-        assert_eq!(lin.factor(1), 1.0);
-        assert!((lin.factor(51) - 0.5).abs() < 1e-6);
-        assert_eq!(lin.factor(101), 0.0);
-        assert_eq!(lin.factor(9999), 0.0); // clamped, never negative
-        let wu = LrSchedule::WarmupInverse { warmup: 10, t0: 50.0 };
-        assert!(wu.factor(1) < wu.factor(10));
-        assert_eq!(wu.factor(10), 1.0);
-        assert!(wu.factor(100) < 1.0);
-    }
-
-    #[test]
-    fn clipping_preserves_direction_and_caps_norm() {
-        let mut g = vec![3.0f32, 4.0]; // norm 5
-        let pre = clip_grad_norm(&mut g, 1.0);
-        assert!((pre - 5.0).abs() < 1e-9);
-        let post: f64 = g.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt();
-        assert!((post - 1.0).abs() < 1e-6);
-        assert!((g[0] / g[1] - 0.75).abs() < 1e-6); // direction preserved
-
-        // Below the threshold: untouched.
-        let mut h = vec![0.1f32, 0.2];
-        clip_grad_norm(&mut h, 10.0);
-        assert_eq!(h, vec![0.1, 0.2]);
-
-        // Zero gradient: no NaNs.
-        let mut z = vec![0.0f32; 4];
-        assert_eq!(clip_grad_norm(&mut z, 1.0), 0.0);
-        assert!(z.iter().all(|v| v.is_finite()));
-    }
 
     #[test]
     fn sgd_without_momentum_is_plain_descent() {

@@ -34,7 +34,7 @@ proptest! {
         let analytic = arena.grads().to_vec();
 
         let eps = 1e-2f32;
-        for i in 0..arena.len() {
+        for (i, &want) in analytic.iter().enumerate() {
             let orig = arena.params()[i];
             arena.params_mut()[i] = orig + eps;
             let yp = lin.forward(&arena, &x, batch);
@@ -45,8 +45,8 @@ proptest! {
             let fm = softmax_xent(&ym, &targets, &mut s, batch, out_dim, 1.0).0;
             arena.params_mut()[i] = orig;
             let num = ((fp - fm) / (2.0 * eps as f64)) as f32;
-            prop_assert!((num - analytic[i]).abs() < 3e-2 * 1.0f32.max(num.abs()),
-                "param {}: {} vs {}", i, num, analytic[i]);
+            prop_assert!((num - want).abs() < 3e-2 * 1.0f32.max(num.abs()),
+                "param {}: {} vs {}", i, num, want);
         }
     }
 

@@ -681,7 +681,7 @@ mod tests {
         let cost = CostModel { alpha: 9.0, beta: 9.0 }; // must be superseded
         let topo = Topology::two_tier(2, (0.1, 0.01), (1.0, 0.1));
         let run = |dst: usize| {
-            Cluster::new(4, cost).with_topology(topo.clone()).run(move |comm| {
+            Cluster::new(4, cost).with_topology(topo).run(move |comm| {
                 if comm.rank() == 0 {
                     comm.send(dst, 0, vec![0.0f32; 10]);
                     0.0

@@ -362,12 +362,6 @@ impl Comm {
         }
     }
 
-    /// Whether a chaos plan is installed on this rank (via
-    /// [`crate::Cluster::with_chaos`]).
-    pub fn chaos_active(&self) -> bool {
-        self.chaos.is_some()
-    }
-
     /// This rank's id in `0..size`.
     pub fn rank(&self) -> usize {
         self.rank

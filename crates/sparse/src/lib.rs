@@ -21,7 +21,6 @@
 
 pub mod coo;
 pub mod partition;
-pub mod quant;
 pub mod scratch;
 pub mod select;
 pub mod simd;

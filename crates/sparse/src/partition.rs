@@ -121,7 +121,7 @@ mod tests {
         assert!(b[1] < 150.0 && b[2] < 150.0 && b[3] < 150.0, "{b:?}");
         let bu: Vec<u32> = b.iter().map(|&x| x as u32).collect();
         let counts = region_counts(&idx, &bu);
-        assert!(counts.iter().all(|&c| c >= 20 && c <= 30), "{counts:?}");
+        assert!(counts.iter().all(|c| (20..=30).contains(c)), "{counts:?}");
     }
 
     #[test]

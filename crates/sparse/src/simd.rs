@@ -39,11 +39,7 @@
 //! - the keep-scan emits survivors in index order off a lane mask;
 //! - `accumulate_scan_keep_append` is `axpy` then the keep-scan, tile by tile:
 //!   `o + a·r` rounds exactly as `fused_scale_add`'s `e + s·g` does, so it
-//!   leaves the bits that kernel followed by a whole-array scan would;
-//! - `max_abs` is a max-reduction: `max` is associative and commutative, so any
-//!   lane split yields the same result on the NaN-free inputs the pipeline
-//!   carries (and `f32::max` drops NaN in either operand, so even a stray NaN
-//!   cannot make it disagree with a serial fold).
+//!   leaves the bits that kernel followed by a whole-array scan would.
 //!
 //! Kernels that *would* need to reassociate (e.g. a lane-parallel dot product)
 //! are deliberately not provided; the dnn matmul family instead uses
@@ -417,25 +413,6 @@ pub fn scale_inplace(values: &mut [f32], c: f32) {
     }
 }
 
-/// `max_i |v[i]|` (0 for an empty slice) — the quantization scale pass.
-pub fn max_abs(values: &[f32]) -> f32 {
-    let mut lane = [0.0f32; EW];
-    let mut it = values.chunks_exact(EW);
-    for chunk in &mut it {
-        for j in 0..EW {
-            lane[j] = lane[j].max(chunk[j].abs());
-        }
-    }
-    let mut m = 0.0f32;
-    for &l in &lane {
-        m = m.max(l);
-    }
-    for &v in it.remainder() {
-        m = m.max(v.abs());
-    }
-    m
-}
-
 /// `out[j] += a·row[j]` — the elementwise row update of the ikj matmul.
 /// `row` must be at least as long as `out`.
 pub fn axpy(out: &mut [f32], row: &[f32], a: f32) {
@@ -586,12 +563,6 @@ mod tests {
             let mut s = src.clone();
             scale_inplace(&mut s, -1.5);
             assert_eq!(s, s_want, "scale n={n}");
-
-            assert_eq!(
-                max_abs(&src).to_bits(),
-                src.iter().fold(0.0f32, |a, &v| a.max(v.abs())).to_bits(),
-                "max_abs n={n}"
-            );
         }
     }
 

@@ -53,14 +53,9 @@ impl PeriodicExactEstimator {
         self.period
     }
 
-    /// The currently cached threshold (for checkpointing).
+    /// The currently cached threshold.
     pub fn cached(&self) -> Option<f32> {
         self.cached
-    }
-
-    /// Restore a cached threshold from a checkpoint.
-    pub fn set_cached(&mut self, th: Option<f32>) {
-        self.cached = th;
     }
 
     /// The cached threshold, if iteration `t` reuses it instead of re-evaluating.

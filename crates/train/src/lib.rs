@@ -18,15 +18,11 @@
 //! Schemes: `Dense`, `DenseOvlp`, `TopkA`, `TopkDsa`, `GTopk`, `GaussianK`,
 //! `OkTopk` — see [`Scheme`]. Cost calibration is documented in [`cost`].
 
-pub mod checkpoint;
 pub mod cost;
-pub mod hybrid;
 pub mod reducer;
 pub mod trainer;
 
-pub use checkpoint::Checkpoint;
 pub use cost::CostProfile;
-pub use hybrid::{HybridConfig, HybridEstimate};
 pub use reducer::{Reducer, Scheme, Update};
 pub use trainer::{
     run_data_parallel, run_data_parallel_chaos, EvalPoint, IterRecord, OptimizerKind, RunResult,

@@ -6,13 +6,12 @@
 use crate::cost::CostProfile;
 use collectives::{
     allreduce_shared, broadcast, dsa_allreduce, hier_dense_shared, hier_gtopk_allreduce,
-    quantized_allgather_allreduce, reduce_to_root_dense_into, topk_allgather_allreduce, two_tier,
+    reduce_to_root_dense_into, topk_allgather_allreduce, two_tier,
 };
 use oktopk::oktopk::intersect_sorted;
 use oktopk::{OkTopkConfig, OkTopkSgd, SparseStep};
 use simnet::Net;
-use sparse::quant::QuantMode;
-use sparse::select::{exact_threshold, select_ge, topk_exact};
+use sparse::select::{select_ge, topk_exact};
 use sparse::simd::{axpy, count_abs_ge};
 use sparse::threshold::GaussianEstimator;
 use sparse::CooGradient;
@@ -45,7 +44,7 @@ pub enum Scheme {
 }
 
 /// What a scheme name means to the code that runs it.
-pub(crate) enum Family {
+enum Family {
     /// Allreduce the whole gradient; no selection, no error feedback.
     Dense,
     /// Select locally from ε + scale·grad, exchange the selections, keep in ε
@@ -57,7 +56,7 @@ pub(crate) enum Family {
 
 /// How a sparse baseline picks its selection from the accumulator.
 #[derive(Clone, Copy)]
-pub(crate) enum Selector {
+enum Selector {
     /// Exact top-k selection (torch.topk-style cost).
     ExactTopk,
     /// Gaussian-PPF threshold + the §5.4 scale-until-3k/4 adjustment.
@@ -66,9 +65,9 @@ pub(crate) enum Selector {
 
 /// How a sparse baseline's local selections become the global sum.
 #[derive(Clone, Copy)]
-pub(crate) enum Exchange {
-    /// Allgather and sum (TopkA, Gaussiank), the values quantized if TopkA asks.
-    Allgather(Option<QuantMode>),
+enum Exchange {
+    /// Allgather and sum (TopkA, Gaussiank).
+    Allgather,
     /// SparCML's sparse reduce-scatter + allgatherv.
     Dsa,
     /// gTopk's re-selecting reduction tree, regrouped over the two tiers when
@@ -77,27 +76,37 @@ pub(crate) enum Exchange {
 }
 
 impl Exchange {
-    /// The bare collective: exchange this rank's selection `local` (at most
-    /// `k` entries of an `n`-long accumulator) on `comm`, `rpn` ranks to a
-    /// node. Returns the global, unaveraged sum and TopkDSA's output density
-    /// (§5.2).
-    pub(crate) fn run<C: Net>(
+    /// Exchange this rank's selection `local` (at most `k` entries of an
+    /// `n`-long accumulator) on `comm`, `rpn` ranks to a node. Returns the
+    /// global, unaveraged sum, the indexes of `local` that leave ε, and
+    /// TopkDSA's output density (§5.2).
+    fn run<C: Net>(
         self,
         comm: &mut C,
+        cost: &CostProfile,
         local: CooGradient,
         (n, k): (usize, usize),
         rpn: usize,
-    ) -> (CooGradient, Option<f64>) {
+    ) -> (CooGradient, Vec<u32>, Option<f64>) {
+        let sent = local.indexes().to_vec();
         match self {
-            Exchange::Allgather(None) => (topk_allgather_allreduce(comm, local), None),
-            Exchange::Allgather(Some(mode)) => {
-                (quantized_allgather_allreduce(comm, local, mode), None)
-            }
+            // The exact exchanges sum everything sent: all of it leaves ε.
+            Exchange::Allgather => (topk_allgather_allreduce(comm, local), sent, None),
             Exchange::Dsa => {
                 let out = dsa_allreduce(comm, local, n);
-                (out.sum, Some(out.stats.output_density))
+                (out.sum, sent, Some(out.stats.output_density))
             }
-            Exchange::GTopk => (hier_gtopk_allreduce(comm, local, k, rpn), None),
+            Exchange::GTopk => {
+                let sum = hier_gtopk_allreduce(comm, local, k, rpn);
+                // Each tree level re-selects the top-k of a 2k-entry merge,
+                // which the paper attributes to communication time, and drops
+                // what a rank sent: only what survived leaves ε. The two-tier
+                // variant regroups the tree across tiers but keeps its depth.
+                let levels = usize::BITS - (comm.size().max(2) - 1).leading_zeros();
+                comm.compute(cost.topk_exact(2 * k) * levels as f64);
+                let kept = intersect_sorted(&sent, sum.indexes());
+                (sum, kept, None)
+            }
         }
     }
 }
@@ -146,13 +155,13 @@ impl Scheme {
     /// [`two_tier`], `false` meaning one rank to a node whatever the cluster
     /// has). A new sparse exchange is one [`Exchange`] variant and one row
     /// here, two with its two-tier variant.
-    pub(crate) fn family(self) -> (Family, bool) {
+    fn family(self) -> (Family, bool) {
         use {Exchange::*, Selector::*};
         match self {
             Scheme::Dense | Scheme::DenseOvlp => (Family::Dense, false),
             Scheme::HierDense => (Family::Dense, true),
-            Scheme::TopkA => (Family::Baseline(ExactTopk, Allgather(None)), false),
-            Scheme::GaussianK => (Family::Baseline(GaussianPpf, Allgather(None)), false),
+            Scheme::TopkA => (Family::Baseline(ExactTopk, Allgather), false),
+            Scheme::GaussianK => (Family::Baseline(GaussianPpf, Allgather), false),
             Scheme::TopkDsa => (Family::Baseline(ExactTopk, Dsa), false),
             Scheme::GTopk => (Family::Baseline(ExactTopk, GTopk), false),
             Scheme::HierGTopk => (Family::Baseline(ExactTopk, GTopk), true),
@@ -256,17 +265,6 @@ impl Reducer {
         self
     }
 
-    /// Enable SparCML-style value quantization on the wire; the error flows
-    /// into the residual like any noise. `TopkA` only: no other scheme's
-    /// exchange has a quantized transport, so asking for one is an error.
-    pub fn with_quantization(mut self, mode: QuantMode) -> Self {
-        assert!(self.scheme == Scheme::TopkA, "{} has no quantized wire", self.scheme.name());
-        if let State::Baseline { exchange, .. } = &mut self.state {
-            *exchange = Exchange::Allgather(Some(mode));
-        }
-        self
-    }
-
     /// The resolved top-k target (density × n, clamped to [1, n]).
     pub fn k(&self) -> usize {
         self.k
@@ -333,22 +331,12 @@ impl Reducer {
             State::Baseline { selector, exchange, residual } => {
                 axpy(residual, grad, scale);
                 let (local, mut metrics) = selector.select(cost, k, residual, comm);
-                let (sum, dsa_density) = exchange.run(comm, local.clone(), (self.n, k), rpn);
+                let (sum, contributed, dsa_density) =
+                    exchange.run(comm, cost, local, (self.n, k), rpn);
                 metrics.dsa_density = dsa_density;
                 metrics.global_nnz = Some(sum.nnz());
-                // What was sent and survived the exchange leaves ε; the rest of
-                // the accumulator (already in `residual`) carries over.
-                let contributed = if let Exchange::GTopk = exchange {
-                    // Only gTopk's tree drops what a rank sent: each level
-                    // re-selects the top-k of a 2k-entry merge, which the paper
-                    // attributes to communication time. The two-tier variant
-                    // regroups the tree across tiers but keeps its depth.
-                    let levels = usize::BITS - (comm.size().max(2) - 1).leading_zeros();
-                    comm.compute(cost.topk_exact(2 * k) * levels as f64);
-                    intersect_sorted(local.indexes(), sum.indexes())
-                } else {
-                    local.into_parts().0
-                };
+                // What left ε is cleared; the rest of the accumulator (already
+                // in `residual`) carries over.
                 for i in contributed {
                     residual[i as usize] = 0.0;
                 }
@@ -414,15 +402,8 @@ impl Reducer {
         sgd.as_ref().map(|s| s.peek_accumulator(grad, scale))
     }
 
-    /// The exact top-k count a fresh selection on `values` would produce — used by
-    /// instrumentation harnesses as the "accurate" reference of Fig. 6.
-    pub fn accurate_count(values: &[f32], k: usize) -> usize {
-        let th = exact_threshold(values, k);
-        values.iter().filter(|&&v| v.abs() >= th && v != 0.0).count()
-    }
-
     /// The residual ε of the sparse-baseline schemes (empty for dense and Ok-Topk,
-    /// which keeps its own). Exposed for tests and checkpointing.
+    /// which keeps its own). Exposed for tests.
     pub fn residual(&self) -> &[f32] {
         match &self.state {
             State::Baseline { residual, .. } => residual,
@@ -526,38 +507,60 @@ mod tests {
                 _ => panic!("dense scheme returns a dense update"),
             }
         });
-        for i in 0..n {
-            let want: f32 = (0..p).map(|r| gs[r][i]).sum::<f32>() / p as f32;
-            assert!((report.results[0][i] - want).abs() < 1e-5);
+        for (i, got) in report.results[0].iter().enumerate() {
+            let want: f32 = gs.iter().map(|g| g[i]).sum::<f32>() / p as f32;
+            assert!((got - want).abs() < 1e-5);
         }
     }
 
     #[test]
     fn baseline_residuals_partition_the_accumulator() {
-        // For TopkA: residual + selected = acc exactly, every iteration.
-        let (p, n) = (3, 80);
-        let gs = grads(p, n, 2);
-        let report = Cluster::new(p, CostModel::free()).run(|comm| {
-            let mut r = Reducer::new(Scheme::TopkA, n, 0.1, CostProfile::paper_calibrated(), 4, 4);
-            let me = comm.rank();
-            let mut ok = true;
-            let mut prev_residual = vec![0.0f32; n];
-            for _ in 0..4 {
-                let acc: Vec<f32> =
-                    prev_residual.iter().zip(&gs[me]).map(|(&e, &g)| e + 0.1 * g).collect();
-                let (_, m) = r.reduce(comm, &gs[me], 0.1);
-                // Selected entries are zeroed; everything else survives verbatim.
-                let k = m.local_nnz.expect("sparse scheme");
-                let zeroed = r.residual().iter().filter(|&&v| v == 0.0).count();
-                ok &= zeroed >= k;
-                for i in 0..n {
-                    ok &= r.residual()[i] == 0.0 || r.residual()[i] == acc[i];
+        // The exact exchanges sum exactly what every rank sends, so each rank's
+        // accumulator splits into what it sent (zeroed in ε) and what it kept
+        // (verbatim), and gradient mass is conserved across ranks:
+        // Σ_r ε_r(after) + P·update = Σ_r (ε_r(before) + scale·g_r), per index.
+        // gTopk is excluded: its tree can drop one rank's contribution to an
+        // index that survives through other ranks.
+        let (n, scale, steps) = (80, 0.1f32, 3);
+        for scheme in [Scheme::TopkA, Scheme::TopkDsa, Scheme::GaussianK] {
+            for p in [3usize, 4, 8] {
+                let gs = grads(p, n, 2 + p as u64);
+                let report = Cluster::new(p, CostModel::free()).run(|comm| {
+                    let mut r = Reducer::new(scheme, n, 0.1, CostProfile::paper_calibrated(), 4, 4);
+                    let g = &gs[comm.rank()];
+                    let mut out = Vec::new();
+                    for _ in 0..steps {
+                        let before = r.residual().to_vec();
+                        let acc: Vec<f32> =
+                            before.iter().zip(g).map(|(&e, &g)| e + scale * g).collect();
+                        let (update, m) = r.reduce(comm, g, scale);
+                        let Update::Sparse(update) = update else { panic!("sparse scheme") };
+                        let zeroed = r.residual().iter().filter(|&&v| v == 0.0).count();
+                        let partitioned = zeroed >= m.local_nnz.expect("sparse scheme")
+                            && r.residual().iter().zip(&acc).all(|(&e, &a)| e == 0.0 || e == a);
+                        out.push((before, r.residual().to_vec(), update.to_dense(n), partitioned));
+                    }
+                    out
+                });
+                for t in 0..steps {
+                    let at = format!("{} p={p} step {t}", scheme.name());
+                    assert!(report.results.iter().all(|r| r[t].3), "{at}: ε is not acc minus sent");
+                    // Per index: Σ_r ε_r(after) + P·update − Σ_r (ε_r(before) + scale·g_r).
+                    let mut imbalance: Vec<f64> =
+                        report.results[0][t].2.iter().map(|&u| p as f64 * u as f64).collect();
+                    for (steps, g) in report.results.iter().zip(&gs) {
+                        let (before, after, ..) = &steps[t];
+                        for (i, d) in imbalance.iter_mut().enumerate() {
+                            *d += after[i] as f64 - before[i] as f64 - scale as f64 * g[i] as f64;
+                        }
+                    }
+                    // f32 rounding of a P-term sum of values under 1 is ~1e-7.
+                    for (i, d) in imbalance.iter().enumerate() {
+                        assert!(d.abs() < 1e-5, "{at} index {i}: mass off by {d}");
+                    }
                 }
-                prev_residual = r.residual().to_vec();
             }
-            ok
-        });
-        assert!(report.results.iter().all(|&b| b));
+        }
     }
 
     #[test]
@@ -602,31 +605,6 @@ mod tests {
             assert!(pred.is_some());
             // The §5.4 scaling guarantees at least 3k/4 selected.
             assert!(local.expect("recorded") >= 3 * k / 4);
-        }
-    }
-
-    #[test]
-    fn quantized_topka_still_averages_correctly() {
-        let (p, n) = (4, 128);
-        let gs = grads(p, n, 5);
-        let run = |quant: Option<sparse::quant::QuantMode>| {
-            let gs = gs.clone();
-            Cluster::new(p, CostModel::free()).run(move |comm| {
-                let mut r =
-                    Reducer::new(Scheme::TopkA, n, 0.2, CostProfile::paper_calibrated(), 4, 4);
-                if let Some(m) = quant {
-                    r = r.with_quantization(m);
-                }
-                match r.reduce(comm, &gs[comm.rank()], 1.0).0 {
-                    Update::Sparse(u) => u.to_dense(n),
-                    _ => panic!("sparse"),
-                }
-            })
-        };
-        let plain = run(None);
-        let q16 = run(Some(sparse::quant::QuantMode::Q16));
-        for (a, b) in plain.results[0].iter().zip(&q16.results[0]) {
-            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
     }
 

@@ -178,12 +178,6 @@ impl RunResult {
             tail.iter().map(|r| r.comm).sum::<f64>() / n,
         )
     }
-
-    /// Mean modeled time per iteration (sum of the breakdown).
-    pub fn time_per_iter(&self, warmup: usize) -> f64 {
-        let (c, s, m) = self.mean_breakdown(warmup);
-        c + s + m
-    }
 }
 
 /// Run `cfg.iters` iterations of data-parallel training of the model produced by

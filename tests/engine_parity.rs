@@ -127,13 +127,13 @@ fn ok_topk_parity_holds_at_p64() {
 /// consult gets exercised across the case set.
 fn random_plan(seed: u64, p: usize) -> ChaosPlan {
     let mut plan = ChaosPlan::new(seed);
-    if seed % 2 == 0 {
+    if seed.is_multiple_of(2) {
         plan = plan.straggler(seed as usize % p, 1.0 + (seed % 5) as f64 * 0.4);
     }
-    if seed % 3 == 0 {
+    if seed.is_multiple_of(3) {
         plan = plan.degrade_all_links(1.0 + (seed % 4) as f64 * 0.2, 1.3, 0.0, 0.3);
     }
-    if seed % 5 != 0 {
+    if !seed.is_multiple_of(5) {
         plan = plan.jitter(1e-5 * ((seed % 7) + 1) as f64);
     }
     plan.pause((seed as usize / 2) % p, 0.005, 0.02)
