@@ -34,16 +34,15 @@ const STACK_BYTES: usize = 1 << 20;
 const SCHEMES: [Scheme; 3] = [Scheme::Dense, Scheme::GTopk, Scheme::OkTopk];
 
 /// Gate budgets for Ok-Topk at P=1024. The wall budget is absolute with
-/// generous headroom (~3 s measured on a 2-core CI-class host). The memory
+/// generous headroom (~2 s measured on a 2-core CI-class host). The memory
 /// budget is meant to fail: peak RSS repeats to within a MiB or two, so it
-/// sits between what per-rank state that is used once per τ′ or only relayed
-/// costs (155 MiB: 32 KiB of radix histograms in every rank's scratch, and a
-/// doubling gather whose rounds each send a copy of the whole block of
-/// handles) and what the step costs with the histograms pooled per worker and
-/// one handle relayed per round (112 MiB).
+/// sits between what per-rank copies of values every rank agrees on cost
+/// (113–114 MiB: a boundary vector, a consensus sum with a copy per doubling
+/// round, a threshold and a scaled update on every rank) and what the step
+/// costs with each of them made once per process (103–104 MiB).
 const GATE_P: usize = 1024;
 const GATE_WALL_BUDGET: Duration = Duration::from_secs(60);
-const GATE_MEM_BUDGET_KB: u64 = 136 * 1024; // 136 MiB peak RSS
+const GATE_MEM_BUDGET_KB: u64 = 108 * 1024; // 108 MiB peak RSS
 
 /// PR 9 headline leg: Ok-Topk at P=2048. The PR 7 baseline recorded ~46.2 s
 /// there (`BENCH_PR7.json`); direct handoff, cohort wakeups and adaptive spin
@@ -53,8 +52,9 @@ const GATE_MEM_BUDGET_KB: u64 = 136 * 1024; // 136 MiB peak RSS
 const HEADLINE_P: usize = 2048;
 const HEADLINE_WALL_BUDGET: Duration = Duration::from_secs(30);
 /// Peak RSS budget at the headline cell, set the same way as the P=1024 one:
-/// 341 MiB with per-rank histograms and whole-block relays, 241 MiB without.
-const HEADLINE_MEM_BUDGET_KB: u64 = 296 * 1024; // 296 MiB peak RSS
+/// 237–238 MiB with per-rank copies of what the ranks agree on, 206–212 MiB
+/// with one per process.
+const HEADLINE_MEM_BUDGET_KB: u64 = 224 * 1024; // 224 MiB peak RSS
 /// Ok-Topk P=2048 event-engine wall from BENCH_PR7.json, for the speedup line.
 const BASELINE_PR7_MS: f64 = 46165.1;
 

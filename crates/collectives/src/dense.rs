@@ -14,9 +14,13 @@
 //! arithmetically (no boundary vector), send chunks come from the
 //! communicator's recycled-buffer pool, and every received chunk goes back to
 //! it.
+//!
+//! The same rule serves every result that is identical on all ranks
+//! ([`allgather_assembled`], [`allreduce_f64_shared`]): it exists once per
+//! process, and each rank returns a handle to it.
 
 use simnet::{Net, WireSize};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 const TAG_RS: u64 = 0x10; // reduce-scatter phase
 const TAG_AG: u64 = 0x11; // allgather phase
@@ -53,17 +57,21 @@ impl StepBudget {
 
 /// One fully reduced region of an allreduce, travelling by handle through the
 /// gather half.
-struct Piece {
-    data: Vec<f32>,
-    /// The step's assembled result. Only region 0's piece — the one handle
-    /// every rank ends up holding first in its list — ever fills it.
-    whole: OnceLock<Arc<Vec<f32>>>,
-}
+struct Piece(Vec<f32>);
 
 impl WireSize for Piece {
     fn wire_elems(&self) -> u64 {
-        self.data.len() as u64
+        self.0.len() as u64
     }
+}
+
+/// The regions in `pieces`, in the order given, as one n-word vector.
+fn concat<'a>(pieces: impl Iterator<Item = &'a Piece>, n: usize) -> Vec<f32> {
+    let mut whole = Vec::with_capacity(n);
+    for piece in pieces {
+        whole.extend_from_slice(&piece.0);
+    }
+    whole
 }
 
 /// Sum-allreduce of a dense f32 vector across all ranks, out of place: `grad` is
@@ -83,8 +91,9 @@ impl WireSize for Piece {
 /// accounting fiction.
 ///
 /// Whichever rank finishes its gather first concatenates the P regions into
-/// the result; the others clone its handle. Region order fixes the content, so
-/// only *who* copies depends on the schedule, never what any rank returns.
+/// the result; the others clone its handle ([`gather_assembled`]). Region
+/// order fixes the content, so only *who* copies depends on the schedule,
+/// never what any rank returns.
 pub fn allreduce_shared<C: Net>(
     comm: &mut C,
     grad: &[f32],
@@ -100,20 +109,12 @@ pub fn allreduce_shared<C: Net>(
         finish(&mut sum);
         return Arc::new(sum);
     }
-    let pieces = if p.is_power_of_two() {
+    if p.is_power_of_two() {
         let steps = 2 * p.trailing_zeros() as usize;
         rabenseifner(comm, grad, StepBudget::new(overlap_compute, steps), finish)
     } else {
         ring_allreduce(comm, grad, StepBudget::new(overlap_compute, 2 * (p - 1)), finish)
-    };
-    let assemble = || {
-        let mut whole = Vec::with_capacity(grad.len());
-        for piece in &pieces {
-            whole.extend_from_slice(&piece.data);
-        }
-        Arc::new(whole)
-    };
-    Arc::clone(pieces[0].whole.get_or_init(assemble))
+    }
 }
 
 /// In-place form of [`allreduce_shared`]: runs the shared schedule and copies
@@ -155,7 +156,7 @@ fn own_piece<C: Net>(
     acc: Vec<f32>,
     spent: Option<Vec<f32>>,
     finish: impl FnOnce(&mut [f32]),
-) -> Arc<Piece> {
+) -> Piece {
     let mut data = acc.as_slice().to_vec();
     let mut pooled = [Some(acc), spent];
     pooled.sort_by_key(|buf| buf.as_ref().map_or(0, Vec::capacity));
@@ -163,17 +164,16 @@ fn own_piece<C: Net>(
         comm.recycle_f32(buf);
     }
     finish(&mut data);
-    Arc::new(Piece { data, whole: OnceLock::new() })
+    Piece(data)
 }
 
-/// Rabenseifner's allreduce for power-of-two P; returns the reduced regions in
-/// region order.
+/// Rabenseifner's allreduce for power-of-two P.
 fn rabenseifner<C: Net>(
     comm: &mut C,
     grad: &[f32],
     overlap: StepBudget,
     finish: impl FnOnce(&mut [f32]),
-) -> Vec<Arc<Piece>> {
+) -> Arc<Vec<f32>> {
     let p = comm.size();
     let rank = comm.rank();
     let n = grad.len();
@@ -215,18 +215,19 @@ fn rabenseifner<C: Net>(
     debug_assert_eq!((seg_lo, seg_len), (rank, 1));
     let piece = own_piece(comm, acc.expect("p > 1 runs at least one step"), spent, finish);
 
-    // Recursive-doubling allgather: segments re-merge in reverse order.
-    gather_handles(comm, piece, TAG_AG, overlap)
+    // Recursive-doubling allgather: segments re-merge in reverse order, and
+    // origin order is region order.
+    gather_assembled(comm, piece, TAG_AG, overlap, |pieces| concat(pieces.iter().copied(), n))
 }
 
 /// Ring allreduce for arbitrary P: P−1 reduce-scatter steps + P−1 allgather
-/// steps; returns the reduced regions in region order.
+/// steps.
 fn ring_allreduce<C: Net>(
     comm: &mut C,
     grad: &[f32],
     overlap: StepBudget,
     finish: impl FnOnce(&mut [f32]),
-) -> Vec<Arc<Piece>> {
+) -> Arc<Vec<f32>> {
     let p = comm.size();
     let rank = comm.rank();
     let n = grad.len();
@@ -248,10 +249,11 @@ fn ring_allreduce<C: Net>(
     let piece = own_piece(comm, partial, None, finish);
 
     // Allgather: circulate the fully reduced chunks. The ring leaves rank r
-    // holding region r + 1, so origin order is region order rotated by one.
-    let mut pieces = gather_handles(comm, piece, TAG_AG, overlap);
-    pieces.rotate_right(1);
-    pieces
+    // holding region r + 1, so region order is origin order rotated by one.
+    gather_assembled(comm, piece, TAG_AG, overlap, |pieces| {
+        let (last, rest) = pieces.split_last().expect("p > 1 gathers P pieces");
+        concat(std::iter::once(last).chain(rest).copied(), n)
+    })
 }
 
 /// Block reduce-scatter: afterwards each rank holds the fully reduced region `rank`
@@ -297,7 +299,30 @@ pub fn allgather_items<C: Net, T>(comm: &mut C, mine: T) -> Vec<Arc<T>>
 where
     T: Send + Sync + WireSize + 'static,
 {
-    gather_handles(comm, Arc::new(mine), TAG_ITEMS, StepBudget::new(0.0, 0))
+    match gather_handles(comm, Arc::new(mine), TAG_ITEMS, StepBudget::new(0.0, 0)) {
+        Gathered::List(all) => all,
+        tree => {
+            let mut all = Vec::with_capacity(comm.size());
+            tree.for_each(|item| all.push(Arc::clone(item)));
+            all
+        }
+    }
+}
+
+/// Allgather whose caller only wants one function of the gathered items, the
+/// same on every rank: `assemble` runs once per process, on the rank-ordered
+/// items, and every rank returns a handle to its result. Same messages as
+/// [`allgather_items`]; see [`gather_assembled`] for who assembles.
+pub fn allgather_assembled<C: Net, T, R>(
+    comm: &mut C,
+    mine: T,
+    assemble: impl FnOnce(&[&T]) -> R,
+) -> Arc<R>
+where
+    T: Send + Sync + WireSize + 'static,
+    R: Send + Sync + 'static,
+{
+    gather_assembled(comm, mine, TAG_ITEMS, StepBudget::new(0.0, 0), assemble)
 }
 
 /// A rank-ordered block of gathered items in a doubling round: one origin's
@@ -313,14 +338,24 @@ impl<T: WireSize> Block<T> {
         let elems = lo.wire_elems() + hi.wire_elems();
         Arc::new(Block::Join { lo, hi, elems })
     }
+}
 
-    /// Append the block's items to `out`, in rank order.
-    fn flatten_into(&self, out: &mut Vec<Arc<T>>) {
+impl<T> Block<T> {
+    /// The block's first item: log P steps down its left edge.
+    fn first(&self) -> &Arc<T> {
         match self {
-            Block::Leaf(item) => out.push(Arc::clone(item)),
+            Block::Leaf(item) => item,
+            Block::Join { lo, .. } => lo.first(),
+        }
+    }
+
+    /// Call `f` on the block's items, in rank order.
+    fn for_each<'a>(&'a self, f: &mut impl FnMut(&'a Arc<T>)) {
+        match self {
+            Block::Leaf(item) => f(item),
             Block::Join { lo, hi, .. } => {
-                lo.flatten_into(out);
-                hi.flatten_into(out);
+                lo.for_each(f);
+                hi.for_each(f);
             }
         }
     }
@@ -335,15 +370,40 @@ impl<T: WireSize> WireSize for Block<T> {
     }
 }
 
-/// The handle allgather behind [`allgather_items`] and the gather half of the
-/// dense allreduce, which differ in `tag` and in the `overlap` share spent
-/// between each step's send and its receive.
+/// What a handle gather leaves a rank holding: the last doubling round's
+/// block (P a power of two), or the ring's rank-ordered list.
+enum Gathered<T> {
+    Tree(Arc<Block<T>>),
+    List(Vec<Arc<T>>),
+}
+
+impl<T> Gathered<T> {
+    /// Origin 0's item.
+    fn first(&self) -> &Arc<T> {
+        match self {
+            Gathered::Tree(block) => block.first(),
+            Gathered::List(all) => &all[0],
+        }
+    }
+
+    /// Call `f` on every origin's item, in rank order.
+    fn for_each<'a>(&'a self, mut f: impl FnMut(&'a Arc<T>)) {
+        match self {
+            Gathered::Tree(block) => block.for_each(&mut f),
+            Gathered::List(all) => all.iter().for_each(f),
+        }
+    }
+}
+
+/// The handle allgather behind [`allgather_items`] and [`gather_assembled`]
+/// (so also the dense allreduce's gather half), whose callers differ in `tag`
+/// and in the `overlap` share spent between each step's send and its receive.
 fn gather_handles<C: Net, T>(
     comm: &mut C,
     mine: Arc<T>,
     tag: u64,
     overlap: StepBudget,
-) -> Vec<Arc<T>>
+) -> Gathered<T>
 where
     T: Send + Sync + WireSize + 'static,
 {
@@ -354,8 +414,8 @@ where
         // block of the `dist` origins that agree with it above that bit, and
         // its partner the adjacent block — below it if the rank's bit is set.
         // A round relays the block's one handle; the origin is implied by
-        // position, as in MPI's displacement array. The P-long list exists
-        // only once the last round is in.
+        // position, as in MPI's displacement array. No P-long list is built
+        // here: the last round's block is the whole gather.
         let mut have = Arc::new(Block::Leaf(mine));
         let mut dist = 1;
         while dist < p {
@@ -366,9 +426,7 @@ where
             have = if rank & dist == 0 { Block::join(have, got) } else { Block::join(got, have) };
             dist *= 2;
         }
-        let mut all = Vec::with_capacity(p);
-        have.flatten_into(&mut all);
-        return all;
+        return Gathered::Tree(have);
     }
     // Ring: forward the item that arrived last. Origins arrive in the order
     // rank, rank−1, …, rank+1 (mod P); reversed and rotated that is 0..P.
@@ -385,7 +443,55 @@ where
     }
     have.reverse();
     have.rotate_right(rank + 1);
-    have
+    Gathered::List(have)
+}
+
+/// An item of [`gather_assembled`]. Every origin's carries a slot; only
+/// origin 0's is ever filled.
+struct Assembly<T, R> {
+    item: T,
+    whole: OnceLock<Arc<R>>,
+}
+
+impl<T: WireSize, R> WireSize for Assembly<T, R> {
+    fn wire_elems(&self) -> u64 {
+        self.item.wire_elems()
+    }
+}
+
+/// The one rule by which a result every rank computes identically exists
+/// once per process: gather the items, then whichever rank gets out of the
+/// gather first runs `assemble` on the rank-ordered items and leaves the
+/// result in origin 0's slot; every other rank clones the handle there (one
+/// that arrives mid-assembly blocks on the lock until it is done). After a
+/// doubling gather only the assembler walks the tree into a list — the others
+/// step down its left edge to origin 0 — so the 8 B per peer of a rank-ordered
+/// list exists once per process, not once per rank.
+///
+/// Schedule-independent in everything a caller can observe: the items and
+/// their order are the same on every rank, so only *who* assembles depends on
+/// the grant order, never what is returned, and nothing modeled happens after
+/// the last receive. `assemble` must not communicate.
+fn gather_assembled<C: Net, T, R>(
+    comm: &mut C,
+    mine: T,
+    tag: u64,
+    overlap: StepBudget,
+    assemble: impl FnOnce(&[&T]) -> R,
+) -> Arc<R>
+where
+    T: Send + Sync + WireSize + 'static,
+    R: Send + Sync + 'static,
+{
+    let p = comm.size();
+    let mine = Arc::new(Assembly { item: mine, whole: OnceLock::new() });
+    let all = gather_handles(comm, mine, tag, overlap);
+    let whole = all.first().whole.get_or_init(|| {
+        let mut items = Vec::with_capacity(p);
+        all.for_each(|a| items.push(&a.item));
+        Arc::new(assemble(&items))
+    });
+    Arc::clone(whole)
 }
 
 /// Binomial-tree broadcast from `root`.
@@ -435,38 +541,125 @@ where
     have.expect("broadcast reached every rank")
 }
 
-/// Small-vector f64 sum-allreduce (recursive doubling on the full vector).
+/// A partial sum of [`allreduce_f64_shared`]'s doubling rounds: the sum over
+/// one aligned block of ranks, which every rank of the block holds by handle.
+struct PartialSum<R> {
+    /// Words summed, fixed at creation. The wire size reads this, not `sum`:
+    /// another pair of the block may already have merged the buffer away when
+    /// a slower rank sends the node.
+    len: usize,
+    /// Moved out by the node's one merge.
+    sum: Mutex<Vec<f64>>,
+    /// What this node and its sibling merge into. Both partners of every pair
+    /// reach it through the lower block's node.
+    next: OnceLock<Arc<PartialSum<R>>>,
+    /// `finish` of the total, on the last merge's node only.
+    result: Option<Arc<R>>,
+}
+
+impl<R> WireSize for PartialSum<R> {
+    fn wire_elems(&self) -> u64 {
+        2 * self.len as u64
+    }
+}
+
+impl<R> PartialSum<R> {
+    fn take(&self) -> Vec<f64> {
+        std::mem::take(&mut *self.sum.lock().expect("no merge panics holding a sum"))
+    }
+
+    /// `lo + hi` in `lo`'s buffer; both buffers are moved out, so a leaf dies
+    /// at its block's first merge. With `finish`, the merge is the last one
+    /// and the node carries only its result.
+    fn merge(lo: &Self, hi: &Self, finish: Option<impl FnOnce(&[f64]) -> R>) -> Arc<Self> {
+        let (mut sum, add) = (lo.take(), hi.take());
+        debug_assert_eq!((sum.len(), add.len()), (lo.len, hi.len), "a node merged twice");
+        for (s, a) in sum.iter_mut().zip(&add) {
+            *s += a;
+        }
+        let (len, next) = (lo.len, OnceLock::new());
+        Arc::new(match finish {
+            Some(finish) => {
+                let result = Some(Arc::new(finish(&sum)));
+                PartialSum { len, sum: Mutex::default(), next, result }
+            }
+            None => PartialSum { len, sum: Mutex::new(sum), next, result: None },
+        })
+    }
+}
+
+/// Small-vector f64 sum-allreduce (recursive doubling on the full vector)
+/// whose result exists once per process: `finish` runs once, on the total,
+/// and every rank returns a handle to what it made.
 ///
 /// Used for Ok-Topk's boundary consensus (§3.1.1): message size is `P+1` elements,
 /// so latency dominates — `⌈log2 P⌉·α`, exactly the overhead the paper amortizes
 /// over τ iterations.
-pub fn allreduce_sum_f64<C: Net>(comm: &mut C, mut data: Vec<f64>) -> Vec<f64> {
+///
+/// Each doubling round sends one handle to the rank's partial-sum node (charged
+/// `2·len` words, what a copy of the vector was). The two blocks of a round
+/// merge once, not once per rank: the first of their ranks out of the round
+/// adds the upper block's sum into the lower's in place (`lo + hi`), and every
+/// rank of both blocks moves on to that node. For input without NaNs this is
+/// the sum of the per-rank form to the bit (IEEE addition commutes). With
+/// NaNs, every rank now returns the same bits; the per-rank form had the upper
+/// partner of a pair compute `hi + lo`, which keeps the other operand's NaN
+/// payload, so ranks could disagree. P not a power of two gathers the vectors
+/// and the assembler ([`gather_assembled`]) sums them once, in rank order from
+/// zero.
+pub fn allreduce_f64_shared<C: Net, R>(
+    comm: &mut C,
+    data: Vec<f64>,
+    finish: impl FnOnce(&[f64]) -> R,
+) -> Arc<R>
+where
+    R: Send + Sync + 'static,
+{
     let p = comm.size();
     let rank = comm.rank();
     if p == 1 {
-        return data;
+        return Arc::new(finish(&data));
     }
-    if p.is_power_of_two() {
-        let mut dist = 1;
-        while dist < p {
-            let partner = rank ^ dist;
-            let got: Vec<f64> = comm.sendrecv(partner, TAG_AR64, data.clone(), partner, TAG_AR64);
-            for (d, g) in data.iter_mut().zip(&got) {
-                *d += g;
+    if !p.is_power_of_two() {
+        // Gather-and-sum; fine for tiny vectors.
+        let len = data.len();
+        return gather_assembled(comm, data, TAG_ITEMS, StepBudget::new(0.0, 0), |all| {
+            let mut sum = vec![0.0f64; len];
+            for v in all {
+                for (s, x) in sum.iter_mut().zip(v.iter()) {
+                    *s += x;
+                }
             }
-            dist *= 2;
-        }
-        data
-    } else {
-        // Gather-and-sum over a ring; fine for tiny vectors.
-        let mut sum = vec![0.0f64; data.len()];
-        for v in allgather_items(comm, data) {
-            for (s, x) in sum.iter_mut().zip(v.iter()) {
-                *s += x;
-            }
-        }
-        sum
+            finish(&sum)
+        });
     }
+    let mut finish = Some(finish);
+    let mut have = Arc::new(PartialSum {
+        len: data.len(),
+        sum: Mutex::new(data),
+        next: OnceLock::new(),
+        result: None,
+    });
+    let mut dist = 1;
+    while dist < p {
+        let partner = rank ^ dist;
+        comm.send_shared(partner, TAG_AR64, Arc::clone(&have));
+        let got = comm.recv_shared(partner, TAG_AR64);
+        let (lo, hi) = if rank & dist == 0 { (&have, &got) } else { (&got, &have) };
+        let last = 2 * dist == p;
+        let next = lo
+            .next
+            .get_or_init(|| PartialSum::merge(lo, hi, if last { finish.take() } else { None }));
+        have = Arc::clone(next);
+        dist *= 2;
+    }
+    Arc::clone(have.result.as_ref().expect("the last merge applied finish"))
+}
+
+/// [`allreduce_f64_shared`] returning the sum as this rank's own vector: the
+/// trainer's free-mode loss statistics.
+pub fn allreduce_sum_f64<C: Net>(comm: &mut C, data: Vec<f64>) -> Vec<f64> {
+    Arc::unwrap_or_clone(allreduce_f64_shared(comm, data, <[f64]>::to_vec))
 }
 #[cfg(test)]
 mod tests {

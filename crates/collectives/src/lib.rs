@@ -8,8 +8,9 @@
 //!   recursive-doubling allgather) with a ring fallback for non-power-of-two P,
 //!   out of place and with one `Arc`-shared result per process rather than a
 //!   copy per rank; generic allgather/allgatherv whose gathered pieces are
-//!   shared the same way, broadcast, and a small f64 allreduce used for
-//!   Ok-Topk's boundary consensus. Dense allreduce achieves the `2n(P−1)/P`
+//!   shared the same way (or assembled once per process into one shared
+//!   result), broadcast, and a small f64 allreduce with a shared result used
+//!   for Ok-Topk's boundary consensus. Dense allreduce achieves the `2n(P−1)/P`
 //!   bandwidth bound quoted in Table 1.
 //! - [`topk_a`]: the allgather-based sparse allreduce (TopkA, §2) — also the
 //!   transport of the Gaussiank baseline, which differs only in its selection
@@ -36,8 +37,8 @@ pub mod topk_a;
 pub mod topk_dsa;
 
 pub use dense::{
-    allgather_items, allreduce_inplace, allreduce_shared, allreduce_sum_f64, broadcast,
-    broadcast_shared, reduce_scatter_block,
+    allgather_assembled, allgather_items, allreduce_f64_shared, allreduce_inplace,
+    allreduce_shared, allreduce_sum_f64, broadcast, broadcast_shared, reduce_scatter_block,
 };
 pub use gtopk::{gtopk_allreduce, gtopk_reduce_to_root};
 pub use hier::{

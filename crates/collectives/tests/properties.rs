@@ -1,14 +1,15 @@
 //! Property tests: every collective matches its serial reference on random inputs.
 
 use collectives::{
-    allgather_items, allreduce_inplace, allreduce_shared, broadcast, dsa_allreduce,
-    gtopk_allreduce, reduce_to_root_dense, reduce_to_root_dense_into, topk_allgather_allreduce,
-    two_tier,
+    allgather_items, allreduce_f64_shared, allreduce_inplace, allreduce_shared, broadcast,
+    dsa_allreduce, gtopk_allreduce, reduce_to_root_dense, reduce_to_root_dense_into,
+    topk_allgather_allreduce, two_tier,
 };
 use proptest::prelude::*;
 use simnet::{Cluster, CostModel, Engine, GroupComm, Net, WireSize};
 use sparse::select::topk_exact;
 use sparse::CooGradient;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn coo_close(a: &CooGradient, b: &CooGradient) -> bool {
@@ -463,6 +464,130 @@ fn allreduce_shared_matches_the_in_place_allreduce_and_shares_its_result() {
                         assert_eq!(Arc::strong_count(handles[0]), p, "{what}");
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The f64 allreduce this crate had before its result was shared, kept only
+/// as the reference [`allreduce_f64_shared`] is compared against: every rank
+/// sums its own copy, a doubling round sends a clone of the whole vector, and
+/// the upper partner of a pair computes `hi + lo`. Same tags, partners,
+/// message order and wire elements.
+fn allreduce_sum_f64_per_rank<C: Net>(comm: &mut C, mut data: Vec<f64>) -> Vec<f64> {
+    const TAG_AR64: u64 = 0x13;
+    let (p, rank) = (comm.size(), comm.rank());
+    if p == 1 {
+        return data;
+    }
+    if p.is_power_of_two() {
+        let mut dist = 1;
+        while dist < p {
+            let partner = rank ^ dist;
+            let got: Vec<f64> = comm.sendrecv(partner, TAG_AR64, data.clone(), partner, TAG_AR64);
+            for (d, g) in data.iter_mut().zip(&got) {
+                *d += g;
+            }
+            dist *= 2;
+        }
+        data
+    } else {
+        let mut sum = vec![0.0f64; data.len()];
+        for v in allgather_items(comm, data) {
+            for (s, x) in sum.iter_mut().zip(v.iter()) {
+                *s += x;
+            }
+        }
+        sum
+    }
+}
+
+/// Rank `rank`'s input to the f64 parity test: finite values, ±0.0 and ±∞.
+/// An index where +∞ meets −∞ sums to the default NaN whatever the order, and
+/// no input is a NaN, so the per-rank form's sum is the same on every rank.
+fn special_f64(rank: usize, len: usize) -> Vec<f64> {
+    (0..len)
+        .map(|i| match (i % 11, (rank + i) % 3) {
+            (2, 0) => f64::INFINITY,
+            (4, 1) => f64::NEG_INFINITY,
+            (6, 0) => f64::INFINITY,
+            (6, 1) => f64::NEG_INFINITY,
+            (8, _) => -0.0,
+            (9, 0) => -0.0,
+            (9, _) => 0.0,
+            _ => ((rank * 131 + i * 7) % 257) as f64 * 0.37 - 40.0,
+        })
+        .collect()
+}
+
+/// The shared f64 allreduce is the per-rank one it replaced, once: same
+/// result bits (±0.0, ±∞ and the NaN they make included), same clocks, same
+/// per-rank messages and elements, for both schedules and every length the
+/// consensus can have, on both engines — and every rank returns the same
+/// allocation, made by one `finish` call per process.
+#[test]
+fn allreduce_f64_shared_is_the_per_rank_allreduce_once() {
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+    let calls = AtomicUsize::new(0);
+    let halve = |sum: &[f64]| {
+        calls.fetch_add(1, Ordering::Relaxed);
+        sum.iter().map(|x| x * 0.5).collect::<Vec<f64>>()
+    };
+    for engine in [Engine::Event, Engine::Thread] {
+        for p in 1usize..=9 {
+            for len in [0, 1, p + 1, 1025] {
+                let what = format!("{engine:?} p={p} len={len}");
+                let cluster = Cluster::new(p, CostModel::aries()).with_engine(engine);
+                calls.store(0, Ordering::Relaxed);
+                let shared = cluster.run(|comm| {
+                    comm.set_phase("consensus");
+                    allreduce_f64_shared(comm, special_f64(comm.rank(), len), halve)
+                });
+                assert_eq!(calls.load(Ordering::Relaxed), 1, "{what}: finish calls");
+                let per_rank = cluster.run(|comm| {
+                    comm.set_phase("consensus");
+                    let sum = allreduce_sum_f64_per_rank(comm, special_f64(comm.rank(), len));
+                    sum.iter().map(|x| x * 0.5).collect::<Vec<f64>>()
+                });
+
+                assert_eq!(shared.times, per_rank.times, "{what}: clocks");
+                for rank in 0..p {
+                    assert_eq!(
+                        shared.ledger.cell(rank, "consensus"),
+                        per_rank.ledger.cell(rank, "consensus"),
+                        "{what}: rank {rank}'s messages and elements"
+                    );
+                    let got = &shared.results[rank];
+                    assert_eq!(bits(got), bits(&per_rank.results[rank]), "{what}: rank {rank}");
+                    assert!(Arc::ptr_eq(got, &shared.results[0]), "{what}: a second copy");
+                }
+                if len == 1025 && p > 2 {
+                    assert!(shared.results[0][6].is_nan(), "{what}: +inf met -inf");
+                }
+            }
+        }
+    }
+}
+
+/// With NaN inputs whose payloads differ between ranks, every rank still
+/// returns the same bits: the sum is made once. (The per-rank form's upper
+/// partner computed `hi + lo`, and an add keeps one operand's NaN payload, so
+/// its ranks could disagree.)
+#[test]
+fn allreduce_f64_shared_agrees_on_nan_payloads() {
+    for engine in [Engine::Event, Engine::Thread] {
+        for p in 2usize..=9 {
+            let report = Cluster::new(p, CostModel::aries()).with_engine(engine).run(|comm| {
+                let payload = f64::from_bits(0x7ff8_0000_0000_0000 | (comm.rank() as u64 + 1));
+                allreduce_f64_shared(comm, vec![payload, 1.0, payload], <[f64]>::to_vec)
+            });
+            let want: Vec<u64> = report.results[0].iter().map(|x| x.to_bits()).collect();
+            assert!(report.results[0][0].is_nan() && report.results[0][1] == p as f64);
+            for (rank, got) in report.results.iter().enumerate() {
+                let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "{engine:?} p={p}: rank {rank}'s bits");
             }
         }
     }

@@ -13,11 +13,12 @@
 //!   forwarded as it is, and the last one goes back to the pool.
 //! - **gather half: two, neither of them an f32 buffer** — the `Arc` around the
 //!   rank's piece and the P-slot list of piece handles. Only handles travel.
-//! - **the assembler, two more**: the n-word result and the `Arc` around it.
-//!   Whichever rank finishes its gather first assembles, so which rank pays is
-//!   up to the schedule; that exactly one of the P does is not.
+//! - **the assembler, three more**: the P-slot list of piece references it
+//!   assembles from, the n-word result and the `Arc` around it. Whichever rank
+//!   finishes its gather first assembles, so which rank pays is up to the
+//!   schedule; that exactly one of the P does is not.
 //!
-//! So a rank makes 3 allocations, the assembler 5, and the process makes one
+//! So a rank makes 3 allocations, the assembler 6, and the process makes one
 //! n-sized allocation per step where the in-place allreduce kept P.
 //!
 //! The geometry is deliberate: P = 3 forces the ring path (non-power-of-two),
@@ -112,8 +113,9 @@ fn steady_state_ring_allreduce_allocates_its_piece_and_one_result() {
         assert!(result_sized <= 1, "rank {rank} made {result_sized} result-sized allocations");
         assert_eq!(
             allocs,
-            3 + 2 * result_sized,
-            "rank {rank}: piece + its Arc + handle list, and result + its Arc on the assembler"
+            3 + 3 * result_sized,
+            "rank {rank}: piece + its Arc + handle list, and on the assembler a list of \
+             references, the result and its Arc"
         );
         assemblers += result_sized;
     }

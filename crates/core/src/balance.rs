@@ -9,7 +9,7 @@
 //! Balancing only runs when `max > trigger × mean` (the paper uses 4×).
 
 use crate::config::OkTopkConfig;
-use collectives::allgather_items;
+use collectives::allgather_assembled;
 use simnet::Net;
 use sparse::CooGradient;
 use std::sync::Arc;
@@ -18,8 +18,9 @@ const TAG_BAL: u64 = 0x50;
 
 /// Result of balance-and-allgatherv on one worker.
 pub struct BalanceOutput {
-    /// `u_t`: the global-top-k sparse sum, identical on every worker.
-    pub global_topk: CooGradient,
+    /// `u_t`: the global-top-k sparse sum, assembled once per process — every
+    /// worker holds a handle to the same allocation.
+    pub global_topk: Arc<CooGradient>,
     /// Number of global top-k survivors (Fig. 6 instrumentation).
     pub global_nnz: usize,
     /// Whether the 4× trigger fired and data balancing ran (Fig. 7b).
@@ -37,47 +38,77 @@ pub fn balance_and_allgatherv<C: Net>(
     cfg: &OkTopkConfig,
     survivors: CooGradient,
 ) -> BalanceOutput {
+    balance_and_allgatherv_with(comm, cfg, survivors, |_| {})
+}
+
+/// [`balance_and_allgatherv`] that applies `finish` to `u_t` before it is
+/// shared: once per process, by the rank that assembles it.
+pub(crate) fn balance_and_allgatherv_with<C: Net>(
+    comm: &mut C,
+    cfg: &OkTopkConfig,
+    survivors: CooGradient,
+    finish: impl FnOnce(&mut CooGradient),
+) -> BalanceOutput {
     let p = comm.size();
     if p == 1 {
-        let global_nnz = survivors.nnz();
-        return BalanceOutput { global_topk: survivors, global_nnz, balanced: false };
+        let (global_nnz, mut global_topk) = (survivors.nnz(), survivors);
+        finish(&mut global_topk);
+        return BalanceOutput { global_topk: Arc::new(global_topk), global_nnz, balanced: false };
     }
 
-    // Allgather of buffer sizes: P words, latency-dominated (§3.1.2). The size
-    // handles are dropped before the data gather starts.
+    // Allgather of buffer sizes: P words, latency-dominated (§3.1.2), read once
+    // per process into what every worker needs of them. The handle is dropped
+    // before the data gather starts.
     comm.set_phase("okt_size_gather");
-    let sizes = allgather_items(comm, survivors.nnz() as u64);
-    let total: u64 = sizes.iter().map(|s| **s).sum();
-    let max = sizes.iter().map(|s| **s).max().unwrap_or(0);
+    let sizes = allgather_assembled(comm, survivors.nnz() as u64, Sizes::new);
+    let total = sizes.prefix[p];
     let mean = total as f64 / p as f64;
-    let need_balance = cfg.data_balancing && total > 0 && (max as f64) > cfg.balance_trigger * mean;
+    let need_balance =
+        cfg.data_balancing && total > 0 && (sizes.max as f64) > cfg.balance_trigger * mean;
 
     let mine = if need_balance {
         comm.set_phase("okt_balance");
-        rebalance(comm, survivors, &sizes)
+        rebalance(comm, survivors, &sizes.prefix)
     } else {
         survivors
     };
     drop(sizes);
     comm.set_phase("okt_allgather");
-    let chunks = allgather_items(comm, mine);
-
-    let global_topk = CooGradient::concat_ordered(&chunks);
+    let global_topk = allgather_assembled(comm, mine, |chunks| {
+        let mut global_topk = CooGradient::concat_ordered(chunks);
+        finish(&mut global_topk);
+        global_topk
+    });
     let global_nnz = global_topk.nnz();
     BalanceOutput { global_topk, global_nnz, balanced: need_balance }
 }
 
+/// What the size gather tells every worker: prefix sums of the per-worker
+/// survivor counts (`prefix[P]` is the total) and the largest count.
+struct Sizes {
+    prefix: Vec<u64>,
+    max: u64,
+}
+
+impl Sizes {
+    fn new(counts: &[&u64]) -> Self {
+        let mut prefix = Vec::with_capacity(counts.len() + 1);
+        prefix.push(0);
+        for &&c in counts {
+            prefix.push(prefix[prefix.len() - 1] + c);
+        }
+        Sizes { prefix, max: counts.iter().map(|&&c| c).max().unwrap_or(0) }
+    }
+}
+
 /// Redistribute the concatenation of all workers' buffers into P equal chunks by
 /// point-to-point messages (blue arrows in Fig. 3). Worker `c` ends up with global
-/// positions `[c·S/P, (c+1)·S/P)` of the rank-ordered concatenation.
-fn rebalance<C: Net>(comm: &mut C, mine: CooGradient, sizes: &[Arc<u64>]) -> CooGradient {
+/// positions `[c·S/P, (c+1)·S/P)` of the rank-ordered concatenation, whose
+/// per-worker prefix sums `prefix` the size gather produced.
+fn rebalance<C: Net>(comm: &mut C, mine: CooGradient, prefix: &[u64]) -> CooGradient {
     let p = comm.size();
     let rank = comm.rank();
 
-    let mut prefix = vec![0u64; p + 1];
-    for r in 0..p {
-        prefix[r + 1] = prefix[r] + *sizes[r];
-    }
     let total = prefix[p];
     let chunk_bound = |c: usize| -> u64 { c as u64 * total / p as u64 };
 
@@ -169,7 +200,7 @@ mod tests {
         let expect = expected_concat(&sizes);
         for out in &outs {
             assert!(!out.balanced);
-            assert_eq!(out.global_topk, expect);
+            assert_eq!(*out.global_topk, expect);
             assert_eq!(out.global_nnz, 40);
         }
     }
@@ -182,7 +213,7 @@ mod tests {
         let expect = expected_concat(&sizes);
         for out in &outs {
             assert!(out.balanced);
-            assert_eq!(out.global_topk, expect);
+            assert_eq!(*out.global_topk, expect);
         }
     }
 
@@ -238,7 +269,7 @@ mod tests {
         let (outs, _) = run(&sizes, true);
         let expect = expected_concat(&sizes);
         for out in &outs {
-            assert_eq!(out.global_topk, expect);
+            assert_eq!(*out.global_topk, expect);
         }
     }
 
@@ -248,6 +279,6 @@ mod tests {
         let cfg = OkTopkConfig::new(10, 1);
         let report = Cluster::new(1, CostModel::free())
             .run(|comm| balance_and_allgatherv(comm, &cfg, g.clone()).global_topk);
-        assert_eq!(report.results[0], g);
+        assert_eq!(*report.results[0], g);
     }
 }

@@ -1,15 +1,16 @@
 //! Algorithm 1: the O(k) sparse allreduce.
 
-use crate::balance::balance_and_allgatherv;
+use crate::balance::balance_and_allgatherv_with;
 use crate::config::OkTopkConfig;
 use crate::split_reduce::split_and_reduce;
-use collectives::{allgather_items, allreduce_sum_f64};
+use collectives::{allgather_assembled, allreduce_f64_shared};
 use simnet::Net;
 use sparse::partition::{balanced_boundaries, consensus_boundaries, equal_boundaries};
 use sparse::scratch::{accumulate_select_scratch, filter_abs_ge_scratch, select_ge_scratch};
 use sparse::select::exact_threshold;
 use sparse::threshold::{PeriodicExactEstimator, ThresholdEstimator};
 use sparse::{CooGradient, SelectScratch};
+use std::sync::Arc;
 
 /// Persistent state of the O(k) sparse allreduce across training iterations:
 /// the reused local/global thresholds, the agreed region boundaries, and the
@@ -17,12 +18,15 @@ use sparse::{CooGradient, SelectScratch};
 /// heap.
 ///
 /// One instance lives on each rank; all instances must be driven with the same
-/// iteration numbers (they exchange data collectively every call).
+/// iteration numbers (they exchange data collectively every call). What the
+/// instances agree on exists once per process: the boundaries are one
+/// allocation every rank holds a handle to, and the τ′ global threshold is
+/// computed by one rank.
 pub struct OkTopk {
     cfg: OkTopkConfig,
     local_est: PeriodicExactEstimator,
     global_th: f32,
-    boundaries: Vec<u32>,
+    boundaries: Arc<Vec<u32>>,
     scratch: SelectScratch,
 }
 
@@ -30,9 +34,10 @@ pub struct OkTopk {
 /// paper's Figs. 6–7 report.
 #[derive(Clone, Debug)]
 pub struct OkTopkOutput {
-    /// `u_t`: the sparse sum restricted to the (approximate) global top-k support.
-    /// Identical on every rank.
-    pub update: CooGradient,
+    /// `u_t`: the sparse sum restricted to the (approximate) global top-k
+    /// support, after the entry's `finish` ([`OkTopkSgd`](crate::OkTopkSgd)'s
+    /// `1/P`). One allocation per process: every rank holds the same handle.
+    pub update: Arc<CooGradient>,
     /// Indexes of this rank's local top-k entries that made it into the global
     /// top-k (Algorithm 1 line 14) — the entries whose residual is cleared.
     pub contributed: Vec<u32>,
@@ -54,7 +59,7 @@ impl OkTopk {
         let local_est = PeriodicExactEstimator::new(cfg.threshold_reeval_period);
         // Steady-state selections land near k entries; start the pool there.
         let scratch = SelectScratch::with_nnz_hint(cfg.k);
-        Self { cfg, local_est, global_th: 0.0, boundaries: Vec::new(), scratch }
+        Self { cfg, local_est, global_th: 0.0, boundaries: Arc::default(), scratch }
     }
 
     /// The configuration in effect.
@@ -69,7 +74,7 @@ impl OkTopk {
 
     /// The reused state: local threshold, global threshold, boundaries.
     pub fn export_state(&self) -> (Option<f32>, f32, Vec<u32>) {
-        (self.local_est.cached(), self.global_th, self.boundaries.clone())
+        (self.local_est.cached(), self.global_th, self.boundaries.to_vec())
     }
 
     /// Whether iteration `t` re-evaluates thresholds (both local and global use τ′).
@@ -96,7 +101,7 @@ impl OkTopk {
         // O(n) scan; both run on pooled buffers and touch no heap at steady state.
         let local_th = self.local_est.threshold(t, acc, self.cfg.k);
         let local = select_ge_scratch(acc, local_th, &mut self.scratch);
-        self.exchange(comm, local, local_th, t)
+        self.exchange(comm, local, local_th, t, |_| {})
     }
 
     /// Algorithm 2 line 4 and Algorithm 1 together: `residual += scale·grad` in
@@ -104,8 +109,10 @@ impl OkTopk {
     /// iterations that reuse the local threshold the accumulation and the
     /// selection scan are one pass over the two arrays; a re-evaluation needs the
     /// whole accumulator before it can rank it, so it accumulates, radix-selects
-    /// and scans. Bit-identical to accumulating into a second buffer and calling
-    /// [`allreduce`](Self::allreduce) on it.
+    /// and scans. Bit-identical to accumulating into a second buffer, calling
+    /// [`allreduce`](Self::allreduce) on it and applying `finish` to a copy of
+    /// its update — but `finish` runs once per process, on the one `u_t` every
+    /// rank shares.
     pub fn accumulate_allreduce<C: Net>(
         &mut self,
         comm: &mut C,
@@ -113,6 +120,7 @@ impl OkTopk {
         grad: &[f32],
         scale: f32,
         t: usize,
+        finish: impl FnOnce(&mut CooGradient),
     ) -> OkTopkOutput {
         assert_eq!(residual.len(), self.cfg.n, "residual length must equal configured n");
         assert_eq!(grad.len(), self.cfg.n, "gradient length must equal configured n");
@@ -126,7 +134,7 @@ impl OkTopk {
                 (th, select_ge_scratch(residual, th, &mut self.scratch))
             }
         };
-        self.exchange(comm, local, local_th, t)
+        self.exchange(comm, local, local_th, t, finish)
     }
 
     /// Algorithm 1 after the local selection (lines 5–14), shared by both entries.
@@ -136,21 +144,22 @@ impl OkTopk {
         local: CooGradient,
         local_th: f32,
         t: usize,
+        finish: impl FnOnce(&mut CooGradient),
     ) -> OkTopkOutput {
         assert!(t >= 1, "iterations are 1-based, as in Algorithm 1");
         let p = comm.size();
         let n = self.cfg.n as u32;
 
         // Lines 5–7: region boundaries, re-evaluated every τ iterations. Consensus
-        // is a P+1-element f64 allreduce — latency-only, amortized over τ.
+        // is a P+1-element f64 allreduce — latency-only, amortized over τ — whose
+        // sum is turned into boundaries once per process.
         if self.is_repartition_iteration(t) {
             self.boundaries = if self.cfg.balanced_partition && p > 1 {
                 comm.set_phase("okt_boundary");
                 let mine = balanced_boundaries(local.indexes(), n, p);
-                let sum = allreduce_sum_f64(comm, mine);
-                consensus_boundaries(&sum, p, n)
+                allreduce_f64_shared(comm, mine, |sum| consensus_boundaries(sum, p, n))
             } else {
-                equal_boundaries(n, p)
+                Arc::new(equal_boundaries(n, p))
             };
         }
 
@@ -159,19 +168,23 @@ impl OkTopk {
 
         // Lines 9–12: global threshold re-evaluation, every τ′ iterations. This is
         // the expensive allgatherv the reuse strategy amortizes (the gather's own
-        // allocations happen once per τ′, not per iteration).
+        // allocations happen once per τ′, not per iteration); the gathered values
+        // are concatenated and ranked once per process, not once per rank.
         if self.is_reeval_iteration(t) {
             comm.set_phase("okt_reeval_gather");
-            let all = allgather_items(comm, sr.reduced_region.clone());
-            let values: Vec<f32> = all.iter().flat_map(|g| g.values().iter().copied()).collect();
-            self.global_th = exact_threshold(&values, self.cfg.k);
+            let k = self.cfg.k;
+            self.global_th = *allgather_assembled(comm, sr.reduced_region.clone(), |regions| {
+                let values: Vec<f32> =
+                    regions.iter().flat_map(|g| g.values().iter().copied()).collect();
+                exact_threshold(&values, k)
+            });
         }
 
         // Line 13: balance and allgatherv over the global-threshold survivors.
         let survivors =
             filter_abs_ge_scratch(&sr.reduced_region, self.global_th, &mut self.scratch);
         self.scratch.recycle(sr.reduced_region);
-        let bal = balance_and_allgatherv(comm, &self.cfg, survivors);
+        let bal = balance_and_allgatherv_with(comm, &self.cfg, survivors, finish);
 
         // Line 14: indexes of local values that contributed to the global top-k.
         let contributed = intersect_sorted(local.indexes(), bal.global_topk.indexes());
@@ -368,6 +381,94 @@ mod tests {
         let expect = sparse::select::topk_exact(&acc, k);
         assert_eq!(out.update.indexes(), expect.indexes());
         assert_eq!(out.contributed, expect.indexes());
+    }
+
+    /// The boundary consensus's sum in the per-rank allreduce's order: for a
+    /// power-of-two P the recursive-doubling tree with the lower block first
+    /// (rank 0's reading), otherwise the rank-ordered sum from zero.
+    fn consensus_sum_reference(mine: &[Vec<f64>]) -> Vec<f64> {
+        let add = |a: Vec<f64>, b: &[f64]| a.iter().zip(b).map(|(x, y)| x + y).collect();
+        if !mine.len().is_power_of_two() {
+            return mine.iter().fold(vec![0.0; mine[0].len()], |sum, v| add(sum, v));
+        }
+        if mine.len() == 1 {
+            return mine[0].clone();
+        }
+        let (lo, hi) = mine.split_at(mine.len() / 2);
+        add(consensus_sum_reference(lo), &consensus_sum_reference(hi))
+    }
+
+    #[test]
+    fn flat_sgd_keeps_one_copy_of_what_the_ranks_agree_on() {
+        // Boundaries and the update are identical on every rank, so they exist
+        // once per process: every rank holds a handle to the same allocation.
+        // Their bits are a per-rank reference's — Algorithm 2 written out with
+        // a second buffer and today's clone + scale of u_t, and the consensus
+        // summed in the per-rank allreduce's order — and the contributed
+        // indexes and residuals are unchanged. τ = τ′, so every other step
+        // both repartitions and re-evaluates.
+        use crate::OkTopkSgd;
+        fn bits(v: &[f32]) -> Vec<u32> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+        let (n, k, tau) = (2048, 60, 2);
+        for p in [4usize, 6] {
+            let report = Cluster::new(p, CostModel::aries()).run(|comm| {
+                let cfg = OkTopkConfig::new(n, k).with_periods(tau, tau);
+                let mut sgd = OkTopkSgd::new(cfg.clone());
+                let mut reference = OkTopk::new(cfg);
+                let mut residual = vec![0.0f32; n];
+                let mut rng = StdRng::seed_from_u64(61 + comm.rank() as u64);
+                let mut steps = Vec::new();
+                for t in 1..=3 * tau {
+                    let grad: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                    let acc: Vec<f32> =
+                        residual.iter().zip(&grad).map(|(&e, &g)| e + 0.1 * g).collect();
+                    let want = reference.allreduce(comm, &acc, t);
+                    residual.copy_from_slice(&acc);
+                    for &i in &want.contributed {
+                        residual[i as usize] = 0.0;
+                    }
+                    let mut want_update = want.update.as_ref().clone();
+                    want_update.scale(1.0 / p as f32);
+
+                    let repartition = sgd.allreduce_state().is_repartition_iteration(t);
+                    let step = sgd.step(comm, &grad, 0.1);
+                    let at = format!("p={p} rank={} t={t}", comm.rank());
+                    assert_eq!(step.update.indexes(), want_update.indexes(), "{at}");
+                    assert_eq!(bits(step.update.values()), bits(want_update.values()), "{at}");
+                    assert!(Arc::ptr_eq(&step.update, &step.meta.update), "{at}");
+                    assert_eq!(step.meta.contributed, want.contributed, "{at}");
+                    assert_eq!(bits(sgd.residual()), bits(&residual), "{at}");
+                    // What this rank brought to the consensus, for the reference.
+                    let local =
+                        repartition.then(|| select_ge(&acc, step.meta.local_th).indexes().to_vec());
+                    steps.push((Arc::clone(&sgd.allreduce_state().boundaries), step.update, local));
+                }
+                steps
+            });
+            let repartitions = (0..3 * tau).filter(|&t| report.results[0][t].2.is_some()).count();
+            assert_eq!(repartitions, 3, "p={p}");
+            for t in 0..3 * tau {
+                let (bounds, update, local) = &report.results[0][t];
+                for (rank, steps) in report.results.iter().enumerate() {
+                    let at = format!("p={p} rank={rank} step {}", t + 1);
+                    assert!(Arc::ptr_eq(&steps[t].0, bounds), "{at}: a second boundary vector");
+                    assert!(Arc::ptr_eq(&steps[t].1, update), "{at}: a second update");
+                }
+                if local.is_some() {
+                    let mine: Vec<Vec<f64>> = report
+                        .results
+                        .iter()
+                        .map(|s| {
+                            balanced_boundaries(s[t].2.as_ref().expect("all ranks"), n as u32, p)
+                        })
+                        .collect();
+                    let want = consensus_boundaries(&consensus_sum_reference(&mine), p, n as u32);
+                    assert_eq!(**bounds, want, "p={p} step {}: boundaries", t + 1);
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::config::OkTopkConfig;
 use crate::oktopk::{OkTopk, OkTopkOutput};
 use simnet::Net;
 use sparse::CooGradient;
+use std::sync::Arc;
 
 /// Per-worker Ok-Topk SGD state: the allreduce state plus the residual ε.
 ///
@@ -30,8 +31,9 @@ pub struct OkTopkSgd {
 /// One optimizer step's result.
 pub struct SparseStep {
     /// `u_t / P` — the model update (SGD mode) or averaged sparse gradient (Adam
-    /// mode). Identical on every rank.
-    pub update: CooGradient,
+    /// mode). One allocation per process: every rank's handle is the same, and
+    /// so is `meta.update`'s.
+    pub update: Arc<CooGradient>,
     /// Full output of the underlying sparse allreduce (thresholds, counts, …).
     pub meta: OkTopkOutput,
 }
@@ -72,20 +74,25 @@ impl OkTopkSgd {
         assert_eq!(grad.len(), self.residual.len());
         self.t += 1;
 
-        // Lines 4–5: accumulate the fresh gradient into ε and run the O(k)
-        // sparse allreduce of the result.
-        let meta =
-            self.allreduce.accumulate_allreduce(comm, &mut self.residual, grad, scale, self.t);
+        // Lines 4–5 and 7: accumulate the fresh gradient into ε and run the
+        // O(k) sparse allreduce of the result. The model update is u_t / P,
+        // scaled once per process by the rank that assembles u_t.
+        let p = comm.size() as f32;
+        let meta = self.allreduce.accumulate_allreduce(
+            comm,
+            &mut self.residual,
+            grad,
+            scale,
+            self.t,
+            |u| u.scale(1.0 / p),
+        );
 
         // Line 6: everything that did NOT contribute stays as the residual.
         for &i in &meta.contributed {
             self.residual[i as usize] = 0.0;
         }
 
-        // Line 7: the model update is u_t / P.
-        let mut update = meta.update.clone();
-        update.scale(1.0 / comm.size() as f32);
-        SparseStep { update, meta }
+        SparseStep { update: Arc::clone(&meta.update), meta }
     }
 }
 
@@ -123,7 +130,8 @@ mod tests {
     #[test]
     fn step_matches_two_buffer_reference() {
         // The in-place fused step against Algorithm 2 written out with a separate
-        // accumulator: fresh `acc = ε + α·g`, `OkTopk::allreduce(acc)`, copy back.
+        // accumulator: fresh `acc = ε + α·g`, `OkTopk::allreduce(acc)`, copy back,
+        // and a private copy of u_t scaled by 1/P.
         // n spans more than one kernel tile and is a multiple of nothing.
         fn bits(v: &[f32]) -> Vec<u32> {
             v.iter().map(|x| x.to_bits()).collect()
@@ -146,10 +154,14 @@ mod tests {
                         residual[i as usize] = 0.0;
                     }
 
+                    // The step's update is u_t / P: a scaled clone of the reference's.
+                    let mut want_update = want.update.as_ref().clone();
+                    want_update.scale(1.0 / p as f32);
+
                     let got = sgd.step(comm, &grad, 0.1).meta;
                     let at = format!("p={p} rank={} t={t}", comm.rank());
-                    assert_eq!(got.update.indexes(), want.update.indexes(), "{at}");
-                    assert_eq!(bits(got.update.values()), bits(want.update.values()), "{at}");
+                    assert_eq!(got.update.indexes(), want_update.indexes(), "{at}");
+                    assert_eq!(bits(got.update.values()), bits(want_update.values()), "{at}");
                     assert_eq!(got.contributed, want.contributed, "{at}");
                     assert_eq!(got.local_th.to_bits(), want.local_th.to_bits(), "{at}");
                     assert_eq!(got.global_th.to_bits(), want.global_th.to_bits(), "{at}");

@@ -1,12 +1,14 @@
-//! What one rank allocates per *peer* in a steady-state Ok-Topk step.
+//! What one rank allocates per *peer* in an Ok-Topk step.
 //!
 //! P ranks share one address space here, so a per-rank scratch structure whose
 //! length is P costs the process O(P²) — the term that bounded how large a P
 //! fits in memory. This audit pins it where it can be counted: a counting
 //! `#[global_allocator]` armed on rank 0's thread only (as in
 //! `collectives/tests/zero_alloc_ring.rs`) sums the bytes *requested* during
-//! one threshold-reuse [`OkTopk`] step at P = 64 and at P = 256 with n and k
-//! fixed, and the slope between the two is the per-peer cost.
+//! one [`OkTopk`] step at P = 64 and at P = 256 with n and k fixed, and the
+//! slope between the two is the per-peer cost. Two steps are measured: one
+//! that reuses the thresholds and boundaries, and one that recomputes both
+//! (t = τ + 1 with τ = τ′: the boundary consensus, the τ′ threshold gather).
 //!
 //! The count covers the algorithm layers (`core`, `collectives`, `sparse`),
 //! not the transport under them: the step runs on [`Uncounted`], a [`Net`] that
@@ -16,24 +18,37 @@
 //! builds) depends on arrival order and is the ROADMAP's per-message item, not
 //! a length-P structure.
 //!
-//! What is left per peer, 32 bytes: an 8-byte `Arc` handle per gathered piece
-//! in the P-long result of each of the step's two allgathers, and the 16-byte
-//! receive handle of split-and-reduce's bucket rounds. The blocks a rank sends
-//! over the doubling rounds no longer cost 8 bytes per peer: a round relays one
-//! handle to a tree node, and a rank makes log P of those. Everything O(k) —
-//! shard copies, merges, the concatenated result — is the same at both sizes
-//! and cancels.
+//! What is left per peer in a reuse step, ≈ 12 bytes: the 16-byte receive
+//! handle of split-and-reduce's bucket rounds, less region work that shrinks
+//! as P grows. A gather no longer leaves every rank an 8-byte handle per
+//! origin: what the step reads of its two gathers (the sizes' prefix sums and
+//! maximum, the concatenated `u_t`) is assembled once per process, and only
+//! the assembler walks the gathered tree into a rank-ordered list. A
+//! recomputing step adds the rank's own P + 1-word `f64` consensus
+//! contribution (8 B per peer, until its block's first merge); the consensus
+//! relays one handle per doubling round where it sent a copy of the vector,
+//! and the boundaries and the τ′ threshold are computed once per process.
+//!
+//! Whichever rank gets out of a gather first assembles, and which one that is
+//! depends on the schedule, so a reading varies by a few bytes per peer from
+//! run to run and the budgets include one assembler's lists: measured with
+//! every rank assembling (a scratch build), rank 0 reads 35.8 and 34.4 — plus
+//! 4 B per peer for the boundary vector if it also makes the consensus's last
+//! merge.
 //!
 //! Readings (bytes requested on rank 0 in one step):
 //!
-//! | build                                                 | P = 64 | P = 256 | slope B/peer |
-//! |-------------------------------------------------------|-------:|--------:|-------------:|
-//! | parent (P shards, order vectors, `Keyed` deep clones) | 29 160 |  84 600 |        288.8 |
-//! | shared-piece gather + slice-on-demand                 | 13 064 |  23 376 |         53.7 |
-//! | + one block handle relayed per doubling round         | 12 616 |  20 016 |         38.5 |
+//! | build                                                   | step      | P = 64 | P = 256 | slope B/peer |
+//! |---------------------------------------------------------|-----------|-------:|--------:|-------------:|
+//! | P shards, order vectors, `Keyed` deep clones            | reuse     | 29 160 |  84 600 |        288.8 |
+//! | shared-piece gather + slice-on-demand                   | reuse     | 13 064 |  23 376 |         53.7 |
+//! | + one block handle relayed per doubling round           | reuse     | 12 616 |  20 016 |         38.5 |
+//! |                                                         | recompute | 78 024 |  99 252 |        110.6 |
+//! | + results assembled once per process, merged consensus  | reuse     |  9 992 |  12 264 |         11.8 |
+//! |                                                         | recompute | 11 504 |  15 000 |  17.0 – 18.2 |
 //!
-//! The readings repeat exactly from run to run. This file must stay a
-//! single-test binary so no sibling test shares the armed thread.
+//! The recompute row's range is five runs. This file must stay a single-test
+//! binary so no sibling test shares the armed thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
@@ -148,22 +163,37 @@ fn acc(rank: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Bytes rank 0 requests from the allocator during one steady-state step.
-fn step_bytes(p: usize) -> usize {
+/// Which step is measured: one that reuses the thresholds and boundaries, or
+/// one that recomputes both (t = τ + 1 with τ = τ′).
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Reuse,
+    RepartitionReeval,
+}
+
+/// Bytes rank 0 requests from the allocator during step `WARMUP + 1`.
+fn step_bytes(p: usize, step: Step) -> usize {
+    let period = match step {
+        Step::Reuse => 1 << 20,
+        Step::RepartitionReeval => WARMUP,
+    };
     let report = Cluster::new(p, CostModel::aries()).with_stack_bytes(1 << 20).run(|comm| {
         let comm = &mut Uncounted(comm);
         ARMED.with(|a| a.set(false));
         BYTES.with(|b| b.set(0));
         let acc = acc(comm.rank());
-        let mut okt = OkTopk::new(OkTopkConfig::new(N, K).with_periods(1 << 20, 1 << 20));
+        let mut okt = OkTopk::new(OkTopkConfig::new(N, K).with_periods(period, period));
         for t in 1..=WARMUP {
             okt.allreduce(comm, &acc, t);
         }
-        assert!(!okt.is_reeval_iteration(WARMUP + 1) && !okt.is_repartition_iteration(WARMUP + 1));
+        let t = WARMUP + 1;
+        let recomputes = okt.is_reeval_iteration(t) && okt.is_repartition_iteration(t);
+        let reuses = !okt.is_reeval_iteration(t) && !okt.is_repartition_iteration(t);
+        assert!(if let Step::Reuse = step { reuses } else { recomputes });
         if comm.rank() == 0 {
             ARMED.with(|a| a.set(true));
         }
-        let out = okt.allreduce(comm, &acc, WARMUP + 1);
+        let out = okt.allreduce(comm, &acc, t);
         ARMED.with(|a| a.set(false));
         (BYTES.with(|b| b.get()), out.global_nnz)
     });
@@ -174,17 +204,26 @@ fn step_bytes(p: usize) -> usize {
 
 #[test]
 fn steady_state_step_has_no_per_peer_scratch() {
-    /// Reads 38.5 (table above). A gather that relays its whole block of
-    /// handles each round reads 53.7 and fails it.
-    const MAX_BYTES_PER_PEER: f64 = 46.0;
+    /// Reads 11.8, at most ≈ 36 on an assembler (table above). A gather that
+    /// relays its whole block of handles each round reads 53.7 and fails it.
+    const MAX_REUSE_BYTES_PER_PEER: f64 = 46.0;
+    /// Reads 17–18, at most ≈ 38 on an assembler. A consensus that sends each
+    /// rank's own copy of the vector every round, with a `values` vector and an
+    /// exact threshold per rank, reads 110.6 and fails it.
+    const MAX_RECOMPUTE_BYTES_PER_PEER: f64 = 64.0;
 
-    let (small, large) = (step_bytes(64), step_bytes(256));
-    let slope = (large as f64 - small as f64) / 192.0;
-    eprintln!("bytes requested on rank 0: P=64 {small}, P=256 {large}, slope {slope:.1} B/peer");
-    assert!(
-        slope <= MAX_BYTES_PER_PEER,
-        "a steady-state step allocates {slope:.1} bytes per peer on rank 0 \
-         (P=64: {small} B, P=256: {large} B); the budget is {MAX_BYTES_PER_PEER} — \
-         some per-rank structure has grown a length-P dimension"
-    );
+    for (step, budget) in [
+        (Step::Reuse, MAX_REUSE_BYTES_PER_PEER),
+        (Step::RepartitionReeval, MAX_RECOMPUTE_BYTES_PER_PEER),
+    ] {
+        let (small, large) = (step_bytes(64, step), step_bytes(256, step));
+        let slope = (large as f64 - small as f64) / 192.0;
+        eprintln!("{step:?}: bytes requested on rank 0: P=64 {small}, P=256 {large}, slope {slope:.1} B/peer");
+        assert!(
+            slope <= budget,
+            "a {step:?} step allocates {slope:.1} bytes per peer on rank 0 \
+             (P=64: {small} B, P=256: {large} B); the budget is {budget} — \
+             some per-rank structure has grown a length-P dimension"
+        );
+    }
 }

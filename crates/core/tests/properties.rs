@@ -76,7 +76,7 @@ proptest! {
         let k = (n / 10).max(1);
         let report = Cluster::new(p, CostModel::aries()).run(|comm| {
             let mut okt = OkTopk::new(OkTopkConfig::new(n, k).with_periods(tau, tau_prime));
-            let mut last = CooGradient::new();
+            let mut last = Default::default();
             for t in 1..=iters {
                 // Vary the inputs deterministically per iteration.
                 let acc: Vec<f32> = accs[comm.rank()]

@@ -5,8 +5,8 @@
 
 use crate::cost::CostProfile;
 use collectives::{
-    allreduce_shared, broadcast, dsa_allreduce, hier_dense_shared, hier_gtopk_allreduce,
-    reduce_to_root_dense_into, topk_allgather_allreduce, two_tier,
+    allreduce_shared, broadcast, broadcast_shared, dsa_allreduce, hier_dense_shared,
+    hier_gtopk_allreduce, reduce_to_root_dense_into, topk_allgather_allreduce, two_tier,
 };
 use oktopk::oktopk::intersect_sorted;
 use oktopk::{OkTopkConfig, OkTopkSgd, SparseStep};
@@ -179,7 +179,9 @@ pub enum Update {
     Dense(Arc<Vec<f32>>),
     /// Averaged sparse result: in SGD mode this is the model delta (lr folded into
     /// the accumulator); in Adam mode (scale = 1) the averaged sparse gradient.
-    Sparse(CooGradient),
+    /// Ok-Topk's is one allocation per process, like the dense one; a sparse
+    /// baseline's is the rank's own.
+    Sparse(Arc<CooGradient>),
 }
 
 /// Instrumentation of one reduce call.
@@ -342,7 +344,7 @@ impl Reducer {
                 }
                 let mut avg = sum;
                 avg.scale(1.0 / p);
-                (Update::Sparse(avg), metrics)
+                (Update::Sparse(Arc::new(avg)), metrics)
             }
             State::OkTopk { cfg, sgd, node_sum } => {
                 let hier = two_tier(
@@ -365,17 +367,18 @@ impl Reducer {
                         let eff = scale * leaders.size() as f32 / p;
                         oktopk_step(cost, cfg, sgd, leaders, node_sum, eff)
                     },
-                    // Down: broadcast the update so every rank applies the same
-                    // delta. The tiny meta triple rides free mode — pure
-                    // instrumentation, not part of the algorithm.
+                    // Down: broadcast the update's handle so every rank applies
+                    // the same delta — the one the leader group assembled. The
+                    // tiny meta triple rides free mode — pure instrumentation,
+                    // not part of the algorithm.
                     |node, led| {
                         let (sp, update, meta3) =
                             led.map_or((0.0, None, None), |(sp, u, m)| (sp, Some(u), Some(m)));
-                        let (idx, val) = broadcast(node, 0, update.map(CooGradient::into_parts));
+                        let update = broadcast_shared(node, 0, update);
                         node.set_free_mode(true);
                         let meta3 = broadcast(node, 0, meta3.map(Vec::from));
                         node.set_free_mode(false);
-                        (sp, CooGradient::from_sorted(idx, val), [meta3[0], meta3[1], meta3[2]])
+                        (sp, update, [meta3[0], meta3[1], meta3[2]])
                     },
                 );
                 // Flat Ok-Topk — also the hierarchical variant's degeneration
@@ -468,7 +471,7 @@ fn oktopk_step<C: Net>(
     comm: &mut C,
     grad: &[f32],
     scale: f32,
-) -> (f64, CooGradient, [u32; 3]) {
+) -> (f64, Arc<CooGradient>, [u32; 3]) {
     let sgd = sgd.get_or_insert_with(|| Box::new(OkTopkSgd::new(cfg.clone())));
     // Threshold re-evaluation iterations pay the exact selection; all others
     // pay one threshold scan (§3.1.3).
@@ -488,6 +491,7 @@ fn oktopk_step<C: Net>(
 mod tests {
     use super::*;
     use collectives::hier::LEADER_GROUP;
+    use oktopk::OkTopk;
     use simnet::{Cluster, CostModel, GroupComm};
 
     fn grads(p: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -697,13 +701,16 @@ mod tests {
 
     /// One Hier-Ok-Topk step as a composition of public parts, the way the arm
     /// was first written: in-place intra-node reduce on a private copy of the
-    /// gradient → `OkTopkSgd::step` over the leader group → intra-node
-    /// broadcast. The reference the leader-owned `node_sum` arm is held to.
+    /// gradient → Algorithm 2 written out over the leader group (ε + scale·g
+    /// into a second buffer, `OkTopk::allreduce`, a private clone of `u_t`
+    /// scaled by 1/nodes) → intra-node broadcast of a copy to every rank. The
+    /// reference the leader-owned `node_sum` arm, which shares one `u_t / P`
+    /// per process, is held to.
     fn hier_oktopk_from_parts<C: Net>(
         comm: &mut C,
-        sgd: &mut OkTopkSgd,
-        cost: &CostProfile,
-        rpn: usize,
+        (okt, residual): (&mut OkTopk, &mut [f32]),
+        t: usize,
+        (cost, rpn): (&CostProfile, usize),
         grad: &[f32],
         scale: f32,
     ) -> (CooGradient, ReduceMetrics) {
@@ -718,19 +725,25 @@ mod tests {
             collectives::reduce_to_root_dense(&mut g, &mut node_sum);
         }
         let leader_out = (rank == lo).then(|| {
-            let reeval = sgd.allreduce_state().is_reeval_iteration(sgd.iteration() + 1);
+            let reeval = okt.is_reeval_iteration(t);
             let sp = if reeval { cost.topk_exact(n) + cost.topk_launch } else { cost.scan(n, 1) };
             comm.compute(sp);
             metrics.sparsify_time = sp;
             let eff = scale * nodes as f32 / size as f32;
+            let acc: Vec<f32> =
+                residual.iter().zip(&node_sum).map(|(&e, &x)| e + eff * x).collect();
             let mut g = GroupComm::new(comm, (0..size).step_by(rpn).collect(), LEADER_GROUP);
-            sgd.step(&mut g, &node_sum, eff)
+            let out = okt.allreduce(&mut g, &acc, t);
+            residual.copy_from_slice(&acc);
+            for &i in &out.contributed {
+                residual[i as usize] = 0.0;
+            }
+            let mut update = out.update.as_ref().clone();
+            update.scale(1.0 / nodes as f32);
+            (update, [out.local_nnz as u32, out.global_nnz as u32, out.balanced as u32])
         });
         comm.set_phase("hier-oktopk");
-        let meta3 = leader_out.as_ref().map(|s| {
-            vec![s.meta.local_nnz as u32, s.meta.global_nnz as u32, s.meta.balanced as u32]
-        });
-        let parts = leader_out.map(|s| s.update.into_parts());
+        let (parts, meta3) = leader_out.map(|(u, m)| (u.into_parts(), m.to_vec())).unzip();
         let mut g = GroupComm::new(comm, members, node as u16);
         let (idx, val) = broadcast(&mut g, 0, parts);
         g.set_free_mode(true);
@@ -744,10 +757,11 @@ mod tests {
 
     #[test]
     fn hier_oktopk_matches_composition_from_parts() {
-        // Leader-owned node sums are a host-side change only: on a two-tier
-        // topology under chaos, full and partial last node, the arm must emit
-        // the composition's updates, metrics and clocks bit for bit across
-        // re-evaluation and reuse steps alike.
+        // Leader-owned node sums and a shared update are host-side changes
+        // only: on a two-tier topology under chaos, full and partial last
+        // node, the arm must emit the composition's updates, metrics, leader
+        // residuals and clocks bit for bit across re-evaluation and reuse
+        // steps alike — and every rank's update must be the same allocation.
         use simnet::{ChaosPlan, Topology};
         let (n, density, tau, tau_prime) = (600, 0.05, 3, 2);
         let cost = CostProfile::paper_calibrated();
@@ -766,39 +780,62 @@ mod tests {
                         let mut r =
                             Reducer::new(Scheme::HierOkTopk, n, density, cost, tau, tau_prime)
                                 .with_ranks_per_node(rpn);
-                        let mut sgd = OkTopkSgd::new(
+                        let mut okt = OkTopk::new(
                             OkTopkConfig::new(n, r.k())
                                 .with_periods(tau, tau_prime)
                                 .with_merge_cost(cost.merge_per_elem),
                         );
-                        let mut out = Vec::new();
+                        let mut residual = vec![0.0f32; n];
+                        let (mut out, mut handles) = (Vec::new(), Vec::new());
                         for t in 0..3 * tau_prime {
                             let g: Vec<f32> = gs[comm.rank()]
                                 .iter()
                                 .enumerate()
                                 .map(|(i, v)| v * (1.0 + ((i + t) % 7) as f32 * 0.3))
                                 .collect();
-                            let (update, m) = if from_parts {
-                                hier_oktopk_from_parts(comm, &mut sgd, &cost, rpn, &g, 0.1)
+                            let ((idx, bits), m, residual_l2) = if from_parts {
+                                let state = (&mut okt, residual.as_mut_slice());
+                                let (u, m) = hier_oktopk_from_parts(
+                                    comm,
+                                    state,
+                                    t + 1,
+                                    (&cost, rpn),
+                                    &g,
+                                    0.1,
+                                );
+                                (coo_bits(&u), m, sparse::stats::l2_norm(&residual))
                             } else {
-                                match r.reduce(comm, &g, 0.1) {
-                                    (Update::Sparse(u), m) => (u, m),
-                                    _ => panic!("sparse"),
-                                }
+                                let (Update::Sparse(u), m) = r.reduce(comm, &g, 0.1) else {
+                                    panic!("sparse")
+                                };
+                                let got = coo_bits(&u);
+                                handles.push(u);
+                                (got, m, r.residual_l2())
                             };
-                            let bits: Vec<u32> =
-                                update.values().iter().map(|v| v.to_bits()).collect();
-                            out.push((update.indexes().to_vec(), bits, format!("{m:?}")));
+                            out.push((idx, bits, format!("{m:?}"), residual_l2));
                         }
-                        out
+                        (out, handles)
                     },
                 )
             };
             let (arm, parts) = (run(false), run(true));
-            assert_eq!(arm.results, parts.results, "p={p} rpn={rpn}: updates or metrics");
+            let rows = |report: &simnet::SimReport<(Vec<_>, Vec<_>)>| {
+                report.results.iter().map(|(rows, _)| rows.clone()).collect::<Vec<_>>()
+            };
+            assert_eq!(rows(&arm), rows(&parts), "p={p} rpn={rpn}: updates, metrics or residuals");
             assert_eq!(arm.times, parts.times, "p={p} rpn={rpn}: clocks");
-            assert!(arm.results[0].iter().all(|(idx, ..)| !idx.is_empty()), "empty updates");
+            assert!(arm.results[0].0.iter().all(|(idx, ..)| !idx.is_empty()), "empty updates");
+            let first = &arm.results[0].1;
+            for (rank, (_, handles)) in arm.results.iter().enumerate() {
+                for (t, (u, u0)) in handles.iter().zip(first).enumerate() {
+                    assert!(Arc::ptr_eq(u, u0), "p={p} rpn={rpn} step {t}: rank {rank}'s own copy");
+                }
+            }
         }
+    }
+
+    fn coo_bits(u: &CooGradient) -> (Vec<u32>, Vec<u32>) {
+        (u.indexes().to_vec(), u.values().iter().map(|v| v.to_bits()).collect())
     }
 
     #[test]

@@ -372,7 +372,7 @@ where
             let true_avg: Vec<f32> = acc_sum.iter().map(|v| v / pf).collect();
             let topk_true = topk_exact(&true_avg, k);
             let applied = match &update {
-                Update::Sparse(u) => u.clone(),
+                Update::Sparse(u) => u.as_ref().clone(),
                 Update::Dense(_) => unreachable!("xi is only measured for Ok-Topk"),
             };
             let mut neg = applied;

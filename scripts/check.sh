@@ -25,11 +25,11 @@
 #   bit-identical, or if inter-link chaos speeds any cell up.
 # - scale checks bit-parity with the thread-engine oracle at P=32, then fails
 #   the script if Ok-Topk at P=1024 misses its wall/memory budget (60 s /
-#   136 MiB), or if the P=2048 headline misses its 30 s budget (>= 1.5x over
-#   the PR 7 baseline), its 296 MiB memory budget, or reports a zero scheduler
-#   handoff rate. The memory budgets sit between what per-rank radix
-#   histograms and whole-block gather relays cost and what the step costs
-#   without them.
+#   108 MiB), or if the P=2048 headline misses its 30 s budget (>= 1.5x over
+#   the PR 7 baseline), its 224 MiB memory budget, or reports a zero scheduler
+#   handoff rate. The memory budgets sit between what per-rank copies of the
+#   values every rank agrees on cost and what the step costs with one copy of
+#   each per process.
 # - fig10 --paper-axis sweeps the weak-scaling axis to P=4096 (clean + one
 #   chaos cell) under a hard wall budget; fig8/fig12 run the same sweep with
 #   CHECK_PAPER_AXIS=1.
@@ -177,6 +177,41 @@ if non_test crates/sparse/src/scratch.rs \
   exit 1
 fi
 
+echo "== one copy per process of what every rank agrees on (DESIGN.md §7) =="
+# Ok-Topk's boundaries, τ′ threshold, size-gather prefix sums and u_t are the
+# same on every rank, so each exists once per process: the consensus merges
+# into shared partial sums (allreduce_f64_shared) and the rest is assembled by
+# the first rank out of its gather (gather_assembled, the one OnceLock rule in
+# dense.rs beside the consensus merge). Outside #[cfg(test)] no per-rank copy
+# may come back.
+if non_test crates/core/src/*.rs | grep -F 'allreduce_sum_f64('; then
+  echo "FAIL: Ok-Topk's consensus sums a copy per rank again (lines above)" >&2
+  exit 1
+fi
+if non_test crates/core/src/oktopk.rs | grep -E 'boundaries:\s*Vec<u32>'; then
+  echo "FAIL: OkTopk keeps its own boundary vector again (lines above)" >&2
+  exit 1
+fi
+if non_test crates/core/src/sgd.rs | grep -F 'update.clone()'; then
+  echo "FAIL: OkTopkSgd scales a per-rank copy of u_t again (lines above)" >&2
+  exit 1
+fi
+if non_test crates/train/src/reducer.rs | grep -F 'broadcast(node, 0, update'; then
+  echo "FAIL: Hier-Ok-Topk hands each rank its own copy of the update again (lines above)" >&2
+  exit 1
+fi
+inits=$(non_test crates/collectives/src/dense.rs | grep -c 'get_or_init(' || true)
+if [ "$inits" -ne 2 ]; then
+  echo "FAIL: dense.rs calls get_or_init $inits times (want 2: gather_assembled and the" \
+       "consensus merge)" >&2
+  exit 1
+fi
+if non_test crates/collectives/src/*.rs crates/core/src/*.rs crates/train/src/*.rs \
+   | grep -F 'OnceLock' | grep -v '^crates/collectives/src/dense.rs:'; then
+  echo "FAIL: a second copy of the once-per-process assembly is back (lines above)" >&2
+  exit 1
+fi
+
 echo "== pruned stays pruned (DESIGN.md §2) =="
 # Quantization, the hybrid-pipeline sweep, checkpointing, the recipe helpers,
 # alltoallv and the criterion benches were deleted because no figure, gate or
@@ -197,7 +232,7 @@ echo "== frozen benchmark surface still has its callers (DESIGN.md §7) =="
 # When a benchmark PR drops the last call of one, the shim must go with it.
 for name in 'okpar::configured_threads' 'okpar::prewarm' 'okpar::run_chunks' \
             'select_ge_with_threads' 'exact_threshold_scratch' 'with_sched(' 'SchedMode' \
-            'export_state'; do
+            'export_state' 'balance_and_allgatherv('; do
   if ! grep -rqF "$name" benchmark/src; then
     echo "FAIL: shim $name has no caller left — delete it" >&2
     exit 1
