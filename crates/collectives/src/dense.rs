@@ -36,8 +36,8 @@ fn region(n: usize, p: usize, a: usize, b: usize) -> std::ops::Range<usize> {
 }
 
 /// Evenly spreads a caller-attributed compute budget across the steps of a
-/// collective. Each share is spent between posting a step's receive and waiting
-/// on it, so the message drains concurrently with the compute (DenseOvlp).
+/// collective. Each share is spent between a step's send and its receive, so
+/// the message drains concurrently with the compute (DenseOvlp).
 #[derive(Clone, Copy)]
 struct StepBudget {
     per_step: f64,
@@ -85,10 +85,9 @@ fn concat<'a>(pieces: impl Iterator<Item = &'a Piece>, n: usize) -> Vec<f32> {
 ///
 /// `overlap_compute` seconds of caller-attributed local work (e.g. the
 /// DenseOvlp backward tail) are interleaved into the exchange: the budget is
-/// spread evenly over the algorithm's steps and spent between posting each
-/// step's receive and waiting on it, so compute runs while the message drains
-/// through the reception port — real overlap in modeled time, not an
-/// accounting fiction.
+/// spread evenly over the algorithm's steps and spent between each step's send
+/// and its receive, so compute runs while the message drains through the
+/// reception port — real overlap in modeled time, not an accounting fiction.
 ///
 /// Whichever rank finishes its gather first concatenates the P regions into
 /// the result; the others clone its handle ([`gather_assembled`]). Region
@@ -203,9 +202,8 @@ fn rabenseifner<C: Net>(
         let within = |r: std::ops::Range<usize>| r.start - base..r.end - base;
         let chunk = pooled_chunk(comm, sums, within(region(n, p, give.0, give.1)));
         comm.send(partner, TAG_RS, chunk);
-        let req = comm.irecv::<Vec<f32>>(partner, TAG_RS);
         overlap.spend(comm);
-        let mut got = comm.wait_recv(req);
+        let mut got: Vec<f32> = comm.recv(partner, TAG_RS);
         accumulate(&mut got, &sums[within(region(n, p, keep.0, keep.1))]);
         spent = acc.replace(got);
         seg_lo = keep.0;
@@ -241,9 +239,8 @@ fn ring_allreduce<C: Net>(
     for s in 0..p - 1 {
         let recv_chunk = (rank + p - s - 1) % p;
         comm.send(right, TAG_RS, partial);
-        let req = comm.irecv::<Vec<f32>>(left, TAG_RS);
         overlap.spend(comm);
-        partial = comm.wait_recv(req);
+        partial = comm.recv(left, TAG_RS);
         accumulate(&mut partial, &grad[region(n, p, recv_chunk, recv_chunk + 1)]);
     }
     let piece = own_piece(comm, partial, None, finish);
@@ -430,7 +427,6 @@ where
     }
     // Ring: forward the item that arrived last. Origins arrive in the order
     // rank, rank−1, …, rank+1 (mod P); reversed and rotated that is 0..P.
-    // (`recv_shared` resolves where it is called, like `wait_recv`.)
     let right = (rank + 1) % p;
     let left = (rank + p - 1) % p;
     let mut have = Vec::with_capacity(p);

@@ -319,9 +319,8 @@ fn allreduce_in_place_copying<C: Net>(comm: &mut C, data: &mut [f32], overlap_co
             };
             let chunk = pooled_chunk(comm, &data[region(n, p, give.0, give.1)]);
             comm.send(partner, TAG_RS, chunk);
-            let req = comm.irecv::<Vec<f32>>(partner, TAG_RS);
             spend(comm);
-            let got = comm.wait_recv(req);
+            let got: Vec<f32> = comm.recv(partner, TAG_RS);
             for (d, g) in data[region(n, p, keep.0, keep.1)].iter_mut().zip(&got) {
                 *d += g;
             }
@@ -335,9 +334,8 @@ fn allreduce_in_place_copying<C: Net>(comm: &mut C, data: &mut [f32], overlap_co
             let partner = rank ^ dist;
             let chunk = pooled_chunk(comm, &data[region(n, p, seg_lo, seg_lo + seg_len)]);
             comm.send(partner, TAG_AG, chunk);
-            let req = comm.irecv::<Vec<f32>>(partner, TAG_AG);
             spend(comm);
-            let got = comm.wait_recv(req);
+            let got: Vec<f32> = comm.recv(partner, TAG_AG);
             let partner_lo = if rank & dist == 0 { seg_lo + seg_len } else { seg_lo - seg_len };
             data[region(n, p, partner_lo, partner_lo + seg_len)].copy_from_slice(&got);
             comm.recycle_f32(got);
@@ -354,9 +352,8 @@ fn allreduce_in_place_copying<C: Net>(comm: &mut C, data: &mut [f32], overlap_co
             let recv_chunk = (rank + p - s - 1) % p;
             let chunk = pooled_chunk(comm, &data[region(n, p, send_chunk, send_chunk + 1)]);
             comm.send(right, TAG_RS, chunk);
-            let req = comm.irecv::<Vec<f32>>(left, TAG_RS);
             spend(comm);
-            let got = comm.wait_recv(req);
+            let got: Vec<f32> = comm.recv(left, TAG_RS);
             for (d, g) in data[region(n, p, recv_chunk, recv_chunk + 1)].iter_mut().zip(&got) {
                 *d += g;
             }
@@ -367,9 +364,8 @@ fn allreduce_in_place_copying<C: Net>(comm: &mut C, data: &mut [f32], overlap_co
             let recv_chunk = (rank + p - s) % p;
             let chunk = pooled_chunk(comm, &data[region(n, p, send_chunk, send_chunk + 1)]);
             comm.send(right, TAG_AG, chunk);
-            let req = comm.irecv::<Vec<f32>>(left, TAG_AG);
             spend(comm);
-            let got = comm.wait_recv(req);
+            let got: Vec<f32> = comm.recv(left, TAG_AG);
             data[region(n, p, recv_chunk, recv_chunk + 1)].copy_from_slice(&got);
             comm.recycle_f32(got);
         }

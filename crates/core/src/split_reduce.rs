@@ -84,16 +84,12 @@ pub fn split_and_reduce<C: Net>(
             comm.send(dst, TAG_SPLIT, shard(dst).into_parts());
         }
         sent = send_hi;
-        // …then post the matching bucket of nonblocking receives and resolve
-        // them in arrival-schedule order: each shard drains through the
-        // reception port while the previous shard's merge — and the next
-        // bucket's transfers — proceed in modeled time.
+        // …then receive the matching bucket in arrival-schedule order: each
+        // shard drains through the reception port while the previous shard's
+        // merge — and the next bucket's transfers — proceed in modeled time.
         let recv_hi = (received + bucket).min(steps);
-        let reqs: Vec<_> = (received..recv_hi)
-            .map(|s| comm.irecv::<(Vec<u32>, Vec<f32>)>(src_at(s), TAG_SPLIT))
-            .collect();
-        for req in reqs {
-            let (idx, val) = comm.wait_recv(req);
+        for s in received..recv_hi {
+            let (idx, val): (Vec<u32>, Vec<f32>) = comm.recv(src_at(s), TAG_SPLIT);
             let got = CooGradient::from_sorted(idx, val);
             let merged = acc.nnz() + got.nnz();
             acc.merge_sum_swap(&got, &mut spare_idx, &mut spare_val);

@@ -121,9 +121,6 @@ impl Net for Uncounted<'_> {
     fn now(&self) -> f64 {
         self.0.now()
     }
-    fn advance_to(&mut self, t: f64) {
-        self.0.advance_to(t)
-    }
     fn set_phase(&mut self, phase: impl Into<Cow<'static, str>>) {
         uncounted(|| self.0.set_phase(phase))
     }

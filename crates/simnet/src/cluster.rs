@@ -48,8 +48,7 @@ pub struct Cluster {
     /// Record event-engine scheduler decisions for trace export.
     sched_trace: bool,
     /// Two-tier topology consulted at every link-charging point and by the
-    /// hierarchical collectives. Defaults to `SIMNET_TOPO` (shape-only, so the
-    /// session default never shifts modeled clocks); `None` is a flat network.
+    /// hierarchical collectives; `None` (the default) is a flat network.
     topo: Option<Arc<Topology>>,
 }
 
@@ -92,20 +91,18 @@ impl Cluster {
             pool_budget_bytes: POOL_BUDGET_DEFAULT_BYTES,
             obs: true,
             sched_trace: false,
-            topo: Topology::from_env().map(|t| Arc::new(*t)),
+            topo: None,
         }
     }
 
-    /// Install a [`Topology`]: ranks are grouped onto nodes and, when the
-    /// topology carries tier parameters, every message is charged the α/β of
-    /// its tier (intra- vs inter-node, oversubscription folded into the
-    /// inter-node β) instead of the flat cost model. The effective β still
-    /// rides each envelope, so sender and receiver charge identically and
-    /// chaos per-link degradation composes multiplicatively on top, exactly
-    /// as it does on a flat network. Shape-only topologies
-    /// ([`Topology::nodes_of`], or the `SIMNET_TOPO` session default) are
-    /// timing-neutral: they only affect grouping and the `net.intra_bytes` /
-    /// `net.inter_bytes` tier accounting.
+    /// Install a [`Topology`]: ranks are grouped onto nodes and every message
+    /// is charged the α/β of its tier (intra- vs inter-node, oversubscription
+    /// folded into the inter-node β) instead of the flat cost model. The
+    /// effective β still rides each envelope, so sender and receiver charge
+    /// identically and chaos per-link degradation composes multiplicatively on
+    /// top, exactly as it does on a flat network. A topology whose two tiers
+    /// equal the cost model is timing-neutral: it only affects grouping and
+    /// the `net.intra_bytes` / `net.inter_bytes` tier accounting.
     pub fn with_topology(mut self, topo: Topology) -> Self {
         self.topo = Some(Arc::new(topo));
         self
@@ -532,13 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn max_across_agrees_on_maximum() {
-        let report = Cluster::new(3, CostModel::free())
-            .run(|comm| comm.max_across(comm.rank() as f64 * 2.0));
-        assert_eq!(report.results, vec![4.0, 4.0, 4.0]);
-    }
-
-    #[test]
     fn tags_demultiplex_out_of_order() {
         let report = Cluster::new(2, CostModel::free()).run(|comm| {
             if comm.rank() == 0 {
@@ -717,10 +707,15 @@ mod tests {
         assert!((report.results[2] - 4.0).abs() < 1e-12, "{}", report.results[2]);
     }
 
+    /// `rpn`-rank nodes whose two tiers are `cost`'s flat link.
+    fn flat_tiers(rpn: usize, cost: CostModel) -> Topology {
+        let link = (cost.alpha, cost.beta);
+        Topology::two_tier(rpn, link, link)
+    }
+
     #[test]
-    fn shape_only_topology_is_timing_neutral() {
-        // The SIMNET_TOPO session default installs a shape-only topology; it
-        // must never move modeled clocks relative to no topology at all.
+    fn topology_with_flat_tiers_is_timing_neutral() {
+        // Tiers equal to the cost model charge what no topology charges.
         let cost = CostModel { alpha: 1.0, beta: 0.1 };
         let work = |comm: &mut Comm| {
             for dst in 0..comm.size() {
@@ -737,9 +732,9 @@ mod tests {
             comm.now()
         };
         let flat = Cluster::new(4, cost).run(|c| work(c));
-        let shaped = Cluster::new(4, cost).with_topology(Topology::nodes_of(2)).run(|c| work(c));
-        assert_eq!(flat.results, shaped.results);
-        assert_eq!(flat.times, shaped.times);
+        let tiered = Cluster::new(4, cost).with_topology(flat_tiers(2, cost)).run(|c| work(c));
+        assert_eq!(flat.results, tiered.results);
+        assert_eq!(flat.times, tiered.times);
     }
 
     #[test]
@@ -766,9 +761,9 @@ mod tests {
 
     #[test]
     fn tier_byte_counters_split_traffic_by_node() {
-        let topo = Topology::nodes_of(2);
+        let cost = CostModel::aries();
         let report =
-            Cluster::new(4, CostModel::aries()).with_topology(topo).with_obs(true).run(|comm| {
+            Cluster::new(4, cost).with_topology(flat_tiers(2, cost)).with_obs(true).run(|comm| {
                 // Rank 0 sends 10 elems intra (→1) and 20 elems inter (→2).
                 match comm.rank() {
                     0 => {
@@ -791,12 +786,10 @@ mod tests {
         };
         assert_eq!(get("net.intra_bytes")[0], 40);
         assert_eq!(get("net.inter_bytes")[0], 80);
-        // Single-rank nodes (the flat-network degenerate shape, pinned so a
-        // SIMNET_TOPO session default cannot regroup it): all bytes are inter.
-        let flat = Cluster::new(2, CostModel::aries())
-            .with_topology(Topology::nodes_of(1))
-            .with_obs(true)
-            .run(|comm| {
+        // Single-rank nodes (the flat-network degenerate shape): all bytes
+        // are inter.
+        let flat =
+            Cluster::new(2, cost).with_topology(flat_tiers(1, cost)).with_obs(true).run(|comm| {
                 if comm.rank() == 0 {
                     comm.send(1, 0, vec![0.0f32; 5]);
                 } else {

@@ -11,7 +11,7 @@ use crate::cost::{CostModel, WireSize};
 use crate::engine::{cascade, EventCore};
 use crate::envelope::{Envelope, Payload};
 use crate::ledger::{Ledger, PhaseId};
-use crate::request::{RecvHandle, SendHandle};
+use crate::request::SendHandle;
 use crate::trace::{TraceEvent, TraceKind};
 use chaos::ChaosView;
 use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
@@ -45,18 +45,18 @@ const WATCHDOG_POLL_DEFAULT: Duration = Duration::from_millis(50);
 /// the total while leaving small-P runs effectively uncapped.
 pub(crate) const POOL_BUDGET_DEFAULT_BYTES: usize = 64 << 20;
 
-/// Most recycled buffers a rank keeps per element type. Sized to cover a full
-/// bucket of the bucketed collectives (send a bucket, then drain a bucket):
-/// the drain recycles up to a bucket's worth of storage that the next bucket's
-/// sends take back out, so buckets up to this deep stay allocation-free in
-/// steady state. The pool is a cap, not a preallocation — it only ever holds
+/// Most recycled buffers a rank keeps. Sized to cover a full bucket of the
+/// bucketed collectives (send a bucket, then drain a bucket): the drain
+/// recycles up to a bucket's worth of storage that the next bucket's sends
+/// take back out, so buckets up to this deep stay allocation-free in steady
+/// state. The pool is a cap, not a preallocation — it only ever holds
 /// buffers a `recv` actually returned. The global [`PoolBudget`] additionally
 /// caps the *bytes* retained across all ranks.
 const MAX_POOL: usize = 32;
 
 /// Global byte budget for *idle* pooled buffers, shared by all ranks of one
-/// run. A `recycle_*` only retains its buffer if it can reserve the buffer's
-/// capacity from the budget; a `take_*` that reuses a pooled buffer releases
+/// run. A `recycle_f32` only retains its buffer if it can reserve the buffer's
+/// capacity from the budget; a `take_f32` that reuses a pooled buffer releases
 /// the reservation. The budget therefore bounds the total bytes sitting idle
 /// in free-lists — memory actively in flight is never charged.
 ///
@@ -266,17 +266,6 @@ pub(crate) enum Backend {
     Event { core: Arc<EventCore> },
 }
 
-/// Per-rank free-lists of recycled message buffers.
-///
-/// Steady-state collectives cycle the same few chunks: a rank sends a buffer,
-/// receives one of the same size from a peer, and recycles it for the next
-/// send. Pooling turns that cycle allocation-free after warmup.
-#[derive(Default)]
-struct BufPool {
-    f32s: Vec<Vec<f32>>,
-    u32s: Vec<Vec<u32>>,
-}
-
 /// A rank's handle on the simulated cluster.
 ///
 /// Created by [`crate::Cluster::run`]; one `Comm` lives on each rank thread. All
@@ -307,15 +296,18 @@ pub struct Comm {
     ledger: Arc<Ledger>,
     backend: Backend,
     mailbox: HashMap<(usize, Tag), VecDeque<Envelope>>,
-    pool: BufPool,
+    /// Free-list of recycled `f32` message buffers. Steady-state collectives
+    /// cycle the same few chunks: a rank sends a buffer, receives one of the
+    /// same size from a peer, and recycles it for the next send. Pooling turns
+    /// that cycle allocation-free after warmup.
+    pool: Vec<Vec<f32>>,
     pool_budget: Arc<PoolBudget>,
     /// This rank's view of the installed chaos plan, if any. `None` keeps every
     /// charging path bit-identical to the clean model.
     chaos: Option<ChaosView>,
     /// The cluster topology, if any (see [`crate::Cluster::with_topology`]).
-    /// Shape-only topologies change grouping and tier accounting but never
-    /// link charging; topologies with tier parameters supersede the flat cost
-    /// model at every charging point.
+    /// Its tier parameters supersede the flat cost model at every charging
+    /// point.
     topo: Option<Arc<Topology>>,
 }
 
@@ -355,7 +347,7 @@ impl Comm {
             ledger,
             backend,
             mailbox: HashMap::new(),
-            pool: BufPool::default(),
+            pool: Vec::new(),
             pool_budget,
             chaos,
             topo,
@@ -377,21 +369,20 @@ impl Comm {
         self.cost
     }
 
-    /// The cluster topology, if one is installed (explicitly via
-    /// [`crate::Cluster::with_topology`] or session-wide via `SIMNET_TOPO`).
-    /// Hierarchical collectives consult this to group ranks by node.
+    /// The cluster topology, if [`crate::Cluster::with_topology`] installed
+    /// one. Hierarchical collectives consult this to group ranks by node.
     pub fn topology(&self) -> Option<&Topology> {
         self.topo.as_deref()
     }
 
     /// Effective clean `(α, β)` for the `self.rank → dst` link: the topology's
-    /// tier parameters when it carries them (oversubscription folded in), else
-    /// the flat cost model.
+    /// tier parameters when one is installed (oversubscription folded in),
+    /// else the flat cost model.
     fn link_params(&self, dst: usize) -> (f64, f64) {
-        self.topo
-            .as_ref()
-            .and_then(|t| t.tier_params(self.rank, dst))
-            .unwrap_or((self.cost.alpha, self.cost.beta))
+        match &self.topo {
+            Some(t) => t.tier_params(self.rank, dst),
+            None => (self.cost.alpha, self.cost.beta),
+        }
     }
 
     /// Current virtual time of this rank, in modeled seconds.
@@ -532,31 +523,19 @@ impl Comm {
         self.record_tagged(start, end, TraceKind::Compute, end != clean_end);
     }
 
-    /// Force the clock to at least `t` (used by higher-level overlap models).
-    pub fn advance_to(&mut self, t: f64) {
-        self.now = self.now.max(t);
-    }
-
     /// Take a cleared `f32` buffer with capacity ≥ `cap` from this rank's pool,
     /// allocating only if the free-list is empty or its top buffer is too small. Pair with
     /// [`recycle_f32`](Self::recycle_f32) to make steady-state messaging
     /// allocation-free. Reusing a pooled buffer returns its bytes to the
     /// cluster-wide idle-pool budget.
     pub fn take_f32(&mut self, cap: usize) -> Vec<f32> {
-        match self.pool.f32s.pop() {
-            Some(buf) => self.reuse_pooled(buf, cap),
-            None => {
-                self.metrics.pool_miss.inc();
-                Vec::with_capacity(cap)
-            }
-        }
-    }
-
-    /// Hand a popped pool buffer out for a request of `cap` elements. The pool
-    /// pops its most recent buffer whatever its size; one `reserve` has to grow
-    /// is reallocated, so it counts as a miss — `pool.hit` means reuse. The
-    /// buffer's bytes leave the idle-pool budget either way.
-    fn reuse_pooled<T>(&self, mut buf: Vec<T>, cap: usize) -> Vec<T> {
+        let Some(mut buf) = self.pool.pop() else {
+            self.metrics.pool_miss.inc();
+            return Vec::with_capacity(cap);
+        };
+        // The pool pops its most recent buffer whatever its size; one `reserve`
+        // has to grow is reallocated, so it counts as a miss — `pool.hit`
+        // means reuse. The buffer's bytes leave the idle-pool budget either way.
         if buf.capacity() >= cap {
             self.metrics.pool_hit.inc();
         } else {
@@ -573,36 +552,11 @@ impl Comm {
     /// the cluster-wide idle-pool byte budget has room; otherwise the buffer is
     /// simply dropped (P=2048 runs must not retain O(P · bucket) idle bytes).
     pub fn recycle_f32(&mut self, buf: Vec<f32>) {
-        if self.pool.f32s.len() < MAX_POOL
+        if self.pool.len() < MAX_POOL
             && buf.capacity() > 0
             && self.pool_budget.try_reserve(buf.capacity() * 4)
         {
-            self.pool.f32s.push(buf);
-            self.note_idle_bytes();
-        } else {
-            self.metrics.pool_drop.inc();
-        }
-    }
-
-    /// Take a cleared `u32` buffer with capacity ≥ `cap` from this rank's pool.
-    pub fn take_u32(&mut self, cap: usize) -> Vec<u32> {
-        match self.pool.u32s.pop() {
-            Some(buf) => self.reuse_pooled(buf, cap),
-            None => {
-                self.metrics.pool_miss.inc();
-                Vec::with_capacity(cap)
-            }
-        }
-    }
-
-    /// Return a no-longer-needed `u32` buffer to this rank's free-list (same
-    /// budget rules as [`recycle_f32`](Self::recycle_f32)).
-    pub fn recycle_u32(&mut self, buf: Vec<u32>) {
-        if self.pool.u32s.len() < MAX_POOL
-            && buf.capacity() > 0
-            && self.pool_budget.try_reserve(buf.capacity() * 4)
-        {
-            self.pool.u32s.push(buf);
+            self.pool.push(buf);
             self.note_idle_bytes();
         } else {
             self.metrics.pool_drop.inc();
@@ -618,10 +572,9 @@ impl Comm {
         }
     }
 
-    /// Bytes currently held idle in this rank's buffer free-lists.
+    /// Bytes currently held idle in this rank's buffer free-list.
     pub fn pooled_bytes(&self) -> usize {
-        self.pool.f32s.iter().map(|b| b.capacity() * 4).sum::<usize>()
-            + self.pool.u32s.iter().map(|b| b.capacity() * 4).sum::<usize>()
+        self.pool.iter().map(|b| b.capacity() * 4).sum()
     }
 
     /// Charge the injection port for a message of `elems` elements to `dst` and
@@ -717,8 +670,8 @@ impl Comm {
     }
 
     /// [`send`](Self::send) returning a handle that records when the message
-    /// has fully left the injection port. See [`crate::request`] for the
-    /// request semantics.
+    /// has fully left the injection port (see [`crate::request`]). Kept for
+    /// the frozen benchmark's message probe; collectives call `send`.
     pub fn isend<T: WireSize + Send + 'static>(
         &mut self,
         dst: usize,
@@ -773,15 +726,6 @@ impl Comm {
         self.record_tagged(start, done.max(start), TraceKind::Recv { src, elems }, env.perturbed);
     }
 
-    /// Modeled completion time this envelope *would* have if resolved now,
-    /// without committing the port.
-    fn reception_done_time(&self, env: &Envelope) -> f64 {
-        if self.free_mode {
-            return f64::NEG_INFINITY;
-        }
-        env.head_arrival.max(self.rcv_free) + env.beta * env.elems as f64
-    }
-
     fn unwrap_payload<T: Send + 'static>(&self, env: Envelope, src: usize, tag: Tag) -> T {
         env.payload.into_value::<T>().unwrap_or_else(|found| {
             panic!(
@@ -815,41 +759,6 @@ impl Comm {
                 std::any::type_name::<T>()
             )
         })
-    }
-
-    /// Post a nonblocking receive. Touches no modeled state; the reception port
-    /// is charged when the handle is resolved (see [`crate::request`]).
-    pub fn irecv<T: Send + 'static>(&mut self, src: usize, tag: Tag) -> RecvHandle<T> {
-        RecvHandle::new(src, tag)
-    }
-
-    /// Resolve a posted receive, blocking until the message is available.
-    /// Bit-identical in modeled time to calling [`recv`](Self::recv) here.
-    pub fn wait_recv<T: Send + 'static>(&mut self, req: RecvHandle<T>) -> T {
-        self.recv(req.src(), req.tag())
-    }
-
-    /// Resolve a posted receive only if the message has fully drained by this
-    /// rank's current virtual time; otherwise return the handle unresolved and
-    /// leave all modeled state untouched.
-    ///
-    /// May block (wall-clock on the thread engine, parking the continuation on
-    /// the event engine) waiting for the matching envelope to appear — that
-    /// blocking is invisible in virtual time and is what keeps the outcome
-    /// deterministic: the decision depends only on modeled quantities
-    /// (`head_arrival`, port state, `now`), never on scheduling.
-    pub fn test_recv<T: Send + 'static>(&mut self, req: RecvHandle<T>) -> Result<T, RecvHandle<T>> {
-        let (src, tag) = (req.src(), req.tag());
-        let env = self.take_matching(src, tag);
-        if self.reception_done_time(&env) <= self.now {
-            self.complete_reception(&env);
-            Ok(self.unwrap_payload(env, src, tag))
-        } else {
-            // Not drained yet at this rank's virtual time: put the envelope
-            // back at the front so matching order is preserved.
-            self.mailbox.entry((src, tag)).or_default().push_front(env);
-            Err(req)
-        }
     }
 
     /// Combined send-then-receive, the idiom of ring and recursive-doubling steps.
@@ -954,15 +863,6 @@ impl Comm {
         self.inj_free = self.inj_free.max(self.now);
         let end = self.now;
         self.record(t_in, end, TraceKind::Barrier);
-    }
-
-    /// Synchronize and return the cluster-wide maximum of `value` (no clock cost
-    /// beyond a barrier; used by harnesses to agree on a measurement).
-    pub fn max_across(&mut self, value: f64) -> f64 {
-        // Piggy-back on the barrier machinery by running two rounds: one for the
-        // clock, one for the value. Round two reuses the same rendezvous mechanics.
-        self.barrier();
-        self.barrier_exchange(value)
     }
 
     /// One barrier rendezvous round: fold `value`, return the cluster maximum.

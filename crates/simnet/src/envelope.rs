@@ -1,7 +1,7 @@
 //! Internal message envelope passed between rank threads.
 //!
-//! The payload is a small enum with *inline* variants for the hot wire shapes
-//! (`Vec<f32>`, `Vec<u32>`, `Vec<f64>`, and COO index/value pairs), so a
+//! The payload is a small enum with *inline* variants for the two hot wire
+//! shapes (`Vec<f32>` dense chunks and COO index/value pairs), so a
 //! steady-state send moves a `Vec`'s `(ptr, len, cap)` triple through the
 //! channel without any per-message heap allocation. Everything else falls back
 //! to the old `Box<dyn Any>` type erasure, and fan-out traffic (broadcast,
@@ -14,10 +14,6 @@ use std::sync::Arc;
 pub(crate) enum Payload {
     /// Dense value chunk (gradient slices, reduce-scatter/allgather chunks).
     F32(Vec<f32>),
-    /// Index list (COO coordinates, permutation tables).
-    U32(Vec<u32>),
-    /// Double-precision chunk (loss/metric reductions).
-    F64(Vec<f64>),
     /// COO gradient as (indexes, values) — the paper's 2k-element sparse format.
     Pair(Vec<u32>, Vec<f32>),
     /// Reference-counted payload shared across a fan-out: one buffer serves
@@ -46,14 +42,6 @@ impl Payload {
             Ok(v) => return Payload::F32(v),
             Err(v) => v,
         };
-        let value = match reclaim::<Vec<u32>, T>(value) {
-            Ok(v) => return Payload::U32(v),
-            Err(v) => v,
-        };
-        let value = match reclaim::<Vec<f64>, T>(value) {
-            Ok(v) => return Payload::F64(v),
-            Err(v) => v,
-        };
         let value = match reclaim::<(Vec<u32>, Vec<f32>), T>(value) {
             Ok((idx, val)) => return Payload::Pair(idx, val),
             Err(v) => v,
@@ -65,8 +53,6 @@ impl Payload {
     pub(crate) fn into_value<T: Send + 'static>(self) -> Result<T, &'static str> {
         match self {
             Payload::F32(v) => reclaim(v).map_err(|_| "Vec<f32>"),
-            Payload::U32(v) => reclaim(v).map_err(|_| "Vec<u32>"),
-            Payload::F64(v) => reclaim(v).map_err(|_| "Vec<f64>"),
             Payload::Pair(idx, val) => reclaim((idx, val)).map_err(|_| "(Vec<u32>, Vec<f32>)"),
             Payload::Shared(_) => Err("an Arc-shared payload (use recv_shared)"),
             Payload::Boxed(b) => {
@@ -114,10 +100,12 @@ mod tests {
     #[test]
     fn hot_shapes_take_inline_variants() {
         assert!(matches!(Payload::from_value(vec![1.0f32]), Payload::F32(_)));
-        assert!(matches!(Payload::from_value(vec![1u32]), Payload::U32(_)));
-        assert!(matches!(Payload::from_value(vec![1.0f64]), Payload::F64(_)));
         assert!(matches!(Payload::from_value((vec![1u32], vec![1.0f32])), Payload::Pair(_, _)));
         assert!(matches!(Payload::from_value("other"), Payload::Boxed(_)));
+        // Other vectors take the boxed fallback and still round-trip.
+        assert!(matches!(Payload::from_value(vec![1u32]), Payload::Boxed(_)));
+        let v = vec![1.0f64, -2.0];
+        assert_eq!(Payload::from_value(v.clone()).into_value::<Vec<f64>>().unwrap(), v);
         // An `Option` wrapper is a *different* runtime type: no false positives.
         assert!(matches!(Payload::from_value(Some(vec![1.0f32])), Payload::Boxed(_)));
     }

@@ -85,7 +85,7 @@ pub use cost::{CostModel, WireSize};
 pub use engine::{Engine, SchedEvent, SchedKind, SchedMode};
 pub use ledger::{Ledger, LedgerSnapshot, PhaseVolume};
 pub use net::{GroupComm, Net};
-pub use request::{RecvHandle, SendHandle};
+pub use request::SendHandle;
 pub use topo::{LinkClass, Topology};
 pub use trace::{
     export_chrome, render_timeline, render_timeline_with_chaos, TraceEvent, TraceKind,

@@ -9,7 +9,6 @@
 
 use crate::comm::{Comm, Tag};
 use crate::cost::WireSize;
-use crate::request::{RecvHandle, SendHandle};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -30,8 +29,6 @@ pub trait Net {
     fn compute(&mut self, seconds: f64);
     /// Current virtual time of this rank.
     fn now(&self) -> f64;
-    /// Force the clock to at least `t`.
-    fn advance_to(&mut self, t: f64);
     /// Label subsequent traffic in the ledger. Accepts `&'static str` and
     /// owned `String`s alike; labels are interned, so dynamically built
     /// per-bucket/per-layer labels cost one allocation per distinct name.
@@ -58,37 +55,6 @@ pub trait Net {
         self.recv(src, recv_tag)
     }
 
-    /// Nonblocking send; the handle records when the message has fully left
-    /// the injection port (see [`crate::request`]).
-    fn isend<T: WireSize + Send + 'static>(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        value: T,
-    ) -> SendHandle {
-        self.send(dst, tag, value);
-        SendHandle::new(self.now())
-    }
-
-    /// Post a nonblocking receive; resolve with [`wait_recv`](Net::wait_recv)
-    /// or [`test_recv`](Net::test_recv). Touches no modeled state.
-    fn irecv<T: Send + 'static>(&mut self, src: usize, tag: Tag) -> RecvHandle<T> {
-        RecvHandle::new(src, tag)
-    }
-
-    /// Resolve a posted receive, blocking until the message is available.
-    /// Bit-identical in modeled time to a blocking `recv` issued here.
-    fn wait_recv<T: Send + 'static>(&mut self, req: RecvHandle<T>) -> T {
-        self.recv(req.src(), req.tag())
-    }
-
-    /// Resolve a posted receive only if it has fully drained by this rank's
-    /// current virtual time; otherwise return the handle with modeled state
-    /// untouched.
-    fn test_recv<T: Send + 'static>(&mut self, req: RecvHandle<T>) -> Result<T, RecvHandle<T>> {
-        Ok(self.wait_recv(req))
-    }
-
     /// Send a reference-counted payload (fan-out senders clone the `Arc`, not
     /// the buffer); pair with [`recv_shared`](Net::recv_shared).
     fn send_shared<T: WireSize + Send + Sync + 'static>(
@@ -110,14 +76,6 @@ pub trait Net {
 
     /// Return an `f32` buffer to the rank's pool.
     fn recycle_f32(&mut self, _buf: Vec<f32>) {}
-
-    /// Take a cleared `u32` buffer with capacity ≥ `cap` from the rank's pool.
-    fn take_u32(&mut self, cap: usize) -> Vec<u32> {
-        Vec::with_capacity(cap)
-    }
-
-    /// Return a `u32` buffer to the rank's pool.
-    fn recycle_u32(&mut self, _buf: Vec<u32>) {}
 }
 
 impl Net for Comm {
@@ -145,10 +103,6 @@ impl Net for Comm {
         Comm::now(self)
     }
 
-    fn advance_to(&mut self, t: f64) {
-        Comm::advance_to(self, t)
-    }
-
     fn set_phase(&mut self, phase: impl Into<Cow<'static, str>>) {
         Comm::set_phase(self, phase)
     }
@@ -159,23 +113,6 @@ impl Net for Comm {
 
     fn barrier(&mut self) {
         Comm::barrier(self)
-    }
-
-    fn isend<T: WireSize + Send + 'static>(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        value: T,
-    ) -> SendHandle {
-        Comm::isend(self, dst, tag, value)
-    }
-
-    fn wait_recv<T: Send + 'static>(&mut self, req: RecvHandle<T>) -> T {
-        Comm::wait_recv(self, req)
-    }
-
-    fn test_recv<T: Send + 'static>(&mut self, req: RecvHandle<T>) -> Result<T, RecvHandle<T>> {
-        Comm::test_recv(self, req)
     }
 
     fn send_shared<T: WireSize + Send + Sync + 'static>(
@@ -197,14 +134,6 @@ impl Net for Comm {
 
     fn recycle_f32(&mut self, buf: Vec<f32>) {
         Comm::recycle_f32(self, buf)
-    }
-
-    fn take_u32(&mut self, cap: usize) -> Vec<u32> {
-        Comm::take_u32(self, cap)
-    }
-
-    fn recycle_u32(&mut self, buf: Vec<u32>) {
-        Comm::recycle_u32(self, buf)
     }
 }
 
@@ -281,35 +210,12 @@ impl<C: Net> Net for GroupComm<'_, C> {
         self.comm.now()
     }
 
-    fn advance_to(&mut self, t: f64) {
-        self.comm.advance_to(t)
-    }
-
     fn set_phase(&mut self, phase: impl Into<Cow<'static, str>>) {
         self.comm.set_phase(phase)
     }
 
     fn set_free_mode(&mut self, on: bool) {
         self.comm.set_free_mode(on)
-    }
-
-    fn isend<T: WireSize + Send + 'static>(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        value: T,
-    ) -> SendHandle {
-        let global_dst = self.members[dst];
-        self.comm.isend(global_dst, tag | self.salt, value)
-    }
-
-    // `irecv`/`wait_recv` use the trait defaults: the handle carries the
-    // group-local (src, tag) and resolution goes through `self.recv`, which
-    // translates the rank and salts the tag. `test_recv` must translate
-    // explicitly because it resolves against the global communicator.
-    fn test_recv<T: Send + 'static>(&mut self, req: RecvHandle<T>) -> Result<T, RecvHandle<T>> {
-        let global = RecvHandle::new(self.members[req.src()], req.tag() | self.salt);
-        self.comm.test_recv(global).map_err(|_| req)
     }
 
     fn send_shared<T: WireSize + Send + Sync + 'static>(
@@ -333,14 +239,6 @@ impl<C: Net> Net for GroupComm<'_, C> {
 
     fn recycle_f32(&mut self, buf: Vec<f32>) {
         self.comm.recycle_f32(buf)
-    }
-
-    fn take_u32(&mut self, cap: usize) -> Vec<u32> {
-        self.comm.take_u32(cap)
-    }
-
-    fn recycle_u32(&mut self, buf: Vec<u32>) {
-        self.comm.recycle_u32(buf)
     }
 
     fn barrier(&mut self) {

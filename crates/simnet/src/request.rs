@@ -1,21 +1,4 @@
-//! Nonblocking operation handles (MPI-style requests).
-//!
-//! ## Port-serialization semantics
-//!
-//! Posting an [`irecv`](crate::Comm::irecv) does not touch the modeled clocks.
-//! The reception port is charged when the request is *resolved* — by
-//! [`wait_recv`](crate::Comm::wait_recv), a successful
-//! [`test_recv`](crate::Comm::test_recv), or equivalently a blocking `recv` —
-//! and requests serialize on the port in the order their resolutions are
-//! demanded. Consequently `irecv` + `wait_recv` is bit-identical in modeled
-//! time to a blocking `recv` issued at the wait point.
-//!
-//! The overlap win comes from program order, not from the handle itself: a
-//! message drains through the reception port concurrently with local compute,
-//! because its port-busy interval `[max(head_arrival, port_free), …+β·L)` never
-//! depends on the receiver's clock. Code that posts an `irecv`, runs `compute`,
-//! then waits finishes at `max(now + c, done)` instead of the blocking-order
-//! `max(now, done) + c`.
+//! The send handle [`crate::Comm::isend`] returns.
 //!
 //! Sends are DMA-style: ownership of the buffer transfers at `isend`/`send`
 //! and the injection port is charged immediately, so a [`SendHandle`] is
@@ -23,15 +6,12 @@
 //! symmetry and its [`complete_at`](SendHandle::complete_at) exposes when the
 //! message has fully left the injection port.
 //!
-//! Handles are engine-agnostic: under the thread engine a resolution blocks
-//! the OS thread on its channel, under the event engine it parks the rank
-//! continuation in the scheduler until the matching envelope is delivered.
-//! Either way the modeled outcome is identical — resolution order and the
-//! envelope's sender-stamped timing fields decide the clocks, not the
-//! transport.
-
-use crate::comm::Tag;
-use std::marker::PhantomData;
+//! There is no receive handle. A receive is charged where `recv` is called,
+//! and overlap comes from program order: a message drains through the
+//! reception port concurrently with local compute, because its port-busy
+//! interval `[max(head_arrival, port_free), …+β·L)` never depends on the
+//! receiver's clock. Code that sends, runs `compute`, then calls `recv`
+//! finishes at `max(now + c, done)` instead of `max(now, done) + c`.
 
 /// Handle for a posted nonblocking send.
 #[derive(Clone, Copy, Debug)]
@@ -55,33 +35,4 @@ impl SendHandle {
     /// so this is a no-op; the port occupancy is still visible to
     /// [`crate::Comm::local_finish_time`] and barriers.
     pub fn wait(self) {}
-}
-
-/// Handle for a posted nonblocking receive of a `T` from `(src, tag)`.
-///
-/// Resolve with [`wait_recv`](crate::net::Net::wait_recv) (blocking) or
-/// [`test_recv`](crate::net::Net::test_recv) (completes only if the message
-/// has fully drained by the rank's current virtual time).
-#[must_use = "a posted irecv must be resolved with wait_recv or test_recv"]
-#[derive(Debug)]
-pub struct RecvHandle<T> {
-    src: usize,
-    tag: Tag,
-    _t: PhantomData<fn() -> T>,
-}
-
-impl<T> RecvHandle<T> {
-    pub(crate) fn new(src: usize, tag: Tag) -> Self {
-        Self { src, tag, _t: PhantomData }
-    }
-
-    /// Source rank (communicator-local) this receive was posted against.
-    pub fn src(&self) -> usize {
-        self.src
-    }
-
-    /// Message tag this receive was posted against.
-    pub fn tag(&self) -> Tag {
-        self.tag
-    }
 }

@@ -97,10 +97,10 @@ fn engines_agree_under_a_chaos_plan() {
 }
 
 #[test]
-fn engines_agree_on_out_of_order_irecv_resolution() {
-    // Rank 0 streams three tagged messages; rank 1 posts all three irecvs up
-    // front and resolves them in reverse order. Port charging follows the
-    // resolution order, which both engines must reproduce exactly.
+fn engines_agree_on_reverse_order_recv() {
+    // Rank 0 streams three tagged messages; rank 1 receives them in reverse
+    // order, so the first two pass through the mailbox stash. Port charging
+    // follows the receive order, which both engines must reproduce exactly.
     let workload = |comm: &mut simnet::Comm| {
         if comm.rank() == 0 {
             for tag in 0..3u64 {
@@ -108,13 +108,10 @@ fn engines_agree_on_out_of_order_irecv_resolution() {
             }
             comm.now()
         } else {
-            let r0 = comm.irecv::<Vec<f32>>(0, 0);
-            let r1 = comm.irecv::<Vec<f32>>(0, 1);
-            let r2 = comm.irecv::<Vec<f32>>(0, 2);
             comm.compute(1e-3);
-            let c = comm.wait_recv(r2);
-            let b = comm.wait_recv(r1);
-            let a = comm.wait_recv(r0);
+            let c: Vec<f32> = comm.recv(0, 2);
+            let b: Vec<f32> = comm.recv(0, 1);
+            let a: Vec<f32> = comm.recv(0, 0);
             assert_eq!((a.len(), b.len(), c.len()), (256, 512, 768));
             comm.now()
         }

@@ -17,23 +17,16 @@
 //! - the hierarchical collectives (intra-node reduce → inter-node exchange →
 //!   intra-node broadcast), which group ranks by [`Topology::node_of`].
 //!
-//! ## Shape vs. parameters
+//! ## A topology is its tiers
 //!
-//! A topology always carries a *shape* (ranks → nodes, consecutive blocks of
-//! `ranks_per_node`). Tier link parameters are optional:
-//!
-//! - [`Topology::nodes_of`] builds a **shape-only** topology: link charging
-//!   falls back to the cluster's flat [cost model] for both tiers, so timing
-//!   is bit-identical to no topology at all. This is what `SIMNET_TOPO=2x8`
-//!   installs session-wide — it proves flat schemes are unaffected by the
-//!   subsystem while still exercising node grouping and tier counters.
-//! - [`Topology::two_tier`] additionally pins per-tier `(α, β)`; an optional
-//!   [oversubscription ratio](Topology::with_oversubscription) multiplies the
-//!   inter-node β, statically approximating uplink contention.
-//!
-//! [cost model]: https://en.wikipedia.org/wiki/Latency_(engineering)
-
-use std::sync::OnceLock;
+//! [`Topology::two_tier`] is the one constructor: a *shape* (ranks → nodes,
+//! consecutive blocks of `ranks_per_node`) and a priced `(α, β)` per tier,
+//! which supersede the cluster's flat cost model at every charging point. An
+//! optional [oversubscription ratio](Topology::with_oversubscription)
+//! multiplies the inter-node β, statically approximating uplink contention.
+//! A topology whose two tiers equal the flat cost model charges exactly what
+//! no topology does (`β · 1.0` is exact) while still grouping ranks and
+//! splitting the tier counters.
 
 /// Which tier a (src, dst) rank pair communicates over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,46 +38,23 @@ pub enum LinkClass {
     Inter,
 }
 
-/// Per-tier latency/bandwidth parameters, seconds and seconds-per-element.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct TierParams {
-    intra_alpha: f64,
-    intra_beta: f64,
-    inter_alpha: f64,
-    inter_beta: f64,
-}
-
 /// A two-tier cluster topology: consecutive blocks of `ranks_per_node` ranks
-/// form a node; links are classified intra- or inter-node.
+/// form a node; links are classified intra- or inter-node and priced by tier.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Topology {
     ranks_per_node: usize,
-    tiers: Option<TierParams>,
+    /// Intra-node `(α, β)`: seconds and seconds-per-element.
+    intra: (f64, f64),
+    /// Inter-node `(α, β)`, before oversubscription.
+    inter: (f64, f64),
     oversub: f64,
 }
 
 impl Topology {
-    /// Shape-only topology: rank → node mapping with **no** tier parameters.
-    /// Link charging falls back to the cluster's flat cost model, so installing
-    /// this is timing-neutral; only grouping and tier accounting change.
-    pub fn nodes_of(ranks_per_node: usize) -> Self {
-        assert!(ranks_per_node >= 1, "ranks_per_node must be >= 1");
-        Self { ranks_per_node, tiers: None, oversub: 1.0 }
-    }
-
-    /// Full two-tier topology with explicit per-tier `(α, β)` link parameters.
+    /// Two-tier topology with explicit per-tier `(α, β)` link parameters.
     pub fn two_tier(ranks_per_node: usize, intra: (f64, f64), inter: (f64, f64)) -> Self {
         assert!(ranks_per_node >= 1, "ranks_per_node must be >= 1");
-        Self {
-            ranks_per_node,
-            tiers: Some(TierParams {
-                intra_alpha: intra.0,
-                intra_beta: intra.1,
-                inter_alpha: inter.0,
-                inter_beta: inter.1,
-            }),
-            oversub: 1.0,
-        }
+        Self { ranks_per_node, intra, inter, oversub: 1.0 }
     }
 
     /// Multiply the inter-node β by `ratio` (≥ 1), statically approximating an
@@ -103,11 +73,6 @@ impl Topology {
     /// Ranks packed onto each node.
     pub fn ranks_per_node(&self) -> usize {
         self.ranks_per_node
-    }
-
-    /// Whether this topology carries tier link parameters (false = shape-only).
-    pub fn has_tier_params(&self) -> bool {
-        self.tiers.is_some()
     }
 
     /// Node index of `rank`.
@@ -157,63 +122,14 @@ impl Topology {
         (0..self.nodes(size)).map(|n| n * self.ranks_per_node).collect()
     }
 
-    /// Effective `(α, β)` for the `src → dst` link, or `None` when this is a
-    /// shape-only topology and the caller should fall back to its flat cost
-    /// model. The oversubscription ratio is folded into the inter-node β here,
-    /// so every charging point sees the same effective parameters.
-    pub fn tier_params(&self, src: usize, dst: usize) -> Option<(f64, f64)> {
-        let t = self.tiers.as_ref()?;
-        Some(match self.classify(src, dst) {
-            LinkClass::Intra => (t.intra_alpha, t.intra_beta),
-            LinkClass::Inter => (t.inter_alpha, t.inter_beta * self.oversub),
-        })
-    }
-
-    /// Parse a `SIMNET_TOPO`-style spec: `NxR` (N nodes of R ranks) or just
-    /// `R` (ranks per node; node count follows from the cluster size). The
-    /// result is shape-only — session-wide defaults must never shift modeled
-    /// clocks, only grouping and tier accounting.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let spec = spec.trim();
-        let rpn_str = match spec.split_once(['x', 'X']) {
-            Some((nodes, rpn)) => {
-                let _nodes: usize = nodes
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad node count in topology spec {spec:?}"))?;
-                rpn
-            }
-            None => spec,
-        };
-        let rpn: usize = rpn_str
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad ranks-per-node in topology spec {spec:?}"))?;
-        if rpn == 0 {
-            return Err(format!("ranks-per-node must be >= 1 in topology spec {spec:?}"));
+    /// Effective `(α, β)` for the `src → dst` link. The oversubscription
+    /// ratio is folded into the inter-node β here, so every charging point
+    /// sees the same effective parameters.
+    pub fn tier_params(&self, src: usize, dst: usize) -> (f64, f64) {
+        match self.classify(src, dst) {
+            LinkClass::Intra => self.intra,
+            LinkClass::Inter => (self.inter.0, self.inter.1 * self.oversub),
         }
-        Ok(Self::nodes_of(rpn))
-    }
-
-    /// The session-default topology from `SIMNET_TOPO` (e.g. `2x8`), parsed
-    /// once. Invalid specs warn to stderr and fall back to no topology.
-    pub fn from_env() -> Option<&'static Topology> {
-        static DEFAULT: OnceLock<Option<Topology>> = OnceLock::new();
-        DEFAULT
-            .get_or_init(|| {
-                let spec = std::env::var("SIMNET_TOPO").ok()?;
-                if spec.trim().is_empty() || spec.trim().eq_ignore_ascii_case("flat") {
-                    return None;
-                }
-                match Topology::parse(&spec) {
-                    Ok(t) => Some(t),
-                    Err(e) => {
-                        eprintln!("simnet: ignoring SIMNET_TOPO: {e}");
-                        None
-                    }
-                }
-            })
-            .as_ref()
     }
 }
 
@@ -221,9 +137,14 @@ impl Topology {
 mod tests {
     use super::*;
 
+    /// A topology of `rpn`-rank nodes; the tests here read only its shape.
+    fn nodes(rpn: usize) -> Topology {
+        Topology::two_tier(rpn, (1e-6, 1e-9), (20e-6, 4e-9))
+    }
+
     #[test]
     fn maps_consecutive_blocks_to_nodes() {
-        let t = Topology::nodes_of(4);
+        let t = nodes(4);
         assert_eq!(t.node_of(0), 0);
         assert_eq!(t.node_of(3), 0);
         assert_eq!(t.node_of(4), 1);
@@ -236,7 +157,7 @@ mod tests {
 
     #[test]
     fn classifies_links_by_shared_node() {
-        let t = Topology::nodes_of(4);
+        let t = nodes(4);
         assert_eq!(t.classify(0, 3), LinkClass::Intra);
         assert_eq!(t.classify(3, 4), LinkClass::Inter);
         assert!(t.is_intra(5, 6));
@@ -245,7 +166,7 @@ mod tests {
 
     #[test]
     fn leaders_are_lowest_rank_per_node() {
-        let t = Topology::nodes_of(8);
+        let t = nodes(8);
         assert_eq!(t.leader_of(0), 0);
         assert_eq!(t.leader_of(7), 0);
         assert_eq!(t.leader_of(8), 8);
@@ -254,43 +175,23 @@ mod tests {
     }
 
     #[test]
-    fn shape_only_yields_no_tier_params() {
-        let t = Topology::nodes_of(4);
-        assert!(!t.has_tier_params());
-        assert_eq!(t.tier_params(0, 1), None);
-        assert_eq!(t.tier_params(0, 5), None);
-    }
-
-    #[test]
     fn two_tier_resolves_params_by_class() {
-        let t = Topology::two_tier(4, (1e-6, 1e-9), (20e-6, 4e-9));
-        assert_eq!(t.tier_params(0, 1), Some((1e-6, 1e-9)));
-        assert_eq!(t.tier_params(0, 4), Some((20e-6, 4e-9)));
+        let t = nodes(4);
+        assert_eq!(t.tier_params(0, 1), (1e-6, 1e-9));
+        assert_eq!(t.tier_params(0, 4), (20e-6, 4e-9));
     }
 
     #[test]
     fn oversubscription_scales_inter_beta_only() {
-        let t = Topology::two_tier(4, (1e-6, 1e-9), (20e-6, 4e-9)).with_oversubscription(8.0);
-        assert_eq!(t.tier_params(1, 2), Some((1e-6, 1e-9)));
-        assert_eq!(t.tier_params(1, 9), Some((20e-6, 32e-9)));
+        let t = nodes(4).with_oversubscription(8.0);
+        assert_eq!(t.tier_params(1, 2), (1e-6, 1e-9));
+        assert_eq!(t.tier_params(1, 9), (20e-6, 32e-9));
         assert_eq!(t.oversubscription(), 8.0);
     }
 
     #[test]
-    fn parses_nodes_x_rpn_and_bare_rpn() {
-        assert_eq!(Topology::parse("2x8").unwrap().ranks_per_node(), 8);
-        assert_eq!(Topology::parse(" 4X16 ").unwrap().ranks_per_node(), 16);
-        assert_eq!(Topology::parse("8").unwrap().ranks_per_node(), 8);
-        assert!(!Topology::parse("2x8").unwrap().has_tier_params());
-        assert!(Topology::parse("0x4").is_ok()); // node count informational only
-        assert!(Topology::parse("4x0").is_err());
-        assert!(Topology::parse("abc").is_err());
-        assert!(Topology::parse("2x").is_err());
-    }
-
-    #[test]
     fn degenerate_single_rank_nodes_are_all_inter() {
-        let t = Topology::nodes_of(1);
+        let t = nodes(1);
         assert_eq!(t.classify(0, 1), LinkClass::Inter);
         assert!(t.is_leader(5));
         assert_eq!(t.nodes(7), 7);

@@ -290,8 +290,8 @@ impl Reducer {
 
     /// Like [`Reducer::reduce`], but additionally spends `overlap_budget` seconds
     /// of modeled compute (the DenseOvlp backward tail) *inside* the dense
-    /// allreduce, spread across its steps between each posted receive and its
-    /// wait — so the compute genuinely hides in the transfer time instead of
+    /// allreduce, spread across its steps between each send and its receive —
+    /// so the compute genuinely hides in the transfer time instead of
     /// being patched over the clock afterwards. Sparse schemes assert a zero
     /// budget: their overlap structure lives inside the collective itself.
     pub fn reduce_with_overlap<C: Net>(

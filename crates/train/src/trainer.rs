@@ -63,10 +63,9 @@ pub struct TrainConfig {
     /// Record per-rank activity traces, structured spans and (event engine)
     /// scheduler decisions for Chrome-trace export; see `RunResult::traces`.
     pub profile: bool,
-    /// Cluster topology installed on the simulated network. `None` keeps the
-    /// cluster default (the `SIMNET_TOPO` env, else flat). Shape-only
-    /// topologies change the hierarchical schemes' grouping without touching
-    /// link charging; two-tier topologies also re-price every link.
+    /// Two-tier topology installed on the simulated network; `None` is flat.
+    /// It sets the hierarchical schemes' node grouping and prices every link
+    /// by its tier (tiers equal to the flat cost model change only grouping).
     pub topology: Option<simnet::Topology>,
 }
 
@@ -356,7 +355,7 @@ where
         };
 
         // The overlapped backward tail (DenseOvlp) is spent *inside* the
-        // allreduce, spread across its steps between posted receives and waits.
+        // allreduce, spread across its steps between each send and its receive.
         comm.span_enter("exchange");
         let (update, metrics) =
             reducer.reduce_with_overlap(comm, model.grads(), scale, fwd_time * overlap);

@@ -61,9 +61,16 @@ cargo fmt --check
 echo "== env-knob inventory (crates vs README.md) =="
 # Every env var the crates read must have a row in README.md's knob table, and
 # every row must still be read, so the knob count cannot creep up unnoticed.
-diff <(grep -rhoE '"(SIMNET|OKTOPK|OKBENCH)_[A-Z_]+"' crates --include=*.rs --exclude-dir=shims \
-         | tr -d '"' | sort -u) \
+# The table has one row: OKBENCH_FULL. Every run setting is a Cluster builder
+# call (DESIGN.md §11).
+knobs=$(grep -rhoE '"(SIMNET|OKTOPK|OKBENCH)_[A-Z_]+"' crates --include=*.rs --exclude-dir=shims \
+          | tr -d '"' | sort -u)
+diff <(echo "$knobs") \
      <(grep -oE '^\| `(SIMNET|OKTOPK|OKBENCH)_[A-Z_]+`' README.md | tr -d '|` ' | sort -u)
+if [ "$knobs" != "OKBENCH_FULL" ]; then
+  echo "FAIL: env knobs read under crates/ are [$knobs] (want OKBENCH_FULL only)" >&2
+  exit 1
+fi
 
 echo "== one exact-threshold path (no quickselect, no magnitude copy) =="
 # The radix select replaced quickselect over a copied |value| buffer; neither
@@ -212,6 +219,17 @@ if non_test crates/collectives/src/*.rs crates/core/src/*.rs crates/train/src/*.
   exit 1
 fi
 
+echo "== one way to do each thing in simnet (DESIGN.md §3, §12) =="
+# A receive is recv (overlap comes from program order, not a request handle),
+# the buffer pool holds f32 buffers only, and a topology is its priced tiers,
+# installed only by Cluster::with_topology. None of the deleted second ways
+# may come back under crates/, tests/ or examples/.
+if grep -rnE '\b(irecv|wait_recv|test_recv|RecvHandle|take_u32|recycle_u32|advance_to|max_across|nodes_of|from_env)\b|SIMNET_TOPO|Payload::(U32|F64)\b' \
+     crates tests examples --include=*.rs; then
+  echo "FAIL: a deleted second way to do something in simnet is back (lines above)" >&2
+  exit 1
+fi
+
 echo "== pruned stays pruned (DESIGN.md §2) =="
 # Quantization, the hybrid-pipeline sweep, checkpointing, the recipe helpers,
 # alltoallv and the criterion benches were deleted because no figure, gate or
@@ -232,7 +250,7 @@ echo "== frozen benchmark surface still has its callers (DESIGN.md §7) =="
 # When a benchmark PR drops the last call of one, the shim must go with it.
 for name in 'okpar::configured_threads' 'okpar::prewarm' 'okpar::run_chunks' \
             'select_ge_with_threads' 'exact_threshold_scratch' 'with_sched(' 'SchedMode' \
-            'export_state' 'balance_and_allgatherv('; do
+            'export_state' 'balance_and_allgatherv(' 'isend('; do
   if ! grep -rqF "$name" benchmark/src; then
     echo "FAIL: shim $name has no caller left — delete it" >&2
     exit 1
@@ -252,12 +270,6 @@ bash .bench_check/selftest.sh
 
 echo "== tests =="
 cargo test -q --workspace
-
-echo "== tests (two-tier topology default: SIMNET_TOPO=2x8) =="
-# A session-wide shape-only topology must be timing-neutral: it changes node
-# grouping and tier byte accounting but no modeled clock, so the entire suite
-# must stay green (and flat schemes bit-identical) with it installed.
-SIMNET_TOPO=2x8 cargo test -q --workspace
 
 echo "== obs trace export (obsdump, schema-checked) =="
 # The profiling command must produce a loadable Perfetto trace end to end.
