@@ -45,5 +45,5 @@ pub use hier::{
     hier_dense_allreduce, hier_dense_shared, hier_gtopk_allreduce, ranks_per_node,
     reduce_to_root_dense, reduce_to_root_dense_into, two_tier,
 };
-pub use topk_a::topk_allgather_allreduce;
+pub use topk_a::{topk_allgather_allreduce, topk_allgather_allreduce_with};
 pub use topk_dsa::{dsa_allreduce, DsaOutput, DsaStats};

@@ -9,19 +9,36 @@
 //! The Gaussiank baseline uses this same transport; only its local selection
 //! differs (Gaussian-PPF threshold instead of exact top-k).
 
-use crate::dense::allgather_items;
+use crate::dense::allgather_assembled;
 use simnet::Net;
 use sparse::CooGradient;
+use std::sync::Arc;
 
 /// Sparse allreduce by allgather + local reduction.
 ///
-/// Returns the merged sum of all workers' sparse contributions. The output density
-/// is the union of the input supports (same fill-in as TopkDSA's result, §5.2); no
-/// re-selection is applied here — callers decide what to do with the fill-in.
-pub fn topk_allgather_allreduce<C: Net>(comm: &mut C, local: CooGradient) -> CooGradient {
+/// Returns the merged sum of all workers' sparse contributions, made once per
+/// process: every rank returns a handle to the same allocation. The output
+/// density is the union of the input supports (same fill-in as TopkDSA's
+/// result, §5.2); no re-selection is applied here — callers decide what to do
+/// with the fill-in.
+pub fn topk_allgather_allreduce<C: Net>(comm: &mut C, local: CooGradient) -> Arc<CooGradient> {
+    topk_allgather_allreduce_with(comm, local, |_| {})
+}
+
+/// [`topk_allgather_allreduce`] that applies `finish` to the sum before it is
+/// shared: the merge and `finish` run once per process, on the rank-ordered
+/// items, by the rank that assembles them.
+pub fn topk_allgather_allreduce_with<C: Net>(
+    comm: &mut C,
+    local: CooGradient,
+    finish: impl FnOnce(&mut CooGradient),
+) -> Arc<CooGradient> {
     comm.set_phase("topk_a");
-    let all = allgather_items(comm, local);
-    CooGradient::merge_sum_many(&all)
+    allgather_assembled(comm, local, |all| {
+        let mut sum = CooGradient::merge_sum_many(all);
+        finish(&mut sum);
+        sum
+    })
 }
 
 #[cfg(test)]
@@ -50,7 +67,7 @@ mod tests {
         let report = Cluster::new(p, CostModel::aries())
             .run(|comm| topk_allgather_allreduce(comm, locals[comm.rank()].clone()));
         for got in &report.results {
-            assert_eq!(got, &expect);
+            assert_eq!(**got, expect);
         }
     }
 

@@ -13,7 +13,9 @@
 //!   tests against the simnet traffic ledger.
 //! - **Algorithm 2, Ok-Topk SGD** ([`OkTopkSgd`]): residual accumulation, sparse
 //!   allreduce of the accumulator, residual update at the contributing indexes,
-//!   and the `u_t / P` model update.
+//!   and the `u_t / P` model update — the error-feedback pipeline
+//!   ([`ErrorFeedback`]) every sparse scheme runs, with Ok-Topk's selector and
+//!   exchange as its [`SparseRow`].
 //!
 //! The semantic computed is `Topk(Σᵢ Topk(accᵢ))` up to the threshold
 //! approximation of §3.1.3: local and global top-k selections use thresholds that
@@ -31,5 +33,5 @@ pub mod sgd;
 pub mod split_reduce;
 
 pub use config::OkTopkConfig;
-pub use oktopk::{OkTopk, OkTopkOutput};
-pub use sgd::{OkTopkSgd, SparseStep};
+pub use oktopk::{OkTopk, OkTopkOutput, SparseStep};
+pub use sgd::{ErrorFeedback, OkTopkSgd, SparseRow};

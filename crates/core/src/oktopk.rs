@@ -2,13 +2,14 @@
 
 use crate::balance::balance_and_allgatherv_with;
 use crate::config::OkTopkConfig;
+use crate::sgd::SparseRow;
 use crate::split_reduce::split_and_reduce;
 use collectives::{allgather_assembled, allreduce_f64_shared};
 use simnet::Net;
 use sparse::partition::{balanced_boundaries, consensus_boundaries, equal_boundaries};
 use sparse::scratch::{accumulate_select_scratch, filter_abs_ge_scratch, select_ge_scratch};
 use sparse::select::exact_threshold;
-use sparse::threshold::{PeriodicExactEstimator, ThresholdEstimator};
+use sparse::threshold::PeriodicExactEstimator;
 use sparse::{CooGradient, SelectScratch};
 use std::sync::Arc;
 
@@ -35,8 +36,9 @@ pub struct OkTopk {
 #[derive(Clone, Debug)]
 pub struct OkTopkOutput {
     /// `u_t`: the sparse sum restricted to the (approximate) global top-k
-    /// support, after the entry's `finish` ([`OkTopkSgd`](crate::OkTopkSgd)'s
-    /// `1/P`). One allocation per process: every rank holds the same handle.
+    /// support, after the pipeline's `finish` (the `1/P` of
+    /// [`ErrorFeedback::step`](crate::ErrorFeedback::step)). One allocation
+    /// per process: every rank holds the same handle.
     pub update: Arc<CooGradient>,
     /// Indexes of this rank's local top-k entries that made it into the global
     /// top-k (Algorithm 1 line 14) — the entries whose residual is cleared.
@@ -53,6 +55,16 @@ pub struct OkTopkOutput {
     pub balanced: bool,
 }
 
+/// One Ok-Topk step's result: what the row's exchange returns.
+pub struct SparseStep {
+    /// `u_t / P` — the model update (SGD mode) or averaged sparse gradient (Adam
+    /// mode). One allocation per process: every rank's handle is the same, and
+    /// so is `meta.update`'s.
+    pub update: Arc<CooGradient>,
+    /// Full output of the underlying sparse allreduce (thresholds, counts, …).
+    pub meta: OkTopkOutput,
+}
+
 impl OkTopk {
     /// Fresh allreduce state for the given configuration.
     pub fn new(cfg: OkTopkConfig) -> Self {
@@ -62,16 +74,6 @@ impl OkTopk {
         Self { cfg, local_est, global_th: 0.0, boundaries: Arc::default(), scratch }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &OkTopkConfig {
-        &self.cfg
-    }
-
-    /// Current region boundaries (empty before the first call).
-    pub fn boundaries(&self) -> &[u32] {
-        &self.boundaries
-    }
-
     /// The reused state: local threshold, global threshold, boundaries.
     pub fn export_state(&self) -> (Option<f32>, f32, Vec<u32>) {
         (self.local_est.cached(), self.global_th, self.boundaries.to_vec())
@@ -79,7 +81,7 @@ impl OkTopk {
 
     /// Whether iteration `t` re-evaluates thresholds (both local and global use τ′).
     pub fn is_reeval_iteration(&self, t: usize) -> bool {
-        t == 1 || (t - 1).is_multiple_of(self.cfg.threshold_reeval_period)
+        self.local_est.due(t)
     }
 
     /// Whether iteration `t` recomputes region boundaries.
@@ -93,48 +95,50 @@ impl OkTopk {
     /// as in Algorithm 1). Collective: every rank must call with the same `t`.
     ///
     /// The entry for an input that is already accumulated; a training step holds
-    /// ε and the gradient apart and enters through
-    /// [`accumulate_allreduce`](Self::accumulate_allreduce).
+    /// ε and the gradient apart and enters through the error-feedback pipeline
+    /// ([`OkTopkSgd`](crate::OkTopkSgd)), which shares everything after the
+    /// selection.
     pub fn allreduce<C: Net>(&mut self, comm: &mut C, acc: &[f32], t: usize) -> OkTopkOutput {
         assert_eq!(acc.len(), self.cfg.n, "accumulator length must equal configured n");
-        // Lines 2–4: local threshold, re-evaluated every τ′ iterations, then the
-        // O(n) scan; both run on pooled buffers and touch no heap at steady state.
-        let local_th = self.local_est.threshold(t, acc, self.cfg.k);
-        let local = select_ge_scratch(acc, local_th, &mut self.scratch);
-        self.exchange(comm, local, local_th, t, |_| {})
+        let local = self.select(acc, t);
+        self.exchange(comm, local, t, |_| {}).meta
     }
 
-    /// Algorithm 2 line 4 and Algorithm 1 together: `residual += scale·grad` in
-    /// place, then the sparse allreduce of the result. On the τ′ − 1 of τ′
+    /// Lines 2–4: local threshold, re-evaluated every τ′ iterations, then the
+    /// O(n) scan; both run on pooled buffers and touch no heap at steady state.
+    fn select(&mut self, acc: &[f32], t: usize) -> CooGradient {
+        let local_th = self.local_est.threshold(t, acc, self.cfg.k);
+        select_ge_scratch(acc, local_th, &mut self.scratch)
+    }
+}
+
+/// Ok-Topk's row: threshold-reuse selection and Algorithm 1's exchange.
+impl SparseRow for OkTopk {
+    type Out = SparseStep;
+
+    /// Algorithm 2 line 4 and Algorithm 1 lines 2–4 together: `residual +=
+    /// scale·grad` in place, then the local selection. On the τ′ − 1 of τ′
     /// iterations that reuse the local threshold the accumulation and the
-    /// selection scan are one pass over the two arrays; a re-evaluation needs the
-    /// whole accumulator before it can rank it, so it accumulates, radix-selects
-    /// and scans. Bit-identical to accumulating into a second buffer, calling
-    /// [`allreduce`](Self::allreduce) on it and applying `finish` to a copy of
-    /// its update — but `finish` runs once per process, on the one `u_t` every
-    /// rank shares.
-    pub fn accumulate_allreduce<C: Net>(
+    /// selection scan are one pass over the two arrays; a re-evaluation needs
+    /// the whole accumulator before it can rank it, so it accumulates,
+    /// radix-selects and scans. Bit-identical to accumulating into a second
+    /// buffer and selecting as [`allreduce`](OkTopk::allreduce) does.
+    fn accumulate_select<C: Net>(
         &mut self,
-        comm: &mut C,
+        _comm: &mut C,
         residual: &mut [f32],
         grad: &[f32],
         scale: f32,
         t: usize,
-        finish: impl FnOnce(&mut CooGradient),
-    ) -> OkTopkOutput {
+    ) -> CooGradient {
         assert_eq!(residual.len(), self.cfg.n, "residual length must equal configured n");
-        assert_eq!(grad.len(), self.cfg.n, "gradient length must equal configured n");
-        let (local_th, local) = match self.local_est.reused_at(t) {
-            Some(th) => {
-                (th, accumulate_select_scratch(residual, grad, scale, th, &mut self.scratch))
-            }
+        match self.local_est.reused_at(t) {
+            Some(th) => accumulate_select_scratch(residual, grad, scale, th, &mut self.scratch),
             None => {
                 sparse::simd::axpy(residual, grad, scale);
-                let th = self.local_est.threshold(t, residual, self.cfg.k);
-                (th, select_ge_scratch(residual, th, &mut self.scratch))
+                self.select(residual, t)
             }
-        };
-        self.exchange(comm, local, local_th, t, finish)
+        }
     }
 
     /// Algorithm 1 after the local selection (lines 5–14), shared by both entries.
@@ -142,10 +146,9 @@ impl OkTopk {
         &mut self,
         comm: &mut C,
         local: CooGradient,
-        local_th: f32,
         t: usize,
         finish: impl FnOnce(&mut CooGradient),
-    ) -> OkTopkOutput {
+    ) -> SparseStep {
         assert!(t >= 1, "iterations are 1-based, as in Algorithm 1");
         let p = comm.size();
         let n = self.cfg.n as u32;
@@ -191,15 +194,20 @@ impl OkTopk {
         let local_nnz = sr.local_nnz;
         self.scratch.recycle(local);
 
-        OkTopkOutput {
+        let meta = OkTopkOutput {
             global_nnz: bal.global_nnz,
             balanced: bal.balanced,
             update: bal.global_topk,
             contributed,
-            local_th,
+            local_th: self.local_est.cached().expect("the selection set it"),
             global_th: self.global_th,
             local_nnz,
-        }
+        };
+        SparseStep { update: Arc::clone(&meta.update), meta }
+    }
+
+    fn leaves(out: &SparseStep) -> &[u32] {
+        &out.meta.contributed
     }
 }
 

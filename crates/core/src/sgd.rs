@@ -1,98 +1,114 @@
-//! Algorithm 2: Ok-Topk SGD — residual accumulation around the sparse allreduce.
+//! Algorithm 2: error feedback around a sparse allreduce, and Ok-Topk SGD.
 //!
 //! Values that are *not* selected into the global top-k are not lost: they stay in a
 //! per-worker residual ε and re-enter the accumulator next iteration, eventually
 //! becoming large enough to be selected. Residual accumulation is what makes Topk
 //! SGD converge (\[4\]; Theorem 4.1 builds on it under Assumption 1).
 //!
-//! Two usage modes, matching §5:
-//! - **SGD mode** (VGG, LSTM): pass `scale = learning rate`; apply the returned
-//!   update directly: `w ← w − update`.
-//! - **Adam mode** (BERT): pass `scale = 1.0`; the returned update is the averaged
-//!   sparse gradient `u_t / P`, which the caller feeds to Adam.
+//! Every sparse scheme runs that loop; only its selector and its exchange — a
+//! [`SparseRow`] — differ. [`ErrorFeedback`] is the loop, and [`OkTopkSgd`] is
+//! the loop with Ok-Topk's row: threshold reuse (§3.1.3) and Algorithm 1.
+//! `scale` is the learning rate in SGD mode (VGG, LSTM: apply the update as
+//! `w ← w − update`) and 1.0 in Adam mode (BERT: the update is `u_t / P`, the
+//! averaged sparse gradient Adam is fed), matching §5.
 
 use crate::config::OkTopkConfig;
-use crate::oktopk::{OkTopk, OkTopkOutput};
+use crate::oktopk::OkTopk;
 use simnet::Net;
 use sparse::CooGradient;
-use std::sync::Arc;
 
-/// Per-worker Ok-Topk SGD state: the allreduce state plus the residual ε.
-///
-/// ε is the only n-sized buffer: a step accumulates `scale·grad` into it in
-/// place (there is no separate accumulator), selects from it, and zeroes the
-/// entries that contributed — no heap allocation in the dense O(n) part.
-pub struct OkTopkSgd {
-    allreduce: OkTopk,
+/// What sets one sparse scheme's error-feedback step apart from another's: how
+/// it selects from the accumulator and how the selections become the sum.
+pub trait SparseRow {
+    /// What one exchange returns.
+    type Out;
+
+    /// `residual += scale·grad` in place, then this rank's selection from it
+    /// at iteration `t` (1-based).
+    fn accumulate_select<C: Net>(
+        &mut self,
+        comm: &mut C,
+        residual: &mut [f32],
+        grad: &[f32],
+        scale: f32,
+        t: usize,
+    ) -> CooGradient;
+
+    /// The global sum of the selections, with `finish` applied once where it
+    /// is shared.
+    fn exchange<C: Net>(
+        &mut self,
+        comm: &mut C,
+        local: CooGradient,
+        t: usize,
+        finish: impl FnOnce(&mut CooGradient),
+    ) -> Self::Out;
+
+    /// The indexes of the selection that left ε.
+    fn leaves(out: &Self::Out) -> &[u32];
+}
+
+/// The error-feedback pipeline of one rank: a row, the residual ε and the
+/// iteration count. ε is the only n-sized buffer: a step accumulates into it
+/// in place (there is no separate accumulator), selects from it, and zeroes
+/// the entries that left — no heap allocation in the dense O(n) part.
+pub struct ErrorFeedback<R> {
+    /// The row: its selector's and its exchange's state.
+    pub row: R,
     residual: Vec<f32>,
     t: usize,
 }
 
-/// One optimizer step's result.
-pub struct SparseStep {
-    /// `u_t / P` — the model update (SGD mode) or averaged sparse gradient (Adam
-    /// mode). One allocation per process: every rank's handle is the same, and
-    /// so is `meta.update`'s.
-    pub update: Arc<CooGradient>,
-    /// Full output of the underlying sparse allreduce (thresholds, counts, …).
-    pub meta: OkTopkOutput,
+/// Per-worker Ok-Topk SGD state: the pipeline with Ok-Topk's row.
+pub type OkTopkSgd = ErrorFeedback<OkTopk>;
+
+impl<R: SparseRow> ErrorFeedback<R> {
+    /// `row` with a zero residual of length `n`; with `n = 0`, ε is built at
+    /// the first step (a node leader learns there that it keeps one).
+    pub fn with_row(row: R, n: usize) -> Self {
+        Self { row, residual: vec![0.0; n], t: 0 }
+    }
+
+    /// The residual ε currently held.
+    pub fn residual(&self) -> &[f32] {
+        &self.residual
+    }
+
+    /// One step (Algorithm 2 lines 4–7): accumulate and select, exchange with
+    /// `u_t / P` as the sum's finish, and zero in ε what left it; the rest of
+    /// the accumulator carries over. Collective: all ranks of `comm` step
+    /// together.
+    pub fn step<C: Net>(&mut self, comm: &mut C, grad: &[f32], scale: f32) -> R::Out {
+        if self.residual.is_empty() {
+            self.residual = vec![0.0; grad.len()];
+        }
+        assert_eq!(grad.len(), self.residual.len());
+        self.t += 1;
+        let p = comm.size() as f32;
+        let local = self.row.accumulate_select(comm, &mut self.residual, grad, scale, self.t);
+        let out = self.row.exchange(comm, local, self.t, |u| u.scale(1.0 / p));
+        for &i in R::leaves(&out) {
+            self.residual[i as usize] = 0.0;
+        }
+        out
+    }
 }
 
 impl OkTopkSgd {
     /// Fresh optimizer state (zero residual) for the given configuration.
     pub fn new(cfg: OkTopkConfig) -> Self {
-        let n = cfg.n;
-        Self { allreduce: OkTopk::new(cfg), residual: vec![0.0; n], t: 0 }
-    }
-
-    /// The residual ε currently held by this worker.
-    pub fn residual(&self) -> &[f32] {
-        &self.residual
-    }
-
-    /// Iterations completed so far.
-    pub fn iteration(&self) -> usize {
-        self.t
+        Self::with_row(OkTopk::new(cfg.clone()), cfg.n)
     }
 
     /// The underlying allreduce state (thresholds, boundaries, periods).
     pub fn allreduce_state(&self) -> &OkTopk {
-        &self.allreduce
+        &self.row
     }
 
     /// The accumulator this step would hand to the allreduce (ε + scale·grad);
     /// exposed for the ξ-measurement harness, which needs it *before* stepping.
     pub fn peek_accumulator(&self, grad: &[f32], scale: f32) -> Vec<f32> {
         self.residual.iter().zip(grad).map(|(&e, &g)| e + scale * g).collect()
-    }
-
-    /// One Ok-Topk SGD step (Algorithm 2 lines 4–7).
-    ///
-    /// `grad` is this worker's local stochastic gradient; `scale` is α in SGD mode
-    /// or 1.0 in Adam mode. Collective: all ranks step together.
-    pub fn step<C: Net>(&mut self, comm: &mut C, grad: &[f32], scale: f32) -> SparseStep {
-        assert_eq!(grad.len(), self.residual.len());
-        self.t += 1;
-
-        // Lines 4–5 and 7: accumulate the fresh gradient into ε and run the
-        // O(k) sparse allreduce of the result. The model update is u_t / P,
-        // scaled once per process by the rank that assembles u_t.
-        let p = comm.size() as f32;
-        let meta = self.allreduce.accumulate_allreduce(
-            comm,
-            &mut self.residual,
-            grad,
-            scale,
-            self.t,
-            |u| u.scale(1.0 / p),
-        );
-
-        // Line 6: everything that did NOT contribute stays as the residual.
-        for &i in &meta.contributed {
-            self.residual[i as usize] = 0.0;
-        }
-
-        SparseStep { update: Arc::clone(&meta.update), meta }
     }
 }
 
@@ -197,11 +213,11 @@ mod tests {
         let report = Cluster::new(p, CostModel::aries()).run(|comm| {
             let mut sgd = OkTopkSgd::new(OkTopkConfig::new(n, k).with_periods(1, 1));
             let mut seen_small_coord = false;
-            for _ in 0..60 {
+            for t in 0..60 {
                 // Large noise on coords 0..8 varies by iteration; coordinate 40 gets
                 // a small constant signal.
                 let mut grad = vec![0.0f32; n];
-                let t = sgd.iteration() as f32;
+                let t = t as f32;
                 for (c, g) in grad.iter_mut().take(8).enumerate() {
                     *g = ((t + c as f32) * 0.7).sin();
                 }

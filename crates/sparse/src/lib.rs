@@ -30,4 +30,4 @@ pub mod threshold;
 pub use coo::CooGradient;
 pub use scratch::SelectScratch;
 pub use select::{exact_threshold, select_ge, topk_exact};
-pub use threshold::{GaussianEstimator, PeriodicExactEstimator, ThresholdEstimator};
+pub use threshold::{GaussianEstimator, PeriodicExactEstimator};

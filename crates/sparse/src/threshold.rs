@@ -11,27 +11,12 @@
 //!   function. O(n) every iteration, but systematically *over*-estimates the threshold
 //!   late in training (the fitted Gaussian has a longer tail than the real, sharply
 //!   peaked distribution), hence under-selects k — the effect Figs. 4 and 6 show.
-//!   The optional scaling mode reproduces §5.4's fairness adjustment: scale the
-//!   threshold down until at least `3k/4` values are selected.
+//!   §5.4's fairness adjustment (scale the threshold down until at least `3k/4`
+//!   values are selected) is the Gaussiank selector's, in `train::reducer`, which
+//!   also counts its probes for the modeled cost.
 
 use crate::select::exact_threshold;
-use crate::simd::count_abs_ge;
 use crate::stats::{mean_std, normal_ppf};
-
-/// Strategy for producing the |value| cut-off used to sparsify a gradient.
-pub trait ThresholdEstimator {
-    /// Threshold for iteration `t` (1-based, matching Algorithm 1) on gradient
-    /// `values`, targeting `k` survivors.
-    fn threshold(&mut self, t: usize, values: &[f32], k: usize) -> f32;
-
-    /// Whether calling `threshold` at iteration `t` performs the expensive exact
-    /// computation (true) or reuses a cached/cheap estimate (false). Harnesses use
-    /// this to charge the right sparsification cost.
-    fn is_expensive_at(&self, t: usize) -> bool;
-
-    /// Short name for reports (e.g. "periodic-exact").
-    fn name(&self) -> &'static str;
-}
 
 /// Ok-Topk's periodic exact threshold with reuse (§3.1.3, Algorithm 1 lines 2-4).
 #[derive(Clone, Debug)]
@@ -48,11 +33,6 @@ impl PeriodicExactEstimator {
         Self { period, cached: None }
     }
 
-    /// The re-evaluation period τ′.
-    pub fn period(&self) -> usize {
-        self.period
-    }
-
     /// The currently cached threshold.
     pub fn cached(&self) -> Option<f32> {
         self.cached
@@ -67,43 +47,28 @@ impl PeriodicExactEstimator {
         }
     }
 
-    fn due(&self, t: usize) -> bool {
-        // Algorithm 1: re-evaluate when (t-1) mod τ' == 0, t starting at 1.
+    /// Whether iteration `t` is a re-evaluation: `(t − 1) mod τ′ = 0`, t
+    /// starting at 1 (Algorithm 1).
+    pub fn due(&self, t: usize) -> bool {
         t >= 1 && (t - 1).is_multiple_of(self.period)
     }
-}
 
-impl ThresholdEstimator for PeriodicExactEstimator {
-    fn threshold(&mut self, t: usize, values: &[f32], k: usize) -> f32 {
+    /// Threshold for iteration `t` (1-based) on `values`, targeting `k`
+    /// survivors: the exact one when `t` is due or nothing is cached yet,
+    /// otherwise the cached one.
+    pub fn threshold(&mut self, t: usize, values: &[f32], k: usize) -> f32 {
         if self.due(t) || self.cached.is_none() {
             self.cached = Some(exact_threshold(values, k));
         }
         self.cached.expect("cache filled above")
     }
-
-    fn is_expensive_at(&self, t: usize) -> bool {
-        self.due(t) || self.cached.is_none()
-    }
-
-    fn name(&self) -> &'static str {
-        "periodic-exact"
-    }
 }
 
 /// Gaussiank's percent-point-function threshold (\[41\]).
 #[derive(Clone, Debug)]
-pub struct GaussianEstimator {
-    /// §5.4 fairness adjustment: if fewer than `3k/4` values survive, scale the
-    /// threshold down (by ×0.9 steps) until enough do.
-    pub scale_to_three_quarters: bool,
-}
+pub struct GaussianEstimator;
 
 impl GaussianEstimator {
-    /// A Gaussiank estimator; `scale_to_three_quarters` enables the §5.4 adjustment.
-    pub fn new(scale_to_three_quarters: bool) -> Self {
-        Self { scale_to_three_quarters }
-    }
-
     /// The raw Gaussian estimate: if values ~ N(μ, σ), then
     /// `P(|X| ≥ t) ≈ k/n` at `t = |μ| + σ·Φ⁻¹(1 − k/(2n))` (two-tailed, μ ≈ 0).
     pub fn raw_threshold(values: &[f32], k: usize) -> f32 {
@@ -121,34 +86,6 @@ impl GaussianEstimator {
     }
 }
 
-impl ThresholdEstimator for GaussianEstimator {
-    fn threshold(&mut self, _t: usize, values: &[f32], k: usize) -> f32 {
-        let mut th = Self::raw_threshold(values, k);
-        if self.scale_to_three_quarters && th.is_finite() && th > 0.0 {
-            let target = (3 * k) / 4;
-            let mut selected = count_abs_ge(values, th);
-            // Bounded loop: threshold decays geometrically, so this terminates fast;
-            // the paper notes the adjustment cost is negligible next to comm/compute.
-            let mut guard = 0;
-            while selected < target && guard < 200 {
-                th *= 0.9;
-                selected = count_abs_ge(values, th);
-                guard += 1;
-            }
-        }
-        th
-    }
-
-    fn is_expensive_at(&self, _t: usize) -> bool {
-        // Always a cheap O(n) pass — that is Gaussiank's selling point.
-        false
-    }
-
-    fn name(&self) -> &'static str {
-        "gaussian-ppf"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,16 +95,17 @@ mod tests {
     fn periodic_reuses_between_reevals() {
         let mut est = PeriodicExactEstimator::new(4);
         let v1: Vec<f32> = (0..100).map(|i| i as f32 / 100.0).collect();
+        assert!(est.due(1) && est.reused_at(1).is_none());
         let th1 = est.threshold(1, &v1, 10);
-        assert!(est.is_expensive_at(1));
         // Different data at t=2..4 must reuse the cached threshold.
         let v2: Vec<f32> = (0..100).map(|i| -(i as f32)).collect();
-        assert!(!est.is_expensive_at(2));
+        assert_eq!(est.reused_at(2), Some(th1));
         assert_eq!(est.threshold(2, &v2, 10), th1);
         assert_eq!(est.threshold(4, &v2, 10), th1);
         // t=5 → (5-1)%4==0 → re-evaluate.
-        assert!(est.is_expensive_at(5));
+        assert!(est.due(5) && est.reused_at(5).is_none());
         assert_ne!(est.threshold(5, &v2, 10), th1);
+        assert!(!est.due(0), "iterations are 1-based");
     }
 
     #[test]
@@ -218,25 +156,6 @@ mod tests {
         assert!(est > exact * 2.0, "est={est} exact={exact}");
         let selected = values.iter().filter(|v| v.abs() >= est).count();
         assert!(selected < k / 2, "selected={selected}, k={k}");
-    }
-
-    #[test]
-    fn gaussian_scaling_recovers_three_quarters() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let values: Vec<f32> = (0..20_000)
-            .map(|i| {
-                if i % 100 == 0 {
-                    rng.gen_range(-3.0f32..3.0)
-                } else {
-                    rng.gen_range(-0.01..0.01)
-                }
-            })
-            .collect();
-        let k = 2_000;
-        let mut est = GaussianEstimator::new(true);
-        let th = est.threshold(1, &values, k);
-        let selected = values.iter().filter(|v| v.abs() >= th).count();
-        assert!(selected >= (3 * k) / 4, "selected={selected}");
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! One interface over the gradient-exchange schemes of the evaluation: the
 //! paper's seven plus their two-tier hierarchical variants. `Scheme::family`
 //! is the one table from a scheme's name to what runs, [`Reducer`] that
-//! family's state; a hierarchical variant is its flat scheme in [`two_tier`].
+//! family's state. Every sparse row, Ok-Topk's included, is a selector and an
+//! exchange on `oktopk`'s one error-feedback pipeline.
 
 use crate::cost::CostProfile;
 use collectives::{
     allreduce_shared, broadcast, broadcast_shared, dsa_allreduce, hier_dense_shared,
-    hier_gtopk_allreduce, reduce_to_root_dense_into, topk_allgather_allreduce, two_tier,
+    hier_gtopk_allreduce, reduce_to_root_dense_into, topk_allgather_allreduce_with, two_tier,
 };
 use oktopk::oktopk::intersect_sorted;
-use oktopk::{OkTopkConfig, OkTopkSgd, SparseStep};
-use simnet::Net;
+use oktopk::{ErrorFeedback, OkTopk, OkTopkConfig, SparseRow};
+use simnet::{Net, WireSize};
 use sparse::select::{select_ge, topk_exact};
 use sparse::simd::{axpy, count_abs_ge};
 use sparse::threshold::GaussianEstimator;
@@ -47,23 +48,34 @@ pub enum Scheme {
 enum Family {
     /// Allreduce the whole gradient; no selection, no error feedback.
     Dense,
-    /// Select locally from ε + scale·grad, exchange the selections, keep in ε
-    /// what did not survive.
-    Baseline(Selector, Exchange),
-    /// [`OkTopkSgd`]: selection, exchange and ε are one algorithm.
-    OkTopk,
+    /// The error-feedback pipeline with this selector and exchange.
+    Sparse(Selector, Exchange),
 }
 
-/// How a sparse baseline picks its selection from the accumulator.
+/// Where a row keeps its state when a node holds more than one rank.
+#[derive(Clone, Copy, PartialEq)]
+enum Tier {
+    /// One rank to a node, whatever the cluster has.
+    Flat,
+    /// Every rank keeps its own ε; the exchange regroups over the two tiers.
+    Regrouped,
+    /// Only the node leader keeps state, over its node's gradient sum, and runs
+    /// the row on the leader group; traffic is ledgered under this phase.
+    Leader(&'static str),
+}
+
+/// How a sparse row picks its selection from the accumulator.
 #[derive(Clone, Copy)]
 enum Selector {
     /// Exact top-k selection (torch.topk-style cost).
     ExactTopk,
     /// Gaussian-PPF threshold + the §5.4 scale-until-3k/4 adjustment.
     GaussianPpf,
+    /// Ok-Topk's local threshold: exact every τ′ steps, reused in between (§3.1.3).
+    ThresholdReuse,
 }
 
-/// How a sparse baseline's local selections become the global sum.
+/// How a sparse row's local selections become the global sum.
 #[derive(Clone, Copy)]
 enum Exchange {
     /// Allgather and sum (TopkA, Gaussiank).
@@ -73,42 +85,8 @@ enum Exchange {
     /// gTopk's re-selecting reduction tree, regrouped over the two tiers when
     /// a node has more than one rank.
     GTopk,
-}
-
-impl Exchange {
-    /// Exchange this rank's selection `local` (at most `k` entries of an
-    /// `n`-long accumulator) on `comm`, `rpn` ranks to a node. Returns the
-    /// global, unaveraged sum, the indexes of `local` that leave ε, and
-    /// TopkDSA's output density (§5.2).
-    fn run<C: Net>(
-        self,
-        comm: &mut C,
-        cost: &CostProfile,
-        local: CooGradient,
-        (n, k): (usize, usize),
-        rpn: usize,
-    ) -> (CooGradient, Vec<u32>, Option<f64>) {
-        let sent = local.indexes().to_vec();
-        match self {
-            // The exact exchanges sum everything sent: all of it leaves ε.
-            Exchange::Allgather => (topk_allgather_allreduce(comm, local), sent, None),
-            Exchange::Dsa => {
-                let out = dsa_allreduce(comm, local, n);
-                (out.sum, sent, Some(out.stats.output_density))
-            }
-            Exchange::GTopk => {
-                let sum = hier_gtopk_allreduce(comm, local, k, rpn);
-                // Each tree level re-selects the top-k of a 2k-entry merge,
-                // which the paper attributes to communication time, and drops
-                // what a rank sent: only what survived leaves ε. The two-tier
-                // variant regroups the tree across tiers but keeps its depth.
-                let levels = usize::BITS - (comm.size().max(2) - 1).leading_zeros();
-                comm.compute(cost.topk_exact(2 * k) * levels as f64);
-                let kept = intersect_sorted(&sent, sum.indexes());
-                (sum, kept, None)
-            }
-        }
-    }
+    /// Algorithm 1: split and reduce, then balance and allgatherv.
+    OkTopk,
 }
 
 impl Scheme {
@@ -150,23 +128,21 @@ impl Scheme {
         !matches!(self.family().0, Family::Dense)
     }
 
-    /// The scheme → exchange table: the family a name belongs to, and whether
-    /// it is that family's two-tier variant (the same family run inside
-    /// [`two_tier`], `false` meaning one rank to a node whatever the cluster
-    /// has). A new sparse exchange is one [`Exchange`] variant and one row
-    /// here, two with its two-tier variant.
-    fn family(self) -> (Family, bool) {
-        use {Exchange::*, Selector::*};
+    /// The scheme → exchange table: the family a name belongs to and the tier
+    /// its state lives on. A new sparse exchange is one [`Exchange`] variant
+    /// and one row here, two with its two-tier variant.
+    fn family(self) -> (Family, Tier) {
+        use {Exchange::*, Selector::*, Tier::*};
         match self {
-            Scheme::Dense | Scheme::DenseOvlp => (Family::Dense, false),
-            Scheme::HierDense => (Family::Dense, true),
-            Scheme::TopkA => (Family::Baseline(ExactTopk, Allgather), false),
-            Scheme::GaussianK => (Family::Baseline(GaussianPpf, Allgather), false),
-            Scheme::TopkDsa => (Family::Baseline(ExactTopk, Dsa), false),
-            Scheme::GTopk => (Family::Baseline(ExactTopk, GTopk), false),
-            Scheme::HierGTopk => (Family::Baseline(ExactTopk, GTopk), true),
-            Scheme::OkTopk => (Family::OkTopk, false),
-            Scheme::HierOkTopk => (Family::OkTopk, true),
+            Scheme::Dense | Scheme::DenseOvlp => (Family::Dense, Flat),
+            Scheme::HierDense => (Family::Dense, Leader("hier-dense")),
+            Scheme::TopkA => (Family::Sparse(ExactTopk, Allgather), Flat),
+            Scheme::GaussianK => (Family::Sparse(GaussianPpf, Allgather), Flat),
+            Scheme::TopkDsa => (Family::Sparse(ExactTopk, Dsa), Flat),
+            Scheme::GTopk => (Family::Sparse(ExactTopk, GTopk), Flat),
+            Scheme::HierGTopk => (Family::Sparse(ExactTopk, GTopk), Regrouped),
+            Scheme::OkTopk => (Family::Sparse(ThresholdReuse, OkTopk), Flat),
+            Scheme::HierOkTopk => (Family::Sparse(ThresholdReuse, OkTopk), Leader("hier-oktopk")),
         }
     }
 }
@@ -179,12 +155,13 @@ pub enum Update {
     Dense(Arc<Vec<f32>>),
     /// Averaged sparse result: in SGD mode this is the model delta (lr folded into
     /// the accumulator); in Adam mode (scale = 1) the averaged sparse gradient.
-    /// Ok-Topk's is one allocation per process, like the dense one; a sparse
-    /// baseline's is the rank's own.
+    /// The Ok-Topk and allgather rows' is one allocation per process, like the
+    /// dense one; TopkDSA's and gTopk's is the rank's own.
     Sparse(Arc<CooGradient>),
 }
 
-/// Instrumentation of one reduce call.
+/// Instrumentation of one reduce call. A node leader hands it to its node in
+/// free mode, so its wire size is never charged.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReduceMetrics {
     /// Modeled sparsification seconds charged inside this call.
@@ -201,29 +178,29 @@ pub struct ReduceMetrics {
     pub balanced: Option<bool>,
 }
 
+impl WireSize for ReduceMetrics {
+    fn wire_elems(&self) -> u64 {
+        6
+    }
+}
+
 /// The persistent state of one scheme family on one rank.
 enum State {
     /// Hier-Dense's intra-node gradient sum: n-sized on a node leader after
     /// its first step, empty for good on every other rank and flat scheme.
     Dense { node_sum: Vec<f32> },
-    /// The residual ε: between steps it holds ε; during one, the accumulator.
-    Baseline { selector: Selector, exchange: Exchange, residual: Vec<f32> },
-    /// Ok-Topk keeps its ε inside `sgd`, which exists only on a rank that
-    /// steps it: every rank when flat, node leaders — which also own the
-    /// `node_sum` they step on — when hierarchical, so off the leader nothing
-    /// n-sized is ever built.
-    OkTopk { cfg: OkTopkConfig, sgd: Option<Box<OkTopkSgd>>, node_sum: Vec<f32> },
+    /// A sparse row's pipeline. Its ε exists where the row's tier keeps it: on
+    /// every rank, or — built at its first step — on a node leader, which also
+    /// owns the `node_sum` it steps on; off the leader nothing n-sized is built.
+    Sparse { feedback: Box<ErrorFeedback<Row>>, node_sum: Vec<f32> },
 }
 
 /// Per-rank, scheme-specific persistent state (residuals, thresholds, …).
 pub struct Reducer {
-    scheme: Scheme,
     n: usize,
     k: usize,
-    cost: CostProfile,
     state: State,
-    /// Whether `scheme` is a two-tier variant; a flat scheme ignores `rpn`.
-    two_tier: bool,
+    tier: Tier,
     /// See [`Reducer::with_ranks_per_node`].
     rpn: usize,
 }
@@ -239,24 +216,21 @@ impl Reducer {
         tau_prime: usize,
     ) -> Self {
         let k = ((n as f64 * density).round() as usize).clamp(1, n);
-        let (family, two_tier) = scheme.family();
+        let (family, tier) = scheme.family();
         let state = match family {
             Family::Dense => State::Dense { node_sum: Vec::new() },
-            Family::Baseline(selector, exchange) => {
-                State::Baseline { selector, exchange, residual: vec![0.0; n] }
-            }
-            Family::OkTopk => {
-                let cfg = OkTopkConfig::new(n, k)
-                    .with_periods(tau, tau_prime)
-                    .with_merge_cost(cost.merge_per_elem);
-                // A flat scheme steps on every rank, so its state is built
-                // here, not inside the first (timed) step; a two-tier one
-                // steps at leaders only, and a rank learns which it is there.
-                let sgd = (!two_tier).then(|| Box::new(OkTopkSgd::new(cfg.clone())));
-                State::OkTopk { cfg, sgd, node_sum: Vec::new() }
+            Family::Sparse(selector, exchange) => {
+                let cfg = OkTopkConfig::new(n, k).with_periods(tau, tau_prime);
+                let okt = OkTopk::new(cfg.with_merge_cost(cost.merge_per_elem));
+                let metrics = ReduceMetrics::default();
+                let row = Row { selector, exchange, cost, n, k, regroup: 1, okt, metrics };
+                // A leader builds ε at its first step, where it learns it leads.
+                let eps = if let Tier::Leader(_) = tier { 0 } else { n };
+                let feedback = Box::new(ErrorFeedback::with_row(row, eps));
+                State::Sparse { feedback, node_sum: Vec::new() }
             }
         };
-        Self { scheme, n, k, cost, state, two_tier, rpn: 1 }
+        Self { n, k, state, tier, rpn: 1 }
     }
 
     /// Set the node grouping the hierarchical schemes use (ranks per node).
@@ -303,21 +277,20 @@ impl Reducer {
     ) -> (Update, ReduceMetrics) {
         debug_assert_eq!(grad.len(), self.n);
         debug_assert!(
-            overlap_budget == 0.0 || !self.scheme.is_sparse(),
+            overlap_budget == 0.0 || matches!(self.state, State::Dense { .. }),
             "overlap budgets only apply to the dense schemes"
         );
         let p = comm.size() as f32;
-        let (cost, k) = (&self.cost, self.k);
-        // At one rank to a node every two-tier exchange below is its flat one.
-        let rpn = if self.two_tier { self.rpn } else { 1 };
+        // At one rank to a node every two-tier row below is its flat one.
+        let rpn = if self.tier == Tier::Flat { 1 } else { self.rpn };
 
         match &mut self.state {
             State::Dense { node_sum } => {
                 // Each rank averages the one region it reduced; the n-word
                 // result is assembled once and shared by every rank.
                 let average = |sum: &mut [f32]| sum.iter_mut().for_each(|v| *v /= p);
-                let avg = if self.two_tier {
-                    comm.set_phase("hier-dense");
+                let avg = if let Tier::Leader(phase) = self.tier {
+                    comm.set_phase(phase);
                     // The hierarchical variant has no interleaved-overlap path;
                     // any budget is spent as plain compute up front.
                     if overlap_budget > 0.0 {
@@ -330,119 +303,107 @@ impl Reducer {
                 };
                 (Update::Dense(avg), ReduceMetrics::default())
             }
-            State::Baseline { selector, exchange, residual } => {
-                axpy(residual, grad, scale);
-                let (local, mut metrics) = selector.select(cost, k, residual, comm);
-                let (sum, contributed, dsa_density) =
-                    exchange.run(comm, cost, local, (self.n, k), rpn);
-                metrics.dsa_density = dsa_density;
-                metrics.global_nnz = Some(sum.nnz());
-                // What left ε is cleared; the rest of the accumulator (already
-                // in `residual`) carries over.
-                for i in contributed {
-                    residual[i as usize] = 0.0;
+            State::Sparse { feedback, node_sum } => {
+                feedback.row.regroup = if self.tier == Tier::Regrouped { rpn } else { 1 };
+                let (update, _, metrics) = match self.tier {
+                    Tier::Leader(phase) => two_tier(
+                        comm,
+                        rpn,
+                        phase,
+                        // Up: dense-reduce the raw gradients to the node leader,
+                        // where ε and the selection live: one selection per node.
+                        |node| {
+                            reduce_to_root_dense_into(node, grad, node_sum);
+                            &*node_sum
+                        },
+                        // Across: the leader steps the pipeline. Scaling by
+                        // nodes/size turns the leader group's division by
+                        // `nodes` into the exact global mean, partial last node
+                        // included.
+                        |leaders, node_sum| {
+                            feedback.step(leaders, node_sum, scale * leaders.size() as f32 / p)
+                        },
+                        // Down: every rank gets the handle of the update the
+                        // leader group assembled, and the leader's metrics in
+                        // free mode (instrumentation) but not its selection cost.
+                        |node, led| {
+                            let (update, mine) = led.map(|(u, _, m)| (u, m)).unzip();
+                            let update = broadcast_shared(node, 0, update);
+                            node.set_free_mode(true);
+                            let shared = mine.map(|m| ReduceMetrics { sparsify_time: 0.0, ..m });
+                            let metrics = broadcast(node, 0, shared);
+                            node.set_free_mode(false);
+                            (update, Vec::new(), mine.unwrap_or(metrics))
+                        },
+                    ),
+                    _ => None,
                 }
-                let mut avg = sum;
-                avg.scale(1.0 / p);
-                (Update::Sparse(Arc::new(avg)), metrics)
-            }
-            State::OkTopk { cfg, sgd, node_sum } => {
-                let hier = two_tier(
-                    comm,
-                    rpn,
-                    "hier-oktopk",
-                    // Up: dense-reduce the raw gradients to the node leader.
-                    // Error feedback lives at the leader — one residual and one
-                    // re-selection point per node, so selection cost is paid
-                    // per node, not per rank.
-                    |node| {
-                        reduce_to_root_dense_into(node, grad, node_sum);
-                        &*node_sum
-                    },
-                    // Across: the leader steps Ok-Topk over the leader group.
-                    // Scaling by nodes/size turns the group's division by
-                    // `nodes` into the exact global mean, partial last node
-                    // included.
-                    |leaders, node_sum| {
-                        let eff = scale * leaders.size() as f32 / p;
-                        oktopk_step(cost, cfg, sgd, leaders, node_sum, eff)
-                    },
-                    // Down: broadcast the update's handle so every rank applies
-                    // the same delta — the one the leader group assembled. The
-                    // tiny meta triple rides free mode — pure instrumentation,
-                    // not part of the algorithm.
-                    |node, led| {
-                        let (sp, update, meta3) =
-                            led.map_or((0.0, None, None), |(sp, u, m)| (sp, Some(u), Some(m)));
-                        let update = broadcast_shared(node, 0, update);
-                        node.set_free_mode(true);
-                        let meta3 = broadcast(node, 0, meta3.map(Vec::from));
-                        node.set_free_mode(false);
-                        (sp, update, [meta3[0], meta3[1], meta3[2]])
-                    },
-                );
-                // Flat Ok-Topk — also the hierarchical variant's degeneration
-                // when every rank is its own node leader.
-                let (sparsify_time, update, meta3) =
-                    hier.unwrap_or_else(|| oktopk_step(cost, cfg, sgd, comm, grad, scale));
-                let metrics = ReduceMetrics {
-                    sparsify_time,
-                    local_nnz: Some(meta3[0] as usize),
-                    global_nnz: Some(meta3[1] as usize),
-                    balanced: Some(meta3[2] != 0),
-                    ..ReduceMetrics::default()
-                };
+                // Flat, or a leader row with every rank its own node leader.
+                .unwrap_or_else(|| feedback.step(comm, grad, scale));
                 (Update::Sparse(update), metrics)
             }
         }
     }
 
-    /// Peek the accumulator Ok-Topk SGD would use this step (ξ
-    /// instrumentation): `None` where no Ok-Topk state exists — another
-    /// family, or a Hier-Ok-Topk rank that has not stepped as a leader.
-    pub fn peek_oktopk_accumulator(&self, grad: &[f32], scale: f32) -> Option<Vec<f32>> {
-        let State::OkTopk { sgd, .. } = &self.state else { return None };
-        sgd.as_ref().map(|s| s.peek_accumulator(grad, scale))
-    }
-
-    /// The residual ε of the sparse-baseline schemes (empty for dense and Ok-Topk,
-    /// which keeps its own). Exposed for tests.
+    /// The residual ε of a sparse row: empty for the dense schemes and on a
+    /// rank that keeps none (off a node leader).
     pub fn residual(&self) -> &[f32] {
-        match &self.state {
-            State::Baseline { residual, .. } => residual,
-            _ => &[],
-        }
+        let State::Sparse { feedback, .. } = &self.state else { return &[] };
+        feedback.residual()
     }
 
-    /// L2 norm of the current error-feedback residual, whichever scheme holds
-    /// it (Ok-Topk keeps its own; dense schemes and non-leaders have none, so
-    /// 0). An observability convenience: the trainer charts this per step to
+    /// L2 norm of [`Reducer::residual`]: the trainer charts it per step to
     /// confirm the residual mass stays bounded (Assumption 1's premise).
     pub fn residual_l2(&self) -> f64 {
-        sparse::stats::l2_norm(match &self.state {
-            State::OkTopk { sgd: Some(s), .. } => s.residual(),
-            _ => self.residual(),
-        })
+        sparse::stats::l2_norm(self.residual())
     }
 }
 
-impl Selector {
-    /// This rank's selection from its accumulator `acc`, the selector's
-    /// modeled cost charged to the clock.
-    fn select<C: Net>(
-        self,
-        cost: &CostProfile,
-        k: usize,
-        acc: &[f32],
+/// A sparse row's selector and exchange, with Ok-Topk's state (thresholds,
+/// boundaries, selection pool; idle in other rows) and the step's metrics.
+struct Row {
+    selector: Selector,
+    exchange: Exchange,
+    cost: CostProfile,
+    n: usize,
+    k: usize,
+    /// Ranks per node the exchange regroups over (1: flat).
+    regroup: usize,
+    okt: OkTopk,
+    metrics: ReduceMetrics,
+}
+
+impl SparseRow for Row {
+    type Out = (Arc<CooGradient>, Vec<u32>, ReduceMetrics);
+
+    /// The selector's pick, its modeled cost charged before anything is sent.
+    fn accumulate_select<C: Net>(
+        &mut self,
         comm: &mut C,
-    ) -> (CooGradient, ReduceMetrics) {
-        let mut metrics = ReduceMetrics::default();
-        let (local, sp) = match self {
-            Selector::ExactTopk => (topk_exact(acc, k), cost.topk_exact(acc.len())),
+        acc: &mut [f32],
+        grad: &[f32],
+        scale: f32,
+        t: usize,
+    ) -> CooGradient {
+        let (n, k, cost) = (self.n, self.k, &self.cost);
+        let mut gaussian_pred = None;
+        let (local, sp) = match self.selector {
+            // A re-evaluation pays the local exact selection over n and the
+            // global one over the gathered ≈2k; a reuse one scan (§3.1.3).
+            Selector::ThresholdReuse => {
+                let exact = cost.topk_exact(n) + cost.topk_launch;
+                let sp = if self.okt.is_reeval_iteration(t) { exact } else { cost.scan(n, 1) };
+                (self.okt.accumulate_select(comm, acc, grad, scale, t), sp)
+            }
+            Selector::ExactTopk => {
+                axpy(acc, grad, scale);
+                (topk_exact(acc, k), cost.topk_exact(n))
+            }
             Selector::GaussianPpf => {
+                axpy(acc, grad, scale);
                 let mut th = GaussianEstimator::raw_threshold(acc, k);
                 let mut count = count_abs_ge(acc, th);
-                metrics.gaussian_pred = Some(count);
+                gaussian_pred = Some(count);
                 // Every probe is one O(n) scan.
                 let mut probes = 2; // moment pass + first selection pass
                 while count < (3 * k) / 4 && probes < 100 {
@@ -450,41 +411,62 @@ impl Selector {
                     count = count_abs_ge(acc, th);
                     probes += 1;
                 }
-                (select_ge(acc, th), cost.scan(acc.len(), probes))
+                (select_ge(acc, th), cost.scan(n, probes))
             }
         };
         comm.compute(sp);
-        metrics.sparsify_time = sp;
-        metrics.local_nnz = Some(local.nnz());
-        (local, metrics)
+        self.metrics = ReduceMetrics { sparsify_time: sp, gaussian_pred, ..Default::default() };
+        local
     }
-}
 
-/// One Ok-Topk SGD step on `comm` — the whole cluster when flat, the leader
-/// group when hierarchical, building a leader's state at its first. Returns the
-/// modeled selection cost it charged, the update, and `[local_nnz, global_nnz,
-/// balanced]` in the form a leader ships to its node.
-fn oktopk_step<C: Net>(
-    cost: &CostProfile,
-    cfg: &OkTopkConfig,
-    sgd: &mut Option<Box<OkTopkSgd>>,
-    comm: &mut C,
-    grad: &[f32],
-    scale: f32,
-) -> (f64, Arc<CooGradient>, [u32; 3]) {
-    let sgd = sgd.get_or_insert_with(|| Box::new(OkTopkSgd::new(cfg.clone())));
-    // Threshold re-evaluation iterations pay the exact selection; all others
-    // pay one threshold scan (§3.1.3).
-    let sp = if sgd.allreduce_state().is_reeval_iteration(sgd.iteration() + 1) {
-        // Local exact threshold over n + global exact threshold over the
-        // gathered ≈2k reduced values.
-        cost.topk_exact(grad.len()) + cost.topk_launch
-    } else {
-        cost.scan(grad.len(), 1)
-    };
-    comm.compute(sp);
-    let SparseStep { update, meta } = sgd.step(comm, grad, scale);
-    (sp, update, [meta.local_nnz as u32, meta.global_nnz as u32, meta.balanced as u32])
+    /// The sum, the indexes of `local` that leave ε, and the step's metrics.
+    fn exchange<C: Net>(
+        &mut self,
+        comm: &mut C,
+        local: CooGradient,
+        t: usize,
+        finish: impl FnOnce(&mut CooGradient),
+    ) -> Self::Out {
+        let mut metrics = std::mem::take(&mut self.metrics);
+        metrics.local_nnz = Some(local.nnz());
+        let (leave, sum) = match self.exchange {
+            // The exact exchanges sum everything sent: all of it leaves ε.
+            Exchange::Allgather => {
+                (local.indexes().to_vec(), topk_allgather_allreduce_with(comm, local, finish))
+            }
+            Exchange::Dsa => {
+                let sent = local.indexes().to_vec();
+                let mut out = dsa_allreduce(comm, local, self.n);
+                metrics.dsa_density = Some(out.stats.output_density);
+                finish(&mut out.sum);
+                (sent, Arc::new(out.sum))
+            }
+            Exchange::GTopk => {
+                let sent = local.indexes().to_vec();
+                let mut sum = hier_gtopk_allreduce(comm, local, self.k, self.regroup);
+                // Each tree level re-selects the top-k of a 2k-entry merge, which
+                // the paper attributes to communication time, and drops what a
+                // rank sent: only what survived leaves ε. Regrouped over the two
+                // tiers, the tree keeps its depth.
+                let levels = usize::BITS - (comm.size().max(2) - 1).leading_zeros();
+                comm.compute(self.cost.topk_exact(2 * self.k) * levels as f64);
+                let kept = intersect_sorted(&sent, sum.indexes());
+                finish(&mut sum);
+                (kept, Arc::new(sum))
+            }
+            Exchange::OkTopk => {
+                let out = self.okt.exchange(comm, local, t, finish);
+                metrics.balanced = Some(out.meta.balanced);
+                (out.meta.contributed, out.update)
+            }
+        };
+        metrics.global_nnz = Some(sum.nnz());
+        (sum, leave, metrics)
+    }
+
+    fn leaves(out: &Self::Out) -> &[u32] {
+        &out.1
+    }
 }
 
 #[cfg(test)]
@@ -523,10 +505,13 @@ mod tests {
         // accumulator splits into what it sent (zeroed in ε) and what it kept
         // (verbatim), and gradient mass is conserved across ranks:
         // Σ_r ε_r(after) + P·update = Σ_r (ε_r(before) + scale·g_r), per index.
-        // gTopk is excluded: its tree can drop one rank's contribution to an
-        // index that survives through other ranks.
+        // Ok-Topk sums, at every index of the global top-k, what every rank
+        // selected there, and only there clears ε: the same identity, with a
+        // selection that may keep some of what it picked. gTopk is excluded:
+        // its tree can drop one rank's contribution to an index that survives
+        // through other ranks (`gtopk_leaks_only_where_its_tree_drops_a_rank`).
         let (n, scale, steps) = (80, 0.1f32, 3);
-        for scheme in [Scheme::TopkA, Scheme::TopkDsa, Scheme::GaussianK] {
+        for scheme in [Scheme::TopkA, Scheme::TopkDsa, Scheme::GaussianK, Scheme::OkTopk] {
             for p in [3usize, 4, 8] {
                 let gs = grads(p, n, 2 + p as u64);
                 let report = Cluster::new(p, CostModel::free()).run(|comm| {
@@ -540,7 +525,8 @@ mod tests {
                         let (update, m) = r.reduce(comm, g, scale);
                         let Update::Sparse(update) = update else { panic!("sparse scheme") };
                         let zeroed = r.residual().iter().filter(|&&v| v == 0.0).count();
-                        let partitioned = zeroed >= m.local_nnz.expect("sparse scheme")
+                        let exact = scheme != Scheme::OkTopk;
+                        let partitioned = (!exact || zeroed >= m.local_nnz.expect("sparse scheme"))
                             && r.residual().iter().zip(&acc).all(|(&e, &a)| e == 0.0 || e == a);
                         out.push((before, r.residual().to_vec(), update.to_dense(n), partitioned));
                     }
@@ -610,6 +596,189 @@ mod tests {
             // The §5.4 scaling guarantees at least 3k/4 selected.
             assert!(local.expect("recorded") >= 3 * k / 4);
         }
+    }
+
+    /// Three reduces of `scheme` at `p` ranks, `rpn` to a node, n = 400,
+    /// density 10 %. Per step, over the h ranks that keep ε (every rank, or
+    /// the node leaders), each over its input (its gradient, or its node's
+    /// sum) at the scale `scale·h/P` the row steps with: the largest per-index
+    /// |Σ ε′ + h·update − Σ (ε + scale·h/P·input)|, that imbalance's ℓ1 norm,
+    /// and the ℓ1 mass that left ε.
+    fn mass_balance(scheme: Scheme, p: usize, rpn: usize) -> Vec<(f64, f64, f64)> {
+        let (n, scale, steps) = (400, 0.1f32, 3);
+        let gs = grads(p, n, 90 + p as u64);
+        let report = Cluster::new(p, CostModel::free()).run(|comm| {
+            let mut r = Reducer::new(scheme, n, 0.1, CostProfile::paper_calibrated(), 4, 4)
+                .with_ranks_per_node(rpn);
+            let mut out = Vec::new();
+            for t in 0..steps {
+                let g: Vec<f32> = gs[comm.rank()].iter().map(|v| v * (1.0 + t as f32)).collect();
+                let before = r.residual().to_vec();
+                let (Update::Sparse(u), _) = r.reduce(comm, &g, scale) else { panic!("sparse") };
+                out.push((before, r.residual().to_vec(), u.to_dense(n)));
+            }
+            out
+        });
+        let holders = report.results.iter().filter(|s| !s[0].1.is_empty()).count();
+        let span = if holders == p { 1 } else { rpn };
+        let eff = scale as f64 * holders as f64 / p as f64;
+        (0..steps)
+            .map(|t| {
+                let mut imbalance: Vec<f64> =
+                    report.results[0][t].2.iter().map(|&u| holders as f64 * u as f64).collect();
+                let mut cleared = 0.0;
+                for (r, steps) in report.results.iter().enumerate().step_by(span) {
+                    let (before, after, _) = &steps[t];
+                    for (i, d) in imbalance.iter_mut().enumerate() {
+                        let input: f64 = (r..(r + span).min(p))
+                            .map(|q| gs[q][i] as f64 * (1.0 + t as f64))
+                            .sum();
+                        let acc = before.get(i).map_or(0.0, |&e| e as f64) + eff * input;
+                        *d += after[i] as f64 - acc;
+                        cleared += (acc - after[i] as f64).abs();
+                    }
+                }
+                let max = imbalance.iter().fold(0.0f64, |m, d| m.max(d.abs()));
+                (max, imbalance.iter().map(|d| d.abs()).sum(), cleared)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hier_oktopk_leaders_conserve_mass() {
+        // ε and the selection live at the node leaders, each over its node's
+        // gradient sum scaled by nodes/P: per index, Σ_leaders ε′ +
+        // nodes·update = Σ_leaders (ε + scale·nodes/P·node_sum), with a full
+        // and a partial last node.
+        for (p, rpn) in [(8usize, 4usize), (6, 4)] {
+            for (t, (max, ..)) in mass_balance(Scheme::HierOkTopk, p, rpn).iter().enumerate() {
+                assert!(*max < 1e-5, "p={p} rpn={rpn} step {t}: mass off by {max}");
+            }
+        }
+    }
+
+    #[test]
+    fn gtopk_leaks_only_where_its_tree_drops_a_rank() {
+        // A gTopk rank clears from ε what it sent that is in the final support,
+        // but a tree level can drop its contribution to an index that survives
+        // through other ranks: that mass leaves ε and reaches no update. At
+        // P = 2 the one merge keeps or drops an index for both ranks, so mass
+        // is conserved; beyond, the leak is a bounded share of what left ε
+        // (EXPERIMENTS.md § "One error-feedback pipeline").
+        for scheme in [Scheme::GTopk, Scheme::HierGTopk] {
+            for (t, (max, ..)) in mass_balance(scheme, 2, 4).iter().enumerate() {
+                assert!(*max < 1e-5, "{} p=2 step {t}: mass off by {max}", scheme.name());
+            }
+            for p in [4usize, 8, 16] {
+                let (leak, cleared) = mass_balance(scheme, p, 4)
+                    .iter()
+                    .fold((0.0, 0.0), |(l, c), &(_, leak, cleared)| (l + leak, c + cleared));
+                eprintln!("{} p={p}: leaked / cleared = {:.4}", scheme.name(), leak / cleared);
+                assert!(leak > 0.0 && leak < 0.5 * cleared, "{} p={p}", scheme.name());
+            }
+        }
+    }
+
+    #[test]
+    fn allgather_rows_assemble_one_sum_per_process() {
+        // TopkA and Gaussiank merge the gathered selections and apply 1/P once
+        // per process. Against the per-rank merge they replace — the same
+        // selection, then `allgather_items`, `merge_sum_many` and `scale(1/P)`
+        // on every rank — updates and residuals are bit-identical, and so are
+        // clocks and ledger cells; every rank's update is one allocation.
+        let (n, density, scale) = (300, 0.05, 0.1f32);
+        let cost = CostProfile::paper_calibrated();
+        for scheme in [Scheme::TopkA, Scheme::GaussianK] {
+            for p in [3usize, 4, 8] {
+                let gs = grads(p, n, 70 + p as u64);
+                let run = |per_rank: bool| {
+                    Cluster::new(p, cost.network()).run(|comm| {
+                        let mut r = Reducer::new(scheme, n, density, cost, 4, 4);
+                        let State::Sparse { feedback, .. } =
+                            Reducer::new(scheme, n, density, cost, 4, 4).state
+                        else {
+                            panic!("sparse scheme")
+                        };
+                        let (mut row, mut residual) = (feedback.row, vec![0.0f32; n]);
+                        let mut out = Vec::new();
+                        for t in 1..=3 {
+                            let g: Vec<f32> =
+                                gs[comm.rank()].iter().map(|v| v * t as f32).collect();
+                            let update = if per_rank {
+                                let local =
+                                    row.accumulate_select(comm, &mut residual, &g, scale, t);
+                                comm.set_phase("topk_a");
+                                let all = collectives::allgather_items(comm, local.clone());
+                                let mut sum = CooGradient::merge_sum_many(&all);
+                                sum.scale(1.0 / p as f32);
+                                for &i in local.indexes() {
+                                    residual[i as usize] = 0.0;
+                                }
+                                Arc::new(sum)
+                            } else {
+                                let Update::Sparse(u) = r.reduce(comm, &g, scale).0 else {
+                                    panic!("sparse scheme")
+                                };
+                                residual.copy_from_slice(r.residual());
+                                u
+                            };
+                            let eps: Vec<u32> = residual.iter().map(|v| v.to_bits()).collect();
+                            out.push((coo_bits(&update), eps, update));
+                        }
+                        out
+                    })
+                };
+                let (assembled, per_rank) = (run(false), run(true));
+                let at = format!("{} p={p}", scheme.name());
+                type Rows = Vec<((Vec<u32>, Vec<u32>), Vec<u32>, Arc<CooGradient>)>;
+                let bits = |report: &simnet::SimReport<Rows>| {
+                    let rows = report.results.iter().flatten();
+                    rows.map(|(u, eps, _)| (u.clone(), eps.clone())).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&assembled), bits(&per_rank), "{at}: updates or residuals");
+                assert_eq!(assembled.times, per_rank.times, "{at}: clocks");
+                for rank in 0..p {
+                    let cell = |r: &simnet::SimReport<_>| r.ledger.cell(rank, "topk_a");
+                    assert_eq!(cell(&assembled), cell(&per_rank), "{at}: rank {rank}'s ledger");
+                    for (t, (_, _, u)) in assembled.results[rank].iter().enumerate() {
+                        let first = &assembled.results[0][t].2;
+                        assert!(Arc::ptr_eq(u, first), "{at} step {t}: rank {rank}'s own sum");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gaussian_scaling_recovers_three_quarters_on_heavy_tails() {
+        // A sharply peaked gradient (most mass near zero, 1 % large values):
+        // the raw PPF threshold under-selects, and the §5.4 adjustment scales
+        // it down until at least 3k/4 values survive.
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(5);
+        let g: Vec<f32> = (0..20_000)
+            .map(|i| {
+                if i % 100 == 0 {
+                    rng.gen_range(-3.0f32..3.0)
+                } else {
+                    rng.gen_range(-0.01..0.01)
+                }
+            })
+            .collect();
+        let report = Cluster::new(1, CostModel::free()).run(|comm| {
+            let mut r = Reducer::new(
+                Scheme::GaussianK,
+                g.len(),
+                0.1,
+                CostProfile::paper_calibrated(),
+                4,
+                4,
+            );
+            (r.reduce(comm, &g, 1.0).1, r.k())
+        });
+        let (m, k) = report.results[0];
+        assert!(m.gaussian_pred.expect("recorded") < k / 2, "the raw threshold under-selects");
+        assert!(m.local_nnz.expect("recorded") >= 3 * k / 4);
     }
 
     /// Run 3 reduce steps of `scheme` with an explicit ranks-per-node and

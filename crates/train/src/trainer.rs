@@ -340,11 +340,10 @@ where
             && cfg.scheme == Scheme::OkTopk
             && t % cfg.measure_xi_every == 0
         {
-            let acc = reducer
-                .peek_oktopk_accumulator(model.grads(), scale)
-                .expect("OkTopk scheme has an accumulator");
+            // This step's accumulator ε + scale·g, built where it is summed.
+            let residual = reducer.residual().iter().zip(model.grads());
+            let mut acc_sum: Vec<f32> = residual.map(|(&e, &g)| e + scale * g).collect();
             comm.set_free_mode(true);
-            let mut acc_sum = acc;
             allreduce_inplace(comm, &mut acc_sum);
             let mut grad_sum = model.grads().to_vec();
             allreduce_inplace(comm, &mut grad_sum);

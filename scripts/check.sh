@@ -142,6 +142,29 @@ if [ "$sites" -ne 1 ] || [ "$groups" -ne 2 ]; then
   exit 1
 fi
 
+echo "== one error-feedback pipeline (DESIGN.md §12) =="
+# Ok-Topk is a row of the sparse table: the Reducer runs it through
+# oktopk::ErrorFeedback like every other sparse scheme, so outside #[cfg(test)]
+# reducer.rs keeps no Ok-Topk family, state arm, cost block or OkTopkSgd; the
+# leave-ε clear exists once in core + train; and sparse::threshold keeps no
+# estimator trait with one production impl.
+if non_test crates/train/src/reducer.rs \
+   | grep -E 'OkTopkSgd|fn oktopk_step|State::OkTopk|Family::OkTopk'; then
+  echo "FAIL: Ok-Topk has its own family in the Reducer again (lines above)" >&2
+  exit 1
+fi
+clears=$(non_test crates/core/src/*.rs crates/train/src/*.rs \
+         | grep -cE '\[[a-z_]+ as usize\] = 0\.0' || true)
+if [ "$clears" -ne 1 ]; then
+  echo "FAIL: the leave-ε clear appears $clears times in core + train (want 1:" \
+       "ErrorFeedback::step)" >&2
+  exit 1
+fi
+if non_test crates/sparse/src/threshold.rs | grep -E 'trait ThresholdEstimator'; then
+  echo "FAIL: the one-impl threshold-estimator trait is back (lines above)" >&2
+  exit 1
+fi
+
 echo "== one home per run setting (DESIGN.md §11) =="
 # Obs on/off, the SIMD lane width and two-tier link prices each have one home:
 # a Cluster builder call or a CPU probe. Outside #[cfg(test)] no cargo feature,

@@ -125,9 +125,9 @@ fn sparse_baselines_inside_groups() {
         topk_allgather_allreduce(&mut group, locals[me].clone())
     });
     for r in 0..3 {
-        assert_eq!(report.results[r], expect_a, "group A rank {r}");
+        assert_eq!(*report.results[r], expect_a, "group A rank {r}");
     }
     for r in 3..6 {
-        assert_eq!(report.results[r], expect_b, "group B rank {r}");
+        assert_eq!(*report.results[r], expect_b, "group B rank {r}");
     }
 }
