@@ -7,8 +7,9 @@
 //!
 //! - sweeps P ∈ {32, 128, 512, 1024, 2048} × {Dense, gTopk, Ok-Topk},
 //!   recording modeled makespan, wall time and peak RSS;
-//! - cross-checks the thread-engine oracle at P=32: same seed ⇒ bit-identical
-//!   makespan and update checksum;
+//! - cross-checks schedules at P=32: a run serialized on one worker (W = 1)
+//!   and one on the default worker count must give bit-identical makespan and
+//!   update checksum;
 //! - with `--gate`, asserts Ok-Topk at P=1024 completes within a wall/memory
 //!   budget and holds the PR 9 headline at P=2048 (≥1.5x over the BENCH_PR7
 //!   baseline, with direct handoff carrying grants, inside its own memory
@@ -21,7 +22,7 @@
 //! Usage: `cargo run --release -p okbench --bin scale [-- --quick] [--gate]
 //! [--out PATH]`.
 
-use simnet::{Cluster, Comm, Engine};
+use simnet::{Cluster, Comm};
 use std::time::{Duration, Instant};
 use train::{CostProfile, Reducer, Scheme, Update};
 
@@ -68,8 +69,8 @@ fn grad(rank: usize, iter: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Scheduler counters pulled from one cell's metrics snapshot. All zero on
-/// the thread engine (the event scheduler is the only emitter).
+/// Scheduler counters pulled from one cell's metrics snapshot (all zero with
+/// obs off).
 #[derive(Clone, Copy, Default)]
 struct SchedStats {
     parks: u64,
@@ -113,36 +114,38 @@ impl SchedStats {
 }
 
 /// One sweep cell: `ITERS` data-parallel steps of `scheme` at size `p` on
-/// `engine`. Returns (modeled makespan, FNV checksum of every rank's update
-/// bits in rank order, wall time, scheduler counters).
-fn run_cell(scheme: Scheme, p: usize, engine: Engine) -> (f64, u64, Duration, SchedStats) {
+/// `workers` run tokens (`None`: the cluster default). Returns (modeled
+/// makespan, FNV checksum of every rank's update bits in rank order, wall
+/// time, scheduler counters).
+fn run_cell(scheme: Scheme, p: usize, workers: Option<usize>) -> (f64, u64, Duration, SchedStats) {
     let profile = CostProfile::paper_calibrated().scaled_for_model(N);
     let fwd = profile.fwd_bwd(N);
     let wall = Instant::now();
-    let report = Cluster::new(p, profile.network())
-        .with_engine(engine)
-        .with_stack_bytes(STACK_BYTES)
-        .with_obs(true)
-        .run(move |comm: &mut Comm| {
-            let mut reducer = Reducer::new(scheme, N, DENSITY, profile, 8, 8);
-            let mut fnv = 0xcbf29ce484222325u64;
-            for it in 0..ITERS {
-                comm.compute(fwd);
-                let g = grad(comm.rank(), it);
-                let (update, _) = reducer.reduce(comm, &g, 0.1);
-                let mut mix = |w: u32| {
-                    fnv = (fnv ^ w as u64).wrapping_mul(0x100000001b3);
-                };
-                match update {
-                    Update::Dense(v) => v.iter().for_each(|x| mix(x.to_bits())),
-                    Update::Sparse(coo) => {
-                        coo.indexes().iter().for_each(|&i| mix(i));
-                        coo.values().iter().for_each(|x| mix(x.to_bits()));
-                    }
+    let mut cluster =
+        Cluster::new(p, profile.network()).with_stack_bytes(STACK_BYTES).with_obs(true);
+    if let Some(w) = workers {
+        cluster = cluster.with_workers(w);
+    }
+    let report = cluster.run(move |comm: &mut Comm| {
+        let mut reducer = Reducer::new(scheme, N, DENSITY, profile, 8, 8);
+        let mut fnv = 0xcbf29ce484222325u64;
+        for it in 0..ITERS {
+            comm.compute(fwd);
+            let g = grad(comm.rank(), it);
+            let (update, _) = reducer.reduce(comm, &g, 0.1);
+            let mut mix = |w: u32| {
+                fnv = (fnv ^ w as u64).wrapping_mul(0x100000001b3);
+            };
+            match update {
+                Update::Dense(v) => v.iter().for_each(|x| mix(x.to_bits())),
+                Update::Sparse(coo) => {
+                    coo.indexes().iter().for_each(|&i| mix(i));
+                    coo.values().iter().for_each(|x| mix(x.to_bits()));
                 }
             }
-            fnv
-        });
+        }
+        fnv
+    });
     let wall = wall.elapsed();
     let mut fnv = 0xcbf29ce484222325u64;
     for r in &report.results {
@@ -184,7 +187,7 @@ struct Row {
 }
 
 fn sweep_cell(scheme: Scheme, p: usize) -> Row {
-    let (makespan, checksum, wall, sched) = run_cell(scheme, p, Engine::default());
+    let (makespan, checksum, wall, sched) = run_cell(scheme, p, None);
     Row {
         scheme,
         p,
@@ -216,7 +219,7 @@ fn write_json(
         "  \"cluster_sizes\": [{}],\n",
         sizes.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(", ")
     ));
-    out.push_str(&format!("  \"cross_engine_parity_p32\": {parity_ok},\n"));
+    out.push_str(&format!("  \"schedule_parity_p32\": {parity_ok},\n"));
     if let Some((gate_row, headline_row)) = gate {
         out.push_str("  \"gate\": {\n");
         out.push_str(&format!("    \"p\": {GATE_P},\n"));
@@ -312,20 +315,21 @@ fn main() {
     eprintln!("scale: n={N} density={DENSITY} iters={ITERS} sizes={sizes:?}");
     let mut failures: Vec<String> = Vec::new();
 
-    // Cross-engine parity at P=32: the thread engine is the oracle.
+    // Schedule parity at P=32: W = 1 (fully serialized) is the reference.
     let mut parity_ok = true;
     for scheme in SCHEMES {
-        let (mk_t, ck_t, _, _) = run_cell(scheme, 32, Engine::Thread);
-        let (mk_e, ck_e, _, _) = run_cell(scheme, 32, Engine::Event);
-        if mk_t.to_bits() != mk_e.to_bits() || ck_t != ck_e {
+        let (mk_1, ck_1, _, _) = run_cell(scheme, 32, Some(1));
+        let (mk_w, ck_w, _, _) = run_cell(scheme, 32, None);
+        if mk_1.to_bits() != mk_w.to_bits() || ck_1 != ck_w {
             parity_ok = false;
             failures.push(format!(
-                "{} p=32: engines diverged (makespan {mk_t:?} vs {mk_e:?}, checksum {ck_t:016x} vs {ck_e:016x})",
+                "{} p=32: W=1 and the default W diverged (makespan {mk_1:?} vs {mk_w:?}, \
+                 checksum {ck_1:016x} vs {ck_w:016x})",
                 scheme.name()
             ));
         }
     }
-    eprintln!("  parity p=32 across engines: {}", if parity_ok { "ok" } else { "FAIL" });
+    eprintln!("  parity p=32 across worker counts: {}", if parity_ok { "ok" } else { "FAIL" });
 
     let mut rows = Vec::new();
     for &p in sizes {

@@ -89,13 +89,9 @@ impl Header {
             .unwrap_or(0)
     }
 
-    /// The engine the rows below the header ran on: the cluster default, which
-    /// no harness overrides for a row it reports.
+    /// The engine the rows below the header ran on: there is one.
     pub fn engine_name() -> &'static str {
-        match simnet::Engine::default() {
-            simnet::Engine::Thread => "thread",
-            simnet::Engine::Event => "event",
-        }
+        "event"
     }
 
     /// The standard JSON field block, one `"key": value,` line per field,
@@ -266,7 +262,7 @@ where
 }
 
 /// Compact one-line scheduler-counter summary (parks per rank, handoff rate),
-/// or `None` when the scheduler counters are absent (thread engine / obs off).
+/// or `None` when the scheduler counters are absent (obs off).
 pub fn sched_summary(metrics: &obs::MetricsSnapshot) -> Option<String> {
     use obs::MetricValue;
     let counter = |name: &str| match metrics.get(name) {

@@ -6,7 +6,7 @@ use collectives::{
     topk_allgather_allreduce, two_tier,
 };
 use proptest::prelude::*;
-use simnet::{Cluster, CostModel, Engine, GroupComm, Net, WireSize};
+use simnet::{Cluster, CostModel, GroupComm, Net, WireSize};
 use sparse::select::topk_exact;
 use sparse::CooGradient;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -395,12 +395,13 @@ fn special_input(rank: usize, n: usize) -> Vec<f32> {
 /// The shared-result allreduce is the in-place one it replaced on the modeled
 /// side — same result bits (NaN, ±inf and −0.0 included), same clocks, same
 /// per-rank messages and elements, for both schedules, empty and uneven
-/// regions, with and without an overlap budget, flat and inside a group, on
-/// both engines — and it is shared: every rank returns the same allocation.
+/// regions, with and without an overlap budget, flat and inside a group,
+/// serialized (W = 1) and with every rank its own thread (W = P) — and it is
+/// shared: every rank returns the same allocation.
 #[test]
 fn allreduce_shared_matches_the_in_place_allreduce_and_shares_its_result() {
     let halve = |sum: &mut [f32]| sum.iter_mut().for_each(|v| *v *= 0.5);
-    for engine in [Engine::Event, Engine::Thread] {
+    for serial in [true, false] {
         for grouped in [false, true] {
             for p in 1usize..=9 {
                 for n in [0, 1, p - 1, 103, 4096] {
@@ -408,7 +409,8 @@ fn allreduce_shared_matches_the_in_place_allreduce_and_shares_its_result() {
                         // Grouped: ranks 1..=p of a (p+2)-cluster, in reverse order.
                         let size = if grouped { p + 2 } else { p };
                         let members: Vec<usize> = (1..=p).rev().collect();
-                        let cluster = Cluster::new(size, CostModel::aries()).with_engine(engine);
+                        let workers = if serial { 1 } else { size };
+                        let cluster = Cluster::new(size, CostModel::aries()).with_workers(workers);
                         let shared = cluster.run(|comm| {
                             comm.set_phase("dense");
                             if !grouped {
@@ -439,7 +441,7 @@ fn allreduce_shared_matches_the_in_place_allreduce_and_shares_its_result() {
                         });
 
                         let what =
-                            format!("{engine:?} grouped={grouped} p={p} n={n} budget={budget}");
+                            format!("W={workers} grouped={grouped} p={p} n={n} budget={budget}");
                         assert_eq!(shared.times, in_place.times, "{what}: clocks");
                         for rank in 0..size {
                             assert_eq!(
@@ -519,7 +521,7 @@ fn special_f64(rank: usize, len: usize) -> Vec<f64> {
 /// The shared f64 allreduce is the per-rank one it replaced, once: same
 /// result bits (±0.0, ±∞ and the NaN they make included), same clocks, same
 /// per-rank messages and elements, for both schedules and every length the
-/// consensus can have, on both engines — and every rank returns the same
+/// consensus can have, at W = 1 and W = P — and every rank returns the same
 /// allocation, made by one `finish` call per process.
 #[test]
 fn allreduce_f64_shared_is_the_per_rank_allreduce_once() {
@@ -531,11 +533,11 @@ fn allreduce_f64_shared_is_the_per_rank_allreduce_once() {
         calls.fetch_add(1, Ordering::Relaxed);
         sum.iter().map(|x| x * 0.5).collect::<Vec<f64>>()
     };
-    for engine in [Engine::Event, Engine::Thread] {
-        for p in 1usize..=9 {
+    for p in 1usize..=9 {
+        for workers in [1, p] {
             for len in [0, 1, p + 1, 1025] {
-                let what = format!("{engine:?} p={p} len={len}");
-                let cluster = Cluster::new(p, CostModel::aries()).with_engine(engine);
+                let what = format!("W={workers} p={p} len={len}");
+                let cluster = Cluster::new(p, CostModel::aries()).with_workers(workers);
                 calls.store(0, Ordering::Relaxed);
                 let shared = cluster.run(|comm| {
                     comm.set_phase("consensus");
@@ -573,9 +575,9 @@ fn allreduce_f64_shared_is_the_per_rank_allreduce_once() {
 /// its ranks could disagree.)
 #[test]
 fn allreduce_f64_shared_agrees_on_nan_payloads() {
-    for engine in [Engine::Event, Engine::Thread] {
-        for p in 2usize..=9 {
-            let report = Cluster::new(p, CostModel::aries()).with_engine(engine).run(|comm| {
+    for p in 2usize..=9 {
+        for workers in [1, p] {
+            let report = Cluster::new(p, CostModel::aries()).with_workers(workers).run(|comm| {
                 let payload = f64::from_bits(0x7ff8_0000_0000_0000 | (comm.rank() as u64 + 1));
                 allreduce_f64_shared(comm, vec![payload, 1.0, payload], <[f64]>::to_vec)
             });
@@ -583,7 +585,7 @@ fn allreduce_f64_shared_agrees_on_nan_payloads() {
             assert!(report.results[0][0].is_nan() && report.results[0][1] == p as f64);
             for (rank, got) in report.results.iter().enumerate() {
                 let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(got, want, "{engine:?} p={p}: rank {rank}'s bits");
+                assert_eq!(got, want, "W={workers} p={p}: rank {rank}'s bits");
             }
         }
     }

@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use oktopk::{OkTopkConfig, OkTopkSgd};
-use simnet::{Cluster, CostModel, Engine};
+use simnet::{Cluster, CostModel};
 
 /// Bytes of one radix-select histogram block (`sparse::select`).
 const HIST_BYTES: usize = 32 << 10;
@@ -58,22 +58,18 @@ fn radix_histograms_are_per_worker_not_per_rank() {
     // gathered vector far below it.
     let (n, k) = (3000, 60);
 
-    let report = Cluster::new(P, CostModel::aries())
-        .with_engine(Engine::Event)
-        .with_workers(WORKERS)
-        .run(|comm| {
-            let mut sgd = OkTopkSgd::new(OkTopkConfig::new(n, k).with_periods(4, 2));
-            let mut reevals = 0;
-            for t in 1..=3 {
-                let grad: Vec<f32> = (0..n)
-                    .map(|i| ((i * (comm.rank() + 3) + 7 * t) as f32 * 0.013).sin())
-                    .collect();
-                reevals += usize::from(sgd.allreduce_state().is_reeval_iteration(t));
-                let step = sgd.step(comm, &grad, 0.1);
-                assert!(step.meta.global_nnz > 0, "step {t} reduced nothing");
-            }
-            reevals
-        });
+    let report = Cluster::new(P, CostModel::aries()).with_workers(WORKERS).run(|comm| {
+        let mut sgd = OkTopkSgd::new(OkTopkConfig::new(n, k).with_periods(4, 2));
+        let mut reevals = 0;
+        for t in 1..=3 {
+            let grad: Vec<f32> =
+                (0..n).map(|i| ((i * (comm.rank() + 3) + 7 * t) as f32 * 0.013).sin()).collect();
+            reevals += usize::from(sgd.allreduce_state().is_reeval_iteration(t));
+            let step = sgd.step(comm, &grad, 0.1);
+            assert!(step.meta.global_nnz > 0, "step {t} reduced nothing");
+        }
+        reevals
+    });
 
     assert!(report.results.iter().all(|&r| r == 2), "every rank re-evaluates at t = 1 and 3");
     let allocs = HIST_ALLOCS.load(Ordering::Relaxed);

@@ -13,9 +13,9 @@
 //!
 //! - [`Class::Virtual`] — the value is a function of modeled quantities only
 //!   (virtual clocks, message sizes, chaos draws). Virtual metrics must be
-//!   **bit-identical** across simnet's two engines (event and the thread
-//!   oracle), across event-engine worker counts and across repeated
-//!   runs; the engine-parity suite asserts this via
+//!   **bit-identical** across simnet's worker counts (W = 1 against W = P)
+//!   and across repeated runs; the schedule-invariance suites assert this
+//!   via
 //!   [`MetricsSnapshot::parity_view`]. Recording paths achieve it with
 //!   commutative integer updates (atomic adds, atomic maxima) and
 //!   single-writer per-rank slots — never with anything that observes

@@ -19,9 +19,10 @@ const HIST_BUCKETS: usize = 65;
 /// Determinism class of a metric — see the crate docs for the policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Class {
-    /// A function of modeled quantities only; bit-identical across engines.
+    /// A function of modeled quantities only; bit-identical at every worker
+    /// count.
     Virtual,
-    /// Describes the simulating host; exempt from cross-engine parity.
+    /// Describes the simulating host; exempt from schedule parity.
     Host,
 }
 
@@ -153,7 +154,8 @@ impl Histogram {
 /// Per-rank f64 slots with a **single-writer contract**: only rank `r` (its
 /// thread) may write slot `r`, so plain load-add-store is race-free and the
 /// per-rank sums are exactly the sums a serial execution would produce —
-/// which is what makes virtual-time accumulators bit-identical across engines.
+/// which is what makes virtual-time accumulators bit-identical at every
+/// worker count.
 #[derive(Clone)]
 pub struct RankF64 {
     slots: Arc<Vec<AtomicU64>>,
@@ -497,7 +499,7 @@ impl MetricsSnapshot {
     /// The [`Class::Virtual`] subset, canonicalized to bit patterns: f64 slots
     /// as raw bits, everything else as its integer value. Two runs whose
     /// virtual metrics are bit-identical produce equal parity views; this is
-    /// what the engine-parity suite compares.
+    /// what the schedule-invariance suites compare.
     pub fn parity_view(&self) -> Vec<(String, Vec<u64>)> {
         self.entries
             .iter()

@@ -22,7 +22,7 @@ pub struct SpanEvent {
     /// Nesting depth at entry (0 = outermost).
     pub depth: usize,
     /// Wall-clock nanoseconds the simulating host spent inside the span.
-    /// Host-class: never compared across engines.
+    /// Host-class: never compared across runs.
     pub wall_ns: u64,
 }
 

@@ -1,8 +1,8 @@
 //! Offline shim for `parking_lot` (API subset used by this workspace).
 //!
-//! Wraps `std::sync::{Mutex, Condvar}` behind parking_lot's non-poisoning
-//! interface: `lock()` returns the guard directly and a panicked holder does not
-//! poison the lock for everyone else (poison errors are unwrapped into the inner
+//! Wraps `std::sync::Mutex` behind parking_lot's non-poisoning interface:
+//! `lock()` returns the guard directly and a panicked holder does not poison
+//! the lock for everyone else (poison errors are unwrapped into the inner
 //! guard, matching parking_lot's semantics of simply releasing the lock).
 
 use std::ops::{Deref, DerefMut};
@@ -16,8 +16,7 @@ pub struct Mutex<T> {
 
 /// RAII guard of [`Mutex::lock`].
 pub struct MutexGuard<'a, T> {
-    // `Option` so Condvar::wait can temporarily take the std guard out.
-    inner: Option<sync::MutexGuard<'a, T>>,
+    inner: sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -28,8 +27,8 @@ impl<T> Mutex<T> {
 
     /// Acquire the lock, blocking; ignores poisoning like parking_lot does.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let guard = self.inner.lock().unwrap_or_else(sync::PoisonError::into_inner);
-        MutexGuard { inner: Some(guard) }
+        let inner = self.inner.lock().unwrap_or_else(sync::PoisonError::into_inner);
+        MutexGuard { inner }
     }
 
     /// Consume the mutex, returning the inner value.
@@ -41,101 +40,24 @@ impl<T> Mutex<T> {
 impl<T> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present outside Condvar::wait")
+        &self.inner
     }
 }
 
 impl<T> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present outside Condvar::wait")
-    }
-}
-
-/// A condition variable usable with [`MutexGuard`] in place (parking_lot style).
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    /// A new condition variable.
-    pub const fn new() -> Self {
-        Self { inner: sync::Condvar::new() }
-    }
-
-    /// Block until notified, releasing the guard's lock while waiting.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let std_guard = guard.inner.take().expect("guard present before wait");
-        let std_guard = self
-            .inner
-            .wait(std_guard)
-            .unwrap_or_else(sync::PoisonError::into_inner);
-        guard.inner = Some(std_guard);
-    }
-
-    /// Block until notified or `timeout` elapses, releasing the guard's lock
-    /// while waiting. Returns `true` if the wait timed out (parking_lot returns
-    /// a `WaitTimeoutResult`; this shim reduces it to the flag callers check).
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) -> bool {
-        let std_guard = guard.inner.take().expect("guard present before wait");
-        let (std_guard, result) = match self.inner.wait_timeout(std_guard, timeout) {
-            Ok(pair) => pair,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.inner = Some(std_guard);
-        result.timed_out()
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
+        &mut self.inner
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn lock_and_mutate() {
         let m = Mutex::new(1);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
-    }
-
-    #[test]
-    fn wait_for_times_out_and_returns_flag() {
-        let m = Mutex::new(0u32);
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let timed_out = cv.wait_for(&mut g, std::time::Duration::from_millis(5));
-        assert!(timed_out);
-        *g += 1; // guard still usable after the timed wait
-        assert_eq!(*g, 1);
-    }
-
-    #[test]
-    fn condvar_roundtrip() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut done = m.lock();
-            *done = true;
-            cv.notify_all();
-        });
-        let (m, cv) = &*pair;
-        let mut done = m.lock();
-        while !*done {
-            cv.wait(&mut done);
-        }
-        t.join().unwrap();
-        assert!(*done);
     }
 }

@@ -1,10 +1,9 @@
-//! Compiled plans and per-rank views: the query interface simnet charges
-//! virtual time through.
+//! Compiled plans and per-rank views: the query interface the communicator
+//! charges virtual time through.
 
-use crate::plan::{ChaosPlan, Perturbation, Window};
-use crate::rng::hash_u01;
+use super::plan::{ChaosPlan, Perturbation, Window};
+use super::rng::hash_u01;
 use std::sync::Arc;
-use std::time::Duration;
 
 struct LinkRule {
     src: Option<usize>,
@@ -33,7 +32,6 @@ fn matches(endpoint: Option<usize>, rank: usize) -> bool {
 pub struct CompiledChaos {
     size: usize,
     seed: u64,
-    wall_hold: f64,
     /// Per-rank `(window, factor)` slowdowns.
     stragglers: Vec<Vec<(Window, f64)>>,
     /// Per-rank frozen intervals, sorted by start.
@@ -85,33 +83,12 @@ impl CompiledChaos {
         for p in &mut pauses {
             p.sort_by(|a, b| a.start.total_cmp(&b.start));
         }
-        Self {
-            size,
-            seed: plan.seed(),
-            wall_hold: plan.wall_hold(),
-            stragglers,
-            pauses,
-            links,
-            jitters,
-        }
-    }
-
-    /// Cluster size this plan was compiled for.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Whether the plan perturbs anything at all.
-    pub fn is_active(&self) -> bool {
-        !self.links.is_empty()
-            || !self.jitters.is_empty()
-            || self.stragglers.iter().any(|s| !s.is_empty())
-            || self.pauses.iter().any(|p| !p.is_empty())
+        Self { size, seed: plan.seed(), stragglers, pauses, links, jitters }
     }
 
     /// If `t` falls inside a pause of `rank`, the resume time (looping until
     /// out of every overlapping pause); otherwise `t` unchanged.
-    pub fn unpause(&self, rank: usize, t: f64) -> f64 {
+    fn unpause(&self, rank: usize, t: f64) -> f64 {
         let mut t = t;
         loop {
             let mut moved = false;
@@ -129,7 +106,7 @@ impl CompiledChaos {
 
     /// The compute slowdown factor of `rank` at time `t` (product of active
     /// straggler windows; 1.0 when clean).
-    pub fn factor_at(&self, rank: usize, t: f64) -> f64 {
+    fn factor_at(&self, rank: usize, t: f64) -> f64 {
         self.stragglers[rank].iter().filter(|(w, _)| w.contains(t)).map(|&(_, f)| f).product()
     }
 
@@ -156,7 +133,7 @@ impl CompiledChaos {
     /// started by `rank` at `t0`, finishes under this plan — integrating the
     /// piecewise-constant slowdown and skipping pauses. With no active
     /// perturbation this is exactly `t0 + nominal`.
-    pub fn advance_compute(&self, rank: usize, t0: f64, nominal: f64) -> f64 {
+    fn advance_compute(&self, rank: usize, t0: f64, nominal: f64) -> f64 {
         let mut t = self.unpause(rank, t0);
         let mut work = nominal;
         loop {
@@ -176,7 +153,7 @@ impl CompiledChaos {
 
     /// `(alpha_mult, beta_mult)` for a message injected on `src → dst` at `t`
     /// (product of matching active link rules; `(1, 1)` when clean).
-    pub fn link_mults(&self, src: usize, dst: usize, t: f64) -> (f64, f64) {
+    fn link_mults(&self, src: usize, dst: usize, t: f64) -> (f64, f64) {
         let mut a = 1.0;
         let mut b = 1.0;
         for rule in &self.links {
@@ -191,7 +168,7 @@ impl CompiledChaos {
     /// Extra head latency of the `seq`-th message on `src → dst` injected at
     /// `t`: sum over matching active jitter rules of a uniform `[0, max_extra)`
     /// draw keyed by `(seed, rule, src, dst, seq)`.
-    pub fn jitter_extra(&self, src: usize, dst: usize, seq: u64, t: f64) -> f64 {
+    fn jitter_extra(&self, src: usize, dst: usize, seq: u64, t: f64) -> f64 {
         let mut extra = 0.0;
         for rule in &self.jitters {
             if matches(rule.src, src) && matches(rule.dst, dst) && rule.window.contains(t) {
@@ -224,37 +201,22 @@ impl CompiledChaos {
         }
         out
     }
-
-    /// Wall-clock sleep owed for crossing `span` virtual seconds of pause.
-    pub fn wall_hold(&self, span: f64) -> Duration {
-        Duration::from_secs_f64((span * self.wall_hold).max(0.0))
-    }
-
-    /// Upper bound on the total wall-clock time the plan's pauses can hold any
-    /// rank: the sum of every pause span times the wall-hold scale. The simnet
-    /// recv-deadlock watchdog adds this to its deadline so injected pauses are
-    /// not misreported as deadlocks.
-    pub fn extra_wall_budget(&self) -> Duration {
-        let total: f64 =
-            self.pauses.iter().flatten().map(|w| w.span()).sum::<f64>() * self.wall_hold;
-        Duration::from_secs_f64(total.max(0.0))
-    }
 }
 
 /// Everything one send needs to know about its perturbation.
 #[derive(Clone, Copy, Debug)]
-pub struct SendPerturb {
+pub(crate) struct SendPerturb {
     /// Multiplier on the link α.
-    pub alpha_mult: f64,
+    pub(crate) alpha_mult: f64,
     /// Multiplier on the link β.
-    pub beta_mult: f64,
+    pub(crate) beta_mult: f64,
     /// Extra head latency (seconds) drawn for this message.
-    pub extra_latency: f64,
+    pub(crate) extra_latency: f64,
 }
 
 impl SendPerturb {
     /// Whether the send deviates from the clean α–β model at all.
-    pub fn is_perturbed(&self) -> bool {
+    pub(crate) fn is_perturbed(&self) -> bool {
         self.alpha_mult != 1.0 || self.beta_mult != 1.0 || self.extra_latency > 0.0
     }
 }
@@ -262,7 +224,7 @@ impl SendPerturb {
 /// One rank's handle on a compiled plan: the shared immutable tables plus this
 /// rank's per-destination send counters (which make jitter draws a function of
 /// per-link program order, hence deterministic).
-pub struct ChaosView {
+pub(crate) struct ChaosView {
     rank: usize,
     plan: Arc<CompiledChaos>,
     send_seq: Vec<u64>,
@@ -270,62 +232,45 @@ pub struct ChaosView {
 
 impl ChaosView {
     /// The view of `rank` on `plan`.
-    pub fn new(plan: Arc<CompiledChaos>, rank: usize) -> Self {
-        assert!(rank < plan.size(), "rank {rank} out of range for plan of size {}", plan.size());
-        let size = plan.size();
+    pub(crate) fn new(plan: Arc<CompiledChaos>, rank: usize) -> Self {
+        let size = plan.size;
+        assert!(rank < size, "rank {rank} out of range for plan of size {size}");
         Self { rank, plan, send_seq: vec![0; size] }
     }
 
-    /// The underlying compiled plan (e.g. for window rendering).
-    pub fn plan(&self) -> &CompiledChaos {
-        &self.plan
-    }
-
     /// See [`CompiledChaos::unpause`] for this rank.
-    pub fn unpause(&self, t: f64) -> f64 {
+    pub(crate) fn unpause(&self, t: f64) -> f64 {
         self.plan.unpause(self.rank, t)
     }
 
     /// See [`CompiledChaos::advance_compute`] for this rank.
-    pub fn advance_compute(&self, t0: f64, nominal: f64) -> f64 {
+    pub(crate) fn advance_compute(&self, t0: f64, nominal: f64) -> f64 {
         self.plan.advance_compute(self.rank, t0, nominal)
     }
 
     /// Perturbation of the next message this rank injects toward `dst` at
     /// virtual time `t`. Consumes the per-destination sequence number.
-    pub fn send_perturb(&mut self, dst: usize, t: f64) -> SendPerturb {
+    pub(crate) fn send_perturb(&mut self, dst: usize, t: f64) -> SendPerturb {
         let seq = self.send_seq[dst];
         self.send_seq[dst] += 1;
         let (alpha_mult, beta_mult) = self.plan.link_mults(self.rank, dst, t);
         let extra_latency = self.plan.jitter_extra(self.rank, dst, seq, t);
         SendPerturb { alpha_mult, beta_mult, extra_latency }
     }
-
-    /// Wall-clock sleep owed for crossing `span` virtual seconds of pause.
-    pub fn wall_hold(&self, span: f64) -> Duration {
-        self.plan.wall_hold(span)
-    }
-
-    /// See [`CompiledChaos::extra_wall_budget`].
-    pub fn extra_wall_budget(&self) -> Duration {
-        self.plan.extra_wall_budget()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ChaosPlan;
 
     #[test]
     fn clean_plan_is_identity() {
         let c = ChaosPlan::new(0).compile(4);
-        assert!(!c.is_active());
+        assert!(c.windows().is_empty());
         assert_eq!(c.advance_compute(2, 1.5, 3.0), 4.5);
         assert_eq!(c.unpause(0, 7.0), 7.0);
         assert_eq!(c.link_mults(0, 1, 0.0), (1.0, 1.0));
         assert_eq!(c.jitter_extra(0, 1, 0, 0.0), 0.0);
-        assert_eq!(c.extra_wall_budget(), Duration::ZERO);
     }
 
     #[test]
@@ -417,14 +362,6 @@ mod tests {
         let mut w = ChaosView::new(plan, 0);
         assert_eq!(w.send_perturb(1, 0.0).extra_latency, first);
         assert_eq!(w.send_perturb(1, 0.0).extra_latency, second);
-    }
-
-    #[test]
-    fn wall_budget_sums_pause_spans() {
-        let c =
-            ChaosPlan::new(0).pause(0, 0.0, 2.0).pause(1, 1.0, 3.0).with_wall_hold(0.01).compile(2);
-        assert_eq!(c.extra_wall_budget(), Duration::from_secs_f64(0.05));
-        assert_eq!(c.wall_hold(2.0), Duration::from_secs_f64(0.02));
     }
 
     #[test]

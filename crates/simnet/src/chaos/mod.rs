@@ -1,12 +1,10 @@
-#![warn(missing_docs)]
-
-//! # chaos — deterministic fault & perturbation injection for simnet
+//! Deterministic fault & perturbation injection.
 //!
-//! The simulated network of this workspace is *perfect* by default: every rank
-//! computes at the same speed and every link honors the calibrated α–β exactly.
-//! Real clusters are not — stragglers, latency jitter and transient link
-//! degradation dominate tail behavior. This crate describes such imperfections
-//! as data: a [`ChaosPlan`] is a schedule of typed perturbations
+//! The simulated network is *perfect* by default: every rank computes at the
+//! same speed and every link honors the calibrated α–β exactly. Real clusters
+//! are not — stragglers, latency jitter and transient link degradation
+//! dominate tail behavior. This module describes such imperfections as data: a
+//! [`ChaosPlan`] is a schedule of typed perturbations
 //!
 //! - **stragglers** — a rank's modeled compute runs `factor`× slower, constantly
 //!   or inside a virtual-time window,
@@ -18,7 +16,7 @@
 //!
 //! A plan is *compiled* ([`ChaosPlan::compile`]) into an immutable
 //! [`CompiledChaos`] shared by all ranks, from which each rank takes a
-//! [`ChaosView`] holding its per-destination message counters. The simnet
+//! `ChaosView` holding its per-destination message counters. The
 //! communicator consults the view when charging virtual time.
 //!
 //! ## Determinism
@@ -27,11 +25,13 @@
 //! message sequence number)`. Jitter uses a stateless splitmix64 hash, never a
 //! stateful RNG shared across threads, so two runs of the same plan produce
 //! bit-identical virtual-time trajectories regardless of thread scheduling —
-//! the same guarantee simnet itself makes, extended to the perturbed network.
+//! the same guarantee the simulator itself makes, extended to the perturbed
+//! network.
 
 mod compiled;
 mod plan;
 mod rng;
 
-pub use compiled::{ChaosView, CompiledChaos, SendPerturb};
-pub use plan::{ChaosPlan, Perturbation, Window};
+pub(crate) use compiled::ChaosView;
+pub use compiled::CompiledChaos;
+pub use plan::ChaosPlan;

@@ -1,11 +1,11 @@
 //! Plan schema: typed perturbations on a virtual-time schedule.
 
-use crate::compiled::CompiledChaos;
+use super::compiled::CompiledChaos;
 
 /// A half-open virtual-time interval `[start, end)` in modeled seconds.
 /// `end = f64::INFINITY` means "until the end of the run".
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Window {
+pub(crate) struct Window {
     /// Window start (inclusive), modeled seconds.
     pub start: f64,
     /// Window end (exclusive), modeled seconds; may be `f64::INFINITY`.
@@ -14,31 +14,26 @@ pub struct Window {
 
 impl Window {
     /// The whole run: `[0, ∞)`.
-    pub fn always() -> Self {
+    pub(crate) fn always() -> Self {
         Self { start: 0.0, end: f64::INFINITY }
     }
 
     /// A bounded window `[start, end)`.
-    pub fn new(start: f64, end: f64) -> Self {
+    pub(crate) fn new(start: f64, end: f64) -> Self {
         assert!(start >= 0.0 && start.is_finite(), "window start must be finite and >= 0");
         assert!(end > start, "window must be non-empty: [{start}, {end})");
         Self { start, end }
     }
 
     /// Whether virtual time `t` falls inside the window.
-    pub fn contains(&self, t: f64) -> bool {
+    pub(crate) fn contains(&self, t: f64) -> bool {
         t >= self.start && t < self.end
-    }
-
-    /// The window's length (`∞` for open windows).
-    pub fn span(&self) -> f64 {
-        self.end - self.start
     }
 }
 
 /// One typed perturbation of the simulated cluster.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Perturbation {
+pub(crate) enum Perturbation {
     /// `rank`'s modeled compute runs `factor`× slower while `window` is active.
     Straggler {
         /// Affected rank.
@@ -90,19 +85,18 @@ pub enum Perturbation {
 /// once per cluster size into a [`CompiledChaos`].
 ///
 /// ```
-/// use chaos::ChaosPlan;
+/// use simnet::ChaosPlan;
 /// let plan = ChaosPlan::new(42)
 ///     .straggler(0, 3.0)                       // rank 0 computes 3x slower
 ///     .jitter(2e-6)                            // every message: up to 2 µs extra
 ///     .degrade_link(1, 2, 4.0, 4.0, 0.0, 0.5)  // link 1→2 is 4x worse until t=0.5s
 ///     .pause(3, 1.0, 0.25);                    // rank 3 freezes for 250 ms at t=1s
 /// let compiled = plan.compile(4);
-/// assert!(compiled.is_active());
+/// assert_eq!(compiled.windows().len(), 4);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ChaosPlan {
     seed: u64,
-    wall_hold: f64,
     perturbations: Vec<Perturbation>,
 }
 
@@ -110,27 +104,22 @@ impl ChaosPlan {
     /// An empty plan with the given jitter seed. An empty plan is valid and
     /// perturbs nothing.
     pub fn new(seed: u64) -> Self {
-        Self { seed, wall_hold: 0.0, perturbations: Vec::new() }
+        Self { seed, perturbations: Vec::new() }
     }
 
     /// The jitter seed.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
     /// The scheduled perturbations, in insertion order.
-    pub fn perturbations(&self) -> &[Perturbation] {
+    pub(crate) fn perturbations(&self) -> &[Perturbation] {
         &self.perturbations
-    }
-
-    /// Whether the plan schedules no perturbations at all.
-    pub fn is_empty(&self) -> bool {
-        self.perturbations.is_empty()
     }
 
     /// Append an arbitrary perturbation (the fluent helpers below cover the
     /// common shapes).
-    pub fn push(mut self, p: Perturbation) -> Self {
+    pub(crate) fn push(mut self, p: Perturbation) -> Self {
         match &p {
             Perturbation::Straggler { factor, .. } => {
                 assert!(*factor > 0.0 && factor.is_finite(), "straggler factor must be > 0");
@@ -201,39 +190,10 @@ impl ChaosPlan {
         })
     }
 
-    /// Per-message jitter on one link inside `[start, end)`.
-    pub fn jitter_link(self, src: usize, dst: usize, max_extra: f64, start: f64, end: f64) -> Self {
-        self.push(Perturbation::Jitter {
-            src: Some(src),
-            dst: Some(dst),
-            max_extra,
-            window: Window::new(start, end),
-        })
-    }
-
     /// Freeze `rank` for `duration` seconds starting at virtual time `start`.
     pub fn pause(self, rank: usize, start: f64, duration: f64) -> Self {
         assert!(duration > 0.0 && duration.is_finite(), "pause duration must be finite and > 0");
         self.push(Perturbation::Pause { rank, window: Window::new(start, start + duration) })
-    }
-
-    /// Give every injected pause a *wall-clock* component: a rank crossing a
-    /// pause also sleeps `seconds_per_virtual_second × span` of real time,
-    /// emulating a peer that genuinely goes quiet on the real channel. The
-    /// simnet recv-deadlock watchdog budgets for the plan's total wall hold so
-    /// a long chaos pause is not misreported as a deadlock.
-    pub fn with_wall_hold(mut self, seconds_per_virtual_second: f64) -> Self {
-        assert!(
-            seconds_per_virtual_second >= 0.0 && seconds_per_virtual_second.is_finite(),
-            "wall hold must be finite and >= 0"
-        );
-        self.wall_hold = seconds_per_virtual_second;
-        self
-    }
-
-    /// The wall-clock seconds slept per virtual second of pause (default 0).
-    pub fn wall_hold(&self) -> f64 {
-        self.wall_hold
     }
 
     /// Compile for a cluster of `size` ranks, validating every referenced rank.
@@ -254,8 +214,7 @@ mod tests {
         let plan = ChaosPlan::new(1).straggler(0, 2.0).jitter(1e-6).pause(1, 0.5, 0.5);
         assert_eq!(plan.perturbations().len(), 3);
         assert!(matches!(plan.perturbations()[0], Perturbation::Straggler { rank: 0, .. }));
-        assert!(!plan.is_empty());
-        assert!(ChaosPlan::new(9).is_empty());
+        assert!(ChaosPlan::new(9).perturbations().is_empty());
     }
 
     #[test]

@@ -1,43 +1,27 @@
 //! Per-rank communicator: typed point-to-point messaging over a modeled network.
 //!
-//! `Comm` is engine-agnostic: the same blocking API runs on the discrete-event
-//! engine (messages through [`EventCore`], blocking points park the rank
-//! continuation, deadlocks detected exactly) and on the thread-engine oracle
-//! (messages over real channels, wall-clock watchdogs). The [`Backend`] enum
-//! below is the only place the two transports diverge; every charging path
-//! above it is shared, which is what makes the engines bit-identical.
+//! `Comm` charges every message and compute block on the rank's virtual clock
+//! and hands delivery, blocking and the barrier rendezvous to the shared
+//! [`EventCore`]: a blocking point parks the rank continuation, and a
+//! deadlock is detected exactly. Clocks read only per-rank program order and
+//! matched message order, so they do not depend on which rank ran when.
 
+use crate::chaos::ChaosView;
 use crate::cost::{CostModel, WireSize};
-use crate::engine::{cascade, EventCore};
+use crate::engine::EventCore;
 use crate::envelope::{Envelope, Payload};
 use crate::ledger::{Ledger, PhaseId};
 use crate::request::SendHandle;
+use crate::topo::Topology;
 use crate::trace::{TraceEvent, TraceKind};
-use chaos::ChaosView;
-use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use obs::SpanStack;
-use parking_lot::{Condvar, Mutex};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use topo::Topology;
 
 /// Message tag, used to match sends with receives (like an MPI tag).
 pub type Tag = u64;
-
-/// Wall-clock deadline for a `recv` blocking on the real channel before the
-/// simulation is declared deadlocked, unless [`crate::Cluster::with_recv_timeout`]
-/// sets one. Virtual time is unrelated; this only catches algorithm bugs in
-/// tests. (Thread engine only — the event engine detects deadlocks exactly and
-/// ignores this.)
-pub(crate) const RECV_DEADLOCK_DEFAULT: Duration = Duration::from_secs(600);
-
-/// Interval at which a blocked thread-engine wait (recv or barrier) wakes to
-/// check whether a peer rank died, so one rank's panic cascades in ~this much
-/// wall time instead of the full recv deadline.
-const WATCHDOG_POLL_DEFAULT: Duration = Duration::from_millis(50);
 
 /// Default global byte budget for idle pooled buffers across all ranks of one
 /// run (64 MiB). At P=2048 an uncapped per-rank pool would retain
@@ -63,7 +47,7 @@ const MAX_POOL: usize = 32;
 /// Whether a particular recycle wins the reservation can depend on cross-rank
 /// interleaving, but that only decides *allocation reuse*: taken buffers are
 /// always cleared, so modeled clocks, data and ledgers are unaffected and
-/// cross-engine parity holds regardless.
+/// every worker count agrees regardless.
 pub(crate) struct PoolBudget {
     remaining: AtomicI64,
 }
@@ -180,92 +164,6 @@ fn barrier_latency(cost: &CostModel, size: usize) -> f64 {
     cost.alpha * (usize::BITS - (size - 1).leading_zeros()) as f64
 }
 
-pub(crate) struct BarrierState {
-    inner: Mutex<BarrierInner>,
-    cv: Condvar,
-}
-
-struct BarrierInner {
-    arrived: usize,
-    generation: u64,
-    max_time: f64,
-    result: f64,
-}
-
-impl BarrierState {
-    pub(crate) fn new() -> Self {
-        Self {
-            inner: Mutex::new(BarrierInner {
-                arrived: 0,
-                generation: 0,
-                max_time: f64::NEG_INFINITY,
-                result: 0.0,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Block until all `size` ranks have arrived; returns the maximum of the
-    /// submitted clock values. Safe for repeated use (generation-counted).
-    /// Waits in [`WATCHDOG_POLL_DEFAULT`] slices so a peer's death (`poisoned`) cascades
-    /// quickly instead of hanging, and gives up after `deadline` — a rank that
-    /// never arrives is a deadlock just like a missing send.
-    fn wait(&self, size: usize, t_in: f64, deadline: Duration, poisoned: &AtomicBool) -> f64 {
-        let mut inner = self.inner.lock();
-        inner.max_time = inner.max_time.max(t_in);
-        inner.arrived += 1;
-        if inner.arrived == size {
-            inner.result = inner.max_time;
-            inner.max_time = f64::NEG_INFINITY;
-            inner.arrived = 0;
-            inner.generation += 1;
-            self.cv.notify_all();
-            inner.result
-        } else {
-            let gen = inner.generation;
-            let start = Instant::now();
-            while inner.generation == gen {
-                if poisoned.load(Ordering::Relaxed) {
-                    cascade();
-                }
-                let elapsed = start.elapsed();
-                if elapsed >= deadline {
-                    panic!(
-                        "barrier timed out after {deadline:?} — some rank never arrived \
-                         (likely deadlock; deadline configurable via Cluster::with_recv_timeout)"
-                    );
-                }
-                let step = WATCHDOG_POLL_DEFAULT.min(deadline - elapsed);
-                self.cv.wait_for(&mut inner, step);
-            }
-            inner.result
-        }
-    }
-}
-
-/// How a `Comm` talks to the rest of the cluster — the only engine-specific
-/// seam. Everything above it (clock charging, matching, pooling, chaos) is
-/// shared between engines.
-pub(crate) enum Backend {
-    /// Thread engine: real channels between OS threads, condvar barrier,
-    /// wall-clock watchdogs with a poisoned-flag fast path for peer death.
-    Thread {
-        senders: Vec<Sender<Envelope>>,
-        inbox: Receiver<Envelope>,
-        barrier: Arc<BarrierState>,
-        /// Wall-clock deadline after which a blocked wait declares deadlock.
-        /// Already includes the chaos plan's wall-hold budget (see
-        /// [`Comm::new`]), so injected pauses are never misreported.
-        recv_deadline: Duration,
-        /// Set by the cluster when any rank panics; blocked waits observe it
-        /// within one [`WATCHDOG_POLL_DEFAULT`] and cascade instead of hanging.
-        poisoned: Arc<AtomicBool>,
-    },
-    /// Discrete-event engine: the shared core owns delivery, parking, barrier
-    /// and exact deadlock detection. No watchdogs, no wall-clock sleeps.
-    Event { core: Arc<EventCore> },
-}
-
 /// A rank's handle on the simulated cluster.
 ///
 /// Created by [`crate::Cluster::run`]; one `Comm` lives on each rank thread. All
@@ -294,7 +192,7 @@ pub struct Comm {
     /// Per-run metric handles (no-ops when observability is disabled).
     metrics: SimMetrics,
     ledger: Arc<Ledger>,
-    backend: Backend,
+    core: Arc<EventCore>,
     mailbox: HashMap<(usize, Tag), VecDeque<Envelope>>,
     /// Free-list of recycled `f32` message buffers. Steady-state collectives
     /// cycle the same few chunks: a rank sends a buffer, receives one of the
@@ -312,25 +210,18 @@ pub struct Comm {
 }
 
 impl Comm {
-    #[allow(clippy::too_many_arguments)] // crate-internal constructor, one call site per engine
+    #[allow(clippy::too_many_arguments)] // crate-internal constructor, one call site
     pub(crate) fn new(
         rank: usize,
         size: usize,
         cost: CostModel,
         ledger: Arc<Ledger>,
-        mut backend: Backend,
+        core: Arc<EventCore>,
         pool_budget: Arc<PoolBudget>,
         chaos: Option<ChaosView>,
         metrics: SimMetrics,
         topo: Option<Arc<Topology>>,
     ) -> Self {
-        // A paused peer holds the real channel for up to the plan's wall-hold
-        // budget; the thread-engine deadlock watchdog must wait that much
-        // longer before declaring the run stuck. (The event engine serves no
-        // wall holds and needs no deadline at all.)
-        if let Backend::Thread { recv_deadline, .. } = &mut backend {
-            *recv_deadline += chaos.as_ref().map(ChaosView::extra_wall_budget).unwrap_or_default();
-        }
         let phase_id = ledger.intern("default");
         Self {
             rank,
@@ -345,7 +236,7 @@ impl Comm {
             spans: None,
             metrics,
             ledger,
-            backend,
+            core,
             mailbox: HashMap::new(),
             pool: Vec::new(),
             pool_budget,
@@ -470,30 +361,19 @@ impl Comm {
     }
 
     /// If this rank's virtual clock sits inside an injected pause, jump it to
-    /// the resume time, freeze the NIC ports along with it, trace the frozen
-    /// interval, and serve any wall-clock hold the plan prescribes. A no-op
-    /// without a chaos plan (or outside every pause window).
-    ///
-    /// The *virtual* charging is identical in both engines; the wall-clock hold
-    /// is only served on the thread engine — under the event engine, wall time
-    /// is invisible (no watchdogs race against it), so sleeping would waste
-    /// real time without changing any modeled quantity.
+    /// the resume time, freeze the NIC ports along with it and trace the
+    /// frozen interval. A no-op without a chaos plan (or outside every pause
+    /// window).
     fn apply_pause(&mut self) {
         let Some(view) = &self.chaos else { return };
         let resumed = view.unpause(self.now);
         if resumed > self.now {
-            let hold = view.wall_hold(resumed - self.now);
             let start = self.now;
             self.now = resumed;
             self.inj_free = self.inj_free.max(resumed);
             self.rcv_free = self.rcv_free.max(resumed);
             self.metrics.chaos_pause.inc();
             self.record_tagged(start, resumed, TraceKind::Pause, true);
-            if hold > Duration::ZERO {
-                if let Backend::Thread { .. } = self.backend {
-                    std::thread::sleep(hold);
-                }
-            }
         }
     }
 
@@ -645,16 +525,7 @@ impl Comm {
     ) {
         let (head_arrival, beta, perturbed) = stamp;
         let env = Envelope { src: self.rank, tag, head_arrival, elems, beta, perturbed, payload };
-        match &self.backend {
-            Backend::Thread { senders, .. } => {
-                // The channel is unbounded; a send can only fail if the receiver
-                // thread is gone, in which case propagating a panic is right.
-                senders[dst]
-                    .send(env)
-                    .unwrap_or_else(|_| panic!("rank {dst} hung up (its thread panicked)"));
-            }
-            Backend::Event { core } => core.post(dst, env),
-        }
+        self.core.post(dst, env);
     }
 
     /// Non-blocking typed send to `dst`.
@@ -785,52 +656,6 @@ impl Comm {
         self.mailbox.len()
     }
 
-    /// Next envelope delivered to this rank, in arrival order, blocking until
-    /// one exists. Thread engine: poll the channel in watchdog slices (peer
-    /// death cascades within one watchdog poll; a quiet `recv_deadline` is a
-    /// deadlock). Event engine: the core hands envelopes out and parks the
-    /// continuation exactly while the inbox is empty.
-    fn next_raw_envelope(&mut self, src: usize, tag: Tag) -> Envelope {
-        match &self.backend {
-            Backend::Thread { inbox, recv_deadline, poisoned, .. } => {
-                let start = Instant::now();
-                loop {
-                    if poisoned.load(Ordering::Relaxed) {
-                        // A peer rank panicked; unwind quietly rather than
-                        // waiting out the full deadline on a message that can
-                        // never arrive.
-                        cascade();
-                    }
-                    let elapsed = start.elapsed();
-                    if elapsed >= *recv_deadline {
-                        panic!(
-                            "rank {}: recv(src={src}, tag={tag}) timed out after {:?} — likely \
-                             deadlock or mismatched send/recv pattern (deadline configurable via \
-                             Cluster::with_recv_timeout)",
-                            self.rank, recv_deadline
-                        );
-                    }
-                    let step = WATCHDOG_POLL_DEFAULT.min(*recv_deadline - elapsed);
-                    match inbox.recv_timeout(step) {
-                        Ok(env) => return env,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => {
-                            if poisoned.load(Ordering::Relaxed) {
-                                cascade();
-                            }
-                            panic!(
-                                "rank {}: recv(src={src}, tag={tag}): every peer rank finished \
-                                 without sending a matching message",
-                                self.rank
-                            );
-                        }
-                    }
-                }
-            }
-            Backend::Event { core } => core.next_envelope(self.rank, src, tag, self.now),
-        }
-    }
-
     fn take_matching(&mut self, src: usize, tag: Tag) -> Envelope {
         if let Some(queue) = self.mailbox.get_mut(&(src, tag)) {
             if let Some(env) = queue.pop_front() {
@@ -843,7 +668,9 @@ impl Comm {
             }
         }
         loop {
-            let env = self.next_raw_envelope(src, tag);
+            // The core hands envelopes out in arrival order and parks the
+            // continuation exactly while the inbox is empty.
+            let env = self.core.next_envelope(self.rank, src, tag, self.now);
             if env.src == src && env.tag == tag {
                 return env;
             }
@@ -857,22 +684,12 @@ impl Comm {
         self.apply_pause();
         self.metrics.barriers.inc();
         let t_in = self.local_finish_time();
-        let t_max = self.barrier_exchange(t_in);
+        let t_max = self.core.barrier_wait(self.rank, t_in, self.now);
         self.now = t_max + barrier_latency(&self.cost, self.size);
         self.rcv_free = self.rcv_free.max(self.now);
         self.inj_free = self.inj_free.max(self.now);
         let end = self.now;
         self.record(t_in, end, TraceKind::Barrier);
-    }
-
-    /// One barrier rendezvous round: fold `value`, return the cluster maximum.
-    fn barrier_exchange(&self, value: f64) -> f64 {
-        match &self.backend {
-            Backend::Thread { barrier, recv_deadline, poisoned, .. } => {
-                barrier.wait(self.size, value, *recv_deadline, poisoned)
-            }
-            Backend::Event { core } => core.barrier_wait(self.rank, value, self.now),
-        }
     }
 }
 

@@ -1,20 +1,18 @@
-//! Execution engines for [`crate::Cluster`]: the discrete-event production
-//! engine and the thread-per-rank oracle.
+//! The execution engine of [`crate::Cluster`]: a discrete-event core.
 //!
-//! ## Why two engines
+//! ## Why run tokens
 //!
-//! The thread engine gives every rank its own OS thread and lets the kernel
-//! schedule them; correctness does not depend on the interleaving (clock
-//! arithmetic only reads per-rank program order and matched message order), but
-//! the *cost* of the interleaving grows with P: at 1024+ ranks the host
-//! scheduler thrashes between hundreds of runnable threads, blocked receives
-//! burn wakeups, and sweeps that the paper runs at 256 nodes become intractable
-//! in one process.
+//! Giving every rank its own runnable OS thread and letting the kernel
+//! schedule them is correct — clock arithmetic only reads per-rank program
+//! order and matched message order — but the *cost* of that interleaving
+//! grows with P: at 1024+ ranks the host scheduler thrashes between hundreds
+//! of runnable threads, blocked receives burn wakeups, and sweeps that the
+//! paper runs at 256 nodes become intractable in one process.
 //!
-//! The discrete-event engine ([`EventCore`]) keeps one thread per rank — the
-//! thread *is* the rank's continuation, so the blocking [`crate::Comm`] API is
-//! preserved verbatim — but hands out **run tokens** from a virtual-time
-//! scheduler instead of letting the OS pick. At most `workers` ranks are
+//! The engine ([`EventCore`]) keeps one thread per rank — the thread *is* the
+//! rank's continuation, so the blocking [`crate::Comm`] API is preserved
+//! verbatim — but hands out **run tokens** from a virtual-time scheduler
+//! instead of letting the OS pick. At most `workers` ranks are
 //! runnable at any instant; every blocking point (recv with an empty inbox,
 //! barrier arrival) parks the rank inside the core and releases its token, and
 //! message delivery / barrier release marks ranks ready again. The ready queue
@@ -22,12 +20,13 @@
 //! the tie-break — so execution tracks the modeled timeline, which keeps
 //! cross-rank backlogs small and makes progress order reproducible.
 //!
-//! Because both engines run the same per-rank programs over the same matched
-//! message streams, they produce **bit-identical** clocks, gradients and
-//! ledgers. Every run uses the event engine (it is the default); the thread
-//! engine shares none of [`EventCore`] (real channels, OS scheduling) and is
-//! kept as the differential oracle the parity suites compare against, reached
-//! only through [`crate::Cluster::with_engine`].
+//! Because every token count runs the same per-rank programs over the same
+//! matched message streams, W = 1 (one rank at a time, a deterministic grant
+//! order) and W ≥ P (every rank its own runnable OS thread, the kernel's
+//! interleaving) produce **bit-identical** clocks, gradients and ledgers; the
+//! schedule-invariance suites hold every W to W = 1's answer. EXPERIMENTS.md
+//! § "One engine" tabulates which scheduler bugs those suites, and the tests
+//! beside them, catch.
 //!
 //! ## The scheduler
 //!
@@ -77,8 +76,7 @@
 //!
 //! ## Exact deadlock detection
 //!
-//! The thread engine can only detect a deadlock with a wall-clock watchdog.
-//! The event core knows the whole cluster state: if no rank holds a run token,
+//! The core knows the whole cluster state: if no rank holds a run token,
 //! the ready queue (heap and cohort FIFO) is empty and unfinished ranks remain,
 //! the simulation cannot ever progress. The core then records a fault report
 //! that names every blocked rank and walks the recv wait-for graph to print the
@@ -214,19 +212,15 @@ impl EngineMetrics {
     }
 }
 
-/// Which execution core a [`crate::Cluster`] uses to run rank programs.
+/// The execution engine. There is exactly one; the type and
+/// [`crate::Cluster::with_engine`] exist only because `benchmark/src/runner.rs`
+/// (frozen outside this crate) names them, and go when a benchmark PR drops
+/// those calls.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// One OS thread per rank, scheduled by the kernel, real channels for
-    /// transport; wall-clock watchdogs detect deadlocks. Not a production
-    /// path: it is the differential oracle the parity suites compare the
-    /// event engine against, selected only through
-    /// [`crate::Cluster::with_engine`].
-    Thread,
     /// Discrete-event core: one thread per rank as a parked continuation, a
     /// bounded set of run tokens granted in virtual-time order, and exact
-    /// (watchdog-free) deadlock detection. What every run uses unless a test
-    /// asks for the oracle.
+    /// (watchdog-free) deadlock detection.
     #[default]
     Event,
 }
@@ -640,15 +634,13 @@ impl EventCore {
 
     /// If nothing can ever run again, record the deadlock fault and wake every
     /// continuation so the run tears down immediately (no watchdog involved).
+    /// Every caller runs [`Self::schedule`] first, which with no token out
+    /// stops only once [`Self::pop_next_ready`] has drained the queue, stale
+    /// entries included — so a stale entry cannot mask a deadlock here.
     fn check_deadlock(&self, st: &mut CoreState) {
         if st.fault.is_some() || st.running > 0 || st.finished >= self.size {
             return;
         }
-        // Stale entries (targeted handoffs grant out of band) must not mask a
-        // real deadlock: judge emptiness on live entries only. Rare path — a
-        // scheduler with no token out either deadlocked or is shutting down.
-        st.cohort.retain(|&r| st.ranks[r].status == Status::Ready);
-        st.ready.retain(|&Reverse(k)| st.ranks[k.rank].status == Status::Ready);
         if !st.ready.is_empty() || !st.cohort.is_empty() {
             return;
         }
@@ -681,9 +673,9 @@ impl EventCore {
 
     /// Pop the next envelope delivered to `rank` (arrival order), parking the
     /// continuation — token released, status `RecvWait(src, tag)` — whenever
-    /// the inbox is empty. The caller matches/stashes envelopes exactly like
-    /// the thread engine drains its channel, so the matched message order (and
-    /// with it every clock) is identical across engines.
+    /// the inbox is empty. The caller matches/stashes envelopes in that order,
+    /// which per `(src, tag)` is the send order, so the matched message order
+    /// (and with it every clock) is the same at every worker count.
     pub(crate) fn next_envelope(&self, rank: usize, src: usize, tag: Tag, clock: f64) -> Envelope {
         if self.fault_flag.load(Ordering::Relaxed) {
             cascade();
@@ -755,8 +747,8 @@ impl EventCore {
 
     /// Deliver an envelope to `dst`. Wakes the destination only when it is
     /// parked waiting for exactly this `(src, tag)` — a non-matching arrival
-    /// queues silently, sparing the futile wake/stash/re-block round-trip the
-    /// thread engine pays, and never takes the scheduler lock at all.
+    /// queues silently, sparing a futile wake/stash/re-block round-trip, and
+    /// never takes the scheduler lock at all.
     pub(crate) fn post(&self, dst: usize, env: Envelope) {
         if self.fault_flag.load(Ordering::Relaxed) {
             cascade();
@@ -1003,14 +995,6 @@ mod tests {
         let nz = ReadyKey { clock: -0.0, rank: 0 };
         let pz = ReadyKey { clock: 0.0, rank: 0 };
         assert!(nz < pz);
-    }
-
-    #[test]
-    fn default_engine_is_event() {
-        // Tier-1, the examples and every harness must run the path the
-        // benchmark measures; the thread engine is opt-in, as the oracle.
-        assert_eq!(Engine::default(), Engine::Event);
-        assert_eq!(crate::Cluster::new(2, crate::CostModel::free()).engine(), Engine::Event);
     }
 
     #[test]

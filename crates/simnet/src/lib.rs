@@ -29,28 +29,29 @@
 //! clock arithmetic depends only on per-rank program order and the matched message
 //! order, never on wall-clock races.
 //!
-//! ## Execution engines
+//! ## One engine
 //!
-//! - [`Engine::Event`] (what every run uses): a discrete-event core — rank
-//!   threads are parked continuations, a bounded set of run tokens is granted
-//!   in virtual-time order, and deadlocks are detected *exactly* (no
-//!   watchdogs). This is what scales sweeps to P ≥ 1024 in one process.
-//! - [`Engine::Thread`] (the oracle, via [`Cluster::with_engine`]): one
-//!   kernel-scheduled OS thread per rank, channels for transport, wall-clock
-//!   watchdogs for deadlock detection. It shares no scheduling code with the
-//!   event core, which is what makes it worth comparing against.
+//! Every run executes on one discrete-event core (`engine.rs`): rank threads
+//! are parked continuations, a bounded set of run tokens
+//! ([`Cluster::with_workers`]) is granted in virtual-time order, and deadlocks
+//! are detected *exactly*, with no watchdog. This is what scales sweeps to
+//! P ≥ 1024 in one process.
 //!
 //! Because clock arithmetic depends only on per-rank program order and matched
-//! message order — never on who physically ran when — the two engines produce
-//! **bit-identical** results, clocks, traces and ledgers for the same inputs;
-//! the parity suites hold the event engine to the thread engine's answer.
+//! message order — never on who physically ran when — every worker count
+//! produces **bit-identical** results, clocks, traces and ledgers for the same
+//! inputs. The schedule-invariance suites hold W = 1 (fully serialized, a
+//! deterministic grant order) and W = P (every rank its own runnable OS
+//! thread) to the same answer.
 //!
-//! ## Fault injection
+//! ## Topology and fault injection
 //!
-//! [`Cluster::with_chaos`] installs a [`ChaosPlan`] (from the `chaos` crate):
-//! a seeded, deterministic schedule of stragglers, link degradation windows,
+//! [`Cluster::with_topology`] installs a two-tier [`Topology`] (module
+//! `topo`): ranks grouped onto nodes, every link priced by its tier.
+//! [`Cluster::with_chaos`] installs a [`ChaosPlan`] (module `chaos`): a
+//! seeded, deterministic schedule of stragglers, link degradation windows,
 //! per-message latency jitter and rank pauses that the charging paths consult.
-//! With no plan installed every path is bit-identical to the clean model.
+//! With neither installed every path is the clean flat model.
 //!
 //! ## Quick example
 //!
@@ -68,6 +69,7 @@
 //! assert_eq!(report.results, vec![3, 0, 1, 2]);
 //! ```
 
+mod chaos;
 mod cluster;
 mod comm;
 mod cost;
@@ -76,9 +78,10 @@ mod envelope;
 mod ledger;
 pub mod net;
 pub mod request;
+mod topo;
 pub mod trace;
 
-pub use chaos::{ChaosPlan, ChaosView, CompiledChaos, Perturbation, SendPerturb, Window};
+pub use chaos::{ChaosPlan, CompiledChaos};
 pub use cluster::{Cluster, SimReport};
 pub use comm::{Comm, Tag};
 pub use cost::{CostModel, WireSize};
@@ -86,7 +89,7 @@ pub use engine::{Engine, SchedEvent, SchedKind, SchedMode};
 pub use ledger::{Ledger, LedgerSnapshot, PhaseVolume};
 pub use net::{GroupComm, Net};
 pub use request::SendHandle;
-pub use topo::{LinkClass, Topology};
+pub use topo::Topology;
 pub use trace::{
     export_chrome, render_timeline, render_timeline_with_chaos, TraceEvent, TraceKind,
 };

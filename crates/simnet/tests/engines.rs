@@ -1,8 +1,9 @@
-//! Cross-engine tests: the discrete-event engine must be bit-identical to the
-//! thread-engine oracle at every worker count, plus event-engine-only
-//! regressions (exact deadlock reports, recv-after-finish, lost wakeups).
+//! Schedule-invariance tests: results, clocks, ledgers and virtual-class
+//! metrics must be bit-identical at every run-token count, plus regressions of
+//! the engine itself (exact deadlock reports, recv-after-finish, lost
+//! wakeups, rank panics).
 
-use simnet::{ChaosPlan, Cluster, CostModel, Engine, LedgerSnapshot, PhaseVolume};
+use simnet::{ChaosPlan, Cluster, CostModel, LedgerSnapshot, PhaseVolume};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -20,33 +21,35 @@ fn ledger_canon(snap: &LedgerSnapshot, size: usize) -> Vec<((usize, String), Pha
     cells
 }
 
-/// Run `f` once on the thread oracle and on the event engine at every worker
-/// count, and assert results, clocks, ledgers and virtual-class metrics agree
-/// bit for bit. The run-token budget caps concurrency, never semantics: W=1
-/// serializes ranks completely, W=8 lets all of them fly.
+/// Run `f` fully serialized (W = 1: one rank at a time, in a deterministic
+/// grant order) and at W ∈ {2, 3, 8}, and assert results, clocks, ledgers and
+/// virtual-class metrics agree bit for bit. The run-token budget caps
+/// concurrency, never semantics; with P ≤ 8, W = 8 makes every rank its own
+/// runnable OS thread, scheduled by the kernel.
 fn assert_parity<T, F>(mut mk: impl FnMut() -> Cluster, f: F)
 where
     T: Clone + PartialEq + std::fmt::Debug + Send,
     F: Fn(&mut simnet::Comm) -> T + Send + Sync + Copy,
 {
     let size = mk().size();
+    assert!(size <= 8, "W = 8 must cover every rank");
     // Force observability on: parity must also cover every Virtual-class
     // metric (recv-wait, tx/rx bytes, chaos counters, …), bit for bit.
-    let thread = mk().with_obs(true).with_engine(Engine::Thread).run(f);
-    assert!(!thread.metrics.parity_view().is_empty(), "obs was forced on; metrics must exist");
-    for workers in [1usize, 2, 3, 8] {
-        let event = mk().with_obs(true).with_engine(Engine::Event).with_workers(workers).run(f);
-        assert_eq!(thread.results, event.results, "W={workers}: results diverged across engines");
-        assert_eq!(thread.times, event.times, "W={workers}: clocks diverged across engines");
+    let serial = mk().with_obs(true).with_workers(1).run(f);
+    assert!(!serial.metrics.parity_view().is_empty(), "obs was forced on; metrics must exist");
+    for workers in [2usize, 3, 8] {
+        let other = mk().with_obs(true).with_workers(workers).run(f);
+        assert_eq!(serial.results, other.results, "W={workers}: results diverged from W=1");
+        assert_eq!(serial.times, other.times, "W={workers}: clocks diverged from W=1");
         assert_eq!(
-            ledger_canon(&thread.ledger, size),
-            ledger_canon(&event.ledger, size),
-            "W={workers}: traffic ledgers diverged across engines"
+            ledger_canon(&serial.ledger, size),
+            ledger_canon(&other.ledger, size),
+            "W={workers}: traffic ledgers diverged from W=1"
         );
         assert_eq!(
-            thread.metrics.parity_view(),
-            event.metrics.parity_view(),
-            "W={workers}: virtual-class metrics diverged across engines"
+            serial.metrics.parity_view(),
+            other.metrics.parity_view(),
+            "W={workers}: virtual-class metrics diverged from W=1"
         );
     }
 }
@@ -83,8 +86,8 @@ fn engines_agree_on_messaging_compute_and_barriers() {
 
 #[test]
 fn engines_agree_under_a_chaos_plan() {
-    // Stragglers, link windows, jitter and pauses all charge virtually; the
-    // event engine skips only the *wall* holds, so modeled outcomes match.
+    // Stragglers, link windows, jitter and pauses all charge virtually, at
+    // points fixed by program order, so no schedule can move them.
     let plan = || {
         ChaosPlan::new(2024)
             .straggler(1, 2.0)
@@ -100,7 +103,7 @@ fn engines_agree_under_a_chaos_plan() {
 fn engines_agree_on_reverse_order_recv() {
     // Rank 0 streams three tagged messages; rank 1 receives them in reverse
     // order, so the first two pass through the mailbox stash. Port charging
-    // follows the receive order, which both engines must reproduce exactly.
+    // follows the receive order, which every schedule must reproduce exactly.
     let workload = |comm: &mut simnet::Comm| {
         if comm.rank() == 0 {
             for tag in 0..3u64 {
@@ -122,7 +125,7 @@ fn engines_agree_on_reverse_order_recv() {
 #[test]
 fn event_engine_rank_panics_propagate_with_original_payload() {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        Cluster::new(4, CostModel::free()).with_engine(Engine::Event).run(|comm| {
+        Cluster::new(4, CostModel::free()).run(|comm| {
             if comm.rank() == 2 {
                 panic!("injected event-engine failure");
             }
@@ -134,47 +137,18 @@ fn event_engine_rank_panics_propagate_with_original_payload() {
 }
 
 #[test]
-fn event_engine_serves_chaos_wall_holds_instantly() {
-    // The plan demands a 5 s wall-clock hold. The thread engine would sleep;
-    // the event engine charges the virtual pause and moves on.
-    let start = Instant::now();
-    let report = Cluster::new(2, CostModel::free())
-        .with_engine(Engine::Event)
-        .with_chaos(ChaosPlan::new(0).pause(0, 0.0, 0.4).with_wall_hold(5.0))
-        .run(|comm| {
-            if comm.rank() == 0 {
-                comm.compute(0.1);
-                comm.send(1, 0, vec![1.0f32; 4]);
-            } else {
-                let v: Vec<f32> = comm.recv(0, 0);
-                assert_eq!(v.len(), 4);
-            }
-            comm.now()
-        });
-    assert!((report.results[0] - 0.5).abs() < 1e-12, "{}", report.results[0]);
-    assert!(
-        start.elapsed() < Duration::from_secs(4),
-        "event engine must not serve wall holds (took {:?})",
-        start.elapsed()
-    );
-}
-
-#[test]
 fn event_engine_scales_to_many_ranks_with_small_stacks() {
-    // A quick sanity run well above thread-engine comfort on small machines:
-    // 256 ranks, 1 MiB stacks, a ring exchange plus a barrier.
+    // A quick sanity run: 256 ranks, 1 MiB stacks, a ring exchange plus a
+    // barrier.
     let p = 256;
-    let report = Cluster::new(p, CostModel::aries())
-        .with_engine(Engine::Event)
-        .with_stack_bytes(1 << 20)
-        .run(|comm| {
-            let right = (comm.rank() + 1) % comm.size();
-            let left = (comm.rank() + comm.size() - 1) % comm.size();
-            comm.send(right, 0, vec![comm.rank() as f32; 32]);
-            let got: Vec<f32> = comm.recv(left, 0);
-            comm.barrier();
-            got[0] as usize
-        });
+    let report = Cluster::new(p, CostModel::aries()).with_stack_bytes(1 << 20).run(|comm| {
+        let right = (comm.rank() + 1) % comm.size();
+        let left = (comm.rank() + comm.size() - 1) % comm.size();
+        comm.send(right, 0, vec![comm.rank() as f32; 32]);
+        let got: Vec<f32> = comm.recv(left, 0);
+        comm.barrier();
+        got[0] as usize
+    });
     let want: Vec<usize> = (0..p).map(|r| (r + p - 1) % p).collect();
     assert_eq!(report.results, want);
     assert_eq!(report.ledger.total_elements(), (p * 32) as u64);
@@ -182,14 +156,12 @@ fn event_engine_scales_to_many_ranks_with_small_stacks() {
 
 #[test]
 fn fast_path_reports_recv_cycles_exactly() {
-    // A 3-cycle of receives with no sends: the thread engine would need a
-    // watchdog timeout to notice; the event engine proves it from the empty
-    // ready queue and names the cycle. The stale-entry machinery (targeted
-    // handoffs leave dead heap entries behind) must not mask it: the detector
-    // judges emptiness on live entries only.
+    // A 3-cycle of receives with no sends: the engine proves it from the
+    // empty ready queue and names the cycle, without a timeout. The dead heap
+    // entries targeted handoffs leave behind must not mask it.
     let start = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        Cluster::new(3, CostModel::free()).with_engine(Engine::Event).run(|comm| {
+        Cluster::new(3, CostModel::free()).run(|comm| {
             let next = (comm.rank() + 1) % comm.size();
             let _: Vec<f32> = comm.recv(next, 7);
         })
@@ -207,7 +179,7 @@ fn fast_path_reports_recv_after_finish() {
     // Rank 1 returns without sending; rank 0 then blocks on it. The report
     // must say the peer already finished (a chain, not a cycle).
     let result = catch_unwind(AssertUnwindSafe(|| {
-        Cluster::new(2, CostModel::free()).with_engine(Engine::Event).run(|comm| {
+        Cluster::new(2, CostModel::free()).run(|comm| {
             if comm.rank() == 0 {
                 let _: Vec<f32> = comm.recv(1, 0);
             }
@@ -224,7 +196,7 @@ fn fast_path_rejects_send_to_finished_rank() {
     // finishes (its inbox is flagged done), then rank 0 resumes and sends
     // into the void.
     let result = catch_unwind(AssertUnwindSafe(|| {
-        Cluster::new(2, CostModel::free()).with_engine(Engine::Event).with_workers(1).run(|comm| {
+        Cluster::new(2, CostModel::free()).with_workers(1).run(|comm| {
             if comm.rank() == 0 {
                 let _: Vec<f32> = comm.recv(1, 0);
                 comm.send(1, 1, vec![1.0f32]);
@@ -246,11 +218,8 @@ fn fast_path_survives_the_inline_continue_window() {
     // any double wake corrupts the token protocol. Thousands of rounds of
     // bidirectional traffic must come out exact.
     let iters = 5000usize;
-    let report = Cluster::new(2, CostModel::free())
-        .with_obs(true)
-        .with_engine(Engine::Event)
-        .with_workers(2)
-        .run(move |comm| {
+    let report =
+        Cluster::new(2, CostModel::free()).with_obs(true).with_workers(2).run(move |comm| {
             let me = comm.rank();
             let other = 1 - me;
             let mut acc = 0u64;

@@ -40,8 +40,8 @@ const RADIX_HIST_WORDS: usize = TOP_COPIES << TOP_BITS;
 
 /// The process's radix histograms, between selects. A select pops one, counts
 /// into it and pushes it back without parking in between, so the pool holds
-/// as many buffers as selects ever ran at once — the run tokens W under the
-/// event engine, P under the thread oracle — and not one per rank, which at
+/// as many buffers as selects ever ran at once — at most the engine's W run
+/// tokens — and not one per rank, which at
 /// P = 1024 would be 32 MiB for a select Ok-Topk runs once every τ′ steps.
 static HISTOGRAMS: Mutex<Vec<Vec<u32>>> = Mutex::new(Vec::new());
 

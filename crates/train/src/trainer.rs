@@ -52,15 +52,15 @@ pub struct TrainConfig {
     pub eval_every: usize,
     /// Measure ξ (Assumption 1) every this many iterations (0 = never; Ok-Topk only).
     pub measure_xi_every: usize,
-    /// Simulation engine; `None` is the cluster default ([`Engine::Event`]).
-    /// `Some(Engine::Thread)` runs the differential oracle, which is what the
-    /// parity tests set this for.
+    /// Read by nothing: there is one engine. Kept only because
+    /// `benchmark/src/runner.rs` (frozen outside this crate) sets it; goes
+    /// with [`Engine`] when a benchmark PR drops that line.
     pub engine: Option<Engine>,
     /// Per-rank stack size; `None` keeps the cluster default. The paper-scale
     /// sweeps (P up to 4096 ranks in one process) shrink this so rank stacks
     /// stay a bounded share of the address space.
     pub stack_bytes: Option<usize>,
-    /// Record per-rank activity traces, structured spans and (event engine)
+    /// Record per-rank activity traces, structured spans and the engine's
     /// scheduler decisions for Chrome-trace export; see `RunResult::traces`.
     pub profile: bool,
     /// Two-tier topology installed on the simulated network; `None` is flat.
@@ -149,8 +149,7 @@ pub struct RunResult {
     pub traces: Vec<Vec<simnet::TraceEvent>>,
     /// Per-rank structured spans (empty unless [`TrainConfig::profile`]).
     pub spans: Vec<Vec<obs::SpanEvent>>,
-    /// Event-engine scheduler decisions (empty unless profiling on the event
-    /// engine).
+    /// Scheduler decisions (empty unless [`TrainConfig::profile`]).
     pub sched: Vec<simnet::SchedEvent>,
 }
 
@@ -225,9 +224,6 @@ where
     cfg.cost = cfg.cost.scaled_for_model(n);
     let cfg = &cfg;
     let mut cluster = Cluster::new(p, cfg.cost.network());
-    if let Some(engine) = cfg.engine {
-        cluster = cluster.with_engine(engine);
-    }
     if let Some(bytes) = cfg.stack_bytes {
         cluster = cluster.with_stack_bytes(bytes);
     }
@@ -574,6 +570,40 @@ mod tests {
         for (x, y) in a.records.iter().zip(&b.records) {
             assert_eq!(x.train_loss, y.train_loss);
             assert_eq!(x.comm, y.comm);
+        }
+    }
+
+    /// End-to-end trainer schedule invariance: the `train.*` instruments
+    /// (phase times, nnz histogram, residual norms) are Virtual-class, so a
+    /// run serialized on one worker and one where every rank is its own
+    /// runnable thread must record them bit for bit.
+    #[test]
+    fn trainer_metrics_match_across_worker_counts() {
+        let mut cfg = small_cfg(Scheme::OkTopk);
+        cfg.iters = 4;
+        cfg.eval_every = 0;
+        let data = SyntheticImages::with_shape(1, 4, 3, 8, 0.5);
+        let model = || VggLite::with_width(7, 4, 8, 16, 4, 8);
+        let batch = move |it: u64, r: usize, w: usize| data.train_batch(it, r, w, 2);
+        cfg.cost = cfg.cost.scaled_for_model(model().num_params());
+        let run = |workers: usize| {
+            Cluster::new(3, cfg.cost.network())
+                .with_workers(workers)
+                .run(|comm| train_rank(comm, &cfg, &model, &batch, &[]).records.len())
+        };
+        let serial = run(1);
+        let parallel = run(3);
+        assert_eq!(serial.makespan(), parallel.makespan(), "makespan diverged");
+        assert_eq!(
+            serial.metrics.parity_view(),
+            parallel.metrics.parity_view(),
+            "trainer virtual metrics diverged across worker counts"
+        );
+        for name in ["train.compute_vsec", "train.sparsify_vsec", "train.residual_l2"] {
+            assert!(
+                serial.metrics.parity_view().iter().any(|(n, _)| n == name),
+                "missing trainer metric {name}"
+            );
         }
     }
 }

@@ -1,13 +1,15 @@
-//! Cross-engine observability parity at the scheme level: for every
+//! Schedule-invariant observability at the scheme level: for every
 //! gradient-exchange scheme (the paper's seven and the hierarchical
 //! variants), the Virtual-class metrics recorded
 //! during a run (recv-wait, tx/rx bytes, message histograms, chaos counters,
-//! trainer phase times, …) must be bit-identical between `Engine::Thread` and
-//! `Engine::Event` — clean and under a chaos plan. Host-class metrics (pool
-//! behavior, scheduler token traffic, wall time) are exempt by design. Turning
-//! observability off must change nothing but the (then empty) metrics.
+//! …) must be bit-identical between a run serialized on one worker (W = 1)
+//! and one where every rank is its own runnable thread (W = P) — clean and
+//! under a chaos plan. Host-class metrics (pool behavior, scheduler token
+//! traffic, wall time) are exempt by design. Turning observability off must
+//! change nothing but the (then empty) metrics. The trainer's own `train.*`
+//! instruments are held to the same in `trainer.rs`'s unit tests.
 
-use simnet::{ChaosPlan, Cluster, Engine, PhaseVolume, SimReport};
+use simnet::{ChaosPlan, Cluster, PhaseVolume, SimReport};
 use train::{CostProfile, Reducer, Scheme, Update};
 
 /// Deterministic pseudo-gradient: a fixed function of (rank, iter, index).
@@ -49,13 +51,16 @@ impl Run {
     }
 }
 
-/// Run three reduce steps of `scheme` on 4 ranks under `engine`, with
-/// observability `obs`.
-fn run_once(scheme: Scheme, engine: Engine, chaos: bool, obs: bool) -> Run {
-    let p = 4;
+/// Ranks of [`run_once`].
+const P: usize = 4;
+
+/// Run three reduce steps of `scheme` on [`P`] ranks with `workers` run
+/// tokens, with observability `obs`.
+fn run_once(scheme: Scheme, workers: usize, chaos: bool, obs: bool) -> Run {
+    let p = P;
     let n = 512;
     let cost = CostProfile::paper_calibrated();
-    let mut cluster = Cluster::new(p, cost.network()).with_obs(obs).with_engine(engine);
+    let mut cluster = Cluster::new(p, cost.network()).with_obs(obs).with_workers(workers);
     if chaos {
         let plan = ChaosPlan::new(11)
             .straggler(1, 1.6)
@@ -80,7 +85,7 @@ fn run_once(scheme: Scheme, engine: Engine, chaos: bool, obs: bool) -> Run {
     Run::of(report)
 }
 
-/// An event-engine run with observability off must match the `on` run in
+/// A run with observability off must match the `on` run in
 /// results, clocks and ledger, and record no metrics at all.
 fn assert_obs_off_changes_nothing(on: &Run, off: &Run, label: &str) {
     assert_eq!(on.results, off.results, "{label}: obs off changed the results");
@@ -90,20 +95,21 @@ fn assert_obs_off_changes_nothing(on: &Run, off: &Run, label: &str) {
 }
 
 fn assert_scheme_parity(scheme: Scheme, chaos: bool) {
-    let thread = run_once(scheme, Engine::Thread, chaos, true);
-    let event = run_once(scheme, Engine::Event, chaos, true);
+    let serial = run_once(scheme, 1, chaos, true);
+    let parallel = run_once(scheme, P, chaos, true);
     let label = scheme.name();
-    assert_eq!(thread.results, event.results, "{label}: reduce results diverged across engines");
-    assert_eq!(thread.clocks, event.clocks, "{label}: virtual clocks diverged across engines");
+    assert_eq!(serial.results, parallel.results, "{label}: reduce results diverged across W");
+    assert_eq!(serial.clocks, parallel.clocks, "{label}: virtual clocks diverged across W");
+    assert_eq!(serial.ledger, parallel.ledger, "{label}: ledgers diverged across W");
     assert_eq!(
-        thread.metrics, event.metrics,
-        "{label}: virtual-class metrics diverged across engines"
+        serial.metrics, parallel.metrics,
+        "{label}: virtual-class metrics diverged across W"
     );
     assert!(
-        thread.metrics.iter().any(|(name, _)| name == "sim.recv_wait_vsec"),
+        serial.metrics.iter().any(|(name, _)| name == "sim.recv_wait_vsec"),
         "{label}: recv-wait metric missing with obs forced on"
     );
-    assert_obs_off_changes_nothing(&event, &run_once(scheme, Engine::Event, chaos, false), label);
+    assert_obs_off_changes_nothing(&parallel, &run_once(scheme, P, chaos, false), label);
 }
 
 #[test]
@@ -124,9 +130,9 @@ fn all_schemes_have_metric_parity_under_chaos() {
 /// counterparts, so the suites above only exercise the degenerate paths. Run
 /// them again on a genuine two-tier topology (8 ranks, 4 per node, 8×
 /// oversubscription) so the intra-reduce → leader-exchange → broadcast
-/// pipeline itself is held to the same cross-engine bit-parity guarantee,
-/// clean and under chaos.
-fn run_hier(scheme: Scheme, engine: Engine, chaos: bool, obs: bool) -> Run {
+/// pipeline itself is held to the same schedule-invariance guarantee, clean
+/// and under chaos.
+fn run_hier(scheme: Scheme, workers: usize, chaos: bool, obs: bool) -> Run {
     let p = 8;
     let n = 512;
     let rpn = 4;
@@ -134,7 +140,7 @@ fn run_hier(scheme: Scheme, engine: Engine, chaos: bool, obs: bool) -> Run {
     let topo =
         simnet::Topology::two_tier(rpn, (1e-6, 1e-9), (25e-6, 4e-9)).with_oversubscription(8.0);
     let mut cluster =
-        Cluster::new(p, cost.network()).with_obs(obs).with_engine(engine).with_topology(topo);
+        Cluster::new(p, cost.network()).with_obs(obs).with_workers(workers).with_topology(topo);
     if chaos {
         let plan = ChaosPlan::new(23)
             .straggler(3, 1.5)
@@ -165,58 +171,17 @@ const HIER_SCHEMES: [Scheme; 3] = [Scheme::HierDense, Scheme::HierGTopk, Scheme:
 fn hier_schemes_have_engine_parity_on_two_tier_topology() {
     for scheme in HIER_SCHEMES {
         for chaos in [false, true] {
-            let thread = run_hier(scheme, Engine::Thread, chaos, true);
-            let event = run_hier(scheme, Engine::Event, chaos, true);
+            let serial = run_hier(scheme, 1, chaos, true);
+            let parallel = run_hier(scheme, 8, chaos, true);
             let label = scheme.name();
-            assert_eq!(thread.results, event.results, "{label} chaos={chaos}: results diverged");
-            assert_eq!(thread.clocks, event.clocks, "{label} chaos={chaos}: clocks diverged");
-            assert_eq!(thread.metrics, event.metrics, "{label} chaos={chaos}: metrics diverged");
+            assert_eq!(serial.results, parallel.results, "{label} chaos={chaos}: results diverged");
+            assert_eq!(serial.clocks, parallel.clocks, "{label} chaos={chaos}: clocks diverged");
+            assert_eq!(serial.ledger, parallel.ledger, "{label} chaos={chaos}: ledgers diverged");
+            assert_eq!(serial.metrics, parallel.metrics, "{label} chaos={chaos}: metrics diverged");
             if chaos {
-                let off = run_hier(scheme, Engine::Event, chaos, false);
-                assert_obs_off_changes_nothing(&event, &off, label);
+                let off = run_hier(scheme, 8, chaos, false);
+                assert_obs_off_changes_nothing(&parallel, &off, label);
             }
         }
-    }
-}
-
-/// End-to-end trainer parity: the `train.*` instruments (phase times, nnz
-/// histogram, residual norms) recorded through `run_data_parallel` are also
-/// Virtual-class and must match across engines.
-#[test]
-fn trainer_metrics_match_across_engines() {
-    use dnn::data::SyntheticImages;
-    use dnn::models::VggLite;
-    use train::{run_data_parallel, OptimizerKind, TrainConfig};
-
-    let run = |engine: Engine| {
-        let mut cfg = TrainConfig::new(Scheme::OkTopk, 0.05);
-        cfg.iters = 4;
-        cfg.local_batch = 2;
-        cfg.tau = 2;
-        cfg.tau_prime = 2;
-        cfg.optimizer = OptimizerKind::Sgd { lr: 0.05 };
-        cfg.engine = Some(engine);
-        let data = SyntheticImages::with_shape(1, 4, 3, 8, 0.5);
-        run_data_parallel(
-            3,
-            &cfg,
-            || VggLite::with_width(7, 4, 8, 16, 4, 8),
-            move |it, r, w| data.train_batch(it, r, w, 2),
-            &[],
-        )
-    };
-    let thread = run(Engine::Thread);
-    let event = run(Engine::Event);
-    assert_eq!(thread.makespan, event.makespan, "makespan diverged");
-    assert_eq!(
-        thread.metrics.parity_view(),
-        event.metrics.parity_view(),
-        "trainer virtual metrics diverged across engines"
-    );
-    for name in ["train.compute_vsec", "train.sparsify_vsec", "train.residual_l2"] {
-        assert!(
-            thread.metrics.parity_view().iter().any(|(n, _)| n == name),
-            "missing trainer metric {name}"
-        );
     }
 }

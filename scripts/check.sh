@@ -23,7 +23,8 @@
 #   fails the script if Hier-Ok-Topk does not beat flat Ok-Topk once the
 #   effective inter/intra beta ratio reaches 8x, if a repeated cell is not
 #   bit-identical, or if inter-link chaos speeds any cell up.
-# - scale checks bit-parity with the thread-engine oracle at P=32, then fails
+# - scale checks bit-parity between W = 1 (fully serialized) and the default
+#   worker count at P=32, then fails
 #   the script if Ok-Topk at P=1024 misses its wall/memory budget (60 s /
 #   108 MiB), or if the P=2048 headline misses its 30 s budget (>= 1.5x over
 #   the PR 7 baseline), its 224 MiB memory budget, or reports a zero scheduler
@@ -253,6 +254,23 @@ if grep -rnE '\b(irecv|wait_recv|test_recv|RecvHandle|take_u32|recycle_u32|advan
   exit 1
 fi
 
+echo "== one engine, one simulator crate (DESIGN.md §10) =="
+# The thread-per-rank oracle, its transport, watchdog, recv deadline and the
+# chaos wall hold it alone served were deleted: the schedule-invariance suites
+# compare W = 1 with W = P on the one event engine (EXPERIMENTS.md § "One
+# engine" has the mutation table). topo and chaos are simnet modules.
+if grep -rnE 'Engine::Thread|Backend::|run_threaded|BarrierState|recv_timeout|wall_hold|crossbeam|Condvar' \
+     crates tests examples; then
+  echo "FAIL: a second engine or its machinery is back (lines above)" >&2
+  exit 1
+fi
+for dir in crates/topo crates/chaos; do
+  if [ -d "$dir" ]; then
+    echo "FAIL: $dir is back; topology and chaos are simnet modules" >&2
+    exit 1
+  fi
+done
+
 echo "== pruned stays pruned (DESIGN.md §2) =="
 # Quantization, the hybrid-pipeline sweep, checkpointing, the recipe helpers,
 # alltoallv and the criterion benches were deleted because no figure, gate or
@@ -273,7 +291,8 @@ echo "== frozen benchmark surface still has its callers (DESIGN.md §7) =="
 # When a benchmark PR drops the last call of one, the shim must go with it.
 for name in 'okpar::configured_threads' 'okpar::prewarm' 'okpar::run_chunks' \
             'select_ge_with_threads' 'exact_threshold_scratch' 'with_sched(' 'SchedMode' \
-            'export_state' 'balance_and_allgatherv(' 'isend('; do
+            'export_state' 'balance_and_allgatherv(' 'isend(' 'with_engine(' 'Engine::Event' \
+            'cfg.engine'; do
   if ! grep -rqF "$name" benchmark/src; then
     echo "FAIL: shim $name has no caller left — delete it" >&2
     exit 1

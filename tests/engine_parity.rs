@@ -1,12 +1,13 @@
-//! Cross-engine differential test: every allreduce scheme, run under the
-//! thread engine (the original, kernel-scheduled oracle) and the discrete-event
-//! engine, must produce bit-identical updates, virtual-clock trajectories and
-//! traffic ledgers — clean and under chaos. This is the guarantee that lets
-//! the event engine carry P ≥ 1024 sweeps while the thread engine vouches for
-//! its correctness at small P.
+//! Schedule-invariance test: every allreduce scheme, run fully serialized
+//! (W = 1 run token: one rank at a time, in a deterministic grant order) and
+//! with every rank its own runnable OS thread (W = P), must produce
+//! bit-identical updates, virtual-clock trajectories and traffic ledgers —
+//! clean and under chaos. Clocks depend only on per-rank program order and
+//! matched message order, so no grant order the scheduler or the kernel picks
+//! may move a bit (DESIGN.md §10).
 
 use proptest::prelude::*;
-use simnet::{ChaosPlan, Cluster, Comm, CostModel, Engine};
+use simnet::{ChaosPlan, Cluster, Comm, CostModel};
 use train::{CostProfile, Reducer, Scheme, Update};
 
 const P: usize = 8;
@@ -42,7 +43,7 @@ struct RankTrajectory {
     times: Vec<f64>,
 }
 
-/// Everything an engine can influence if it breaks determinism.
+/// Everything a schedule can influence if it breaks determinism.
 #[derive(PartialEq, Debug)]
 struct RunOutcome {
     trajectories: Vec<RankTrajectory>,
@@ -53,13 +54,13 @@ struct RunOutcome {
 
 fn run_scheme(
     scheme: Scheme,
-    engine: Engine,
+    workers: usize,
     p: usize,
     n: usize,
     iters: usize,
     chaos: Option<ChaosPlan>,
 ) -> RunOutcome {
-    let mut cluster = Cluster::new(p, CostModel::aries()).with_engine(engine);
+    let mut cluster = Cluster::new(p, CostModel::aries()).with_workers(workers);
     if let Some(plan) = chaos {
         cluster = cluster.with_chaos(plan);
     }
@@ -92,22 +93,22 @@ fn run_scheme(
 #[test]
 fn every_scheme_is_bit_identical_across_engines_clean() {
     for scheme in Scheme::all() {
-        let thread = run_scheme(scheme, Engine::Thread, P, N, ITERS, None);
-        let event = run_scheme(scheme, Engine::Event, P, N, ITERS, None);
-        assert_eq!(thread, event, "{} diverged across engines (clean)", scheme.name());
+        let serial = run_scheme(scheme, 1, P, N, ITERS, None);
+        let parallel = run_scheme(scheme, P, P, N, ITERS, None);
+        assert_eq!(serial, parallel, "{} diverged across worker counts (clean)", scheme.name());
     }
 }
 
 #[test]
 fn every_scheme_is_bit_identical_across_engines_under_chaos() {
     for scheme in Scheme::all() {
-        let thread = run_scheme(scheme, Engine::Thread, P, N, ITERS, Some(plan(P)));
-        let event = run_scheme(scheme, Engine::Event, P, N, ITERS, Some(plan(P)));
-        assert_eq!(thread, event, "{} diverged across engines (chaos)", scheme.name());
+        let serial = run_scheme(scheme, 1, P, N, ITERS, Some(plan(P)));
+        let parallel = run_scheme(scheme, P, P, N, ITERS, Some(plan(P)));
+        assert_eq!(serial, parallel, "{} diverged across worker counts (chaos)", scheme.name());
         // The plan genuinely perturbed the run; parity on an unperturbed run
         // would prove nothing about the chaos charging paths.
         assert!(
-            (event.trajectories[1].times[0] - event.trajectories[0].times[0]).abs() > 0.0,
+            (parallel.trajectories[1].times[0] - parallel.trajectories[0].times[0]).abs() > 0.0,
             "{}: straggler left no trace in the trajectory",
             scheme.name()
         );
@@ -116,11 +117,11 @@ fn every_scheme_is_bit_identical_across_engines_under_chaos() {
 
 #[test]
 fn ok_topk_parity_holds_at_p64() {
-    // One larger spot-check: 64 ranks is past where scheduling interleavings
-    // get genuinely wild, and it is the issue's upper bound for oracle runs.
-    let thread = run_scheme(Scheme::OkTopk, Engine::Thread, 64, 256, 2, None);
-    let event = run_scheme(Scheme::OkTopk, Engine::Event, 64, 256, 2, None);
-    assert_eq!(thread, event, "Ok-Topk diverged across engines at P=64");
+    // One larger spot-check: 64 ranks, each its own runnable thread, is past
+    // where scheduling interleavings get genuinely wild.
+    let serial = run_scheme(Scheme::OkTopk, 1, 64, 256, 2, None);
+    let parallel = run_scheme(Scheme::OkTopk, 64, 64, 256, 2, None);
+    assert_eq!(serial, parallel, "Ok-Topk diverged across worker counts at P=64");
 }
 
 /// Build a randomized chaos plan from a seed; every knob the charging paths
@@ -142,20 +143,22 @@ fn random_plan(seed: u64, p: usize) -> ChaosPlan {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random scheme × random P ≤ 16 × random chaos plan: the engines must
-    /// still agree bit-for-bit. Small N and 2 iterations keep each case cheap;
-    /// the case count still covers every scheme family over a run.
+    /// Random scheme × random P ≤ 16 × random worker count × random chaos
+    /// plan: every schedule must still agree bit-for-bit with the serialized
+    /// one. Small N and 2 iterations keep each case cheap; the case count
+    /// still covers every scheme family over a run.
     #[test]
     fn engines_agree_on_random_scheme_p_and_chaos(
         scheme_idx in 0usize..7,
         p in 2usize..=16,
+        workers in 2usize..=16,
         seed in 0u64..1_000_000,
         chaotic in 0usize..2,
     ) {
         let scheme = Scheme::all()[scheme_idx];
         let chaos = if chaotic == 1 { Some(random_plan(seed, p)) } else { None };
-        let thread = run_scheme(scheme, Engine::Thread, p, 256, 2, chaos.clone());
-        let event = run_scheme(scheme, Engine::Event, p, 256, 2, chaos);
-        prop_assert_eq!(thread, event);
+        let serial = run_scheme(scheme, 1, p, 256, 2, chaos.clone());
+        let drawn = run_scheme(scheme, workers, p, 256, 2, chaos);
+        prop_assert_eq!(serial, drawn);
     }
 }
