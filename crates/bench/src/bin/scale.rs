@@ -5,7 +5,7 @@
 //! gTopk and dense allreduce — fit in one address space with a bounded set of
 //! runnable ranks. This harness:
 //!
-//! - sweeps P ∈ {32, 128, 512, 1024, 2048} × {Dense, gTopk, Ok-Topk},
+//! - sweeps P ∈ {32, 128, 512, 1024, 2048, 4096} × {Dense, gTopk, Ok-Topk},
 //!   recording modeled makespan, wall time and peak RSS;
 //! - cross-checks schedules at P=32: a run serialized on one worker (W = 1)
 //!   and one on the default worker count must give bit-identical makespan and
@@ -13,11 +13,13 @@
 //! - with `--gate`, asserts Ok-Topk at P=1024 completes within a wall/memory
 //!   budget and holds the PR 9 headline at P=2048 (≥1.5x over the BENCH_PR7
 //!   baseline, with direct handoff carrying grants, inside its own memory
-//!   budget). All legs are hard failures.
+//!   budget). All legs are hard failures; P = 4096 is in the full sweep only.
 //!
 //! Every row also records the scheduler's counters (parks per rank per step,
-//! handoff rate, spin hits, elided parks) so regressions in the dispatch path
-//! show up next to the wall time they cause.
+//! handoff rate, elided parks) so regressions in the dispatch path show up
+//! next to the wall time they cause. A handoff *hit* is a grant the granting
+//! worker ran itself, straight after its fiber switched out; a *miss* is a
+//! grant that woke an idle worker.
 //!
 //! Usage: `cargo run --release -p okbench --bin scale [-- --quick] [--gate]
 //! [--out PATH]`.
@@ -35,27 +37,25 @@ const STACK_BYTES: usize = 1 << 20;
 const SCHEMES: [Scheme; 3] = [Scheme::Dense, Scheme::GTopk, Scheme::OkTopk];
 
 /// Gate budgets for Ok-Topk at P=1024. The wall budget is absolute with
-/// generous headroom (~2 s measured on a 2-core CI-class host). The memory
+/// generous headroom (~1.2 s measured on a 2-core CI-class host). The memory
 /// budget is meant to fail: peak RSS repeats to within a MiB or two, so it
-/// sits between what per-rank copies of values every rank agrees on cost
-/// (113–114 MiB: a boundary vector, a consensus sum with a copy per doubling
-/// round, a threshold and a scaled update on every rank) and what the step
-/// costs with each of them made once per process (103–104 MiB).
+/// sits between what a thread per rank costs (102.6–104.5 MiB: its stack
+/// mapping, its kernel task and its thread-local blocks) and what the step
+/// costs with each rank a fiber (92.6–93.2 MiB).
 const GATE_P: usize = 1024;
 const GATE_WALL_BUDGET: Duration = Duration::from_secs(60);
-const GATE_MEM_BUDGET_KB: u64 = 108 * 1024; // 108 MiB peak RSS
+const GATE_MEM_BUDGET_KB: u64 = 98 * 1024; // 98 MiB peak RSS
 
 /// PR 9 headline leg: Ok-Topk at P=2048. The PR 7 baseline recorded ~46.2 s
-/// there (`BENCH_PR7.json`); direct handoff, cohort wakeups and adaptive spin
-/// bring it to ~22 s on the same host. The budget asserts at least the
-/// claimed 1.5x over that baseline (46.2 / 1.5 ≈ 30.8 s) with headroom over
-/// the measured wall for CI noise.
+/// there (`BENCH_PR7.json`); direct handoff and cohort wakeups brought it to
+/// ~10 s with a thread per rank, and ~4.5 s with fibers. The budget asserts at
+/// least the claimed 1.5x over that baseline (46.2 / 1.5 ≈ 30.8 s) with
+/// headroom over the measured wall for CI noise.
 const HEADLINE_P: usize = 2048;
 const HEADLINE_WALL_BUDGET: Duration = Duration::from_secs(30);
 /// Peak RSS budget at the headline cell, set the same way as the P=1024 one:
-/// 237–238 MiB with per-rank copies of what the ranks agree on, 206–212 MiB
-/// with one per process.
-const HEADLINE_MEM_BUDGET_KB: u64 = 224 * 1024; // 224 MiB peak RSS
+/// 209.6–212.2 MiB with a thread per rank, 183.7–186.2 MiB with fibers.
+const HEADLINE_MEM_BUDGET_KB: u64 = 198 * 1024; // 198 MiB peak RSS
 /// Ok-Topk P=2048 event-engine wall from BENCH_PR7.json, for the speedup line.
 const BASELINE_PR7_MS: f64 = 46165.1;
 
@@ -77,7 +77,6 @@ struct SchedStats {
     token_grants: u64,
     handoff_hit: u64,
     handoff_miss: u64,
-    spin_hit: u64,
     park_elided: u64,
 }
 
@@ -92,7 +91,6 @@ impl SchedStats {
             token_grants: counter("engine.token_grants"),
             handoff_hit: counter("engine.handoff_hit"),
             handoff_miss: counter("engine.handoff_miss"),
-            spin_hit: counter("engine.spin_hit"),
             park_elided: counter("engine.park_elided"),
         }
     }
@@ -103,8 +101,9 @@ impl SchedStats {
         self.parks as f64 / (p * ITERS) as f64
     }
 
-    /// Fraction of token grants that went through the direct-handoff path
-    /// (hit or miss) rather than a plain heap pop.
+    /// Fraction of token grants handed straight to a worker — the granting
+    /// one (hit) or an idle one it woke (miss) — rather than left in the run
+    /// queue for the next worker to free up.
     fn handoff_rate(&self) -> f64 {
         if self.token_grants == 0 {
             return 0.0;
@@ -268,7 +267,7 @@ fn write_json(
             "    {{\"scheme\": \"{}\", \"p\": {}, \"engine\": \"{}\", \"makespan\": {:.6e}, \
              \"checksum\": \"{:016x}\", \"wall_ms\": {:.1}, \"vm_hwm_kb\": {}, \"vm_rss_kb\": {}, \
              \"parks\": {}, \"parks_per_rank_step\": {:.3}, \"handoff_rate\": {:.4}, \
-             \"handoff_hit\": {}, \"spin_hit\": {}, \"park_elided\": {}}}{}\n",
+             \"handoff_hit\": {}, \"handoff_miss\": {}, \"park_elided\": {}}}{}\n",
             r.scheme.name(),
             r.p,
             okbench::Header::engine_name(),
@@ -281,7 +280,7 @@ fn write_json(
             r.sched.parks_per_rank_step(r.p),
             r.sched.handoff_rate(),
             r.sched.handoff_hit,
-            r.sched.spin_hit,
+            r.sched.handoff_miss,
             r.sched.park_elided,
             if i + 1 < rows.len() { "," } else { "" }
         ));
@@ -309,7 +308,7 @@ fn main() {
     } else if quick {
         &[32, 128, 512]
     } else {
-        &[32, 128, 512, 1024, 2048]
+        &[32, 128, 512, 1024, 2048, 4096]
     };
 
     eprintln!("scale: n={N} density={DENSITY} iters={ITERS} sizes={sizes:?}");

@@ -1,10 +1,12 @@
 //! Steady-state allocation audit for the shared-result dense allreduce.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; a thread-local
-//! flag arms the counter, so each rank's thread is charged for its own
-//! allocations only. After a warm-up that fills the per-rank buffer pools (and
-//! lets the channel blocks, ledger cells, and thread-locals come into
-//! existence), one full ring-allreduce step on P = 3 ranks must perform
+//! A counting `#[global_allocator]` wraps the system allocator; a per-rank
+//! flag arms the counter, keyed by [`simnet::current_rank`] — ranks migrate
+//! between worker threads, so a thread-local would be shared by every rank a
+//! worker runs — and each rank is charged for its own allocations only. After
+//! a warm-up that fills the per-rank buffer pools (and lets the channel
+//! blocks and ledger cells come into existence), one full ring-allreduce step
+//! on P = 3 ranks must perform
 //! exactly these heap allocations, and no others:
 //!
 //! - **reduce-scatter half: one**, the rank's reduced region as an exact n/P
@@ -26,10 +28,10 @@
 //! neighbour channel, and the measured iteration starts at message 21 — well
 //! inside the channel's first 31-message block, so no block allocation can
 //! land on the armed iteration. This file must stay a single-test binary so
-//! no sibling test shares an armed thread.
+//! no sibling test's rank shares an armed rank id.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 
 use collectives::allreduce_shared;
 use simnet::{Cluster, CostModel};
@@ -39,21 +41,18 @@ struct CountingAlloc;
 const P: usize = 3; // non-power-of-two → ring algorithm
 const N: usize = 96; // divisible by P: equal chunks, stable pool capacities
 
-thread_local! {
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-    static RESULT_SIZED: Cell<usize> = const { Cell::new(0) };
-}
+static ARMED: [AtomicBool; P] = [const { AtomicBool::new(false) }; P];
+static ALLOCS: [AtomicUsize; P] = [const { AtomicUsize::new(0) }; P];
+static RESULT_SIZED: [AtomicUsize; P] = [const { AtomicUsize::new(0) }; P];
 
 fn charge(bytes: usize) {
-    ARMED.with(|armed| {
-        if armed.get() {
-            ALLOCS.with(|c| c.set(c.get() + 1));
-            if bytes >= 4 * N {
-                RESULT_SIZED.with(|c| c.set(c.get() + 1));
-            }
+    let Some(rank) = simnet::current_rank() else { return };
+    if ARMED[rank].load(Relaxed) {
+        ALLOCS[rank].fetch_add(1, Relaxed);
+        if bytes >= 4 * N {
+            RESULT_SIZED[rank].fetch_add(1, Relaxed);
         }
-    });
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -80,31 +79,25 @@ fn steady_state_ring_allreduce_allocates_its_piece_and_one_result() {
     const WARMUP: usize = 5;
 
     let report = Cluster::new(P, CostModel::aries()).run(|comm| {
-        // Touch the thread-locals while unarmed: the first TLS access on this
-        // rank thread must not be charged to the measured iteration.
-        ARMED.with(|a| a.set(false));
-        ALLOCS.with(|c| c.set(0));
-        RESULT_SIZED.with(|c| c.set(0));
-
         let rank = comm.rank();
         let data: Vec<f32> = (0..N).map(|i| (rank * N + i) as f32 * 1e-3 + 1.0).collect();
 
         // Warm-up: fills the f32 buffer pool, creates the ledger cell and the
-        // channel's first block, and parks/unparks the thread at least once.
+        // channel's first block, and parks and resumes the rank at least once.
         for _ in 0..WARMUP {
             allreduce_shared(comm, &data, 0.0, |_| {});
         }
 
         // Armed phase: one more identical iteration, every rank counting its
-        // own thread.
-        ARMED.with(|a| a.set(true));
+        // own allocations.
+        ARMED[rank].store(true, Relaxed);
         let sum = allreduce_shared(comm, &data, 0.0, |_| {});
-        ARMED.with(|a| a.set(false));
+        ARMED[rank].store(false, Relaxed);
 
         // Sanity: the measured iteration did real work.
         let checksum: f32 = sum.iter().sum();
         let sane = sum.len() == N && checksum.is_finite() && checksum > 0.0;
-        (ALLOCS.with(|c| c.get()), RESULT_SIZED.with(|c| c.get()), sane)
+        (ALLOCS[rank].load(Relaxed), RESULT_SIZED[rank].load(Relaxed), sane)
     });
 
     let mut assemblers = 0;

@@ -3,8 +3,9 @@
 //! P ranks share one address space here, so a per-rank scratch structure whose
 //! length is P costs the process O(P²) — the term that bounded how large a P
 //! fits in memory. This audit pins it where it can be counted: a counting
-//! `#[global_allocator]` armed on rank 0's thread only (as in
-//! `collectives/tests/zero_alloc_ring.rs`) sums the bytes *requested* during
+//! `#[global_allocator]` armed on rank 0 only — keyed by
+//! [`simnet::current_rank`], as in `collectives/tests/zero_alloc_ring.rs` —
+//! sums the bytes *requested* during
 //! one [`OkTopk`] step at P = 64 and at P = 256 with n and k fixed, and the
 //! slope between the two is the per-peer cost. Two steps are measured: one
 //! that reuses the thresholds and boundaries, and one that recomputes both
@@ -48,11 +49,11 @@
 //! |                                                         | recompute | 11 504 |  15 000 |  17.0 – 18.2 |
 //!
 //! The recompute row's range is five runs. This file must stay a single-test
-//! binary so no sibling test shares the armed thread.
+//! binary so no sibling test's rank shares the armed rank id.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::borrow::Cow;
-use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 use oktopk::{OkTopk, OkTopkConfig};
@@ -60,17 +61,17 @@ use simnet::{Cluster, Comm, CostModel, Net, WireSize};
 
 struct CountingAlloc;
 
-thread_local! {
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-    static BYTES: Cell<usize> = const { Cell::new(0) };
-}
+/// The largest P measured.
+const MAX_P: usize = 256;
+
+static ARMED: [AtomicBool; MAX_P] = [const { AtomicBool::new(false) }; MAX_P];
+static BYTES: [AtomicUsize; MAX_P] = [const { AtomicUsize::new(0) }; MAX_P];
 
 fn charge(bytes: usize) {
-    ARMED.with(|armed| {
-        if armed.get() {
-            BYTES.with(|b| b.set(b.get() + bytes));
-        }
-    });
+    let Some(rank) = simnet::current_rank() else { return };
+    if ARMED[rank].load(Relaxed) {
+        BYTES[rank].fetch_add(bytes, Relaxed);
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -95,11 +96,14 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// The rank's `Comm` with the allocation counter disarmed inside every call.
 struct Uncounted<'a>(&'a mut Comm);
 
-fn uncounted<R>(f: impl FnOnce() -> R) -> R {
-    let was = ARMED.with(|a| a.replace(false));
-    let out = f();
-    ARMED.with(|a| a.set(was));
-    out
+impl Uncounted<'_> {
+    fn uncounted<R>(&mut self, f: impl FnOnce(&mut Comm) -> R) -> R {
+        let armed = &ARMED[self.0.rank()];
+        let was = armed.swap(false, Relaxed);
+        let out = f(self.0);
+        armed.store(was, Relaxed);
+        out
+    }
 }
 
 impl Net for Uncounted<'_> {
@@ -110,10 +114,10 @@ impl Net for Uncounted<'_> {
         self.0.size()
     }
     fn send<T: WireSize + Send + 'static>(&mut self, dst: usize, tag: u64, value: T) {
-        uncounted(|| self.0.send(dst, tag, value))
+        self.uncounted(|c| c.send(dst, tag, value))
     }
     fn recv<T: Send + 'static>(&mut self, src: usize, tag: u64) -> T {
-        uncounted(|| self.0.recv(src, tag))
+        self.uncounted(|c| c.recv(src, tag))
     }
     fn compute(&mut self, seconds: f64) {
         self.0.compute(seconds)
@@ -122,13 +126,13 @@ impl Net for Uncounted<'_> {
         self.0.now()
     }
     fn set_phase(&mut self, phase: impl Into<Cow<'static, str>>) {
-        uncounted(|| self.0.set_phase(phase))
+        self.uncounted(|c| c.set_phase(phase))
     }
     fn set_free_mode(&mut self, on: bool) {
         self.0.set_free_mode(on)
     }
     fn barrier(&mut self) {
-        uncounted(|| self.0.barrier())
+        self.uncounted(|c| c.barrier())
     }
     fn send_shared<T: WireSize + Send + Sync + 'static>(
         &mut self,
@@ -136,10 +140,10 @@ impl Net for Uncounted<'_> {
         tag: u64,
         value: Arc<T>,
     ) {
-        uncounted(|| self.0.send_shared(dst, tag, value))
+        self.uncounted(|c| c.send_shared(dst, tag, value))
     }
     fn recv_shared<T: Send + Sync + 'static>(&mut self, src: usize, tag: u64) -> Arc<T> {
-        uncounted(|| self.0.recv_shared(src, tag))
+        self.uncounted(|c| c.recv_shared(src, tag))
     }
 }
 
@@ -176,9 +180,10 @@ fn step_bytes(p: usize, step: Step) -> usize {
     };
     let report = Cluster::new(p, CostModel::aries()).with_stack_bytes(1 << 20).run(|comm| {
         let comm = &mut Uncounted(comm);
-        ARMED.with(|a| a.set(false));
-        BYTES.with(|b| b.set(0));
-        let acc = acc(comm.rank());
+        let rank = comm.rank();
+        ARMED[rank].store(false, Relaxed);
+        BYTES[rank].store(0, Relaxed);
+        let acc = acc(rank);
         let mut okt = OkTopk::new(OkTopkConfig::new(N, K).with_periods(period, period));
         for t in 1..=WARMUP {
             okt.allreduce(comm, &acc, t);
@@ -187,12 +192,12 @@ fn step_bytes(p: usize, step: Step) -> usize {
         let recomputes = okt.is_reeval_iteration(t) && okt.is_repartition_iteration(t);
         let reuses = !okt.is_reeval_iteration(t) && !okt.is_repartition_iteration(t);
         assert!(if let Step::Reuse = step { reuses } else { recomputes });
-        if comm.rank() == 0 {
-            ARMED.with(|a| a.set(true));
+        if rank == 0 {
+            ARMED[rank].store(true, Relaxed);
         }
         let out = okt.allreduce(comm, &acc, t);
-        ARMED.with(|a| a.set(false));
-        (BYTES.with(|b| b.get()), out.global_nnz)
+        ARMED[rank].store(false, Relaxed);
+        (BYTES[rank].load(Relaxed), out.global_nnz)
     });
     let (bytes, global_nnz) = report.results[0];
     assert!(global_nnz > 0, "measured step reduced nothing");

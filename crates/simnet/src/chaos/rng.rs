@@ -1,7 +1,7 @@
 //! Stateless, platform-independent randomness for jitter draws.
 //!
-//! A stateful RNG shared across rank threads would make draw order depend on
-//! thread scheduling; hashing `(seed, rule, src, dst, sequence)` instead makes
+//! A stateful RNG shared across ranks would make draw order depend on the
+//! schedule; hashing `(seed, rule, src, dst, sequence)` instead makes
 //! every draw a pure function of program-order quantities.
 
 /// One round of the splitmix64 output permutation.

@@ -5,25 +5,27 @@ use crate::chaos::{ChaosPlan, ChaosView};
 use crate::comm::{Comm, PoolBudget, SimMetrics, POOL_BUDGET_DEFAULT_BYTES};
 use crate::cost::CostModel;
 use crate::engine::{Cascade, Engine, EngineMetrics, EventCore, SchedEvent, SchedMode};
+use crate::fiber::Fiber;
 use crate::ledger::{Ledger, LedgerSnapshot};
 use crate::topo::Topology;
+use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// A simulated cluster of `size` ranks governed by one [`CostModel`].
 ///
-/// `Cluster` is cheap to construct; each [`run`](Self::run) spawns fresh rank threads,
+/// `Cluster` is cheap to construct; each [`run`](Self::run) makes fresh rank fibers,
 /// a fresh traffic ledger and fresh clocks, so runs are independent and deterministic.
 pub struct Cluster {
     size: usize,
     cost: CostModel,
-    /// Stack size for rank threads. Training loops keep their state on the heap, but a
+    /// Stack size for rank fibers. Training loops keep their state on the heap, but a
     /// little headroom avoids surprises with deep call chains in debug builds.
     stack_bytes: usize,
     /// Fault/perturbation schedule applied to every run; `None` is the clean model.
     chaos: Option<ChaosPlan>,
-    /// Run-token count.
+    /// Run-token count, and worker threads (at most one per rank).
     workers: usize,
     /// Idle-pool byte budget.
     pool_budget_bytes: usize,
@@ -103,18 +105,22 @@ impl Cluster {
         self
     }
 
-    /// Bound the number of concurrently-runnable rank continuations (default:
-    /// available parallelism). Results never depend on this value: W = 1 runs
-    /// one rank at a time in a deterministic grant order, W ≥ P makes every
-    /// rank its own runnable OS thread.
+    /// Bound the number of concurrently-running ranks: `workers` run tokens,
+    /// and as many worker OS threads (at most one per rank) resuming the rank
+    /// fibers that hold one (default: available parallelism). Results never
+    /// depend on this value: W = 1 runs one rank at a time in a deterministic
+    /// grant order, W ≥ P gives every rank a worker and lets the kernel
+    /// interleave them.
     pub fn with_workers(mut self, workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
         self.workers = workers;
         self
     }
 
-    /// Set the per-rank thread stack size (default 8 MiB). Large-P
-    /// sweeps shrink this: 2048 ranks × 8 MiB reserves 16 GiB of address space
+    /// Set the per-rank fiber stack size (default 8 MiB), not counting the
+    /// guard page below each stack; overrunning it dies by SIGSEGV. Stacks are
+    /// mapped lazily, so only touched pages cost memory, but large-P sweeps
+    /// shrink this anyway: 2048 ranks × 8 MiB reserves 16 GiB of address space
     /// for stacks that mostly sit parked.
     pub fn with_stack_bytes(mut self, bytes: usize) -> Self {
         assert!(bytes >= 64 << 10, "rank stacks below 64 KiB are not survivable");
@@ -174,11 +180,18 @@ impl Cluster {
     /// `f` receives a mutable [`Comm`]; its return value, the rank's final virtual
     /// time and the global traffic ledger are collected into a [`SimReport`].
     ///
+    /// Each rank runs `f` on a fiber of its own, resumed by whichever of the W
+    /// worker threads picks it up, so a rank moves between threads at every
+    /// blocking `Comm` call: a thread-local is per worker, not per rank
+    /// ([`crate::current_rank`] names the running rank), and `f` must not hold
+    /// a lock guard or thread-local borrow across a blocking call.
+    ///
     /// # Panics
-    /// Propagates the *originating* rank's panic after all rank threads have
-    /// stopped; ranks aborted as casualties of another rank's fault unwind
-    /// quietly and are never the reported failure. An exact deadlock panics
-    /// with the full blocked-rank report.
+    /// Propagates the *originating* rank's panic — naming the rank on stderr,
+    /// since the panic message names the worker thread — after every rank's
+    /// fiber has unwound; ranks aborted as casualties of another rank's fault
+    /// unwind quietly and are never the reported failure. An exact deadlock
+    /// panics with the full blocked-rank report.
     pub fn run<T, F>(&self, f: F) -> SimReport<T>
     where
         T: Send,
@@ -190,78 +203,77 @@ impl Cluster {
         let registry = Arc::new(obs::Registry::with_ranks(self.size, self.obs));
         let metrics = SimMetrics::new(&registry);
         let wall_start = std::time::Instant::now();
-        // One parked continuation per rank, run tokens granted in virtual-time
-        // order by the shared core, exact deadlock detection; see
-        // [`crate::engine`] for the design.
+        // One fiber per rank, run tokens granted in virtual-time order by the
+        // shared core, exact deadlock detection; see [`crate::engine`] for the
+        // design.
         let core = Arc::new(EventCore::new(
             self.size,
             self.workers,
             Some(EngineMetrics::new(&registry)),
             self.sched_trace,
         ));
-        let mut slots: Vec<Option<(T, f64)>> = Vec::with_capacity(self.size);
-        slots.resize_with(self.size, || None);
-        let mut panics: Vec<Box<dyn Any + Send>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.size);
-            for rank in 0..self.size {
-                let core = Arc::clone(&core);
+        // Each rank's result or panic payload, written as its fiber exits.
+        let outcomes: Vec<Mutex<Option<_>>> = (0..self.size).map(|_| Mutex::new(None)).collect();
+        let fibers: Vec<Fiber<'_>> = (0..self.size)
+            .map(|rank| {
+                let (core, outcome, f) = (&core, &outcomes[rank], &f);
                 let ledger = Arc::clone(&ledger);
                 let budget = Arc::clone(&budget);
                 let metrics = metrics.clone();
                 let view = compiled.as_ref().map(|c| ChaosView::new(Arc::clone(c), rank));
                 let topo = self.topo.clone();
-                let f = &f;
-                let handle = std::thread::Builder::new()
-                    .name(format!("rank-{rank}"))
-                    .stack_size(self.stack_bytes)
-                    .spawn_scoped(scope, move || {
-                        core.start(rank);
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            let mut comm = Comm::new(
-                                rank,
-                                self.size,
-                                self.cost,
-                                ledger,
-                                Arc::clone(&core),
-                                budget,
-                                view,
-                                metrics,
-                                topo,
-                            );
-                            let r = f(&mut comm);
-                            (r, comm.local_finish_time())
-                        }));
-                        match result {
-                            Ok(pair) => {
-                                core.finish(rank);
-                                Ok(pair)
-                            }
-                            Err(payload) => {
-                                core.rank_panicked(rank);
-                                Err(payload)
-                            }
-                        }
-                    })
-                    .expect("failed to spawn rank thread");
-                handles.push(handle);
-            }
-            for (rank, handle) in handles.into_iter().enumerate() {
-                match handle.join().unwrap_or_else(Err) {
-                    Ok(pair) => slots[rank] = Some(pair),
-                    Err(payload) => panics.push(payload),
-                }
+                Fiber::new(self.stack_bytes, move || {
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        core.check_fault();
+                        let mut comm = Comm::new(
+                            rank,
+                            self.size,
+                            self.cost,
+                            ledger,
+                            Arc::clone(core),
+                            budget,
+                            view,
+                            metrics,
+                            topo,
+                        );
+                        let r = f(&mut comm);
+                        (r, comm.local_finish_time())
+                    }));
+                    match result {
+                        Ok(_) => core.finish(rank),
+                        Err(_) => core.rank_panicked(rank),
+                    }
+                    *outcome.lock() = Some(result);
+                })
+            })
+            .collect();
+        core.kickoff();
+        std::thread::scope(|scope| {
+            for worker in 0..core.worker_threads() {
+                let (core, fibers) = (&core, &fibers);
+                std::thread::Builder::new()
+                    .name(format!("simnet-worker-{worker}"))
+                    .spawn_scoped(scope, move || core.work(fibers))
+                    .expect("failed to spawn a simnet worker thread");
             }
         });
-        if !panics.is_empty() {
-            resolve_panics(panics, core.fault_message());
-        }
+        // Every fiber has exited (and unmapped its stack); dropping them ends
+        // their borrows of `outcomes`.
+        drop(fibers);
         let mut results = Vec::with_capacity(self.size);
         let mut times = Vec::with_capacity(self.size);
-        for slot in slots {
-            let (r, t) = slot.expect("rank produced no result");
-            results.push(r);
-            times.push(t);
+        let mut panics = Vec::new();
+        for (rank, outcome) in outcomes.into_iter().enumerate() {
+            match outcome.into_inner().expect("every fiber ran to completion") {
+                Ok((r, t)) => {
+                    results.push(r);
+                    times.push(t);
+                }
+                Err(payload) => panics.push((rank, payload)),
+            }
+        }
+        if !panics.is_empty() {
+            resolve_panics(panics, core.fault_message());
         }
         // Host-class wall time of the whole run: the simulator-overhead side
         // of the modeled-vs-host split the spans expose per phase.
@@ -280,15 +292,17 @@ impl Cluster {
 }
 
 /// Report a failed run: re-raise the first *originating* panic (in rank
-/// order), never a quiet [`Cascade`] casualty. If every payload is a cascade
-/// — the engine detected a deadlock and no rank panicked on its own — panic
-/// with the core's fault report instead.
-fn resolve_panics(panics: Vec<Box<dyn Any + Send>>, fault: Option<String>) -> ! {
+/// order), unchanged, never a quiet [`Cascade`] casualty. The panic hook
+/// named the worker thread that ran the rank, so the rank is named on stderr
+/// first. If every payload is a cascade — the engine detected a deadlock and
+/// no rank panicked on its own — panic with the core's fault report instead.
+fn resolve_panics(panics: Vec<(usize, Box<dyn Any + Send>)>, fault: Option<String>) -> ! {
     let mut cascades = Vec::new();
-    for payload in panics {
+    for (rank, payload) in panics {
         if payload.is::<Cascade>() {
             cascades.push(payload);
         } else {
+            eprintln!("simnet: the run failed because rank {rank} panicked");
             std::panic::resume_unwind(payload);
         }
     }

@@ -166,7 +166,7 @@ fn barrier_latency(cost: &CostModel, size: usize) -> f64 {
 
 /// A rank's handle on the simulated cluster.
 ///
-/// Created by [`crate::Cluster::run`]; one `Comm` lives on each rank thread. All
+/// Created by [`crate::Cluster::run`]; one `Comm` lives on each rank's fiber. All
 /// methods that move data also advance the rank's virtual clock according to the
 /// [`CostModel`] (see the crate-level docs for the port-serialization semantics).
 pub struct Comm {

@@ -6,23 +6,26 @@
 //! schedule them is correct — clock arithmetic only reads per-rank program
 //! order and matched message order — but the *cost* of that interleaving
 //! grows with P: at 1024+ ranks the host scheduler thrashes between hundreds
-//! of runnable threads, blocked receives burn wakeups, and sweeps that the
-//! paper runs at 256 nodes become intractable in one process.
+//! of runnable threads, every blocked receive is a futex sleep plus a futex
+//! wake, and sweeps that the paper runs at 256 nodes become intractable in
+//! one process.
 //!
-//! The engine ([`EventCore`]) keeps one thread per rank — the thread *is* the
-//! rank's continuation, so the blocking [`crate::Comm`] API is preserved
-//! verbatim — but hands out **run tokens** from a virtual-time scheduler
-//! instead of letting the OS pick. At most `workers` ranks are
-//! runnable at any instant; every blocking point (recv with an empty inbox,
-//! barrier arrival) parks the rank inside the core and releases its token, and
+//! So a rank is not a thread but a fiber (`fiber.rs`): its own stack and a
+//! saved register set. A blocking [`crate::Comm`] call suspends the fiber in
+//! the middle of its call stack, which keeps that API verbatim. The engine
+//! ([`EventCore`]) hands out **run tokens** from a virtual-time scheduler, and
+//! `W` worker OS threads resume the fibers that hold one. At most `W` ranks
+//! hold a token at any instant; every blocking point (recv with an empty
+//! inbox, barrier arrival) parks the rank inside the core, releases its token
+//! and switches back to its worker — a register swap, no syscall — and
 //! message delivery / barrier release marks ranks ready again. The ready queue
 //! is ordered by `(virtual clock, rank id)` — lowest clock first, rank id as
 //! the tie-break — so execution tracks the modeled timeline, which keeps
 //! cross-rank backlogs small and makes progress order reproducible.
 //!
 //! Because every token count runs the same per-rank programs over the same
-//! matched message streams, W = 1 (one rank at a time, a deterministic grant
-//! order) and W ≥ P (every rank its own runnable OS thread, the kernel's
+//! matched message streams, W = 1 (one worker, one rank at a time, a
+//! deterministic grant order) and W ≥ P (a worker per rank, the kernel's
 //! interleaving) produce **bit-identical** clocks, gradients and ledgers; the
 //! schedule-invariance suites hold every W to W = 1's answer. EXPERIMENTS.md
 //! § "One engine" tabulates which scheduler bugs those suites, and the tests
@@ -30,11 +33,10 @@
 //!
 //! ## The scheduler
 //!
-//! In the P ≥ 1024 regime host wall time tracks `engine.parks`: a blocking
-//! point that pays a global-lock transaction, a condvar signal (futex syscall)
-//! and a futex sleep costs ~15–35 µs, and a message that serializes on the
-//! scheduler lock costs every rank. The scheduler avoids those constant
-//! factors three ways:
+//! In the P ≥ 1024 regime host wall time tracks `engine.parks`: every park is
+//! a scheduler-lock transaction and a switch, and a message that serializes on
+//! the scheduler lock costs every rank. The scheduler keeps those constant
+//! factors down two ways:
 //!
 //! 1. **Direct handoff** — when a running rank blocks, it picks the next rank
 //!    and transfers its run token *in the same lock hold* that parked it,
@@ -42,26 +44,18 @@
 //!    chain up to [`WAITCHAIN_MAX`] hops to the first ready ancestor) over the
 //!    lowest-clock heap head: demand-driven order keeps the dataflow chain on
 //!    a warm cache, and one producer's sends satisfy many consumers at once.
-//!    The wakeup itself is a lock-free `Thread::unpark` issued after the lock
-//!    is released — its sticky permit cannot lose a race, unparking a thread
-//!    that is mid-spin is a plain atomic store with no syscall
-//!    (`engine.handoff_hit`), and only a genuinely parked target costs a futex
-//!    wake (`engine.handoff_miss`). Neither side of the handoff reacquires
-//!    the scheduler lock, so granter and wakee never contend for it.
+//!    The first rank a blocking (or finishing) rank grants runs next on the
+//!    granter's own worker, straight after the switch out
+//!    (`engine.handoff_hit`). Every other grant — and every grant by a rank
+//!    that keeps running: a send, a barrier release — goes to the run queue
+//!    and wakes an idle worker if one is asleep (`engine.handoff_miss`).
+//!    Neither side reacquires the scheduler lock to hand a token over.
 //! 2. **Cohort wakeups** — a barrier release makes all P ranks ready at once;
 //!    instead of P heap transactions it appends the whole release set, sorted
 //!    by `(clock, rank)`, to a FIFO *cohort* drained by subsequent grants in
-//!    O(1) (one notify pass; W > 1 workers drain the cohort concurrently).
-//!    Heap refills likewise pop the entire equal-timestamp run in one lock
-//!    acquisition (`engine.cohort_size` histograms both).
-//! 3. **Adaptive spin-then-park** — a parking continuation spins briefly on
-//!    its token word before the `park()` fallback, gated by *two* EWMAs: the
-//!    inter-park gap (events must be dense) and the recent spin hit rate
-//!    (spins must actually be landing — re-probed every 64th park so a phase
-//!    change can re-arm it). In relay-shaped phases the yield loop replaces
-//!    both futex syscalls and the handoff runs at memory speed; in all-rank
-//!    wave phases the controller disarms itself and parks immediately.
-//!    `engine.spin_hit` vs `engine.spin_park` count the outcomes.
+//!    O(1) (W > 1 workers drain the cohort concurrently). Heap refills
+//!    likewise pop the entire equal-timestamp run in one lock acquisition
+//!    (`engine.cohort_size` histograms both).
 //!
 //! The critical section itself is small: message delivery and wait registration
 //! live behind **per-rank inbox locks**. Only the owning rank pops its inbox and
@@ -80,56 +74,26 @@
 //! the ready queue (heap and cohort FIFO) is empty and unfinished ranks remain,
 //! the simulation cannot ever progress. The core then records a fault report
 //! that names every blocked rank and walks the recv wait-for graph to print the
-//! cycle, and all parked ranks unwind quietly (see [`Cascade`]).
+//! cycle. Teardown — after a deadlock or a rank panic — hands every parked or
+//! never-started fiber to the workers, so each resumes, unwinds quietly (see
+//! [`Cascade`]), runs its destructors and frees its stack.
 
 use crate::comm::Tag;
 use crate::envelope::Envelope;
+use crate::fiber::{self, Fiber};
 use parking_lot::{Mutex, MutexGuard};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// Cap on the optional scheduler event log: a runaway sweep must not hoard
 /// unbounded memory just because scheduler tracing was left on.
 const SCHED_LOG_MAX: usize = 1 << 20;
 
-/// Spin gate, part 1: a parked continuation may spin only while the EWMA of
-/// recent inter-park gaps is below this (nanoseconds). Dense-event phases
-/// (P ≥ 1024 sweeps park every few µs) qualify; sparse phases go straight to
-/// `park()`.
-const SPIN_GAP_NS: u64 = 200_000;
-
-/// Busy iterations (`spin_loop` hint) before the spin phase starts yielding
-/// the core — the cheap window that catches a token granted by another worker
-/// already running on a different CPU.
-const SPIN_CHEAP: u32 = 64;
-
-/// `yield_now` iterations after the busy window. On a single-core host this
-/// is the whole game: a recently-parked rank stays *runnable* instead of
-/// futex-sleeping, so when the token holder blocks, the kernel switches
-/// straight to it — no futex wake, no futex wait, one cheap switch.
-const SPIN_YIELDS: u32 = 8;
-
-/// Spin gate, part 2 — fixed-point one for the spin hit-rate EWMA. Whether a
-/// spin can succeed depends on the communication *shape*: in chain/ping-pong
-/// phases the next token lands within a few events of the park (spins hit);
-/// in all-rank wave phases it arrives ~P events later (spins always miss and
-/// every yield is churn). The shape is observable as the recent hit rate.
-const SPIN_OK_ONE: u32 = 1 << 16;
-
-/// Spin only while the hit-rate EWMA clears 7/8. The bar is this high because
-/// the costs are asymmetric: a hit saves a couple of µs of futex round-trip,
-/// but a miss burns the whole yield budget in context-switch churn against
-/// the thread doing real work — an order of magnitude more. Only phases where
-/// spins almost always land are worth spinning in.
-const SPIN_OK_MIN: u32 = SPIN_OK_ONE / 8 * 7;
-
-/// 1-in-64 parks probe the spin path even when the controller says no, so a
-/// workload phase change (wave → chain) can re-enable it, at a bounded
-/// average overhead per park in the disabled regime.
-const SPIN_PROBE_MASK: u64 = 63;
+/// What the run queue carries, once per worker, when every fiber has exited.
+const STOP: usize = usize::MAX;
 
 /// Maximum wait-for hops the targeted-handoff walk follows from a parking
 /// receiver towards a runnable producer before giving up on the chain.
@@ -178,17 +142,14 @@ pub(crate) struct EngineMetrics {
     parks_recv: obs::Counter,
     parks_barrier: obs::Counter,
     ready_depth_max: obs::Gauge,
-    /// Direct handoffs whose futex wake was elided (target was mid-spin).
+    /// Grants the granting worker runs itself, straight after its fiber
+    /// switches out.
     handoff_hit: obs::Counter,
-    /// Direct handoffs that had to wake a parked target.
+    /// Grants that woke an idle worker.
     handoff_miss: obs::Counter,
     /// Parks elided entirely: the matching message landed between wait
     /// registration and the park, so the rank kept its token.
     park_elided: obs::Counter,
-    /// Tokens consumed during the spin phase (no futex sleep).
-    spin_hit: obs::Counter,
-    /// Tokens consumed via the `park()` fallback.
-    spin_park: obs::Counter,
     /// Sizes of ready cohorts (equal-timestamp heap runs, barrier releases).
     cohort_size: obs::Histogram,
 }
@@ -205,8 +166,6 @@ impl EngineMetrics {
             handoff_hit: reg.counter("engine.handoff_hit", Host),
             handoff_miss: reg.counter("engine.handoff_miss", Host),
             park_elided: reg.counter("engine.park_elided", Host),
-            spin_hit: reg.counter("engine.spin_hit", Host),
-            spin_park: reg.counter("engine.spin_park", Host),
             cohort_size: reg.histogram("engine.cohort_size", Host),
         }
     }
@@ -218,9 +177,9 @@ impl EngineMetrics {
 /// those calls.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// Discrete-event core: one thread per rank as a parked continuation, a
-    /// bounded set of run tokens granted in virtual-time order, and exact
-    /// (watchdog-free) deadlock detection.
+    /// Discrete-event core: one fiber per rank, a bounded set of run tokens
+    /// granted in virtual-time order, and exact (watchdog-free) deadlock
+    /// detection.
     #[default]
     Event,
 }
@@ -231,8 +190,8 @@ pub enum Engine {
 /// that call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedMode {
-    /// Direct run-token handoff, cohort wakeups, adaptive spin-then-park and
-    /// per-rank inbox locks (see the module docs).
+    /// Direct run-token handoff, cohort wakeups and per-rank inbox locks (see
+    /// the module docs).
     Fast,
 }
 
@@ -278,7 +237,8 @@ impl Ord for ReadyKey {
 enum Status {
     /// In the ready queue (heap or cohort FIFO), waiting for a run token.
     Ready,
-    /// Holds a run token; its thread is executing user code.
+    /// Holds a run token: its fiber runs on a worker or waits in the run
+    /// queue for one.
     Running,
     /// Parked in a blocking receive for `(src, tag)` with an empty inbox.
     RecvWait { src: usize, tag: Tag },
@@ -310,16 +270,22 @@ struct RankInbox {
     done: bool,
 }
 
-/// Per-rank wake word. `token` is the run token itself (set by the
-/// granter under the scheduler lock, consumed by the wakee without any lock);
-/// `handle` is the rank's OS thread, woken by `Thread::unpark` — its sticky
-/// permit makes lost wakeups impossible with no lock on the sleep side, and
-/// unparking a thread that is not parked is a plain atomic store, no syscall.
-/// `sleeping` only feeds the handoff hit/miss statistics.
-struct WakeSlot {
-    token: AtomicU32,
-    sleeping: AtomicBool,
-    handle: OnceLock<std::thread::Thread>,
+thread_local! {
+    /// The rank whose fiber this worker thread is running.
+    static RUNNING: Cell<Option<usize>> = const { Cell::new(None) };
+    /// The rank the running fiber granted on its way out, for this worker to
+    /// run next.
+    static HANDOFF: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The rank whose code is running on this thread: `Some` inside a rank's
+/// [`crate::Cluster::run`] closure, `None` anywhere else. Ranks migrate
+/// between worker threads at every blocking call, so a thread-local is per
+/// worker, not per rank; per-rank accounting keyed on the running code (a
+/// counting allocator, say) keys on this instead.
+#[inline(never)]
+pub fn current_rank() -> Option<usize> {
+    RUNNING.with(Cell::get)
 }
 
 struct CoreState {
@@ -370,11 +336,17 @@ pub(crate) struct EventCore {
     state: Mutex<CoreState>,
     /// Per-rank delivery state (messages + wait registration).
     inboxes: Vec<Mutex<RankInbox>>,
-    /// Per-rank run-token words.
-    wake: Vec<WakeSlot>,
+    /// The run queue: granted fibers no worker has picked up yet. Idle
+    /// workers queue on the receiver's lock, the one holding it asleep in
+    /// `recv`; `idle` counts them.
+    runq_tx: SyncSender<usize>,
+    runq_rx: Mutex<Receiver<usize>>,
+    idle: AtomicUsize,
+    /// Fibers whose body has returned; the last one stops the workers.
+    exited: AtomicUsize,
     /// Per-rank grant buffers: the ranks a scheduler transaction handed tokens
-    /// to, signalled by [`Self::flush_grants`] once the scheduler lock is
-    /// released. Slot `r` is locked only by rank `r`'s own thread, for the
+    /// to, queued by [`Self::flush_grants`] once the scheduler lock is
+    /// released. Slot `r` is locked only by rank `r`'s own fiber, for the
     /// length of one transaction, so the lock is never contended; the buffer
     /// is reused across transactions so a park or post that passes a token on
     /// does not allocate in steady state.
@@ -383,20 +355,9 @@ pub(crate) struct EventCore {
     /// before it grants tokens, read by each released rank after it acquires
     /// its token, so no lock is needed on the read side.
     release_bits: Vec<AtomicU64>,
-    /// Mirrors `CoreState::fault.is_some()` so lock-free spinners notice a
+    /// Mirrors `CoreState::fault.is_some()` so a resumed fiber notices a
     /// teardown without touching the scheduler lock.
     fault_flag: AtomicBool,
-    /// Origin for the inter-park gap EWMA timestamps.
-    t0: Instant,
-    /// Nanoseconds (since `t0`) of the most recent park, any rank.
-    last_park_ns: AtomicU64,
-    /// EWMA (α = 1/8) of inter-park gaps in nanoseconds; gates the spin phase.
-    gap_ewma_ns: AtomicU64,
-    /// EWMA (α = 1/8, fixed-point [`SPIN_OK_ONE`]) of spin outcomes; the
-    /// hit-rate half of the spin gate.
-    spin_ok: AtomicU32,
-    /// Park sequence number, for the 1-in-[`SPIN_PROBE_MASK`]+1 spin probes.
-    park_seq: AtomicU64,
 }
 
 impl EventCore {
@@ -409,6 +370,9 @@ impl EventCore {
         assert!(size >= 1 && workers >= 1);
         let ranks = (0..size).map(|_| RankSlot { status: Status::Ready, clock: 0.0 }).collect();
         let ready = (0..size).map(|rank| Reverse(ReadyKey { clock: 0.0, rank })).collect();
+        // Sends never block: a rank is queued at most once at a time, and the
+        // stops go out once the queue has drained.
+        let (runq_tx, runq_rx) = sync_channel(size + workers.min(size));
         Self {
             size,
             workers,
@@ -429,13 +393,10 @@ impl EventCore {
             inboxes: (0..size)
                 .map(|_| Mutex::new(RankInbox { q: VecDeque::new(), waiting: None, done: false }))
                 .collect(),
-            wake: (0..size)
-                .map(|_| WakeSlot {
-                    token: AtomicU32::new(0),
-                    sleeping: AtomicBool::new(false),
-                    handle: OnceLock::new(),
-                })
-                .collect(),
+            runq_tx,
+            runq_rx: Mutex::new(runq_rx),
+            idle: AtomicUsize::new(0),
+            exited: AtomicUsize::new(0),
             // One transaction grants at most `workers` ranks (and never more
             // than exist); the Vec still grows if that bound is ever wrong.
             grants: (0..size)
@@ -443,11 +404,6 @@ impl EventCore {
                 .collect(),
             release_bits: (0..size).map(|_| AtomicU64::new(0)).collect(),
             fault_flag: AtomicBool::new(false),
-            t0: Instant::now(),
-            last_park_ns: AtomicU64::new(0),
-            gap_ewma_ns: AtomicU64::new(SPIN_GAP_NS),
-            spin_ok: AtomicU32::new(SPIN_OK_MIN),
-            park_seq: AtomicU64::new(0),
         }
     }
 
@@ -485,9 +441,8 @@ impl EventCore {
         }
     }
 
-    /// Grant tokens while slots are free. Sets each target's token word under
-    /// the lock but defers the (possibly elided) wake to
-    /// [`Self::flush_grants`], which the caller runs after unlocking. `direct`
+    /// Grant tokens while slots are free. Collects the targets in `granted`
+    /// for [`Self::flush_grants`], which the caller runs after unlocking. `direct`
     /// marks grants performed inside a blocking rank's own park transaction —
     /// the direct-handoff path.
     fn schedule(&self, st: &mut CoreState, direct: bool, granted: &mut Vec<usize>) {
@@ -506,7 +461,7 @@ impl EventCore {
         }
     }
 
-    /// Set `rank` (must be `Ready`) running and queue its wakeup. Any heap or
+    /// Set `rank` (must be `Ready`) running and collect it. Any heap or
     /// cohort entry still naming it goes stale and is skipped at pop time.
     fn grant_rank(
         &self,
@@ -523,108 +478,102 @@ impl EventCore {
         }
         let clock = st.ranks[rank].clock;
         st.log_sched(self.sched_trace, clock, rank, kind);
-        self.wake[rank].token.store(1, Ordering::SeqCst);
         granted.push(rank);
     }
 
-    /// Signal granted ranks *after* the scheduler lock is released: a wakee
-    /// mid-spin (or not yet asleep) consumes its token without any syscall,
-    /// and the unpark is a plain permit store (handoff hit); only a parked
-    /// thread costs a futex wake (handoff miss). Never loses a wakeup: the
-    /// token word was set under the lock, the wakee re-checks it before every
-    /// `park()`, and an `unpark` that races ahead just leaves a sticky permit
-    /// the next `park()` consumes immediately. Consumes the caller's grant
-    /// buffer guard: flushing ends the transaction and leaves the buffer empty
-    /// for the next one.
-    fn flush_grants(&self, direct: bool, mut granted: MutexGuard<'_, Vec<usize>>) {
-        for rank in granted.drain(..) {
-            let slot = &self.wake[rank];
-            if direct {
+    /// Hand granted ranks to workers *after* the scheduler lock is released.
+    /// With `keep_first` — the caller's fiber is about to switch out or exit —
+    /// the first one runs next on this worker (handoff hit). Each other one
+    /// goes to the run queue, waking an idle worker if one is asleep (handoff
+    /// miss); a busy worker drains the queue when its fiber switches out.
+    /// Consumes the caller's grant buffer guard: flushing ends the
+    /// transaction, and no lock may be held across the switch that follows.
+    /// Never inlined: it runs on a fiber, which must not reuse a
+    /// thread-local's address across a switch.
+    #[inline(never)]
+    fn flush_grants(&self, keep_first: bool, mut granted: MutexGuard<'_, Vec<usize>>) {
+        let mut ranks = granted.drain(..);
+        if keep_first {
+            if let Some(rank) = ranks.next() {
+                HANDOFF.with(|h| h.set(Some(rank)));
                 if let Some(m) = &self.metrics {
-                    if slot.sleeping.load(Ordering::SeqCst) {
-                        m.handoff_miss.inc();
-                    } else {
-                        m.handoff_hit.inc();
-                    }
+                    m.handoff_hit.inc();
                 }
             }
-            // None only before the rank's thread reached `start`; it then
-            // finds its token already set before ever parking.
-            if let Some(t) = slot.handle.get() {
-                t.unpark();
-            }
+        }
+        for rank in ranks {
+            self.enqueue(rank);
         }
     }
 
-    /// Record a park for the inter-park gap EWMA (the spin gate).
-    fn note_park_gap(&self) {
-        let now = self.t0.elapsed().as_nanos() as u64;
-        let last = self.last_park_ns.swap(now, Ordering::Relaxed);
-        let gap = now.saturating_sub(last);
-        let e = self.gap_ewma_ns.load(Ordering::Relaxed);
-        self.gap_ewma_ns.store(e - e / 8 + gap / 8, Ordering::Relaxed);
+    /// Queue `rank` for the next free worker.
+    fn enqueue(&self, rank: usize) {
+        if self.idle.load(Ordering::Relaxed) > 0 {
+            if let Some(m) = &self.metrics {
+                m.handoff_miss.inc();
+            }
+        }
+        self.runq_tx.try_send(rank).expect("the run queue holds every rank at once");
     }
 
-    /// Record a spin outcome in the hit-rate EWMA (the spin gate).
-    /// Asymmetric on purpose: a couple of probe hits re-arm spinning quickly
-    /// when a phase turns spin-friendly, while a single miss near the (high)
-    /// threshold is enough to disarm it — misses are what cost.
-    fn note_spin(&self, hit: bool) {
-        let e = self.spin_ok.load(Ordering::Relaxed);
-        let e = if hit { e + (SPIN_OK_ONE - e) / 2 } else { e - e / 4 };
-        self.spin_ok.store(e, Ordering::Relaxed);
+    /// Switch back to this fiber's worker until a worker resumes it with the
+    /// run token. Cascades if the run was torn down meanwhile.
+    fn wait_token(&self) {
+        fiber::suspend();
+        self.check_fault();
     }
 
-    /// Wait for this rank's run token. Spins lock-free while the adaptive gate
-    /// allows — events must be dense (inter-park gap EWMA) *and* recent spins
-    /// must actually be hitting (hit-rate EWMA, re-probed every 64th park) —
-    /// then falls back to `thread::park`. Cascades if a fault lands first.
-    fn wait_token(&self, rank: usize) {
-        let slot = &self.wake[rank];
-        let dense = self.gap_ewma_ns.load(Ordering::Relaxed) < SPIN_GAP_NS;
-        let spin = dense && {
-            let seq = self.park_seq.fetch_add(1, Ordering::Relaxed);
-            self.spin_ok.load(Ordering::Relaxed) >= SPIN_OK_MIN || seq & SPIN_PROBE_MASK == 0
-        };
-        if spin {
-            let mut i = 0u32;
-            while i < SPIN_CHEAP + SPIN_YIELDS && !self.fault_flag.load(Ordering::Relaxed) {
-                if slot.token.load(Ordering::SeqCst) == 1 {
-                    slot.token.store(0, Ordering::SeqCst);
-                    self.note_spin(true);
-                    if let Some(m) = &self.metrics {
-                        m.spin_hit.inc();
-                    }
-                    return;
+    /// Unwind quietly if the run has been torn down: a fiber's first act and
+    /// every blocking entry point check this.
+    pub(crate) fn check_fault(&self) {
+        if self.fault_flag.load(Ordering::SeqCst) {
+            cascade();
+        }
+    }
+
+    /// Worker threads to run [`Self::work`] on: one per run token, but a
+    /// worker beyond the P-th would never hold one.
+    pub(crate) fn worker_threads(&self) -> usize {
+        self.workers.min(self.size)
+    }
+
+    /// Grant the first run tokens: every rank starts Ready at clock 0, and
+    /// the workers pick the grants up from the run queue.
+    pub(crate) fn kickoff(&self) {
+        // No fiber has run yet, so rank 0's grant buffer is free.
+        let mut granted = self.grants[0].lock();
+        {
+            let mut st = self.state.lock();
+            self.schedule(&mut st, false, &mut granted);
+        }
+        self.flush_grants(false, granted);
+    }
+
+    /// A worker thread's loop: resume granted fibers — the one the last fiber
+    /// handed over first, else the run queue's head, sleeping while it is
+    /// empty — until every fiber has exited.
+    pub(crate) fn work(&self, fibers: &[Fiber<'_>]) {
+        let mut next = self.next_runnable();
+        while let Some(rank) = next {
+            RUNNING.with(|r| r.set(Some(rank)));
+            let exited = fibers[rank].resume();
+            RUNNING.with(|r| r.set(None));
+            if exited && self.exited.fetch_add(1, Ordering::SeqCst) + 1 == self.size {
+                for _ in 0..self.worker_threads() {
+                    self.runq_tx.try_send(STOP).expect("the run queue has drained");
                 }
-                if i < SPIN_CHEAP {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-                i += 1;
             }
-            self.note_spin(false);
+            next = HANDOFF.with(Cell::take).or_else(|| self.next_runnable());
         }
-        // Lock-free sleep: no scheduler-lock reacquisition on either side of
-        // the handoff, so granter and wakee never contend for it — the
-        // unpark permit alone carries the wakeup.
-        if let Some(m) = &self.metrics {
-            m.spin_park.inc();
-        }
-        slot.sleeping.store(true, Ordering::SeqCst);
-        loop {
-            if self.fault_flag.load(Ordering::SeqCst) {
-                slot.sleeping.store(false, Ordering::SeqCst);
-                cascade();
-            }
-            if slot.token.load(Ordering::SeqCst) == 1 {
-                break;
-            }
-            std::thread::park();
-        }
-        slot.sleeping.store(false, Ordering::SeqCst);
-        slot.token.store(0, Ordering::SeqCst);
+    }
+
+    /// The run queue's next rank, sleeping until there is one; `None` once
+    /// every fiber has exited.
+    fn next_runnable(&self) -> Option<usize> {
+        self.idle.fetch_add(1, Ordering::Relaxed);
+        let rank = self.runq_rx.lock().recv().expect("the core outlives its workers");
+        self.idle.fetch_sub(1, Ordering::Relaxed);
+        (rank != STOP).then_some(rank)
     }
 
     /// Drain the scheduler event log (empty unless tracing was on).
@@ -632,8 +581,8 @@ impl EventCore {
         std::mem::take(&mut self.state.lock().sched)
     }
 
-    /// If nothing can ever run again, record the deadlock fault and wake every
-    /// continuation so the run tears down immediately (no watchdog involved).
+    /// If nothing can ever run again, record the deadlock fault and tear the
+    /// run down immediately (no watchdog involved).
     /// Every caller runs [`Self::schedule`] first, which with no token out
     /// stops only once [`Self::pop_next_ready`] has drained the queue, stale
     /// entries included — so a stale entry cannot mask a deadlock here.
@@ -645,30 +594,21 @@ impl EventCore {
             return;
         }
         st.fault = Some(deadlock_report(st, self.size));
-        self.fault_flag.store(true, Ordering::SeqCst);
-        self.wake_everyone();
+        self.tear_down(st);
     }
 
-    /// Teardown broadcast: wake every parked continuation so it sees the fault.
-    fn wake_everyone(&self) {
-        for slot in &self.wake {
-            if let Some(t) = slot.handle.get() {
-                t.unpark();
+    /// Teardown after a fault: hand every parked or never-started fiber to the
+    /// workers, so it resumes, sees the fault and unwinds (Running fibers see
+    /// it at their next blocking call, or finish).
+    fn tear_down(&self, st: &mut CoreState) {
+        self.fault_flag.store(true, Ordering::SeqCst);
+        for (rank, slot) in st.ranks.iter_mut().enumerate() {
+            if matches!(slot.status, Status::Ready | Status::RecvWait { .. } | Status::BarrierWait)
+            {
+                slot.status = Status::Running;
+                self.enqueue(rank);
             }
         }
-    }
-
-    /// Called once by each rank thread before running user code: waits for the
-    /// initial run-token grant (all ranks start Ready at clock 0).
-    pub(crate) fn start(&self, rank: usize) {
-        let _ = self.wake[rank].handle.set(std::thread::current());
-        let mut granted = self.grants[rank].lock();
-        {
-            let mut st = self.state.lock();
-            self.schedule(&mut st, false, &mut granted);
-        }
-        self.flush_grants(false, granted);
-        self.wait_token(rank);
     }
 
     /// Pop the next envelope delivered to `rank` (arrival order), parking the
@@ -677,9 +617,7 @@ impl EventCore {
     /// which per `(src, tag)` is the send order, so the matched message order
     /// (and with it every clock) is the same at every worker count.
     pub(crate) fn next_envelope(&self, rank: usize, src: usize, tag: Tag, clock: f64) -> Envelope {
-        if self.fault_flag.load(Ordering::Relaxed) {
-            cascade();
-        }
+        self.check_fault();
         loop {
             // Inbox scan under the rank's own lock: the hot pop never touches
             // the scheduler. An empty inbox registers the wait *here* so a
@@ -717,7 +655,6 @@ impl EventCore {
                     m.parks_recv.inc();
                 }
                 st.log_sched(self.sched_trace, clock, rank, SchedKind::RecvPark);
-                self.note_park_gap();
                 // Targeted handoff: walk the wait-for chain from the rank we
                 // are waiting *on* and run the first ready producer along it —
                 // demand-driven order beats lowest-clock order for rotation
@@ -741,7 +678,7 @@ impl EventCore {
                 self.check_deadlock(&mut st);
             }
             self.flush_grants(true, granted);
-            self.wait_token(rank);
+            self.wait_token();
         }
     }
 
@@ -750,9 +687,7 @@ impl EventCore {
     /// queues silently, sparing a futile wake/stash/re-block round-trip, and
     /// never takes the scheduler lock at all.
     pub(crate) fn post(&self, dst: usize, env: Envelope) {
-        if self.fault_flag.load(Ordering::Relaxed) {
-            cascade();
-        }
+        self.check_fault();
         let sender = env.src;
         let claimed = {
             let mut ib = self.inboxes[dst].lock();
@@ -854,17 +789,17 @@ impl EventCore {
                 m.parks_barrier.inc();
             }
             st.log_sched(self.sched_trace, clock, rank, SchedKind::BarrierPark);
-            self.note_park_gap();
             self.schedule(&mut st, true, &mut granted);
             self.check_deadlock(&mut st);
             drop(st);
             self.flush_grants(true, granted);
-            self.wait_token(rank);
+            self.wait_token();
             f64::from_bits(self.release_bits[rank].load(Ordering::Relaxed))
         }
     }
 
-    /// Rank's closure returned: release its token and let the next rank run.
+    /// Rank's closure returned: release its token and let the next rank run
+    /// (on this worker, once the fiber has exited).
     /// Remaining blocked ranks (e.g. a recv from this now-finished rank) are
     /// caught by the deadlock check right here.
     pub(crate) fn finish(&self, rank: usize) {
@@ -880,21 +815,20 @@ impl EventCore {
             self.schedule(&mut st, false, &mut granted);
             self.check_deadlock(&mut st);
         }
-        self.flush_grants(false, granted);
+        self.flush_grants(true, granted);
     }
 
-    /// Rank's closure panicked: record the fault (unless one is already set —
-    /// then this unwind is itself a cascade and the counters were already
-    /// settled) and wake every continuation so the cluster tears down.
+    /// Rank's closure panicked: record the fault and tear the cluster down —
+    /// unless a fault is already set, in which case this unwind is itself a
+    /// cascade and teardown has already run.
     pub(crate) fn rank_panicked(&self, rank: usize) {
         let mut st = self.state.lock();
         if st.fault.is_none() {
             st.fault = Some(format!("rank {rank} panicked; aborting the run"));
             st.ranks[rank].status = Status::Done;
             st.running -= 1;
+            self.tear_down(&mut st);
         }
-        self.fault_flag.store(true, Ordering::SeqCst);
-        self.wake_everyone();
     }
 
     /// The fault report, if the run was torn down (deadlock or rank panic).

@@ -1,4 +1,4 @@
-//! Internal message envelope passed between rank threads.
+//! Internal message envelope passed between ranks.
 //!
 //! The payload is a small enum with *inline* variants for the two hot wire
 //! shapes (`Vec<f32>` dense chunks and COO index/value pairs), so a

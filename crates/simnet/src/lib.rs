@@ -31,18 +31,19 @@
 //!
 //! ## One engine
 //!
-//! Every run executes on one discrete-event core (`engine.rs`): rank threads
-//! are parked continuations, a bounded set of run tokens
-//! ([`Cluster::with_workers`]) is granted in virtual-time order, and deadlocks
-//! are detected *exactly*, with no watchdog. This is what scales sweeps to
-//! P ≥ 1024 in one process.
+//! Every run executes on one discrete-event core (`engine.rs`): each rank is a
+//! fiber (`fiber.rs`) that a blocking call suspends with a register swap, a
+//! bounded set of run tokens ([`Cluster::with_workers`]) is granted in
+//! virtual-time order to as many worker threads, and deadlocks are detected
+//! *exactly*, with no watchdog. This is what scales sweeps to P ≥ 1024 in one
+//! process.
 //!
 //! Because clock arithmetic depends only on per-rank program order and matched
 //! message order — never on who physically ran when — every worker count
 //! produces **bit-identical** results, clocks, traces and ledgers for the same
 //! inputs. The schedule-invariance suites hold W = 1 (fully serialized, a
-//! deterministic grant order) and W = P (every rank its own runnable OS
-//! thread) to the same answer.
+//! deterministic grant order) and W = P (a worker thread per rank) to the same
+//! answer.
 //!
 //! ## Topology and fault injection
 //!
@@ -75,6 +76,7 @@ mod comm;
 mod cost;
 mod engine;
 mod envelope;
+mod fiber;
 mod ledger;
 pub mod net;
 pub mod request;
@@ -85,7 +87,7 @@ pub use chaos::{ChaosPlan, CompiledChaos};
 pub use cluster::{Cluster, SimReport};
 pub use comm::{Comm, Tag};
 pub use cost::{CostModel, WireSize};
-pub use engine::{Engine, SchedEvent, SchedKind, SchedMode};
+pub use engine::{current_rank, Engine, SchedEvent, SchedKind, SchedMode};
 pub use ledger::{Ledger, LedgerSnapshot, PhaseVolume};
 pub use net::{GroupComm, Net};
 pub use request::SendHandle;

@@ -1,10 +1,12 @@
 //! Schedule-invariance tests: results, clocks, ledgers and virtual-class
 //! metrics must be bit-identical at every run-token count, plus regressions of
 //! the engine itself (exact deadlock reports, recv-after-finish, lost
-//! wakeups, rank panics).
+//! wakeups, rank panics) and of the rank fibers it runs (teardown, stack
+//! size, guard page).
 
 use simnet::{ChaosPlan, Cluster, CostModel, LedgerSnapshot, PhaseVolume};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Canonical, comparable form of a ledger snapshot.
@@ -24,8 +26,8 @@ fn ledger_canon(snap: &LedgerSnapshot, size: usize) -> Vec<((usize, String), Pha
 /// Run `f` fully serialized (W = 1: one rank at a time, in a deterministic
 /// grant order) and at W ∈ {2, 3, 8}, and assert results, clocks, ledgers and
 /// virtual-class metrics agree bit for bit. The run-token budget caps
-/// concurrency, never semantics; with P ≤ 8, W = 8 makes every rank its own
-/// runnable OS thread, scheduled by the kernel.
+/// concurrency, never semantics; with P ≤ 8, W = 8 gives every rank its own
+/// worker thread, scheduled by the kernel.
 fn assert_parity<T, F>(mut mk: impl FnMut() -> Cluster, f: F)
 where
     T: Clone + PartialEq + std::fmt::Debug + Send,
@@ -234,6 +236,124 @@ fn fast_path_survives_the_inline_continue_window() {
         (0..iters).fold(0u64, |a, it| a.wrapping_mul(31).wrapping_add((src * iters + it) as u64))
     };
     assert_eq!(report.results, vec![expect(1), expect(0)]);
+}
+
+#[test]
+fn a_rank_panic_unwinds_every_other_fiber() {
+    // Every rank but the culprit holds a drop guard and is parked in a recv
+    // from the culprit (or has just been released from the barrier) when the
+    // culprit panics. Teardown must resume each of those fibers so it unwinds
+    // and drops its guard; a teardown that leaves them suspended never
+    // finishes the run.
+    static DROPPED: AtomicUsize = AtomicUsize::new(0);
+    struct Guard;
+    impl Drop for Guard {
+        fn drop(&mut self) {
+            DROPPED.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    const P: usize = 64;
+    const CULPRIT: usize = 37;
+    for workers in [1usize, 2] {
+        DROPPED.store(0, Ordering::SeqCst);
+        let run = std::thread::spawn(move || {
+            catch_unwind(AssertUnwindSafe(|| {
+                Cluster::new(P, CostModel::free()).with_workers(workers).run(|comm| {
+                    let _guard = if comm.rank() == CULPRIT { None } else { Some(Guard) };
+                    comm.barrier();
+                    if comm.rank() == CULPRIT {
+                        panic!("rank {CULPRIT} fails on purpose");
+                    }
+                    let _: Vec<f32> = comm.recv(CULPRIT, 0);
+                })
+            }))
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !run.is_finished() {
+            assert!(Instant::now() < deadline, "W={workers}: teardown left fibers suspended");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let msg =
+            expect_panic(run.join().expect("runner thread"), "a rank panic must fail the run");
+        assert!(msg.contains("fails on purpose"), "W={workers}: wrong payload surfaced: {msg}");
+        assert_eq!(DROPPED.load(Ordering::SeqCst), P - 1, "W={workers}: guards dropped");
+    }
+}
+
+/// Recurse in 512-byte frames until `target` bytes of stack below `base` are
+/// in use; returns the bytes used.
+#[inline(never)]
+fn use_stack(base: usize, target: usize) -> usize {
+    let frame = [0u8; 512];
+    let here = std::hint::black_box(&frame) as *const [u8; 512] as usize;
+    let used = base - here;
+    if used >= target {
+        return used;
+    }
+    // Not a tail call: the frame stays live across the recursion.
+    use_stack(base, target).max(std::hint::black_box(frame)[7] as usize)
+}
+
+/// The address of a local of the caller's frame, as a stack depth origin.
+#[inline(never)]
+fn stack_base() -> usize {
+    let marker = 0u8;
+    std::hint::black_box(&marker) as *const u8 as usize
+}
+
+#[test]
+fn a_rank_can_use_three_quarters_of_a_64_kib_stack() {
+    let target = 48 << 10;
+    let report = Cluster::new(4, CostModel::free()).with_stack_bytes(64 << 10).run(move |comm| {
+        comm.barrier();
+        let used = use_stack(stack_base(), target);
+        comm.barrier();
+        used
+    });
+    assert!(report.results.iter().all(|&used| used >= target), "{:?}", report.results);
+}
+
+#[test]
+fn overrunning_a_fiber_stack_dies_by_sigsegv() {
+    use std::os::unix::process::ExitStatusExt;
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args(["--ignored", "--exact", "fiber_stack_overrun_child", "--nocapture"])
+        .output()
+        .expect("re-exec the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        !stdout.contains("returned from the overrun"),
+        "a rank wrote past its stack without faulting: {stdout}"
+    );
+    assert_eq!(
+        out.status.signal(),
+        Some(11),
+        "the overrun must die by SIGSEGV on the guard page; child {:?}, stderr: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// The child of `overrunning_a_fiber_stack_dies_by_sigsegv`: rank 0 recurses
+/// 16 KiB past the end of its 64 KiB stack while ranks 1 and 2, whose stacks
+/// were mapped next to it, wait. Crashes by design, so it runs only when
+/// invoked alone (`--exact`).
+#[test]
+#[ignore = "crashes the process by design; run by overrunning_a_fiber_stack_dies_by_sigsegv"]
+fn fiber_stack_overrun_child() {
+    if !std::env::args().any(|a| a == "--exact") {
+        return;
+    }
+    Cluster::new(3, CostModel::free()).with_stack_bytes(64 << 10).with_workers(1).run(|comm| {
+        if comm.rank() == 0 {
+            let used = use_stack(stack_base(), 80 << 10);
+            println!("returned from the overrun after {used} bytes");
+            comm.send(1, 0, vec![0.0f32]);
+            comm.send(2, 0, vec![0.0f32]);
+        } else {
+            let _: Vec<f32> = comm.recv(0, 0);
+        }
+    });
 }
 
 /// Unwrap a `catch_unwind` result that must be a panic, as a string message.

@@ -3,7 +3,7 @@
 //! variants), the Virtual-class metrics recorded
 //! during a run (recv-wait, tx/rx bytes, message histograms, chaos counters,
 //! …) must be bit-identical between a run serialized on one worker (W = 1)
-//! and one where every rank is its own runnable thread (W = P) — clean and
+//! and one where every rank has its own worker thread (W = P) — clean and
 //! under a chaos plan. Host-class metrics (pool behavior, scheduler token
 //! traffic, wall time) are exempt by design. Turning observability off must
 //! change nothing but the (then empty) metrics. The trainer's own `train.*`

@@ -2,7 +2,7 @@
 //! except the one rank per step that assembles a dense scheme's result.
 //!
 //! A counting `#[global_allocator]` (the `collectives/tests/zero_alloc_ring.rs`
-//! pattern, but process-wide: every rank thread counts) charges each
+//! pattern, but process-wide: every rank counts) charges each
 //! allocation of at least 4n bytes made while the window is armed. After two
 //! warm-up steps — the sparse baselines' ε, Ok-Topk's ε and a node leader's
 //! `node_sum` exist by then — three more steps of every sparse scheme must
@@ -20,15 +20,17 @@
 //! n-sized at all.
 //!
 //! Over a Hier-Ok-Topk reducer's whole life — `Reducer::new` through three
-//! steps, counted per rank thread — a rank that is not a node leader makes no
+//! steps, counted per rank — a rank that is not a node leader makes no
 //! such allocation at all (it never builds an `OkTopkSgd`), and a leader makes
 //! exactly 2: its ε and its `node_sum`.
+//!
+//! Each rank's share is keyed by [`simnet::current_rank`], not by thread:
+//! ranks migrate between worker threads at every blocking call.
 //!
 //! This file must stay a single-test binary: the counter is process-wide, so
 //! a sibling test running on another thread would be charged to the window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use simnet::{Cluster, CostModel};
@@ -45,15 +47,15 @@ struct CountingAlloc;
 static ARMED: AtomicBool = AtomicBool::new(false);
 static GRADIENT_SIZED: AtomicUsize = AtomicUsize::new(0);
 
-thread_local! {
-    /// The share of `GRADIENT_SIZED` this thread (one rank) was charged.
-    static MINE: Cell<usize> = const { Cell::new(0) };
-}
+/// The share of `GRADIENT_SIZED` each rank was charged.
+static MINE: [AtomicUsize; P] = [const { AtomicUsize::new(0) }; P];
 
 fn charge(bytes: usize) {
     if bytes >= 4 * N && ARMED.load(Ordering::Relaxed) {
         GRADIENT_SIZED.fetch_add(1, Ordering::Relaxed);
-        MINE.with(|c| c.set(c.get() + 1));
+        if let Some(rank) = simnet::current_rank() {
+            MINE[rank].fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -123,14 +125,14 @@ fn whole_life_allocs_per_rank() -> Vec<usize> {
         comm.barrier();
         ARMED.store(true, Ordering::SeqCst);
         comm.barrier();
-        let before = MINE.with(Cell::get);
+        let before = MINE[comm.rank()].load(Ordering::SeqCst);
         let mut r =
             Reducer::new(Scheme::HierOkTopk, N, 0.01, CostProfile::paper_calibrated(), 2, 2)
                 .with_ranks_per_node(RPN);
         for g in &grads {
             r.reduce(comm, g, 0.1);
         }
-        let mine = MINE.with(Cell::get) - before;
+        let mine = MINE[comm.rank()].load(Ordering::SeqCst) - before;
         comm.barrier();
         ARMED.store(false, Ordering::SeqCst);
         mine

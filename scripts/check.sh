@@ -26,11 +26,10 @@
 # - scale checks bit-parity between W = 1 (fully serialized) and the default
 #   worker count at P=32, then fails
 #   the script if Ok-Topk at P=1024 misses its wall/memory budget (60 s /
-#   108 MiB), or if the P=2048 headline misses its 30 s budget (>= 1.5x over
-#   the PR 7 baseline), its 224 MiB memory budget, or reports a zero scheduler
-#   handoff rate. The memory budgets sit between what per-rank copies of the
-#   values every rank agrees on cost and what the step costs with one copy of
-#   each per process.
+#   98 MiB), or if the P=2048 headline misses its 30 s budget (>= 1.5x over
+#   the BENCH_PR7.json baseline), its 198 MiB memory budget, or reports a zero
+#   scheduler handoff rate. The memory budgets sit between what a thread per
+#   rank costs and what the step costs with each rank a fiber.
 # - fig10 --paper-axis sweeps the weak-scaling axis to P=4096 (clean + one
 #   chaos cell) under a hard wall budget; fig8/fig12 run the same sweep with
 #   CHECK_PAPER_AXIS=1.
@@ -270,6 +269,39 @@ for dir in crates/topo crates/chaos; do
     exit 1
   fi
 done
+
+echo "== one continuation mechanism: rank fibers (DESIGN.md §10) =="
+# A rank is a fiber that one of W worker threads resumes (simnet's fiber.rs);
+# blocking is a register swap. No OS-thread park, wake or yield, no thread per
+# rank and no spin-then-park controller may come back beside it under
+# crates/simnet/src, and fiber.rs holds simnet's only unsafe code, every
+# unsafe block or impl under its own `// SAFETY:` comment, which ends at most
+# two lines above it.
+if grep -rnE 'thread::park|unpark|yield_now|\bSPIN_[A-Z_]+' crates/simnet/src; then
+  echo "FAIL: an OS-thread park/wake path is back in simnet (lines above)" >&2
+  exit 1
+fi
+builders=$(grep -rc 'thread::Builder' crates/simnet/src | awk -F: '{ n += $2 } END { print n }')
+if [ "$builders" -gt 1 ] || { [ "$builders" -eq 1 ] \
+     && ! grep -rn -B3 'thread::Builder' crates/simnet/src | grep -q 'worker_threads()'; }; then
+  echo "FAIL: simnet spawns threads other than its W workers ($builders thread::Builder sites)" >&2
+  exit 1
+fi
+if grep -rnE '\bunsafe\b' crates/simnet/src --include=*.rs | grep -v '^crates/simnet/src/fiber.rs:' \
+   | grep -vE '^[^:]+:[0-9]+:\s*//'; then
+  echo "FAIL: unsafe code outside simnet's fiber.rs (lines above)" >&2
+  exit 1
+fi
+if ! awk '/^[[:space:]]*\/\// { if ($0 ~ /SAFETY:/) safety = 1; if (safety) end = FNR; next }
+          { safety = 0 }
+          /(^|[^a-z_])unsafe([^a-z_]|$)/ {
+            if (FNR - end > 2) { print FILENAME ":" FNR ": " $0; bad = 1 }
+            end = -100
+          }
+          END { exit bad }' crates/simnet/src/fiber.rs; then
+  echo "FAIL: unsafe code without a // SAFETY: comment (lines above)" >&2
+  exit 1
+fi
 
 echo "== pruned stays pruned (DESIGN.md §2) =="
 # Quantization, the hybrid-pipeline sweep, checkpointing, the recipe helpers,

@@ -1,6 +1,6 @@
 //! Schedule-invariance test: every allreduce scheme, run fully serialized
 //! (W = 1 run token: one rank at a time, in a deterministic grant order) and
-//! with every rank its own runnable OS thread (W = P), must produce
+//! with a worker thread per rank (W = P), must produce
 //! bit-identical updates, virtual-clock trajectories and traffic ledgers —
 //! clean and under chaos. Clocks depend only on per-rank program order and
 //! matched message order, so no grant order the scheduler or the kernel picks
@@ -117,7 +117,7 @@ fn every_scheme_is_bit_identical_across_engines_under_chaos() {
 
 #[test]
 fn ok_topk_parity_holds_at_p64() {
-    // One larger spot-check: 64 ranks, each its own runnable thread, is past
+    // One larger spot-check: 64 ranks, each with its own worker thread, is past
     // where scheduling interleavings get genuinely wild.
     let serial = run_scheme(Scheme::OkTopk, 1, 64, 256, 2, None);
     let parallel = run_scheme(Scheme::OkTopk, 64, 64, 256, 2, None);
