@@ -2,8 +2,7 @@
 //! the cluster misbehaves?
 //!
 //! For every variant (Dense, TopkA, TopkDSA, gTopk, Gaussiank, Ok-Topk) and
-//! every cluster size P, the harness runs a fixed data-parallel step —
-//! per-iteration forward/backward compute plus one gradient reduce — under a
+//! every cluster size P, the harness runs [`okbench::reduce_steps`] under a
 //! family of deterministic chaos plans:
 //!
 //! - **straggler severity sweep**: one rank computes 1×–4× slower (1× = clean
@@ -11,28 +10,27 @@
 //! - **jitter sweep**: every message picks up seeded uniform extra head latency
 //!   of up to {50, 200}×α, at clean compute speed.
 //!
-//! All times are *modeled* (virtual seconds), so every cell is deterministic:
-//! the gate re-runs one cell and fails on any bit difference. Emits
-//! `BENCH_PR5.json` with the per-variant slowdown-vs-severity curves.
+//! All times are *modeled* (virtual seconds), so every cell is deterministic.
 //!
 //! Usage: `cargo run --release -p okbench --bin chaos [-- --quick] [--gate]
-//! [--out PATH]`. `--gate` runs a tiny P=4 sweep and exits non-zero if any
-//! perturbed cell finishes *faster* than its clean baseline (chaos must never
-//! help) or if a repeated cell is not bit-identical — the smoke run wired into
-//! `scripts/check.sh`.
+//! [--out PATH]` (default `target/chaos.json`). `--gate` runs a tiny P=4
+//! sweep and exits non-zero if any perturbed cell finishes *faster* than its
+//! clean baseline (chaos must never help) or if a repeated cell is not
+//! bit-identical — the smoke run wired into `scripts/check.sh`.
 
-use simnet::{ChaosPlan, Cluster, Comm};
-use train::{CostProfile, Reducer, Scheme, Update};
+use okbench::{reduce_steps, Json};
+use simnet::ChaosPlan;
+use train::{CostProfile, Scheme};
 
-/// Gradient length: small enough that a full sweep stays fast, large enough
-/// that compute (`fwd_bwd`) and communication are comparable — a straggler
-/// that only stretched compute on a comm-dominated run would show nothing.
+/// Small enough that a full sweep stays fast, large enough that compute and
+/// communication are comparable — a straggler that only stretched compute on
+/// a comm-dominated run would show nothing.
 const N: usize = 16_384;
 const DENSITY: f64 = 0.02;
 const ITERS: usize = 4;
 
-/// The six variants of the robustness matrix (DenseOvlp's overlap window
-/// depends on a backward-pass schedule the fixed step here does not model).
+/// DenseOvlp's overlap window depends on a backward-pass schedule the fixed
+/// step here does not model.
 const SCHEMES: [Scheme; 6] = [
     Scheme::Dense,
     Scheme::TopkA,
@@ -43,194 +41,63 @@ const SCHEMES: [Scheme; 6] = [
 ];
 
 const SEVERITIES: [f64; 4] = [1.0, 2.0, 3.0, 4.0];
-/// Jitter bounds as multiples of the network α. Messages here are big enough
-/// that β·L dominates α, so meaningful jitter needs to be many α deep —
-/// [50α, 200α] spans "noisy switch" to "congested fabric" territory and is
-/// where message-count differences between variants become visible.
+/// Jitter bounds as multiples of α. Messages here are big enough that β·L
+/// dominates α, so meaningful jitter is many α deep: [50α, 200α] spans "noisy
+/// switch" to "congested fabric", where message-count differences show.
 const JITTER_LEVELS: [f64; 2] = [50.0, 200.0];
 
-fn grad(rank: usize, iter: usize) -> Vec<f32> {
-    (0..N)
-        .map(|i| {
-            let x = (i * (rank + 2) + iter * 131) as f32;
-            let spike = if i % 211 == (rank * 13 + iter) % 211 { 3.0 } else { 0.0 };
-            (x * 0.01).sin() * 0.25 + spike
-        })
-        .collect()
-}
-
-/// Modeled makespan of `ITERS` data-parallel steps of `scheme` at size `p`
-/// under `plan` (empty plan = clean baseline). Returns virtual seconds.
-fn step_makespan(scheme: Scheme, p: usize, plan: ChaosPlan) -> f64 {
-    let profile = CostProfile::paper_calibrated().scaled_for_model(N);
-    let fwd = profile.fwd_bwd(N);
-    let report = Cluster::new(p, profile.network()).with_chaos(plan).run(move |comm: &mut Comm| {
-        let mut reducer = Reducer::new(scheme, N, DENSITY, profile, 8, 8);
-        for it in 0..ITERS {
-            comm.compute(fwd);
-            let g = grad(comm.rank(), it);
-            let (update, _) = reducer.reduce(comm, &g, 0.1);
-            match update {
-                Update::Dense(v) => std::hint::black_box(v.len()),
-                Update::Sparse(coo) => std::hint::black_box(coo.indexes().len()),
-            };
-        }
-    });
-    report.makespan()
-}
-
-struct Cell {
-    severity: f64,
-    slowdown: f64,
-}
-
-struct Curve {
-    scheme: Scheme,
-    p: usize,
-    clean_makespan: f64,
-    straggler: Vec<Cell>,
-    jitter: Vec<Cell>,
-}
-
-/// One (scheme, P) row: the straggler severity curve plus the jitter curve,
-/// both normalized by the clean baseline.
-fn sweep(scheme: Scheme, p: usize) -> Curve {
-    let clean = step_makespan(scheme, p, ChaosPlan::new(0));
-    let straggler = SEVERITIES
-        .iter()
-        .map(|&s| {
-            let t = if s == 1.0 {
-                clean
-            } else {
-                step_makespan(scheme, p, ChaosPlan::new(0).straggler(0, s))
-            };
-            Cell { severity: s, slowdown: t / clean }
-        })
-        .collect();
-    let alpha = CostProfile::paper_calibrated().scaled_for_model(N).network().alpha;
-    let jitter = JITTER_LEVELS
-        .iter()
-        .map(|&lvl| {
-            let t = step_makespan(scheme, p, ChaosPlan::new(7).jitter(lvl * alpha));
-            Cell { severity: lvl, slowdown: t / clean }
-        })
-        .collect();
-    Curve { scheme, p, clean_makespan: clean, straggler, jitter }
-}
-
-fn write_json(path: &str, header: &okbench::Header, sizes: &[usize], curves: &[Curve]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&header.json_fields());
-    out.push_str(&format!("  \"n\": {N},\n"));
-    out.push_str(&format!("  \"density\": {DENSITY},\n"));
-    out.push_str(&format!("  \"iters\": {ITERS},\n"));
-    out.push_str(&format!(
-        "  \"cluster_sizes\": [{}],\n",
-        sizes.iter().map(|p| p.to_string()).collect::<Vec<_>>().join(", ")
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, c) in curves.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"scheme\": \"{}\",\n", c.scheme.name()));
-        out.push_str(&format!("      \"p\": {},\n", c.p));
-        out.push_str(&format!("      \"clean_makespan\": {:.6e},\n", c.clean_makespan));
-        out.push_str("      \"straggler_curve\": [\n");
-        for (j, cell) in c.straggler.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"severity\": {:.1}, \"slowdown\": {:.4}}}{}\n",
-                cell.severity,
-                cell.slowdown,
-                if j + 1 < c.straggler.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("      ],\n");
-        out.push_str("      \"jitter_curve\": [\n");
-        for (j, cell) in c.jitter.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"alpha_mult\": {:.1}, \"slowdown\": {:.4}}}{}\n",
-                cell.severity,
-                cell.slowdown,
-                if j + 1 < c.jitter.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(if i + 1 < curves.len() { "    },\n" } else { "    }\n" });
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write bench json");
+/// Modeled makespan of `scheme` at size `p` under `plan`.
+fn makespan(scheme: Scheme, p: usize, plan: ChaosPlan) -> f64 {
+    reduce_steps((scheme, p, N, DENSITY, ITERS), 1, |c| c.with_chaos(plan)).makespan()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let run_gate = args.iter().any(|a| a == "--gate");
-    let header = okbench::Header::begin("chaos", quick || run_gate);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_PR5.json")
-        .to_string();
-
-    let sizes: &[usize] = if run_gate {
+    let args = okbench::Args::parse("chaos");
+    let sizes: &[usize] = if args.gate {
         &[4]
-    } else if quick {
+    } else if args.quick {
         &[8, 16]
     } else {
         &[8, 16, 32]
     };
-
     eprintln!("chaos: n={N} density={DENSITY} iters={ITERS} sizes={sizes:?}");
-    let mut curves = Vec::new();
+    let alpha = CostProfile::paper_calibrated().scaled_for_model(N).network().alpha;
+    let mut rows = Vec::new();
     let mut failures = Vec::new();
     for &p in sizes {
         for scheme in SCHEMES {
-            let c = sweep(scheme, p);
-            let worst = c.straggler.last().map(|x| x.slowdown).unwrap_or(1.0);
-            eprintln!(
-                "  p={:<3} {:<10} clean {:>10.4e}s  straggler 4x -> {:.2}x  jitter 200a -> {:.2}x",
-                p,
-                c.scheme.name(),
-                c.clean_makespan,
-                worst,
-                c.jitter.last().map(|x| x.slowdown).unwrap_or(1.0),
-            );
-            // Chaos can only add modeled time; allow a whisker of float slack.
-            for cell in c.straggler.iter().chain(&c.jitter) {
-                if cell.slowdown < 1.0 - 1e-9 {
-                    failures.push(format!(
-                        "{} p={} severity {:.1}: slowdown {:.4} < 1.0",
-                        c.scheme.name(),
-                        p,
-                        cell.severity,
-                        cell.slowdown
-                    ));
+            let clean = makespan(scheme, p, ChaosPlan::new(0));
+            let mut row = Json::default()
+                .text("scheme", scheme.name())
+                .field("p", p)
+                .field("clean_makespan", format!("{clean:.6e}"));
+            let cells =
+                SEVERITIES.iter().map(|&s| ("straggler", s, ChaosPlan::new(0).straggler(0, s)));
+            let jitter =
+                JITTER_LEVELS.iter().map(|&l| ("jitter", l, ChaosPlan::new(7).jitter(l * alpha)));
+            for (kind, level, plan) in cells.chain(jitter) {
+                let slowdown = if level == 1.0 { 1.0 } else { makespan(scheme, p, plan) / clean };
+                row = row.field(&format!("{kind}_{level}"), format!("{slowdown:.4}"));
+                // Chaos can only add modeled time; allow a whisker of float slack.
+                if slowdown < 1.0 - 1e-9 {
+                    let name = scheme.name();
+                    failures
+                        .push(format!("{name} p={p} {kind} {level}: slowdown {slowdown:.4} < 1"));
                 }
             }
-            curves.push(c);
+            eprintln!("  p={p:<3} {:<10} {}", scheme.name(), row.inline());
+            rows.push(row);
         }
     }
-
-    write_json(&out_path, &header, sizes, &curves);
-    eprintln!("wrote {out_path}");
-
-    if run_gate {
-        // Determinism: the same plan must reproduce the same modeled makespan
-        // to the bit.
-        let p = sizes[0];
-        let a = step_makespan(Scheme::OkTopk, p, ChaosPlan::new(3).straggler(0, 2.0).jitter(1e-5));
-        let b = step_makespan(Scheme::OkTopk, p, ChaosPlan::new(3).straggler(0, 2.0).jitter(1e-5));
+    if args.gate {
+        // The same plan must reproduce the same modeled makespan to the bit.
+        let plan = || ChaosPlan::new(3).straggler(0, 2.0).jitter(1e-5);
+        let (a, b) = (makespan(Scheme::OkTopk, 4, plan()), makespan(Scheme::OkTopk, 4, plan()));
         if a.to_bits() != b.to_bits() {
             failures.push(format!("nondeterministic chaos run: {a:?} vs {b:?}"));
         }
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("gate: FAIL — {f}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!("gate: OK (all slowdowns >= 1.0, chaos runs deterministic)");
     }
+    let params = Json::default().field("n", N).field("density", DENSITY).field("iters", ITERS);
+    args.header.write_json(&args.out, params, &rows);
+    okbench::gate_exit(args.gate, &failures, "all slowdowns >= 1.0, chaos runs deterministic");
 }

@@ -1,59 +1,5 @@
-//! Figure 10 reproduction: weak scaling of LSTM training (density 2%), 32 and 64
-//! ranks, per-iteration time breakdown for all seven schemes.
-//!
-//! Expected shape mirrors Fig. 8 at larger P: allgather-based schemes degrade
-//! with P while Ok-Topk stays flat. Paper: Ok-Topk outperforms others
-//! 1.34×–7.71× on 64 ranks.
-//!
-//! `--paper-axis` instead sweeps the scalable trio over P ∈ {256 … 4096} on
-//! the event engine (clean + one chaos cell at the top P).
-
-use dnn::data::SyntheticSequences;
-use dnn::models::LstmNet;
-use okbench::{iters, paper_axis_panel, weak_scaling_panel};
-use train::{OptimizerKind, Scheme, TrainConfig};
+//! Fig. 10: LSTM stand-in weak scaling (a row of `okbench::panels::BREAKDOWN`); `--paper-axis` sweeps P to 4096.
 
 fn main() {
-    okbench::Header::begin("fig10", !okbench::full_scale()).print_text();
-    let mut cfg = TrainConfig::new(Scheme::Dense, 0.02);
-    cfg.iters = iters(80, 200);
-    cfg.local_batch = 2;
-    cfg.optimizer = OptimizerKind::Sgd { lr: 0.2 };
-    let tau = if okbench::full_scale() { 32 } else { 16 };
-    cfg.tau = tau;
-    cfg.tau_prime = tau;
-
-    let data = SyntheticSequences::new(3);
-    let local_batch = cfg.local_batch;
-
-    if std::env::args().any(|a| a == "--paper-axis") {
-        paper_axis_panel(
-            "Figure 10 (paper axis) — LSTM stand-in weak scaling to P = 4096 (density = 2%)",
-            &cfg,
-            || LstmNet::new(21),
-            move |it, r, w| data.train_batch(it, r, w, local_batch),
-        );
-        return;
-    }
-    let results = weak_scaling_panel(
-        "Figure 10 — weak scaling of LSTM stand-in on AN4 stand-in (density = 2%)",
-        &[32, 64],
-        &Scheme::all(),
-        &cfg,
-        cfg.iters * 3 / 4,
-        || LstmNet::new(21),
-        move |it, r, w| data.train_batch(it, r, w, local_batch),
-    );
-
-    let okt = results
-        .iter()
-        .find(|(p, s, _)| *p == 64 && *s == Scheme::OkTopk)
-        .map(|(_, _, t)| *t)
-        .expect("Ok-Topk ran");
-    println!("\nOk-Topk speedup over each scheme at P = 64 (paper: 1.34x-7.71x):");
-    for (p, s, t) in &results {
-        if *p == 64 && *s != Scheme::OkTopk {
-            println!("  vs {:<10} {:>6.2}x", s.name(), t / okt);
-        }
-    }
+    okbench::main("fig10");
 }

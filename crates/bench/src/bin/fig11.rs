@@ -1,57 +1,5 @@
-//! Figure 11 reproduction: test WER (proxy: per-token error rate, lower is
-//! better) vs modeled runtime for the LSTM stand-in (density 2%), 32 and 64 ranks.
-//!
-//! Expected shape: Ok-Topk reaches a WER close to DenseOvlp's in the least
-//! modeled time; at the larger scale all schemes' WERs worsen slightly (larger
-//! global batch), with sparse schemes occasionally *beating* dense (sparsification
-//! noise as regularizer, as the paper observed on 64 GPUs).
-
-use dnn::data::SyntheticSequences;
-use dnn::models::LstmNet;
-use okbench::{convergence_panel, iters};
-use train::{OptimizerKind, Scheme, TrainConfig};
+//! Fig. 11: LSTM stand-in WER proxy vs modeled time (a row of `okbench::panels::CONVERGENCE`).
 
 fn main() {
-    okbench::Header::begin("fig11", !okbench::full_scale()).print_text();
-    let mut cfg = TrainConfig::new(Scheme::Dense, 0.02);
-    cfg.iters = iters(400, 1000);
-    cfg.local_batch = 2;
-    cfg.optimizer = OptimizerKind::Sgd { lr: 0.6 };
-    cfg.lr_decay_iters = cfg.iters / 2;
-    cfg.tau = 16;
-    cfg.tau_prime = 16;
-    cfg.eval_every = (cfg.iters / 6).max(1);
-
-    let data = SyntheticSequences::new(3);
-    let eval: Vec<_> = (0..4).map(|b| data.test_batch(b, 24)).collect();
-    let local_batch = cfg.local_batch;
-
-    for p in [32usize, 64] {
-        let results = convergence_panel(
-            "Figure 11 — WER proxy vs time, LSTM stand-in, density 2%",
-            "WER",
-            p,
-            &Scheme::all(),
-            &cfg,
-            || LstmNet::new(21),
-            {
-                let data = data.clone();
-                move |it, r, w| data.train_batch(it, r, w, local_batch)
-            },
-            &eval,
-            Some(false),
-        );
-        println!("\nSummary at P = {p}: final WER proxy and modeled training time");
-        for (scheme, res) in &results {
-            if let Some(last) = res.evals.last() {
-                println!(
-                    "  {:<10} WER {:.4}  time {:>8.2}s",
-                    scheme.name(),
-                    1.0 - last.accuracy,
-                    last.time
-                );
-            }
-        }
-        println!();
-    }
+    okbench::main("fig11");
 }

@@ -1,73 +1,5 @@
-//! Figure 12 reproduction: weak scaling of BERT pre-training (density 1%) from 32
-//! to 256 ranks, plus Ok-Topk's parallel efficiency.
-//!
-//! Expected shape: at 256 ranks the communication of TopkA/Gaussiank exceeds even
-//! the dense allreduce (allgather ∝ P); TopkDSA sits in between (fill-in grows
-//! with P); Ok-Topk stays flat. Paper: Ok-Topk beats everything 3.29×–12.95× at
-//! 256 ranks and keeps 76.3% weak-scaling parallel efficiency vs 32 ranks.
-//!
-//! `--paper-axis` instead sweeps the scalable trio over P ∈ {256 … 4096} on
-//! the event engine (clean + one chaos cell at the top P).
-
-use dnn::data::SyntheticMaskedLm;
-use dnn::models::BertLite;
-use okbench::{full_scale, iters, paper_axis_panel, weak_scaling_panel};
-use train::{OptimizerKind, Scheme, TrainConfig};
+//! Fig. 12: BERT stand-in weak scaling (a row of `okbench::panels::BREAKDOWN`); `--paper-axis` sweeps P to 4096.
 
 fn main() {
-    okbench::Header::begin("fig12", !okbench::full_scale()).print_text();
-    let mut cfg = TrainConfig::new(Scheme::Dense, 0.01);
-    cfg.iters = iters(112, 240);
-    cfg.local_batch = 1;
-    cfg.optimizer = OptimizerKind::Adam { lr: 2e-4, weight_decay: 0.01 };
-    let tau = if full_scale() { 32 } else { 16 };
-    cfg.tau = tau;
-    cfg.tau_prime = tau;
-
-    let ps: Vec<usize> = vec![32, 64, 128, 256];
-    let data = SyntheticMaskedLm::new(5);
-    let local_batch = cfg.local_batch;
-
-    if std::env::args().any(|a| a == "--paper-axis") {
-        paper_axis_panel(
-            "Figure 12 (paper axis) — BERT stand-in weak scaling to P = 4096 (density = 1%)",
-            &cfg,
-            || BertLite::new(13),
-            move |it, r, w| data.train_batch(it, r, w, local_batch),
-        );
-        return;
-    }
-    let results = weak_scaling_panel(
-        "Figure 12 — weak scaling of BERT stand-in pre-training (density = 1%)",
-        &ps,
-        &Scheme::all(),
-        &cfg,
-        cfg.iters * 3 / 4,
-        || BertLite::new(13),
-        move |it, r, w| data.train_batch(it, r, w, local_batch),
-    );
-
-    let okt_at = |p: usize| {
-        results
-            .iter()
-            .find(|(pp, s, _)| *pp == p && *s == Scheme::OkTopk)
-            .map(|(_, _, t)| *t)
-            .expect("Ok-Topk ran")
-    };
-    let p_max = *ps.last().expect("non-empty");
-    let okt = okt_at(p_max);
-    println!("\nOk-Topk speedup over each scheme at P = {p_max} (paper: 3.29x-12.95x at 256):");
-    for (p, s, t) in &results {
-        if *p == p_max && *s != Scheme::OkTopk {
-            println!("  vs {:<10} {:>6.2}x", s.name(), t / okt);
-        }
-    }
-
-    // Weak-scaling parallel efficiency vs the 32-rank baseline (constant local
-    // work → efficiency = t(32)/t(P)).
-    println!("\nOk-Topk weak-scaling parallel efficiency (baseline P = 32; paper: 76.3% at 256):");
-    let base = okt_at(ps[0]);
-    for &p in &ps {
-        println!("  P = {p:<4} efficiency = {:>5.1}%", 100.0 * base / okt_at(p));
-    }
+    okbench::main("fig12");
 }

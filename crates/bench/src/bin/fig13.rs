@@ -1,64 +1,5 @@
-//! Figure 13 reproduction: BERT pre-training loss vs modeled time on 32 ranks,
-//! density 1%, comparing DenseOvlp (lossless baseline), Gaussiank (highest
-//! baseline throughput) and Ok-Topk — the same three the paper plots.
-//!
-//! Expected shape: Ok-Topk's loss curve tracks DenseOvlp's closely per iteration
-//! (similar convergence rate) while reaching any given loss in far less modeled
-//! time (paper: >3× total time reduction, and 1.30× over Gaussiank).
-
-use dnn::data::SyntheticMaskedLm;
-use dnn::models::BertLite;
-use okbench::{convergence_panel, iters};
-use train::{OptimizerKind, Scheme, TrainConfig};
+//! Fig. 13: BERT stand-in loss vs modeled time (a row of `okbench::panels::CONVERGENCE`).
 
 fn main() {
-    okbench::Header::begin("fig13", !okbench::full_scale()).print_text();
-    let mut cfg = TrainConfig::new(Scheme::DenseOvlp, 0.01);
-    cfg.iters = iters(1200, 4000);
-    cfg.local_batch = 2;
-    cfg.optimizer = OptimizerKind::Adam { lr: 1e-3, weight_decay: 0.01 };
-    cfg.lr_decay_iters = cfg.iters;
-    cfg.tau = 32;
-    cfg.tau_prime = 32;
-    cfg.eval_every = (cfg.iters / 8).max(1);
-
-    let data = SyntheticMaskedLm::new(5);
-    let eval: Vec<_> = (0..4).map(|b| data.test_batch(b, 16)).collect();
-    let local_batch = cfg.local_batch;
-
-    let results = convergence_panel(
-        "Figure 13 — BERT stand-in pre-training loss vs modeled time, density 1%",
-        "mlm-loss",
-        32,
-        &[Scheme::DenseOvlp, Scheme::GaussianK, Scheme::OkTopk],
-        &cfg,
-        || BertLite::new(13),
-        move |it, r, w| data.train_batch(it, r, w, local_batch),
-        &eval,
-        None,
-    );
-
-    println!("\nSummary: final loss and total modeled training time");
-    let mut okt_time = None;
-    let mut dense_time = None;
-    let mut gauss_time = None;
-    for (scheme, res) in &results {
-        if let Some(last) = res.evals.last() {
-            println!(
-                "  {:<10} loss {:.4}  modeled time {:>9.2}s",
-                scheme.name(),
-                last.loss,
-                last.time
-            );
-            match scheme {
-                Scheme::OkTopk => okt_time = Some(last.time),
-                Scheme::DenseOvlp => dense_time = Some(last.time),
-                Scheme::GaussianK => gauss_time = Some(last.time),
-                _ => {}
-            }
-        }
-    }
-    if let (Some(o), Some(d), Some(g)) = (okt_time, dense_time, gauss_time) {
-        println!("\n  total-time speedup of Ok-Topk: {:.2}x vs DenseOvlp (paper: >3x), {:.2}x vs Gaussiank (paper: 1.30x)", d / o, g / o);
-    }
+    okbench::main("fig13");
 }

@@ -1,175 +1,5 @@
-//! Figure 4 reproduction: gradient value distribution and local top-k threshold
-//! predictions (accurate vs Ok-Topk's reused threshold vs Gaussiank's estimate).
-//!
-//! Trains each of the three models briefly, then at an iteration ≥25 steps after
-//! the last threshold re-evaluation snapshots the Ok-Topk *accumulator* and prints
-//! its histogram together with the three thresholds. Expected shape: the reused
-//! Ok-Topk threshold lands close to the accurate one; the Gaussian estimate lands
-//! above it (the fitted normal has a longer tail than the sharply peaked real
-//! distribution), i.e. Gaussiank under-selects.
-
-use dnn::data::{SyntheticImages, SyntheticMaskedLm, SyntheticSequences};
-use dnn::models::{BertLite, LstmNet, VggLite};
-use dnn::{Model, TrainStats};
-use okbench::iters;
-use oktopk::{OkTopkConfig, OkTopkSgd};
-use simnet::{Cluster, CostModel};
-use sparse::select::exact_threshold;
-use sparse::stats::Histogram;
-use sparse::threshold::GaussianEstimator;
-use train::CostProfile;
-
-/// Drive Ok-Topk SGD on `p` ranks for `total` iterations; at `snapshot_t` return
-/// rank 0's accumulator together with the threshold Ok-Topk is reusing.
-#[allow(clippy::too_many_arguments)]
-fn snapshot_accumulator<M, FM, FB>(
-    p: usize,
-    density: f64,
-    tau_prime: usize,
-    total: usize,
-    snapshot_t: usize,
-    lr: f32,
-    make_model: FM,
-    make_batch: FB,
-) -> (Vec<f32>, f32)
-where
-    M: Model,
-    FM: Fn() -> M + Send + Sync,
-    FB: Fn(u64, usize, usize) -> M::Batch + Send + Sync,
-{
-    let cost = CostProfile::paper_calibrated().network();
-    let _ = cost;
-    let report = Cluster::new(p, CostModel::free()).run(|comm| {
-        let mut model = make_model();
-        let n = model.num_params();
-        let k = ((n as f64 * density) as usize).max(1);
-        let mut sgd = OkTopkSgd::new(OkTopkConfig::new(n, k).with_periods(64, tau_prime));
-        let mut out: Option<(Vec<f32>, f32)> = None;
-        for t in 1..=total {
-            let batch = make_batch((t - 1) as u64, comm.rank(), comm.size());
-            model.zero_grads();
-            let _: TrainStats = model.forward_backward(&batch);
-            if t == snapshot_t && comm.rank() == 0 {
-                out = Some((sgd.peek_accumulator(model.grads(), lr), 0.0));
-            }
-            let step = sgd.step(comm, model.grads(), lr);
-            if t == snapshot_t {
-                if let Some((_, th)) = out.as_mut() {
-                    *th = step.meta.local_th;
-                }
-            }
-            let update = step.update;
-            let params = model.params_mut();
-            for (i, v) in update.iter() {
-                params[i as usize] -= v;
-            }
-        }
-        out
-    });
-    report.results.into_iter().next().flatten().unwrap_or((Vec::new(), 0.0))
-}
-
-fn print_panel(name: &str, density: f64, acc: &[f32], reused_th: f32) {
-    let n = acc.len();
-    let k = ((n as f64 * density) as usize).max(1);
-    let accurate = exact_threshold(acc, k);
-    let gaussian = GaussianEstimator::raw_threshold(acc, k);
-    let selected_ok = acc.iter().filter(|v| v.abs() >= reused_th).count();
-    let selected_gauss = acc.iter().filter(|v| v.abs() >= gaussian).count();
-
-    println!("\n=== {name} (n = {n}, density = {:.2}%) ===", density * 100.0);
-    println!("  accurate threshold      {accurate:>12.6}  (selects exactly ~k = {k})");
-    println!(
-        "  Ok-Topk reused threshold{reused_th:>12.6}  (selects {selected_ok}, {:+.1}% vs k)",
-        100.0 * (selected_ok as f64 - k as f64) / k as f64
-    );
-    println!(
-        "  Gaussiank threshold     {gaussian:>12.6}  (selects {selected_gauss}, {:+.1}% vs k)",
-        100.0 * (selected_gauss as f64 - k as f64) / k as f64
-    );
-
-    // Histogram of the central mass of the distribution.
-    let spread = 4.0 * accurate as f64;
-    let mut h = Histogram::new(-spread, spread, 41);
-    h.add_all(acc);
-    let max_count = h.counts().iter().copied().max().unwrap_or(1).max(1);
-    println!("  value distribution (log-scaled bars; | marks ±accurate threshold):");
-    for (i, &c) in h.counts().iter().enumerate() {
-        let center = h.bin_center(i);
-        let bar_len = if c == 0 {
-            0
-        } else {
-            (40.0 * ((c as f64).ln_1p() / (max_count as f64).ln_1p())) as usize
-        };
-        let marker = if (center.abs() - accurate as f64).abs() < spread / 41.0 { "|" } else { " " };
-        println!("   {center:>10.5} {marker} {}", "#".repeat(bar_len));
-    }
-    let (below, above) = h.outliers();
-    println!("   (outside range: {below} below, {above} above)");
-}
-
-/// Largest iteration ≤ `total` that sits exactly 26 iterations after a threshold
-/// re-evaluation (Algorithm 1 re-evaluates when (t−1) mod τ′ == 0), so the
-/// snapshot shows a threshold reused for >25 iterations as in the paper's Fig. 4.
-fn snapshot_iteration(total: usize, tau_prime: usize) -> usize {
-    ((total.saturating_sub(27)) / tau_prime) * tau_prime + 27
-}
+//! Fig. 4: gradient value distributions and local top-k threshold predictions.
 
 fn main() {
-    okbench::Header::begin("fig4", !okbench::full_scale()).print_text();
-    println!("Figure 4 — gradient value distributions and threshold predictions");
-
-    // VGG on synthetic images, density 2%, τ′ = 32; snapshot 26 iterations after a
-    // re-evaluation (t = 59: last re-eval at t = 33).
-    {
-        let total = iters(160, 400);
-        let data = SyntheticImages::new(2);
-        let (acc, th) = snapshot_accumulator(
-            4,
-            0.02,
-            32,
-            total,
-            snapshot_iteration(total, 32),
-            0.05,
-            || VggLite::new(16),
-            move |it, r, w| data.train_batch(it, r, w, 4),
-        );
-        print_panel("VGG-16 stand-in on Cifar-10 stand-in", 0.02, &acc, th);
-    }
-
-    // LSTM, density 2%, τ′ = 32.
-    {
-        let total = iters(160, 400);
-        let data = SyntheticSequences::new(3);
-        let (acc, th) = snapshot_accumulator(
-            4,
-            0.02,
-            32,
-            total,
-            snapshot_iteration(total, 32),
-            0.2,
-            || LstmNet::new(21),
-            move |it, r, w| data.train_batch(it, r, w, 4),
-        );
-        print_panel("LSTM stand-in on AN4 stand-in", 0.02, &acc, th);
-    }
-
-    // BERT, density 1%, τ′ = 128 in the paper; quick mode uses 32 so the snapshot
-    // still happens ≥25 iterations after a re-evaluation within a short run.
-    {
-        let tau_prime = if okbench::full_scale() { 128 } else { 32 };
-        let total = iters(160, 400);
-        let data = SyntheticMaskedLm::new(5);
-        let (acc, th) = snapshot_accumulator(
-            4,
-            0.01,
-            tau_prime,
-            total,
-            snapshot_iteration(total, tau_prime),
-            1.0, // Adam mode: raw gradients accumulate
-            || BertLite::new(13),
-            move |it, r, w| data.train_batch(it, r, w, 4),
-        );
-        print_panel("BERT stand-in on Wikipedia stand-in", 0.01, &acc, th);
-    }
+    okbench::main("fig4");
 }

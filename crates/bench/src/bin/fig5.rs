@@ -1,90 +1,5 @@
-//! Figure 5 reproduction: the empirical value of ξ (Assumption 1) over training,
-//! for each model at two densities.
-//!
-//! Expected shape: ξ rises in early training and then stabilizes (or grows slowly
-//! as the true gradient norm shrinks), and the higher density gives the smaller ξ.
-//! The paper's convergence argument needs ξ ≲ P.
-
-use dnn::data::{SyntheticImages, SyntheticMaskedLm, SyntheticSequences};
-use dnn::models::{BertLite, LstmNet, VggLite};
-use okbench::iters;
-use train::{run_data_parallel, OptimizerKind, Scheme, TrainConfig};
-
-fn xi_series(res: &train::RunResult) -> Vec<(usize, f64)> {
-    res.records.iter().filter_map(|r| r.xi.map(|x| (r.t, x))).collect()
-}
-
-fn print_xi(model: &str, density: f64, p: usize, series: &[(usize, f64)]) {
-    println!("\n{model}, density = {:.1}%, P = {p}", density * 100.0);
-    for (t, xi) in series {
-        let bar = "#".repeat(((xi * 8.0).min(60.0)) as usize);
-        println!("  iter {t:>5}  xi = {xi:>8.3}  {bar}");
-    }
-    let max = series.iter().map(|(_, x)| *x).fold(0.0f64, f64::max);
-    println!("  max xi = {max:.3} (convergence needs xi ≲ P = {p})");
-}
+//! Fig. 5: the empirical ξ of Assumption 1 over training.
 
 fn main() {
-    okbench::Header::begin("fig5", !okbench::full_scale()).print_text();
-    println!("Figure 5 — empirical xi over training (Assumption 1 validation)");
-    let p = 4;
-    let total = iters(48, 160);
-    let every = (total / 12).max(1);
-
-    // (a) VGG, densities 1% and 2%.
-    for &density in &[0.01, 0.02] {
-        let mut cfg = TrainConfig::new(Scheme::OkTopk, density);
-        cfg.iters = total;
-        cfg.tau = 16;
-        cfg.tau_prime = 16;
-        cfg.optimizer = OptimizerKind::Sgd { lr: 0.05 };
-        cfg.measure_xi_every = every;
-        let data = SyntheticImages::new(2);
-        let res = run_data_parallel(
-            p,
-            &cfg,
-            || VggLite::new(16),
-            move |it, r, w| data.train_batch(it, r, w, 4),
-            &[],
-        );
-        print_xi("VGG-16 stand-in", density, p, &xi_series(&res));
-    }
-
-    // (b) LSTM, densities 2% and 4%.
-    for &density in &[0.02, 0.04] {
-        let mut cfg = TrainConfig::new(Scheme::OkTopk, density);
-        cfg.iters = total;
-        cfg.tau = 16;
-        cfg.tau_prime = 16;
-        cfg.optimizer = OptimizerKind::Sgd { lr: 0.2 };
-        cfg.measure_xi_every = every;
-        let data = SyntheticSequences::new(3);
-        let res = run_data_parallel(
-            p,
-            &cfg,
-            || LstmNet::new(21),
-            move |it, r, w| data.train_batch(it, r, w, 4),
-            &[],
-        );
-        print_xi("LSTM stand-in", density, p, &xi_series(&res));
-    }
-
-    // (c) BERT, densities 1% and 2% (Adam recipe: sparse allreduce on raw grads).
-    for &density in &[0.01, 0.02] {
-        let mut cfg = TrainConfig::new(Scheme::OkTopk, density);
-        cfg.iters = total;
-        cfg.tau = 16;
-        cfg.tau_prime = 16;
-        cfg.optimizer = OptimizerKind::Adam { lr: 2e-4, weight_decay: 0.01 };
-        cfg.measure_xi_every = every;
-        let data = SyntheticMaskedLm::new(5);
-        let res = run_data_parallel(
-            p,
-            &cfg,
-            || BertLite::new(13),
-            move |it, r, w| data.train_batch(it, r, w, 4),
-            &[],
-        );
-        print_xi("BERT stand-in", density, p, &xi_series(&res));
-    }
+    okbench::main("fig5");
 }

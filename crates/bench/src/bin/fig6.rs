@@ -1,156 +1,5 @@
-//! Figure 6 reproduction: selections for local and global top-k values.
-//!
-//! Tracks, over a full (scaled-down) training run of each model, the number of
-//! local and global top-k values Ok-Topk selects with its reused thresholds,
-//! against the accurate number (= k for the configured density), plus the raw
-//! count Gaussiank's threshold would select on the same stream. Also reports the
-//! §5.2 fill-in density of TopkA/TopkDSA's output buffer.
-//!
-//! Expected shape: Ok-Topk's counts hug k (average deviation ≈ 10% or less, with
-//! some overshoot early in training); Gaussiank severely under-predicts after the
-//! first epochs; TopkDSA's output density expands by an order of magnitude over
-//! the input density.
-
-use dnn::data::{SyntheticImages, SyntheticMaskedLm, SyntheticSequences};
-use dnn::models::{BertLite, LstmNet, VggLite};
-use dnn::Model;
-use okbench::iters;
-use train::{run_data_parallel, OptimizerKind, RunResult, Scheme, TrainConfig};
-
-struct Panel {
-    name: &'static str,
-    k: usize,
-    oktopk: RunResult,
-    gaussian: RunResult,
-    dsa: RunResult,
-}
-
-fn summarize(panel: &Panel) {
-    let k = panel.k as f64;
-    println!("\n=== {} (k = {}) ===", panel.name, panel.k);
-    println!("  iter | Ok-Topk local | Ok-Topk global | Gaussiank predicted");
-    let recs = &panel.oktopk.records;
-    let step = (recs.len() / 12).max(1);
-    for r in recs.iter().step_by(step) {
-        let g = panel
-            .gaussian
-            .records
-            .iter()
-            .find(|x| x.t == r.t)
-            .and_then(|x| x.gaussian_pred)
-            .unwrap_or(0);
-        println!(
-            "  {:>5} | {:>13} | {:>14} | {:>19}",
-            r.t,
-            r.local_nnz.unwrap_or(0),
-            r.global_nnz.unwrap_or(0),
-            g
-        );
-    }
-    // Deviation statistics over the second half of training: the residual
-    // accumulators need ~n/k iterations to reach their stationary scale, and the
-    // paper's "average deviation below 11%" refers to full (long) training runs
-    // dominated by that stationary phase. The early overshoot is visible in the
-    // table above, exactly as in the paper's Fig. 6 for VGG/LSTM.
-    let stable = &recs[recs.len() / 2..];
-    let dev = |get: &dyn Fn(&train::IterRecord) -> Option<usize>| -> f64 {
-        let devs: Vec<f64> =
-            stable.iter().filter_map(|r| get(r).map(|v| (v as f64 - k).abs() / k)).collect();
-        devs.iter().sum::<f64>() / devs.len().max(1) as f64
-    };
-    println!(
-        "  Ok-Topk average |deviation| from k (2nd half of training): local {:.1}%, global {:.1}%",
-        100.0 * dev(&|r| r.local_nnz),
-        100.0 * dev(&|r| r.global_nnz)
-    );
-    let g2 = &panel.gaussian.records[panel.gaussian.records.len() / 2..];
-    let gauss_mean: f64 = g2.iter().filter_map(|r| r.gaussian_pred).map(|v| v as f64).sum::<f64>()
-        / g2.len().max(1) as f64;
-    println!("  Gaussiank mean raw prediction: {:.0} ({:.2}x of k)", gauss_mean, gauss_mean / k);
-    let dsa_density: Vec<f64> = panel.dsa.records.iter().filter_map(|r| r.dsa_density).collect();
-    let mean_density = dsa_density.iter().sum::<f64>() / dsa_density.len().max(1) as f64;
-    println!(
-        "  TopkDSA/TopkA output-buffer density (fill-in, §5.2): mean {:.2}% (input density was the configured k/n)",
-        100.0 * mean_density
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_three<M, FM, FB>(
-    name: &'static str,
-    p: usize,
-    density: f64,
-    tau_prime: usize,
-    total: usize,
-    optimizer: OptimizerKind,
-    make_model: FM,
-    make_batch: FB,
-) -> Panel
-where
-    M: Model,
-    M::Batch: Sync,
-    FM: Fn() -> M + Send + Sync,
-    FB: Fn(u64, usize, usize) -> M::Batch + Send + Sync,
-{
-    let mut cfg = TrainConfig::new(Scheme::OkTopk, density);
-    cfg.iters = total;
-    cfg.tau = 32;
-    cfg.tau_prime = tau_prime;
-    cfg.optimizer = optimizer;
-    let oktopk = run_data_parallel(p, &cfg, &make_model, &make_batch, &[]);
-    cfg.scheme = Scheme::GaussianK;
-    let gaussian = run_data_parallel(p, &cfg, &make_model, &make_batch, &[]);
-    cfg.scheme = Scheme::TopkDsa;
-    let dsa = run_data_parallel(p, &cfg, &make_model, &make_batch, &[]);
-    let k = ((make_model().num_params() as f64 * density) as usize).max(1);
-    Panel { name, k, oktopk, gaussian, dsa }
-}
+//! Fig. 6: local and global top-k selection counts over training.
 
 fn main() {
-    okbench::Header::begin("fig6", !okbench::full_scale()).print_text();
-    println!("Figure 6 — local/global top-k selection counts over training");
-
-    {
-        let data = SyntheticImages::new(2);
-        let panel = run_three(
-            "VGG stand-in, density 2%, tau' = 32",
-            4,
-            0.02,
-            32,
-            iters(256, 640),
-            OptimizerKind::Sgd { lr: 0.05 },
-            || VggLite::new(16),
-            move |it, r, w| data.train_batch(it, r, w, 4),
-        );
-        summarize(&panel);
-    }
-    {
-        let data = SyntheticSequences::new(3);
-        let panel = run_three(
-            "LSTM stand-in, density 2%, tau' = 32",
-            4,
-            0.02,
-            32,
-            iters(256, 640),
-            OptimizerKind::Sgd { lr: 0.2 },
-            || LstmNet::new(21),
-            move |it, r, w| data.train_batch(it, r, w, 4),
-        );
-        summarize(&panel);
-    }
-    {
-        let data = SyntheticMaskedLm::new(5);
-        let tau_prime = if okbench::full_scale() { 128 } else { 32 };
-        let panel = run_three(
-            "BERT stand-in, density 1%, tau' = 128 (32 in quick mode)",
-            4,
-            0.01,
-            tau_prime,
-            iters(256, 640),
-            OptimizerKind::Adam { lr: 2e-4, weight_decay: 0.01 },
-            || BertLite::new(13),
-            move |it, r, w| data.train_batch(it, r, w, 4),
-        );
-        summarize(&panel);
-    }
+    okbench::main("fig6");
 }

@@ -1,174 +1,5 @@
-//! Figure 7 reproduction: the two load-balancing optimizations of Ok-Topk.
-//!
-//! (a) Periodic *space repartition* (balanced regions) vs naive equal-width
-//!     regions in split-and-reduce, on gradients whose top-k coordinates cluster
-//!     (as real DL gradients do). Expected: 1.1×–1.8× speedup, growing with P.
-//! (b) *Data balancing* + allgatherv vs direct allgatherv, on iterations where the
-//!     4× imbalance trigger fires. Expected: 1.1×–1.5× speedup, growing with P.
-
-use okbench::print_series;
-use oktopk::balance::balance_and_allgatherv;
-use oktopk::split_reduce::split_and_reduce;
-use oktopk::{OkTopk, OkTopkConfig};
-use rand::prelude::*;
-use simnet::Cluster;
-use sparse::select::topk_exact;
-use sparse::CooGradient;
-use sparse::SelectScratch;
-use train::CostProfile;
-
-/// Synthetic "BERT-like" accumulators: top-k coordinates cluster in a *narrow* band
-/// of the index space (a handful of hot embedding rows dominate the magnitude
-/// distribution), consistent across workers, with per-worker jitter — the §3.1.1
-/// observation the balanced partition exploits. The band is narrower than one
-/// equal-width region even at large P, so the naive partition funnels almost all
-/// traffic into a single owner and its cost grows ∝ P.
-fn clustered_accs(p: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let band_lo = n / 8;
-    let band_hi = n / 8 + n / 256;
-    (0..p)
-        .map(|_| {
-            (0..n)
-                .map(|i| {
-                    let base: f32 = rng.gen_range(-0.01f32..0.01);
-                    if i >= band_lo && i < band_hi {
-                        base + rng.gen_range(-1.0f32..1.0)
-                    } else {
-                        base
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
+//! Fig. 7: balanced space repartition, data balancing and destination rotation.
 
 fn main() {
-    okbench::Header::begin("fig7", !okbench::full_scale()).print_text();
-    let cost = CostProfile::paper_calibrated();
-    let n: usize = 1 << 16;
-    let density = 0.01;
-    let k = (n as f64 * density) as usize;
-
-    println!("Figure 7(a) — balanced space repartition vs naive equal regions");
-    println!("(split-and-reduce makespan, modeled ms; clustered top-k coordinates)\n");
-    let ps = [8usize, 16, 32, 64, 128];
-    let mut naive_t = Vec::new();
-    let mut balanced_t = Vec::new();
-    for &p in &ps {
-        let accs = clustered_accs(p, n, 11 + p as u64);
-        let run = |balanced: bool| -> f64 {
-            let accs = accs.clone();
-            Cluster::new(p, cost.network())
-                .run(move |comm| {
-                    let mut okt = OkTopk::new(
-                        OkTopkConfig::new(n, k)
-                            .with_periods(1_000, 1_000)
-                            .with_balanced_partition(balanced)
-                            .with_merge_cost(cost.merge_per_elem),
-                    );
-                    // Iteration 1 pays re-eval + repartition; measure iteration 2
-                    // (steady state) via the difference of two deterministic runs.
-                    okt.allreduce(comm, &accs[comm.rank()], 1);
-                    let t1 = comm.now();
-                    okt.allreduce(comm, &accs[comm.rank()], 2);
-                    comm.now() - t1
-                })
-                .results
-                .iter()
-                .copied()
-                .fold(0.0, f64::max)
-        };
-        naive_t.push(run(false) * 1e3);
-        balanced_t.push(run(true) * 1e3);
-    }
-    print_series("P =", &ps.iter().map(|&p| p as f64).collect::<Vec<_>>());
-    print_series("naive reduce (ms)", &naive_t);
-    print_series("balanced reduce (ms)", &balanced_t);
-    let speedup: Vec<f64> = naive_t.iter().zip(&balanced_t).map(|(a, b)| a / b).collect();
-    print_series("speedup", &speedup);
-
-    println!("\nFigure 7(b) — data balancing + allgatherv vs direct allgatherv");
-    println!(
-        "(balance-and-allgatherv makespan, modeled ms; survivors concentrated on one worker)\n"
-    );
-    let mut direct_t = Vec::new();
-    let mut balanced2_t = Vec::new();
-    for &p in &ps {
-        // Global-top-k survivors all land in worker 0's region — the trigger case.
-        let survivors: Vec<CooGradient> = (0..p)
-            .map(|r| {
-                if r == 0 {
-                    let dense: Vec<f32> = {
-                        let mut rng = StdRng::seed_from_u64(5);
-                        (0..2 * k).map(|_| rng.gen_range(0.5f32..1.0)).collect()
-                    };
-                    topk_exact(&dense, k)
-                } else {
-                    CooGradient::new()
-                }
-            })
-            .collect();
-        let run = |balancing: bool| -> f64 {
-            let survivors = survivors.clone();
-            Cluster::new(p, cost.network())
-                .run(move |comm| {
-                    let cfg = OkTopkConfig::new(n, k).with_data_balancing(balancing);
-                    let t0 = comm.now();
-                    balance_and_allgatherv(comm, &cfg, survivors[comm.rank()].clone());
-                    comm.now() - t0
-                })
-                .results
-                .iter()
-                .copied()
-                .fold(0.0, f64::max)
-        };
-        direct_t.push(run(false) * 1e3);
-        balanced2_t.push(run(true) * 1e3);
-    }
-    print_series("P =", &ps.iter().map(|&p| p as f64).collect::<Vec<_>>());
-    print_series("direct allgatherv (ms)", &direct_t);
-    print_series("balance+allgatherv (ms)", &balanced2_t);
-    let speedup2: Vec<f64> = direct_t.iter().zip(&balanced2_t).map(|(a, b)| a / b).collect();
-    print_series("speedup", &speedup2);
-
-    // Destination-rotation ablation (the Fig. 2 optimization), same setting as 7(a).
-    println!("\nExtra ablation — destination rotation vs naive send order (split-and-reduce)");
-    let mut rot_t = Vec::new();
-    let mut norot_t = Vec::new();
-    for &p in &ps {
-        let accs = clustered_accs(p, n, 77 + p as u64);
-        let locals: Vec<CooGradient> = accs.iter().map(|a| topk_exact(a, k)).collect();
-        let bounds = sparse::partition::equal_boundaries(n as u32, p);
-        let run = |rotation: bool| -> f64 {
-            let locals = locals.clone();
-            let bounds = bounds.clone();
-            Cluster::new(p, cost.network())
-                .run(move |comm| {
-                    let cfg = OkTopkConfig::new(n, k)
-                        .with_rotation(rotation)
-                        .with_merge_cost(cost.merge_per_elem);
-                    let t0 = comm.now();
-                    split_and_reduce(
-                        comm,
-                        &cfg,
-                        &locals[comm.rank()],
-                        &bounds,
-                        &mut SelectScratch::new(),
-                    );
-                    comm.now() - t0
-                })
-                .results
-                .iter()
-                .copied()
-                .fold(0.0, f64::max)
-        };
-        rot_t.push(run(true) * 1e3);
-        norot_t.push(run(false) * 1e3);
-    }
-    print_series("P =", &ps.iter().map(|&p| p as f64).collect::<Vec<_>>());
-    print_series("no rotation (ms)", &norot_t);
-    print_series("rotation (ms)", &rot_t);
-    let speedup3: Vec<f64> = norot_t.iter().zip(&rot_t).map(|(a, b)| a / b).collect();
-    print_series("speedup", &speedup3);
+    okbench::main("fig7");
 }

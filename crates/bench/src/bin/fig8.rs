@@ -1,62 +1,5 @@
-//! Figure 8 reproduction: weak scaling of VGG training (density 2%), 16 and 32
-//! ranks, per-iteration time breakdown for all seven schemes.
-//!
-//! Expected shape: DenseOvlp < Dense; TopkA/TopkDSA lose their communication
-//! advantage to sparsification overhead; Gaussiank has the cheapest selection;
-//! Ok-Topk has the lowest communication and near-Gaussiank selection; TopkA and
-//! Gaussiank communication roughly doubles from 16 to 32 ranks (allgather ∝ P)
-//! while Ok-Topk's stays flat. Paper: Ok-Topk outperforms others 1.51×–8.83× on 32.
-//!
-//! `--paper-axis` instead sweeps the scalable trio over P ∈ {256 … 4096} on
-//! the event engine (clean + one chaos cell at the top P).
-
-use dnn::data::SyntheticImages;
-use dnn::models::VggLite;
-use okbench::{iters, paper_axis_panel, weak_scaling_panel};
-use train::{OptimizerKind, Scheme, TrainConfig};
+//! Fig. 8: VGG stand-in weak scaling (a row of `okbench::panels::BREAKDOWN`); `--paper-axis` sweeps P to 4096.
 
 fn main() {
-    okbench::Header::begin("fig8", !okbench::full_scale()).print_text();
-    let mut cfg = TrainConfig::new(Scheme::Dense, 0.02);
-    cfg.iters = iters(80, 200);
-    cfg.local_batch = 2;
-    cfg.optimizer = OptimizerKind::Sgd { lr: 0.05 };
-    let tau = if okbench::full_scale() { 32 } else { 16 };
-    cfg.tau = tau;
-    cfg.tau_prime = tau;
-
-    let data = SyntheticImages::new(2);
-    let local_batch = cfg.local_batch;
-
-    if std::env::args().any(|a| a == "--paper-axis") {
-        paper_axis_panel(
-            "Figure 8 (paper axis) — VGG stand-in weak scaling to P = 4096 (density = 2%)",
-            &cfg,
-            || VggLite::new(16),
-            move |it, r, w| data.train_batch(it, r, w, local_batch),
-        );
-        return;
-    }
-    let results = weak_scaling_panel(
-        "Figure 8 — weak scaling of VGG stand-in on Cifar-10 stand-in (density = 2%)",
-        &[16, 32],
-        &Scheme::all(),
-        &cfg,
-        cfg.iters * 3 / 4,
-        || VggLite::new(16),
-        move |it, r, w| data.train_batch(it, r, w, local_batch),
-    );
-
-    // Paper headline: speedup of Ok-Topk over every other scheme on 32 ranks.
-    let okt = results
-        .iter()
-        .find(|(p, s, _)| *p == 32 && *s == Scheme::OkTopk)
-        .map(|(_, _, t)| *t)
-        .expect("Ok-Topk ran");
-    println!("\nOk-Topk speedup over each scheme at P = 32 (paper: 1.51x-8.83x):");
-    for (p, s, t) in &results {
-        if *p == 32 && *s != Scheme::OkTopk {
-            println!("  vs {:<10} {:>6.2}x", s.name(), t / okt);
-        }
-    }
+    okbench::main("fig8");
 }

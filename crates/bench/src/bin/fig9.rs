@@ -1,58 +1,5 @@
-//! Figure 9 reproduction: top-1 test accuracy vs modeled runtime for the VGG
-//! stand-in (density 2%) on 16 and 32 ranks, all schemes.
-//!
-//! Expected shape: Ok-Topk reaches accuracy close to Dense/DenseOvlp (no
-//! accuracy loss from sparsification with residuals) and gets there in the least
-//! modeled time (fastest time-to-solution).
-
-use dnn::data::SyntheticImages;
-use dnn::models::VggLite;
-use okbench::{convergence_panel, iters};
-use train::{OptimizerKind, Scheme, TrainConfig};
+//! Fig. 9: VGG stand-in top-1 accuracy vs modeled time (a row of `okbench::panels::CONVERGENCE`).
 
 fn main() {
-    okbench::Header::begin("fig9", !okbench::full_scale()).print_text();
-    let mut cfg = TrainConfig::new(Scheme::Dense, 0.02);
-    cfg.iters = iters(300, 800);
-    cfg.local_batch = 4;
-    cfg.optimizer = OptimizerKind::Sgd { lr: 0.08 };
-    cfg.lr_decay_iters = cfg.iters / 2;
-    cfg.tau = 16;
-    cfg.tau_prime = 16;
-    cfg.eval_every = (cfg.iters / 6).max(1);
-
-    // Noise 1.6 gives a non-trivial Bayes floor so accuracy curves look like the
-    // paper's (rise to ~0.9) instead of saturating at 1.0 instantly.
-    let data = SyntheticImages::with_shape(2, 10, 3, 16, 1.6);
-    let eval: Vec<_> = (0..4).map(|b| data.test_batch(b, 32)).collect();
-    let local_batch = cfg.local_batch;
-
-    for p in [16usize, 32] {
-        let results = convergence_panel(
-            "Figure 9 — top-1 test accuracy vs time, VGG stand-in, density 2%",
-            "top1-acc",
-            p,
-            &Scheme::all(),
-            &cfg,
-            || VggLite::new(16),
-            {
-                let data = data.clone();
-                move |it, r, w| data.train_batch(it, r, w, local_batch)
-            },
-            &eval,
-            Some(true),
-        );
-        println!("\nSummary at P = {p}: final accuracy and modeled training time");
-        for (scheme, res) in &results {
-            if let Some(last) = res.evals.last() {
-                println!(
-                    "  {:<10} acc {:.4}  time {:>8.2}s",
-                    scheme.name(),
-                    last.accuracy,
-                    last.time
-                );
-            }
-        }
-        println!();
-    }
+    okbench::main("fig9");
 }

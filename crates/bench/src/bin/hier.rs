@@ -2,33 +2,25 @@
 //! intra-node reduce → leader exchange → broadcast pipeline beat running the
 //! flat algorithm straight across the cluster?
 //!
-//! Every cell prices the *same* hardware — a two-tier topology with fast
-//! intra-node links (α_i = 1 µs, β_i = 1 ns/elem) and a slow inter-node
-//! fabric (α_e = 25 µs, β_e = 4 ns/elem × oversubscription ρ) — and runs a
-//! fixed data-parallel step (compute + one gradient reduce) with either the
-//! flat scheme or its hierarchical counterpart:
-//!
-//! - Dense ring vs Hier-Dense (intra dense reduce → leader ring → bcast)
-//! - gTopk binary tree vs Hier-gTopk (tree regrouped across the two tiers)
-//! - Ok-Topk vs Hier-Ok-Topk (dense intra reduce, one re-selection at the
-//!   leader, Ok-Topk among leaders)
-//!
-//! The sweep crosses ranks-per-node ∈ {4, 8, 16} with oversubscription
-//! ρ ∈ {1, 2, 4, 8, 16} and a chaos variant that degrades *inter-node links
-//! only* (1.5× α, 2× β) — the failure mode a leader-funnelled exchange is most
-//! exposed to. All times are modeled virtual seconds, so every cell is
-//! deterministic.
+//! Every cell prices the *same* hardware — fast intra-node links (α_i = 1 µs,
+//! β_i = 1 ns/elem) and a slow inter-node fabric (α_e = 25 µs, β_e = 4 ns/elem
+//! × oversubscription ρ) — and runs [`okbench::reduce_steps`] with the flat
+//! scheme or its hierarchical counterpart: Dense vs Hier-Dense, gTopk vs
+//! Hier-gTopk, Ok-Topk vs Hier-Ok-Topk. The sweep crosses ranks-per-node with
+//! ρ and a chaos variant that degrades *inter-node links only* (1.5× α, 2× β)
+//! — the failure mode a leader-funnelled exchange is most exposed to. All
+//! times are modeled virtual seconds, so every cell is deterministic.
 //!
 //! Usage: `cargo run --release -p okbench --bin hier [-- --quick] [--gate]
-//! [--out PATH]`. `--gate` runs a small P=8 slice and fails unless
-//! (a) Hier-Ok-Topk beats flat Ok-Topk once the effective inter/intra β ratio
-//! reaches 8× (ρ = 2 here, since β_e/β_i is already 4×), (b) a repeated cell
-//! is bit-identical, and (c) inter-link chaos never speeds a cell up. This is
-//! the smoke run wired into `scripts/check.sh`; the full run emits
-//! `BENCH_PR10.json`.
+//! [--out PATH]` (default `target/hier.json`). `--gate` runs a small P=8
+//! slice and fails unless (a) Hier-Ok-Topk beats flat Ok-Topk once the
+//! effective inter/intra β ratio reaches 8× (ρ = 2 here, since β_e/β_i is
+//! already 4×), (b) a repeated cell is bit-identical, and (c) inter-link
+//! chaos never speeds a cell up. This is the smoke run in `scripts/check.sh`.
 
-use simnet::{ChaosPlan, Cluster, Comm, Topology};
-use train::{CostProfile, Reducer, Scheme, Update};
+use okbench::{reduce_steps, Json};
+use simnet::{ChaosPlan, Topology};
+use train::Scheme;
 
 const N: usize = 16_384;
 const DENSITY: f64 = 0.02;
@@ -46,219 +38,97 @@ const PAIRS: [(Scheme, Scheme); 3] = [
     (Scheme::OkTopk, Scheme::HierOkTopk),
 ];
 
-fn grad(rank: usize, iter: usize) -> Vec<f32> {
-    (0..N)
-        .map(|i| {
-            let x = (i * (rank + 2) + iter * 131) as f32;
-            let spike = if i % 211 == (rank * 13 + iter) % 211 { 3.0 } else { 0.0 };
-            (x * 0.01).sin() * 0.25 + spike
-        })
-        .collect()
-}
-
-/// Chaos plan degrading every *inter-node* link for the whole (bounded) run:
-/// 1.5× α, 2× β. Intra-node links stay clean, so the hierarchical schemes are
-/// hit exactly where they concentrate traffic.
-fn inter_link_chaos(p: usize, rpn: usize) -> ChaosPlan {
-    let mut plan = ChaosPlan::new(17);
-    for src in 0..p {
-        for dst in 0..p {
-            if src != dst && src / rpn != dst / rpn {
+/// Modeled makespan of `scheme` at size `p` on a two-tier topology with `rpn`
+/// ranks per node and oversubscription `rho`, every inter-node link degraded
+/// for the whole run if `chaos`.
+fn makespan(scheme: Scheme, p: usize, rpn: usize, rho: f64, chaos: bool) -> f64 {
+    let topo = Topology::two_tier(rpn, INTRA, INTER).with_oversubscription(rho);
+    let report = reduce_steps((scheme, p, N, DENSITY, ITERS), rpn, |cluster| {
+        let cluster = cluster.with_topology(topo);
+        if !chaos {
+            return cluster;
+        }
+        let mut plan = ChaosPlan::new(17);
+        for (src, dst) in (0..p).flat_map(|s| (0..p).map(move |d| (s, d))) {
+            if src / rpn != dst / rpn {
                 plan = plan.degrade_link(src, dst, 1.5, 2.0, 0.0, 1e3);
             }
         }
-    }
-    plan
-}
-
-/// Modeled makespan of `ITERS` data-parallel steps of `scheme` at size `p` on
-/// a two-tier topology with `rpn` ranks per node and oversubscription `rho`.
-fn makespan(scheme: Scheme, p: usize, rpn: usize, rho: f64, chaos: bool) -> f64 {
-    let profile = CostProfile::paper_calibrated().scaled_for_model(N);
-    let fwd = profile.fwd_bwd(N);
-    let topo = Topology::two_tier(rpn, INTRA, INTER).with_oversubscription(rho);
-    let mut cluster = Cluster::new(p, profile.network()).with_topology(topo);
-    if chaos {
-        cluster = cluster.with_chaos(inter_link_chaos(p, rpn));
-    }
-    let report = cluster.run(move |comm: &mut Comm| {
-        let mut reducer = Reducer::new(scheme, N, DENSITY, profile, 8, 8).with_ranks_per_node(rpn);
-        for it in 0..ITERS {
-            comm.compute(fwd);
-            let g = grad(comm.rank(), it);
-            let (update, _) = reducer.reduce(comm, &g, 0.1);
-            match update {
-                Update::Dense(v) => std::hint::black_box(v.len()),
-                Update::Sparse(coo) => std::hint::black_box(coo.indexes().len()),
-            };
-        }
+        cluster.with_chaos(plan)
     });
     report.makespan()
 }
 
-struct Cell {
-    p: usize,
-    rpn: usize,
-    rho: f64,
-    chaos: bool,
-    flat: Scheme,
-    hier: Scheme,
-    flat_makespan: f64,
-    hier_makespan: f64,
-}
-
-impl Cell {
-    fn speedup(&self) -> f64 {
-        self.flat_makespan / self.hier_makespan
-    }
-}
-
-fn write_json(path: &str, header: &okbench::Header, cells: &[Cell]) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&header.json_fields());
-    out.push_str(&format!("  \"n\": {N},\n"));
-    out.push_str(&format!("  \"density\": {DENSITY},\n"));
-    out.push_str(&format!("  \"iters\": {ITERS},\n"));
-    out.push_str(&format!("  \"intra_alpha\": {:e}, \"intra_beta\": {:e},\n", INTRA.0, INTRA.1));
-    out.push_str(&format!("  \"inter_alpha\": {:e}, \"inter_beta\": {:e},\n", INTER.0, INTER.1));
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"p\": {}, \"rpn\": {}, \"oversub\": {}, \"chaos\": {}, \
-             \"flat\": \"{}\", \"hier\": \"{}\", \
-             \"flat_makespan\": {:.6e}, \"hier_makespan\": {:.6e}, \
-             \"speedup\": {:.4}}}{}\n",
-            c.p,
-            c.rpn,
-            c.rho,
-            c.chaos,
-            c.flat.name(),
-            c.hier.name(),
-            c.flat_makespan,
-            c.hier_makespan,
-            c.speedup(),
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write bench json");
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let run_gate = args.iter().any(|a| a == "--gate");
-    let header = okbench::Header::begin("hier", quick || run_gate);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_PR10.json")
-        .to_string();
-
-    let (p, rpns, rhos): (usize, &[usize], &[f64]) = if run_gate {
+    let args = okbench::Args::parse("hier");
+    let (p, rpns, rhos): (usize, &[usize], &[f64]) = if args.gate {
         (8, &[4], &[1.0, 2.0])
-    } else if quick {
+    } else if args.quick {
         (16, &[4, 8], &[1.0, 4.0, 16.0])
     } else {
         (32, &[4, 8, 16], &[1.0, 2.0, 4.0, 8.0, 16.0])
     };
-
     eprintln!("hier: n={N} density={DENSITY} iters={ITERS} p={p} rpn={rpns:?} rho={rhos:?}");
-    let mut cells = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
+    let mut rows = Vec::new();
+    let mut failures = Vec::new();
     for &rpn in rpns {
         for &rho in rhos {
-            for chaos in [false, true] {
-                for (flat, hier) in PAIRS {
-                    let fm = makespan(flat, p, rpn, rho, chaos);
-                    let hm = makespan(hier, p, rpn, rho, chaos);
-                    let c = Cell {
-                        p,
-                        rpn,
-                        rho,
-                        chaos,
-                        flat,
-                        hier,
-                        flat_makespan: fm,
-                        hier_makespan: hm,
-                    };
-                    eprintln!(
-                        "  rpn={:<3} rho={:<5} chaos={:<5} {:<10} flat {:>10.4e}s  hier {:>10.4e}s  speedup {:.2}x",
-                        rpn,
-                        rho,
-                        chaos,
-                        flat.name(),
-                        fm,
-                        hm,
-                        c.speedup()
-                    );
-                    cells.push(c);
+            for (flat, hier) in PAIRS {
+                let [fm, hm, fm_chaos, hm_chaos] =
+                    [(flat, false), (hier, false), (flat, true), (hier, true)]
+                        .map(|(scheme, chaos)| makespan(scheme, p, rpn, rho, chaos));
+                for (chaos, f, h) in [(false, fm, hm), (true, fm_chaos, hm_chaos)] {
+                    let row = Json::default()
+                        .field("p", p)
+                        .field("rpn", rpn)
+                        .field("oversub", rho)
+                        .field("chaos", chaos)
+                        .text("flat", flat.name())
+                        .text("hier", hier.name())
+                        .field("flat_makespan", format!("{f:.6e}"))
+                        .field("hier_makespan", format!("{h:.6e}"))
+                        .field("speedup", format!("{:.4}", f / h));
+                    eprintln!("  {}", row.inline());
+                    rows.push(row);
                 }
-            }
-        }
-    }
-
-    write_json(&out_path, &header, &cells);
-    eprintln!("wrote {out_path}");
-
-    // Chaos on inter-node links must never make any cell faster.
-    for c in &cells {
-        if c.chaos {
-            let clean = cells
-                .iter()
-                .find(|x| !x.chaos && x.rpn == c.rpn && x.rho == c.rho && x.hier == c.hier);
-            if let Some(cl) = clean {
-                if c.hier_makespan < cl.hier_makespan - 1e-12
-                    || c.flat_makespan < cl.flat_makespan - 1e-12
-                {
+                // Chaos on inter-node links must never make a cell faster.
+                if hm_chaos < hm - 1e-12 || fm_chaos < fm - 1e-12 {
                     failures.push(format!(
-                        "{} rpn={} rho={}: inter-link chaos sped a run up",
-                        c.hier.name(),
-                        c.rpn,
-                        c.rho
+                        "{} rpn={rpn} rho={rho}: inter-link chaos sped a run up",
+                        hier.name()
+                    ));
+                }
+                // Once the effective inter/intra β ratio reaches 8× (ρ = 2 with
+                // β_e/β_i = 4×), hierarchical Ok-Topk must beat flat Ok-Topk.
+                if args.gate && hier == Scheme::HierOkTopk && rho >= 2.0 && hm >= fm {
+                    failures.push(format!(
+                        "Hier-Ok-Topk does not beat flat Ok-Topk at rho={rho}: {hm:.4e} vs {fm:.4e}"
                     ));
                 }
             }
         }
     }
-
-    if run_gate {
-        // Headline: once the effective inter/intra β ratio reaches 8× (ρ = 2
-        // with β_e/β_i = 4×), hierarchical Ok-Topk must beat flat Ok-Topk.
-        let ok = cells.iter().find(|c| c.hier == Scheme::HierOkTopk && !c.chaos && c.rho >= 2.0);
-        match ok {
-            Some(c) if c.speedup() > 1.0 => {
-                eprintln!(
-                    "gate: Hier-Ok-Topk beats flat Ok-Topk at rho={} ({:.2}x)",
-                    c.rho,
-                    c.speedup()
-                );
-            }
-            Some(c) => failures.push(format!(
-                "Hier-Ok-Topk does not beat flat Ok-Topk at rho={}: {:.4} vs {:.4}",
-                c.rho, c.hier_makespan, c.flat_makespan
-            )),
-            None => failures.push("no Hier-Ok-Topk gate cell found".into()),
-        }
-        // Determinism: the same cell twice must be bit-identical.
-        let a = makespan(Scheme::HierOkTopk, p, 4, 2.0, true);
-        let b = makespan(Scheme::HierOkTopk, p, 4, 2.0, true);
+    if args.gate {
+        let (a, b) = (
+            makespan(Scheme::HierOkTopk, p, 4, 2.0, true),
+            makespan(Scheme::HierOkTopk, p, 4, 2.0, true),
+        );
         if a.to_bits() != b.to_bits() {
             failures.push(format!("nondeterministic hier run: {a:?} vs {b:?}"));
         }
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("gate: FAIL — {f}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!("gate: OK (hier wins at rho >= 2, runs deterministic, chaos never helps)");
-    } else if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("WARN — {f}");
-        }
     }
+    let params = Json::default()
+        .field("n", N)
+        .field("density", DENSITY)
+        .field("iters", ITERS)
+        .field("intra_alpha", format!("{:e}", INTRA.0))
+        .field("intra_beta", format!("{:e}", INTRA.1))
+        .field("inter_alpha", format!("{:e}", INTER.0))
+        .field("inter_beta", format!("{:e}", INTER.1));
+    args.header.write_json(&args.out, params, &rows);
+    okbench::gate_exit(
+        args.gate,
+        &failures,
+        "hier wins at rho >= 2, runs deterministic, chaos never helps",
+    );
 }

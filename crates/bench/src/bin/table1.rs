@@ -1,186 +1,5 @@
-//! Table 1 reproduction: communication overhead of dense and sparse allreduces.
-//!
-//! For each algorithm and each P, runs the collective on synthetic k-sparse
-//! gradients with uniformly random supports, *measures* the per-rank sent volume
-//! from the simnet traffic ledger and the modeled completion time, and prints them
-//! next to the paper's analytic bandwidth/latency formulas.
-//!
-//! Expected shape (the paper's claim): Dense ≈ 2n; TopkA/Gaussiank grow ∝ 2kP;
-//! TopkDSA sits between 4k and 2k+n depending on fill-in; gTopk ≈ 4k·logP on the
-//! critical path; Ok-Topk stays within [2k, 6k]·(P−1)/P regardless of P.
-
-use collectives::{dsa_allreduce, gtopk_allreduce, topk_allgather_allreduce};
-use okbench::{full_scale, print_series};
-use oktopk::{OkTopk, OkTopkConfig};
-use rand::prelude::*;
-use simnet::Cluster;
-use sparse::select::topk_exact;
-use sparse::CooGradient;
-use train::CostProfile;
-
-fn random_locals(p: usize, n: usize, k: usize, seed: u64) -> Vec<CooGradient> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..p)
-        .map(|_| {
-            let dense: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            topk_exact(&dense, k)
-        })
-        .collect()
-}
-
-struct Row {
-    /// Per-rank sent elements: max over ranks (critical path) and mean.
-    max_vol: u64,
-    mean_vol: f64,
-    /// Modeled completion time (makespan), seconds.
-    time: f64,
-}
-
-fn measure(p: usize, f: impl Fn(&mut simnet::Comm) + Send + Sync) -> Row {
-    let cost = CostProfile::paper_calibrated().network();
-    let report = Cluster::new(p, cost).run(|comm| f(comm));
-    let max_vol = (0..p).map(|r| report.ledger.rank_elements(r)).max().unwrap_or(0);
-    let mean_vol = report.ledger.total_elements() as f64 / p as f64;
-    Row { max_vol, mean_vol, time: report.makespan() }
-}
+//! Table 1: per-rank communication volume and modeled time of the six allreduces.
 
 fn main() {
-    okbench::Header::begin("table1", !okbench::full_scale()).print_text();
-    let n: usize = if full_scale() { 1 << 20 } else { 1 << 17 };
-    let k = n / 100; // density 1%
-    let ps: Vec<usize> =
-        if full_scale() { vec![4, 8, 16, 32, 64, 128] } else { vec![4, 8, 16, 32, 64] };
-    println!("Table 1 — communication overhead (n = {n}, k = {k}, density 1%)");
-    println!("volumes are per-rank sent elements; time is modeled seconds\n");
-
-    let header: Vec<f64> = ps.iter().map(|&p| p as f64).collect();
-    print_series("P =", &header);
-
-    let mut dense_mean = Vec::new();
-    let mut dense_time = Vec::new();
-    type Row4 = (&'static str, Vec<f64>, Vec<f64>, Vec<f64>); // name, max, mean, time
-    let mut rows: Vec<Row4> = Vec::new();
-
-    for &name in &["Dense", "TopkA", "TopkDSA", "gTopk", "Gaussiank", "Ok-Topk"] {
-        let mut maxs = Vec::new();
-        let mut means = Vec::new();
-        let mut times = Vec::new();
-        for &p in &ps {
-            let locals = random_locals(p, n, k, 42 + p as u64);
-            let row = match name {
-                "Dense" => {
-                    let dense_inputs: Vec<Vec<f32>> = {
-                        let mut rng = StdRng::seed_from_u64(7);
-                        (0..p)
-                            .map(|_| (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
-                            .collect()
-                    };
-                    measure(p, move |comm| {
-                        let mut d = dense_inputs[comm.rank()].clone();
-                        collectives::allreduce_inplace(comm, &mut d);
-                    })
-                }
-                "TopkA" | "Gaussiank" => {
-                    // Gaussiank shares TopkA's transport; only selection differs
-                    // (and Table 1's entries for them match up to selection cost).
-                    let locals = locals.clone();
-                    measure(p, move |comm| {
-                        topk_allgather_allreduce(comm, locals[comm.rank()].clone());
-                    })
-                }
-                "TopkDSA" => {
-                    let locals = locals.clone();
-                    measure(p, move |comm| {
-                        dsa_allreduce(comm, locals[comm.rank()].clone(), n);
-                    })
-                }
-                "gTopk" => {
-                    let locals = locals.clone();
-                    measure(p, move |comm| {
-                        gtopk_allreduce(comm, locals[comm.rank()].clone(), k);
-                    })
-                }
-                "Ok-Topk" => {
-                    // Steady-state iteration: subtract a 1-iteration run from a
-                    // 2-iteration run (deterministic), so the τ′-amortized re-eval
-                    // traffic is excluded, exactly as the paper's model assumes.
-                    let locals2 = random_locals(p, n, k, 1000 + p as u64);
-                    let dense_of = |ls: &[CooGradient]| -> Vec<Vec<f32>> {
-                        ls.iter().map(|g| g.to_dense(n)).collect()
-                    };
-                    let acc1 = dense_of(&locals);
-                    let acc2 = dense_of(&locals2);
-                    let run = |iters: usize| {
-                        let acc1 = acc1.clone();
-                        let acc2 = acc2.clone();
-                        let cost = CostProfile::paper_calibrated().network();
-                        Cluster::new(p, cost).run(move |comm| {
-                            let mut okt =
-                                OkTopk::new(OkTopkConfig::new(n, k).with_periods(1_000, 1_000));
-                            for t in 1..=iters {
-                                let acc = if t == 1 { &acc1 } else { &acc2 };
-                                okt.allreduce(comm, &acc[comm.rank()], t);
-                            }
-                            comm.now()
-                        })
-                    };
-                    let r1 = run(1);
-                    let r2 = run(2);
-                    let max_vol = (0..p)
-                        .map(|r| r2.ledger.rank_elements(r) - r1.ledger.rank_elements(r))
-                        .max()
-                        .unwrap_or(0);
-                    let mean_vol =
-                        (r2.ledger.total_elements() - r1.ledger.total_elements()) as f64 / p as f64;
-                    Row { max_vol, mean_vol, time: r2.makespan() - r1.makespan() }
-                }
-                _ => unreachable!(),
-            };
-            if name == "Dense" {
-                dense_mean.push(row.mean_vol);
-                dense_time.push(row.time);
-            }
-            maxs.push(row.max_vol as f64);
-            means.push(row.mean_vol);
-            times.push(row.time * 1e3); // ms
-        }
-        rows.push((name, maxs, means, times));
-    }
-
-    for (name, maxs, means, times) in &rows {
-        println!("\n{name}");
-        print_series("max sent/rank", maxs);
-        print_series("mean sent/rank", means);
-        print_series("modeled time (ms)", times);
-        let analytic: Vec<f64> = ps
-            .iter()
-            .map(|&p| {
-                let pf = p as f64;
-                let kf = k as f64;
-                let nf = n as f64;
-                match *name {
-                    "Dense" => 2.0 * nf * (pf - 1.0) / pf,
-                    "TopkA" | "Gaussiank" => 2.0 * kf * (pf - 1.0),
-                    "TopkDSA" => 4.0 * kf * (pf - 1.0) / pf, // best case; fill-in raises it
-                    "gTopk" => 4.0 * kf * pf.log2(),
-                    "Ok-Topk" => 6.0 * kf * (pf - 1.0) / pf,
-                    _ => 0.0,
-                }
-            })
-            .collect();
-        print_series("paper bandwidth bound", &analytic);
-    }
-
-    println!("\nSanity: Ok-Topk per-rank volume must stay within the 6k(P-1)/P bound:");
-    let okt = rows.iter().find(|(n2, ..)| *n2 == "Ok-Topk").expect("row exists");
-    for (i, &p) in ps.iter().enumerate() {
-        let bound = 6.0 * k as f64 * (p as f64 - 1.0) / p as f64;
-        let ok = okt.1[i] <= bound * 1.10;
-        println!(
-            "  P={p:<4} max/rank {:>10.0}  bound {:>10.0}  {}",
-            okt.1[i],
-            bound,
-            if ok { "OK" } else { "VIOLATION" }
-        );
-    }
+    okbench::main("table1");
 }

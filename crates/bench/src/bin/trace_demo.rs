@@ -1,51 +1,5 @@
-//! Timeline demo: watch split-and-reduce's destination rotation pipeline the
-//! network (Fig. 2's optimization), as ASCII Gantt charts of each rank's modeled
-//! activity.
-
-use oktopk::split_reduce::split_and_reduce;
-use oktopk::OkTopkConfig;
-use rand::prelude::*;
-use simnet::{render_timeline, Cluster};
-use sparse::partition::equal_boundaries;
-use sparse::select::topk_exact;
-use sparse::CooGradient;
-use sparse::SelectScratch;
-use train::CostProfile;
+//! Split-and-reduce timelines with and without destination rotation.
 
 fn main() {
-    let (p, n) = (8usize, 1usize << 14);
-    let k = n / 50;
-    let cost = CostProfile::paper_calibrated();
-    let locals: Vec<CooGradient> = {
-        let mut rng = StdRng::seed_from_u64(4);
-        (0..p)
-            .map(|_| {
-                let dense: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-                topk_exact(&dense, k)
-            })
-            .collect()
-    };
-    let bounds = equal_boundaries(n as u32, p);
-
-    for rotation in [false, true] {
-        let locals = locals.clone();
-        let bounds = bounds.clone();
-        let report = Cluster::new(p, cost.network()).run(move |comm| {
-            comm.enable_trace();
-            let cfg = OkTopkConfig::new(n, k)
-                .with_rotation(rotation)
-                .with_merge_cost(cost.merge_per_elem);
-            split_and_reduce(comm, &cfg, &locals[comm.rank()], &bounds, &mut SelectScratch::new());
-            comm.take_trace()
-        });
-        println!(
-            "\nsplit-and-reduce, P = {p}, {} (makespan {:.2} µs):",
-            if rotation { "WITH destination rotation" } else { "naive send order" },
-            report.makespan() * 1e6
-        );
-        print!("{}", render_timeline(&report.results, 100));
-    }
-    println!("\nS = send-port busy, R = recv-port busy, C = merge compute, · = idle.");
-    println!("With rotation the receive activity staggers across ranks instead of");
-    println!("serializing on one endpoint per step.");
+    okbench::main("trace_demo");
 }

@@ -1,21 +1,30 @@
 #!/usr/bin/env bash
 # Pre-PR gate: everything a change must pass before review.
 #
-#   ./scripts/check.sh          # build + lints (every target) + full test suite + quick bench gates
+#   ./scripts/check.sh          # build + lints (every target) + full test suite + golden figures + quick bench gates
 #
-# The benches run in --quick --gate mode (a few seconds each):
+# - golden (cargo test --release -p okbench --test golden, ~30 s on 2 cores)
+#   reruns table1, fig5, fig7, ablations and trace_demo in full quick mode and
+#   one cell of fig4, fig6 and fig8-fig13, and fails if a modeled row differs
+#   byte for byte from results/<name>.txt, or if a model panel's file lists
+#   other schemes or P values than its table row runs. A mismatch writes the
+#   actual text to target/golden/<name>.txt and prints the diff; copying that
+#   file over results/<name>.txt is how a moved modeled number is accepted.
+#
+# The benches run in --quick --gate mode (a few seconds each) and write their
+# JSON to target/*-gate.json:
 #
 # - hotpath fails the script if the scan_scalar_vs_simd headline is under 1.5
 #   (skipped where the host resolved to the scalar lane path), if at n = 2^22
 #   the fused accumulate+select is under 1.2x the two-buffer composition
-#   (skipped where the host's caches hold n) or the radix select under 2x the
-#   full sort, or if the obs_off_vs_on row shows the metrics registry costing
+#   (skipped where the host's caches hold n), or if the obs_off_vs_on row
+#   shows the metrics registry costing
 #   more than 5% on a messaging-heavy collective workload (it costs about 2%
 #   in the median; run-to-run spread on a shared host is wider than that).
 #   A row under its floor is measured again, and fails only when three
-#   attempts in a row land under; every attempt is in the JSON.
-# - msgpath fails the script if the pooled message path loses to the boxed
-#   baseline (speedup < 1.0) at P = 16.
+#   attempts in a row land under; every attempt is in the JSON. These three
+#   rows are the host-speed regressions no test and no other gate catches
+#   (EXPERIMENTS.md § "Hot-path wall-clock gate" has the mutation table).
 # - chaos runs a tiny P=4 robustness sweep and fails the script if any
 #   perturbed cell beats its clean baseline (chaos must never help) or if a
 #   repeated chaos run is not bit-identical.
@@ -31,21 +40,16 @@
 #   scheduler handoff rate. The memory budgets sit between what a thread per
 #   rank costs and what the step costs with each rank a fiber.
 # - fig10 --paper-axis sweeps the weak-scaling axis to P=4096 (clean + one
-#   chaos cell) under a hard wall budget; fig8/fig12 run the same sweep with
-#   CHECK_PAPER_AXIS=1.
+#   chaos cell, which must not be faster than clean) under a hard wall budget;
+#   fig8/fig12 run the same sweep with CHECK_PAPER_AXIS=1.
 #
 # - the frozen benchmark/ package is copied to .bench_check/ and its
 #   selftest.sh run there (build against these crates, every workload at its
 #   quick shape, metric names vs BENCHMARK.json, fmt, clippy).
 #
-# Quick numbers go to target/*-gate.json so they never overwrite the checked-in
-# full-run BENCH_PR6.json / BENCH_PR4.json / BENCH_PR5.json / BENCH_PR7.json /
-# BENCH_PR9.json / BENCH_PR10.json; regenerate those with
-#   cargo run --release -p okbench --bin hotpath
-#   cargo run --release -p okbench --bin msgpath
-#   cargo run --release -p okbench --bin chaos
-#   cargo run --release -p okbench --bin scale
-#   cargo run --release -p okbench --bin hier
+# Run without --out, the benches write target/<bench>.json. The checked-in
+# BENCH_PR*.json files are the history EXPERIMENTS.md cites; nothing here
+# overwrites them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -345,6 +349,9 @@ bash .bench_check/selftest.sh
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== golden figures (modeled rows vs results/*.txt) =="
+cargo test --release -q -p okbench --test golden
+
 echo "== obs trace export (obsdump, schema-checked) =="
 # The profiling command must produce a loadable Perfetto trace end to end.
 cargo run --release -p okbench --bin obsdump -- --ranks 2 --iters 2 \
@@ -352,9 +359,6 @@ cargo run --release -p okbench --bin obsdump -- --ranks 2 --iters 2 \
 
 echo "== hot-path bench (quick, gated) =="
 cargo run --release -p okbench --bin hotpath -- --quick --gate --out target/hotpath-gate.json
-
-echo "== message-path bench (quick, gated) =="
-cargo run --release -p okbench --bin msgpath -- --quick --gate --out target/msgpath-gate.json
 
 echo "== chaos robustness smoke (P=4, gated) =="
 cargo run --release -p okbench --bin chaos -- --gate --out target/chaos-gate.json
