@@ -158,7 +158,12 @@ fn main() {
         (GATE_P, GATE_WALL_BUDGET, GATE_MEM_BUDGET_KB),
         (HEADLINE_P, HEADLINE_WALL_BUDGET, HEADLINE_MEM_BUDGET_KB),
     ] {
-        let Some(r) = okt(p) else { continue };
+        let Some(r) = okt(p) else {
+            if args.gate {
+                failures.push(format!("the sweep has no Ok-Topk cell at P={p}"));
+            }
+            continue;
+        };
         let wall_ms = r.wall.as_secs_f64() * 1e3;
         params = params
             .field(&format!("okt_p{p}_wall_ms"), format!("{wall_ms:.1}"))

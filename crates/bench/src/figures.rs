@@ -15,7 +15,7 @@ use sparse::threshold::GaussianEstimator;
 use sparse::{CooGradient, SelectScratch};
 use train::{CostProfile, OptimizerKind, RunResult, Scheme, TrainConfig};
 
-use crate::models::Data;
+use crate::models::{Data, ModelJob};
 use crate::{full_scale, iters, Figure};
 
 /// `n` draws from U(−1, 1).
@@ -192,18 +192,7 @@ pub fn fig4_panel(fig: &mut Figure, panel: usize) {
     // The largest iteration ≤ total sitting 26 after a re-evaluation
     // (Algorithm 1 re-evaluates when (t−1) mod τ′ == 0).
     let at = ((total.saturating_sub(27)) / tau_prime) * tau_prime + 27;
-    let snap = (density, tau_prime, total, at, lr);
-    let (acc, reused) = match data {
-        Data::Images(d) => {
-            snapshot(snap, || dnn::models::VggLite::new(16), &|it, r, w| d.train_batch(it, r, w, 4))
-        }
-        Data::Sequences(d) => {
-            snapshot(snap, || dnn::models::LstmNet::new(21), &|it, r, w| d.train_batch(it, r, w, 4))
-        }
-        Data::MaskedLm(d) => snapshot(snap, || dnn::models::BertLite::new(13), &|it, r, w| {
-            d.train_batch(it, r, w, 4)
-        }),
-    };
+    let (acc, reused) = data.with_model(Snapshot { density, tau_prime, total, at, lr });
 
     let n = acc.len();
     let k = ((n as f64 * density) as usize).max(1);
@@ -242,35 +231,52 @@ pub fn fig4_panel(fig: &mut Figure, panel: usize) {
 
 /// Drive Ok-Topk SGD on 4 free-cost ranks; at iteration `at` return rank 0's
 /// accumulator and the threshold Ok-Topk is reusing.
-fn snapshot<M: Model>(
-    (density, tau_prime, total, at, lr): (f64, usize, usize, usize, f32),
-    make_model: impl Fn() -> M + Send + Sync,
-    make_batch: &(dyn Fn(u64, usize, usize) -> M::Batch + Sync),
-) -> (Vec<f32>, f32) {
-    let report = Cluster::new(4, CostModel::free()).run(|comm| {
-        let mut model = make_model();
-        let n = model.num_params();
-        let k = ((n as f64 * density) as usize).max(1);
-        let mut sgd = OkTopkSgd::new(OkTopkConfig::new(n, k).with_periods(64, tau_prime));
-        let mut out = None;
-        for t in 1..=total {
-            let batch = make_batch((t - 1) as u64, comm.rank(), comm.size());
-            model.zero_grads();
-            let _: TrainStats = model.forward_backward(&batch);
-            let acc =
-                (t == at && comm.rank() == 0).then(|| sgd.peek_accumulator(model.grads(), lr));
-            let step = sgd.step(comm, model.grads(), lr);
-            if let Some(acc) = acc {
-                out = Some((acc, step.meta.local_th));
+struct Snapshot {
+    density: f64,
+    tau_prime: usize,
+    total: usize,
+    at: usize,
+    lr: f32,
+}
+
+impl ModelJob for Snapshot {
+    type Out = (Vec<f32>, f32);
+
+    fn run<M: Model>(
+        self,
+        model: fn() -> M,
+        train: &(dyn Fn(u64, usize, usize, usize) -> M::Batch + Sync),
+        _: &dyn Fn(u64, usize) -> M::Batch,
+    ) -> (Vec<f32>, f32)
+    where
+        M::Batch: Sync,
+    {
+        let Snapshot { density, tau_prime, total, at, lr } = self;
+        let report = Cluster::new(4, CostModel::free()).run(|comm| {
+            let mut model = model();
+            let n = model.num_params();
+            let k = ((n as f64 * density) as usize).max(1);
+            let mut sgd = OkTopkSgd::new(OkTopkConfig::new(n, k).with_periods(64, tau_prime));
+            let mut out = None;
+            for t in 1..=total {
+                let batch = train((t - 1) as u64, comm.rank(), comm.size(), 4);
+                model.zero_grads();
+                let _: TrainStats = model.forward_backward(&batch);
+                let acc =
+                    (t == at && comm.rank() == 0).then(|| sgd.peek_accumulator(model.grads(), lr));
+                let step = sgd.step(comm, model.grads(), lr);
+                if let Some(acc) = acc {
+                    out = Some((acc, step.meta.local_th));
+                }
+                let params = model.params_mut();
+                for (i, v) in step.update.iter() {
+                    params[i as usize] -= v;
+                }
             }
-            let params = model.params_mut();
-            for (i, v) in step.update.iter() {
-                params[i as usize] -= v;
-            }
-        }
-        out
-    });
-    report.results.into_iter().next().flatten().unwrap_or((Vec::new(), 0.0))
+            out
+        });
+        report.results.into_iter().next().flatten().unwrap_or((Vec::new(), 0.0))
+    }
 }
 
 /// Fig. 5: the empirical ξ of Assumption 1 over training, each model at two

@@ -110,14 +110,14 @@ impl Figure {
     /// A modeled row (may span lines).
     pub fn row(&mut self, line: impl AsRef<str>) {
         for l in line.as_ref().split('\n') {
-            debug_assert!(!is_host_line(l), "modeled row {l:?} reads as a host row");
+            assert!(!is_host_line(l), "modeled row {l:?} reads as a host row");
             self.push(l);
         }
     }
 
     /// A host row; it must satisfy [`is_host_line`].
     pub fn host(&mut self, line: String) {
-        debug_assert!(is_host_line(&line), "host row {line:?} reads as modeled");
+        assert!(is_host_line(&line), "host row {line:?} reads as modeled");
         self.push(&line);
     }
 

@@ -10,9 +10,6 @@ use train::{OptimizerKind, RunResult, Scheme, TrainConfig};
 use crate::models::Data;
 use crate::{full_scale, iters, Figure, SchedStats};
 
-fn all() -> Vec<Scheme> {
-    Scheme::all().to_vec()
-}
 const ADAM_BERT: OptimizerKind = OptimizerKind::Adam { lr: 2e-4, weight_decay: 0.01 };
 
 /// One weak-scaling panel. Expected shape: allgather-based schemes
@@ -29,7 +26,6 @@ pub struct BreakdownRow {
     pub local_batch: usize,
     pub optimizer: OptimizerKind,
     pub ps: &'static [usize],
-    pub schemes: fn() -> Vec<Scheme>,
     /// The paper's Ok-Topk speedup range at the largest P.
     pub paper_speedup: &'static str,
     /// The paper's weak-scaling efficiency, where the row reports one.
@@ -48,7 +44,6 @@ pub const BREAKDOWN: [BreakdownRow; 3] = [
         local_batch: 2,
         optimizer: OptimizerKind::Sgd { lr: 0.05 },
         ps: &[16, 32],
-        schemes: all,
         paper_speedup: "1.51x-8.83x",
         paper_efficiency: None,
         axis_title: "Figure 8 (paper axis) — VGG stand-in weak scaling to P = 4096 (density = 2%)",
@@ -62,7 +57,6 @@ pub const BREAKDOWN: [BreakdownRow; 3] = [
         local_batch: 2,
         optimizer: OptimizerKind::Sgd { lr: 0.2 },
         ps: &[32, 64],
-        schemes: all,
         paper_speedup: "1.34x-7.71x",
         paper_efficiency: None,
         axis_title:
@@ -77,7 +71,6 @@ pub const BREAKDOWN: [BreakdownRow; 3] = [
         local_batch: 1,
         optimizer: ADAM_BERT,
         ps: &[32, 64, 128, 256],
-        schemes: all,
         paper_speedup: "3.29x-12.95x at 256",
         paper_efficiency: Some("76.3% at 256"),
         axis_title:
@@ -118,7 +111,7 @@ impl BreakdownRow {
     /// The golden cell: the first scheme at the first P, header included.
     pub fn cell(&self, fig: &mut Figure) {
         Self::p_header(fig, self.ps[0]);
-        self.scheme_row(fig, self.ps[0], (self.schemes)()[0]);
+        self.scheme_row(fig, self.ps[0], Scheme::all()[0]);
     }
 }
 
@@ -129,7 +122,7 @@ pub fn breakdown(fig: &mut Figure, row: &BreakdownRow) {
     let mut times = Vec::new();
     for &p in row.ps {
         BreakdownRow::p_header(fig, p);
-        for scheme in (row.schemes)() {
+        for scheme in Scheme::all() {
             times.push((p, scheme, row.scheme_row(fig, p, scheme)));
         }
     }
@@ -317,7 +310,7 @@ pub const CONVERGENCE: [ConvergenceRow; 3] = [
         tau: 16,
         evals: 6,
         ps: &[16, 32],
-        schemes: all,
+        schemes: || Scheme::all().to_vec(),
         summary: per_p_summary,
     },
     ConvergenceRow {
@@ -334,7 +327,7 @@ pub const CONVERGENCE: [ConvergenceRow; 3] = [
         tau: 16,
         evals: 6,
         ps: &[32, 64],
-        schemes: all,
+        schemes: || Scheme::all().to_vec(),
         summary: per_p_summary,
     },
     ConvergenceRow {

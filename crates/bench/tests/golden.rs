@@ -104,7 +104,7 @@ fn same_rows(
 
 fn breakdown(i: usize) {
     let row = &BREAKDOWN[i];
-    same_rows(row.name, |l| l.starts_with("P = "), " sparsification ", row.ps, &(row.schemes)());
+    same_rows(row.name, |l| l.starts_with("P = "), " sparsification ", row.ps, &Scheme::all());
     cell(row.name, |fig| row.cell(fig));
 }
 
