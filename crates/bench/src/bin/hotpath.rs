@@ -227,9 +227,12 @@ fn fmt_attempts(attempts: &[f64]) -> String {
 /// shared host, and 24 recorded runs of it on unchanged code read
 /// 0.97, 1.01, 1.01, 1.18, 0.94, 1.03, 0.96, 0.95, 0.98, 0.96, 0.95, 0.90,
 /// 1.12, 1.02, 1.03, 1.00 (PR 13) and 0.970, 0.979, 0.985, 0.956, 1.071,
-/// 0.987, 0.978, 0.979 (PR 17): median ≈ 0.98, i.e. obs costs about 2%, and
-/// half the runs land under 0.98 by noise alone. 0.95 is where a real
-/// regression separates from that spread.
+/// 0.987, 0.978, 0.979 (PR 17): median ≈ 0.98, i.e. obs costs about 2% of a
+/// P = 4 step, and half the runs land under 0.98 by noise alone. 0.95 is
+/// where a real regression separates from that spread. The figure does not
+/// carry to large P: on `scale_oktopk_p1024` the benchmark's
+/// `obs.on_over_off_step` reads ×1.065 (×1.28 while every message updated
+/// shared registry atomics; EXPERIMENTS.md § "A single-writer message path").
 const OBS_FLOOR: f64 = 0.95;
 
 /// The speedup a row must reach: the vectorized scan ≥ 1.5× scalar, the

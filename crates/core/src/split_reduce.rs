@@ -54,10 +54,27 @@ pub fn split_and_reduce<C: Net>(
     );
 
     // Region j is sliced out of the sorted selection when its message is built,
-    // and copied only into that message: no P shards are held at once.
-    let shard = |j: usize| {
-        let r = local.index_range(boundaries[j], boundaries[j + 1]);
+    // and copied only into that message: no P shards are held at once. One
+    // cursor walks the selection in send order. Both orders visit the regions
+    // in ascending order except that they skip this rank's own region (sliced
+    // first, into `acc`) and rotation wraps to region 0, so a region starts
+    // where the last one ended, at the end of the own region, or at 0.
+    let slice = |r: std::ops::Range<usize>| {
         CooGradient::from_sorted(local.indexes()[r.clone()].to_vec(), local.values()[r].to_vec())
+    };
+    let own = local.index_range(boundaries[rank], boundaries[rank + 1]);
+    let mut acc = slice(own.clone());
+    let mut cursor = 0;
+    let mut shard = |j: usize| {
+        let start = match j {
+            0 => 0,
+            _ if j == rank + 1 => own.end,
+            _ => cursor,
+        };
+        let hi = boundaries[j + 1];
+        cursor = start + local.indexes()[start..].iter().take_while(|&&i| i < hi).count();
+        debug_assert_eq!(start..cursor, local.index_range(boundaries[j], hi), "region {j}");
+        slice(start..cursor)
     };
 
     // Step s (1-based) pairs: send to (rank+s) mod P, receive from (rank−s) mod P.
@@ -69,7 +86,6 @@ pub fn split_and_reduce<C: Net>(
     let dst_at = |s: usize| if cfg.rotation { (rank + 1 + s) % p } else { skip_self(s) };
     let src_at = |s: usize| if cfg.rotation { (rank + p - 1 - s) % p } else { skip_self(s) };
 
-    let mut acc = shard(rank);
     let (mut spare_idx, mut spare_val) = scratch.take_pair();
     let bucket = cfg.bucket_size.max(1);
     let mut sent = 0usize;
@@ -212,12 +228,19 @@ mod tests {
                     topk_exact(&dense, k)
                 })
                 .collect();
-            // Uneven regions, one of them empty (p ≥ 3), so shard sizes differ.
-            let mut bounds = equal_boundaries(n as u32, p);
-            if p >= 3 {
-                bounds[1] = bounds[2];
-            }
-            for rotation in [true, false] {
+            // Equal regions; uneven ones with region 1 empty; and the first
+            // and last regions empty, which the send-order cursor meets
+            // first and at the wrap.
+            let equal = equal_boundaries(n as u32, p);
+            let mut uneven = equal.clone();
+            uneven[1] = uneven[2.min(p)];
+            let mut ends_empty = equal.clone();
+            ends_empty[1] = 0;
+            ends_empty[p - 1] = n as u32;
+            for (bounds, rotation) in [equal, uneven, ends_empty]
+                .into_iter()
+                .flat_map(|b| [(b.clone(), true), (b, false)])
+            {
                 for bucket in [1usize, 3, 8] {
                     let cfg = OkTopkConfig::new(n, k)
                         .with_rotation(rotation)
@@ -231,7 +254,7 @@ mod tests {
                     let then = Cluster::new(p, CostModel::aries()).run(|comm| {
                         split_and_reduce_materialised(comm, &cfg, &locals[comm.rank()], &bounds)
                     });
-                    let what = format!("p={p} rotation={rotation} bucket={bucket}");
+                    let what = format!("p={p} {bounds:?} rotation={rotation} bucket={bucket}");
                     assert_eq!(now.times, then.times, "{what}: clocks");
                     for rank in 0..p {
                         let bits = |g: &CooGradient| -> Vec<u32> {

@@ -39,8 +39,8 @@ mod metrics;
 mod span;
 
 pub use metrics::{
-    Class, Counter, FCounter, Gauge, Histogram, MetricValue, MetricsSnapshot, RankF64, RankU64,
-    Registry,
+    Class, Counter, FCounter, Gauge, HistTally, Histogram, MetricValue, MetricsSnapshot, RankF64,
+    RankU64, Registry,
 };
 pub use span::{SpanEvent, SpanStack};
 

@@ -139,15 +139,57 @@ impl Histogram {
         if !self.on {
             return;
         }
-        let bucket = if v == 0 { 0 } else { 64 - v.leading_zeros() as usize };
-        self.inner.counts[bucket].fetch_add(1, Ordering::Relaxed);
+        self.inner.counts[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.inner.total.fetch_add(1, Ordering::Relaxed);
         self.inner.sum.fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// Add the samples `tally` holds to this histogram and empty it.
+    pub fn publish(&self, tally: &mut HistTally) {
+        if self.on && tally.total > 0 {
+            for (cell, n) in self.inner.counts.iter().zip(&tally.counts) {
+                if *n > 0 {
+                    cell.fetch_add(*n, Ordering::Relaxed);
+                }
+            }
+            self.inner.total.fetch_add(tally.total, Ordering::Relaxed);
+            self.inner.sum.fetch_add(tally.sum, Ordering::Relaxed);
+        }
+        *tally = HistTally::default();
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.inner.total.load(Ordering::Relaxed)
+    }
+}
+
+fn bucket_of(v: u64) -> usize {
+    (u64::BITS - v.leading_zeros()) as usize
+}
+
+/// A single writer's unpublished samples of a [`Histogram`]: plain adds, no
+/// shared cache line, folded in by [`Histogram::publish`].
+#[derive(Debug)]
+pub struct HistTally {
+    counts: [u64; HIST_BUCKETS],
+    total: u64,
+    sum: u64,
+}
+
+impl Default for HistTally {
+    fn default() -> Self {
+        Self { counts: [0; HIST_BUCKETS], total: 0, sum: 0 }
+    }
+}
+
+impl HistTally {
+    /// Record one sample.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.counts[bucket_of(v)] += 1;
+        self.total += 1;
+        self.sum += v;
     }
 }
 
@@ -173,15 +215,13 @@ impl RankF64 {
         }
     }
 
-    /// Raise rank `rank`'s slot to at least `v` (single writer per slot).
+    /// Store `v` in rank `rank`'s slot (single writer per slot): a writer
+    /// that keeps its own running sum publishes it with the very bits
+    /// per-sample [`add`](Self::add)s would have left.
     #[inline]
-    pub fn set_max(&self, rank: usize, v: f64) {
+    pub fn set(&self, rank: usize, v: f64) {
         if self.on {
-            let slot = &self.slots[rank];
-            let cur = f64::from_bits(slot.load(Ordering::Relaxed));
-            if v > cur {
-                slot.store(v.to_bits(), Ordering::Relaxed);
-            }
+            self.slots[rank].store(v.to_bits(), Ordering::Relaxed);
         }
     }
 
@@ -665,6 +705,43 @@ mod tests {
             }
             other => panic!("unexpected value {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_published_tally_equals_recording_each_sample() {
+        let samples = [0u64, 1, 3, 3, 1024, 7, 0];
+        let reg = Registry::with_ranks(1, true);
+        let direct = reg.histogram("direct", Class::Virtual);
+        let (published, mut tally) =
+            (reg.histogram("tallied", Class::Virtual), HistTally::default());
+        for &v in &samples[..4] {
+            direct.record(v);
+            tally.record(v);
+        }
+        published.publish(&mut tally);
+        for &v in &samples[4..] {
+            direct.record(v);
+            tally.record(v);
+        }
+        published.publish(&mut tally);
+        published.publish(&mut tally); // an empty tally adds nothing
+        let snap = reg.snapshot();
+        assert_eq!(snap.get("direct"), snap.get("tallied"));
+        assert_eq!(published.count(), samples.len() as u64);
+    }
+
+    #[test]
+    fn a_stored_running_sum_has_the_bits_of_the_adds() {
+        let reg = Registry::with_ranks(1, true);
+        let (added, stored) =
+            (reg.rank_f64("added", Class::Virtual), reg.rank_f64("stored", Class::Virtual));
+        let mut sum = 0.0;
+        for v in [0.1, 0.2, 0.3, 1e-17, 0.7] {
+            added.add(0, v);
+            sum += v;
+            stored.set(0, sum);
+        }
+        assert_eq!(added.get(0).to_bits(), stored.get(0).to_bits());
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl Cluster {
     /// Run `f` on every rank concurrently and gather results.
     ///
     /// `f` receives a mutable [`Comm`]; its return value, the rank's final virtual
-    /// time and the global traffic ledger are collected into a [`SimReport`].
+    /// time and its ledger cells are collected into a [`SimReport`] as it exits.
     ///
     /// Each rank runs `f` on a fiber of its own, resumed by whichever of the W
     /// worker threads picks it up, so a rank moves between threads at every
@@ -197,7 +197,7 @@ impl Cluster {
         T: Send,
         F: Fn(&mut Comm) -> T + Send + Sync,
     {
-        let ledger = Arc::new(Ledger::new());
+        let ledger = Arc::new(Ledger::default());
         let compiled = self.chaos.as_ref().map(|plan| Arc::new(plan.compile(self.size)));
         let budget = Arc::new(PoolBudget::new(self.pool_budget_bytes));
         let registry = Arc::new(obs::Registry::with_ranks(self.size, self.obs));
@@ -237,7 +237,7 @@ impl Cluster {
                             topo,
                         );
                         let r = f(&mut comm);
-                        (r, comm.local_finish_time())
+                        (r, comm.exit())
                     }));
                     match result {
                         Ok(_) => core.finish(rank),
@@ -262,12 +262,14 @@ impl Cluster {
         drop(fibers);
         let mut results = Vec::with_capacity(self.size);
         let mut times = Vec::with_capacity(self.size);
+        let mut cells = Vec::with_capacity(self.size);
         let mut panics = Vec::new();
         for (rank, outcome) in outcomes.into_iter().enumerate() {
             match outcome.into_inner().expect("every fiber ran to completion") {
-                Ok((r, t)) => {
+                Ok((r, (t, c))) => {
                     results.push(r);
                     times.push(t);
+                    cells.push(c);
                 }
                 Err(payload) => panics.push((rank, payload)),
             }
@@ -287,7 +289,8 @@ impl Cluster {
             // headers can embed one cumulative snapshot.
             obs::global().absorb(&metrics);
         }
-        SimReport { results, times, ledger: ledger.snapshot(), metrics, sched: core.take_sched() }
+        let ledger = ledger.snapshot(cells);
+        SimReport { results, times, ledger, metrics, sched: core.take_sched() }
     }
 }
 

@@ -10,13 +10,12 @@ use crate::chaos::ChaosView;
 use crate::cost::{CostModel, WireSize};
 use crate::engine::EventCore;
 use crate::envelope::{Envelope, Payload};
-use crate::ledger::{Ledger, PhaseId};
+use crate::ledger::{Ledger, PhaseId, PhaseVolume};
 use crate::request::SendHandle;
 use crate::topo::Topology;
 use crate::trace::{TraceEvent, TraceKind};
 use obs::SpanStack;
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
@@ -87,7 +86,7 @@ const LINK_MATRIX_MAX_RANKS: usize = 128;
 /// Pre-resolved metric handles shared by every rank of one run. All handles
 /// are cheap clones of registry-owned atomics; `enabled` mirrors the
 /// registry's flag so recording paths can skip even the argument computation
-/// when observability is off.
+/// when observability is off; the per-message ones are fed from [`Tally`]s.
 #[derive(Clone)]
 pub(crate) struct SimMetrics {
     pub(crate) enabled: bool,
@@ -121,7 +120,6 @@ pub(crate) struct SimMetrics {
     pool_miss: obs::Counter,
     pool_drop: obs::Counter,
     pool_idle_max: obs::Gauge,
-    ranks: usize,
     /// The run's registry, for layers above simnet (collectives, trainer) to
     /// register their own instruments via [`Comm::obs`].
     registry: Arc<obs::Registry>,
@@ -150,10 +148,31 @@ impl SimMetrics {
             pool_miss: reg.counter("pool.miss", Host),
             pool_drop: reg.counter("pool.recycle_drop", Host),
             pool_idle_max: reg.gauge("pool.idle_bytes_max", Host),
-            ranks,
             registry: Arc::clone(reg),
         }
     }
+}
+
+/// A rank's unpublished per-message metrics: plain fields of its own `Comm`,
+/// so no send or receive writes a cache line another rank writes.
+/// [`Comm::publish`] adds them into the registry at every barrier, before
+/// the rendezvous, and when the rank exits.
+#[derive(Default)]
+struct Tally {
+    tx_bytes: u64,
+    rx_bytes: u64,
+    intra_bytes: u64,
+    inter_bytes: u64,
+    msg_elems: obs::HistTally,
+    /// Bytes sent to each rank; empty above [`LINK_MATRIX_MAX_RANKS`].
+    link_bytes: Vec<u64>,
+    chaos_straggler: u64,
+    chaos_jitter: u64,
+    chaos_degrade: u64,
+    chaos_pause: u64,
+    /// Running sum, never reset: publishing it by store leaves the bits
+    /// per-message adds into the slot would have.
+    recv_wait: f64,
 }
 
 /// Latency charged for a dissemination barrier: `α·⌈log2 P⌉`.
@@ -191,9 +210,12 @@ pub struct Comm {
     spans: Option<SpanStack>,
     /// Per-run metric handles (no-ops when observability is disabled).
     metrics: SimMetrics,
+    tally: Tally,
+    /// The phase-name interner; this rank's volumes are `cells`, indexed by
+    /// [`PhaseId`].
     ledger: Arc<Ledger>,
+    cells: Vec<PhaseVolume>,
     core: Arc<EventCore>,
-    mailbox: HashMap<(usize, Tag), VecDeque<Envelope>>,
     /// Free-list of recycled `f32` message buffers. Steady-state collectives
     /// cycle the same few chunks: a rank sends a buffer, receives one of the
     /// same size from a peer, and recycles it for the next send. Pooling turns
@@ -223,6 +245,7 @@ impl Comm {
         topo: Option<Arc<Topology>>,
     ) -> Self {
         let phase_id = ledger.intern("default");
+        let links = if metrics.link_bytes.is_some() { size } else { 0 };
         Self {
             rank,
             size,
@@ -235,9 +258,10 @@ impl Comm {
             trace: None,
             spans: None,
             metrics,
+            tally: Tally { link_bytes: vec![0; links], ..Tally::default() },
             ledger,
+            cells: vec![PhaseVolume::default(); phase_id as usize + 1],
             core,
-            mailbox: HashMap::new(),
             pool: Vec::new(),
             pool_budget,
             chaos,
@@ -293,6 +317,9 @@ impl Comm {
     /// allocation per distinct name per run, not per message.
     pub fn set_phase(&mut self, phase: impl Into<Cow<'static, str>>) {
         self.phase_id = self.ledger.intern(&phase.into());
+        if self.cells.len() <= self.phase_id as usize {
+            self.cells.resize(self.phase_id as usize + 1, PhaseVolume::default());
+        }
     }
 
     /// Start recording this rank's activity (sends, receives, compute, barriers)
@@ -372,7 +399,7 @@ impl Comm {
             self.now = resumed;
             self.inj_free = self.inj_free.max(resumed);
             self.rcv_free = self.rcv_free.max(resumed);
-            self.metrics.chaos_pause.inc();
+            self.tally.chaos_pause += 1;
             self.record_tagged(start, resumed, TraceKind::Pause, true);
         }
     }
@@ -398,7 +425,7 @@ impl Comm {
         };
         self.now = end;
         if end != clean_end {
-            self.metrics.chaos_straggler.inc();
+            self.tally.chaos_straggler += 1;
         }
         self.record_tagged(start, end, TraceKind::Compute, end != clean_end);
     }
@@ -483,30 +510,30 @@ impl Comm {
                     // Classify the applied perturbation by kind for the
                     // chaos.* counters: latency jitter vs link degradation
                     // (a draw can carry both; count each once).
-                    if p.extra_latency > 0.0 {
-                        self.metrics.chaos_jitter.inc();
-                    }
-                    if p.alpha_mult != 1.0 || p.beta_mult != 1.0 {
-                        self.metrics.chaos_degrade.inc();
-                    }
+                    self.tally.chaos_jitter += u64::from(p.extra_latency > 0.0);
+                    self.tally.chaos_degrade +=
+                        u64::from(p.alpha_mult != 1.0 || p.beta_mult != 1.0);
                     (alpha * p.alpha_mult + p.extra_latency, beta * p.beta_mult, p.is_perturbed())
                 }
                 None => (alpha, beta, false),
             };
             self.inj_free = inj_start + beta_eff * elems as f64;
-            self.ledger.record(self.rank, self.phase_id, elems);
+            let cell = &mut self.cells[self.phase_id as usize];
+            cell.messages += 1;
+            cell.elements += elems;
             if self.metrics.enabled {
-                self.metrics.tx_bytes.add(self.rank, elems * 4);
-                self.metrics.msg_elems.record(elems);
-                if let Some(links) = &self.metrics.link_bytes {
-                    links.add(self.rank * self.metrics.ranks + dst, elems * 4);
+                let t = &mut self.tally;
+                t.tx_bytes += elems * 4;
+                t.msg_elems.record(elems);
+                if let Some(link) = t.link_bytes.get_mut(dst) {
+                    *link += elems * 4;
                 }
                 // Tier aggregation works at any P (unlike the P·P matrix). A
                 // flat network counts everything as inter-node fabric.
                 if self.topo.as_ref().is_some_and(|t| t.is_intra(self.rank, dst)) {
-                    self.metrics.intra_bytes.add(self.rank, elems * 4);
+                    t.intra_bytes += elems * 4;
                 } else {
-                    self.metrics.inter_bytes.add(self.rank, elems * 4);
+                    t.inter_bytes += elems * 4;
                 }
             }
             let inj_end = self.inj_free;
@@ -584,8 +611,8 @@ impl Comm {
         if self.metrics.enabled {
             // Virtual seconds this rank's clock jumps forward waiting for the
             // body to drain — the per-rank recv-wait metric.
-            self.metrics.recv_wait.add(self.rank, (done - self.now).max(0.0));
-            self.metrics.rx_bytes.add(self.rank, env.elems * 4);
+            self.tally.recv_wait += (done - self.now).max(0.0);
+            self.tally.rx_bytes += env.elems * 4;
         }
         self.now = self.now.max(done);
         // Clamp the traced pair consistently: a negative head_arrival at t≈0
@@ -612,7 +639,7 @@ impl Comm {
     /// Completes, in virtual time, when the message body has streamed through this
     /// rank's reception port: `max(head_arrival, port_free) + β·L`.
     pub fn recv<T: Send + 'static>(&mut self, src: usize, tag: Tag) -> T {
-        let env = self.take_matching(src, tag);
+        let env = self.core.next_envelope(self.rank, src, tag, self.now);
         self.complete_reception(&env);
         self.unwrap_payload(env, src, tag)
     }
@@ -620,7 +647,7 @@ impl Comm {
     /// Blocking receive of a payload sent with [`send_shared`](Self::send_shared).
     /// Timing semantics are identical to [`recv`](Self::recv).
     pub fn recv_shared<T: Send + Sync + 'static>(&mut self, src: usize, tag: Tag) -> Arc<T> {
-        let env = self.take_matching(src, tag);
+        let env = self.core.next_envelope(self.rank, src, tag, self.now);
         self.complete_reception(&env);
         env.payload.into_shared::<T>().unwrap_or_else(|found| {
             panic!(
@@ -649,40 +676,51 @@ impl Comm {
         self.recv(src, recv_tag)
     }
 
-    /// Number of `(src, tag)` queues currently stashed in the out-of-order
-    /// mailbox. Drained queues are removed, so this returns to zero once all
-    /// early arrivals have been received (useful for leak regression tests).
-    pub fn pending_mailbox_entries(&self) -> usize {
-        self.mailbox.len()
+    /// Envelopes delivered to this rank and not yet received: early
+    /// arrivals wait in the inbox until a receive matches them.
+    pub fn pending_envelopes(&self) -> usize {
+        self.core.pending(self.rank)
     }
 
-    fn take_matching(&mut self, src: usize, tag: Tag) -> Envelope {
-        if let Some(queue) = self.mailbox.get_mut(&(src, tag)) {
-            if let Some(env) = queue.pop_front() {
-                // Remove drained-empty queues so the mailbox cannot grow
-                // monotonically with every (src, tag) pair ever stashed.
-                if queue.is_empty() {
-                    self.mailbox.remove(&(src, tag));
-                }
-                return env;
+    /// Add this rank's [`Tally`] into the registry and empty it (the
+    /// recv-wait sum is stored, not added).
+    fn publish(&mut self) {
+        if !self.metrics.enabled {
+            return;
+        }
+        let (m, t, rank) = (&self.metrics, &mut self.tally, self.rank);
+        m.tx_bytes.add(rank, std::mem::take(&mut t.tx_bytes));
+        m.rx_bytes.add(rank, std::mem::take(&mut t.rx_bytes));
+        m.intra_bytes.add(rank, std::mem::take(&mut t.intra_bytes));
+        m.inter_bytes.add(rank, std::mem::take(&mut t.inter_bytes));
+        m.recv_wait.set(rank, t.recv_wait);
+        m.msg_elems.publish(&mut t.msg_elems);
+        if let Some(links) = &m.link_bytes {
+            for (dst, bytes) in t.link_bytes.iter_mut().enumerate().filter(|(_, b)| **b > 0) {
+                links.add(rank * self.size + dst, std::mem::take(bytes));
             }
         }
-        loop {
-            // The core hands envelopes out in arrival order and parks the
-            // continuation exactly while the inbox is empty.
-            let env = self.core.next_envelope(self.rank, src, tag, self.now);
-            if env.src == src && env.tag == tag {
-                return env;
-            }
-            self.mailbox.entry((env.src, env.tag)).or_default().push_back(env);
-        }
+        m.chaos_straggler.add(std::mem::take(&mut t.chaos_straggler));
+        m.chaos_jitter.add(std::mem::take(&mut t.chaos_jitter));
+        m.chaos_degrade.add(std::mem::take(&mut t.chaos_degrade));
+        m.chaos_pause.add(std::mem::take(&mut t.chaos_pause));
+    }
+
+    /// The rank's closure returned: publish its tallies and hand back its
+    /// finish time and ledger cells.
+    pub(crate) fn exit(mut self) -> (f64, Vec<PhaseVolume>) {
+        self.publish();
+        (self.local_finish_time(), self.cells)
     }
 
     /// Synchronize all ranks; clocks advance to the cluster-wide maximum (including
     /// pending injection work) plus a dissemination-barrier latency of `α·⌈log2 P⌉`.
+    /// Publishes this rank's per-message metrics first, so a registry snapshot
+    /// taken right after a barrier sees every rank's traffic up to it.
     pub fn barrier(&mut self) {
         self.apply_pause();
         self.metrics.barriers.inc();
+        self.publish();
         let t_in = self.local_finish_time();
         let t_max = self.core.barrier_wait(self.rank, t_in, self.now);
         self.now = t_max + barrier_latency(&self.cost, self.size);

@@ -57,15 +57,19 @@
 //!    likewise pop the entire equal-timestamp run in one lock acquisition
 //!    (`engine.cohort_size` histograms both).
 //!
-//! The critical section itself is small: message delivery and wait registration
-//! live behind **per-rank inbox locks**. Only the owning rank pops its inbox and
-//! registers what it waits for, and only one matching sender can claim a
-//! registered wait (single-writer invariants), so a non-matching send — the
-//! common case in bucketed collectives — never touches the scheduler lock at
-//! all. A send that lands in the window between wait registration and the
-//! park marks `wake_pending` under the scheduler lock and the receiver
-//! *continues inline*, keeping its token (`engine.park_elided`); the claim /
-//! `wake_pending` handshake is ordered by the scheduler lock, so the wakeup
+//! ## The message path is single-writer
+//!
+//! A message writes only memory its sender or its receiver owns. Ledger cells
+//! and per-message metrics are plain fields of the rank's own `Comm`,
+//! published at barriers and at exit. Delivery and wait registration live
+//! behind the receiver's own inbox lock: only the owning rank takes envelopes
+//! out — the first matching `(src, tag)`, wherever it sits — and registers
+//! what it waits for; only the one sender matching a registered wait can
+//! claim it. So a non-matching send — the common case in bucketed
+//! collectives — never touches the scheduler lock. A send that lands between
+//! wait registration and the park marks `wake_pending` under the scheduler
+//! lock and the receiver *continues inline*, keeping its token
+//! (`engine.park_elided`); that lock orders claim and park, so the wakeup
 //! cannot be lost.
 //!
 //! ## Exact deadlock detection
@@ -256,7 +260,7 @@ struct RankSlot {
 
 /// Per-rank delivery state, behind its *own* lock so the scheduler
 /// lock never serializes message payload movement. Single-writer invariants:
-/// only the owning rank pops `q` and registers `waiting`; only the one sender
+/// only the owning rank takes from `q` and registers `waiting`; only the one sender
 /// whose `(src, tag)` matches a registered wait can claim it (and a rank
 /// registers one wait at a time), so claim/requeue races cannot duplicate or
 /// lose a wakeup.
@@ -611,21 +615,22 @@ impl EventCore {
         }
     }
 
-    /// Pop the next envelope delivered to `rank` (arrival order), parking the
-    /// continuation — token released, status `RecvWait(src, tag)` — whenever
-    /// the inbox is empty. The caller matches/stashes envelopes in that order,
-    /// which per `(src, tag)` is the send order, so the matched message order
-    /// (and with it every clock) is the same at every worker count.
+    /// Take the first envelope from `src` with `tag` out of `rank`'s inbox,
+    /// parking the continuation — token released, status `RecvWait(src, tag)`
+    /// — while none has arrived. Envelopes queue in arrival order, which per
+    /// `(src, tag)` is the send order, so the matched message order (and with
+    /// it every clock) is the same at every worker count. Non-matching
+    /// envelopes stay where they are for a later receive.
     pub(crate) fn next_envelope(&self, rank: usize, src: usize, tag: Tag, clock: f64) -> Envelope {
         self.check_fault();
         loop {
-            // Inbox scan under the rank's own lock: the hot pop never touches
-            // the scheduler. An empty inbox registers the wait *here* so a
+            // Inbox scan under the rank's own lock: the hot match never
+            // touches the scheduler. No match registers the wait *here* so a
             // racing matching sender can claim it without the scheduler lock.
             {
                 let mut ib = self.inboxes[rank].lock();
-                if let Some(env) = ib.q.pop_front() {
-                    return env;
+                if let Some(at) = ib.q.iter().position(|e| e.src == src && e.tag == tag) {
+                    return ib.q.remove(at).expect("a found position is in range");
                 }
                 ib.waiting = Some((src, tag));
             }
@@ -731,6 +736,11 @@ impl EventCore {
             }
         }
         self.flush_grants(false, granted);
+    }
+
+    /// Envelopes delivered to `rank` that no receive has taken yet.
+    pub(crate) fn pending(&self, rank: usize) -> usize {
+        self.inboxes[rank].lock().q.len()
     }
 
     /// Barrier rendezvous: fold `value` into the episode maximum; the last

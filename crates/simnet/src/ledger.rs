@@ -4,10 +4,12 @@
 //! message logs its element count under the sender's current phase label, and the
 //! harness compares aggregate volumes against the paper's analytic formulas.
 //!
-//! Phase labels are interned to small integer ids on first use, so the
-//! per-message `record` path never hashes a string and dynamically built
-//! labels (per-bucket, per-layer) cost one allocation for the whole run
-//! instead of leaking `&'static str`s.
+//! Phase labels are interned to small integer ids on first use, so dynamically
+//! built labels (per-bucket, per-layer) cost one allocation for the whole run
+//! instead of leaking `&'static str`s. The counts themselves live in each
+//! rank's own `Comm`, one [`PhaseVolume`] per id, so a send writes only memory
+//! its rank owns; [`crate::Cluster::run`] folds every rank's cells into the
+//! [`LedgerSnapshot`] as the rank exits.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -24,57 +26,30 @@ pub struct PhaseVolume {
 /// Interned phase-label id (index into the ledger's name table).
 pub(crate) type PhaseId = u16;
 
+/// The phase-name interner of one simulation run.
 #[derive(Default)]
-struct Inner {
-    /// Interned phase names, indexed by [`PhaseId`].
-    names: Vec<String>,
-    /// Name → id, for interning.
-    ids: HashMap<String, PhaseId>,
-    /// (rank, phase id) → volume.
-    cells: HashMap<(usize, PhaseId), PhaseVolume>,
-}
-
-/// Shared, thread-safe traffic ledger for one simulation run.
-#[derive(Default)]
-pub struct Ledger {
-    inner: Mutex<Inner>,
+pub(crate) struct Ledger {
+    /// Interned names, indexed by [`PhaseId`], and name → id.
+    inner: Mutex<(Vec<String>, HashMap<String, PhaseId>)>,
 }
 
 impl Ledger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Intern `name`, returning its stable id for this ledger.
     pub(crate) fn intern(&self, name: &str) -> PhaseId {
         let mut inner = self.inner.lock();
-        if let Some(&id) = inner.ids.get(name) {
+        let (names, ids) = &mut *inner;
+        if let Some(&id) = ids.get(name) {
             return id;
         }
-        let id = PhaseId::try_from(inner.names.len()).expect("more than 65536 phase labels");
-        inner.names.push(name.to_string());
-        inner.ids.insert(name.to_string(), id);
+        let id = PhaseId::try_from(names.len()).expect("more than 65536 phase labels");
+        names.push(name.to_string());
+        ids.insert(name.to_string(), id);
         id
     }
 
-    pub(crate) fn record(&self, rank: usize, phase: PhaseId, elems: u64) {
-        let mut inner = self.inner.lock();
-        let cell = inner.cells.entry((rank, phase)).or_default();
-        cell.messages += 1;
-        cell.elements += elems;
-    }
-
-    /// Immutable snapshot of all counters.
-    pub fn snapshot(&self) -> LedgerSnapshot {
-        let inner = self.inner.lock();
-        LedgerSnapshot { names: inner.names.clone(), cells: inner.cells.clone() }
-    }
-
-    /// Reset all counters (e.g. between warm-up and measured iterations).
-    /// Interned labels survive — ids stay valid across the reset.
-    pub fn reset(&self) {
-        self.inner.lock().cells.clear();
+    /// The snapshot of `cells`: rank `r`'s volumes indexed by [`PhaseId`].
+    pub(crate) fn snapshot(&self, cells: Vec<Vec<PhaseVolume>>) -> LedgerSnapshot {
+        LedgerSnapshot { names: self.inner.lock().0.clone(), cells }
     }
 }
 
@@ -82,39 +57,45 @@ impl Ledger {
 #[derive(Clone, Debug, Default)]
 pub struct LedgerSnapshot {
     names: Vec<String>,
-    cells: HashMap<(usize, PhaseId), PhaseVolume>,
+    /// Rank `r`'s volumes indexed by phase id (shorter when it never sent
+    /// under the later ids).
+    cells: Vec<Vec<PhaseVolume>>,
 }
 
 impl LedgerSnapshot {
-    fn id_of(&self, phase: &str) -> Option<PhaseId> {
-        self.names.iter().position(|n| n == phase).map(|i| i as PhaseId)
+    fn id_of(&self, phase: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == phase)
+    }
+
+    fn phase_cells(&self, id: usize) -> impl Iterator<Item = &PhaseVolume> {
+        self.cells.iter().filter_map(move |c| c.get(id))
     }
 
     /// Total elements sent by `rank` across all phases.
     pub fn rank_elements(&self, rank: usize) -> u64 {
-        self.cells.iter().filter(|((r, _), _)| *r == rank).map(|(_, v)| v.elements).sum()
+        self.cells.get(rank).map_or(0, |c| c.iter().map(|v| v.elements).sum())
     }
 
     /// Total elements sent by all ranks in `phase`.
     pub fn phase_elements(&self, phase: &str) -> u64 {
         let Some(id) = self.id_of(phase) else { return 0 };
-        self.cells.iter().filter(|((_, p), _)| *p == id).map(|(_, v)| v.elements).sum()
+        self.phase_cells(id).map(|v| v.elements).sum()
     }
 
     /// Elements sent by `rank` within `phase`.
     pub fn cell(&self, rank: usize, phase: &str) -> PhaseVolume {
         let Some(id) = self.id_of(phase) else { return PhaseVolume::default() };
-        self.cells.get(&(rank, id)).copied().unwrap_or_default()
+        self.cells.get(rank).and_then(|c| c.get(id)).copied().unwrap_or_default()
     }
 
     /// Total elements sent by all ranks across all phases.
     pub fn total_elements(&self) -> u64 {
-        self.cells.values().map(|v| v.elements).sum()
+        self.cells.iter().flatten().map(|v| v.elements).sum()
     }
 
     /// Total messages sent by all ranks across all phases.
     pub fn total_messages(&self) -> u64 {
-        self.cells.values().map(|v| v.messages).sum()
+        self.cells.iter().flatten().map(|v| v.messages).sum()
     }
 
     /// Maximum per-rank sent-element count — a load-imbalance indicator.
@@ -124,10 +105,11 @@ impl LedgerSnapshot {
 
     /// All phase labels that actually recorded traffic, sorted.
     pub fn phases(&self) -> Vec<&str> {
-        let mut v: Vec<&str> =
-            self.cells.keys().map(|&(_, id)| self.names[id as usize].as_str()).collect();
+        let mut v: Vec<&str> = (0..self.names.len())
+            .filter(|&id| self.phase_cells(id).any(|c| c.messages > 0))
+            .map(|id| self.names[id].as_str())
+            .collect();
         v.sort_unstable();
-        v.dedup();
         v
     }
 }
@@ -136,20 +118,30 @@ impl LedgerSnapshot {
 mod tests {
     use super::*;
 
-    fn record_named(ledger: &Ledger, rank: usize, phase: &str, elems: u64) {
-        let id = ledger.intern(phase);
-        ledger.record(rank, id, elems);
+    /// A two-rank snapshot built the way `Comm` fills its cells.
+    fn snapshot_of(sends: &[(usize, &str, u64)]) -> LedgerSnapshot {
+        let ledger = Ledger::default();
+        let mut cells = vec![Vec::new(); 2];
+        for &(rank, phase, elems) in sends {
+            let id = ledger.intern(phase) as usize;
+            let row: &mut Vec<PhaseVolume> = &mut cells[rank];
+            if row.len() <= id {
+                row.resize(id + 1, PhaseVolume::default());
+            }
+            row[id].messages += 1;
+            row[id].elements += elems;
+        }
+        ledger.snapshot(cells)
     }
 
     #[test]
     fn records_and_aggregates() {
-        let ledger = Ledger::new();
-        record_named(&ledger, 0, "reduce", 100);
-        record_named(&ledger, 0, "reduce", 50);
-        record_named(&ledger, 1, "reduce", 30);
-        record_named(&ledger, 0, "gather", 7);
-
-        let snap = ledger.snapshot();
+        let snap = snapshot_of(&[
+            (0, "reduce", 100),
+            (0, "reduce", 50),
+            (1, "reduce", 30),
+            (0, "gather", 7),
+        ]);
         assert_eq!(snap.cell(0, "reduce"), PhaseVolume { messages: 2, elements: 150 });
         assert_eq!(snap.rank_elements(0), 157);
         assert_eq!(snap.phase_elements("reduce"), 180);
@@ -157,32 +149,30 @@ mod tests {
         assert_eq!(snap.total_messages(), 4);
         assert_eq!(snap.max_rank_elements(2), 157);
         assert_eq!(snap.phases(), vec!["gather", "reduce"]);
+        assert_eq!(snap.cell(1, "gather"), PhaseVolume::default(), "past the end of rank 1's row");
     }
 
     #[test]
     fn dynamic_labels_intern_to_stable_ids() {
-        let ledger = Ledger::new();
+        let ledger = Ledger::default();
         for bucket in 0..3 {
             let label = format!("bucket-{bucket}");
-            record_named(&ledger, 0, &label, 10);
+            assert_eq!(ledger.intern(&label), bucket as PhaseId);
             // Re-interning the same dynamic string yields the same id.
             assert_eq!(ledger.intern(&label), bucket as PhaseId);
         }
-        let snap = ledger.snapshot();
+        let snap = ledger.snapshot(vec![vec![PhaseVolume { messages: 1, elements: 10 }; 3]]);
         assert_eq!(snap.phases(), vec!["bucket-0", "bucket-1", "bucket-2"]);
         assert_eq!(snap.cell(0, "bucket-1").elements, 10);
         assert_eq!(snap.cell(0, "bucket-9"), PhaseVolume::default());
     }
 
     #[test]
-    fn reset_clears_cells_but_keeps_interned_ids() {
-        let ledger = Ledger::new();
-        let id = ledger.intern("x");
-        ledger.record(0, id, 1);
-        ledger.reset();
-        assert_eq!(ledger.snapshot().total_elements(), 0);
-        assert_eq!(ledger.intern("x"), id, "interned ids survive reset");
-        ledger.record(0, id, 2);
-        assert_eq!(ledger.snapshot().cell(0, "x").elements, 2);
+    fn interned_phases_without_traffic_are_not_listed() {
+        let snap = snapshot_of(&[(1, "sent", 4)]);
+        let ledger = Ledger::default();
+        ledger.intern("idle");
+        assert_eq!(snap.phases(), vec!["sent"]);
+        assert!(ledger.snapshot(vec![vec![PhaseVolume::default()]]).phases().is_empty());
     }
 }

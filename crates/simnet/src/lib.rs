@@ -88,7 +88,7 @@ pub use cluster::{Cluster, SimReport};
 pub use comm::{Comm, Tag};
 pub use cost::{CostModel, WireSize};
 pub use engine::{current_rank, Engine, SchedEvent, SchedKind, SchedMode};
-pub use ledger::{Ledger, LedgerSnapshot, PhaseVolume};
+pub use ledger::{LedgerSnapshot, PhaseVolume};
 pub use net::{GroupComm, Net};
 pub use request::SendHandle;
 pub use topo::Topology;

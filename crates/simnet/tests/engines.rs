@@ -104,7 +104,7 @@ fn engines_agree_under_a_chaos_plan() {
 #[test]
 fn engines_agree_on_reverse_order_recv() {
     // Rank 0 streams three tagged messages; rank 1 receives them in reverse
-    // order, so the first two pass through the mailbox stash. Port charging
+    // order, so the first two wait in the inbox until matched. Port charging
     // follows the receive order, which every schedule must reproduce exactly.
     let workload = |comm: &mut simnet::Comm| {
         if comm.rank() == 0 {

@@ -1,7 +1,9 @@
 //! Behavioral tests for the pooled-envelope message path: out-of-order
-//! delivery, mailbox hygiene, overlap by program order, and shared payloads.
+//! delivery, FIFO matching per `(src, tag)`, overlap by program order, shared
+//! payloads, and when the per-message metrics reach the registry.
 
-use simnet::{Cluster, CostModel};
+use obs::MetricValue;
+use simnet::{Cluster, Comm, CostModel, Topology};
 
 /// α=1, β=0.1 — round numbers so modeled times can be asserted exactly.
 fn unit_cost() -> CostModel {
@@ -26,17 +28,13 @@ fn out_of_order_tags_and_sources_demultiplex() {
             }
             _ => {
                 // Receive interleaved across sources and in reverse tag order;
-                // every early arrival passes through the mailbox.
+                // every early arrival waits in the inbox until matched.
                 let mut got = Vec::new();
                 for (src, tag) in [(1usize, 5u64), (0, 3), (1, 4), (0, 2), (0, 1)] {
                     let v: Vec<f32> = comm.recv(src, tag);
                     got.push(v[0]);
                 }
-                assert_eq!(
-                    comm.pending_mailbox_entries(),
-                    0,
-                    "drained mailbox queues must be removed"
-                );
+                assert_eq!(comm.pending_envelopes(), 0, "every arrival was taken");
                 got
             }
         }
@@ -45,28 +43,42 @@ fn out_of_order_tags_and_sources_demultiplex() {
 }
 
 #[test]
-fn mailbox_does_not_leak_drained_queues() {
-    // Regression: `take_matching` used to leave an empty VecDeque in the map for
-    // every (src, tag) pair ever stashed, growing without bound across steps.
-    let report = Cluster::new(2, CostModel::free()).run(|comm| {
-        if comm.rank() == 0 {
-            for step in 0..64u64 {
-                comm.send(1, step, vec![step as u32]);
+fn each_source_and_tag_is_received_fifo_among_interleaved_envelopes() {
+    const ROUNDS: u32 = 8;
+    const TAGS: [u64; 3] = [1, 2, 3];
+    let report = Cluster::new(3, CostModel::free()).run(|comm| {
+        match comm.rank() {
+            // Two senders interleave three tags each, round by round.
+            src @ (0 | 1) => {
+                for round in 0..ROUNDS {
+                    for tag in TAGS {
+                        comm.send(2, tag, vec![100 * src as u32 + 10 * round + tag as u32]);
+                    }
+                }
+                0
             }
-            0
-        } else {
-            // Pull a later tag first so every earlier message is stashed, then
-            // drain them all.
-            let _last: Vec<u32> = comm.recv(0, 63);
-            assert_eq!(comm.pending_mailbox_entries(), 63);
-            for step in 0..63u64 {
-                let v: Vec<u32> = comm.recv(0, step);
-                assert_eq!(v[0], step as u32);
+            _ => {
+                // Drain one (src, tag) stream at a time, the last-sent tag
+                // first, so the other streams queue up interleaved in front
+                // of and behind it.
+                for src in [1usize, 0] {
+                    for tag in [3u64, 1, 2] {
+                        for round in 0..ROUNDS {
+                            let v: Vec<u32> = comm.recv(src, tag);
+                            assert_eq!(v[0], 100 * src as u32 + 10 * round + tag as u32);
+                        }
+                        if (src, tag) == (1, 3) {
+                            // Rank 1's last send has arrived, so all of its
+                            // other envelopes are queued.
+                            assert!(comm.pending_envelopes() >= 2 * ROUNDS as usize);
+                        }
+                    }
+                }
+                comm.pending_envelopes()
             }
-            comm.pending_mailbox_entries()
         }
     });
-    assert_eq!(report.results[1], 0);
+    assert_eq!(report.results[2], 0);
 }
 
 #[test]
@@ -178,4 +190,112 @@ fn a_pooled_buffer_that_has_to_grow_counts_as_a_miss() {
     assert_eq!(report.results[0], (0, 0), "a popped buffer leaves the idle pool either way");
     assert_eq!(report.metrics.get("pool.hit"), Some(&obs::MetricValue::Counter(1)));
     assert_eq!(report.metrics.get("pool.miss"), Some(&obs::MetricValue::Counter(2)));
+}
+
+/// The per-rank values of a `PerRankU64` metric.
+fn per_rank(metrics: &obs::MetricsSnapshot, name: &str) -> Vec<u64> {
+    match metrics.get(name) {
+        Some(MetricValue::PerRankU64(v)) => v.clone(),
+        other => panic!("{name}: {other:?}"),
+    }
+}
+
+fn hist_count(metrics: &obs::MetricsSnapshot, name: &str) -> u64 {
+    match metrics.get(name) {
+        Some(MetricValue::Histogram { count, .. }) => *count,
+        other => panic!("{name}: {other:?}"),
+    }
+}
+
+/// Elements rank `src` sends to `dst` before the barrier.
+fn before_elems(src: usize, dst: usize) -> usize {
+    src + 2 * dst + 1
+}
+
+/// An all-to-all of uneven messages, a barrier after which rank 0 snapshots
+/// the registry, then more traffic that no barrier follows. Rank 0 sends its
+/// after-barrier messages only once its snapshot is taken, and every other
+/// rank sends only after receiving one, so nothing sent after the barrier
+/// can be in the snapshot whatever the interleaving.
+fn publish_run(comm: &mut Comm) -> Option<obs::MetricsSnapshot> {
+    let (rank, p) = (comm.rank(), comm.size());
+    comm.set_phase("before");
+    for dst in (0..p).filter(|&d| d != rank) {
+        comm.send(dst, 1, vec![0.0f32; before_elems(rank, dst)]);
+    }
+    for src in (0..p).filter(|&s| s != rank) {
+        let _: Vec<f32> = comm.recv(src, 1);
+    }
+    comm.barrier();
+    let snap = (rank == 0).then(|| comm.obs().snapshot());
+    comm.set_phase("after");
+    if rank == 0 {
+        for dst in 1..p {
+            comm.send(dst, 2, vec![0.0f32; dst]);
+        }
+        for src in 1..p {
+            let _: Vec<f32> = comm.recv(src, 3);
+        }
+    } else {
+        let _: Vec<f32> = comm.recv(0, 2);
+        comm.send(0, 3, vec![0.0f32; 3 * rank]);
+    }
+    snap
+}
+
+#[test]
+fn per_message_metrics_are_published_at_barriers_and_at_exit() {
+    const P: usize = 8;
+    const RPN: usize = 4;
+    let cost = CostModel::aries();
+    let link = (cost.alpha, cost.beta);
+    for tiered in [false, true] {
+        let cluster = |workers: usize| {
+            let c = Cluster::new(P, cost).with_workers(workers);
+            if tiered {
+                c.with_topology(Topology::two_tier(RPN, link, link))
+            } else {
+                c
+            }
+        };
+        let report = cluster(1).run(publish_run);
+        let (ledger, at_barrier) = (&report.ledger, report.results[0].as_ref().unwrap());
+        let (tx, intra, inter) = (
+            per_rank(at_barrier, "sim.tx_bytes"),
+            per_rank(at_barrier, "net.intra_bytes"),
+            per_rank(at_barrier, "net.inter_bytes"),
+        );
+        for rank in 0..P {
+            let sent = ledger.cell(rank, "before");
+            assert_eq!(tx[rank], 4 * sent.elements, "tiered={tiered} rank {rank}: sim.tx_bytes");
+            let same_node = (0..P)
+                .filter(|&d| d != rank && tiered && d / RPN == rank / RPN)
+                .map(|d| 4 * before_elems(rank, d) as u64)
+                .sum::<u64>();
+            assert_eq!(intra[rank], same_node, "tiered={tiered} rank {rank}: net.intra_bytes");
+            assert_eq!(intra[rank] + inter[rank], tx[rank], "tiered={tiered} rank {rank}");
+        }
+        let before_msgs: u64 = (0..P).map(|r| ledger.cell(r, "before").messages).sum();
+        assert_eq!(hist_count(at_barrier, "sim.msg_elems"), before_msgs, "tiered={tiered}");
+
+        // What followed the last barrier was published when each rank exited.
+        let tx = per_rank(&report.metrics, "sim.tx_bytes");
+        for (rank, &bytes) in tx.iter().enumerate() {
+            assert_eq!(bytes, 4 * ledger.rank_elements(rank), "tiered={tiered} rank {rank}");
+            assert!(ledger.cell(rank, "after").elements > 0);
+        }
+        let rx = per_rank(&report.metrics, "sim.rx_bytes");
+        assert_eq!(rx.iter().sum::<u64>(), 4 * ledger.total_elements(), "tiered={tiered}");
+        assert_eq!(hist_count(&report.metrics, "sim.msg_elems"), ledger.total_messages());
+
+        // A rank keeps its own running recv-wait sum; storing it leaves the
+        // same bits at every worker count.
+        let wait_bits = |r: &simnet::SimReport<_>| match r.metrics.get("sim.recv_wait_vsec") {
+            Some(MetricValue::PerRankF64(v)) => v.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+            other => panic!("sim.recv_wait_vsec: {other:?}"),
+        };
+        let serial = wait_bits(&report);
+        assert!(serial.iter().any(|&b| f64::from_bits(b) > 0.0), "some rank waited");
+        assert_eq!(serial, wait_bits(&cluster(P).run(publish_run)), "tiered={tiered}: W = P");
+    }
 }
