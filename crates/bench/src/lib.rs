@@ -192,8 +192,7 @@ impl Header {
             .field("simd_lanes", caps.lanes.width())
             .text("engine", Self::engine_name())
             .field("wall_secs", format!("{:.3}", self.start.elapsed().as_secs_f64()))
-            .field("peak_rss_kb", proc_status_kb("VmHWM:"))
-            .field("obs", obs::global().snapshot().to_json());
+            .field("peak_rss_kb", proc_status_kb("VmHWM:"));
         let mut out = String::from("{\n");
         for (k, v) in header.0.iter().chain(&params.0) {
             out.push_str(&format!("  \"{k}\": {v},\n"));

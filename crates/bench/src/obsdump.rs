@@ -1,7 +1,7 @@
-//! Profile a small Ok-Topk training job: run with tracing, spans and
-//! scheduler logging on, then emit a Chrome/Perfetto `trace_events` JSON and
-//! a text metrics summary. The logic lives in the library so the schema test
-//! can run it without shelling out to the binary.
+//! Profile a small Ok-Topk training job: run with tracing and spans on, then
+//! emit a Chrome/Perfetto `trace_events` JSON and a text metrics summary. The
+//! logic lives in the library so the schema test can run it without shelling
+//! out to the binary.
 
 use simnet::export_chrome;
 use train::{run_data_parallel, OptimizerKind, RunResult, Scheme, TrainConfig};
@@ -40,8 +40,7 @@ pub fn run(p: usize, iters: usize) -> Dump {
         &[],
     );
 
-    let windows: &[(f64, f64)] = &[];
-    let trace_json = export_chrome(&result.traces, &result.spans, &result.sched, windows);
+    let trace_json = export_chrome(&result.traces, &result.spans, &[]);
     let mut summary = String::new();
     summary.push_str(&format!(
         "obsdump: Ok-Topk P={p} iters={iters} engine={} makespan={:.4}s\n\n",

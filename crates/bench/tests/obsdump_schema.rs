@@ -1,7 +1,7 @@
 //! Schema check for the obsdump Chrome-trace export: the document must be
 //! valid `trace_events` JSON that Perfetto/chrome://tracing will load —
 //! every event carries `ph`/`pid`/`name`, complete events carry `ts`/`dur`,
-//! and the expected tracks (rank timelines, spans, scheduler) are present.
+//! and the expected tracks (rank timelines, spans) are present.
 
 use obs::json::{validate, Json};
 
@@ -34,8 +34,8 @@ fn obsdump_trace_is_valid_trace_events_json() {
 
     let names: Vec<&str> =
         events.iter().filter_map(|e| e.get("name").and_then(Json::as_str)).collect();
-    // Trainer spans and the event-engine scheduler track both made it in.
-    for expected in ["iter", "compute", "exchange", "grant"] {
+    // Trainer spans made it in.
+    for expected in ["iter", "compute", "exchange"] {
         assert!(names.contains(&expected), "missing {expected:?} events");
     }
 

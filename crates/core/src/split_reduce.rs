@@ -48,7 +48,7 @@ pub fn split_and_reduce<C: Net>(
 
     debug_assert_eq!(boundaries.len(), p + 1, "one region per rank");
     debug_assert_eq!(boundaries[0], 0, "regions must cover the index space from 0");
-    debug_assert!(
+    assert!(
         local.indexes().last().is_none_or(|&i| i < boundaries[p]),
         "a selected index at or past the last boundary lies in no region and would be dropped"
     );
@@ -300,7 +300,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "lies in no region")]
     fn an_index_past_the_last_boundary_is_refused_not_dropped() {
         let local = CooGradient::from_sorted(vec![3, 10], vec![1.0, 1.0]);

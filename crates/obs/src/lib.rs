@@ -5,7 +5,7 @@
 //! A shared instrumentation layer for every crate in the workspace: a metrics
 //! registry (counters, gauges, log-bucketed histograms, per-rank slots), nested
 //! structured spans, and exporters (Chrome/Perfetto `trace_events` JSON, a
-//! compact metrics JSON snapshot, a text summary table).
+//! text summary table).
 //!
 //! ## Determinism policy
 //!
@@ -20,9 +20,9 @@
 //!   commutative integer updates (atomic adds, atomic maxima) and
 //!   single-writer per-rank slots — never with anything that observes
 //!   scheduling order.
-//! - [`Class::Host`] — the value describes the *simulating host* (wall-clock
-//!   durations, pool reservation races, scheduler token traffic, worker-pool
-//!   activity). Host metrics are explicitly exempt from parity.
+//! - [`Class::Host`] — the value describes the *simulating host* (pool
+//!   reservation races, scheduler token traffic and queue depths). Host
+//!   metrics are explicitly exempt from parity.
 //!
 //! ## Off switch
 //!
@@ -39,18 +39,17 @@ mod metrics;
 mod span;
 
 pub use metrics::{
-    Class, Counter, FCounter, Gauge, HistTally, Histogram, MetricValue, MetricsSnapshot, RankF64,
-    RankU64, Registry,
+    Class, Counter, Gauge, HistTally, Histogram, MetricValue, MetricsSnapshot, RankF64, RankU64,
+    Registry,
 };
 pub use span::{SpanEvent, SpanStack};
 
 use std::sync::OnceLock;
 
-/// The process-global registry: per-run registries fold their totals in at
-/// run end so one snapshot can summarize the whole process (see
-/// [`Registry::absorb`]). Every global metric
-/// is [`Class::Host`] by convention — process-lifetime totals depend on how
-/// many runs happened, not on modeled time.
+/// A process-global registry that nothing records into. It exists only
+/// because `benchmark/src/layers.rs` (frozen outside this crate) reads
+/// `okpar.jobs` from its snapshot, which is 0; it goes when a benchmark PR
+/// drops that read.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(|| Registry::with_ranks(0, true))

@@ -64,37 +64,6 @@ impl Counter {
     }
 }
 
-/// A floating-point accumulator (CAS-add). Sums of f64 are only deterministic
-/// when the addends arrive in a deterministic order, so `FCounter` is almost
-/// always [`Class::Host`]; per-rank virtual-time sums belong in [`RankF64`].
-#[derive(Clone)]
-pub struct FCounter {
-    bits: Arc<AtomicU64>,
-    on: bool,
-}
-
-impl FCounter {
-    /// Add `v`.
-    pub fn add(&self, v: f64) {
-        if !self.on {
-            return;
-        }
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.bits.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
 /// A high-watermark gauge (atomic max — commutative, deterministic).
 #[derive(Clone)]
 pub struct Gauge {
@@ -231,8 +200,8 @@ impl RankF64 {
     }
 }
 
-/// Per-rank u64 slots (atomic adds; safe even if the single-writer contract is
-/// relaxed, e.g. a per-link byte matrix written by every sender row-wise).
+/// Per-rank u64 slots (atomic adds, so totals are deterministic whoever
+/// writes a slot).
 #[derive(Clone)]
 pub struct RankU64 {
     slots: Arc<Vec<AtomicU64>>,
@@ -240,33 +209,22 @@ pub struct RankU64 {
 }
 
 impl RankU64 {
-    /// Add `n` to slot `idx`.
+    /// Add `n` to rank `rank`'s slot.
     #[inline]
-    pub fn add(&self, idx: usize, n: u64) {
+    pub fn add(&self, rank: usize, n: u64) {
         if self.on {
-            self.slots[idx].fetch_add(n, Ordering::Relaxed);
+            self.slots[rank].fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    /// Current value of slot `idx`.
-    pub fn get(&self, idx: usize) -> u64 {
-        self.slots[idx].load(Ordering::Relaxed)
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether there are zero slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+    /// Current value of rank `rank`'s slot.
+    pub fn get(&self, rank: usize) -> u64 {
+        self.slots[rank].load(Ordering::Relaxed)
     }
 }
 
 enum Slot {
     Counter(Arc<AtomicU64>),
-    FCounter(Arc<AtomicU64>),
     Gauge(Arc<AtomicU64>),
     Hist(Arc<HistInner>),
     RankF64(Arc<Vec<AtomicU64>>),
@@ -277,7 +235,6 @@ impl Slot {
     fn kind(&self) -> &'static str {
         match self {
             Slot::Counter(_) => "counter",
-            Slot::FCounter(_) => "fcounter",
             Slot::Gauge(_) => "gauge",
             Slot::Hist(_) => "histogram",
             Slot::RankF64(_) => "rank_f64",
@@ -305,11 +262,6 @@ impl Registry {
         self.enabled
     }
 
-    /// Number of ranks this registry's per-rank metrics cover.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     fn slot(
         &self,
         name: &str,
@@ -328,7 +280,6 @@ impl Registry {
         assert_eq!(*stored_class, class, "metric {name:?} re-registered under a different class");
         match slot {
             Slot::Counter(c) => Slot::Counter(Arc::clone(c)),
-            Slot::FCounter(c) => Slot::FCounter(Arc::clone(c)),
             Slot::Gauge(c) => Slot::Gauge(Arc::clone(c)),
             Slot::Hist(h) => Slot::Hist(Arc::clone(h)),
             Slot::RankF64(s) => Slot::RankF64(Arc::clone(s)),
@@ -340,14 +291,6 @@ impl Registry {
     pub fn counter(&self, name: &str, class: Class) -> Counter {
         match self.slot(name, class, || Slot::Counter(Arc::new(AtomicU64::new(0))), "counter") {
             Slot::Counter(cell) => Counter { cell, on: self.enabled },
-            _ => unreachable!(),
-        }
-    }
-
-    /// Get or create the floating-point accumulator `name`.
-    pub fn fcounter(&self, name: &str, class: Class) -> FCounter {
-        match self.slot(name, class, || Slot::FCounter(Arc::new(AtomicU64::new(0))), "fcounter") {
-            Slot::FCounter(bits) => FCounter { bits, on: self.enabled },
             _ => unreachable!(),
         }
     }
@@ -386,15 +329,13 @@ impl Registry {
         }
     }
 
-    /// Get or create u64 slots named `name` with an explicit slot count (pass
-    /// the rank count for per-rank metrics, `P·P` for a per-link matrix).
-    pub fn slots_u64(&self, name: &str, class: Class, len: usize) -> RankU64 {
-        let mk = || Slot::RankU64(Arc::new((0..len).map(|_| AtomicU64::new(0)).collect()));
+    /// Get or create per-rank u64 slots named `name` (one per rank).
+    pub fn rank_u64(&self, name: &str, class: Class) -> RankU64 {
+        assert!(self.ranks > 0, "per-rank metric {name:?} on a rankless registry");
+        let ranks = self.ranks;
+        let mk = || Slot::RankU64(Arc::new((0..ranks).map(|_| AtomicU64::new(0)).collect()));
         match self.slot(name, class, mk, "rank_u64") {
-            Slot::RankU64(slots) => {
-                assert_eq!(slots.len(), len, "metric {name:?} re-registered with a new length");
-                RankU64 { slots, on: self.enabled }
-            }
+            Slot::RankU64(slots) => RankU64 { slots, on: self.enabled },
             _ => unreachable!(),
         }
     }
@@ -411,9 +352,6 @@ impl Registry {
             .map(|(name, (class, slot))| {
                 let value = match slot {
                     Slot::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
-                    Slot::FCounter(c) => {
-                        MetricValue::FCounter(f64::from_bits(c.load(Ordering::Relaxed)))
-                    }
                     Slot::Gauge(c) => MetricValue::Gauge(c.load(Ordering::Relaxed)),
                     Slot::Hist(h) => MetricValue::Histogram {
                         count: h.total.load(Ordering::Relaxed),
@@ -441,33 +379,6 @@ impl Registry {
         entries.sort_by(|a, b| a.name.cmp(&b.name));
         MetricsSnapshot { entries }
     }
-
-    /// Fold a finished run's snapshot into this registry (the process-global
-    /// one): counters and histograms add, gauges take the max, per-rank arrays
-    /// collapse into `<name>.sum` totals. Everything lands as [`Class::Host`]
-    /// — process-lifetime totals depend on how many runs happened, not on
-    /// modeled time.
-    pub fn absorb(&self, snap: &MetricsSnapshot) {
-        for e in &snap.entries {
-            match &e.value {
-                MetricValue::Counter(v) => self.counter(&e.name, Class::Host).add(*v),
-                MetricValue::FCounter(v) => self.fcounter(&e.name, Class::Host).add(*v),
-                MetricValue::Gauge(v) => self.gauge(&e.name, Class::Host).set_max(*v),
-                MetricValue::Histogram { count, sum, .. } => {
-                    self.counter(&format!("{}.count", e.name), Class::Host).add(*count);
-                    self.counter(&format!("{}.sum", e.name), Class::Host).add(*sum);
-                }
-                MetricValue::PerRankF64(v) => {
-                    self.fcounter(&format!("{}.sum", e.name), Class::Host)
-                        .add(v.iter().copied().sum());
-                }
-                MetricValue::PerRankU64(v) => {
-                    self.counter(&format!("{}.sum", e.name), Class::Host)
-                        .add(v.iter().copied().sum());
-                }
-            }
-        }
-    }
 }
 
 /// The value of one metric at snapshot time.
@@ -475,8 +386,6 @@ impl Registry {
 pub enum MetricValue {
     /// Integer counter total.
     Counter(u64),
-    /// Floating-point accumulator total.
-    FCounter(f64),
     /// High-watermark gauge value.
     Gauge(u64),
     /// Histogram aggregate: sample count, sample sum, and the non-empty
@@ -491,7 +400,7 @@ pub enum MetricValue {
     },
     /// Per-rank f64 slots, indexed by rank.
     PerRankF64(Vec<f64>),
-    /// Per-slot u64 values (per-rank, or row-major per-link).
+    /// Per-rank u64 slots, indexed by rank.
     PerRankU64(Vec<u64>),
 }
 
@@ -506,18 +415,6 @@ struct SnapEntry {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     entries: Vec<SnapEntry>,
-}
-
-/// Render an f64 as a JSON value (non-finite values become `null`).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // Rust's shortest-roundtrip Display is already valid JSON for finite
-        // values (no trailing dot, no leading plus).
-        s
-    } else {
-        "null".to_string()
-    }
 }
 
 impl MetricsSnapshot {
@@ -547,7 +444,6 @@ impl MetricsSnapshot {
             .map(|e| {
                 let bits = match &e.value {
                     MetricValue::Counter(v) | MetricValue::Gauge(v) => vec![*v],
-                    MetricValue::FCounter(v) => vec![v.to_bits()],
                     MetricValue::Histogram { count, sum, buckets } => {
                         let mut v = vec![*count, *sum];
                         for (b, c) in buckets {
@@ -564,59 +460,6 @@ impl MetricsSnapshot {
             .collect()
     }
 
-    /// Compact single-line JSON object: `{"name": {"class": …, …}, …}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{{\"class\":\"{}\",",
-                crate::json::quote(&e.name),
-                e.class.name()
-            ));
-            match &e.value {
-                MetricValue::Counter(v) => out.push_str(&format!("\"counter\":{v}")),
-                MetricValue::FCounter(v) => out.push_str(&format!("\"fcounter\":{}", json_f64(*v))),
-                MetricValue::Gauge(v) => out.push_str(&format!("\"gauge\":{v}")),
-                MetricValue::Histogram { count, sum, buckets } => {
-                    out.push_str(&format!("\"count\":{count},\"sum\":{sum},\"buckets\":["));
-                    for (j, (b, c)) in buckets.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!("[{b},{c}]"));
-                    }
-                    out.push(']');
-                }
-                MetricValue::PerRankF64(vals) => {
-                    out.push_str("\"per_rank\":[");
-                    for (j, v) in vals.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&json_f64(*v));
-                    }
-                    out.push(']');
-                }
-                MetricValue::PerRankU64(vals) => {
-                    out.push_str("\"per_slot\":[");
-                    for (j, v) in vals.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&v.to_string());
-                    }
-                    out.push(']');
-                }
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
-    }
-
     /// A human-readable summary table, one metric per line. Per-rank arrays
     /// summarize as `sum / max(rank)`; histograms as `count / sum`.
     pub fn render_table(&self) -> String {
@@ -626,7 +469,6 @@ impl MetricsSnapshot {
         for e in &self.entries {
             let rendered = match &e.value {
                 MetricValue::Counter(v) => format!("{v}"),
-                MetricValue::FCounter(v) => format!("{v:.6e}"),
                 MetricValue::Gauge(v) => format!("max {v}"),
                 MetricValue::Histogram { count, sum, .. } => {
                     let mean = if *count > 0 { *sum as f64 / *count as f64 } else { 0.0 };
@@ -642,7 +484,7 @@ impl MetricsSnapshot {
                     let sum: u64 = vals.iter().sum();
                     let max = vals.iter().copied().max().unwrap_or(0);
                     let argmax = vals.iter().position(|&v| v == max).unwrap_or(0);
-                    format!("sum={sum} max={max} @slot{argmax}")
+                    format!("sum={sum} max={max} @rank{argmax}")
                 }
             };
             out.push_str(&format!("{:width$}  {:7}  {rendered}\n", e.name, e.class.name()));
@@ -666,10 +508,6 @@ mod tests {
         g.set_max(3);
         g.set_max(1);
         assert_eq!(g.get(), 3);
-        let f = reg.fcounter("wall", Class::Host);
-        f.add(0.5);
-        f.add(0.25);
-        assert_eq!(f.get(), 0.75);
     }
 
     #[test]
@@ -754,7 +592,7 @@ mod tests {
         assert_eq!(r.get(0), 1.5);
         assert_eq!(r.get(1), 0.0);
         assert_eq!(r.get(2), 0.75);
-        let u = reg.slots_u64("bytes", Class::Virtual, 3);
+        let u = reg.rank_u64("bytes", Class::Virtual);
         u.add(1, 40);
         assert_eq!(u.get(1), 40);
     }
@@ -770,33 +608,6 @@ mod tests {
         assert_eq!(names, vec!["v.sends", "v.wait"]);
         assert_eq!(view[0].1, vec![3]);
         assert_eq!(view[1].1, vec![0.0f64.to_bits(), 0.1f64.to_bits()]);
-    }
-
-    #[test]
-    fn snapshot_json_is_valid() {
-        let reg = Registry::with_ranks(2, true);
-        reg.counter("sends", Class::Virtual).add(3);
-        reg.histogram("elems", Class::Virtual).record(100);
-        reg.rank_f64("wait", Class::Virtual).add(0, 1.25);
-        reg.gauge("depth", Class::Host).set_max(4);
-        reg.fcounter("wall", Class::Host).add(2.5);
-        let json = reg.snapshot().to_json();
-        crate::json::validate(&json).expect("snapshot JSON must parse");
-    }
-
-    #[test]
-    fn absorb_folds_totals_into_host_class() {
-        let run = Registry::with_ranks(2, true);
-        run.counter("sim.sends", Class::Virtual).add(5);
-        run.rank_f64("sim.wait", Class::Virtual).add(0, 1.0);
-        run.rank_f64("sim.wait", Class::Virtual).add(1, 2.0);
-        let global = Registry::with_ranks(0, true);
-        global.absorb(&run.snapshot());
-        global.absorb(&run.snapshot());
-        let snap = global.snapshot();
-        assert_eq!(snap.get("sim.sends"), Some(&MetricValue::Counter(10)));
-        assert_eq!(snap.get("sim.wait.sum"), Some(&MetricValue::FCounter(6.0)));
-        assert!(snap.parity_view().is_empty(), "absorbed metrics are all Host");
     }
 
     #[test]

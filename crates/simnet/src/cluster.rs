@@ -4,7 +4,7 @@
 use crate::chaos::{ChaosPlan, ChaosView};
 use crate::comm::{Comm, PoolBudget, SimMetrics, POOL_BUDGET_DEFAULT_BYTES};
 use crate::cost::CostModel;
-use crate::engine::{Cascade, Engine, EngineMetrics, EventCore, SchedEvent, SchedMode};
+use crate::engine::{Cascade, Engine, EngineMetrics, EventCore, SchedMode};
 use crate::fiber::Fiber;
 use crate::ledger::{Ledger, LedgerSnapshot};
 use crate::topo::Topology;
@@ -31,8 +31,6 @@ pub struct Cluster {
     pool_budget_bytes: usize,
     /// Whether runs record metrics.
     obs: bool,
-    /// Record scheduler decisions for trace export.
-    sched_trace: bool,
     /// Two-tier topology consulted at every link-charging point and by the
     /// hierarchical collectives; `None` (the default) is a flat network.
     topo: Option<Arc<Topology>>,
@@ -49,9 +47,6 @@ pub struct SimReport<T> {
     /// Metrics recorded during the run (empty when observability is disabled).
     /// Virtual-class entries are bit-identical at every worker count.
     pub metrics: obs::MetricsSnapshot,
-    /// Scheduler decisions; non-empty only when [`Cluster::with_sched_trace`]
-    /// was on.
-    pub sched: Vec<SchedEvent>,
 }
 
 impl<T> SimReport<T> {
@@ -73,7 +68,6 @@ impl Cluster {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             pool_budget_bytes: POOL_BUDGET_DEFAULT_BYTES,
             obs: true,
-            sched_trace: false,
             topo: None,
         }
     }
@@ -144,13 +138,6 @@ impl Cluster {
         self
     }
 
-    /// Record the scheduler's decisions (token grants, parks, finishes) for
-    /// export to the Chrome-trace scheduler track.
-    pub fn with_sched_trace(mut self, on: bool) -> Self {
-        self.sched_trace = on;
-        self
-    }
-
     /// No-op: the event engine has one dispatch path. Kept only because
     /// `benchmark/src/runner.rs:45` (frozen outside this crate) calls it; goes
     /// with [`SchedMode`] when a benchmark PR drops that call.
@@ -202,16 +189,11 @@ impl Cluster {
         let budget = Arc::new(PoolBudget::new(self.pool_budget_bytes));
         let registry = Arc::new(obs::Registry::with_ranks(self.size, self.obs));
         let metrics = SimMetrics::new(&registry);
-        let wall_start = std::time::Instant::now();
         // One fiber per rank, run tokens granted in virtual-time order by the
         // shared core, exact deadlock detection; see [`crate::engine`] for the
         // design.
-        let core = Arc::new(EventCore::new(
-            self.size,
-            self.workers,
-            Some(EngineMetrics::new(&registry)),
-            self.sched_trace,
-        ));
+        let core =
+            Arc::new(EventCore::new(self.size, self.workers, Some(EngineMetrics::new(&registry))));
         // Each rank's result or panic payload, written as its fiber exits.
         let outcomes: Vec<Mutex<Option<_>>> = (0..self.size).map(|_| Mutex::new(None)).collect();
         let fibers: Vec<Fiber<'_>> = (0..self.size)
@@ -277,20 +259,8 @@ impl Cluster {
         if !panics.is_empty() {
             resolve_panics(panics, core.fault_message());
         }
-        // Host-class wall time of the whole run: the simulator-overhead side
-        // of the modeled-vs-host split the spans expose per phase.
-        registry
-            .fcounter("sim.host_wall_ns", obs::Class::Host)
-            .add(wall_start.elapsed().as_nanos() as f64);
-        registry.counter("sim.runs", obs::Class::Host).inc();
-        let metrics = registry.snapshot();
-        if self.obs {
-            // Fold the finished run into the process-global registry so bench
-            // headers can embed one cumulative snapshot.
-            obs::global().absorb(&metrics);
-        }
         let ledger = ledger.snapshot(cells);
-        SimReport { results, times, ledger, metrics, sched: core.take_sched() }
+        SimReport { results, times, ledger, metrics: registry.snapshot() }
     }
 }
 

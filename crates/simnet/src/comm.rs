@@ -78,11 +78,6 @@ impl PoolBudget {
     }
 }
 
-/// Largest cluster for which the per-link byte matrix (`sim.link_bytes`,
-/// `P·P` atomic slots) is recorded; beyond it the matrix would dominate the
-/// registry's footprint for sweeps that never look at it.
-const LINK_MATRIX_MAX_RANKS: usize = 128;
-
 /// Pre-resolved metric handles shared by every rank of one run. All handles
 /// are cheap clones of registry-owned atomics; `enabled` mirrors the
 /// registry's flag so recording paths can skip even the argument computation
@@ -98,17 +93,12 @@ pub(crate) struct SimMetrics {
     rx_bytes: obs::RankU64,
     /// Message body sizes, in elements.
     msg_elems: obs::Histogram,
-    /// Cluster barrier entries (counted once per rank per barrier).
-    barriers: obs::Counter,
     /// Chaos perturbations actually applied, by kind.
     chaos_straggler: obs::Counter,
     chaos_jitter: obs::Counter,
     chaos_degrade: obs::Counter,
     chaos_pause: obs::Counter,
-    /// Row-major `P·P` sent-byte matrix; only for P ≤ [`LINK_MATRIX_MAX_RANKS`].
-    link_bytes: Option<obs::RankU64>,
-    /// Per-rank bytes sent over intra-node links (topology-classified). Unlike
-    /// the `P·P` matrix these tier aggregates are O(P) and recorded at any P.
+    /// Per-rank bytes sent over intra-node links (topology-classified).
     intra_bytes: obs::RankU64,
     /// Per-rank bytes sent over inter-node links. With no topology installed
     /// every link is inter-node fabric by convention, so this equals
@@ -118,7 +108,6 @@ pub(crate) struct SimMetrics {
     /// cross-rank interleaving through the shared [`PoolBudget`]).
     pool_hit: obs::Counter,
     pool_miss: obs::Counter,
-    pool_drop: obs::Counter,
     pool_idle_max: obs::Gauge,
     /// The run's registry, for layers above simnet (collectives, trainer) to
     /// register their own instruments via [`Comm::obs`].
@@ -128,25 +117,20 @@ pub(crate) struct SimMetrics {
 impl SimMetrics {
     pub(crate) fn new(reg: &Arc<obs::Registry>) -> Self {
         use obs::Class::{Host, Virtual};
-        let ranks = reg.ranks();
         Self {
             enabled: reg.enabled(),
             recv_wait: reg.rank_f64("sim.recv_wait_vsec", Virtual),
-            tx_bytes: reg.slots_u64("sim.tx_bytes", Virtual, ranks),
-            rx_bytes: reg.slots_u64("sim.rx_bytes", Virtual, ranks),
+            tx_bytes: reg.rank_u64("sim.tx_bytes", Virtual),
+            rx_bytes: reg.rank_u64("sim.rx_bytes", Virtual),
             msg_elems: reg.histogram("sim.msg_elems", Virtual),
-            barriers: reg.counter("sim.barriers", Virtual),
             chaos_straggler: reg.counter("chaos.straggler", Virtual),
             chaos_jitter: reg.counter("chaos.jitter", Virtual),
             chaos_degrade: reg.counter("chaos.degrade", Virtual),
             chaos_pause: reg.counter("chaos.pause", Virtual),
-            link_bytes: (ranks <= LINK_MATRIX_MAX_RANKS)
-                .then(|| reg.slots_u64("sim.link_bytes", Virtual, ranks * ranks)),
-            intra_bytes: reg.slots_u64("net.intra_bytes", Virtual, ranks),
-            inter_bytes: reg.slots_u64("net.inter_bytes", Virtual, ranks),
+            intra_bytes: reg.rank_u64("net.intra_bytes", Virtual),
+            inter_bytes: reg.rank_u64("net.inter_bytes", Virtual),
             pool_hit: reg.counter("pool.hit", Host),
             pool_miss: reg.counter("pool.miss", Host),
-            pool_drop: reg.counter("pool.recycle_drop", Host),
             pool_idle_max: reg.gauge("pool.idle_bytes_max", Host),
             registry: Arc::clone(reg),
         }
@@ -164,8 +148,6 @@ struct Tally {
     intra_bytes: u64,
     inter_bytes: u64,
     msg_elems: obs::HistTally,
-    /// Bytes sent to each rank; empty above [`LINK_MATRIX_MAX_RANKS`].
-    link_bytes: Vec<u64>,
     chaos_straggler: u64,
     chaos_jitter: u64,
     chaos_degrade: u64,
@@ -245,7 +227,6 @@ impl Comm {
         topo: Option<Arc<Topology>>,
     ) -> Self {
         let phase_id = ledger.intern("default");
-        let links = if metrics.link_bytes.is_some() { size } else { 0 };
         Self {
             rank,
             size,
@@ -258,7 +239,7 @@ impl Comm {
             trace: None,
             spans: None,
             metrics,
-            tally: Tally { link_bytes: vec![0; links], ..Tally::default() },
+            tally: Tally::default(),
             ledger,
             cells: vec![PhaseVolume::default(); phase_id as usize + 1],
             core,
@@ -465,8 +446,6 @@ impl Comm {
         {
             self.pool.push(buf);
             self.note_idle_bytes();
-        } else {
-            self.metrics.pool_drop.inc();
         }
     }
 
@@ -525,11 +504,7 @@ impl Comm {
                 let t = &mut self.tally;
                 t.tx_bytes += elems * 4;
                 t.msg_elems.record(elems);
-                if let Some(link) = t.link_bytes.get_mut(dst) {
-                    *link += elems * 4;
-                }
-                // Tier aggregation works at any P (unlike the P·P matrix). A
-                // flat network counts everything as inter-node fabric.
+                // A flat network counts everything as inter-node fabric.
                 if self.topo.as_ref().is_some_and(|t| t.is_intra(self.rank, dst)) {
                     t.intra_bytes += elems * 4;
                 } else {
@@ -695,11 +670,6 @@ impl Comm {
         m.inter_bytes.add(rank, std::mem::take(&mut t.inter_bytes));
         m.recv_wait.set(rank, t.recv_wait);
         m.msg_elems.publish(&mut t.msg_elems);
-        if let Some(links) = &m.link_bytes {
-            for (dst, bytes) in t.link_bytes.iter_mut().enumerate().filter(|(_, b)| **b > 0) {
-                links.add(rank * self.size + dst, std::mem::take(bytes));
-            }
-        }
         m.chaos_straggler.add(std::mem::take(&mut t.chaos_straggler));
         m.chaos_jitter.add(std::mem::take(&mut t.chaos_jitter));
         m.chaos_degrade.add(std::mem::take(&mut t.chaos_degrade));
@@ -719,7 +689,6 @@ impl Comm {
     /// taken right after a barrier sees every rank's traffic up to it.
     pub fn barrier(&mut self) {
         self.apply_pause();
-        self.metrics.barriers.inc();
         self.publish();
         let t_in = self.local_finish_time();
         let t_max = self.core.barrier_wait(self.rank, t_in, self.now);

@@ -54,8 +54,7 @@
 //!    instead of P heap transactions it appends the whole release set, sorted
 //!    by `(clock, rank)`, to a FIFO *cohort* drained by subsequent grants in
 //!    O(1) (W > 1 workers drain the cohort concurrently). Heap refills
-//!    likewise pop the entire equal-timestamp run in one lock acquisition
-//!    (`engine.cohort_size` histograms both).
+//!    likewise pop the entire equal-timestamp run in one lock acquisition.
 //!
 //! ## The message path is single-writer
 //!
@@ -92,10 +91,6 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
-/// Cap on the optional scheduler event log: a runaway sweep must not hoard
-/// unbounded memory just because scheduler tracing was left on.
-const SCHED_LOG_MAX: usize = 1 << 20;
-
 /// What the run queue carries, once per worker, when every fiber has exited.
 const STOP: usize = usize::MAX;
 
@@ -103,48 +98,12 @@ const STOP: usize = usize::MAX;
 /// receiver towards a runnable producer before giving up on the chain.
 const WAITCHAIN_MAX: usize = 16;
 
-/// One scheduler decision of the event engine, recorded (only) when
-/// [`crate::Cluster::with_sched_trace`] is on — the profiling signal for the
-/// P ≥ 1024 run-token hand-off investigation. Exported to its own track by
-/// [`crate::trace::export_chrome`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SchedEvent {
-    /// The rank's virtual clock at the decision.
-    pub vclock: f64,
-    /// The rank the decision concerns.
-    pub rank: usize,
-    /// What the scheduler did.
-    pub kind: SchedKind,
-}
-
-/// The kind of a [`SchedEvent`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedKind {
-    /// A run token was granted to the rank.
-    Grant,
-    /// A run token was transferred to the rank by a blocking rank in the same
-    /// lock hold (direct handoff).
-    Handoff,
-    /// The rank was about to park in a receive when the matching message
-    /// landed; it kept its token and continued inline.
-    Elide,
-    /// The rank parked in a blocking receive (token released).
-    RecvPark,
-    /// The rank parked at the cluster barrier (token released).
-    BarrierPark,
-    /// The rank's closure returned.
-    Finish,
-}
-
 /// Scheduler metric handles (Host class: token traffic and queue depths are
 /// properties of the simulating host's execution, not of modeled time).
 #[derive(Clone)]
 pub(crate) struct EngineMetrics {
     token_grants: obs::Counter,
     parks: obs::Counter,
-    /// Parks split per cause, so wall-time wins are attributable.
-    parks_recv: obs::Counter,
-    parks_barrier: obs::Counter,
     ready_depth_max: obs::Gauge,
     /// Grants the granting worker runs itself, straight after its fiber
     /// switches out.
@@ -154,8 +113,6 @@ pub(crate) struct EngineMetrics {
     /// Parks elided entirely: the matching message landed between wait
     /// registration and the park, so the rank kept its token.
     park_elided: obs::Counter,
-    /// Sizes of ready cohorts (equal-timestamp heap runs, barrier releases).
-    cohort_size: obs::Histogram,
 }
 
 impl EngineMetrics {
@@ -164,13 +121,10 @@ impl EngineMetrics {
         Self {
             token_grants: reg.counter("engine.token_grants", Host),
             parks: reg.counter("engine.parks", Host),
-            parks_recv: reg.counter("engine.parks_recv", Host),
-            parks_barrier: reg.counter("engine.parks_barrier", Host),
             ready_depth_max: reg.gauge("engine.ready_depth_max", Host),
             handoff_hit: reg.counter("engine.handoff_hit", Host),
             handoff_miss: reg.counter("engine.handoff_miss", Host),
             park_elided: reg.counter("engine.park_elided", Host),
-            cohort_size: reg.histogram("engine.cohort_size", Host),
         }
     }
 }
@@ -316,17 +270,6 @@ struct CoreState {
     /// First fault (rank panic or detected deadlock); once set, every rank
     /// that touches the core unwinds with [`Cascade`].
     fault: Option<String>,
-    /// Scheduler decisions, recorded only when tracing is on (bounded by
-    /// [`SCHED_LOG_MAX`]).
-    sched: Vec<SchedEvent>,
-}
-
-impl CoreState {
-    fn log_sched(&mut self, on: bool, vclock: f64, rank: usize, kind: SchedKind) {
-        if on && self.sched.len() < SCHED_LOG_MAX {
-            self.sched.push(SchedEvent { vclock, rank, kind });
-        }
-    }
 }
 
 /// Shared state of the discrete-event engine for one [`crate::Cluster::run`].
@@ -335,8 +278,6 @@ pub(crate) struct EventCore {
     workers: usize,
     /// Scheduler metric handles; `None` when the run has no registry wired.
     metrics: Option<EngineMetrics>,
-    /// Whether scheduler decisions are logged for trace export.
-    sched_trace: bool,
     state: Mutex<CoreState>,
     /// Per-rank delivery state (messages + wait registration).
     inboxes: Vec<Mutex<RankInbox>>,
@@ -365,12 +306,7 @@ pub(crate) struct EventCore {
 }
 
 impl EventCore {
-    pub(crate) fn new(
-        size: usize,
-        workers: usize,
-        metrics: Option<EngineMetrics>,
-        sched_trace: bool,
-    ) -> Self {
+    pub(crate) fn new(size: usize, workers: usize, metrics: Option<EngineMetrics>) -> Self {
         assert!(size >= 1 && workers >= 1);
         let ranks = (0..size).map(|_| RankSlot { status: Status::Ready, clock: 0.0 }).collect();
         let ready = (0..size).map(|rank| Reverse(ReadyKey { clock: 0.0, rank })).collect();
@@ -381,7 +317,6 @@ impl EventCore {
             size,
             workers,
             metrics,
-            sched_trace,
             state: Mutex::new(CoreState {
                 ranks,
                 ready,
@@ -392,7 +327,6 @@ impl EventCore {
                 bar_arrived: 0,
                 bar_max: f64::NEG_INFINITY,
                 fault: None,
-                sched: Vec::new(),
             }),
             inboxes: (0..size)
                 .map(|_| Mutex::new(RankInbox { q: VecDeque::new(), waiting: None, done: false }))
@@ -425,31 +359,23 @@ impl EventCore {
                 continue;
             }
             let Reverse(head) = st.ready.pop()?;
-            let mut n = 1u64;
             while let Some(&Reverse(k)) = st.ready.peek() {
                 if k.clock.total_cmp(&head.clock).is_eq() {
                     st.ready.pop();
                     st.cohort.push_back(k.rank);
-                    n += 1;
                 } else {
                     break;
                 }
             }
-            if st.ranks[head.rank].status != Status::Ready {
-                continue;
+            if st.ranks[head.rank].status == Status::Ready {
+                return Some(head);
             }
-            if let Some(m) = &self.metrics {
-                m.cohort_size.record(n);
-            }
-            return Some(head);
         }
     }
 
     /// Grant tokens while slots are free. Collects the targets in `granted`
-    /// for [`Self::flush_grants`], which the caller runs after unlocking. `direct`
-    /// marks grants performed inside a blocking rank's own park transaction —
-    /// the direct-handoff path.
-    fn schedule(&self, st: &mut CoreState, direct: bool, granted: &mut Vec<usize>) {
+    /// for [`Self::flush_grants`], which the caller runs after unlocking.
+    fn schedule(&self, st: &mut CoreState, granted: &mut Vec<usize>) {
         // Amortized stale purge: targeted grants leave dead heap entries
         // behind; rebuild once they dominate so memory stays O(size).
         if st.ready.len() > 8 * self.size + 64 {
@@ -460,28 +386,19 @@ impl EventCore {
         }
         while st.running < self.workers {
             let Some(key) = self.pop_next_ready(st) else { break };
-            let kind = if direct { SchedKind::Handoff } else { SchedKind::Grant };
-            self.grant_rank(st, key.rank, kind, granted);
+            self.grant_rank(st, key.rank, granted);
         }
     }
 
     /// Set `rank` (must be `Ready`) running and collect it. Any heap or
     /// cohort entry still naming it goes stale and is skipped at pop time.
-    fn grant_rank(
-        &self,
-        st: &mut CoreState,
-        rank: usize,
-        kind: SchedKind,
-        granted: &mut Vec<usize>,
-    ) {
+    fn grant_rank(&self, st: &mut CoreState, rank: usize, granted: &mut Vec<usize>) {
         debug_assert_eq!(st.ranks[rank].status, Status::Ready);
         st.ranks[rank].status = Status::Running;
         st.running += 1;
         if let Some(m) = &self.metrics {
             m.token_grants.inc();
         }
-        let clock = st.ranks[rank].clock;
-        st.log_sched(self.sched_trace, clock, rank, kind);
         granted.push(rank);
     }
 
@@ -548,7 +465,7 @@ impl EventCore {
         let mut granted = self.grants[0].lock();
         {
             let mut st = self.state.lock();
-            self.schedule(&mut st, false, &mut granted);
+            self.schedule(&mut st, &mut granted);
         }
         self.flush_grants(false, granted);
     }
@@ -578,11 +495,6 @@ impl EventCore {
         let rank = self.runq_rx.lock().recv().expect("the core outlives its workers");
         self.idle.fetch_sub(1, Ordering::Relaxed);
         (rank != STOP).then_some(rank)
-    }
-
-    /// Drain the scheduler event log (empty unless tracing was on).
-    pub(crate) fn take_sched(&self) -> Vec<SchedEvent> {
-        std::mem::take(&mut self.state.lock().sched)
     }
 
     /// If nothing can ever run again, record the deadlock fault and tear the
@@ -649,7 +561,6 @@ impl EventCore {
                     if let Some(m) = &self.metrics {
                         m.park_elided.inc();
                     }
-                    st.log_sched(self.sched_trace, clock, rank, SchedKind::Elide);
                     continue;
                 }
                 st.ranks[rank].status = Status::RecvWait { src, tag };
@@ -657,9 +568,7 @@ impl EventCore {
                 st.running -= 1;
                 if let Some(m) = &self.metrics {
                     m.parks.inc();
-                    m.parks_recv.inc();
                 }
-                st.log_sched(self.sched_trace, clock, rank, SchedKind::RecvPark);
                 // Targeted handoff: walk the wait-for chain from the rank we
                 // are waiting *on* and run the first ready producer along it —
                 // demand-driven order beats lowest-clock order for rotation
@@ -671,7 +580,7 @@ impl EventCore {
                     for _ in 0..WAITCHAIN_MAX {
                         match st.ranks[cur].status {
                             Status::Ready => {
-                                self.grant_rank(&mut st, cur, SchedKind::Handoff, &mut granted);
+                                self.grant_rank(&mut st, cur, &mut granted);
                                 break;
                             }
                             Status::RecvWait { src: s, .. } if s != cur => cur = s,
@@ -679,7 +588,7 @@ impl EventCore {
                         }
                     }
                 }
-                self.schedule(&mut st, true, &mut granted);
+                self.schedule(&mut st, &mut granted);
                 self.check_deadlock(&mut st);
             }
             self.flush_grants(true, granted);
@@ -724,7 +633,7 @@ impl EventCore {
                     let clock = st.ranks[dst].clock;
                     st.ranks[dst].status = Status::Ready;
                     st.ready.push(Reverse(ReadyKey { clock, rank: dst }));
-                    self.schedule(&mut st, false, &mut granted);
+                    self.schedule(&mut st, &mut granted);
                 }
                 // Claimed the wait but the receiver has not parked yet: flag
                 // it so its park transaction continues inline instead. The
@@ -776,17 +685,12 @@ impl EventCore {
                 .map(|r| (st.ranks[r].clock, r))
                 .collect();
             release.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            if let Some(m) = &self.metrics {
-                if !release.is_empty() {
-                    m.cohort_size.record(release.len() as u64);
-                }
-            }
             for &(_, r) in &release {
                 st.ranks[r].status = Status::Ready;
                 self.release_bits[r].store(result.to_bits(), Ordering::Relaxed);
                 st.cohort.push_back(r);
             }
-            self.schedule(&mut st, false, &mut granted);
+            self.schedule(&mut st, &mut granted);
             drop(st);
             self.flush_grants(false, granted);
             result
@@ -796,10 +700,8 @@ impl EventCore {
             st.running -= 1;
             if let Some(m) = &self.metrics {
                 m.parks.inc();
-                m.parks_barrier.inc();
             }
-            st.log_sched(self.sched_trace, clock, rank, SchedKind::BarrierPark);
-            self.schedule(&mut st, true, &mut granted);
+            self.schedule(&mut st, &mut granted);
             self.check_deadlock(&mut st);
             drop(st);
             self.flush_grants(true, granted);
@@ -820,9 +722,7 @@ impl EventCore {
             st.ranks[rank].status = Status::Done;
             st.running -= 1;
             st.finished += 1;
-            let clock = st.ranks[rank].clock;
-            st.log_sched(self.sched_trace, clock, rank, SchedKind::Finish);
-            self.schedule(&mut st, false, &mut granted);
+            self.schedule(&mut st, &mut granted);
             self.check_deadlock(&mut st);
         }
         self.flush_grants(true, granted);
@@ -954,7 +854,7 @@ mod tests {
 
     #[test]
     fn cohort_refill_pops_equal_timestamp_run() {
-        let core = EventCore::new(4, 1, None, false);
+        let core = EventCore::new(4, 1, None);
         let mut st = core.state.lock();
         st.ready.clear();
         st.ready.push(Reverse(ReadyKey { clock: 1.0, rank: 3 }));

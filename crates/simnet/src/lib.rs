@@ -87,7 +87,7 @@ pub use chaos::{ChaosPlan, CompiledChaos};
 pub use cluster::{Cluster, SimReport};
 pub use comm::{Comm, Tag};
 pub use cost::{CostModel, WireSize};
-pub use engine::{current_rank, Engine, SchedEvent, SchedKind, SchedMode};
+pub use engine::{current_rank, Engine, SchedMode};
 pub use ledger::{LedgerSnapshot, PhaseVolume};
 pub use net::{GroupComm, Net};
 pub use request::SendHandle;

@@ -145,19 +145,17 @@ pub fn render_timeline_with_chaos(
     out
 }
 
-/// Export per-rank traces, structured spans, scheduler decisions and chaos
-/// windows as one Chrome/Perfetto `trace_events` JSON document.
+/// Export per-rank traces, structured spans and chaos windows as one
+/// Chrome/Perfetto `trace_events` JSON document.
 ///
 /// Layout: one *pid per rank* with thread 0 carrying the flat activity
-/// timeline and thread 1 the nested [`obs::SpanEvent`] spans; the event
-/// engine's scheduler log gets its own pid (token grants and parks as instant
-/// events), and chaos windows land as instants on a final "chaos" pid.
+/// timeline and thread 1 the nested [`obs::SpanEvent`] spans; chaos windows
+/// land as instants on a final "chaos" pid.
 /// Virtual seconds map to microseconds (`ts = vsec × 10⁶`). Any of the
 /// slices may be empty; the output is a valid document either way.
 pub fn export_chrome(
     traces: &[Vec<TraceEvent>],
     spans: &[Vec<obs::SpanEvent>],
-    sched: &[crate::engine::SchedEvent],
     windows: &[(f64, f64)],
 ) -> String {
     use obs::chrome::{Arg, TraceBuilder};
@@ -206,60 +204,10 @@ pub fn export_chrome(
             );
         }
     }
-    if !sched.is_empty() {
-        let pid = ranks as u64;
-        tb.process_name(pid, "event-engine scheduler");
-        tb.process_sort_index(pid, ranks as i64);
-        let (mut grants, mut handoffs, mut elides, mut recv_parks, mut barrier_parks) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
-        let mut t_last = 0.0f64;
-        for ev in sched {
-            let name = match ev.kind {
-                crate::engine::SchedKind::Grant => {
-                    grants += 1;
-                    "grant"
-                }
-                crate::engine::SchedKind::Handoff => {
-                    handoffs += 1;
-                    "handoff"
-                }
-                crate::engine::SchedKind::Elide => {
-                    elides += 1;
-                    "park elided"
-                }
-                crate::engine::SchedKind::RecvPark => {
-                    recv_parks += 1;
-                    "recv park"
-                }
-                crate::engine::SchedKind::BarrierPark => {
-                    barrier_parks += 1;
-                    "barrier park"
-                }
-                crate::engine::SchedKind::Finish => "finish",
-            };
-            t_last = t_last.max(ev.vclock);
-            tb.instant(pid, 0, name, ev.vclock * US, &[("rank", Arg::U64(ev.rank as u64))]);
-        }
-        // One summary annotation at the end of the scheduler track so the
-        // dispatch-path mix is readable without counting instants by hand.
-        tb.instant(
-            pid,
-            0,
-            "sched stats",
-            t_last * US,
-            &[
-                ("grants", Arg::U64(grants)),
-                ("handoffs", Arg::U64(handoffs)),
-                ("parks_elided", Arg::U64(elides)),
-                ("recv_parks", Arg::U64(recv_parks)),
-                ("barrier_parks", Arg::U64(barrier_parks)),
-            ],
-        );
-    }
     if !windows.is_empty() {
-        let pid = ranks as u64 + 1;
+        let pid = ranks as u64;
         tb.process_name(pid, "chaos windows");
-        tb.process_sort_index(pid, ranks as i64 + 1);
+        tb.process_sort_index(pid, ranks as i64);
         for &(start, end) in windows {
             let args = [("start_s", Arg::F64(start)), ("end_s", Arg::F64(end))];
             tb.instant(pid, 0, "chaos window", start * US, &args);
@@ -407,7 +355,6 @@ mod tests {
 
     #[test]
     fn chrome_export_is_valid_and_carries_every_track() {
-        use crate::engine::{SchedEvent, SchedKind};
         let traces = vec![
             vec![TraceEvent::new(0.0, 0.5, TraceKind::Send { dst: 1, elems: 4 })],
             vec![TraceEvent::tagged(0.0, 0.5, TraceKind::Recv { src: 0, elems: 4 }, true)],
@@ -422,8 +369,7 @@ mod tests {
             }],
             vec![],
         ];
-        let sched = vec![SchedEvent { vclock: 0.1, rank: 1, kind: SchedKind::Grant }];
-        let doc = export_chrome(&traces, &spans, &sched, &[(0.2, 0.4)]);
+        let doc = export_chrome(&traces, &spans, &[(0.2, 0.4)]);
         let v = obs::json::validate(&doc).expect("valid trace_events JSON");
         let events = v.get("traceEvents").and_then(obs::json::Json::as_arr).expect("array");
         let names: Vec<&str> =
@@ -431,19 +377,18 @@ mod tests {
         assert!(names.contains(&"send → 1"));
         assert!(names.contains(&"recv ← 0"));
         assert!(names.contains(&"step"));
-        assert!(names.contains(&"grant"));
         assert!(names.contains(&"chaos window"));
-        // pid layout: ranks 0..2, scheduler at 2, chaos at 3.
+        // pid layout: ranks 0..2, chaos at 2.
         let max_pid = events
             .iter()
             .filter_map(|e| e.get("pid").and_then(obs::json::Json::as_f64))
             .fold(0.0f64, f64::max);
-        assert_eq!(max_pid, 3.0);
+        assert_eq!(max_pid, 2.0);
     }
 
     #[test]
     fn chrome_export_of_nothing_is_an_empty_document() {
-        let doc = export_chrome(&[], &[], &[], &[]);
+        let doc = export_chrome(&[], &[], &[]);
         let v = obs::json::validate(&doc).expect("valid");
         assert_eq!(
             v.get("traceEvents").and_then(obs::json::Json::as_arr).map(<[obs::json::Json]>::len),

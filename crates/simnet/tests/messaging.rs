@@ -3,7 +3,7 @@
 //! payloads, and when the per-message metrics reach the registry.
 
 use obs::MetricValue;
-use simnet::{Cluster, Comm, CostModel, Topology};
+use simnet::{ChaosPlan, Cluster, Comm, CostModel, Topology};
 
 /// α=1, β=0.1 — round numbers so modeled times can be asserted exactly.
 fn unit_cost() -> CostModel {
@@ -298,4 +298,57 @@ fn per_message_metrics_are_published_at_barriers_and_at_exit() {
         assert!(serial.iter().any(|&b| f64::from_bits(b) > 0.0), "some rank waited");
         assert_eq!(serial, wait_bits(&cluster(P).run(publish_run)), "tiered={tiered}: W = P");
     }
+}
+
+/// Every metric a run records, as DESIGN.md §11 lists them with their
+/// readers. A run on a two-tier topology under every kind of chaos registers
+/// no more than these, so a new metric fails here until it is added on
+/// purpose, reader and all.
+#[test]
+fn a_run_records_exactly_the_documented_metrics() {
+    const P: usize = 8;
+    let plan = ChaosPlan::new(7)
+        .straggler(1, 2.0)
+        .degrade_all_links(2.0, 3.0, 0.0, f64::MAX)
+        .jitter(0.5)
+        .pause(2, 0.5, 1.0);
+    let report = Cluster::new(P, unit_cost())
+        .with_topology(Topology::two_tier(4, (0.1, 0.01), (1.0, 0.1)))
+        .with_chaos(plan)
+        .run(|comm| {
+            let (right, left) = ((comm.rank() + 1) % P, (comm.rank() + P - 1) % P);
+            for _ in 0..2 {
+                comm.compute(1.0);
+                let mut buf = comm.take_f32(16);
+                buf.resize(16, comm.rank() as f32);
+                comm.send(right, 0, buf);
+                let got: Vec<f32> = comm.recv(left, 0);
+                comm.recycle_f32(got);
+                comm.barrier();
+            }
+        });
+    assert_eq!(
+        report.metrics.names(),
+        [
+            "chaos.degrade",
+            "chaos.jitter",
+            "chaos.pause",
+            "chaos.straggler",
+            "engine.handoff_hit",
+            "engine.handoff_miss",
+            "engine.park_elided",
+            "engine.parks",
+            "engine.ready_depth_max",
+            "engine.token_grants",
+            "net.inter_bytes",
+            "net.intra_bytes",
+            "pool.hit",
+            "pool.idle_bytes_max",
+            "pool.miss",
+            "sim.msg_elems",
+            "sim.recv_wait_vsec",
+            "sim.rx_bytes",
+            "sim.tx_bytes",
+        ]
+    );
 }

@@ -60,8 +60,8 @@ pub struct TrainConfig {
     /// sweeps (P up to 4096 ranks in one process) shrink this so rank stacks
     /// stay a bounded share of the address space.
     pub stack_bytes: Option<usize>,
-    /// Record per-rank activity traces, structured spans and the engine's
-    /// scheduler decisions for Chrome-trace export; see `RunResult::traces`.
+    /// Record per-rank activity traces and structured spans for Chrome-trace
+    /// export; see `RunResult::traces`.
     pub profile: bool,
     /// Two-tier topology installed on the simulated network; `None` is flat.
     /// It sets the hierarchical schemes' node grouping and prices every link
@@ -149,8 +149,12 @@ pub struct RunResult {
     pub traces: Vec<Vec<simnet::TraceEvent>>,
     /// Per-rank structured spans (empty unless [`TrainConfig::profile`]).
     pub spans: Vec<Vec<obs::SpanEvent>>,
-    /// Scheduler decisions (empty unless [`TrainConfig::profile`]).
-    pub sched: Vec<simnet::SchedEvent>,
+}
+
+/// The one optimizer a rank runs, built from [`OptimizerKind`].
+enum Optimizer {
+    Sgd(Sgd),
+    Adam(Adam),
 }
 
 /// What each rank closure returns; only rank 0's records/evals are kept, but
@@ -233,13 +237,9 @@ where
     if let Some(topo) = cfg.topology {
         cluster = cluster.with_topology(topo);
     }
-    if cfg.profile {
-        cluster = cluster.with_sched_trace(true);
-    }
     let report = cluster.run(|comm| train_rank(comm, cfg, &make_model, &make_batch, eval_batches));
     let makespan = report.makespan();
     let metrics = report.metrics;
-    let sched = report.sched;
     let mut traces = Vec::with_capacity(p);
     let mut spans = Vec::with_capacity(p);
     let mut rank0 = None;
@@ -251,7 +251,7 @@ where
         }
     }
     let (records, evals) = rank0.expect("rank 0 result");
-    RunResult { scheme: cfg.scheme, records, evals, makespan, metrics, traces, spans, sched }
+    RunResult { scheme: cfg.scheme, records, evals, makespan, metrics, traces, spans }
 }
 
 fn train_rank<M, FM, FB>(
@@ -289,10 +289,10 @@ where
         .with_ranks_per_node(collectives::ranks_per_node(comm));
     let k = reducer.k();
 
-    let (mut sgd, mut adam, base_scale): (Option<Sgd>, Option<Adam>, f32) = match cfg.optimizer {
-        OptimizerKind::Sgd { lr } => (Some(Sgd::new(lr, 0.0, n)), None, lr),
+    let (mut opt, base_lr) = match cfg.optimizer {
+        OptimizerKind::Sgd { lr } => (Optimizer::Sgd(Sgd::new(lr, 0.0, n)), lr),
         OptimizerKind::Adam { lr, weight_decay } => {
-            (None, Some(Adam::new(lr, 0.9, 0.999, 1e-8, weight_decay, n)), 1.0)
+            (Optimizer::Adam(Adam::new(lr, 0.9, 0.999, 1e-8, weight_decay, n)), lr)
         }
     };
 
@@ -303,19 +303,24 @@ where
     let mut evals = Vec::new();
 
     for t in 1..=cfg.iters {
-        // Learning-rate schedule (applied to the SGD scale; Adam keeps its own lr).
+        // Learning-rate schedule, for whichever optimizer runs and whichever
+        // update kind the scheme returns. SGD also folds the rate into the
+        // gradient scale; Adam applies it in its step.
         let lr_t = if cfg.lr_decay_iters > 0 {
-            base_scale / (1.0 + t as f32 / cfg.lr_decay_iters as f32)
+            base_lr / (1.0 + t as f32 / cfg.lr_decay_iters as f32)
         } else {
-            base_scale
+            base_lr
         };
-        let scale = match cfg.optimizer {
-            OptimizerKind::Sgd { .. } => lr_t,
-            OptimizerKind::Adam { .. } => 1.0,
+        let scale = match &mut opt {
+            Optimizer::Sgd(s) => {
+                s.lr = lr_t;
+                lr_t
+            }
+            Optimizer::Adam(a) => {
+                a.set_lr(lr_t);
+                1.0
+            }
         };
-        if let (OptimizerKind::Sgd { .. }, Some(s)) = (cfg.optimizer, sgd.as_mut()) {
-            s.lr = lr_t;
-        }
 
         // Real gradient computation on this rank's shard.
         comm.span_enter("iter");
@@ -381,30 +386,19 @@ where
         });
 
         // Apply the update identically on every rank.
-        match (&update, sgd.as_mut(), adam.as_mut()) {
-            (Update::Dense(avg), Some(s), _) => s.step(model.params_mut(), avg),
-            (Update::Dense(avg), _, Some(a)) => a.step(model.params_mut(), avg),
-            (Update::Sparse(u), Some(_), _) => {
+        match (&update, &mut opt) {
+            (Update::Dense(avg), Optimizer::Sgd(s)) => s.step(model.params_mut(), avg),
+            (Update::Dense(avg), Optimizer::Adam(a)) => a.step(model.params_mut(), avg),
+            (Update::Sparse(u), Optimizer::Sgd(_)) => {
                 // SGD mode: the sparse delta already carries the learning rate.
                 let params = model.params_mut();
                 for (i, v) in u.iter() {
                     params[i as usize] -= v;
                 }
             }
-            (Update::Sparse(u), _, Some(a)) => {
-                a.set_lr(match cfg.optimizer {
-                    OptimizerKind::Adam { lr, .. } => {
-                        if cfg.lr_decay_iters > 0 {
-                            lr / (1.0 + t as f32 / cfg.lr_decay_iters as f32)
-                        } else {
-                            lr
-                        }
-                    }
-                    _ => unreachable!(),
-                });
-                a.step_sparse(model.params_mut(), u.indexes(), u.values());
+            (Update::Sparse(u), Optimizer::Adam(a)) => {
+                a.step_sparse(model.params_mut(), u.indexes(), u.values())
             }
-            _ => unreachable!("exactly one optimizer is configured"),
         }
 
         // Global mean training loss (free mode; 2 words).
@@ -532,6 +526,31 @@ mod tests {
             let first = res.records[0].train_loss;
             let last = res.records.last().expect("records").train_loss;
             assert!(last < first, "{}: {first} -> {last}", scheme.name());
+        }
+    }
+
+    /// The learning-rate schedule reaches Adam whatever update kind the
+    /// scheme returns: a dense scheme decays it as a sparse one does.
+    #[test]
+    fn adam_lr_decay_applies_to_dense_and_sparse_updates() {
+        for scheme in [Scheme::Dense, Scheme::TopkA] {
+            let losses = |lr_decay_iters: usize| {
+                let mut cfg = small_cfg(scheme);
+                cfg.iters = 3;
+                cfg.eval_every = 0;
+                cfg.optimizer = OptimizerKind::Adam { lr: 1e-2, weight_decay: 0.0 };
+                cfg.lr_decay_iters = lr_decay_iters;
+                let data = SyntheticImages::with_shape(1, 4, 3, 8, 0.5);
+                let res = run_data_parallel(
+                    2,
+                    &cfg,
+                    || VggLite::with_width(7, 4, 8, 16, 4, 8),
+                    move |iter, rank, world| data.train_batch(iter, rank, world, 2),
+                    &[],
+                );
+                res.records.iter().map(|r| r.train_loss.to_bits()).collect::<Vec<_>>()
+            };
+            assert_ne!(losses(1), losses(0), "{}: lr decay never reached Adam", scheme.name());
         }
     }
 

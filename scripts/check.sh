@@ -310,10 +310,12 @@ fi
 echo "== pruned stays pruned (DESIGN.md §2) =="
 # Quantization, the hybrid-pipeline sweep, checkpointing, the recipe helpers,
 # alltoallv and the criterion benches were deleted because no figure, gate or
-# workload read them; outside #[cfg(test)] none of them may come back.
+# workload read them, and so were obs records nothing read: the scheduler
+# log, the cumulative global snapshot and its f64 counter, the P <= 128 link
+# matrix (DESIGN.md §11). Outside #[cfg(test)] none of them may come back.
 mapfile -t tree_rs < <(find crates tests examples src -name '*.rs' | sort)
 if non_test "${tree_rs[@]}" \
-   | grep -E 'QuantMode|quantized_allgather|HybridConfig|Checkpoint|import_state|LrSchedule|clip_grad_norm|Dropout|alltoallv|criterion(::|_group|_main)'; then
+   | grep -E 'QuantMode|quantized_allgather|HybridConfig|Checkpoint|import_state|LrSchedule|clip_grad_norm|Dropout|alltoallv|criterion(::|_group|_main)|SchedEvent|SchedKind|with_sched_trace|fn absorb|FCounter|LINK_MATRIX_MAX_RANKS'; then
   echo "FAIL: pruned code is back (lines above)" >&2
   exit 1
 fi
