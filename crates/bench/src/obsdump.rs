@@ -1,5 +1,6 @@
-//! Profile a small Ok-Topk training job: run with tracing and spans on, then
-//! emit a Chrome/Perfetto `trace_events` JSON and a text metrics summary. The
+//! Profile a small Ok-Topk training job: run with tracing on, then emit a
+//! Chrome/Perfetto `trace_events` JSON (one track per rank, each slice named
+//! by its ledger phase) and a text metrics summary. The
 //! logic lives in the library so the schema test can run it without shelling
 //! out to the binary.
 
@@ -40,7 +41,7 @@ pub fn run(p: usize, iters: usize) -> Dump {
         &[],
     );
 
-    let trace_json = export_chrome(&result.traces, &result.spans, &[]);
+    let trace_json = export_chrome(&result.traces);
     let mut summary = String::new();
     summary.push_str(&format!(
         "obsdump: Ok-Topk P={p} iters={iters} engine={} makespan={:.4}s\n\n",

@@ -115,14 +115,20 @@ impl BreakdownRow {
     }
 }
 
-/// Run one breakdown panel: every scheme at every P, then the Ok-Topk
+/// The schemes the flat panels (Figs. 8–12) run. No topology is installed
+/// there, so each two-tier scheme would repeat its flat twin's row bit for bit.
+pub fn flat_schemes() -> Vec<Scheme> {
+    Scheme::all().into_iter().filter(|s| !s.is_two_tier()).collect()
+}
+
+/// Run one breakdown panel: every flat scheme at every P, then the Ok-Topk
 /// speedups at the largest P (and its weak-scaling efficiency).
 pub fn breakdown(fig: &mut Figure, row: &BreakdownRow) {
     fig.row(row.title);
     let mut times = Vec::new();
     for &p in row.ps {
         BreakdownRow::p_header(fig, p);
-        for scheme in Scheme::all() {
+        for scheme in flat_schemes() {
             times.push((p, scheme, row.scheme_row(fig, p, scheme)));
         }
     }
@@ -310,7 +316,7 @@ pub const CONVERGENCE: [ConvergenceRow; 3] = [
         tau: 16,
         evals: 6,
         ps: &[16, 32],
-        schemes: || Scheme::all().to_vec(),
+        schemes: flat_schemes,
         summary: per_p_summary,
     },
     ConvergenceRow {
@@ -327,7 +333,7 @@ pub const CONVERGENCE: [ConvergenceRow; 3] = [
         tau: 16,
         evals: 6,
         ps: &[32, 64],
-        schemes: || Scheme::all().to_vec(),
+        schemes: flat_schemes,
         summary: per_p_summary,
     },
     ConvergenceRow {

@@ -15,7 +15,7 @@
 
 use std::path::{Path, PathBuf};
 
-use okbench::panels::{BREAKDOWN, CONVERGENCE};
+use okbench::panels::{flat_schemes, BREAKDOWN, CONVERGENCE};
 use okbench::{figures, is_host_line, Figure, FIGURES};
 use train::Scheme;
 
@@ -104,7 +104,7 @@ fn same_rows(
 
 fn breakdown(i: usize) {
     let row = &BREAKDOWN[i];
-    same_rows(row.name, |l| l.starts_with("P = "), " sparsification ", row.ps, &Scheme::all());
+    same_rows(row.name, |l| l.starts_with("P = "), " sparsification ", row.ps, &flat_schemes());
     cell(row.name, |fig| row.cell(fig));
 }
 

@@ -82,8 +82,6 @@ pub struct DsaStats {
     pub output_nnz: usize,
     /// `output_nnz / n` — the §5.2 density-expansion metric.
     pub output_density: f64,
-    /// Largest nnz this rank held during the reduce-scatter.
-    pub max_intermediate_nnz: usize,
     /// Whether any message fell back to the dense wire format.
     pub switched_dense: bool,
 }
@@ -112,19 +110,17 @@ pub fn dsa_allreduce<C: Net>(comm: &mut C, local: CooGradient, n: usize) -> DsaO
             stats: DsaStats {
                 output_nnz: nnz,
                 output_density: nnz as f64 / n.max(1) as f64,
-                max_intermediate_nnz: nnz,
                 switched_dense: false,
             },
         };
     }
     let bounds = equal_boundaries(n as u32, p);
     let mut switched = false;
-    let mut max_nnz = local.nnz();
 
     let (owned_region, owned) = if p.is_power_of_two() {
-        recursive_halving(comm, local, &bounds, &mut switched, &mut max_nnz)
+        recursive_halving(comm, local, &bounds, &mut switched)
     } else {
-        direct_exchange(comm, local, &bounds, &mut switched, &mut max_nnz)
+        direct_exchange(comm, local, &bounds, &mut switched)
     };
 
     // Allgatherv of owned chunks; again pick the cheaper wire format per chunk.
@@ -134,13 +130,11 @@ pub fn dsa_allreduce<C: Net>(comm: &mut C, local: CooGradient, n: usize) -> DsaO
     let shards: Vec<Cow<CooGradient>> = all.iter().map(|m| m.decode()).collect();
     let sum = CooGradient::concat_ordered(&shards);
     let output_nnz = sum.nnz();
-    max_nnz = max_nnz.max(output_nnz);
     DsaOutput {
         sum,
         stats: DsaStats {
             output_nnz,
             output_density: output_nnz as f64 / n.max(1) as f64,
-            max_intermediate_nnz: max_nnz,
             switched_dense: switched,
         },
     }
@@ -153,7 +147,6 @@ fn recursive_halving<C: Net>(
     mut data: CooGradient,
     bounds: &[u32],
     switched: &mut bool,
-    max_nnz: &mut usize,
 ) -> (usize, CooGradient) {
     let p = comm.size();
     let rank = comm.rank();
@@ -184,7 +177,6 @@ fn recursive_halving<C: Net>(
         *switched |= msg.is_dense();
         let got: DsaMsg = comm.sendrecv(partner, TAG_DSA, msg, partner, TAG_DSA);
         data = keep_shard.merge_sum(&got.decode());
-        *max_nnz = (*max_nnz).max(data.nnz());
         seg_lo = keep.0;
         seg_len /= 2;
         dist /= 2;
@@ -199,7 +191,6 @@ fn direct_exchange<C: Net>(
     data: CooGradient,
     bounds: &[u32],
     switched: &mut bool,
-    max_nnz: &mut usize,
 ) -> (usize, CooGradient) {
     let p = comm.size();
     let rank = comm.rank();
@@ -215,7 +206,6 @@ fn direct_exchange<C: Net>(
         let src = (rank + p - s) % p;
         let got: DsaMsg = comm.recv(src, TAG_DSA);
         mine.merge_sum_into(&got.decode());
-        *max_nnz = (*max_nnz).max(mine.nnz());
     }
     (rank, mine)
 }

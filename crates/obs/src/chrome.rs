@@ -1,14 +1,12 @@
 //! Chrome/Perfetto `trace_events` JSON writer.
 //!
 //! Emits the subset of the [Trace Event Format] the simulation exporters use:
-//! complete events (`ph: "X"`), instant events (`ph: "i"`) and the metadata
-//! events that name processes and threads. Load the output at `ui.perfetto.dev`
-//! or `chrome://tracing`.
+//! complete events (`ph: "X"`) and the metadata events that name processes
+//! and threads. Load the output at `ui.perfetto.dev` or `chrome://tracing`.
 //!
-//! Conventions used by the simnet exporter: one *pid per rank*, thread 0 for
-//! the flat activity trace, thread 1 for structured spans; the engine
-//! scheduler gets its own pid, and chaos windows land as instant events.
-//! Timestamps are microseconds — virtual seconds are scaled by 10⁶.
+//! The simnet exporter uses one *pid per rank* with one thread, the rank's
+//! activity trace, each slice named by its ledger phase. Timestamps are
+//! microseconds — virtual seconds are scaled by 10⁶.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
@@ -60,16 +58,6 @@ impl TraceBuilder {
         Self::default()
     }
 
-    /// Number of events queued so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events have been queued.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Name process `pid` (metadata event `process_name`).
     pub fn process_name(&mut self, pid: u64, name: &str) {
         self.events.push(format!(
@@ -118,17 +106,6 @@ impl TraceBuilder {
         ));
     }
 
-    /// An instant event (`ph: "i"`, thread scope) at `ts_us`.
-    pub fn instant(&mut self, pid: u64, tid: u64, name: &str, ts_us: f64, args: &[(&str, Arg)]) {
-        let ts = if ts_us.is_finite() { ts_us.max(0.0) } else { 0.0 };
-        self.events.push(format!(
-            "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"name\":{},\"ts\":{ts},\
-             \"args\":{}}}",
-            quote(name),
-            render_args(args)
-        ));
-    }
-
     /// Finish the document: `{"traceEvents": [...], "displayTimeUnit": "ms"}`.
     pub fn finish(self) -> String {
         let mut out = String::from("{\"traceEvents\":[\n");
@@ -152,14 +129,14 @@ mod tests {
         tb.process_name(0, "rank 0");
         tb.thread_name(0, 0, "timeline");
         tb.complete(0, 0, "send → 1", 0.0, 12.5, &[("elems", Arg::U64(128))]);
-        tb.instant(0, 0, "chaos: pause", 5.0, &[("window", Arg::Str("0.5..1".into()))]);
+        tb.complete(0, 0, "pause", 5.0, 1.0, &[("window", Arg::Str("0.5..1".into()))]);
         let doc = tb.finish();
         let v = validate(&doc).expect("trace must be valid JSON");
         let events = v.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
         assert_eq!(events.len(), 4);
         for e in events {
             let ph = e.get("ph").and_then(Json::as_str).expect("ph");
-            assert!(matches!(ph, "X" | "i" | "M"), "unexpected phase {ph}");
+            assert!(matches!(ph, "X" | "M"), "unexpected phase {ph}");
             assert!(e.get("pid").and_then(Json::as_f64).is_some());
             assert!(e.get("name").and_then(Json::as_str).is_some());
             if ph == "X" {

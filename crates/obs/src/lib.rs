@@ -3,9 +3,10 @@
 //! # obs — deterministic, virtual-time-aware observability
 //!
 //! A shared instrumentation layer for every crate in the workspace: a metrics
-//! registry (counters, gauges, log-bucketed histograms, per-rank slots), nested
-//! structured spans, and exporters (Chrome/Perfetto `trace_events` JSON, a
-//! text summary table).
+//! registry (counters, gauges, log-bucketed histograms, per-rank slots) and
+//! exporters (a Chrome/Perfetto `trace_events` JSON writer, which
+//! `simnet::export_chrome` feeds with the per-rank activity traces, and a text
+//! summary table).
 //!
 //! ## Determinism policy
 //!
@@ -36,13 +37,11 @@
 pub mod chrome;
 pub mod json;
 mod metrics;
-mod span;
 
 pub use metrics::{
     Class, Counter, Gauge, HistTally, Histogram, MetricValue, MetricsSnapshot, RankF64, RankU64,
     Registry,
 };
-pub use span::{SpanEvent, SpanStack};
 
 use std::sync::OnceLock;
 

@@ -14,7 +14,6 @@ use crate::ledger::{Ledger, PhaseId, PhaseVolume};
 use crate::request::SendHandle;
 use crate::topo::Topology;
 use crate::trace::{TraceEvent, TraceKind};
-use obs::SpanStack;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -180,16 +179,17 @@ pub struct Comm {
     inj_free: f64,
     /// Time at which this rank's NIC reception port becomes free.
     rcv_free: f64,
-    /// Interned id of the current phase label (see [`Ledger::intern`]).
+    /// Interned id and name of the current phase label (see
+    /// [`Ledger::intern`]); every ledger cell and traced event is charged
+    /// to it.
     phase_id: PhaseId,
+    phase: Arc<str>,
     /// When set, messaging carries data but costs nothing and is not logged —
     /// used by instrumentation (e.g. ξ measurement) that must not perturb the
     /// modeled timings or traffic accounting of the algorithm under study.
     free_mode: bool,
     /// Optional per-rank execution trace (see [`crate::trace`]).
     trace: Option<Vec<TraceEvent>>,
-    /// Optional per-rank structured spans (see [`obs::SpanStack`]).
-    spans: Option<SpanStack>,
     /// Per-run metric handles (no-ops when observability is disabled).
     metrics: SimMetrics,
     tally: Tally,
@@ -226,7 +226,7 @@ impl Comm {
         metrics: SimMetrics,
         topo: Option<Arc<Topology>>,
     ) -> Self {
-        let phase_id = ledger.intern("default");
+        let (phase_id, phase) = ledger.intern("default");
         Self {
             rank,
             size,
@@ -235,9 +235,9 @@ impl Comm {
             inj_free: 0.0,
             rcv_free: 0.0,
             phase_id,
+            phase,
             free_mode: false,
             trace: None,
-            spans: None,
             metrics,
             tally: Tally::default(),
             ledger,
@@ -292,19 +292,21 @@ impl Comm {
         self.now.max(self.inj_free)
     }
 
-    /// Label subsequent traffic in the ledger (e.g. `"split_reduce"`).
-    /// Accepts both `&'static str` literals and dynamically built labels
-    /// (`String` / `Cow`); names are interned, so dynamic labels cost one
-    /// allocation per distinct name per run, not per message.
+    /// Label subsequent traffic in the ledger and subsequent traced events
+    /// (e.g. `"split_reduce"`). Accepts both `&'static str` literals and
+    /// dynamically built labels (`String` / `Cow`); names are interned, so
+    /// dynamic labels cost one allocation per distinct name per run, not per
+    /// message.
     pub fn set_phase(&mut self, phase: impl Into<Cow<'static, str>>) {
-        self.phase_id = self.ledger.intern(&phase.into());
+        (self.phase_id, self.phase) = self.ledger.intern(&phase.into());
         if self.cells.len() <= self.phase_id as usize {
             self.cells.resize(self.phase_id as usize + 1, PhaseVolume::default());
         }
     }
 
-    /// Start recording this rank's activity (sends, receives, compute, barriers)
-    /// on its virtual timeline; collect with [`take_trace`](Self::take_trace).
+    /// Start recording this rank's activity (sends, receives, compute, barriers,
+    /// pauses) on its virtual timeline, each interval under the phase it was
+    /// charged to; collect with [`take_trace`](Self::take_trace).
     pub fn enable_trace(&mut self) {
         self.trace = Some(Vec::new());
     }
@@ -313,41 +315,6 @@ impl Comm {
     /// recording.
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.trace.take().unwrap_or_default()
-    }
-
-    /// Start recording structured spans on this rank (see [`obs::SpanStack`]):
-    /// nested labeled intervals carrying virtual start/end times plus the
-    /// wall-clock cost of the simulating host. Collect with
-    /// [`take_spans`](Self::take_spans).
-    pub fn enable_spans(&mut self) {
-        self.spans = Some(SpanStack::new());
-    }
-
-    /// Open a span named `name` at the current virtual time. A no-op unless
-    /// [`enable_spans`](Self::enable_spans) was called.
-    pub fn span_enter(&mut self, name: impl Into<Cow<'static, str>>) {
-        let now = self.now;
-        if let Some(s) = self.spans.as_mut() {
-            s.enter(name, now);
-        }
-    }
-
-    /// Close the innermost open span at the current virtual time. A no-op
-    /// unless spans are enabled.
-    ///
-    /// # Panics
-    /// Panics if spans are enabled and no span is open.
-    pub fn span_exit(&mut self) {
-        let now = self.now;
-        if let Some(s) = self.spans.as_mut() {
-            s.exit(now);
-        }
-    }
-
-    /// Take all closed spans recorded so far (empty if spans were never
-    /// enabled). Recording continues; open spans stay open.
-    pub fn take_spans(&mut self) -> Vec<obs::SpanEvent> {
-        self.spans.as_mut().map(SpanStack::drain).unwrap_or_default()
     }
 
     /// The run's metrics registry. Layers above simnet (collectives, the
@@ -364,7 +331,7 @@ impl Comm {
 
     fn record_tagged(&mut self, start: f64, end: f64, kind: TraceKind, perturbed: bool) {
         if let Some(t) = self.trace.as_mut() {
-            t.push(TraceEvent::tagged(start, end, kind, perturbed));
+            t.push(TraceEvent::new(start, end, kind, perturbed, self.phase.clone()));
         }
     }
 

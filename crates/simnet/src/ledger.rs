@@ -6,13 +6,14 @@
 //!
 //! Phase labels are interned to small integer ids on first use, so dynamically
 //! built labels (per-bucket, per-layer) cost one allocation for the whole run
-//! instead of leaking `&'static str`s. The counts themselves live in each
-//! rank's own `Comm`, one [`PhaseVolume`] per id, so a send writes only memory
-//! its rank owns; [`crate::Cluster::run`] folds every rank's cells into the
-//! [`LedgerSnapshot`] as the rank exits.
+//! instead of leaking `&'static str`s; a traced event holds the shared name.
+//! The counts themselves live in each rank's own `Comm`, one [`PhaseVolume`]
+//! per id, so a send writes only memory its rank owns; [`crate::Cluster::run`]
+//! folds every rank's cells into the [`LedgerSnapshot`] as the rank exits.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Aggregated volume for one (rank, phase) cell.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -26,25 +27,29 @@ pub struct PhaseVolume {
 /// Interned phase-label id (index into the ledger's name table).
 pub(crate) type PhaseId = u16;
 
+/// Interned names, indexed by [`PhaseId`], and name → id.
+type Names = (Vec<Arc<str>>, HashMap<Arc<str>, PhaseId>);
+
 /// The phase-name interner of one simulation run.
 #[derive(Default)]
 pub(crate) struct Ledger {
-    /// Interned names, indexed by [`PhaseId`], and name → id.
-    inner: Mutex<(Vec<String>, HashMap<String, PhaseId>)>,
+    inner: Mutex<Names>,
 }
 
 impl Ledger {
-    /// Intern `name`, returning its stable id for this ledger.
-    pub(crate) fn intern(&self, name: &str) -> PhaseId {
+    /// Intern `name`, returning its stable id for this ledger and the shared
+    /// name.
+    pub(crate) fn intern(&self, name: &str) -> (PhaseId, Arc<str>) {
         let mut inner = self.inner.lock();
         let (names, ids) = &mut *inner;
         if let Some(&id) = ids.get(name) {
-            return id;
+            return (id, names[id as usize].clone());
         }
         let id = PhaseId::try_from(names.len()).expect("more than 65536 phase labels");
-        names.push(name.to_string());
-        ids.insert(name.to_string(), id);
-        id
+        let name: Arc<str> = name.into();
+        names.push(name.clone());
+        ids.insert(name.clone(), id);
+        (id, name)
     }
 
     /// The snapshot of `cells`: rank `r`'s volumes indexed by [`PhaseId`].
@@ -56,7 +61,7 @@ impl Ledger {
 /// A point-in-time copy of the ledger, queryable without locking.
 #[derive(Clone, Debug, Default)]
 pub struct LedgerSnapshot {
-    names: Vec<String>,
+    names: Vec<Arc<str>>,
     /// Rank `r`'s volumes indexed by phase id (shorter when it never sent
     /// under the later ids).
     cells: Vec<Vec<PhaseVolume>>,
@@ -64,7 +69,7 @@ pub struct LedgerSnapshot {
 
 impl LedgerSnapshot {
     fn id_of(&self, phase: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == phase)
+        self.names.iter().position(|n| **n == *phase)
     }
 
     fn phase_cells(&self, id: usize) -> impl Iterator<Item = &PhaseVolume> {
@@ -107,7 +112,7 @@ impl LedgerSnapshot {
     pub fn phases(&self) -> Vec<&str> {
         let mut v: Vec<&str> = (0..self.names.len())
             .filter(|&id| self.phase_cells(id).any(|c| c.messages > 0))
-            .map(|id| self.names[id].as_str())
+            .map(|id| &*self.names[id])
             .collect();
         v.sort_unstable();
         v
@@ -123,7 +128,7 @@ mod tests {
         let ledger = Ledger::default();
         let mut cells = vec![Vec::new(); 2];
         for &(rank, phase, elems) in sends {
-            let id = ledger.intern(phase) as usize;
+            let id = ledger.intern(phase).0 as usize;
             let row: &mut Vec<PhaseVolume> = &mut cells[rank];
             if row.len() <= id {
                 row.resize(id + 1, PhaseVolume::default());
@@ -157,9 +162,9 @@ mod tests {
         let ledger = Ledger::default();
         for bucket in 0..3 {
             let label = format!("bucket-{bucket}");
-            assert_eq!(ledger.intern(&label), bucket as PhaseId);
+            assert_eq!(ledger.intern(&label).0, bucket as PhaseId);
             // Re-interning the same dynamic string yields the same id.
-            assert_eq!(ledger.intern(&label), bucket as PhaseId);
+            assert_eq!(ledger.intern(&label).0, bucket as PhaseId);
         }
         let snap = ledger.snapshot(vec![vec![PhaseVolume { messages: 1, elements: 10 }; 3]]);
         assert_eq!(snap.phases(), vec!["bucket-0", "bucket-1", "bucket-2"]);

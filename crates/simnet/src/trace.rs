@@ -1,14 +1,20 @@
-//! Per-rank execution traces in virtual time, with a text timeline renderer.
+//! Per-rank execution traces in virtual time, with a text timeline renderer
+//! and a Chrome/Perfetto exporter.
 //!
-//! Enable with [`crate::Comm::enable_trace`]; every send, receive, compute block
-//! and barrier is recorded with its modeled start/end times. The renderer draws an
-//! ASCII Gantt chart — handy for seeing schedules like split-and-reduce's rotation
-//! actually pipelining, without leaving the terminal.
+//! Enable with [`crate::Comm::enable_trace`]; every send, receive, compute block,
+//! barrier and pause is recorded with its modeled start/end times and the
+//! ledger phase it was charged to ([`crate::Comm::set_phase`]), so a traced
+//! `Send`'s elements are exactly what the ledger counted for that phase. The
+//! renderer draws an ASCII Gantt chart — handy for seeing schedules like
+//! split-and-reduce's rotation actually pipelining, without leaving the
+//! terminal; [`export_chrome`] names each interval by its phase.
 //!
 //! When a chaos plan is installed ([`crate::Cluster::with_chaos`]), events whose
 //! timing was perturbed carry a `perturbed` tag and render as lowercase glyphs;
 //! injected pauses appear as their own [`TraceKind::Pause`] intervals, and
 //! [`render_timeline_with_chaos`] adds a header row marking the plan's windows.
+
+use std::sync::Arc;
 
 /// What a rank was doing during one traced interval.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -20,7 +26,9 @@ pub enum TraceKind {
         /// Body size in wire elements.
         elems: u64,
     },
-    /// Draining a message (occupies the receive port; includes waiting).
+    /// Draining a message: the reception port's `[max(head arrival, port
+    /// free), +β·L]`. Any wait before the head arrives is idle time, not part
+    /// of the interval.
     Recv {
         /// Source rank.
         src: usize,
@@ -36,7 +44,7 @@ pub enum TraceKind {
 }
 
 /// One traced interval on one rank's virtual timeline.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceEvent {
     /// Modeled start time (s).
     pub start: f64,
@@ -47,24 +55,22 @@ pub struct TraceEvent {
     /// Whether an installed chaos plan perturbed this interval (stretched
     /// compute, degraded/jittered link, or pause-gated activity).
     pub perturbed: bool,
+    /// The ledger phase the interval was charged to: the run's interned
+    /// name, shared, so recording an event allocates nothing.
+    pub phase: Arc<str>,
 }
 
 impl TraceEvent {
-    /// Construct a clean event, checking (in debug builds) that the interval is
-    /// well-formed: recording code must clamp `start` and `end` consistently.
-    pub fn new(start: f64, end: f64, kind: TraceKind) -> Self {
-        Self::tagged(start, end, kind, false)
-    }
-
-    /// Construct an event with an explicit perturbed tag; the same consistency
-    /// debug-assert applies to perturbed pairs as to clean Recv pairs.
-    pub fn tagged(start: f64, end: f64, kind: TraceKind, perturbed: bool) -> Self {
+    /// Construct an event, checking (in debug builds) that the interval is
+    /// well-formed: recording code must clamp `start` and `end` consistently,
+    /// perturbed pairs as much as clean ones.
+    pub fn new(start: f64, end: f64, kind: TraceKind, perturbed: bool, phase: Arc<str>) -> Self {
         debug_assert!(
             start <= end,
             "trace event with start {start} > end {end} ({kind:?}, perturbed {perturbed}): \
              clamp the pair consistently"
         );
-        Self { start, end, kind, perturbed }
+        Self { start, end, kind, perturbed, phase }
     }
 
     fn glyph(&self) -> char {
@@ -145,36 +151,24 @@ pub fn render_timeline_with_chaos(
     out
 }
 
-/// Export per-rank traces, structured spans and chaos windows as one
-/// Chrome/Perfetto `trace_events` JSON document.
-///
-/// Layout: one *pid per rank* with thread 0 carrying the flat activity
-/// timeline and thread 1 the nested [`obs::SpanEvent`] spans; chaos windows
-/// land as instants on a final "chaos" pid.
-/// Virtual seconds map to microseconds (`ts = vsec × 10⁶`). Any of the
-/// slices may be empty; the output is a valid document either way.
-pub fn export_chrome(
-    traces: &[Vec<TraceEvent>],
-    spans: &[Vec<obs::SpanEvent>],
-    windows: &[(f64, f64)],
-) -> String {
+/// Export per-rank traces as one Chrome/Perfetto `trace_events` JSON
+/// document: one pid per rank with one track, each interval a complete slice
+/// named by its phase and activity (`okt_split_reduce · send → 5`,
+/// `fwd_bwd · compute`). Perturbed intervals carry a `perturbed` arg and
+/// chaos pauses are slices of their own, so chaos shows on each rank's track.
+/// Virtual seconds map to microseconds (`ts = vsec × 10⁶`). An empty slice
+/// gives a valid, empty document.
+pub fn export_chrome(traces: &[Vec<TraceEvent>]) -> String {
     use obs::chrome::{Arg, TraceBuilder};
     const US: f64 = 1e6;
-    let ranks = traces.len().max(spans.len());
     let mut tb = TraceBuilder::new();
-    for rank in 0..ranks {
+    for (rank, events) in traces.iter().enumerate() {
         let pid = rank as u64;
         tb.process_name(pid, &format!("rank {rank}"));
         tb.process_sort_index(pid, rank as i64);
         tb.thread_name(pid, 0, "timeline");
-        if spans.get(rank).is_some_and(|s| !s.is_empty()) {
-            tb.thread_name(pid, 1, "spans");
-        }
-    }
-    for (rank, events) in traces.iter().enumerate() {
-        let pid = rank as u64;
         for e in events {
-            let (name, mut args): (String, Vec<(&str, Arg)>) = match e.kind {
+            let (activity, mut args): (String, Vec<(&str, Arg)>) = match e.kind {
                 TraceKind::Send { dst, elems } => {
                     (format!("send → {dst}"), vec![("elems", Arg::U64(elems))])
                 }
@@ -188,29 +182,8 @@ pub fn export_chrome(
             if e.perturbed {
                 args.push(("perturbed", Arg::U64(1)));
             }
+            let name = format!("{} · {activity}", e.phase);
             tb.complete(pid, 0, &name, e.start * US, (e.end - e.start) * US, &args);
-        }
-    }
-    for (rank, rank_spans) in spans.iter().enumerate() {
-        let pid = rank as u64;
-        for s in rank_spans {
-            tb.complete(
-                pid,
-                1,
-                &s.name,
-                s.vstart * US,
-                (s.vend - s.vstart) * US,
-                &[("depth", Arg::U64(s.depth as u64)), ("host_wall_ns", Arg::U64(s.wall_ns))],
-            );
-        }
-    }
-    if !windows.is_empty() {
-        let pid = ranks as u64;
-        tb.process_name(pid, "chaos windows");
-        tb.process_sort_index(pid, ranks as i64);
-        for &(start, end) in windows {
-            let args = [("start_s", Arg::F64(start)), ("end_s", Arg::F64(end))];
-            tb.instant(pid, 0, "chaos window", start * US, &args);
         }
     }
     tb.finish()
@@ -221,12 +194,21 @@ mod tests {
     use super::*;
     use crate::{Cluster, CostModel};
 
+    fn ev(start: f64, end: f64, kind: TraceKind) -> TraceEvent {
+        TraceEvent::new(start, end, kind, false, "default".into())
+    }
+
+    fn perturbed(start: f64, end: f64, kind: TraceKind) -> TraceEvent {
+        TraceEvent::new(start, end, kind, true, "default".into())
+    }
+
     #[test]
     fn traces_record_all_activity_kinds() {
         let cost = CostModel { alpha: 1.0, beta: 0.1 };
         let report = Cluster::new(2, cost).run(|comm| {
             comm.enable_trace();
             comm.compute(2.0);
+            comm.set_phase("shift");
             if comm.rank() == 0 {
                 comm.send(1, 0, vec![1.0f32; 10]);
             } else {
@@ -240,7 +222,19 @@ mod tests {
         assert!(t0.iter().any(|e| matches!(e.kind, TraceKind::Send { dst: 1, elems: 10 })));
         assert!(t0.iter().any(|e| matches!(e.kind, TraceKind::Barrier)));
         let t1 = &report.results[1];
-        assert!(t1.iter().any(|e| matches!(e.kind, TraceKind::Recv { src: 0, elems: 10 })));
+        // The Recv interval is the drain, not the wait: the head arrives at
+        // 2.0 + α = 3.0 and the body streams for β·10 = 1.0. Rank 1 sat idle
+        // from 2.0 to 3.0.
+        let recv = t1.iter().find(|e| matches!(e.kind, TraceKind::Recv { .. })).expect("recv");
+        assert_eq!(recv.kind, TraceKind::Recv { src: 0, elems: 10 });
+        assert_eq!((recv.start, recv.end), (3.0, 4.0));
+        // Each interval carries the phase it was charged to.
+        for tr in &report.results {
+            for e in tr {
+                let want = if e.kind == TraceKind::Compute { "default" } else { "shift" };
+                assert_eq!(&*e.phase, want, "{e:?}");
+            }
+        }
         // Without a chaos plan, nothing is tagged perturbed.
         for tr in &report.results {
             assert!(tr.iter().all(|e| !e.perturbed));
@@ -269,10 +263,10 @@ mod tests {
     fn renderer_produces_one_row_per_rank() {
         let traces = vec![
             vec![
-                TraceEvent::new(0.0, 0.5, TraceKind::Compute),
-                TraceEvent::new(0.5, 1.0, TraceKind::Send { dst: 1, elems: 4 }),
+                ev(0.0, 0.5, TraceKind::Compute),
+                ev(0.5, 1.0, TraceKind::Send { dst: 1, elems: 4 }),
             ],
-            vec![TraceEvent::new(0.5, 1.0, TraceKind::Recv { src: 0, elems: 4 })],
+            vec![ev(0.5, 1.0, TraceKind::Recv { src: 0, elems: 4 })],
         ];
         let s = render_timeline(&traces, 20);
         let lines: Vec<&str> = s.lines().collect();
@@ -284,9 +278,9 @@ mod tests {
     #[test]
     fn perturbed_events_render_lowercase_and_pauses_render_p() {
         let traces = vec![vec![
-            TraceEvent::tagged(0.0, 0.4, TraceKind::Compute, true),
-            TraceEvent::tagged(0.4, 0.6, TraceKind::Pause, true),
-            TraceEvent::new(0.6, 1.0, TraceKind::Compute),
+            perturbed(0.0, 0.4, TraceKind::Compute),
+            perturbed(0.4, 0.6, TraceKind::Pause),
+            ev(0.6, 1.0, TraceKind::Compute),
         ]];
         let s = render_timeline(&traces, 20);
         let row = s.lines().nth(1).expect("rank row");
@@ -297,7 +291,7 @@ mod tests {
 
     #[test]
     fn chaos_row_marks_windows_and_clamps_open_ends() {
-        let traces = vec![vec![TraceEvent::new(0.0, 1.0, TraceKind::Compute)]];
+        let traces = vec![vec![ev(0.0, 1.0, TraceKind::Compute)]];
         let s = render_timeline_with_chaos(&traces, 20, &[(0.5, f64::INFINITY)]);
         let lines: Vec<&str> = s.lines().collect();
         assert!(lines[1].starts_with("chaos"));
@@ -309,7 +303,7 @@ mod tests {
     #[should_panic(expected = "clamp the pair")]
     #[cfg(debug_assertions)]
     fn inverted_perturbed_pair_trips_debug_assert() {
-        let _ = TraceEvent::tagged(1.0, 0.5, TraceKind::Pause, true);
+        let _ = perturbed(1.0, 0.5, TraceKind::Pause);
     }
 
     #[test]
@@ -329,10 +323,8 @@ mod tests {
     fn zero_length_intervals_still_occupy_one_column() {
         // A zero-duration event (floor(a) == position of ceil(b)) must not
         // vanish: ceil rounds the right edge up to paint at least one cell.
-        let traces = vec![vec![
-            TraceEvent::new(0.0, 1.0, TraceKind::Compute),
-            TraceEvent::new(0.25, 0.25, TraceKind::Barrier),
-        ]];
+        let traces =
+            vec![vec![ev(0.0, 1.0, TraceKind::Compute), ev(0.25, 0.25, TraceKind::Barrier)]];
         let s = render_timeline(&traces, 20);
         let row = s.lines().nth(1).expect("rank row");
         assert!(row.contains('B'), "zero-length event painted: {row}");
@@ -340,7 +332,7 @@ mod tests {
 
     #[test]
     fn overlapping_chaos_windows_merge_in_the_header_row() {
-        let traces = vec![vec![TraceEvent::new(0.0, 1.0, TraceKind::Compute)]];
+        let traces = vec![vec![ev(0.0, 1.0, TraceKind::Compute)]];
         // Two overlapping windows plus one inverted (end < start) that must be
         // skipped; the merged mark covers [0.2, 0.8] exactly once.
         let windows = [(0.2, 0.6), (0.4, 0.8), (0.9, 0.1)];
@@ -354,41 +346,60 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_is_valid_and_carries_every_track() {
+    fn chrome_export_gives_one_track_per_rank_named_by_phase() {
+        use obs::json::{validate, Json};
+        let split =
+            |start, end, kind| TraceEvent::new(start, end, kind, false, "okt_split_reduce".into());
         let traces = vec![
-            vec![TraceEvent::new(0.0, 0.5, TraceKind::Send { dst: 1, elems: 4 })],
-            vec![TraceEvent::tagged(0.0, 0.5, TraceKind::Recv { src: 0, elems: 4 }, true)],
+            vec![
+                ev(0.0, 0.25, TraceKind::Compute),
+                split(0.25, 0.5, TraceKind::Send { dst: 1, elems: 4 }),
+            ],
+            vec![
+                TraceEvent::new(
+                    0.0,
+                    0.5,
+                    TraceKind::Recv { src: 0, elems: 4 },
+                    true,
+                    "okt_split_reduce".into(),
+                ),
+                perturbed(0.5, 0.75, TraceKind::Pause),
+            ],
         ];
-        let spans = vec![
-            vec![obs::SpanEvent {
-                name: "step".into(),
-                vstart: 0.0,
-                vend: 0.5,
-                depth: 0,
-                wall_ns: 123,
-            }],
-            vec![],
-        ];
-        let doc = export_chrome(&traces, &spans, &[(0.2, 0.4)]);
-        let v = obs::json::validate(&doc).expect("valid trace_events JSON");
-        let events = v.get("traceEvents").and_then(obs::json::Json::as_arr).expect("array");
+        let doc = export_chrome(&traces);
+        let v = validate(&doc).expect("valid trace_events JSON");
+        let events = v.get("traceEvents").and_then(Json::as_arr).expect("array");
+        let slices: Vec<&Json> =
+            events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")).collect();
         let names: Vec<&str> =
-            events.iter().filter_map(|e| e.get("name").and_then(obs::json::Json::as_str)).collect();
-        assert!(names.contains(&"send → 1"));
-        assert!(names.contains(&"recv ← 0"));
-        assert!(names.contains(&"step"));
-        assert!(names.contains(&"chaos window"));
-        // pid layout: ranks 0..2, chaos at 2.
-        let max_pid = events
-            .iter()
-            .filter_map(|e| e.get("pid").and_then(obs::json::Json::as_f64))
-            .fold(0.0f64, f64::max);
-        assert_eq!(max_pid, 2.0);
+            slices.iter().filter_map(|e| e.get("name").and_then(Json::as_str)).collect();
+        assert_eq!(
+            names,
+            [
+                "default · compute",
+                "okt_split_reduce · send → 1",
+                "okt_split_reduce · recv ← 0",
+                "default · chaos pause"
+            ]
+        );
+        // One pid per rank, one thread each.
+        let ids = |key| -> std::collections::BTreeSet<u64> {
+            events
+                .iter()
+                .filter_map(|e| e.get(key).and_then(Json::as_f64))
+                .map(|x| x as u64)
+                .collect()
+        };
+        assert_eq!(ids("pid"), [0, 1].into());
+        assert_eq!(ids("tid"), [0].into());
+        // The perturbed Recv says so; the clean Send does not.
+        let perturbed = |e: &&&Json| e.get("args").and_then(|a| a.get("perturbed")).is_some();
+        assert_eq!(slices.iter().filter(perturbed).count(), 2);
     }
 
     #[test]
     fn chrome_export_of_nothing_is_an_empty_document() {
-        let doc = export_chrome(&[], &[], &[]);
+        let doc = export_chrome(&[]);
         let v = obs::json::validate(&doc).expect("valid");
         assert_eq!(
             v.get("traceEvents").and_then(obs::json::Json::as_arr).map(<[obs::json::Json]>::len),

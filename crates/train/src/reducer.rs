@@ -128,6 +128,12 @@ impl Scheme {
         !matches!(self.family().0, Family::Dense)
     }
 
+    /// Whether the scheme is a two-tier (`Hier-*`) row. With no topology
+    /// installed it is its flat twin bit for bit.
+    pub fn is_two_tier(&self) -> bool {
+        self.family().1 != Tier::Flat
+    }
+
     /// The scheme → exchange table: the family a name belongs to and the tier
     /// its state lives on. A new sparse exchange is one [`Exchange`] variant
     /// and one row here, two with its two-tier variant.
@@ -266,8 +272,9 @@ impl Reducer {
     /// of modeled compute (the DenseOvlp backward tail) *inside* the dense
     /// allreduce, spread across its steps between each send and its receive —
     /// so the compute genuinely hides in the transfer time instead of
-    /// being patched over the clock afterwards. Sparse schemes assert a zero
-    /// budget: their overlap structure lives inside the collective itself.
+    /// being patched over the clock afterwards. A sparse scheme panics on a
+    /// nonzero budget rather than drop that modeled compute: its overlap
+    /// structure lives inside the collective itself.
     pub fn reduce_with_overlap<C: Net>(
         &mut self,
         comm: &mut C,
@@ -276,7 +283,7 @@ impl Reducer {
         overlap_budget: f64,
     ) -> (Update, ReduceMetrics) {
         debug_assert_eq!(grad.len(), self.n);
-        debug_assert!(
+        assert!(
             overlap_budget == 0.0 || matches!(self.state, State::Dense { .. }),
             "overlap budgets only apply to the dense schemes"
         );
@@ -414,6 +421,9 @@ impl SparseRow for Row {
                 (select_ge(acc, th), cost.scan(n, probes))
             }
         };
+        // Traced under its own phase, not the last step's exchange; no
+        // traffic is charged to it.
+        comm.set_phase("sparsify");
         comm.compute(sp);
         self.metrics = ReduceMetrics { sparsify_time: sp, gaussian_pred, ..Default::default() };
         local
@@ -803,6 +813,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "overlap budgets only apply to the dense schemes")]
+    fn a_sparse_scheme_refuses_an_overlap_budget() {
+        let cost = CostProfile::paper_calibrated();
+        Cluster::new(2, cost.network()).run(|comm| {
+            let mut r = Reducer::new(Scheme::OkTopk, 64, 0.1, cost, 2, 2);
+            r.reduce_with_overlap(comm, &[1.0; 64], 1.0, 1e-6).1
+        });
+    }
+
+    #[test]
     fn hier_dense_matches_flat_dense_average() {
         // Same semantics, different summation order: agree to fp tolerance.
         for (p, rpn) in [(8usize, 4usize), (6, 4), (8, 2)] {
@@ -833,7 +853,7 @@ mod tests {
     fn hier_updates_identical_on_every_rank() {
         // All ranks must apply the same delta, including with a partial last node.
         for (p, rpn) in [(8usize, 4usize), (6, 4), (8, 8)] {
-            for scheme in [Scheme::HierDense, Scheme::HierGTopk, Scheme::HierOkTopk] {
+            for scheme in Scheme::all().into_iter().filter(Scheme::is_two_tier) {
                 let results = run_hier_steps(scheme, p, rpn, 128, 13);
                 for r in &results[1..] {
                     assert_eq!(r, &results[0], "{} p={p} rpn={rpn}", scheme.name());

@@ -60,8 +60,9 @@ pub struct TrainConfig {
     /// sweeps (P up to 4096 ranks in one process) shrink this so rank stacks
     /// stay a bounded share of the address space.
     pub stack_bytes: Option<usize>,
-    /// Record per-rank activity traces and structured spans for Chrome-trace
-    /// export; see `RunResult::traces`.
+    /// Record every rank's activity trace, each interval under the ledger
+    /// phase it was charged to (`fwd_bwd`, `sparsify`, the exchange's own
+    /// phases), for `simnet::export_chrome`; see `RunResult::traces`.
     pub profile: bool,
     /// Two-tier topology installed on the simulated network; `None` is flat.
     /// It sets the hierarchical schemes' node grouping and prices every link
@@ -147,8 +148,6 @@ pub struct RunResult {
     pub metrics: obs::MetricsSnapshot,
     /// Per-rank activity traces (empty unless [`TrainConfig::profile`]).
     pub traces: Vec<Vec<simnet::TraceEvent>>,
-    /// Per-rank structured spans (empty unless [`TrainConfig::profile`]).
-    pub spans: Vec<Vec<obs::SpanEvent>>,
 }
 
 /// The one optimizer a rank runs, built from [`OptimizerKind`].
@@ -158,12 +157,11 @@ enum Optimizer {
 }
 
 /// What each rank closure returns; only rank 0's records/evals are kept, but
-/// traces and spans are collected from every rank.
+/// traces are collected from every rank.
 struct RankRun {
     records: Vec<IterRecord>,
     evals: Vec<EvalPoint>,
     trace: Vec<simnet::TraceEvent>,
-    spans: Vec<obs::SpanEvent>,
 }
 
 impl RunResult {
@@ -241,17 +239,15 @@ where
     let makespan = report.makespan();
     let metrics = report.metrics;
     let mut traces = Vec::with_capacity(p);
-    let mut spans = Vec::with_capacity(p);
     let mut rank0 = None;
     for (rank, run) in report.results.into_iter().enumerate() {
         traces.push(run.trace);
-        spans.push(run.spans);
         if rank == 0 {
             rank0 = Some((run.records, run.evals));
         }
     }
     let (records, evals) = rank0.expect("rank 0 result");
-    RunResult { scheme: cfg.scheme, records, evals, makespan, metrics, traces, spans }
+    RunResult { scheme: cfg.scheme, records, evals, makespan, metrics, traces }
 }
 
 fn train_rank<M, FM, FB>(
@@ -270,7 +266,6 @@ where
     let world = comm.size();
     if cfg.profile {
         comm.enable_trace();
-        comm.enable_spans();
     }
     // Trainer instruments live in the same per-run registry as simnet's, so
     // they land in `RunResult::metrics` and inherit the Virtual-class
@@ -279,9 +274,7 @@ where
     let m_obs = comm.obs().enabled();
     let m_compute = comm.obs().rank_f64("train.compute_vsec", obs::Class::Virtual);
     let m_sparsify = comm.obs().rank_f64("train.sparsify_vsec", obs::Class::Virtual);
-    let m_comm = comm.obs().rank_f64("train.comm_vsec", obs::Class::Virtual);
     let m_residual = comm.obs().rank_f64("train.residual_l2", obs::Class::Virtual);
-    let m_nnz = comm.obs().histogram("train.local_nnz", obs::Class::Virtual);
     let m_steps = comm.obs().counter("train.steps", obs::Class::Virtual);
     let mut model = make_model();
     let n = model.num_params();
@@ -322,9 +315,9 @@ where
             }
         };
 
-        // Real gradient computation on this rank's shard.
-        comm.span_enter("iter");
-        comm.span_enter("compute");
+        // Real gradient computation on this rank's shard, traced under a
+        // phase of its own rather than the last step's exchange.
+        comm.set_phase("fwd_bwd");
         let batch = make_batch((t - 1) as u64, rank, world);
         model.zero_grads();
         let stats = model.forward_backward(&batch);
@@ -332,7 +325,6 @@ where
         // Modeled compute: the non-overlappable share now, the rest (DenseOvlp's
         // overlap window) runs concurrently with communication below.
         comm.compute(fwd_time * (1.0 - overlap));
-        comm.span_exit();
         let t_comm_start = comm.now();
 
         // ξ instrumentation part A: gather the dense accumulator/gradient averages
@@ -356,10 +348,8 @@ where
 
         // The overlapped backward tail (DenseOvlp) is spent *inside* the
         // allreduce, spread across its steps between each send and its receive.
-        comm.span_enter("exchange");
         let (update, metrics) =
             reducer.reduce_with_overlap(comm, model.grads(), scale, fwd_time * overlap);
-        comm.span_exit();
         let t_comm_end = comm.now();
 
         let comm_visible =
@@ -411,10 +401,6 @@ where
             m_steps.inc();
             m_compute.add(rank, fwd_time);
             m_sparsify.add(rank, metrics.sparsify_time);
-            m_comm.add(rank, comm_visible);
-            if let Some(nnz) = metrics.local_nnz {
-                m_nnz.record(nnz as u64);
-            }
             // Error-feedback health: residual mass left behind after this
             // step's selection (bounded ⇔ Assumption 1's premise holds).
             if cfg.scheme.is_sparse() {
@@ -450,10 +436,9 @@ where
                 accuracy: agg.accuracy(),
             });
         }
-        comm.span_exit(); // iter
     }
 
-    RankRun { records, evals, trace: comm.take_trace(), spans: comm.take_spans() }
+    RankRun { records, evals, trace: comm.take_trace() }
 }
 
 #[cfg(test)]

@@ -165,11 +165,9 @@ fn run_hier(scheme: Scheme, workers: usize, chaos: bool, obs: bool) -> Run {
     Run::of(report)
 }
 
-const HIER_SCHEMES: [Scheme; 3] = [Scheme::HierDense, Scheme::HierGTopk, Scheme::HierOkTopk];
-
 #[test]
 fn hier_schemes_have_engine_parity_on_two_tier_topology() {
-    for scheme in HIER_SCHEMES {
+    for scheme in Scheme::all().into_iter().filter(Scheme::is_two_tier) {
         for chaos in [false, true] {
             let serial = run_hier(scheme, 1, chaos, true);
             let parallel = run_hier(scheme, 8, chaos, true);

@@ -41,16 +41,6 @@ fn clock_bits<T>(report: &SimReport<T>) -> Vec<u64> {
     report.times.iter().map(|t| t.to_bits()).collect()
 }
 
-const FLAT_SCHEMES: [Scheme; 7] = [
-    Scheme::Dense,
-    Scheme::DenseOvlp,
-    Scheme::TopkA,
-    Scheme::TopkDsa,
-    Scheme::GTopk,
-    Scheme::GaussianK,
-    Scheme::OkTopk,
-];
-
 /// Three reduce steps of `scheme` on `p` ranks, optionally on `topo`; each
 /// rank returns the bits of its updates' checksum.
 fn reduce_steps(scheme: Scheme, p: usize, topo: Option<Topology>) -> SimReport<u64> {
@@ -86,7 +76,7 @@ fn tiers_equal_to_the_flat_model_are_timing_neutral_for_every_flat_scheme() {
         // rpn = 4 at P = 6 leaves a partial last node.
         for rpn in [2, 4] {
             let topo = Topology::two_tier(rpn, link, link);
-            for scheme in FLAT_SCHEMES {
+            for scheme in Scheme::all().into_iter().filter(|s| !s.is_two_tier()) {
                 let label = format!("{} P={p} rpn={rpn}", scheme.name());
                 let flat = reduce_steps(scheme, p, None);
                 let tiered = reduce_steps(scheme, p, Some(topo));
@@ -112,7 +102,7 @@ fn hier_schemes_train_two_tier_deterministically() {
     let rpn = 4;
     let topo = Topology::two_tier(rpn, (1e-6, 1e-9), (25e-6, 4e-9));
     let data = SyntheticImages::with_shape(1, 4, 3, 8, 0.5);
-    for scheme in [Scheme::HierDense, Scheme::HierGTopk, Scheme::HierOkTopk] {
+    for scheme in Scheme::all().into_iter().filter(Scheme::is_two_tier) {
         // P = 6 leaves a partial last node of two ranks.
         for p in [8, 6] {
             let label = format!("{} P={p}", scheme.name());
