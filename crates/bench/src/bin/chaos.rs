@@ -1,9 +1,9 @@
 //! Robustness harness: how gracefully does each allreduce variant degrade when
 //! the cluster misbehaves?
 //!
-//! For every variant (Dense, TopkA, TopkDSA, gTopk, Gaussiank, Ok-Topk) and
-//! every cluster size P, the harness runs [`okbench::reduce_steps`] under a
-//! family of deterministic chaos plans:
+//! For every flat scheme of `Scheme::all()` that does not overlap the backward
+//! pass, and every cluster size P, the harness runs [`okbench::reduce_steps`]
+//! under a family of deterministic chaos plans:
 //!
 //! - **straggler severity sweep**: one rank computes 1×–4× slower (1× = clean
 //!   baseline), measuring `slowdown(s) = makespan(s) / makespan(1)`;
@@ -28,17 +28,6 @@ use train::{CostProfile, Scheme};
 const N: usize = 16_384;
 const DENSITY: f64 = 0.02;
 const ITERS: usize = 4;
-
-/// DenseOvlp's overlap window depends on a backward-pass schedule the fixed
-/// step here does not model.
-const SCHEMES: [Scheme; 6] = [
-    Scheme::Dense,
-    Scheme::TopkA,
-    Scheme::TopkDsa,
-    Scheme::GTopk,
-    Scheme::GaussianK,
-    Scheme::OkTopk,
-];
 
 const SEVERITIES: [f64; 4] = [1.0, 2.0, 3.0, 4.0];
 /// Jitter bounds as multiples of α. Messages here are big enough that β·L
@@ -65,7 +54,11 @@ fn main() {
     let mut rows = Vec::new();
     let mut failures = Vec::new();
     for &p in sizes {
-        for scheme in SCHEMES {
+        // An overlap window depends on a backward-pass schedule the fixed step
+        // here does not model.
+        for scheme in
+            Scheme::all().into_iter().filter(|s| !s.is_two_tier() && !s.overlaps_backward())
+        {
             let clean = makespan(scheme, p, ChaosPlan::new(0));
             let mut row = Json::default()
                 .text("scheme", scheme.name())

@@ -31,13 +31,6 @@ const ITERS: usize = 4;
 const INTRA: (f64, f64) = (1e-6, 1e-9);
 const INTER: (f64, f64) = (25e-6, 4e-9);
 
-/// Flat scheme and its hierarchical counterpart.
-const PAIRS: [(Scheme, Scheme); 3] = [
-    (Scheme::Dense, Scheme::HierDense),
-    (Scheme::GTopk, Scheme::HierGTopk),
-    (Scheme::OkTopk, Scheme::HierOkTopk),
-];
-
 /// Modeled makespan of `scheme` at size `p` on a two-tier topology with `rpn`
 /// ranks per node and oversubscription `rho`, every inter-node link degraded
 /// for the whole run if `chaos`.
@@ -74,7 +67,8 @@ fn main() {
     let mut gate_cells = 0;
     for &rpn in rpns {
         for &rho in rhos {
-            for (flat, hier) in PAIRS {
+            for hier in Scheme::all().into_iter().filter(Scheme::is_two_tier) {
+                let flat = hier.flat_twin();
                 let [fm, hm, fm_chaos, hm_chaos] =
                     [(flat, false), (hier, false), (flat, true), (hier, true)]
                         .map(|(scheme, chaos)| makespan(scheme, p, rpn, rho, chaos));

@@ -1,7 +1,6 @@
 //! Table 1, Figs. 4–7, the ablations and the rotation timeline. The model
 //! panels (Figs. 8–13) are rows of the tables in [`crate::panels`].
 
-use collectives::{dsa_allreduce, gtopk_allreduce, topk_allgather_allreduce};
 use dnn::{Model, TrainStats};
 use oktopk::balance::balance_and_allgatherv;
 use oktopk::split_reduce::split_and_reduce;
@@ -13,7 +12,7 @@ use sparse::select::{exact_threshold, topk_exact};
 use sparse::stats::Histogram;
 use sparse::threshold::GaussianEstimator;
 use sparse::{CooGradient, SelectScratch};
-use train::{CostProfile, OptimizerKind, RunResult, Scheme, TrainConfig};
+use train::{CostProfile, OptimizerKind, Reducer, RunResult, Scheme, TrainConfig};
 
 use crate::models::{Data, ModelJob};
 use crate::{full_scale, iters, Figure};
@@ -44,12 +43,18 @@ fn oktopk_steady(comm: &mut Comm, cfg: &OkTopkConfig, accs: &[Vec<f32>]) -> f64 
     comm.now() - t1
 }
 
-/// Table 1: communication overhead of dense and sparse allreduces. Each
-/// collective runs on synthetic k-sparse gradients with uniformly random
-/// supports; the per-rank sent volume comes from the traffic ledger and sits
-/// next to the paper's analytic bandwidth term. Expected: Dense ≈ 2n;
-/// TopkA/Gaussiank ∝ 2kP; TopkDSA between 4k and 2k+n by fill-in; Ok-Topk
-/// within [2k, 6k]·(P−1)/P at every P.
+/// Table 1: communication overhead of dense and sparse allreduces, one row per
+/// flat scheme without overlap, each running its own exchange through the
+/// [`Reducer`]. A cell is the second of two steps with a barrier between
+/// them: volume and time are a (step, barrier, step) run less a (step,
+/// barrier) run, so Ok-Topk's first step pays its τ / τ′ evaluations, as the
+/// paper's model assumes. Every sparse row exchanges the same exact top-k
+/// selections of uniform vectors; a dense row reduces uniform vectors. The
+/// profile charges no selection or merge compute: the table measures
+/// communication. Per-rank sent volume comes from the traffic ledger and sits
+/// next to the row's closed form ([`Scheme::paper_words`]). Expected: Dense
+/// ≈ 2n; TopkA/Gaussiank ∝ 2kP; TopkDSA between 4k and 2k+n by fill-in;
+/// Ok-Topk within [2k, 6k]·(P−1)/P at every P.
 pub fn table1(fig: &mut Figure) {
     let n: usize = if full_scale() { 1 << 20 } else { 1 << 17 };
     let k = n / 100; // density 1%
@@ -59,105 +64,63 @@ pub fn table1(fig: &mut Figure) {
     fig.row("volumes are per-rank sent elements; time is modeled seconds\n");
     fig.series("P =", &ps.iter().map(|&p| p as f64).collect::<Vec<_>>());
 
-    let cost = CostProfile::paper_calibrated().network();
-    // (max over ranks, mean, modeled seconds) of sent elements: `r2`'s, less
-    // `r1`'s where given.
-    let volumes = |r2: &simnet::SimReport<f64>, r1: Option<&simnet::SimReport<f64>>, p| {
-        let base = |r: usize| r1.map_or(0, |r1| r1.ledger.rank_elements(r));
-        let max = (0..p).map(|r| r2.ledger.rank_elements(r) - base(r)).max().unwrap_or(0);
-        let total = r2.ledger.total_elements() - r1.map_or(0, |r1| r1.ledger.total_elements());
-        (max as f64, total as f64 / p as f64, r2.makespan() - r1.map_or(0.0, |r1| r1.makespan()))
+    let profile = CostProfile {
+        topk_launch: 0.0,
+        topk_per_elem: 0.0,
+        merge_per_elem: 0.0,
+        ..CostProfile::paper_calibrated()
     };
+    // Each P's selections: the first step's, then the measured step's.
+    let selections: Vec<[Vec<CooGradient>; 2]> = ps
+        .iter()
+        .map(|&p| [random_locals(p, n, k, 1000 + p as u64), random_locals(p, n, k, 42 + p as u64)])
+        .collect();
     let mut okt_max = Vec::new();
-    for name in ["Dense", "TopkA", "TopkDSA", "gTopk", "Gaussiank", "Ok-Topk"] {
+    for scheme in Scheme::all().into_iter().filter(|s| !s.is_two_tier() && !s.overlaps_backward()) {
         let (mut maxs, mut means, mut times) = (Vec::new(), Vec::new(), Vec::new());
-        for &p in &ps {
-            let locals = random_locals(p, n, k, 42 + p as u64);
-            let run = |f: &(dyn Fn(&mut Comm) + Sync)| {
-                Cluster::new(p, cost).run(|comm| {
-                    f(comm);
-                    comm.now()
+        for (&p, steps) in ps.iter().zip(&selections) {
+            let dense: Vec<Vec<f32>> = if scheme.is_sparse() {
+                Vec::new()
+            } else {
+                let mut rng = StdRng::seed_from_u64(7);
+                (0..p).map(|_| uniform(&mut rng, n)).collect()
+            };
+            let run = |measured: bool| {
+                Cluster::new(p, profile.network()).run(|comm| {
+                    let mut r = Reducer::new(scheme, n, k as f64 / n as f64, profile, 1000, 1000);
+                    for (t, step) in steps[..1 + measured as usize].iter().enumerate() {
+                        if scheme.is_sparse() {
+                            r.exchange(comm, step[comm.rank()].clone());
+                        } else {
+                            r.reduce(comm, &dense[comm.rank()], 1.0);
+                        }
+                        if t == 0 {
+                            comm.barrier();
+                        }
+                    }
                 })
             };
-            // Ok-Topk's row is its steady state: a 2-iteration run less a
-            // 1-iteration run, so the τ′-amortized re-evaluation traffic is
-            // excluded, as the paper's model assumes.
-            let (report, less) = match name {
-                "Dense" => {
-                    let mut rng = StdRng::seed_from_u64(7);
-                    let inputs: Vec<Vec<f32>> = (0..p).map(|_| uniform(&mut rng, n)).collect();
-                    let report = run(&|comm| {
-                        let mut d = inputs[comm.rank()].clone();
-                        collectives::allreduce_inplace(comm, &mut d);
-                    });
-                    (report, None)
-                }
-                // Gaussiank shares TopkA's transport; only selection differs.
-                "TopkA" | "Gaussiank" => (
-                    run(&|comm| {
-                        topk_allgather_allreduce(comm, locals[comm.rank()].clone());
-                    }),
-                    None,
-                ),
-                "TopkDSA" => (
-                    run(&|comm| {
-                        dsa_allreduce(comm, locals[comm.rank()].clone(), n);
-                    }),
-                    None,
-                ),
-                "gTopk" => (
-                    run(&|comm| {
-                        gtopk_allreduce(comm, locals[comm.rank()].clone(), k);
-                    }),
-                    None,
-                ),
-                _ => {
-                    let dense = |ls: Vec<CooGradient>| -> Vec<Vec<f32>> {
-                        ls.iter().map(|g| g.to_dense(n)).collect()
-                    };
-                    let accs = [dense(locals), dense(random_locals(p, n, k, 1000 + p as u64))];
-                    let iterate = |iters: usize| {
-                        run(&|comm| {
-                            let cfg = OkTopkConfig::new(n, k).with_periods(1_000, 1_000);
-                            let mut okt = OkTopk::new(cfg);
-                            for t in 1..=iters {
-                                okt.allreduce(comm, &accs[(t > 1) as usize][comm.rank()], t);
-                            }
-                        })
-                    };
-                    (iterate(2), Some(iterate(1)))
-                }
-            };
-            let (max, mean, time) = volumes(&report, less.as_ref(), p);
-            maxs.push(max);
-            means.push(mean);
-            times.push(time * 1e3);
+            let (two, one) = (run(true), run(false));
+            let sent = |r: usize| two.ledger.rank_elements(r) - one.ledger.rank_elements(r);
+            maxs.push((0..p).map(sent).max().unwrap_or(0) as f64);
+            let total = two.ledger.total_elements() - one.ledger.total_elements();
+            means.push(total as f64 / p as f64);
+            times.push((two.makespan() - one.makespan()) * 1e3);
         }
-        fig.row(format!("\n{name}"));
+        fig.row(format!("\n{}", scheme.name()));
         fig.series("max sent/rank", &maxs);
         fig.series("mean sent/rank", &means);
         fig.series("modeled time (ms)", &times);
-        let (kf, nf) = (k as f64, n as f64);
-        let analytic: Vec<f64> = ps
-            .iter()
-            .map(|&p| {
-                let pf = p as f64;
-                match name {
-                    "Dense" => 2.0 * nf * (pf - 1.0) / pf,
-                    "TopkA" | "Gaussiank" => 2.0 * kf * (pf - 1.0),
-                    "TopkDSA" => 4.0 * kf * (pf - 1.0) / pf, // best case; fill-in raises it
-                    "gTopk" => 4.0 * kf * pf.log2(),
-                    _ => 6.0 * kf * (pf - 1.0) / pf,
-                }
-            })
-            .collect();
-        fig.series("paper bandwidth term", &analytic);
-        okt_max = maxs;
+        let closed: Vec<f64> = ps.iter().map(|&p| scheme.paper_words(p, n, k)).collect();
+        fig.series("paper bandwidth term", &closed);
+        if scheme == Scheme::OkTopk {
+            okt_max = maxs;
+        }
     }
 
     fig.row("\nSanity: Ok-Topk per-rank volume must stay within the 6k(P-1)/P bound:");
     for (&p, &max) in ps.iter().zip(&okt_max) {
-        let bound = 6.0 * k as f64 * (p as f64 - 1.0) / p as f64;
+        let bound = Scheme::OkTopk.paper_words(p, n, k);
         let ok = max <= bound;
         let verdict = if ok { "OK" } else { "VIOLATION" };
         fig.row(format!("  P={p:<4} max/rank {max:>10.0}  bound {bound:>10.0}  {verdict}"));
@@ -266,7 +229,7 @@ impl ModelJob for Snapshot {
                     (t == at && comm.rank() == 0).then(|| sgd.peek_accumulator(model.grads(), lr));
                 let step = sgd.step(comm, model.grads(), lr);
                 if let Some(acc) = acc {
-                    out = Some((acc, step.meta.local_th));
+                    out = Some((acc, step.meta.local_th.expect("a step selects")));
                 }
                 let params = model.params_mut();
                 for (i, v) in step.update.iter() {

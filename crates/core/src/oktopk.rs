@@ -43,8 +43,10 @@ pub struct OkTopkOutput {
     /// Indexes of this rank's local top-k entries that made it into the global
     /// top-k (Algorithm 1 line 14) — the entries whose residual is cleared.
     pub contributed: Vec<u32>,
-    /// Local selection threshold in effect this iteration.
-    pub local_th: f32,
+    /// Local selection threshold in effect this iteration: `None` until
+    /// Ok-Topk's own selector has run, as in an exchange of selections made
+    /// elsewhere.
+    pub local_th: Option<f32>,
     /// Global selection threshold in effect this iteration.
     pub global_th: f32,
     /// Number of locally selected values (target: ≈ k).
@@ -199,7 +201,7 @@ impl SparseRow for OkTopk {
             balanced: bal.balanced,
             update: bal.global_topk,
             contributed,
-            local_th: self.local_est.cached().expect("the selection set it"),
+            local_th: self.local_est.cached(),
             global_th: self.global_th,
             local_nnz,
         };
@@ -300,7 +302,7 @@ mod tests {
         let report = Cluster::new(p, CostModel::aries()).run(|comm| {
             let mut okt = OkTopk::new(OkTopkConfig::new(n, k));
             let out = okt.allreduce(comm, &accs[comm.rank()], 1);
-            let local_th = out.local_th;
+            let local_th = out.local_th.expect("allreduce selects");
             (out, local_th, accs[comm.rank()].clone())
         });
         for (out, local_th, acc) in &report.results {
@@ -346,6 +348,38 @@ mod tests {
                 "rank {rank}: steady-state volume {steady} exceeds 6k(P-1)/P = {bound}"
             );
             assert!(steady > 0.0);
+        }
+    }
+
+    #[test]
+    fn exchange_of_given_selections_stays_within_6k_bound() {
+        // The pipeline's exchange entry on exact top-k selections made
+        // elsewhere: Ok-Topk's selector never runs, so no local threshold is
+        // reported, and the second step — after a barrier, reusing the first
+        // step's boundaries and global threshold — sends at most 6k(P−1)/P.
+        let (n, k) = (4096, 256);
+        for p in [4usize, 8] {
+            let steps = [random_accs(p, n, 40 + p as u64), random_accs(p, n, 50 + p as u64)];
+            let run = |iters: usize| {
+                Cluster::new(p, CostModel::aries()).run(|comm| {
+                    let cfg = OkTopkConfig::new(n, k).with_periods(1000, 1000);
+                    let mut sgd = crate::OkTopkSgd::new(cfg);
+                    let mut ths = Vec::new();
+                    for accs in &steps[..iters] {
+                        let local = sparse::select::topk_exact(&accs[comm.rank()], k);
+                        ths.push(sgd.exchange(comm, local).meta.local_th);
+                        comm.barrier();
+                    }
+                    ths
+                })
+            };
+            let (two, one) = (run(2), run(1));
+            assert!(two.results.iter().flatten().all(Option::is_none), "p={p}: a local threshold");
+            let bound = 6.0 * k as f64 * (p - 1) as f64 / p as f64;
+            for rank in 0..p {
+                let sent = two.ledger.rank_elements(rank) - one.ledger.rank_elements(rank);
+                assert!(sent > 0 && sent as f64 <= bound, "p={p} rank {rank}: {sent} > {bound}");
+            }
         }
     }
 
@@ -449,8 +483,8 @@ mod tests {
                     assert_eq!(step.meta.contributed, want.contributed, "{at}");
                     assert_eq!(bits(sgd.residual()), bits(&residual), "{at}");
                     // What this rank brought to the consensus, for the reference.
-                    let local =
-                        repartition.then(|| select_ge(&acc, step.meta.local_th).indexes().to_vec());
+                    let local = repartition
+                        .then(|| select_ge(&acc, step.meta.local_th.unwrap()).indexes().to_vec());
                     steps.push((Arc::clone(&sgd.allreduce_state().boundaries), step.update, local));
                 }
                 steps

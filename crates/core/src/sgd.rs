@@ -83,14 +83,21 @@ impl<R: SparseRow> ErrorFeedback<R> {
             self.residual = vec![0.0; grad.len()];
         }
         assert_eq!(grad.len(), self.residual.len());
-        self.t += 1;
-        let p = comm.size() as f32;
-        let local = self.row.accumulate_select(comm, &mut self.residual, grad, scale, self.t);
-        let out = self.row.exchange(comm, local, self.t, |u| u.scale(1.0 / p));
+        let local = self.row.accumulate_select(comm, &mut self.residual, grad, scale, self.t + 1);
+        let out = self.exchange(comm, local);
         for &i in R::leaves(&out) {
             self.residual[i as usize] = 0.0;
         }
         out
+    }
+
+    /// The step's half after selection: the next iteration's exchange of
+    /// `local`, a selection made anywhere, with `u_t / P` as the finish. ε is
+    /// left alone. Collective, like [`step`](Self::step).
+    pub fn exchange<C: Net>(&mut self, comm: &mut C, local: CooGradient) -> R::Out {
+        self.t += 1;
+        let p = comm.size() as f32;
+        self.row.exchange(comm, local, self.t, |u| u.scale(1.0 / p))
     }
 }
 
@@ -179,7 +186,11 @@ mod tests {
                     assert_eq!(got.update.indexes(), want_update.indexes(), "{at}");
                     assert_eq!(bits(got.update.values()), bits(want_update.values()), "{at}");
                     assert_eq!(got.contributed, want.contributed, "{at}");
-                    assert_eq!(got.local_th.to_bits(), want.local_th.to_bits(), "{at}");
+                    assert_eq!(
+                        got.local_th.map(f32::to_bits),
+                        want.local_th.map(f32::to_bits),
+                        "{at}"
+                    );
                     assert_eq!(got.global_th.to_bits(), want.global_th.to_bits(), "{at}");
                     assert_eq!(bits(sgd.residual()), bits(&residual), "{at}");
                 }

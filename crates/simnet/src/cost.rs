@@ -38,11 +38,6 @@ impl CostModel {
     pub fn free() -> Self {
         Self { alpha: 0.0, beta: 0.0 }
     }
-
-    /// Modeled cost of one point-to-point message of `elems` elements (base link).
-    pub fn msg_cost(&self, elems: u64) -> f64 {
-        self.alpha + self.beta * elems as f64
-    }
 }
 
 impl Default for CostModel {
@@ -136,13 +131,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn msg_cost_is_affine_in_size() {
-        let m = CostModel { alpha: 1.0, beta: 0.5 };
-        assert_eq!(m.msg_cost(0), 1.0);
-        assert_eq!(m.msg_cost(10), 6.0);
-    }
-
-    #[test]
     fn wire_sizes_match_coo_accounting() {
         // A k-sparse COO gradient = k values + k indexes = 2k elements.
         let values: Vec<f32> = vec![0.5; 100];
@@ -165,6 +153,5 @@ mod tests {
         let c = CostModel::commodity();
         assert!(a.alpha < c.alpha);
         assert!(a.beta < c.beta);
-        assert_eq!(CostModel::free().msg_cost(1_000_000), 0.0);
     }
 }

@@ -103,11 +103,6 @@ impl LedgerSnapshot {
         self.cells.iter().flatten().map(|v| v.messages).sum()
     }
 
-    /// Maximum per-rank sent-element count — a load-imbalance indicator.
-    pub fn max_rank_elements(&self, size: usize) -> u64 {
-        (0..size).map(|r| self.rank_elements(r)).max().unwrap_or(0)
-    }
-
     /// All phase labels that actually recorded traffic, sorted.
     pub fn phases(&self) -> Vec<&str> {
         let mut v: Vec<&str> = (0..self.names.len())
@@ -152,7 +147,6 @@ mod tests {
         assert_eq!(snap.phase_elements("reduce"), 180);
         assert_eq!(snap.total_elements(), 187);
         assert_eq!(snap.total_messages(), 4);
-        assert_eq!(snap.max_rank_elements(2), 157);
         assert_eq!(snap.phases(), vec!["gather", "reduce"]);
         assert_eq!(snap.cell(1, "gather"), PhaseVolume::default(), "past the end of rank 1's row");
     }

@@ -172,11 +172,6 @@ impl<'a, C: Net> GroupComm<'a, C> {
         Self { comm, members, my_index, salt: (group_id as Tag) << 48 }
     }
 
-    /// The parent-communicator rank behind a group-local rank.
-    pub fn global_rank(&self, group_rank: usize) -> usize {
-        self.members[group_rank]
-    }
-
     /// Borrow the underlying parent communicator (e.g. for cross-group traffic).
     pub fn global(&mut self) -> &mut C {
         self.comm
@@ -281,7 +276,7 @@ mod tests {
                 let left = (gr + Net::size(&g) - 1) % Net::size(&g);
                 Net::send(&mut g, right, 1, vec![gr as u32]);
                 let got: Vec<u32> = Net::recv(&mut g, left, 1);
-                Some((gr, got[0], g.global_rank(gr)))
+                Some((gr, got[0], me))
             } else {
                 None
             }

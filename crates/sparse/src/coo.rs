@@ -179,7 +179,7 @@ impl CooGradient {
     /// Deliberately scalar: the writes are random-access (gather/scatter needs
     /// AVX-512 to vectorize profitably) and the loop is O(k), not O(n) — it is
     /// not on the hot path the `simd` module covers.
-    pub fn scatter_add(&self, dense: &mut [f32]) {
+    fn scatter_add(&self, dense: &mut [f32]) {
         for (i, v) in self.iter() {
             dense[i as usize] += v;
         }

@@ -73,32 +73,6 @@ pub fn consensus_boundaries(sum: &[f64], workers: usize, n: u32) -> Vec<u32> {
     b
 }
 
-/// Which region (0-based) contains coordinate `idx`, given `P+1` boundaries.
-/// Coordinates on a boundary belong to the right-hand region, except that everything
-/// at or past the last boundary belongs to the final region.
-pub fn region_of(idx: u32, boundaries: &[u32]) -> usize {
-    let p = boundaries.len() - 1;
-    // First boundary strictly greater than idx, minus one.
-    let r = boundaries[1..p].partition_point(|&b| b <= idx);
-    r.min(p - 1)
-}
-
-/// Per-region counts of (sorted) coordinates — the load-balance metric for Fig. 7a.
-pub fn region_counts(sorted_indexes: &[u32], boundaries: &[u32]) -> Vec<usize> {
-    let p = boundaries.len() - 1;
-    let mut counts = vec![0usize; p];
-    let mut start = 0usize;
-    for j in 0..p {
-        let hi = boundaries[j + 1];
-        let end = start + sorted_indexes[start..].partition_point(|&i| i < hi);
-        counts[j] = end - start;
-        start = end;
-    }
-    // Anything at or past the final boundary (shouldn't happen with pinned ends).
-    counts[p - 1] += sorted_indexes.len() - start;
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,8 +93,10 @@ mod tests {
         assert_eq!(b[4], 1000.0);
         // Interior boundaries must sit inside the cluster, not at 250/500/750.
         assert!(b[1] < 150.0 && b[2] < 150.0 && b[3] < 150.0, "{b:?}");
-        let bu: Vec<u32> = b.iter().map(|&x| x as u32).collect();
-        let counts = region_counts(&idx, &bu);
+        let counts: Vec<usize> = b
+            .windows(2)
+            .map(|w| idx.iter().filter(|&&i| w[0] as u32 <= i && i < w[1] as u32).count())
+            .collect();
         assert!(counts.iter().all(|c| (20..=30).contains(c)), "{counts:?}");
     }
 
@@ -142,32 +118,9 @@ mod tests {
     }
 
     #[test]
-    fn region_of_matches_counts() {
-        let b = vec![0u32, 10, 20, 30];
-        assert_eq!(region_of(0, &b), 0);
-        assert_eq!(region_of(9, &b), 0);
-        assert_eq!(region_of(10, &b), 1);
-        assert_eq!(region_of(29, &b), 2);
-        // Degenerate empty middle region.
-        let b2 = vec![0u32, 10, 10, 30];
-        assert_eq!(region_of(10, &b2), 2);
-        assert_eq!(region_of(9, &b2), 0);
-    }
-
-    #[test]
-    fn region_counts_sum_to_total() {
-        let idx: Vec<u32> = vec![1, 5, 9, 10, 15, 29];
-        let b = vec![0u32, 10, 20, 30];
-        let counts = region_counts(&idx, &b);
-        assert_eq!(counts, vec![3, 2, 1]);
-        assert_eq!(counts.iter().sum::<usize>(), idx.len());
-    }
-
-    #[test]
     fn single_region_takes_everything() {
         let idx: Vec<u32> = vec![3, 4, 5];
         let b = balanced_boundaries(&idx, 10, 1);
         assert_eq!(b, vec![0.0, 10.0]);
-        assert_eq!(region_counts(&idx, &[0, 10]), vec![3]);
     }
 }

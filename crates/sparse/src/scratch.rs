@@ -47,11 +47,6 @@ impl SelectScratch {
         Self { nnz_hint: hint, ..Self::default() }
     }
 
-    /// The current capacity hint (largest nnz seen so far).
-    pub fn nnz_hint(&self) -> usize {
-        self.nnz_hint
-    }
-
     /// Take a cleared `(indexes, values)` buffer pair from the pool, with
     /// capacity at least the current nnz hint.
     pub fn take_pair(&mut self) -> (Vec<u32>, Vec<f32>) {
@@ -216,7 +211,7 @@ mod tests {
         let g = select_ge_scratch(&dense, 0.0, &mut scratch);
         let warm_nnz = g.nnz();
         scratch.recycle(g);
-        assert!(scratch.nnz_hint() >= warm_nnz);
+        assert!(scratch.nnz_hint >= warm_nnz);
         let (idx, val) = scratch.take_pair();
         assert!(idx.capacity() >= warm_nnz && val.capacity() >= warm_nnz);
         scratch.recycle_parts(idx, val);

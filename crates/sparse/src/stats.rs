@@ -27,14 +27,6 @@ pub fn l2_norm(values: &[f32]) -> f64 {
     values.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>().sqrt()
 }
 
-/// Fraction of entries with `|v| >= threshold`.
-pub fn fraction_abs_ge(values: &[f32], threshold: f32) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().filter(|v| v.abs() >= threshold).count() as f64 / values.len() as f64
-}
-
 /// Error function, Abramowitz & Stegun 7.1.26 (max abs error ≈ 1.5e-7).
 pub fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
@@ -210,11 +202,5 @@ mod tests {
         assert_eq!(h.outliers(), (1, 1));
         assert_eq!(h.total(), 6);
         assert!((h.bin_center(0) - 0.125).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fraction_abs_ge_counts_magnitudes() {
-        assert_eq!(fraction_abs_ge(&[0.5, -0.5, 0.1, 0.0], 0.5), 0.5);
-        assert_eq!(fraction_abs_ge(&[], 0.5), 0.0);
     }
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sparse::coo::CooGradient;
-use sparse::partition::{balanced_boundaries, consensus_boundaries, region_counts, region_of};
+use sparse::partition::{balanced_boundaries, consensus_boundaries};
 use sparse::select::{exact_threshold, exact_threshold_by_sort, select_ge, topk_exact};
 
 fn dense_vec() -> impl Strategy<Value = Vec<f32>> {
@@ -146,33 +146,16 @@ proptest! {
         prop_assert_eq!(b[p], 10_000.0);
         prop_assert!(b.windows(2).all(|w| w[0] <= w[1]));
         let bu = consensus_boundaries(&b, 1, 10_000);
-        let counts = region_counts(&idx, &bu);
+        let counts: Vec<usize> = bu
+            .windows(2)
+            .map(|w| idx.iter().filter(|&&i| w[0] <= i && i < w[1]).count())
+            .collect();
         prop_assert_eq!(counts.iter().sum::<usize>(), idx.len());
         let ideal = idx.len() as f64 / p as f64;
         // Duplicated coordinates and rounding can skew regions, but no region should
         // hold more than ~2× its share + a small constant.
         for &c in &counts {
             prop_assert!((c as f64) <= 2.0 * ideal + 2.0, "counts={:?}", counts);
-        }
-    }
-
-    /// region_of agrees with region_counts bucketing.
-    #[test]
-    fn region_of_consistent(
-        idx in 0u32..100,
-        cuts in proptest::collection::vec(1u32..99, 1..5),
-    ) {
-        let mut boundaries = vec![0u32];
-        let mut cuts = cuts;
-        cuts.sort_unstable();
-        boundaries.extend(cuts);
-        boundaries.push(100);
-        let r = region_of(idx, &boundaries);
-        prop_assert!(idx >= boundaries[r]);
-        if r + 1 < boundaries.len() {
-            // idx below next boundary unless later regions are empty at the tail.
-            let nxt = boundaries[r + 1];
-            prop_assert!(idx < nxt || boundaries[r + 1..].iter().all(|&b| b <= idx));
         }
     }
 

@@ -4,7 +4,7 @@
 //!
 //! Glues everything together the way the paper's evaluation does (§5): P model
 //! replicas (one per simnet rank) compute real gradients on disjoint data shards,
-//! exchange them through one of the seven allreduce schemes, and apply identical
+//! exchange them through one of the allreduce schemes, and apply identical
 //! updates. The harness also carries the instrumentation the paper's figures need:
 //!
 //! - per-iteration **time breakdown** into sparsification / communication /
@@ -15,8 +15,8 @@
 //! - **convergence curves**: held-out metric vs modeled wall-clock
 //!   (Figs. 9, 11, 13).
 //!
-//! Schemes: `Dense`, `DenseOvlp`, `TopkA`, `TopkDsa`, `GTopk`, `GaussianK`,
-//! `OkTopk` — see [`Scheme`]. Cost calibration is documented in [`cost`].
+//! Schemes: the paper's seven and their two-tier variants, one table in
+//! [`Scheme::all`]. Cost calibration is documented in [`cost`].
 
 pub mod cost;
 pub mod reducer;

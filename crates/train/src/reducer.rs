@@ -1,8 +1,9 @@
 //! One interface over the gradient-exchange schemes of the evaluation: the
-//! paper's seven plus their two-tier hierarchical variants. `Scheme::family`
-//! is the one table from a scheme's name to what runs, [`Reducer`] that
-//! family's state. Every sparse row, Ok-Topk's included, is a selector and an
-//! exchange on `oktopk`'s one error-feedback pipeline.
+//! paper's seven plus their two-tier hierarchical variants. [`Scheme::all`]
+//! and `Scheme::family` are the one table of schemes: every harness list,
+//! closed form and scheme predicate derives from them, and [`Reducer`] holds
+//! a family's state. Every sparse row, Ok-Topk's included, is a selector and
+//! an exchange on `oktopk`'s one error-feedback pipeline.
 
 use crate::cost::CostProfile;
 use collectives::{
@@ -45,9 +46,11 @@ pub enum Scheme {
 }
 
 /// What a scheme name means to the code that runs it.
+#[derive(Clone, Copy, PartialEq)]
 enum Family {
-    /// Allreduce the whole gradient; no selection, no error feedback.
-    Dense,
+    /// Allreduce the whole gradient; no selection, no error feedback. With
+    /// `overlap`, the backward pass's tail is spent inside the allreduce.
+    Dense { overlap: bool },
     /// The error-feedback pipeline with this selector and exchange.
     Sparse(Selector, Exchange),
 }
@@ -65,7 +68,7 @@ enum Tier {
 }
 
 /// How a sparse row picks its selection from the accumulator.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 enum Selector {
     /// Exact top-k selection (torch.topk-style cost).
     ExactTopk,
@@ -76,7 +79,7 @@ enum Selector {
 }
 
 /// How a sparse row's local selections become the global sum.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 enum Exchange {
     /// Allgather and sum (TopkA, Gaussiank).
     Allgather,
@@ -125,23 +128,54 @@ impl Scheme {
 
     /// Whether the scheme sparsifies gradients.
     pub fn is_sparse(&self) -> bool {
-        !matches!(self.family().0, Family::Dense)
+        !matches!(self.family().0, Family::Dense { .. })
     }
 
     /// Whether the scheme is a two-tier (`Hier-*`) row. With no topology
-    /// installed it is its flat twin bit for bit.
+    /// installed it is its [`flat_twin`](Self::flat_twin) bit for bit.
     pub fn is_two_tier(&self) -> bool {
         self.family().1 != Tier::Flat
     }
 
+    /// Whether the scheme hides the backward pass's tail inside its exchange
+    /// (DenseOvlp): the one row that takes an overlap budget.
+    pub fn overlaps_backward(&self) -> bool {
+        self.family().0 == Family::Dense { overlap: true }
+    }
+
+    /// The flat row of this scheme's family: what a two-tier row runs at one
+    /// rank to a node. A flat row is its own twin.
+    pub fn flat_twin(&self) -> Scheme {
+        let family = self.family().0;
+        let mut flat = Scheme::all().into_iter().filter(|s| !s.is_two_tier());
+        flat.find(|s| s.family().0 == family).expect("every family has a flat row")
+    }
+
+    /// Table 1's closed form for one step of this row's exchange: the
+    /// per-rank sent words of the paper's bandwidth term at `p` ranks, `n`
+    /// entries and `k` selected. It is Ok-Topk's bound, TopkDSA's best case
+    /// before fill-in, and the gTopk tree's total.
+    pub fn paper_words(&self, p: usize, n: usize, k: usize) -> f64 {
+        let (p, n, k) = (p as f64, n as f64, k as f64);
+        match self.family().0 {
+            Family::Dense { .. } => 2.0 * n * (p - 1.0) / p,
+            Family::Sparse(_, Exchange::Allgather) => 2.0 * k * (p - 1.0),
+            Family::Sparse(_, Exchange::Dsa) => 4.0 * k * (p - 1.0) / p,
+            Family::Sparse(_, Exchange::GTopk) => 4.0 * k * p.log2(),
+            Family::Sparse(_, Exchange::OkTopk) => 6.0 * k * (p - 1.0) / p,
+        }
+    }
+
     /// The scheme → exchange table: the family a name belongs to and the tier
-    /// its state lives on. A new sparse exchange is one [`Exchange`] variant
-    /// and one row here, two with its two-tier variant.
+    /// its state lives on. A new sparse exchange is one [`Exchange`] variant,
+    /// its arms in `Row::exchange` and [`paper_words`](Self::paper_words), and
+    /// one row here (two with its two-tier variant) and in [`Scheme::all`].
     fn family(self) -> (Family, Tier) {
         use {Exchange::*, Selector::*, Tier::*};
         match self {
-            Scheme::Dense | Scheme::DenseOvlp => (Family::Dense, Flat),
-            Scheme::HierDense => (Family::Dense, Leader("hier-dense")),
+            Scheme::Dense => (Family::Dense { overlap: false }, Flat),
+            Scheme::DenseOvlp => (Family::Dense { overlap: true }, Flat),
+            Scheme::HierDense => (Family::Dense { overlap: false }, Leader("hier-dense")),
             Scheme::TopkA => (Family::Sparse(ExactTopk, Allgather), Flat),
             Scheme::GaussianK => (Family::Sparse(GaussianPpf, Allgather), Flat),
             Scheme::TopkDsa => (Family::Sparse(ExactTopk, Dsa), Flat),
@@ -224,7 +258,7 @@ impl Reducer {
         let k = ((n as f64 * density).round() as usize).clamp(1, n);
         let (family, tier) = scheme.family();
         let state = match family {
-            Family::Dense => State::Dense { node_sum: Vec::new() },
+            Family::Dense { .. } => State::Dense { node_sum: Vec::new() },
             Family::Sparse(selector, exchange) => {
                 let cfg = OkTopkConfig::new(n, k).with_periods(tau, tau_prime);
                 let okt = OkTopk::new(cfg.with_merge_cost(cost.merge_per_elem));
@@ -282,7 +316,7 @@ impl Reducer {
         scale: f32,
         overlap_budget: f64,
     ) -> (Update, ReduceMetrics) {
-        debug_assert_eq!(grad.len(), self.n);
+        assert_eq!(grad.len(), self.n, "the gradient's length must be the reducer's n");
         assert!(
             overlap_budget == 0.0 || matches!(self.state, State::Dense { .. }),
             "overlap budgets only apply to the dense schemes"
@@ -350,6 +384,18 @@ impl Reducer {
                 (Update::Sparse(update), metrics)
             }
         }
+    }
+
+    /// A flat sparse row's step after selection: exchange `local`, this
+    /// rank's selection however it was made, as [`Reducer::reduce`] would,
+    /// `1/P` applied and ε left alone. A dense row has no selection to
+    /// exchange and a two-tier row selects at its node leader: both refuse.
+    pub fn exchange<C: Net>(&mut self, comm: &mut C, local: CooGradient) -> Arc<CooGradient> {
+        let State::Sparse { feedback, .. } = &mut self.state else {
+            panic!("Reducer::exchange: a dense row exchanges no selection");
+        };
+        assert!(self.tier == Tier::Flat, "Reducer::exchange: a two-tier row selects at its leader");
+        feedback.exchange(comm, local).0
     }
 
     /// The residual ε of a sparse row: empty for the dense schemes and on a
@@ -838,15 +884,107 @@ mod tests {
     fn hier_schemes_degenerate_bitwise_at_rpn_1() {
         // With one rank per node every rank is a leader and the hierarchical
         // code paths ARE the flat ones — updates must be bit-identical.
-        for (hier, flat) in [
-            (Scheme::HierDense, Scheme::Dense),
-            (Scheme::HierGTopk, Scheme::GTopk),
-            (Scheme::HierOkTopk, Scheme::OkTopk),
-        ] {
+        for hier in Scheme::all().into_iter().filter(Scheme::is_two_tier) {
+            let flat = hier.flat_twin();
             let a = run_hier_steps(hier, 4, 1, 128, 9);
             let b = run_hier_steps(flat, 4, 1, 128, 9);
             assert_eq!(a, b, "{} vs {}", hier.name(), flat.name());
         }
+    }
+
+    #[test]
+    fn the_scheme_table_names_each_row_once_and_twins_every_two_tier_row() {
+        let all = Scheme::all();
+        let names: std::collections::HashSet<_> = all.iter().map(Scheme::name).collect();
+        assert_eq!(names.len(), all.len(), "a name appears twice in Scheme::all()");
+        for hier in all.into_iter().filter(Scheme::is_two_tier) {
+            let twins: Vec<Scheme> = all
+                .into_iter()
+                .filter(|s| !s.is_two_tier() && s.family().0 == hier.family().0)
+                .collect();
+            assert_eq!(twins, [hier.flat_twin()], "{}: flat twins", hier.name());
+        }
+    }
+
+    #[test]
+    fn exchange_matches_the_collective_it_runs() {
+        // On a profile that charges no selection or merge compute, a flat
+        // row's exchange entry is its collective plus the 1/P finish: sums,
+        // clocks and ledger cells bit for bit.
+        let (n, k) = (400, 24);
+        let cost = CostProfile {
+            topk_launch: 0.0,
+            topk_per_elem: 0.0,
+            merge_per_elem: 0.0,
+            ..CostProfile::paper_calibrated()
+        };
+        type Direct = fn(&mut simnet::Comm, CooGradient) -> CooGradient;
+        let direct: [(Scheme, Direct); 3] = [
+            (Scheme::TopkA, |comm, local| {
+                collectives::topk_allgather_allreduce(comm, local).as_ref().clone()
+            }),
+            (Scheme::TopkDsa, |comm, local| collectives::dsa_allreduce(comm, local, 400).sum),
+            (Scheme::GTopk, |comm, local| collectives::gtopk_allreduce(comm, local, 24)),
+        ];
+        for (scheme, collective) in direct {
+            for p in [3usize, 4, 8] {
+                let locals: Vec<CooGradient> =
+                    grads(p, n, 50 + p as u64).iter().map(|g| topk_exact(g, k)).collect();
+                let run = |entry: bool| {
+                    Cluster::new(p, cost.network()).run(|comm| {
+                        let local = locals[comm.rank()].clone();
+                        let sum = if entry {
+                            let mut r = Reducer::new(scheme, n, k as f64 / n as f64, cost, 4, 4);
+                            r.exchange(comm, local).as_ref().clone()
+                        } else {
+                            let mut sum = collective(comm, local);
+                            sum.scale(1.0 / p as f32);
+                            sum
+                        };
+                        coo_bits(&sum)
+                    })
+                };
+                let (entry, direct) = (run(true), run(false));
+                let at = format!("{} p={p}", scheme.name());
+                assert_eq!(entry.results, direct.results, "{at}: sums");
+                assert_eq!(entry.times, direct.times, "{at}: clocks");
+                assert_eq!(entry.ledger.phases(), direct.ledger.phases(), "{at}: phases");
+                for phase in direct.ledger.phases() {
+                    for rank in 0..p {
+                        let cell = |r: &simnet::SimReport<_>| r.ledger.cell(rank, phase);
+                        assert_eq!(cell(&entry), cell(&direct), "{at}: {phase} of rank {rank}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Reducer::exchange: a dense row exchanges no selection")]
+    fn a_dense_row_refuses_the_exchange_entry() {
+        Cluster::new(2, CostModel::free()).run(|comm| {
+            let mut r = Reducer::new(Scheme::Dense, 8, 0.5, CostProfile::paper_calibrated(), 2, 2);
+            r.exchange(comm, CooGradient::new());
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "Reducer::exchange: a two-tier row selects at its leader")]
+    fn a_two_tier_row_refuses_the_exchange_entry() {
+        Cluster::new(2, CostModel::free()).run(|comm| {
+            let cost = CostProfile::paper_calibrated();
+            let mut r = Reducer::new(Scheme::HierGTopk, 8, 0.5, cost, 2, 2);
+            r.exchange(comm, CooGradient::new());
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "the gradient's length must be the reducer's n")]
+    fn a_wrong_length_gradient_is_refused() {
+        Cluster::new(2, CostModel::free()).run(|comm| {
+            let mut r = Reducer::new(Scheme::Dense, 8, 1.0, CostProfile::paper_calibrated(), 2, 2);
+            r.reduce(comm, &[1.0; 7], 1.0).1
+        });
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub struct TrainConfig {
     pub lr_decay_iters: usize,
     /// Evaluate on held-out data every this many iterations (0 = never).
     pub eval_every: usize,
-    /// Measure ξ (Assumption 1) every this many iterations (0 = never; Ok-Topk only).
+    /// Measure ξ (Assumption 1) every this many iterations (0 = never). Ok-Topk
+    /// only: a run of any other scheme refuses a nonzero value.
     pub measure_xi_every: usize,
     /// Read by nothing: there is one engine. Kept only because
     /// `benchmark/src/runner.rs` (frozen outside this crate) sets it; goes
@@ -219,6 +220,11 @@ where
     FM: Fn() -> M + Send + Sync,
     FB: Fn(u64, usize, usize) -> M::Batch + Send + Sync,
 {
+    assert!(
+        cfg.measure_xi_every == 0 || cfg.scheme == Scheme::OkTopk,
+        "ξ is measured under Ok-Topk only, not {}",
+        cfg.scheme.name()
+    );
     // Rescale fixed costs (latency, kernel launches) to this model's size so the
     // experiment sits in the paper's bandwidth-dominated regime (see cost.rs).
     let n = make_model().num_params();
@@ -290,7 +296,7 @@ where
     };
 
     let fwd_time = cfg.cost.fwd_bwd(n);
-    let overlap = if cfg.scheme == Scheme::DenseOvlp { cfg.cost.overlap_window } else { 0.0 };
+    let overlap = if cfg.scheme.overlaps_backward() { cfg.cost.overlap_window } else { 0.0 };
 
     let mut records = Vec::with_capacity(cfg.iters);
     let mut evals = Vec::new();
@@ -329,10 +335,7 @@ where
 
         // ξ instrumentation part A: gather the dense accumulator/gradient averages
         // out-of-band (free mode: zero modeled cost, no ledger pollution).
-        let xi_prep = if cfg.measure_xi_every > 0
-            && cfg.scheme == Scheme::OkTopk
-            && t % cfg.measure_xi_every == 0
-        {
+        let xi_prep = if cfg.measure_xi_every > 0 && t % cfg.measure_xi_every == 0 {
             // This step's accumulator ε + scale·g, built where it is summed.
             let residual = reducer.residual().iter().zip(model.grads());
             let mut acc_sum: Vec<f32> = residual.map(|(&e, &g)| e + scale * g).collect();
@@ -564,6 +567,21 @@ mod tests {
         let measured: Vec<f64> = res.records.iter().filter_map(|r| r.xi).collect();
         assert_eq!(measured.len(), 3);
         assert!(measured.iter().all(|x| x.is_finite() && *x >= 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "ξ is measured under Ok-Topk only, not TopkA")]
+    fn xi_measurement_refuses_other_schemes() {
+        let mut cfg = small_cfg(Scheme::TopkA);
+        cfg.measure_xi_every = 2;
+        let data = SyntheticImages::with_shape(1, 4, 3, 8, 0.5);
+        run_data_parallel(
+            2,
+            &cfg,
+            || VggLite::with_width(7, 4, 8, 16, 4, 8),
+            move |iter, rank, world| data.train_batch(iter, rank, world, 2),
+            &[],
+        );
     }
 
     #[test]

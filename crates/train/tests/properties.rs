@@ -6,16 +6,10 @@ use dnn::models::VggLite;
 use proptest::prelude::*;
 use train::{run_data_parallel, OptimizerKind, Scheme, TrainConfig};
 
+/// Every flat scheme: a two-tier one is its flat twin without a topology.
 fn scheme_strategy() -> impl Strategy<Value = Scheme> {
-    prop_oneof![
-        Just(Scheme::Dense),
-        Just(Scheme::DenseOvlp),
-        Just(Scheme::TopkA),
-        Just(Scheme::TopkDsa),
-        Just(Scheme::GTopk),
-        Just(Scheme::GaussianK),
-        Just(Scheme::OkTopk),
-    ]
+    let flat = Scheme::all().into_iter().filter(|s| !s.is_two_tier());
+    Union::new(flat.map(|s| Just(s).boxed()).collect())
 }
 
 proptest! {

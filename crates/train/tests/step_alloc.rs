@@ -142,20 +142,14 @@ fn whole_life_allocs_per_rank() -> Vec<usize> {
 
 #[test]
 fn steady_state_steps_allocate_no_gradient_sized_buffer() {
-    for scheme in [
-        Scheme::OkTopk,
-        Scheme::HierOkTopk,
-        Scheme::TopkA,
-        Scheme::TopkDsa,
-        Scheme::GTopk,
-        Scheme::HierGTopk,
-        Scheme::GaussianK,
-    ] {
+    let (sparse, dense): (Vec<Scheme>, Vec<Scheme>) =
+        Scheme::all().into_iter().partition(Scheme::is_sparse);
+    for scheme in sparse {
         let got = gradient_sized_allocs(scheme);
         assert_eq!(got, 0, "{}: {got} allocations of >= 4n bytes in {STEPS} steps", scheme.name());
     }
     // The counter does count: a dense step's one shared result.
-    for scheme in [Scheme::Dense, Scheme::DenseOvlp, Scheme::HierDense] {
+    for scheme in dense {
         assert_eq!(gradient_sized_allocs(scheme), STEPS, "{}", scheme.name());
     }
     // Hier-Ok-Topk's n-sized state is leader-only from construction on.

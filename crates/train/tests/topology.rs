@@ -52,7 +52,7 @@ fn reduce_steps(scheme: Scheme, p: usize, topo: Option<Topology>) -> SimReport<u
     }
     // DenseOvlp spends a budget inside the exchange, small enough that no
     // step's drain hides behind its share.
-    let overlap = if scheme == Scheme::DenseOvlp { 1e-6 } else { 0.0 };
+    let overlap = if scheme.overlaps_backward() { 1e-6 } else { 0.0 };
     cluster.run(move |comm| {
         let mut reducer = Reducer::new(scheme, n, 0.05, cost, 2, 2);
         let mut checksum = 0.0f64;

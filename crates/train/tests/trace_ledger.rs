@@ -30,7 +30,7 @@ fn traced_steps(scheme: Scheme, p: usize, topo: Option<Topology>) -> SimReport<V
     if let Some(topo) = topo {
         cluster = cluster.with_topology(topo);
     }
-    let overlap = if scheme == Scheme::DenseOvlp { 1e-6 } else { 0.0 };
+    let overlap = if scheme.overlaps_backward() { 1e-6 } else { 0.0 };
     cluster.run(move |comm: &mut Comm| {
         comm.enable_trace();
         let mut reducer = Reducer::new(scheme, n, 0.05, cost, 2, 2)

@@ -138,6 +138,13 @@ if non_test crates/train/src/reducer.rs | grep -F 'unreachable!'; then
   echo "FAIL: a scheme match that is not total (lines above)" >&2
   exit 1
 fi
+# Scheme predicates live in the table: nothing outside reducer.rs tests a
+# scheme's identity to decide whether it overlaps the backward pass.
+if grep -rnE '[!=]= *Scheme::DenseOvlp|Scheme::DenseOvlp *[!=]=' crates tests examples src \
+   --include=*.rs | grep -v '^crates/train/src/reducer.rs:'; then
+  echo "FAIL: a DenseOvlp identity test outside the scheme table (use overlaps_backward)" >&2
+  exit 1
+fi
 sites=$(non_test crates/collectives/src/hier.rs | grep -c 'GroupComm::new(.*LEADER_GROUP' || true)
 groups=$(non_test crates/collectives/src/hier.rs | grep -c 'GroupComm::new(' || true)
 if [ "$sites" -ne 1 ] || [ "$groups" -ne 2 ]; then
