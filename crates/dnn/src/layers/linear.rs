@@ -1,7 +1,9 @@
 //! Fully connected layer.
 
 use crate::arena::{Arena, Slot};
-use crate::ops::{add_bias, bias_grad, matmul_acc, matmul_acc_wt, matmul_acc_xt};
+use crate::ops::{
+    add_bias, bias_grad, matmul_acc, matmul_acc_wt, matmul_acc_xt, transpose, with_wt_buffer,
+};
 use rand::prelude::*;
 
 /// `y = x·W + b`, W: `[in_dim, out_dim]` row-major, b: `[out_dim]`.
@@ -45,7 +47,10 @@ impl Linear {
             bias_grad(dy, gb, batch, self.out_dim);
         }
         let mut dx = vec![0.0f32; batch * self.in_dim];
-        matmul_acc_wt(dy, arena.p(self.w), &mut dx, batch, self.in_dim, self.out_dim);
+        with_wt_buffer(|buf| {
+            let wt = transpose(arena.p(self.w), self.in_dim, self.out_dim, buf);
+            matmul_acc_wt(dy, wt, &mut dx, batch, self.in_dim, self.out_dim);
+        });
         dx
     }
 }

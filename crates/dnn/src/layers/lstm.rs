@@ -1,7 +1,9 @@
 //! LSTM cell with explicit BPTT support.
 
 use crate::arena::{Arena, Slot};
-use crate::ops::{add_bias, bias_grad, matmul_acc, matmul_acc_wt, matmul_acc_xt, sigmoid};
+use crate::ops::{
+    add_bias, bias_grad, matmul_acc, matmul_acc_wt, matmul_acc_xt, sigmoid, transpose, Transposed,
+};
 use rand::prelude::*;
 
 /// Single LSTM cell. One fused weight matrix `[(in+hid), 4·hid]` with gate order
@@ -89,8 +91,16 @@ impl LstmCell {
         (h_new, c_new, cache)
     }
 
+    /// Pack the fused weight transposed into `wt`, once per backward pass:
+    /// every [`LstmCell::step_backward`] of the pass reads it, so the pack is
+    /// paid once for all timesteps rather than once per step.
+    pub fn transpose_weights<'a>(&self, arena: &Arena, wt: &'a mut Vec<f32>) -> Transposed<'a> {
+        transpose(arena.p(self.w), self.in_dim + self.hid, 4 * self.hid, wt)
+    }
+
     /// One BPTT step: given `dh` and `dc` flowing in from the future, accumulates
-    /// weight grads and returns `(dx_t, dh_prev, dc_prev)`.
+    /// weight grads and returns `(dx_t, dh_prev, dc_prev)`. `wt` is this pass's
+    /// [`LstmCell::transpose_weights`].
     pub fn step_backward(
         &self,
         arena: &mut Arena,
@@ -98,6 +108,7 @@ impl LstmCell {
         dh: &[f32],
         dc_in: &[f32],
         batch: usize,
+        wt: Transposed<'_>,
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let (hid, ind) = (self.hid, self.in_dim);
         let mut dz = vec![0.0f32; batch * 4 * hid];
@@ -131,7 +142,7 @@ impl LstmCell {
             bias_grad(&dz, gb, batch, 4 * hid);
         }
         let mut dconcat = vec![0.0f32; batch * (ind + hid)];
-        matmul_acc_wt(&dz, arena.p(self.w), &mut dconcat, batch, ind + hid, 4 * hid);
+        matmul_acc_wt(&dz, wt, &mut dconcat, batch, ind + hid, 4 * hid);
         let mut dx = vec![0.0f32; batch * ind];
         let mut dh_prev = vec![0.0f32; batch * hid];
         for bi in 0..batch {
@@ -184,8 +195,11 @@ mod tests {
         arena.zero_grads();
         let mut dh = h.clone(); // d(½‖h‖²)/dh = h
         let mut dc = vec![0.0f32; batch * 4];
+        let mut buf = Vec::new();
+        let wt = cell.transpose_weights(&arena, &mut buf);
         for cache in caches.iter().rev() {
-            let (_dx, dh_prev, dc_prev) = cell.step_backward(&mut arena, cache, &dh, &dc, batch);
+            let (_dx, dh_prev, dc_prev) =
+                cell.step_backward(&mut arena, cache, &dh, &dc, batch, wt);
             dh = dh_prev;
             dc = dc_prev;
         }

@@ -8,7 +8,7 @@ use crate::arena::Arena;
 use crate::data::SeqBatch;
 use crate::layers::{Embedding, Linear, LstmCell};
 use crate::model::{EvalStats, Model, TrainStats};
-use crate::ops::softmax_xent;
+use crate::ops::{softmax_xent, with_wt_buffer};
 use rand::prelude::*;
 
 /// The LSTM / AN4 stand-in (see module docs).
@@ -40,17 +40,16 @@ impl LstmNet {
     }
 
     /// Unrolled forward; returns per-step logits `[seq][batch·vocab]` plus the
-    /// caches needed for BPTT (embedded inputs and per-step LSTM states).
+    /// caches needed for BPTT (per-step hidden states and LSTM states).
     #[allow(clippy::type_complexity)]
     fn forward_full(
         &self,
         batch: &SeqBatch,
-    ) -> (Vec<Vec<f32>>, Vec<Vec<f32>>, Vec<Vec<f32>>, Vec<crate::layers::LstmState>) {
+    ) -> (Vec<Vec<f32>>, Vec<Vec<f32>>, Vec<crate::layers::LstmState>) {
         let (b, s) = (batch.batch, batch.seq);
         let mut h = vec![0.0f32; b * self.hid];
         let mut c = vec![0.0f32; b * self.hid];
         let mut logits_t = Vec::with_capacity(s);
-        let mut embedded_t = Vec::with_capacity(s);
         let mut hidden_t = Vec::with_capacity(s);
         let mut caches = Vec::with_capacity(s);
         for t in 0..s {
@@ -61,11 +60,10 @@ impl LstmNet {
             h = h2;
             c = c2;
             logits_t.push(self.head.forward(&self.arena, &h, b));
-            embedded_t.push(x);
             hidden_t.push(h.clone());
             caches.push(cache);
         }
-        (logits_t, embedded_t, hidden_t, caches)
+        (logits_t, hidden_t, caches)
     }
 
     fn targets_at(&self, batch: &SeqBatch, t: usize) -> Vec<u32> {
@@ -98,41 +96,53 @@ impl Model for LstmNet {
 
     fn forward_backward(&mut self, batch: &SeqBatch) -> TrainStats {
         let (b, s) = (batch.batch, batch.seq);
-        let (logits_t, embedded_t, hidden_t, caches) = self.forward_full(batch);
+        let (hid, vocab) = (self.hid, self.vocab);
+        let (logits_t, hidden_t, caches) = self.forward_full(batch);
 
         let scale = 1.0 / (b * s) as f32; // mean over all scored positions
         let mut stats = TrainStats::default();
-        let mut dh = vec![0.0f32; b * self.hid];
-        let mut dc = vec![0.0f32; b * self.hid];
-        // BPTT: walk timesteps in reverse, adding each step's head gradient to the
-        // hidden-state gradient flowing back through the cell.
-        for t in (0..s).rev() {
+        // The head's gradients do not depend on the recurrence, so one backward
+        // call covers every timestep: rows stacked latest step first, the order
+        // BPTT visits them, so each weight gradient adds its terms in the same
+        // sequence as one call per step would.
+        let mut dlogits = vec![0.0f32; s * b * vocab];
+        let mut hidden_rev = Vec::with_capacity(s * b * hid);
+        for (t, dl) in (0..s).rev().zip(dlogits.chunks_exact_mut(b * vocab)) {
             let targets = self.targets_at(batch, t);
-            let mut dlogits = vec![0.0f32; b * self.vocab];
-            let (loss, correct) =
-                softmax_xent(&logits_t[t], &targets, &mut dlogits, b, self.vocab, scale);
+            let (loss, correct) = softmax_xent(&logits_t[t], &targets, dl, b, vocab, scale);
             stats.loss += loss;
             stats.correct += correct;
             stats.count += b;
-            let dh_head = self.head.backward(&mut self.arena, &hidden_t[t], &dlogits, b);
-            for (a, g) in dh.iter_mut().zip(&dh_head) {
-                *a += g;
-            }
-            let (dx, dh_prev, dc_prev) =
-                self.cell.step_backward(&mut self.arena, &caches[t], &dh, &dc, b);
-            let toks: Vec<u32> = (0..b).map(|bi| batch.tokens[bi * s + t]).collect();
-            self.embed.backward(&mut self.arena, &toks, &dx);
-            let _ = embedded_t; // inputs only needed inside the cell cache
-            dh = dh_prev;
-            dc = dc_prev;
+            hidden_rev.extend_from_slice(&hidden_t[t]);
         }
+        let dh_head = self.head.backward(&mut self.arena, &hidden_rev, &dlogits, s * b);
+
+        let mut dh = vec![0.0f32; b * hid];
+        let mut dc = vec![0.0f32; b * hid];
+        // BPTT: walk timesteps in reverse, adding each step's head gradient to the
+        // hidden-state gradient flowing back through the cell. The cell's weight
+        // is packed transposed once, and every timestep reads it.
+        with_wt_buffer(|buf| {
+            let wt = self.cell.transpose_weights(&self.arena, buf);
+            for (t, dh_t) in (0..s).rev().zip(dh_head.chunks_exact(b * hid)) {
+                for (a, g) in dh.iter_mut().zip(dh_t) {
+                    *a += g;
+                }
+                let (dx, dh_prev, dc_prev) =
+                    self.cell.step_backward(&mut self.arena, &caches[t], &dh, &dc, b, wt);
+                let toks: Vec<u32> = (0..b).map(|bi| batch.tokens[bi * s + t]).collect();
+                self.embed.backward(&mut self.arena, &toks, &dx);
+                dh = dh_prev;
+                dc = dc_prev;
+            }
+        });
         stats
     }
 
     #[allow(clippy::needless_range_loop)] // t indexes parallel per-step buffers
     fn evaluate(&self, batch: &SeqBatch) -> EvalStats {
         let (b, s) = (batch.batch, batch.seq);
-        let (logits_t, _, _, _) = self.forward_full(batch);
+        let (logits_t, _, _) = self.forward_full(batch);
         let mut stats = EvalStats::default();
         let mut scratch = vec![0.0f32; b * self.vocab];
         for t in 0..s {

@@ -2,166 +2,159 @@
 //!
 //! All kernels operate on row-major `[rows, cols]` slices.
 //!
-//! The three matmul kernels carry the forward/backward flops and are blocked,
-//! register-tiled, and lane-vectorized:
+//! The three matmul kernels carry the forward/backward flops. All three run
+//! through one register-panel microkernel, [`sparse::simd::gather_madd`]:
+//! `acc[p] += Σ_q c_q · src[off_q + p]`, with the lanes on *independent
+//! outputs* — a panel of outputs stays in registers while each lane adds its
+//! own terms in ascending `q`.
 //!
 //! - [`matmul_acc`] and [`matmul_acc_xt`] gather the nonzero multipliers of
 //!   each [`KC`]-wide reduction block (ReLU activations make many of them
-//!   zero), then stream [`NC`]-wide output panels through the
-//!   [`sparse::simd::axpy4`] microkernel — four fused row-updates per pass,
-//!   one load/store of the output per element instead of four.
-//! - [`matmul_acc_wt`] computes four dot products at once over shared loads of
-//!   the `dy` row (a 4-way register tile of independent scalar accumulator
-//!   chains). It is deliberately *not* lane-vectorized: splitting one dot
-//!   product across lanes would reassociate the f32 sum; four independent
-//!   chains give the ILP without touching any accumulation order.
+//!   zero) and run the gathered rows through the kernel straight into the
+//!   output row.
+//! - [`matmul_acc_wt`] reads the weight transposed (a [`Transposed`] from
+//!   [`transpose`], packed once per weight per backward pass), so the outputs `i` of one `dy` row are
+//!   contiguous lanes: each lane's dot product starts from a zeroed
+//!   accumulator, adds every `j` in ascending order and is then added to the
+//!   output — the sequence of one lone scalar dot product. Lanes along the
+//!   reduction index `j` would reassociate that sum; lanes across outputs do
+//!   not.
 //!
-//! Every tiling decision preserves the exact per-element operation sequence of
-//! the naive ikj loops (ascending reduction index, zero-skip included), so the
-//! results are **bit-identical** to the scalar reference — asserted by the
-//! `kernel_parity` proptest suite against an explicit-loop reference
-//! implementation.
+//! Every decision preserves the exact per-element operation sequence of the
+//! naive loops (ascending reduction index, with zero-skip in the two gather
+//! kernels and without it in `wt`), so the results are **bit-identical** to
+//! the scalar reference — asserted by the `kernel_parity` suite against
+//! explicit-loop reference implementations.
 //!
 //! The kernels run serially on the calling rank's thread — ranks are the unit
 //! of host parallelism, `simnet`'s event engine shares the cores between them
 //! (DESIGN.md §7).
 
 use sparse::simd;
+use std::sync::{Mutex, PoisonError};
 
-/// Reduction-block width for the nonzero gather in [`matmul_acc`] /
-/// [`matmul_acc_xt`]: the `(index, multiplier)` pairs of one block fit in two
-/// stack arrays (512 B) and the gathered run feeds the 4-row microkernel.
+/// Reduction-block width: the `(offset, multiplier)` pairs of one block fit in
+/// two stack arrays (768 B) and feed one [`simd::gather_madd`] call.
 pub const KC: usize = 64;
-
-/// Output-panel width (f32 elements) for the cache-blocked column walk: one
-/// panel of the output row plus four source rows stay L1-resident (20 KiB).
-pub const NC: usize = 1024;
 
 /// `out[b, j] += Σᵢ x[b, i] · w[i, j]` — x: `[rows, inner]`, w: `[inner, cols]`.
 ///
-/// Tiled: gather the nonzero `(i, x[b,i])` pairs of each [`KC`] block, then
-/// run the gathered quads through the [`simd::axpy4`] microkernel over
-/// [`NC`]-wide panels of the output row. Per output element the reduction
-/// order is ascending `i` with zero-skip — exactly the naive ikj loop, hence
-/// bit-identical.
+/// Per [`KC`] block of `i`, gather the nonzero `(i, x[b,i])` pairs and add the
+/// gathered rows of `w` into the output row with [`simd::gather_madd`]. Per
+/// output element the reduction order is ascending `i` with zero-skip —
+/// exactly the naive ikj loop, hence bit-identical.
 pub fn matmul_acc(x: &[f32], w: &[f32], out: &mut [f32], rows: usize, inner: usize, cols: usize) {
     debug_assert_eq!(x.len(), rows * inner);
     debug_assert_eq!(w.len(), inner * cols);
     debug_assert_eq!(out.len(), rows * cols);
-    let mut idxs = [0usize; KC];
-    let mut vals = [0f32; KC];
     for b in 0..rows {
-        let xb = &x[b * inner..(b + 1) * inner];
         let ob = &mut out[b * cols..(b + 1) * cols];
-        for bs in (0..inner).step_by(KC) {
-            let be = (bs + KC).min(inner);
-            let mut m = 0usize;
-            for (i, &xv) in xb[bs..be].iter().enumerate() {
-                if xv != 0.0 {
-                    // Gather survivors only: the quad kernel must never inject
-                    // an `+= 0.0·w` term the scalar loop skipped (common after
-                    // ReLU, and adding 0.0 is not a bitwise no-op for -0.0).
-                    idxs[m] = bs + i;
-                    vals[m] = xv;
-                    m += 1;
-                }
+        gather_rows_madd(ob, w, cols, &x[b * inner..(b + 1) * inner]);
+    }
+}
+
+/// `acc += Σ_r mults[r] · src[r·stride ..][..acc.len()]` over the nonzero
+/// `mults`, in ascending `r`, one [`KC`] block per kernel call. Skipping a
+/// zero multiplier is part of the contract: an injected `+= 0.0·v` is not a
+/// bitwise no-op (`-0.0`, or a non-finite `v`).
+fn gather_rows_madd(acc: &mut [f32], src: &[f32], stride: usize, mults: &[f32]) {
+    let mut offs = [0usize; KC];
+    let mut vals = [0f32; KC];
+    for (blk, block) in mults.chunks(KC).enumerate() {
+        let mut m = 0usize;
+        for (r, &v) in block.iter().enumerate() {
+            if v != 0.0 {
+                offs[m] = (blk * KC + r) * stride;
+                vals[m] = v;
+                m += 1;
             }
-            if m == 0 {
-                continue;
-            }
-            for jp in (0..cols).step_by(NC) {
-                let je = (jp + NC).min(cols);
-                let op = &mut ob[jp..je];
-                let mut q = 0usize;
-                while q + 4 <= m {
-                    let rows4 = [
-                        &w[idxs[q] * cols + jp..idxs[q] * cols + je],
-                        &w[idxs[q + 1] * cols + jp..idxs[q + 1] * cols + je],
-                        &w[idxs[q + 2] * cols + jp..idxs[q + 2] * cols + je],
-                        &w[idxs[q + 3] * cols + jp..idxs[q + 3] * cols + je],
-                    ];
-                    let a = [vals[q], vals[q + 1], vals[q + 2], vals[q + 3]];
-                    simd::axpy4(op, rows4, a);
-                    q += 4;
-                }
-                while q < m {
-                    let wrow = &w[idxs[q] * cols + jp..idxs[q] * cols + je];
-                    simd::axpy(op, wrow, vals[q]);
-                    q += 1;
-                }
-            }
+        }
+        if m > 0 {
+            simd::gather_madd(acc, src, &offs[..m], &vals[..m]);
         }
     }
 }
 
+/// A weight packed transposed by [`transpose`]: the `[cols, rows]` layout
+/// [`matmul_acc_wt`] reads. Only `transpose` makes one, so a raw weight —
+/// the same length in either layout — cannot be passed to the kernel.
+#[derive(Clone, Copy, Debug)]
+pub struct Transposed<'a>(&'a [f32]);
+
+/// `wt = wᵀ`: the `[cols, rows]` transpose of the row-major `[rows, cols]`
+/// matrix `w`, written over `wt` (which keeps its capacity from call to call).
+pub fn transpose<'a>(w: &[f32], rows: usize, cols: usize, wt: &'a mut Vec<f32>) -> Transposed<'a> {
+    debug_assert_eq!(w.len(), rows * cols);
+    wt.clear();
+    for j in 0..cols {
+        wt.extend(w.iter().skip(j).step_by(cols));
+    }
+    Transposed(wt)
+}
+
+/// Buffers lent by [`with_wt_buffer`].
+static WT_BUFFERS: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
+
+/// Run `f` with a buffer to [`transpose`] a weight into, taken from a
+/// process-wide pool and returned to it afterwards. A backward pass does not
+/// park while it holds one, so the pool holds as many buffers as passes ever
+/// ran at once — at most the engine's run tokens — and not one per rank.
+pub(crate) fn with_wt_buffer(f: impl FnOnce(&mut Vec<f32>)) {
+    // Any pooled buffer will do — `transpose` overwrites it — so a lock
+    // poisoned by a panic elsewhere is safe to recover.
+    let pooled = WT_BUFFERS.lock().unwrap_or_else(PoisonError::into_inner).pop();
+    let mut buf = pooled.unwrap_or_default();
+    f(&mut buf);
+    WT_BUFFERS.lock().unwrap_or_else(PoisonError::into_inner).push(buf);
+}
+
 /// `out[b, i] += Σⱼ dy[b, j] · w[i, j]` — gradient w.r.t. the input of a matmul
-/// (dy: `[rows, cols]`, w: `[inner, cols]`, out: `[rows, inner]`).
+/// (dy: `[rows, cols]`, w: `[inner, cols]`, out: `[rows, inner]`), with the
+/// weight passed transposed: `wt` = [`transpose`]`(w)`, `[cols, inner]`.
+///
+/// Per `dy` row, a register panel of outputs `i` accumulates from zero over
+/// every `j` in ascending order (no zero-skip) and is then added to `out`:
+/// each output's f32 sequence is that of one serial dot product.
 pub fn matmul_acc_wt(
     dy: &[f32],
-    w: &[f32],
+    wt: Transposed<'_>,
     out: &mut [f32],
     rows: usize,
     inner: usize,
     cols: usize,
 ) {
     debug_assert_eq!(dy.len(), rows * cols);
-    debug_assert_eq!(w.len(), inner * cols);
+    let Transposed(wt) = wt;
+    debug_assert_eq!(wt.len(), inner * cols);
     debug_assert_eq!(out.len(), rows * inner);
+    let mut offs = [0usize; KC];
     for b in 0..rows {
         let dyb = &dy[b * cols..(b + 1) * cols];
         let ob = &mut out[b * inner..(b + 1) * inner];
-        let mut i = 0usize;
-        while i + 4 <= inner {
-            let a = dot4(
-                dyb,
-                &w[i * cols..(i + 1) * cols],
-                &w[(i + 1) * cols..(i + 2) * cols],
-                &w[(i + 2) * cols..(i + 3) * cols],
-                &w[(i + 3) * cols..(i + 4) * cols],
-            );
-            ob[i] += a[0];
-            ob[i + 1] += a[1];
-            ob[i + 2] += a[2];
-            ob[i + 3] += a[3];
-            i += 4;
-        }
-        while i < inner {
-            let wrow = &w[i * cols..(i + 1) * cols];
-            let mut acc = 0.0f32;
-            for (d, wv) in dyb.iter().zip(wrow) {
-                acc += d * wv;
+        for (i0, op) in (0..inner).step_by(simd::PANEL).zip(ob.chunks_mut(simd::PANEL)) {
+            let mut acc = [0f32; simd::PANEL];
+            let acc = &mut acc[..op.len()];
+            for (blk, coefs) in dyb.chunks(KC).enumerate() {
+                for (q, off) in offs[..coefs.len()].iter_mut().enumerate() {
+                    *off = (blk * KC + q) * inner + i0;
+                }
+                simd::gather_madd(acc, wt, &offs[..coefs.len()], coefs);
             }
-            ob[i] += acc;
-            i += 1;
+            for (o, a) in op.iter_mut().zip(acc.iter()) {
+                *o += a;
+            }
         }
     }
-}
-
-/// Four dot products against a shared left vector, as four *independent*
-/// scalar accumulator chains walking `j` in ascending order. This is register
-/// tiling without lane vectorization: each accumulator sees the exact f32
-/// operation sequence of a lone serial dot product (no reassociation), while
-/// the four chains give the core ILP and amortize the `d` loads 4×.
-#[inline]
-fn dot4(d: &[f32], w0: &[f32], w1: &[f32], w2: &[f32], w3: &[f32]) -> [f32; 4] {
-    let mut a = [0.0f32; 4];
-    for (j, &dv) in d.iter().enumerate() {
-        a[0] += dv * w0[j];
-        a[1] += dv * w1[j];
-        a[2] += dv * w2[j];
-        a[3] += dv * w3[j];
-    }
-    a
 }
 
 /// `dw[i, j] += Σ_b x[b, i] · dy[b, j]` — gradient w.r.t. the weights of a matmul.
 ///
-/// Tiled: the loop nest is `i` outer / `b` inner (the transpose of the naive kernel's
+/// The loop nest is `i` outer / `b` inner (the transpose of the naive kernel's
 /// order): per `dw` row, gather the nonzero `(b, x[b,i])` pairs of each [`KC`]
-/// batch block and run the quads through [`simd::axpy4`] over [`NC`]-wide
-/// panels. Every `dw[i, j]` still accumulates its batch contributions in
-/// ascending `b` with zero-skip — the identical f32 sequence the naive
-/// `b`-outer loop produces, because distinct `dw` rows never interact.
+/// batch block and add the gathered `dy` rows with [`simd::gather_madd`].
+/// Every `dw[i, j]` still accumulates its batch contributions in ascending `b`
+/// with zero-skip — the identical f32 sequence the naive `b`-outer loop
+/// produces, because distinct `dw` rows never interact.
 pub fn matmul_acc_xt(
     x: &[f32],
     dy: &[f32],
@@ -173,45 +166,15 @@ pub fn matmul_acc_xt(
     debug_assert_eq!(x.len(), rows * inner);
     debug_assert_eq!(dy.len(), rows * cols);
     debug_assert_eq!(dw.len(), inner * cols);
-    let mut bidx = [0usize; KC];
-    let mut vals = [0f32; KC];
+    let mut xi = [0f32; KC];
     for i in 0..inner {
         let dwrow = &mut dw[i * cols..(i + 1) * cols];
         for bs in (0..rows).step_by(KC) {
             let be = (bs + KC).min(rows);
-            let mut m = 0usize;
-            for b in bs..be {
-                let xv = x[b * inner + i];
-                if xv != 0.0 {
-                    bidx[m] = b;
-                    vals[m] = xv;
-                    m += 1;
-                }
+            for (b, v) in (bs..be).zip(xi.iter_mut()) {
+                *v = x[b * inner + i];
             }
-            if m == 0 {
-                continue;
-            }
-            for jp in (0..cols).step_by(NC) {
-                let je = (jp + NC).min(cols);
-                let dwp = &mut dwrow[jp..je];
-                let mut q = 0usize;
-                while q + 4 <= m {
-                    let rows4 = [
-                        &dy[bidx[q] * cols + jp..bidx[q] * cols + je],
-                        &dy[bidx[q + 1] * cols + jp..bidx[q + 1] * cols + je],
-                        &dy[bidx[q + 2] * cols + jp..bidx[q + 2] * cols + je],
-                        &dy[bidx[q + 3] * cols + jp..bidx[q + 3] * cols + je],
-                    ];
-                    let a = [vals[q], vals[q + 1], vals[q + 2], vals[q + 3]];
-                    simd::axpy4(dwp, rows4, a);
-                    q += 4;
-                }
-                while q < m {
-                    let dyrow = &dy[bidx[q] * cols + jp..bidx[q] * cols + je];
-                    simd::axpy(dwp, dyrow, vals[q]);
-                    q += 1;
-                }
-            }
+            gather_rows_madd(dwrow, &dy[bs * cols..], cols, &xi[..be - bs]);
         }
     }
 }
@@ -349,7 +312,8 @@ mod tests {
         let dy = [1.0f32, 0.5, -1.0, 2.0];
 
         let mut dx = vec![0.0f32; rows * inner];
-        matmul_acc_wt(&dy, &w, &mut dx, rows, inner, cols);
+        let mut wt = Vec::new();
+        matmul_acc_wt(&dy, transpose(&w, inner, cols, &mut wt), &mut dx, rows, inner, cols);
         for b in 0..rows {
             for i in 0..inner {
                 let mut want = 0.0f32;

@@ -1,8 +1,10 @@
-//! Explicit-lane SIMD kernels for the selection/residual hot path.
+//! Explicit-lane SIMD kernels for the selection/residual hot path and the dnn
+//! matmuls.
 //!
 //! Every Ok-Topk step burns most of its compute in a handful of O(n) per-element
 //! passes: the threshold count/scan, the survivor filter, and the residual
-//! accumulate (fused with the scan on a steady-state step). Two kinds of
+//! accumulate (fused with the scan on a steady-state step); a training step's
+//! forward and backward passes burn theirs in matmuls. Three kinds of
 //! kernels, deliberately implemented differently:
 //!
 //! - **Compare/mask kernels** ([`count_abs_ge`], [`scan_keep_append`]) use
@@ -17,6 +19,9 @@
 //!   *slower* here (see the note on the x86 module), and a width sweep read
 //!   within 3% across 1/4/8 lanes: these loops are memory-bound, so wider
 //!   registers add nothing.
+//! - **The matmul microkernel** ([`gather_madd`]) is one portable core too,
+//!   but compute-bound on L1-resident panels, so on an AVX2 host it runs that
+//!   core compiled for AVX2.
 //!
 //! ## Lane width
 //!
@@ -33,20 +38,21 @@
 //! reassociates a float reduction:
 //!
 //! - counts are integer reductions (order-free);
-//! - `fused_scale_add`, `scale_inplace`, `axpy`/`axpy4` are elementwise (each
-//!   output element sees the exact scalar operation sequence — `axpy4` adds its
-//!   four terms in ascending-row order, matching a serial one-row-at-a-time loop);
+//! - `fused_scale_add`, `scale_inplace`, `axpy` are elementwise (each output
+//!   element sees the exact scalar operation sequence);
+//! - `gather_madd` puts its lanes on *independent outputs*: each lane adds its
+//!   own terms in ascending order, the sequence of a scalar loop, while the
+//!   panel stays in registers;
 //! - the keep-scan emits survivors in index order off a lane mask;
 //! - `accumulate_scan_keep_append` is `axpy` then the keep-scan, tile by tile:
 //!   `o + a·r` rounds exactly as `fused_scale_add`'s `e + s·g` does, so it
 //!   leaves the bits that kernel followed by a whole-array scan would.
 //!
-//! Kernels that *would* need to reassociate (e.g. a lane-parallel dot product)
-//! are deliberately not provided; the dnn matmul family instead uses
-//! register-tiled formulations that keep each output element's accumulation
-//! order serial (see `dnn::ops`). If a future kernel must reassociate, its
-//! parity test drops from bitwise equality to a documented relative-error
-//! tolerance — that is the only sanctioned relaxation.
+//! Lanes along a reduction (a horizontal-sum dot product) would reassociate,
+//! and no kernel here does that: the dnn matmuls, dot products included, put
+//! the lanes across outputs instead (see `dnn::ops`). If a future kernel must
+//! reassociate, its parity test drops from bitwise equality to a documented
+//! relative-error tolerance — that is the only sanctioned relaxation.
 
 use std::sync::OnceLock;
 
@@ -146,9 +152,10 @@ fn keep_mask_core<const L: usize>(block: &[f32], th: f32) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// x86-64 intrinsic kernels — count/mask only. These use hand-written AVX2/SSE2
-// compares because LLVM does not reliably turn the portable mask fold into
-// movemask. The elementwise streaming kernels deliberately have NO intrinsic
+// x86-64 intrinsic kernels — count/mask, plus an AVX2 build of the portable
+// matmul microkernel. The mask kernels use hand-written AVX2/SSE2 compares
+// because LLVM does not reliably turn the portable mask fold into movemask.
+// The elementwise streaming kernels deliberately have NO intrinsic
 // variants: their portable core already autovectorizes at the build's baseline
 // ISA, and `#[target_feature(enable = "avx2")]` wrappers around them measured
 // consistently *slower* than baseline codegen on memory-bound sizes (the
@@ -227,6 +234,21 @@ mod x86 {
         let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_and_ps(v, absmask), _mm256_set1_ps(th));
         let nz = _mm256_cmp_ps::<_CMP_NEQ_UQ>(v, _mm256_setzero_ps());
         _mm256_movemask_ps(_mm256_and_ps(ge, nz)) as u32
+    }
+
+    /// [`super::gather_madd`]'s portable core compiled for AVX2: the same
+    /// lane code on registers twice as wide. Multiply and add stay separate
+    /// instructions (no FMA contraction), so every lane rounds exactly as the
+    /// portable core does; the kernel is compute-bound on L1-resident panels,
+    /// so, unlike the streaming kernels, the width pays (EXPERIMENTS.md
+    /// § "Lane-parallel matmul kernels").
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gather_madd_avx2(acc: &mut [f32], src: &[f32], offs: &[usize], coefs: &[f32]) {
+        super::gather_madd_core(acc, src, offs, coefs)
     }
 
     /// Keep-lane bitmask for one 4-block.
@@ -429,41 +451,63 @@ pub fn axpy(out: &mut [f32], row: &[f32], a: f32) {
     }
 }
 
-/// Four-row [`axpy`]: `out[j] += a0·r0[j] + a1·r1[j] + a2·r2[j] + a3·r3[j]`
-/// with a single load/store of `out` per element. Terms are added in
-/// ascending-row order, so the result is bit-identical to four sequential
-/// `axpy` calls. Rows must be at least as long as `out`.
-pub fn axpy4(out: &mut [f32], rows: [&[f32]; 4], a: [f32; 4]) {
-    let n = out.len();
-    // Pre-slice to `n` so the chunk iterators stay in lock-step and LLVM can
-    // elide the per-element bounds checks.
-    let [r0, r1, r2, r3] = rows.map(|r| &r[..n]);
-    let mut o = out.chunks_exact_mut(EW);
-    let mut i0 = r0.chunks_exact(EW);
-    let mut i1 = r1.chunks_exact(EW);
-    let mut i2 = r2.chunks_exact(EW);
-    let mut i3 = r3.chunks_exact(EW);
-    for ((((oc, c0), c1), c2), c3) in (&mut o).zip(&mut i0).zip(&mut i1).zip(&mut i2).zip(&mut i3) {
-        for j in 0..EW {
-            let mut v = oc[j];
-            v += a[0] * c0[j];
-            v += a[1] * c1[j];
-            v += a[2] * c2[j];
-            v += a[3] * c3[j];
-            oc[j] = v;
+/// Output lanes [`gather_madd`] keeps in registers across its whole sum: 32
+/// f32 are eight SSE2 or four AVX2 registers, each an independent chain.
+pub const PANEL: usize = 32;
+
+/// `acc[p] += Σ_q coefs[q] · src[offs[q] + p]` for every `p < acc.len()` — the
+/// register-panel microkernel of the dnn matmuls. Each lane is its own output
+/// and adds its terms in ascending `q`, exactly as a scalar loop over `q`
+/// would, so the result is bit-identical to it at any lane width; what the
+/// lanes buy is that a panel of `acc` is loaded once, stays in registers for
+/// every `q`, and is stored once. `offs` and `coefs` are equal length, and
+/// `src[off..off + acc.len()]` must be in bounds for every offset.
+pub fn gather_madd(acc: &mut [f32], src: &[f32], offs: &[usize], coefs: &[f32]) {
+    assert_eq!(offs.len(), coefs.len(), "one coefficient per gathered row");
+    #[cfg(target_arch = "x86_64")]
+    if caps().lanes == Lanes::W8 {
+        // SAFETY: `caps()` reports 8 lanes on x86-64 only when AVX2 is present.
+        return unsafe { x86::gather_madd_avx2(acc, src, offs, coefs) };
+    }
+    gather_madd_core(acc, src, offs, coefs)
+}
+
+#[inline(always)]
+fn gather_madd_core(acc: &mut [f32], src: &[f32], offs: &[usize], coefs: &[f32]) {
+    let n = acc.len();
+    let mut p0 = 0;
+    while n - p0 >= PANEL {
+        madd_panel::<PANEL>(&mut acc[p0..p0 + PANEL], src, p0, offs, coefs);
+        p0 += PANEL;
+    }
+    while n - p0 >= EW {
+        madd_panel::<EW>(&mut acc[p0..p0 + EW], src, p0, offs, coefs);
+        p0 += EW;
+    }
+    while p0 < n {
+        madd_panel::<1>(&mut acc[p0..p0 + 1], src, p0, offs, coefs);
+        p0 += 1;
+    }
+}
+
+/// One `W`-lane panel of [`gather_madd`], starting at output lane `p0`.
+#[inline(always)]
+fn madd_panel<const W: usize>(
+    acc: &mut [f32],
+    src: &[f32],
+    p0: usize,
+    offs: &[usize],
+    coefs: &[f32],
+) {
+    let acc: &mut [f32; W] = acc.try_into().expect("panel is W lanes wide");
+    let mut a = *acc;
+    for (&off, &c) in offs.iter().zip(coefs) {
+        let s: &[f32; W] = src[off + p0..off + p0 + W].try_into().expect("W lanes");
+        for l in 0..W {
+            a[l] += c * s[l];
         }
     }
-    let tail = o.into_remainder();
-    let base = n - tail.len();
-    for (j, ov) in tail.iter_mut().enumerate() {
-        let i = base + j;
-        let mut v = *ov;
-        v += a[0] * r0[i];
-        v += a[1] * r1[i];
-        v += a[2] * r2[i];
-        v += a[3] * r3[i];
-        *ov = v;
-    }
+    *acc = a;
 }
 
 /// Elements per tile of [`accumulate_scan_keep_append`]: 8 KiB of residual plus
@@ -568,26 +612,34 @@ mod tests {
 
     #[test]
     fn axpy_kernels_bit_identical() {
-        let n = 133;
-        let rows: Vec<Vec<f32>> = (0..4).map(|s| mixed(n, 20 + s)).collect();
-        let a = [0.5f32, -1.25, 0.0, 2.0];
-        let init = mixed(n, 9);
-        // axpy4 == four sequential axpy calls == scalar loop.
-        let mut want = init.clone();
-        for (r, &c) in rows.iter().zip(&a) {
-            for (o, &rv) in want.iter_mut().zip(r) {
-                *o += c * rv;
+        // One lane count per panel path and remainder: scalar, 8-wide, 32-wide.
+        for n in [0usize, 1, 7, 8, 9, 31, 32, 33, 47, 133] {
+            let src = mixed(5 * n + 3, 20);
+            let offs = [2 * n, 0, 3, 4 * n, n + 1];
+            let coefs = [0.5f32, -1.25, 0.0, 2.0, -0.0];
+            let init = mixed(n, 9);
+            // Scalar reference: each lane adds its terms in ascending order.
+            let mut want = init.clone();
+            for (&off, &c) in offs.iter().zip(&coefs) {
+                for (p, o) in want.iter_mut().enumerate() {
+                    *o += c * src[off + p];
+                }
             }
-        }
-        let mut got = init.clone();
-        axpy4(&mut got, [&rows[0], &rows[1], &rows[2], &rows[3]], a);
-        assert_eq!(got, want, "axpy4");
+            let mut got = init.clone();
+            gather_madd(&mut got, &src, &offs, &coefs);
+            assert_eq!(got, want, "gather_madd n={n}");
+            // Lane parity: the portable core against whatever `caps()` picked
+            // (the AVX2 build on an AVX2 host).
+            let mut core = init.clone();
+            gather_madd_core(&mut core, &src, &offs, &coefs);
+            assert_eq!(core, want, "gather_madd_core n={n}");
 
-        let mut got1 = init.clone();
-        for (r, &c) in rows.iter().zip(&a) {
-            axpy(&mut got1, r, c);
+            let mut got1 = init.clone();
+            for (&off, &c) in offs.iter().zip(&coefs) {
+                axpy(&mut got1, &src[off..], c);
+            }
+            assert_eq!(got1, want, "axpy chain n={n}");
         }
-        assert_eq!(got1, want, "axpy chain");
     }
 
     #[test]

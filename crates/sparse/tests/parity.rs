@@ -227,30 +227,33 @@ mod lane_parity {
         }
 
         #[test]
-        fn axpy_kernels_match_scalar(
-            rows in prop::collection::vec(super::dense_vec(), 4..=4),
-            coef in prop::collection::vec(-2.0f32..2.0, 4..=4),
+        fn gather_madd_matches_scalar(
+            src in super::dense_vec(),
+            width in 0usize..80,
+            rows in prop::collection::vec((0usize..1000, -2.0f32..2.0), 0..12),
         ) {
-            let n = rows.iter().map(Vec::len).min().unwrap_or(0);
-            let init: Vec<f32> = (0..n).map(|i| (i as f32 * 0.31).sin()).collect();
-            // Scalar reference: four sequential row updates, ascending order.
+            // `width` output lanes cover the 32- and 8-wide panels and every
+            // remainder; each gathered row starts anywhere it fits in `src`.
+            let width = width.min(src.len());
+            let (offs, coefs): (Vec<usize>, Vec<f32>) = rows
+                .iter()
+                .map(|&(o, c)| (o % (src.len() - width + 1), c))
+                .unzip();
+            let init: Vec<f32> = (0..width).map(|i| (i as f32 * 0.31).sin()).collect();
+            // Scalar reference: every lane adds its terms in ascending row order.
             let mut want = init.clone();
-            for (r, &c) in rows.iter().zip(&coef) {
-                for (o, &rv) in want.iter_mut().zip(&r[..n]) {
-                    *o += c * rv;
+            for (&off, &c) in offs.iter().zip(&coefs) {
+                for (p, o) in want.iter_mut().enumerate() {
+                    *o += c * src[off + p];
                 }
             }
             let mut got = init.clone();
-            simd::axpy4(
-                &mut got,
-                [&rows[0][..n], &rows[1][..n], &rows[2][..n], &rows[3][..n]],
-                [coef[0], coef[1], coef[2], coef[3]],
-            );
-            prop_assert_eq!(bits(&got), bits(&want), "axpy4");
+            simd::gather_madd(&mut got, &src, &offs, &coefs);
+            prop_assert_eq!(bits(&got), bits(&want), "gather_madd");
 
             let mut got1 = init.clone();
-            for (r, &c) in rows.iter().zip(&coef) {
-                simd::axpy(&mut got1, &r[..n], c);
+            for (&off, &c) in offs.iter().zip(&coefs) {
+                simd::axpy(&mut got1, &src[off..], c);
             }
             prop_assert_eq!(bits(&got1), bits(&want), "axpy chain");
         }

@@ -404,12 +404,6 @@ impl Reducer {
         let State::Sparse { feedback, .. } = &self.state else { return &[] };
         feedback.residual()
     }
-
-    /// L2 norm of [`Reducer::residual`]: the trainer charts it per step to
-    /// confirm the residual mass stays bounded (Assumption 1's premise).
-    pub fn residual_l2(&self) -> f64 {
-        sparse::stats::l2_norm(self.residual())
-    }
 }
 
 /// A sparse row's selector and exchange, with Ok-Topk's state (thresholds,
@@ -1137,7 +1131,7 @@ mod tests {
                                 };
                                 let got = coo_bits(&u);
                                 handles.push(u);
-                                (got, m, r.residual_l2())
+                                (got, m, sparse::stats::l2_norm(r.residual()))
                             };
                             out.push((idx, bits, format!("{m:?}"), residual_l2));
                         }

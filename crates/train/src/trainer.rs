@@ -280,7 +280,6 @@ where
     let m_obs = comm.obs().enabled();
     let m_compute = comm.obs().rank_f64("train.compute_vsec", obs::Class::Virtual);
     let m_sparsify = comm.obs().rank_f64("train.sparsify_vsec", obs::Class::Virtual);
-    let m_residual = comm.obs().rank_f64("train.residual_l2", obs::Class::Virtual);
     let m_steps = comm.obs().counter("train.steps", obs::Class::Virtual);
     let mut model = make_model();
     let n = model.num_params();
@@ -404,11 +403,6 @@ where
             m_steps.inc();
             m_compute.add(rank, fwd_time);
             m_sparsify.add(rank, metrics.sparsify_time);
-            // Error-feedback health: residual mass left behind after this
-            // step's selection (bounded ⇔ Assumption 1's premise holds).
-            if cfg.scheme.is_sparse() {
-                m_residual.add(rank, reducer.residual_l2());
-            }
         }
 
         records.push(IterRecord {
@@ -621,7 +615,7 @@ mod tests {
             parallel.metrics.parity_view(),
             "trainer virtual metrics diverged across worker counts"
         );
-        for name in ["train.compute_vsec", "train.sparsify_vsec", "train.residual_l2"] {
+        for name in ["train.compute_vsec", "train.sparsify_vsec"] {
             assert!(
                 serial.metrics.parity_view().iter().any(|(n, _)| n == name),
                 "missing trainer metric {name}"

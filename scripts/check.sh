@@ -17,12 +17,14 @@
 # - hotpath fails the script if the scan_scalar_vs_simd headline is under 1.5
 #   (skipped where the host resolved to the scalar lane path), if at n = 2^22
 #   the fused accumulate+select is under 1.2x the two-buffer composition
-#   (skipped where the host's caches hold n), or if the obs_off_vs_on row
+#   (skipped where the host's caches hold n), if the obs_off_vs_on row
 #   shows the metrics registry costing
 #   more than 5% on a messaging-heavy collective workload (it costs about 2%
-#   in the median; run-to-run spread on a shared host is wider than that).
+#   in the median; run-to-run spread on a shared host is wider than that), or
+#   if matmul_wt_loop_vs_kernel (dx = dy·wᵀ at BertLite's backward shape, the
+#   explicit loop vs transpose + the lane-parallel kernel) is under 2.5x.
 #   A row under its floor is measured again, and fails only when three
-#   attempts in a row land under; every attempt is in the JSON. These three
+#   attempts in a row land under; every attempt is in the JSON. These four
 #   rows are the host-speed regressions no test and no other gate catches
 #   (EXPERIMENTS.md § "Hot-path wall-clock gate" has the mutation table).
 # - chaos runs a tiny P=4 robustness sweep and fails the script if any
