@@ -12,10 +12,17 @@
 //! - cross-checks schedules at P=32: a run serialized on one worker (W = 1)
 //!   and one on the default worker count must give bit-identical makespan and
 //!   update checksum;
-//! - with `--gate`, asserts Ok-Topk at P=1024 completes within a wall/memory
-//!   budget and holds the PR 9 headline at P=2048 (≥1.5x over the BENCH_PR7
-//!   baseline, with direct handoff carrying grants, inside its own memory
-//!   budget). All legs are hard failures; P = 4096 is in the full sweep only.
+//! - with `--gate`, runs these rows, in this order, and asserts each one's
+//!   budgets:
+//!   - Dense at P=2048 (n/P = 2, so a leaf of its reduce-scatter spans 512
+//!     regions) within a wall/memory budget, whose memory leg a leaf floor
+//!     too low to keep leaves from multiplying trips;
+//!   - Ok-Topk at P=1024 within a wall/memory budget;
+//!   - Ok-Topk at P=2048, the PR 9 headline (≥1.5x over the BENCH_PR7
+//!     baseline, with direct handoff carrying grants, inside its own memory
+//!     budget).
+//!
+//!   All legs are hard failures; P = 4096 is in the full sweep only.
 //!
 //! Usage: `cargo run --release -p okbench --bin scale [-- --quick] [--gate]
 //! [--out PATH]` (default `target/scale.json`).
@@ -56,6 +63,23 @@ const HEADLINE_MEM_BUDGET_KB: u64 = 198 * 1024;
 /// Ok-Topk P=2048 event-engine wall from BENCH_PR7.json, for the speedup line.
 const BASELINE_PR7_MS: f64 = 46165.1;
 
+/// Dense at the headline P, where n/P = 2 and `collectives::LEAF_FLOOR` makes
+/// a leaf of 512 regions. Measured (EXPERIMENTS.md § "Leaves"): 0.34–0.80 s
+/// and 72–83 MiB of peak RSS, alone or first in the gate. With a floor of 1,
+/// a leaf per region, it read 0.95–1.19 s and 160–162 MiB: the memory budget
+/// trips; the wall budget is absolute headroom, like the others.
+const DENSE_WALL_BUDGET: Duration = Duration::from_secs(5);
+const DENSE_MEM_BUDGET_KB: u64 = 112 * 1024;
+
+/// The gated cells: scheme, P, wall budget and peak-RSS budget. Dense runs
+/// first: peak RSS is a high-water mark, so a cell reads its own peak only if
+/// no earlier cell peaked higher.
+const GATED: [(Scheme, usize, Duration, u64); 3] = [
+    (Scheme::Dense, HEADLINE_P, DENSE_WALL_BUDGET, DENSE_MEM_BUDGET_KB),
+    (Scheme::OkTopk, GATE_P, GATE_WALL_BUDGET, GATE_MEM_BUDGET_KB),
+    (Scheme::OkTopk, HEADLINE_P, HEADLINE_WALL_BUDGET, HEADLINE_MEM_BUDGET_KB),
+];
+
 struct Row {
     scheme: Scheme,
     p: usize,
@@ -89,14 +113,16 @@ fn run_cell(scheme: Scheme, p: usize, workers: Option<usize>) -> Row {
 
 fn main() {
     let args = okbench::Args::parse("scale");
-    let sizes: &[usize] = if args.gate {
-        &[32, GATE_P, HEADLINE_P]
-    } else if args.quick {
-        &[32, 128, 512]
+    // The gate runs the P=32 cells, then its budgeted cells in `GATED` order.
+    let cells: Vec<(Scheme, usize)> = if args.gate {
+        let gated = GATED.iter().map(|&(scheme, p, ..)| (scheme, p));
+        SCHEMES.iter().map(|&scheme| (scheme, 32)).chain(gated).collect()
     } else {
-        &[32, 128, 512, 1024, 2048, 4096]
+        let sizes: &[usize] =
+            if args.quick { &[32, 128, 512] } else { &[32, 128, 512, 1024, 2048, 4096] };
+        sizes.iter().flat_map(|&p| SCHEMES.map(|scheme| (scheme, p))).collect()
     };
-    eprintln!("scale: n={N} density={DENSITY} iters={ITERS} sizes={sizes:?}");
+    eprintln!("scale: n={N} density={DENSITY} iters={ITERS} cells={}", cells.len());
     let mut failures = Vec::new();
 
     // Schedule parity at P=32: W = 1 (fully serialized) is the reference.
@@ -118,32 +144,27 @@ fn main() {
     eprintln!("  parity p=32 across worker counts: {}", if parity_ok { "ok" } else { "FAIL" });
 
     let mut rows = Vec::new();
-    for &p in sizes {
-        for scheme in SCHEMES {
-            if args.gate && p != 32 && scheme != Scheme::OkTopk {
-                continue;
-            }
-            let r = run_cell(scheme, p, None);
-            let row = Json::default()
-                .text("scheme", r.scheme.name())
-                .field("p", r.p)
-                .field("makespan", format!("{:.6e}", r.makespan))
-                .text("checksum", &format!("{:016x}", r.checksum))
-                .field("wall_ms", format!("{:.1}", r.wall.as_secs_f64() * 1e3))
-                .field("vm_hwm_kb", r.vm_hwm_kb)
-                .field("vm_rss_kb", proc_status_kb("VmRSS:"))
-                .field("parks", r.sched.parks)
-                .field(
-                    "parks_per_rank_step",
-                    format!("{:.3}", r.sched.parks as f64 / (p * ITERS) as f64),
-                )
-                .field("handoff_rate", format!("{:.4}", r.sched.handoff_rate()))
-                .field("handoff_hit", r.sched.handoff_hit)
-                .field("handoff_miss", r.sched.handoff_miss)
-                .field("park_elided", r.sched.park_elided);
-            eprintln!("  {}", row.inline());
-            rows.push((r, row));
-        }
+    for (scheme, p) in cells {
+        let r = run_cell(scheme, p, None);
+        let row = Json::default()
+            .text("scheme", r.scheme.name())
+            .field("p", r.p)
+            .field("makespan", format!("{:.6e}", r.makespan))
+            .text("checksum", &format!("{:016x}", r.checksum))
+            .field("wall_ms", format!("{:.1}", r.wall.as_secs_f64() * 1e3))
+            .field("vm_hwm_kb", r.vm_hwm_kb)
+            .field("vm_rss_kb", proc_status_kb("VmRSS:"))
+            .field("parks", r.sched.parks)
+            .field(
+                "parks_per_rank_step",
+                format!("{:.3}", r.sched.parks as f64 / (p * ITERS) as f64),
+            )
+            .field("handoff_rate", format!("{:.4}", r.sched.handoff_rate()))
+            .field("handoff_hit", r.sched.handoff_hit)
+            .field("handoff_miss", r.sched.handoff_miss)
+            .field("park_elided", r.sched.park_elided);
+        eprintln!("  {}", row.inline());
+        rows.push((r, row));
     }
 
     let mut params = Json::default()
@@ -152,40 +173,40 @@ fn main() {
         .field("iters", ITERS)
         .field("stack_bytes", STACK_BYTES)
         .field("schedule_parity_p32", parity_ok);
-    let okt =
-        |p: usize| rows.iter().map(|(r, _)| r).find(|r| r.p == p && r.scheme == Scheme::OkTopk);
-    for (p, wall_budget, mem_budget) in [
-        (GATE_P, GATE_WALL_BUDGET, GATE_MEM_BUDGET_KB),
-        (HEADLINE_P, HEADLINE_WALL_BUDGET, HEADLINE_MEM_BUDGET_KB),
-    ] {
-        let Some(r) = okt(p) else {
+    let cell = |scheme: Scheme, p: usize| {
+        rows.iter().map(|(r, _)| r).find(|r| r.p == p && r.scheme == scheme)
+    };
+    for (scheme, p, wall_budget, mem_budget) in GATED {
+        let name = scheme.name();
+        let Some(r) = cell(scheme, p) else {
             if args.gate {
-                failures.push(format!("the sweep has no Ok-Topk cell at P={p}"));
+                failures.push(format!("the sweep has no {name} cell at P={p}"));
             }
             continue;
         };
         let wall_ms = r.wall.as_secs_f64() * 1e3;
+        let key = if scheme == Scheme::OkTopk { "okt" } else { "dense" };
         params = params
-            .field(&format!("okt_p{p}_wall_ms"), format!("{wall_ms:.1}"))
-            .field(&format!("okt_p{p}_vm_hwm_kb"), r.vm_hwm_kb);
+            .field(&format!("{key}_p{p}_wall_ms"), format!("{wall_ms:.1}"))
+            .field(&format!("{key}_p{p}_vm_hwm_kb"), r.vm_hwm_kb);
         if !args.gate {
             continue;
         }
         if r.wall > wall_budget {
-            failures.push(format!("Ok-Topk at P={p} took {wall_ms:.0} ms > {wall_budget:?}"));
+            failures.push(format!("{name} at P={p} took {wall_ms:.0} ms > {wall_budget:?}"));
         }
         if r.vm_hwm_kb > mem_budget {
             failures
-                .push(format!("Ok-Topk at P={p} peaked at {} KiB > {mem_budget} KiB", r.vm_hwm_kb));
+                .push(format!("{name} at P={p} peaked at {} KiB > {mem_budget} KiB", r.vm_hwm_kb));
         }
-        if p == HEADLINE_P && r.sched.handoff_rate() <= 0.0 {
+        if (scheme, p) == (Scheme::OkTopk, HEADLINE_P) && r.sched.handoff_rate() <= 0.0 {
             failures.push(format!(
                 "scheduler handoff rate is zero at P={p}: direct handoff is not carrying grants \
                  (or `engine.handoff_hit`/`handoff_miss` stopped being recorded)"
             ));
         }
     }
-    if let Some(r) = okt(HEADLINE_P) {
+    if let Some(r) = cell(Scheme::OkTopk, HEADLINE_P) {
         let speedup = BASELINE_PR7_MS / (r.wall.as_secs_f64() * 1e3);
         eprintln!("  headline p={HEADLINE_P} Ok-Topk: {speedup:.2}x vs the PR 7 baseline {BASELINE_PR7_MS} ms");
         params = params
@@ -196,8 +217,10 @@ fn main() {
     let rows: Vec<Json> = rows.into_iter().map(|(_, row)| row).collect();
     args.header.write_json(&args.out, params, &rows);
     let ok = format!(
-        "parity holds at P=32; Ok-Topk ran at P={GATE_P} within {GATE_WALL_BUDGET:?} / {} MiB and at \
-         P={HEADLINE_P} within {HEADLINE_WALL_BUDGET:?} / {} MiB",
+        "parity holds at P=32; Dense ran at P={HEADLINE_P} within {DENSE_WALL_BUDGET:?} / {} MiB, \
+         Ok-Topk at P={GATE_P} within {GATE_WALL_BUDGET:?} / {} MiB and at P={HEADLINE_P} within \
+         {HEADLINE_WALL_BUDGET:?} / {} MiB",
+        DENSE_MEM_BUDGET_KB / 1024,
         GATE_MEM_BUDGET_KB / 1024,
         HEADLINE_MEM_BUDGET_KB / 1024
     );

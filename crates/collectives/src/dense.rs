@@ -13,7 +13,20 @@
 //! returns a handle to the same allocation. Chunk regions are computed
 //! arithmetically (no boundary vector), send chunks come from the
 //! communicator's recycled-buffer pool, and every received chunk goes back to
-//! it.
+//! it or becomes the rank's piece.
+//!
+//! Who copies what in Rabenseifner's reduce-scatter: a rank holds its segment
+//! as *leaves*, buffers of a run of the equal partition's regions, none
+//! shorter than [`LEAF_FLOOR`] elements. The first step copies the partner's
+//! half out of the borrowed gradient, one pooled buffer per leaf. Every later
+//! step whose half is whole leaves hands those buffers to the partner as they
+//! are, and accumulates `mine + got` into the ones that arrive; so the n/2
+//! words the copies of later steps used to cost are never copied. A segment
+//! of one leaf splits by copying its partner's half into one pooled buffer.
+//! With a leaf per region the rank's last leaf is its piece; otherwise the
+//! piece is an exact-size copy of the last buffer. One buffer travels as an
+//! inline `Vec<f32>` payload, several as one list: messages, their sizes and
+//! order, and every sum's operands are the ones a single-buffer schedule has.
 //!
 //! The same rule serves every result that is identical on all ranks
 //! ([`allgather_assembled`], [`allreduce_f64_shared`]): it exists once per
@@ -166,7 +179,68 @@ fn own_piece<C: Net>(
     Piece(data)
 }
 
+/// Shortest leaf of the halving reduce-scatter, in elements (4 KiB). Each
+/// leaf is one more buffer and one more list slot per message: with a leaf per
+/// region (a floor of 1) the n = 4096 Dense cell of `okbench scale` took ×5.1
+/// the wall and ×3.3 the peak RSS at P = 4096. There, floors of 256 and 1024
+/// read a tenth less peak RSS than 4096 (one leaf at that n), at the same
+/// wall; 256 read the highest wall of the three (EXPERIMENTS.md § "Leaves").
+pub const LEAF_FLOOR: usize = 1024;
+
+/// Regions per leaf for `n` elements over `p` regions: the fewest, a power of
+/// two, whose aligned runs are all at least [`LEAF_FLOOR`] long — or all `p`,
+/// one leaf for the whole vector, when no smaller run is.
+fn leaf_regions(n: usize, p: usize) -> usize {
+    let mut leaf = 1;
+    // A run of `leaf` aligned regions is at least ⌊n·leaf/p⌋ elements long.
+    while leaf < p && n * leaf < LEAF_FLOOR * p {
+        leaf *= 2;
+    }
+    leaf
+}
+
+/// The half of a segment one rank of a halving step hands the other, and the
+/// shape of the half it gets back: whole leaves, or one buffer when the half
+/// is a leaf or less. One buffer travels as a plain `Vec<f32>`, the message
+/// path's inline payload; several travel as one list, one message either way.
+enum Half {
+    One(Vec<f32>),
+    Leaves(Vec<Vec<f32>>),
+}
+
+impl Half {
+    fn send<C: Net>(self, comm: &mut C, partner: usize) {
+        match self {
+            Half::One(buf) => comm.send(partner, TAG_RS, buf),
+            Half::Leaves(leaves) => comm.send(partner, TAG_RS, leaves),
+        }
+    }
+
+    fn recv<C: Net>(comm: &mut C, partner: usize, bufs: usize) -> Self {
+        if bufs == 1 {
+            Half::One(comm.recv(partner, TAG_RS))
+        } else {
+            Half::Leaves(comm.recv(partner, TAG_RS))
+        }
+    }
+
+    fn bufs_mut(&mut self) -> &mut [Vec<f32>] {
+        match self {
+            Half::One(buf) => std::slice::from_mut(buf),
+            Half::Leaves(leaves) => leaves,
+        }
+    }
+}
+
 /// Rabenseifner's allreduce for power-of-two P.
+///
+/// The reduce-scatter holds a rank's segment as leaves: buffers of
+/// [`leaf_regions`] regions each. The first step copies the partner's half
+/// out of `grad`, one pooled buffer per leaf; while the segment spans more
+/// than one leaf, a step hands half of the leaves over and accumulates into
+/// the ones it receives. A segment of one leaf (or less) splits by copying the
+/// partner's half into one pooled buffer. With a leaf per region the rank's
+/// last leaf is its piece; otherwise [`own_piece`] copies it out.
 fn rabenseifner<C: Net>(
     comm: &mut C,
     grad: &[f32],
@@ -177,41 +251,82 @@ fn rabenseifner<C: Net>(
     let rank = comm.rank();
     let n = grad.len();
     debug_assert!(p.is_power_of_two() && p > 1);
+    let leaf = leaf_regions(n, p);
 
     // Recursive-halving reduce-scatter: the segment of regions this rank still
-    // reduces shrinks by half each step. Its partial sums live in `acc`, the
-    // buffer the previous step received (`grad` itself before the first).
-    let mut acc: Option<Vec<f32>> = None;
+    // reduces shrinks by half each step. Its partial sums are `held` (`grad`
+    // itself before the first step), in region order.
+    let mut held: Option<Half> = None;
     let mut spent: Option<Vec<f32>> = None;
     let (mut seg_lo, mut seg_len) = (0usize, p);
     let mut dist = p / 2;
     while dist >= 1 {
         let partner = rank ^ dist;
-        let mid = seg_lo + seg_len / 2;
-        let (keep, give) = if rank & dist == 0 {
-            ((seg_lo, mid), (mid, seg_lo + seg_len))
-        } else {
-            ((mid, seg_lo + seg_len), (seg_lo, mid))
+        let half = seg_len / 2;
+        let upper = rank & dist != 0;
+        let (keep, give) = if upper { (seg_lo + half, seg_lo) } else { (seg_lo, seg_lo + half) };
+        // Buffers per half: one per leaf, or one if the half is less than a leaf.
+        let bufs = (half / leaf).max(1);
+        // Buffer `i` of the half from region `lo`, as elements of one vector
+        // that covers the segment (so starts at the segment's first element).
+        let base = region(n, p, seg_lo, seg_lo).start;
+        let run = |lo: usize, i: usize| {
+            let r = region(n, p, lo + i * half / bufs, lo + (i + 1) * half / bufs);
+            r.start - base..r.end - base
+        };
+        let copy_out = |comm: &mut C, sums: &[f32]| match bufs {
+            1 => Half::One(pooled_chunk(comm, sums, run(give, 0))),
+            _ => Half::Leaves((0..bufs).map(|i| pooled_chunk(comm, sums, run(give, i))).collect()),
         };
         if let Some(spent) = spent.take() {
             comm.recycle_f32(spent);
         }
-        // `sums` covers the segment, so it starts at the segment's first element.
-        let sums = acc.as_deref().unwrap_or(grad);
-        let base = region(n, p, seg_lo, seg_lo).start;
-        let within = |r: std::ops::Range<usize>| r.start - base..r.end - base;
-        let chunk = pooled_chunk(comm, sums, within(region(n, p, give.0, give.1)));
-        comm.send(partner, TAG_RS, chunk);
+        // The partner's half, and this rank's sums of the half it keeps: while
+        // the segment spans several leaves, half of them are handed over and
+        // the rest `kept`; otherwise the half is copied out of `grad` or of
+        // the one buffer `acc`, and the kept sums are ranges of it.
+        let (gave, kept, acc) = match held.take() {
+            Some(Half::Leaves(mut leaves)) => {
+                debug_assert_eq!(leaves.len(), 2 * bufs);
+                let gave = match (bufs, upper) {
+                    (1, true) => Half::One(leaves.remove(0)),
+                    (1, false) => Half::One(leaves.pop().expect("two leaves")),
+                    (_, true) => Half::Leaves(leaves.drain(..bufs).collect()),
+                    (_, false) => Half::Leaves(leaves.split_off(bufs)),
+                };
+                (gave, leaves, None)
+            }
+            Some(Half::One(acc)) => (copy_out(comm, &acc), Vec::new(), Some(acc)),
+            None => (copy_out(comm, grad), Vec::new(), None),
+        };
+        gave.send(comm, partner);
         overlap.spend(comm);
-        let mut got: Vec<f32> = comm.recv(partner, TAG_RS);
-        accumulate(&mut got, &sums[within(region(n, p, keep.0, keep.1))]);
-        spent = acc.replace(got);
-        seg_lo = keep.0;
-        seg_len /= 2;
+        let mut got = Half::recv(comm, partner, bufs);
+        let sums = acc.as_deref().unwrap_or(grad);
+        for (i, g) in got.bufs_mut().iter_mut().enumerate() {
+            let mine = match kept.get(i) {
+                Some(leaf) => leaf.as_slice(),
+                None => &sums[run(keep, i)],
+            };
+            accumulate(g, mine);
+        }
+        for leaf in kept {
+            comm.recycle_f32(leaf);
+        }
+        spent = acc;
+        held = Some(got);
+        seg_lo = keep;
+        seg_len = half;
         dist /= 2;
     }
     debug_assert_eq!((seg_lo, seg_len), (rank, 1));
-    let piece = own_piece(comm, acc.expect("p > 1 runs at least one step"), spent, finish);
+    let Some(Half::One(mut acc)) = held else { unreachable!("p > 1 ends on a one-region half") };
+    let piece = if leaf == 1 {
+        finish(&mut acc);
+        Piece(acc)
+    } else {
+        own_piece(comm, acc, spent, finish)
+    };
 
     // Recursive-doubling allgather: segments re-merge in reverse order, and
     // origin order is region order.
@@ -255,6 +370,9 @@ fn ring_allreduce<C: Net>(
 
 /// Block reduce-scatter: afterwards each rank holds the fully reduced region `rank`
 /// of the equal partition (returned together with its element offset).
+///
+/// Accumulates into the first shard it receives (`mine + got`, the order of
+/// the in-place `mine += got`), so it copies nothing of its own region.
 pub fn reduce_scatter_block<C: Net>(comm: &mut C, data: &[f32]) -> (usize, Vec<f32>) {
     let p = comm.size();
     let rank = comm.rank();
@@ -264,21 +382,23 @@ pub fn reduce_scatter_block<C: Net>(comm: &mut C, data: &[f32]) -> (usize, Vec<f
     }
     // Direct exchange: send region j to rank j (rotated to avoid endpoint hot-spots),
     // then accumulate the P−1 incoming shards of our own region.
-    let mut mine = data[region(n, p, rank, rank + 1)].to_vec();
+    let own = region(n, p, rank, rank + 1);
     for s in 1..p {
         let dst = (rank + s) % p;
         let chunk = pooled_chunk(comm, data, region(n, p, dst, dst + 1));
         comm.send(dst, TAG_RS, chunk);
     }
-    for s in 1..p {
+    let mut sum: Vec<f32> = comm.recv((rank + p - 1) % p, TAG_RS);
+    accumulate(&mut sum, &data[own.clone()]);
+    for s in 2..p {
         let src = (rank + p - s) % p;
         let got: Vec<f32> = comm.recv(src, TAG_RS);
-        for (m, g) in mine.iter_mut().zip(&got) {
+        for (m, g) in sum.iter_mut().zip(&got) {
             *m += g;
         }
         comm.recycle_f32(got);
     }
-    (region(n, p, rank, rank).start, mine)
+    (own.start, sum)
 }
 
 /// Allgather of one item per rank: `result[r]` is rank `r`'s item.

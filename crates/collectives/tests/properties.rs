@@ -3,7 +3,7 @@
 use collectives::{
     allgather_items, allreduce_f64_shared, allreduce_inplace, allreduce_shared, broadcast,
     dsa_allreduce, gtopk_allreduce, reduce_to_root_dense, reduce_to_root_dense_into,
-    topk_allgather_allreduce, two_tier,
+    topk_allgather_allreduce, two_tier, LEAF_FLOOR,
 };
 use proptest::prelude::*;
 use simnet::{Cluster, CostModel, GroupComm, Net, WireSize};
@@ -463,6 +463,93 @@ fn allreduce_shared_matches_the_in_place_allreduce_and_shares_its_result() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Rank `rank`'s input to the leaf parity test. NaNs whose payload names the
+/// rank meet at every 17th index, so the sum's bits there depend on which
+/// operand of each add comes first; −0.0 meets −0.0 or +0.0 elsewhere, and
+/// the finite values span enough magnitudes that a sum's association shows in
+/// its low bits.
+fn payload_input(rank: usize, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|i| match (i % 17, (rank + i) % 4) {
+            (5, _) => f32::from_bits(0x7fc0_0000 | (rank as u32 + 1)),
+            (9, _) => -0.0,
+            (12, 0) => 0.0,
+            (12, _) => -0.0,
+            (_, k) => ((rank * 131 + i * 7) % 257) as f32 * 0.37 * 10f32.powi(k as i32 - 2),
+        })
+        .collect()
+}
+
+/// Rabenseifner's sum of element `i`, one add at a time in the schedule's
+/// order: at distance `d` (P/2 down to 1) every rank's partial becomes
+/// `mine + partner's`, and rank `owner` ends up holding its region's sum.
+fn halving_order_sum(inputs: &[Vec<f32>], i: usize, owner: usize) -> f32 {
+    let p = inputs.len();
+    let mut partial: Vec<f32> = inputs.iter().map(|v| v[i]).collect();
+    let mut dist = p / 2;
+    while dist >= 1 {
+        partial = (0..p).map(|r| partial[r] + partial[r ^ dist]).collect();
+        dist /= 2;
+    }
+    partial[owner]
+}
+
+/// Bit parity of the power-of-two allreduce against a serial sum in its own
+/// association order, for segments held as leaves and as single buffers: the
+/// whole vector under [`LEAF_FLOOR`] (one leaf), regions just under it (two
+/// regions a leaf), exactly at it and above it (a leaf per region), with `n`
+/// a multiple of P and not. NaN payloads make every add's operand order
+/// visible in the result bits — in the unoptimised test build only: LLVM
+/// treats `fadd` as commutative, so an optimised build may swap operands,
+/// which changes nothing but the payload a NaN keeps, and there any NaN
+/// passes for a NaN. The messages and clocks are the in-place allreduce's,
+/// leaf by leaf, and `finish` runs once per element.
+#[test]
+fn leaves_reduce_in_rabenseifner_order_to_the_bit() {
+    let halve = |sum: &mut [f32]| sum.iter_mut().for_each(|v| *v *= 0.5);
+    for p in [2usize, 4, 8, 16] {
+        let floor = LEAF_FLOOR;
+        for n in [floor - 1, floor * p - 1, floor * p, floor * p + 3] {
+            let what = format!("p={p} n={n}");
+            let inputs: Vec<Vec<f32>> = (0..p).map(|r| payload_input(r, n)).collect();
+            let cluster = Cluster::new(p, CostModel::aries());
+            let shared = cluster.run(|comm| {
+                comm.set_phase("dense");
+                allreduce_shared(comm, &inputs[comm.rank()], 0.0, halve)
+            });
+            let in_place = cluster.run(|comm| {
+                comm.set_phase("dense");
+                let mut data = inputs[comm.rank()].clone();
+                allreduce_in_place_copying(comm, &mut data, 0.0);
+            });
+            assert_eq!(shared.times, in_place.times, "{what}: clocks");
+            for rank in 0..p {
+                assert_eq!(
+                    shared.ledger.cell(rank, "dense"),
+                    in_place.ledger.cell(rank, "dense"),
+                    "{what}: rank {rank}'s messages and elements"
+                );
+            }
+            let got = &shared.results[0];
+            assert_eq!(got.len(), n, "{what}");
+            for owner in 0..p {
+                for i in n * owner / p..n * (owner + 1) / p {
+                    let want = halving_order_sum(&inputs, i, owner) * 0.5;
+                    let same = got[i].to_bits() == want.to_bits()
+                        || (!cfg!(debug_assertions) && got[i].is_nan() && want.is_nan());
+                    assert!(
+                        same,
+                        "{what}: element {i}: {:#x} vs {:#x}",
+                        got[i].to_bits(),
+                        want.to_bits()
+                    );
+                }
+            }
+            assert!(got[5].is_nan() && got[5].to_bits() != f32::NAN.to_bits(), "{what}");
         }
     }
 }

@@ -66,12 +66,14 @@ impl SelectScratch {
         self.recycle_parts(idx, val);
     }
 
-    /// Return raw parallel arrays to the pool.
+    /// Return raw parallel arrays to the pool. A buffer with no capacity (a
+    /// `to_vec` of an empty shard) is dropped: pooled, it would take a slot
+    /// and make the next `take_pair` allocate.
     pub fn recycle_parts(&mut self, idx: Vec<u32>, val: Vec<f32>) {
-        if self.idx_pool.len() < MAX_POOL {
+        if self.idx_pool.len() < MAX_POOL && idx.capacity() > 0 {
             self.idx_pool.push(idx);
         }
-        if self.val_pool.len() < MAX_POOL {
+        if self.val_pool.len() < MAX_POOL && val.capacity() > 0 {
             self.val_pool.push(val);
         }
     }

@@ -60,7 +60,8 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// estimate the exact threshold, select ≥-threshold entries, run the fused
 /// accumulate+select a reuse step runs instead, merge a peer's contribution
 /// without allocating, re-filter against the threshold, and return all storage
-/// to the pool.
+/// to the pool — including an empty shard's, as split-and-reduce recycles
+/// every shard it receives and most are empty at large P.
 fn hot_iteration(
     dense: &[f32],
     residual: &mut [f32],
@@ -82,6 +83,7 @@ fn hot_iteration(
     let nnz = kept.nnz();
     scratch.recycle(selected);
     scratch.recycle(kept);
+    scratch.recycle(CooGradient::new());
     nnz
 }
 

@@ -36,11 +36,13 @@
 #   bit-identical, or if inter-link chaos speeds any cell up.
 # - scale checks bit-parity between W = 1 (fully serialized) and the default
 #   worker count at P=32, then fails
-#   the script if Ok-Topk at P=1024 misses its wall/memory budget (60 s /
+#   the script if Dense at P=2048 misses its wall/memory budget (5 s /
+#   112 MiB; a dense reduce-scatter leaf floor of 1 element reads ~161 MiB),
+#   if Ok-Topk at P=1024 misses its wall/memory budget (60 s /
 #   98 MiB), or if the P=2048 headline misses its 30 s budget (>= 1.5x over
 #   the BENCH_PR7.json baseline), its 198 MiB memory budget, or reports a zero
-#   scheduler handoff rate. The memory budgets sit between what a thread per
-#   rank costs and what the step costs with each rank a fiber.
+#   scheduler handoff rate. The Ok-Topk memory budgets sit between what a
+#   thread per rank costs and what the step costs with each rank a fiber.
 # - fig10 --paper-axis sweeps the weak-scaling axis to P=4096 (clean + one
 #   chaos cell, which must not be faster than clean) under a hard wall budget;
 #   fig8/fig12 run the same sweep with CHECK_PAPER_AXIS=1.
@@ -378,7 +380,7 @@ cargo run --release -p okbench --bin chaos -- --gate --out target/chaos-gate.jso
 echo "== flat-vs-hierarchical smoke (P=8 two-tier, gated) =="
 cargo run --release -p okbench --bin hier -- --gate --out target/hier-gate.json
 
-echo "== scale sweep smoke (P=1024 budget + P=2048 headline, gated) =="
+echo "== scale sweep smoke (Dense P=2048 + Ok-Topk P=1024 budgets + P=2048 headline, gated) =="
 cargo run --release -p okbench --bin scale -- --gate --out target/scale-gate.json
 
 echo "== paper-axis weak scaling to P=4096 (fig10, budgeted) =="
