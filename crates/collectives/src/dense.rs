@@ -144,8 +144,10 @@ fn pooled_chunk<C: Net>(comm: &mut C, data: &[f32], range: std::ops::Range<usize
 }
 
 /// `got ← mine + got`: the received buffer becomes the accumulator. The
-/// operand order is the in-place `mine += got`'s, so NaN payloads and signed
-/// zeros come out bit-identical to it (`*g += *d` would put `got` first).
+/// operand order is the in-place `mine += got`'s (`*g += *d` would put `got`
+/// first). That fixes signed zeros and every non-NaN bit; which operand's NaN
+/// payload survives is unspecified in release builds, where LLVM may commute
+/// the add.
 #[allow(clippy::assign_op_pattern)]
 fn accumulate(got: &mut [f32], mine: &[f32]) {
     for (g, d) in got.iter_mut().zip(mine) {
@@ -372,7 +374,9 @@ fn ring_allreduce<C: Net>(
 /// of the equal partition (returned together with its element offset).
 ///
 /// Accumulates into the first shard it receives (`mine + got`, the order of
-/// the in-place `mine += got`), so it copies nothing of its own region.
+/// the in-place `mine += got`), so it copies nothing of its own region. The
+/// order fixes signed zeros and every non-NaN bit; which NaN payload survives
+/// is unspecified in release builds.
 pub fn reduce_scatter_block<C: Net>(comm: &mut C, data: &[f32]) -> (usize, Vec<f32>) {
     let p = comm.size();
     let rank = comm.rank();

@@ -4,10 +4,9 @@
 //! A counting `#[global_allocator]` wraps the system allocator, armed per rank
 //! and keyed by [`simnet::current_rank`]. After a warm-up that fills the
 //! per-rank buffer pools, one full Rabenseifner step on P = 4 ranks is
-//! counted, in two geometries. The cluster runs on one worker: with two, the
-//! scheduler's ready heap can still grow in the armed step (a 256-byte
-//! reallocation charged to whichever rank pushes, in about one run of ten),
-//! because it keeps stale entries until it purges them (ROADMAP).
+//! counted, in two geometries, at the default worker count: the scheduler's
+//! ready queue is sized once at its purge threshold, so a rank that wakes
+//! another never grows it in the armed step.
 //!
 //! **Leaves** (n = 4·[`LEAF_FLOOR`]: a leaf per region, so the first step's
 //! half is two leaves). A rank makes exactly **seven** allocations:
@@ -97,7 +96,7 @@ fn armed_step(n: usize) -> Vec<(usize, usize, usize)> {
         REGION_SIZED[rank].store(0, Relaxed);
         RESULT_SIZED[rank].store(0, Relaxed);
     }
-    let report = Cluster::new(P, CostModel::aries()).with_workers(1).run(|comm| {
+    let report = Cluster::new(P, CostModel::aries()).run(|comm| {
         let rank = comm.rank();
         let data: Vec<f32> = (0..n).map(|i| (rank * n + i) as f32 * 1e-3 + 1.0).collect();
 

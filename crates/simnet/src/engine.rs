@@ -166,11 +166,14 @@ pub(crate) fn cascade() -> ! {
 
 /// Ready-queue key: virtual clock first (total order via `total_cmp`), rank id
 /// as the deterministic tie-break. Wrapped in `Reverse` inside the heap so the
-/// *lowest* virtual time is granted first.
+/// *lowest* virtual time is granted first. `wake` is the rank's wake
+/// generation when the entry was queued: the entry is live only while the
+/// rank is `Ready` in that same generation ([`is_live`]).
 #[derive(Clone, Copy, Debug)]
 struct ReadyKey {
     clock: f64,
     rank: usize,
+    wake: u32,
 }
 
 impl PartialEq for ReadyKey {
@@ -210,6 +213,9 @@ struct RankSlot {
     status: Status,
     /// Virtual clock at the last park — the ready-queue priority when woken.
     clock: f64,
+    /// How many times the rank has been made `Ready`: a queued entry from an
+    /// earlier wake is stale even once the rank is `Ready` again.
+    wake: u32,
 }
 
 /// Per-rank delivery state, behind its *own* lock so the scheduler
@@ -251,7 +257,7 @@ struct CoreState {
     ready: BinaryHeap<Reverse<ReadyKey>>,
     /// Ranks ready at the current virtual-time frontier, granted FIFO in
     /// `(clock, rank)` order without further heap transactions.
-    cohort: VecDeque<usize>,
+    cohort: VecDeque<ReadyKey>,
     /// Set (under this lock) by a matching sender that caught the
     /// receiver *between* wait registration and the park; the receiver
     /// consumes it in its park transaction and continues inline instead.
@@ -270,6 +276,30 @@ struct CoreState {
     /// First fault (rank panic or detected deadlock); once set, every rank
     /// that touches the core unwinds with [`Cascade`].
     fault: Option<String>,
+}
+
+/// Whether a queued entry still stands for its rank: the rank is `Ready` and
+/// has not been granted and woken again since the entry was queued.
+fn is_live(ranks: &[RankSlot], k: ReadyKey) -> bool {
+    ranks[k.rank].status == Status::Ready && ranks[k.rank].wake == k.wake
+}
+
+impl CoreState {
+    /// Make a parked `rank` `Ready` in a new wake generation, returning the
+    /// key to queue it under.
+    fn wake(&mut self, rank: usize) -> ReadyKey {
+        let slot = &mut self.ranks[rank];
+        slot.status = Status::Ready;
+        slot.wake = slot.wake.wrapping_add(1);
+        ReadyKey { clock: slot.clock, rank, wake: slot.wake }
+    }
+}
+
+/// Ready-queue length past which [`EventCore::schedule`] purges stale
+/// entries. The heap and the cohort are sized to it once, so no steady-state
+/// step grows them.
+fn purge_at(size: usize) -> usize {
+    8 * size + 64
 }
 
 /// Shared state of the discrete-event engine for one [`crate::Cluster::run`].
@@ -308,8 +338,12 @@ pub(crate) struct EventCore {
 impl EventCore {
     pub(crate) fn new(size: usize, workers: usize, metrics: Option<EngineMetrics>) -> Self {
         assert!(size >= 1 && workers >= 1);
-        let ranks = (0..size).map(|_| RankSlot { status: Status::Ready, clock: 0.0 }).collect();
-        let ready = (0..size).map(|rank| Reverse(ReadyKey { clock: 0.0, rank })).collect();
+        let ranks =
+            (0..size).map(|_| RankSlot { status: Status::Ready, clock: 0.0, wake: 0 }).collect();
+        // A push is followed by a purge check under the same lock, so the
+        // queue never holds more than one entry past the threshold.
+        let mut ready = BinaryHeap::with_capacity(purge_at(size) + 1);
+        ready.extend((0..size).map(|rank| Reverse(ReadyKey { clock: 0.0, rank, wake: 0 })));
         // Sends never block: a rank is queued at most once at a time, and the
         // stops go out once the queue has drained.
         let (runq_tx, runq_rx) = sync_channel(size + workers.min(size));
@@ -320,7 +354,7 @@ impl EventCore {
             state: Mutex::new(CoreState {
                 ranks,
                 ready,
-                cohort: VecDeque::new(),
+                cohort: VecDeque::with_capacity(purge_at(size) + 1),
                 wake_pending: vec![false; size],
                 running: 0,
                 finished: 0,
@@ -347,14 +381,14 @@ impl EventCore {
 
     /// Next ready rank in `(clock, rank)` order — O(1) from the
     /// cohort FIFO, refilled by popping the heap's whole equal-timestamp run
-    /// in one transaction. Entries whose rank is no longer `Ready` are stale
+    /// in one transaction. Entries that are no longer live are stale
     /// leftovers from a targeted handoff (which grants out of band without
     /// digging them out of the heap) and are skipped lazily here.
     fn pop_next_ready(&self, st: &mut CoreState) -> Option<ReadyKey> {
         loop {
-            if let Some(rank) = st.cohort.pop_front() {
-                if st.ranks[rank].status == Status::Ready {
-                    return Some(ReadyKey { clock: st.ranks[rank].clock, rank });
+            if let Some(k) = st.cohort.pop_front() {
+                if is_live(&st.ranks, k) {
+                    return Some(k);
                 }
                 continue;
             }
@@ -362,12 +396,12 @@ impl EventCore {
             while let Some(&Reverse(k)) = st.ready.peek() {
                 if k.clock.total_cmp(&head.clock).is_eq() {
                     st.ready.pop();
-                    st.cohort.push_back(k.rank);
+                    st.cohort.push_back(k);
                 } else {
                     break;
                 }
             }
-            if st.ranks[head.rank].status == Status::Ready {
+            if is_live(&st.ranks, head) {
                 return Some(head);
             }
         }
@@ -377,9 +411,10 @@ impl EventCore {
     /// for [`Self::flush_grants`], which the caller runs after unlocking.
     fn schedule(&self, st: &mut CoreState, granted: &mut Vec<usize>) {
         // Amortized stale purge: targeted grants leave dead heap entries
-        // behind; rebuild once they dominate so memory stays O(size).
-        if st.ready.len() > 8 * self.size + 64 {
-            st.ready.retain(|&Reverse(k)| st.ranks[k.rank].status == Status::Ready);
+        // behind; rebuild once they dominate, keeping one entry per Ready rank.
+        if st.ready.len() > purge_at(self.size) {
+            let ranks = &st.ranks;
+            st.ready.retain(|&Reverse(k)| is_live(ranks, k));
         }
         if let Some(m) = &self.metrics {
             m.ready_depth_max.set_max((st.ready.len() + st.cohort.len()) as u64);
@@ -630,9 +665,8 @@ impl EventCore {
             }
             match st.ranks[dst].status {
                 Status::RecvWait { .. } => {
-                    let clock = st.ranks[dst].clock;
-                    st.ranks[dst].status = Status::Ready;
-                    st.ready.push(Reverse(ReadyKey { clock, rank: dst }));
+                    let key = st.wake(dst);
+                    st.ready.push(Reverse(key));
                     self.schedule(&mut st, &mut granted);
                 }
                 // Claimed the wait but the receiver has not parked yet: flag
@@ -673,11 +707,8 @@ impl EventCore {
             // skip the heap: sort once by (clock, rank), append to the FIFO.
             // Anything still queued is a stale targeted-handoff leftover;
             // clear it here so stale entries never outlive a barrier episode.
-            debug_assert!(st.cohort.iter().all(|&r| st.ranks[r].status != Status::Ready));
-            debug_assert!(st
-                .ready
-                .iter()
-                .all(|&Reverse(k)| st.ranks[k.rank].status != Status::Ready));
+            debug_assert!(st.cohort.iter().all(|&k| !is_live(&st.ranks, k)));
+            debug_assert!(st.ready.iter().all(|&Reverse(k)| !is_live(&st.ranks, k)));
             st.ready.clear();
             st.cohort.clear();
             let mut release: Vec<(f64, usize)> = (0..self.size)
@@ -686,9 +717,9 @@ impl EventCore {
                 .collect();
             release.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             for &(_, r) in &release {
-                st.ranks[r].status = Status::Ready;
+                let key = st.wake(r);
                 self.release_bits[r].store(result.to_bits(), Ordering::Relaxed);
-                st.cohort.push_back(r);
+                st.cohort.push_back(key);
             }
             self.schedule(&mut st, &mut granted);
             drop(st);
@@ -830,23 +861,23 @@ mod tests {
 
     #[test]
     fn ready_key_orders_by_clock_then_rank() {
-        let a = ReadyKey { clock: 1.0, rank: 5 };
-        let b = ReadyKey { clock: 2.0, rank: 0 };
-        let c = ReadyKey { clock: 1.0, rank: 6 };
+        let a = ReadyKey { clock: 1.0, rank: 5, wake: 0 };
+        let b = ReadyKey { clock: 2.0, rank: 0, wake: 0 };
+        let c = ReadyKey { clock: 1.0, rank: 6, wake: 0 };
         assert!(a < b);
         assert!(a < c);
         // total_cmp gives a total order even for exotic floats.
-        let nz = ReadyKey { clock: -0.0, rank: 0 };
-        let pz = ReadyKey { clock: 0.0, rank: 0 };
+        let nz = ReadyKey { clock: -0.0, rank: 0, wake: 0 };
+        let pz = ReadyKey { clock: 0.0, rank: 0, wake: 0 };
         assert!(nz < pz);
     }
 
     #[test]
     fn heap_pops_lowest_clock_first() {
         let mut heap = BinaryHeap::new();
-        heap.push(Reverse(ReadyKey { clock: 3.0, rank: 0 }));
-        heap.push(Reverse(ReadyKey { clock: 1.0, rank: 2 }));
-        heap.push(Reverse(ReadyKey { clock: 1.0, rank: 1 }));
+        heap.push(Reverse(ReadyKey { clock: 3.0, rank: 0, wake: 0 }));
+        heap.push(Reverse(ReadyKey { clock: 1.0, rank: 2, wake: 0 }));
+        heap.push(Reverse(ReadyKey { clock: 1.0, rank: 1, wake: 0 }));
         let order: Vec<usize> =
             std::iter::from_fn(|| heap.pop().map(|Reverse(k)| k.rank)).collect();
         assert_eq!(order, vec![1, 2, 0]);
@@ -857,20 +888,49 @@ mod tests {
         let core = EventCore::new(4, 1, None);
         let mut st = core.state.lock();
         st.ready.clear();
-        st.ready.push(Reverse(ReadyKey { clock: 1.0, rank: 3 }));
-        st.ready.push(Reverse(ReadyKey { clock: 1.0, rank: 1 }));
-        st.ready.push(Reverse(ReadyKey { clock: 2.0, rank: 0 }));
+        st.ready.push(Reverse(ReadyKey { clock: 1.0, rank: 3, wake: 0 }));
+        st.ready.push(Reverse(ReadyKey { clock: 1.0, rank: 1, wake: 0 }));
+        st.ready.push(Reverse(ReadyKey { clock: 2.0, rank: 0, wake: 0 }));
         for r in 0..4 {
             st.ranks[r].clock = if r == 0 { 2.0 } else { 1.0 };
         }
         // First pop pulls the whole t=1.0 run: head 1, cohort holds 3.
         let head = core.pop_next_ready(&mut st).unwrap();
         assert_eq!((head.rank, head.clock), (1, 1.0));
-        assert_eq!(st.cohort, [3]);
+        assert_eq!(st.cohort.iter().map(|k| k.rank).collect::<Vec<_>>(), [3]);
         assert_eq!(st.ready.len(), 1);
         // Cohort drains FIFO before the heap is touched again.
         assert_eq!(core.pop_next_ready(&mut st).unwrap().rank, 3);
         assert_eq!(core.pop_next_ready(&mut st).unwrap().rank, 0);
         assert!(core.pop_next_ready(&mut st).is_none());
+    }
+
+    #[test]
+    fn purge_keeps_one_entry_per_ready_rank() {
+        // Rank 0 is granted out of band (a targeted handoff), parks and is
+        // woken again at a later clock, over and over: each round leaves its
+        // older entry in the heap, naming a rank that is Ready again but in a
+        // later wake.
+        let p = 4;
+        let core = EventCore::new(p, 1, None);
+        let mut st = core.state.lock();
+        let mut granted = Vec::new();
+        while st.ready.len() <= purge_at(p) {
+            core.grant_rank(&mut st, 0, &mut granted);
+            st.ranks[0].status = Status::RecvWait { src: 1, tag: 0 };
+            st.ranks[0].clock += 1.0;
+            st.running -= 1;
+            let key = st.wake(0);
+            st.ready.push(Reverse(key));
+        }
+        let capacity = st.ready.capacity();
+        // The one run token is out, so scheduling only purges.
+        st.running = 1;
+        core.schedule(&mut st, &mut granted);
+        assert!(st.ready.len() <= p, "the purge kept {} entries for {p} ranks", st.ready.len());
+        assert_eq!(st.ready.capacity(), capacity, "the heap grew past its purge threshold");
+        let order: Vec<usize> =
+            std::iter::from_fn(|| core.pop_next_ready(&mut st).map(|k| k.rank)).collect();
+        assert_eq!(order, [1, 2, 3, 0], "each Ready rank pops once, at its live clock and rank");
     }
 }

@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+// A rank is a fiber, and `fiber.rs` holds the crate's only unsafe code, every
+// block under its own `// SAFETY:` comment (DESIGN.md §10).
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 
 //! # simnet — a simulated message-passing substrate
 //!
@@ -76,6 +79,7 @@ mod comm;
 mod cost;
 mod engine;
 mod envelope;
+#[allow(unsafe_code)]
 mod fiber;
 mod ledger;
 pub mod net;

@@ -82,12 +82,12 @@ fn busy_workload(comm: &mut simnet::Comm) -> (u64, f64) {
 }
 
 #[test]
-fn engines_agree_on_messaging_compute_and_barriers() {
+fn worker_counts_agree_on_messaging_compute_and_barriers() {
     assert_parity(|| Cluster::new(8, CostModel::aries()), busy_workload);
 }
 
 #[test]
-fn engines_agree_under_a_chaos_plan() {
+fn worker_counts_agree_under_a_chaos_plan() {
     // Stragglers, link windows, jitter and pauses all charge virtually, at
     // points fixed by program order, so no schedule can move them.
     let plan = || {
@@ -102,7 +102,7 @@ fn engines_agree_under_a_chaos_plan() {
 }
 
 #[test]
-fn engines_agree_on_reverse_order_recv() {
+fn worker_counts_agree_on_reverse_order_recv() {
     // Rank 0 streams three tagged messages; rank 1 receives them in reverse
     // order, so the first two wait in the inbox until matched. Port charging
     // follows the receive order, which every schedule must reproduce exactly.

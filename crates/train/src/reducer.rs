@@ -5,6 +5,9 @@
 //! a family's state. Every sparse row, Ok-Topk's included, is a selector and
 //! an exchange on `oktopk`'s one error-feedback pipeline.
 
+// The scheme table is total: a match on a scheme names every arm it handles.
+#![deny(clippy::unreachable)]
+
 use crate::cost::CostProfile;
 use collectives::{
     allreduce_shared, broadcast, broadcast_shared, dsa_allreduce, hier_dense_shared,

@@ -275,7 +275,7 @@ where
     }
     // Trainer instruments live in the same per-run registry as simnet's, so
     // they land in `RunResult::metrics` and inherit the Virtual-class
-    // cross-engine parity guarantee (all are per-rank single-writer values or
+    // schedule-invariance guarantee (all are per-rank single-writer values or
     // functions of the data, never of host scheduling).
     let m_obs = comm.obs().enabled();
     let m_compute = comm.obs().rank_f64("train.compute_vsec", obs::Class::Virtual);
