@@ -6,7 +6,7 @@ use oktopk::balance::balance_and_allgatherv;
 use oktopk::split_reduce::split_and_reduce;
 use oktopk::{OkTopk, OkTopkConfig, OkTopkSgd};
 use rand::prelude::*;
-use simnet::{render_timeline, Cluster, Comm, CostModel, Topology};
+use simnet::{render_timeline, ChaosPlan, Cluster, Comm, CostModel, Topology};
 use sparse::partition::equal_boundaries;
 use sparse::select::{exact_threshold, topk_exact};
 use sparse::stats::Histogram;
@@ -15,7 +15,7 @@ use sparse::{CooGradient, SelectScratch};
 use train::{CostProfile, OptimizerKind, Reducer, RunResult, Scheme, TrainConfig};
 
 use crate::models::{Data, ModelJob};
-use crate::{full_scale, iters, Figure};
+use crate::{full_scale, iters, reduce_steps, Figure};
 
 /// `n` draws from U(−1, 1).
 fn uniform(rng: &mut StdRng, n: usize) -> Vec<f32> {
@@ -31,6 +31,12 @@ fn random_locals(p: usize, n: usize, k: usize, seed: u64) -> Vec<CooGradient> {
 /// Slowest rank's result of `f` on `p` ranks (each rank returns a duration).
 fn slowest(p: usize, net: CostModel, f: impl Fn(&mut Comm) -> f64 + Send + Sync) -> f64 {
     Cluster::new(p, net).run(f).results.iter().copied().fold(0.0, f64::max)
+}
+
+/// The flat schemes that do not overlap the backward pass: table1's and
+/// chaos's rows (neither models a backward-pass schedule to overlap with).
+fn flat_unoverlapped() -> impl Iterator<Item = Scheme> {
+    Scheme::all().into_iter().filter(|s| !s.is_two_tier() && !s.overlaps_backward())
 }
 
 /// Modeled time of Ok-Topk's second allreduce over `accs` (the first pays the
@@ -76,7 +82,7 @@ pub fn table1(fig: &mut Figure) {
         .map(|&p| [random_locals(p, n, k, 1000 + p as u64), random_locals(p, n, k, 42 + p as u64)])
         .collect();
     let mut okt_max = Vec::new();
-    for scheme in Scheme::all().into_iter().filter(|s| !s.is_two_tier() && !s.overlaps_backward()) {
+    for scheme in flat_unoverlapped() {
         let (mut maxs, mut means, mut times) = (Vec::new(), Vec::new(), Vec::new());
         for (&p, steps) in ps.iter().zip(&selections) {
             let dense: Vec<Vec<f32>> = if scheme.is_sparse() {
@@ -583,4 +589,126 @@ pub fn trace_demo(fig: &mut Figure) {
     fig.row("\nS = send-port busy, R = recv-port busy, C = merge compute, · = idle.");
     fig.row("With rotation the receive activity staggers across ranks instead of");
     fig.row("serializing on one endpoint per step.");
+}
+
+/// Beyond the paper: how each flat allreduce without overlap degrades when the
+/// cluster misbehaves. A cell is [`reduce_steps`]'s makespan under a chaos plan
+/// over its clean makespan: one rank computing s× slower, or seeded
+/// per-message head-latency jitter of up to L·α. Expected: chaos never lowers
+/// a makespan, and Ok-Topk degrades less than gTopk under a straggler —
+/// split-and-reduce gives the slow rank only its 1/P region, while gTopk's
+/// tree serializes its log P rounds through it.
+pub fn chaos(fig: &mut Figure) {
+    // Small enough that the sweep stays fast, large enough that compute and
+    // communication are comparable: a straggler that only stretched compute
+    // on a comm-dominated run would show nothing.
+    let (n, density, steps) = (16_384, 0.02, 4);
+    let alpha = CostProfile::paper_calibrated().scaled_for_model(n).network().alpha;
+    let makespan = |scheme, p, plan| {
+        reduce_steps((scheme, p, n, density, steps), 1, |c| c.with_chaos(plan)).makespan()
+    };
+    fig.row(format!("Chaos robustness — modeled slowdown (n = {n}, density 2%, {steps} steps)"));
+    fig.row("perturbed / clean makespan: rank 0 computes s× slower, or each message");
+    fig.row("picks up seeded extra head latency of up to L·α");
+    for p in [4, 8, 16, 32] {
+        fig.row(format!("\nP = {p}"));
+        fig.row("  scheme     clean (ms)    s = 2    s = 3    s = 4   L = 50  L = 200");
+        let (mut okt, mut gtopk) = (0.0, 0.0);
+        for scheme in flat_unoverlapped() {
+            let clean = makespan(scheme, p, ChaosPlan::new(0));
+            let stragglers = [2.0, 3.0, 4.0].map(|s| ChaosPlan::new(0).straggler(0, s));
+            // Messages here are big enough that β·L dominates α, so meaningful
+            // jitter is many α deep: "noisy switch" to "congested fabric".
+            let jitters = [50.0, 200.0].map(|l| ChaosPlan::new(7).jitter(l * alpha));
+            let plans = stragglers.into_iter().chain(jitters);
+            let slowdowns: Vec<f64> = plans.map(|plan| makespan(scheme, p, plan) / clean).collect();
+            let cols: String = slowdowns.iter().map(|v| format!("{v:>9.4}")).collect();
+            fig.row(format!("  {:<10}{:>11.6}{cols}", scheme.name(), clean * 1e3));
+            // Chaos can only add modeled time; allow a whisker of float slack.
+            let least = slowdowns.iter().copied().fold(f64::INFINITY, f64::min);
+            fig.check(least >= 1.0 - 1e-9, || {
+                format!("chaos: a plan sped {} up at P = {p} ({least:.4}x)", scheme.name())
+            });
+            match scheme {
+                Scheme::OkTopk => okt = slowdowns[2],
+                Scheme::GTopk => gtopk = slowdowns[2],
+                _ => {}
+            }
+        }
+        fig.check(okt < gtopk, || {
+            format!(
+                "chaos: at P = {p} Ok-Topk's 4x straggler slowdown {okt:.4} ≥ gTopk's {gtopk:.4}"
+            )
+        });
+    }
+}
+
+/// Beyond the paper: when does the two-tier pipeline (intra-node reduce →
+/// leader exchange → broadcast) beat running the flat scheme across the
+/// cluster? Every cell prices the same two-tier hardware — the inter-node β
+/// multiplied by the oversubscription ρ — and runs [`reduce_steps`] with a
+/// flat scheme and its hierarchical twin, clean and with every inter-node
+/// link degraded (1.5× α, 2× β) for the whole run, the failure a
+/// leader-funnelled exchange is most exposed to. Expected: Hier-Ok-Topk wins
+/// once the effective inter/intra β ratio reaches 8× (ρ = 2, as β_e/β_i is
+/// already 4×); Hier-gTopk ties gTopk (under block rank order the binary tree
+/// already sends the regrouped link sequence); inter-link chaos never speeds
+/// a cell up.
+pub fn hier(fig: &mut Figure) {
+    let (p, n, density, steps) = (32, 16_384, 0.02, 4);
+    // (α, β) per tier, in seconds and seconds per element.
+    let (intra, inter) = ((1e-6, 1e-9), (25e-6, 4e-9));
+    let makespan = |scheme, rpn, rho, chaos: bool| {
+        let topo = Topology::two_tier(rpn, intra, inter).with_oversubscription(rho);
+        let report = reduce_steps((scheme, p, n, density, steps), rpn, |cluster| {
+            let cluster = cluster.with_topology(topo);
+            if !chaos {
+                return cluster;
+            }
+            let mut plan = ChaosPlan::new(17);
+            for (src, dst) in (0..p).flat_map(|s| (0..p).map(move |d| (s, d))) {
+                if src / rpn != dst / rpn {
+                    plan = plan.degrade_link(src, dst, 1.5, 2.0, 0.0, 1e3);
+                }
+            }
+            cluster.with_chaos(plan)
+        });
+        report.makespan()
+    };
+    let cols = |f: f64, h: f64| format!("{:>10.6}{:>10.6}{:>9.4}", f * 1e3, h * 1e3, f / h);
+    fig.row(format!("Flat vs hierarchical on a two-tier fabric (P = {p}, n = {n}, density 2%)"));
+    fig.row("intra-node 1 µs + 1 ns/elem; inter-node 25 µs + 4 ns/elem × ρ (oversubscription)");
+    fig.row(format!("{steps} steps, modeled ms; speedup = flat / hier; chaos degrades every"));
+    fig.row("inter-node link to 1.5× α, 2× β");
+    for rpn in [4, 8, 16] {
+        fig.row(format!("\nranks per node = {rpn} ({} nodes)", p / rpn));
+        fig.row("     ρ  scheme             flat      hier  speedup  |  chaos:       flat      hier  speedup");
+        for rho in [1.0, 2.0, 4.0, 8.0, 16.0] {
+            for hier in Scheme::all().into_iter().filter(Scheme::is_two_tier) {
+                let flat = hier.flat_twin();
+                let [f, h, fc, hc] = [(flat, false), (hier, false), (flat, true), (hier, true)]
+                    .map(|(scheme, chaos)| makespan(scheme, rpn, rho, chaos));
+                fig.row(format!(
+                    "  {rho:>4}  {:<13}{}  |         {}",
+                    hier.name(),
+                    cols(f, h),
+                    cols(fc, hc)
+                ));
+                let cell = format!("hier: {} at rpn = {rpn}, ρ = {rho}", hier.name());
+                fig.check(fc >= f - 1e-12 && hc >= h - 1e-12, || {
+                    format!("{cell}: inter-link chaos sped a run up")
+                });
+                if hier == Scheme::HierOkTopk && rho >= 2.0 {
+                    fig.check(h < f, || format!("{cell}: does not beat Ok-Topk ({h:e} vs {f:e})"));
+                }
+                // The twins send the same link sequence, yet a makespan can
+                // differ from its twin's in the last bit or two: a tie to
+                // float rounding, not always to the bit.
+                if hier == Scheme::HierGTopk {
+                    let tie = (h - f).abs() <= 1e-15 * f && (hc - fc).abs() <= 1e-15 * fc;
+                    fig.check(tie, || format!("{cell}: does not tie gTopk ({h:e} vs {f:e})"));
+                }
+            }
+        }
+    }
 }

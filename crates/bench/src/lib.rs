@@ -1,14 +1,16 @@
 //! # okbench — reproduction harnesses for every table and figure
 //!
 //! One binary per experiment (`cargo run --release -p okbench --bin figNN`),
-//! printing the same rows/series the paper reports through one writer,
-//! [`Figure`], plus the gated host benches (`hotpath`, `chaos`, `hier`,
-//! `scale`), which write JSON through one writer, [`Header::write_json`].
+//! printing the same rows/series the paper reports — and the two beyond-paper
+//! sweeps, `chaos` and `hier` — through one writer, [`Figure`]. The two
+//! host-clock benches (`hotpath`, `scale`) write JSON through one writer,
+//! [`Header::write_json`].
 //!
 //! All harnesses run a *quick* configuration by default (minutes on a laptop
 //! core); set `OKBENCH_FULL=1` for configurations closer to the paper's scale.
 //! `results/<name>.txt` holds each figure's quick-mode output, and the golden
-//! test (`tests/golden.rs`) checks its modeled rows against the code.
+//! test (`tests/golden.rs`) checks its modeled rows against the code and that
+//! none of its printed checks failed.
 
 pub mod figures;
 pub mod models;
@@ -39,7 +41,7 @@ pub type Run = fn(&mut Figure);
 
 /// Every figure and table, by binary name. Each binary's `main` is
 /// [`main`] with its own name.
-pub const FIGURES: [(&str, Run); 13] = [
+pub const FIGURES: [(&str, Run); 15] = [
     ("table1", figures::table1),
     ("fig4", figures::fig4),
     ("fig5", figures::fig5),
@@ -53,6 +55,8 @@ pub const FIGURES: [(&str, Run); 13] = [
     ("fig13", |fig| panels::convergence(fig, &panels::CONVERGENCE[2])),
     ("ablations", figures::ablations),
     ("trace_demo", figures::trace_demo),
+    ("chaos", figures::chaos),
+    ("hier", figures::hier),
 ];
 
 /// Run the figure called `name` to stdout. The breakdown panels (fig8, fig10,
@@ -66,7 +70,7 @@ pub fn main(name: &'static str) {
         }
         _ => FIGURES.iter().find(|(n, _)| *n == name).expect("a known figure").1(&mut fig),
     }
-    if let Some(msg) = fig.failure {
+    if let Some(msg) = fig.failure() {
         eprintln!("FAIL: {msg}");
         std::process::exit(1);
     }
@@ -146,12 +150,16 @@ impl Figure {
     pub fn text(&self) -> &str {
         &self.text
     }
+
+    /// The first printed check that failed, if any.
+    pub fn failure(&self) -> Option<&str> {
+        self.failure.as_deref()
+    }
 }
 
 /// Host facts shared by every figure header and every bench JSON: cores,
-/// SIMD capability, engine, wall time, peak RSS and the process-global
-/// observability registry. One implementation so the files stay mechanically
-/// comparable across PRs and hosts.
+/// SIMD capability, wall time and peak RSS. One implementation so the files
+/// stay mechanically comparable across PRs and hosts.
 pub struct Header {
     bench: &'static str,
     quick: bool,
@@ -164,20 +172,15 @@ impl Header {
         Self { bench, quick, start: Instant::now() }
     }
 
-    /// The engine the rows below the header ran on: there is one.
-    pub fn engine_name() -> &'static str {
-        "event"
-    }
-
     fn cores() -> usize {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     }
 
-    /// `engine=… simd=…x… cores=… quick=…`, the figure header's facts.
+    /// `simd=…x… cores=… quick=…`, the figure header's facts.
     fn facts(&self) -> String {
         let caps = sparse::simd::caps();
-        let (engine, isa, lanes) = (Self::engine_name(), caps.isa, caps.lanes.width());
-        format!("engine={engine} simd={isa}x{lanes} cores={} quick={}", Self::cores(), self.quick)
+        let (isa, lanes) = (caps.isa, caps.lanes.width());
+        format!("simd={isa}x{lanes} cores={} quick={}", Self::cores(), self.quick)
     }
 
     /// Write `{header fields, params, "results": [rows]}` to `path`. Wall
@@ -190,7 +193,6 @@ impl Header {
             .field("host_cores", Self::cores())
             .text("simd_isa", caps.isa)
             .field("simd_lanes", caps.lanes.width())
-            .text("engine", Self::engine_name())
             .field("wall_secs", format!("{:.3}", self.start.elapsed().as_secs_f64()))
             .field("peak_rss_kb", proc_status_kb("VmHWM:"));
         let mut out = String::from("{\n");
@@ -231,8 +233,8 @@ impl Json {
     }
 }
 
-/// The gated benches' command line: `[--quick] [--gate] [--out PATH]`, the
-/// output defaulting to `target/<bench>.json`.
+/// The host-clock benches' (`hotpath`, `scale`) command line: `[--quick]
+/// [--gate] [--out PATH]`, the output defaulting to `target/<bench>.json`.
 pub struct Args {
     pub quick: bool,
     pub gate: bool,
@@ -276,7 +278,7 @@ pub fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     words.into_iter().fold(0xcbf29ce484222325, |h, w| (h ^ w).wrapping_mul(0x100000001b3))
 }
 
-/// The host benches' cell: `iters` data-parallel steps of `scheme` on `p`
+/// The chaos, hier and scale cell: `iters` data-parallel steps of `scheme` on `p`
 /// ranks, each a modeled forward/backward pass then one reduce of [`grad`],
 /// on the cluster `setup` makes from the flat paper-calibrated one. Each
 /// rank's result is a checksum of its updates' bits.

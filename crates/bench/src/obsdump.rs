@@ -44,8 +44,7 @@ pub fn run(p: usize, iters: usize) -> Dump {
     let trace_json = export_chrome(&result.traces);
     let mut summary = String::new();
     summary.push_str(&format!(
-        "obsdump: Ok-Topk P={p} iters={iters} engine={} makespan={:.4}s\n\n",
-        crate::Header::engine_name(),
+        "obsdump: Ok-Topk P={p} iters={iters} makespan={:.4}s\n\n",
         result.makespan
     ));
     summary.push_str(&result.metrics.render_table());

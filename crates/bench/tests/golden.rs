@@ -2,7 +2,9 @@
 //! `results/<name>.txt`, byte for byte. The cheap figures rerun in full; the
 //! expensive ones rerun one cell, which must appear verbatim in the file, and
 //! the model panels also check that the file lists exactly the schemes and P
-//! values their table row runs.
+//! values their table row runs. A rerun also fails if one of the figure's
+//! printed checks did (table1's 6k bound, chaos and hier's invariants), so a
+//! failed check cannot be accepted by copying its output over the file.
 //!
 //! On a mismatch the test writes what the file would read under
 //! `target/golden/<name>.txt` and prints the diff; copying that file over
@@ -57,6 +59,7 @@ fn full(name: &'static str) {
     let run = FIGURES.iter().find(|(n, _)| *n == name).expect("a known figure").1;
     let mut fig = Figure::capture(name);
     run(&mut fig);
+    assert_eq!(fig.failure(), None, "{name}: a printed check failed");
     verdict(name, modeled(&committed(name)) == modeled(fig.text()), fig.text());
 }
 
@@ -65,6 +68,7 @@ fn full(name: &'static str) {
 fn cell(name: &'static str, run: impl FnOnce(&mut Figure)) {
     let mut fig = Figure::capture(name);
     run(&mut fig);
+    assert_eq!(fig.failure(), None, "{name}: a printed check failed");
     let got: Vec<&str> = modeled(fig.text()).into_iter().skip_while(|l| l.is_empty()).collect();
     let text = committed(name);
     let mut lines: Vec<&str> = text.lines().collect();
@@ -178,4 +182,14 @@ fn ablations() {
 #[test]
 fn trace_demo() {
     full("trace_demo");
+}
+
+#[test]
+fn chaos() {
+    full("chaos");
+}
+
+#[test]
+fn hier() {
+    full("hier");
 }

@@ -497,7 +497,9 @@ macro_rules! prop_assert_ne {
         if *__a == *__b {
             return ::std::result::Result::Err($crate::TestCaseError::Fail(format!(
                 "assertion failed: `{} != {}`\n  both: {:?}",
-                stringify!($a), stringify!($b), __a
+                stringify!($a),
+                stringify!($b),
+                __a
             )));
         }
     }};
@@ -544,10 +546,14 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn ranges_in_bounds(x in 3usize..10, y in -2.0f32..2.0, b in any::<bool>()) {
+        fn ranges_in_bounds(x in 3usize..10, y in -2.0f32..2.0) {
             prop_assert!((3..10).contains(&x));
             prop_assert!((-2.0..2.0).contains(&y));
-            prop_assert!(b || !b);
+        }
+
+        #[test]
+        fn any_bool_draws_both_values(bs in collection::vec(any::<bool>(), 64)) {
+            prop_assert!(bs.contains(&true) && bs.contains(&false), "{bs:?}");
         }
 
         #[test]
@@ -583,10 +589,8 @@ mod tests {
     }
 
     fn run_proptest_example() {
-        crate::run_proptest(
-            &ProptestConfig::with_cases(16),
-            "always_fails",
-            |_rng| Err(TestCaseError::Fail("nope".into())),
-        );
+        crate::run_proptest(&ProptestConfig::with_cases(16), "always_fails", |_rng| {
+            Err(TestCaseError::Fail("nope".into()))
+        });
     }
 }
