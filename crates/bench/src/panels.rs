@@ -8,7 +8,7 @@ use dnn::data::SyntheticImages;
 use train::{OptimizerKind, RunResult, Scheme, TrainConfig};
 
 use crate::models::Data;
-use crate::{full_scale, iters, Figure, SchedStats};
+use crate::{full_scale, iters, proc_status_kb, Figure, SchedStats};
 
 const ADAM_BERT: OptimizerKind = OptimizerKind::Adam { lr: 2e-4, weight_decay: 0.01 };
 
@@ -221,11 +221,15 @@ pub fn paper_axis(fig: &mut Figure, row: &BreakdownRow) {
         let (c, s, m) = res.mean_breakdown(warmup);
         breakdown_line(fig, scheme, c, s, m);
         let stats = SchedStats::of(&res.metrics);
+        // VmHWM never falls, so a cell reads its own peak only if no earlier
+        // cell of the process peaked higher.
         fig.host(format!(
-            "             host: {:.1}s wall, sched: {} parks, handoff rate {:.0}%",
+            "             host: {:.1}s wall, sched: {} parks, handoff rate {:.0}%, \
+             process high-water {:.0} MiB",
             wall.elapsed().as_secs_f64(),
             stats.parks,
-            stats.handoff_rate() * 100.0
+            stats.handoff_rate() * 100.0,
+            proc_status_kb("VmHWM:") as f64 / 1024.0
         ));
         c + s + m
     };

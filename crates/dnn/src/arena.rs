@@ -1,6 +1,7 @@
 //! Flat parameter/gradient storage shared by all layers of a model.
 
 use rand::prelude::*;
+use std::sync::Arc;
 
 /// A layer's view into the arena: `len` consecutive f32s starting at `offset`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,9 +23,13 @@ impl Slot {
 /// Keeping the whole model in two flat vectors makes the gradient a single dense
 /// slice, which is what every allreduce variant in this workspace consumes, and
 /// makes "apply this sparse update to the model" a scatter.
+///
+/// The parameters sit behind an `Arc`, so data-parallel replicas in one
+/// process can hold one vector ([`Arena::adopt_params`]); writes through
+/// [`Arena::params_mut`] copy it first only while it is shared.
 #[derive(Clone, Debug, Default)]
 pub struct Arena {
-    params: Vec<f32>,
+    params: Arc<Vec<f32>>,
     grads: Vec<f32>,
 }
 
@@ -36,9 +41,10 @@ impl Arena {
 
     /// Allocate `len` parameters initialized by `init` (called once per element).
     pub fn alloc_with(&mut self, len: usize, mut init: impl FnMut() -> f32) -> Slot {
-        let offset = self.params.len();
-        self.params.extend(std::iter::repeat_with(&mut init).take(len));
-        self.grads.resize(self.params.len(), 0.0);
+        let params = Arc::make_mut(&mut self.params);
+        let offset = params.len();
+        params.extend(std::iter::repeat_with(&mut init).take(len));
+        self.grads.resize(params.len(), 0.0);
         Slot { offset, len }
     }
 
@@ -84,9 +90,22 @@ impl Arena {
         &self.params
     }
 
-    /// Mutable view of the entire parameter vector.
+    /// Mutable view of the entire parameter vector: copy-on-write, so it
+    /// copies nothing unless another holder shares the vector.
     pub fn params_mut(&mut self) -> &mut [f32] {
-        &mut self.params
+        Arc::make_mut(&mut self.params).as_mut_slice()
+    }
+
+    /// A handle to the parameter vector, for other replicas to adopt.
+    pub fn params_handle(&self) -> Arc<Vec<f32>> {
+        Arc::clone(&self.params)
+    }
+
+    /// Replace the parameters with `params` (same length), sharing its
+    /// allocation instead of copying it.
+    pub fn adopt_params(&mut self, params: Arc<Vec<f32>>) {
+        assert_eq!(params.len(), self.params.len(), "adopted parameters of another model size");
+        self.params = params;
     }
 
     /// The entire gradient vector.
@@ -140,5 +159,25 @@ mod tests {
         let s2 = a2.alloc_uniform(100, 0.25, &mut r2);
         assert_eq!(a1.p(s1), a2.p(s2));
         assert!(a1.p(s1).iter().all(|v| v.abs() <= 0.25));
+    }
+
+    #[test]
+    fn params_mut_copies_only_a_shared_vector() {
+        let mut a = Arena::new();
+        a.alloc_with(4, || 1.0);
+        let before = a.params().as_ptr();
+        a.params_mut()[0] = 2.0;
+        assert_eq!(a.params().as_ptr(), before, "an unshared arena copied on write");
+
+        let mut b = a.clone();
+        assert_eq!(b.params().as_ptr(), before, "a clone shares the parameters");
+        b.params_mut()[1] = 3.0;
+        assert_ne!(b.params().as_ptr(), before, "a write to shared parameters copies them");
+        assert_eq!(a.params(), &[2.0, 1.0, 1.0, 1.0], "the other holder's values moved");
+        assert_eq!(b.params(), &[2.0, 3.0, 1.0, 1.0]);
+
+        a.adopt_params(b.params_handle());
+        assert_eq!(a.params().as_ptr(), b.params().as_ptr());
+        assert_eq!(a.params(), b.params());
     }
 }

@@ -1,5 +1,7 @@
 //! The interface the distributed trainer drives.
 
+use std::sync::Arc;
+
 /// Result of one forward+backward pass over a batch.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TrainStats {
@@ -59,8 +61,14 @@ pub trait Model {
     fn num_params(&self) -> usize;
     /// The flat parameter vector.
     fn params(&self) -> &[f32];
-    /// Mutable flat parameter vector (for optimizers / sparse updates).
+    /// Mutable flat parameter vector (for optimizers / sparse updates);
+    /// copy-on-write while the vector is shared.
     fn params_mut(&mut self) -> &mut [f32];
+    /// A handle to the flat parameter vector, for other replicas to adopt.
+    fn params_handle(&self) -> Arc<Vec<f32>>;
+    /// Take `params` (same length) as this model's parameters, sharing the
+    /// allocation: data-parallel replicas in one process hold one vector.
+    fn adopt_params(&mut self, params: Arc<Vec<f32>>);
     /// The flat gradient vector (input of every allreduce).
     fn grads(&self) -> &[f32];
     /// Reset all gradients to zero.

@@ -9,6 +9,7 @@ use crate::layers::{Embedding, LayerNorm, Linear, MultiHeadAttention};
 use crate::model::{EvalStats, Model, TrainStats};
 use crate::ops::{relu_backward, relu_inplace, softmax_xent, IGNORE};
 use rand::prelude::*;
+use std::sync::Arc;
 
 struct Block {
     ln1: LayerNorm,
@@ -141,6 +142,14 @@ impl Model for BertLite {
 
     fn params_mut(&mut self) -> &mut [f32] {
         self.arena.params_mut()
+    }
+
+    fn params_handle(&self) -> Arc<Vec<f32>> {
+        self.arena.params_handle()
+    }
+
+    fn adopt_params(&mut self, params: Arc<Vec<f32>>) {
+        self.arena.adopt_params(params);
     }
 
     fn grads(&self) -> &[f32] {

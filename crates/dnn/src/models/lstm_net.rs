@@ -10,6 +10,7 @@ use crate::layers::{Embedding, Linear, LstmCell};
 use crate::model::{EvalStats, Model, TrainStats};
 use crate::ops::{softmax_xent, with_wt_buffer};
 use rand::prelude::*;
+use std::sync::Arc;
 
 /// The LSTM / AN4 stand-in (see module docs).
 pub struct LstmNet {
@@ -84,6 +85,14 @@ impl Model for LstmNet {
 
     fn params_mut(&mut self) -> &mut [f32] {
         self.arena.params_mut()
+    }
+
+    fn params_handle(&self) -> Arc<Vec<f32>> {
+        self.arena.params_handle()
+    }
+
+    fn adopt_params(&mut self, params: Arc<Vec<f32>>) {
+        self.arena.adopt_params(params);
     }
 
     fn grads(&self) -> &[f32] {
@@ -186,7 +195,7 @@ mod tests {
     fn learns_the_markov_chain() {
         let mut m = LstmNet::new(2);
         let data = SyntheticSequences::new(3);
-        let mut opt = crate::optim::Sgd::new(0.5, 0.9, m.num_params());
+        let mut opt = crate::optim::Sgd::new(0.5, 0.9);
         let before = m.evaluate(&data.test_batch(0, 32)).error_rate();
         for it in 0..60 {
             let b = data.train_batch(it, 0, 1, 16);

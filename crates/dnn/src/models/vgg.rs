@@ -11,6 +11,7 @@ use crate::layers::{Conv2d, Linear, MaxPool2d};
 use crate::model::{EvalStats, Model, TrainStats};
 use crate::ops::{relu_backward, relu_inplace, softmax_xent};
 use rand::prelude::*;
+use std::sync::Arc;
 
 /// The VGG-16 stand-in (see module docs).
 pub struct VggLite {
@@ -81,6 +82,14 @@ impl Model for VggLite {
 
     fn params_mut(&mut self) -> &mut [f32] {
         self.arena.params_mut()
+    }
+
+    fn params_handle(&self) -> Arc<Vec<f32>> {
+        self.arena.params_handle()
+    }
+
+    fn adopt_params(&mut self, params: Arc<Vec<f32>>) {
+        self.arena.adopt_params(params);
     }
 
     fn grads(&self) -> &[f32] {
@@ -169,7 +178,7 @@ mod tests {
         // nearly linearly separable).
         let mut m = VggLite::new(1);
         let data = SyntheticImages::new(2);
-        let mut opt = crate::optim::Sgd::new(0.05, 0.9, m.num_params());
+        let mut opt = crate::optim::Sgd::new(0.05, 0.9);
         let first = {
             let b = data.train_batch(0, 0, 1, 16);
             m.evaluate(&b).mean_loss()

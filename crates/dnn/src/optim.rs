@@ -4,7 +4,8 @@
 //! the sparse allreduce runs on raw gradients and Adam is applied afterwards — on
 //! the global top-k support only ([`Adam::step_sparse`], lazy sparse Adam).
 
-/// SGD with (optional) momentum. `velocity` persists across steps.
+/// SGD with (optional) momentum. `velocity` persists across steps; it is
+/// allocated at the first step with momentum, so plain SGD holds nothing.
 #[derive(Clone, Debug)]
 pub struct Sgd {
     /// Learning rate.
@@ -15,9 +16,10 @@ pub struct Sgd {
 }
 
 impl Sgd {
-    /// New optimizer for `n` parameters.
-    pub fn new(lr: f32, momentum: f32, n: usize) -> Self {
-        Self { lr, momentum, velocity: vec![0.0; n] }
+    /// New optimizer; the velocity takes the length of the first parameter
+    /// vector stepped with momentum.
+    pub fn new(lr: f32, momentum: f32) -> Self {
+        Self { lr, momentum, velocity: Vec::new() }
     }
 
     /// Dense step: `v ← μv + g; w ← w − lr·v`.
@@ -29,6 +31,10 @@ impl Sgd {
             }
             return;
         }
+        if self.velocity.is_empty() {
+            self.velocity = vec![0.0; params.len()];
+        }
+        debug_assert_eq!(self.velocity.len(), params.len());
         for ((w, v), &g) in params.iter_mut().zip(&mut self.velocity).zip(grads) {
             *v = self.momentum * *v + g;
             *w -= self.lr * *v;
@@ -108,7 +114,7 @@ mod tests {
 
     #[test]
     fn sgd_without_momentum_is_plain_descent() {
-        let mut opt = Sgd::new(0.1, 0.0, 2);
+        let mut opt = Sgd::new(0.1, 0.0);
         let mut w = vec![1.0f32, -1.0];
         opt.step(&mut w, &[0.5, -0.5]);
         assert_eq!(w, vec![0.95, -0.95]);
@@ -116,7 +122,7 @@ mod tests {
 
     #[test]
     fn momentum_accumulates() {
-        let mut opt = Sgd::new(0.1, 0.9, 1);
+        let mut opt = Sgd::new(0.1, 0.9);
         let mut w = vec![0.0f32];
         opt.step(&mut w, &[1.0]); // v=1, w=-0.1
         opt.step(&mut w, &[1.0]); // v=1.9, w=-0.29

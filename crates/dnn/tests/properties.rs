@@ -86,7 +86,7 @@ proptest! {
     ) {
         let g: Vec<f32> = w0.iter().map(|v| v * 0.5 + 1.0).collect();
         let mut w = w0.clone();
-        let mut opt = Sgd::new(lr, 0.0, w.len());
+        let mut opt = Sgd::new(lr, 0.0);
         opt.step(&mut w, &g);
         for i in 0..w.len() {
             prop_assert!((w[i] - (w0[i] - lr * g[i])).abs() < 1e-6);

@@ -23,8 +23,11 @@ use crate::coo::CooGradient;
 use crate::select::exact_threshold;
 
 /// Most buffer pairs ever retained in the pool; `recycle` beyond this drops the
-/// buffers instead of hoarding them.
-const MAX_POOL: usize = 8;
+/// buffers instead of hoarding them. A steady Ok-Topk step takes three pairs:
+/// its local selection, split-and-reduce's merge spare and the
+/// global-threshold survivors (which leave with the allgatherv), so a deeper
+/// pool only keeps hint-sized pairs idle on every rank.
+const MAX_POOL: usize = 3;
 
 /// Pooled scratch storage for the selection path. See the module docs.
 #[derive(Debug, Default)]
@@ -66,14 +69,15 @@ impl SelectScratch {
         self.recycle_parts(idx, val);
     }
 
-    /// Return raw parallel arrays to the pool. A buffer with no capacity (a
-    /// `to_vec` of an empty shard) is dropped: pooled, it would take a slot
-    /// and make the next `take_pair` allocate.
+    /// Return raw parallel arrays to the pool. A buffer smaller than the nnz
+    /// hint (a `to_vec` of an incoming shard, empty or not) is dropped:
+    /// pooled, it would take a slot and make the next `take_pair` grow it.
     pub fn recycle_parts(&mut self, idx: Vec<u32>, val: Vec<f32>) {
-        if self.idx_pool.len() < MAX_POOL && idx.capacity() > 0 {
+        let fits = |cap: usize| cap > 0 && cap >= self.nnz_hint;
+        if self.idx_pool.len() < MAX_POOL && fits(idx.capacity()) {
             self.idx_pool.push(idx);
         }
-        if self.val_pool.len() < MAX_POOL && val.capacity() > 0 {
+        if self.val_pool.len() < MAX_POOL && fits(val.capacity()) {
             self.val_pool.push(val);
         }
     }

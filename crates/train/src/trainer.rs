@@ -8,6 +8,7 @@ use dnn::Model;
 use simnet::{Cluster, Comm, Engine};
 use sparse::select::topk_exact;
 use sparse::stats::l2_norm;
+use std::sync::{Arc, Mutex};
 
 /// Which optimizer applies the reduced update (mirrors §5's recipes).
 #[derive(Clone, Copy, Debug)]
@@ -151,10 +152,80 @@ pub struct RunResult {
     pub traces: Vec<Vec<simnet::TraceEvent>>,
 }
 
-/// The one optimizer a rank runs, built from [`OptimizerKind`].
+/// The one optimizer of a run, built from [`OptimizerKind`].
 enum Optimizer {
     Sgd(Sgd),
     Adam(Adam),
+}
+
+/// The model state every replica holds in common: Algorithm 2 applies the
+/// same update on every worker, so the P replicas' parameters and optimizer
+/// moments are one copy per process, not one per rank. A rank keeps only what
+/// differs per rank: gradients, ε and activations.
+struct SharedModel(Mutex<ModelState>);
+
+struct ModelState {
+    params: Arc<Vec<f32>>,
+    opt: Optimizer,
+    /// The last step applied to `params`.
+    t: usize,
+}
+
+impl SharedModel {
+    fn new(params: Arc<Vec<f32>>, kind: OptimizerKind) -> Self {
+        let opt = match kind {
+            OptimizerKind::Sgd { lr } => Optimizer::Sgd(Sgd::new(lr, 0.0)),
+            OptimizerKind::Adam { lr, weight_decay } => {
+                Optimizer::Adam(Adam::new(lr, 0.9, 0.999, 1e-8, weight_decay, params.len()))
+            }
+        };
+        Self(Mutex::new(ModelState { params, opt, t: 0 }))
+    }
+
+    /// The parameters after the last step applied.
+    fn params(&self) -> Arc<Vec<f32>> {
+        Arc::clone(&self.0.lock().expect("model state lock").params)
+    }
+
+    /// The parameters after step `t`, which applies `update` at rate `lr_t`.
+    /// The first rank to get here for step `t` makes the next vector and
+    /// steps the optimizer; every later one receives the same handle. No rank
+    /// can reach step `t + 1` before every rank has passed step `t`: its
+    /// update is an allreduce of every rank's step-`(t + 1)` gradient, which
+    /// each rank computes only after adopting step `t`'s parameters.
+    fn apply(&self, t: usize, update: &Update, lr_t: f32) -> Arc<Vec<f32>> {
+        let mut state = self.0.lock().expect("model state lock");
+        if state.t == t {
+            return Arc::clone(&state.params);
+        }
+        assert_eq!(state.t + 1, t, "step {t} applied after step {}", state.t);
+        let ModelState { params, opt, t: applied } = &mut *state;
+        // Every rank still holds the previous vector, so this is the step's
+        // one parameter copy.
+        let params_mut = Arc::make_mut(params);
+        match (update, opt) {
+            (Update::Dense(avg), Optimizer::Sgd(s)) => {
+                s.lr = lr_t;
+                s.step(params_mut, avg)
+            }
+            (Update::Dense(avg), Optimizer::Adam(a)) => {
+                a.set_lr(lr_t);
+                a.step(params_mut, avg)
+            }
+            (Update::Sparse(u), Optimizer::Sgd(_)) => {
+                // SGD mode: the sparse delta already carries the learning rate.
+                for (i, v) in u.iter() {
+                    params_mut[i as usize] -= v;
+                }
+            }
+            (Update::Sparse(u), Optimizer::Adam(a)) => {
+                a.set_lr(lr_t);
+                a.step_sparse(params_mut, u.indexes(), u.values())
+            }
+        }
+        *applied = t;
+        Arc::clone(params)
+    }
 }
 
 /// What each rank closure returns; only rank 0's records/evals are kept, but
@@ -227,7 +298,11 @@ where
     );
     // Rescale fixed costs (latency, kernel launches) to this model's size so the
     // experiment sits in the paper's bandwidth-dominated regime (see cost.rs).
-    let n = make_model().num_params();
+    // This model's parameters are the initial state every rank adopts.
+    let (n, shared) = {
+        let model = make_model();
+        (model.num_params(), SharedModel::new(model.params_handle(), cfg.optimizer))
+    };
     let mut cfg = *cfg;
     cfg.cost = cfg.cost.scaled_for_model(n);
     let cfg = &cfg;
@@ -241,7 +316,8 @@ where
     if let Some(topo) = cfg.topology {
         cluster = cluster.with_topology(topo);
     }
-    let report = cluster.run(|comm| train_rank(comm, cfg, &make_model, &make_batch, eval_batches));
+    let report =
+        cluster.run(|comm| train_rank(comm, cfg, &shared, &make_model, &make_batch, eval_batches));
     let makespan = report.makespan();
     let metrics = report.metrics;
     let mut traces = Vec::with_capacity(p);
@@ -259,6 +335,7 @@ where
 fn train_rank<M, FM, FB>(
     comm: &mut Comm,
     cfg: &TrainConfig,
+    shared: &SharedModel,
     make_model: &FM,
     make_batch: &FB,
     eval_batches: &[M::Batch],
@@ -282,16 +359,14 @@ where
     let m_sparsify = comm.obs().rank_f64("train.sparsify_vsec", obs::Class::Virtual);
     let m_steps = comm.obs().counter("train.steps", obs::Class::Virtual);
     let mut model = make_model();
+    model.adopt_params(shared.params());
     let n = model.num_params();
     let mut reducer = Reducer::new(cfg.scheme, n, cfg.density, cfg.cost, cfg.tau, cfg.tau_prime)
         .with_ranks_per_node(collectives::ranks_per_node(comm));
     let k = reducer.k();
 
-    let (mut opt, base_lr) = match cfg.optimizer {
-        OptimizerKind::Sgd { lr } => (Optimizer::Sgd(Sgd::new(lr, 0.0, n)), lr),
-        OptimizerKind::Adam { lr, weight_decay } => {
-            (Optimizer::Adam(Adam::new(lr, 0.9, 0.999, 1e-8, weight_decay, n)), lr)
-        }
+    let base_lr = match cfg.optimizer {
+        OptimizerKind::Sgd { lr } | OptimizerKind::Adam { lr, .. } => lr,
     };
 
     let fwd_time = cfg.cost.fwd_bwd(n);
@@ -309,15 +384,9 @@ where
         } else {
             base_lr
         };
-        let scale = match &mut opt {
-            Optimizer::Sgd(s) => {
-                s.lr = lr_t;
-                lr_t
-            }
-            Optimizer::Adam(a) => {
-                a.set_lr(lr_t);
-                1.0
-            }
+        let scale = match cfg.optimizer {
+            OptimizerKind::Sgd { .. } => lr_t,
+            OptimizerKind::Adam { .. } => 1.0,
         };
 
         // Real gradient computation on this rank's shard, traced under a
@@ -377,21 +446,8 @@ where
             }
         });
 
-        // Apply the update identically on every rank.
-        match (&update, &mut opt) {
-            (Update::Dense(avg), Optimizer::Sgd(s)) => s.step(model.params_mut(), avg),
-            (Update::Dense(avg), Optimizer::Adam(a)) => a.step(model.params_mut(), avg),
-            (Update::Sparse(u), Optimizer::Sgd(_)) => {
-                // SGD mode: the sparse delta already carries the learning rate.
-                let params = model.params_mut();
-                for (i, v) in u.iter() {
-                    params[i as usize] -= v;
-                }
-            }
-            (Update::Sparse(u), Optimizer::Adam(a)) => {
-                a.step_sparse(model.params_mut(), u.indexes(), u.values())
-            }
-        }
+        // Apply the update once per process; every rank adopts the result.
+        model.adopt_params(shared.apply(t, &update, lr_t));
 
         // Global mean training loss (free mode; 2 words).
         comm.set_free_mode(true);
@@ -603,9 +659,10 @@ mod tests {
         let batch = move |it: u64, r: usize, w: usize| data.train_batch(it, r, w, 2);
         cfg.cost = cfg.cost.scaled_for_model(model().num_params());
         let run = |workers: usize| {
+            let shared = SharedModel::new(model().params_handle(), cfg.optimizer);
             Cluster::new(3, cfg.cost.network())
                 .with_workers(workers)
-                .run(|comm| train_rank(comm, &cfg, &model, &batch, &[]).records.len())
+                .run(|comm| train_rank(comm, &cfg, &shared, &model, &batch, &[]).records.len())
         };
         let serial = run(1);
         let parallel = run(3);

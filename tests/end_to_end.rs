@@ -26,7 +26,7 @@ fn dense_data_parallel_equals_serial() {
 
     // Serial reference: average the P shard gradients by hand each iteration.
     let mut serial = small_vgg();
-    let mut opt = Sgd::new(0.05, 0.0, serial.num_params());
+    let mut opt = Sgd::new(0.05, 0.0);
     for t in 0..iters as u64 {
         let mut avg = vec![0.0f32; serial.num_params()];
         for r in 0..p {
@@ -64,7 +64,7 @@ fn dense_data_parallel_equals_serial() {
     // with identical averaging. Losses recorded per iteration must match the
     // serial losses up to f32 reduction order.
     let mut replay = small_vgg();
-    let mut ropt = Sgd::new(0.05, 0.0, replay.num_params());
+    let mut ropt = Sgd::new(0.05, 0.0);
     for t in 0..iters as u64 {
         let mut avg = vec![0.0f32; replay.num_params()];
         let mut loss = 0.0;
