@@ -12,7 +12,7 @@ use sparse::select::{exact_threshold, topk_exact};
 use sparse::stats::Histogram;
 use sparse::threshold::GaussianEstimator;
 use sparse::{CooGradient, SelectScratch};
-use train::{CostProfile, OptimizerKind, Reducer, RunResult, Scheme, TrainConfig};
+use train::{top_k, CostProfile, OptimizerKind, Reducer, RunResult, Scheme, TrainConfig};
 
 use crate::models::{Data, ModelJob};
 use crate::{full_scale, iters, reduce_steps, Figure};
@@ -164,7 +164,7 @@ pub fn fig4_panel(fig: &mut Figure, panel: usize) {
     let (acc, reused) = data.with_model(Snapshot { density, tau_prime, total, at, lr });
 
     let n = acc.len();
-    let k = ((n as f64 * density) as usize).max(1);
+    let k = top_k(n, density);
     let accurate = exact_threshold(&acc, k);
     let gaussian = GaussianEstimator::raw_threshold(&acc, k);
     let picks = |th: f32| {
@@ -224,7 +224,7 @@ impl ModelJob for Snapshot {
         let report = Cluster::new(4, CostModel::free()).run(|comm| {
             let mut model = model();
             let n = model.num_params();
-            let k = ((n as f64 * density) as usize).max(1);
+            let k = top_k(n, density);
             let mut sgd = OkTopkSgd::new(OkTopkConfig::new(n, k).with_periods(64, tau_prime));
             let mut out = None;
             for t in 1..=total {
@@ -235,7 +235,7 @@ impl ModelJob for Snapshot {
                     (t == at && comm.rank() == 0).then(|| sgd.peek_accumulator(model.grads(), lr));
                 let step = sgd.step(comm, model.grads(), lr);
                 if let Some(acc) = acc {
-                    out = Some((acc, step.meta.local_th.expect("a step selects")));
+                    out = Some((acc, step.local_th.expect("a step selects")));
                 }
                 let params = model.params_mut();
                 for (i, v) in step.update.iter() {
@@ -327,15 +327,15 @@ pub fn fig6_panel(fig: &mut Figure, panel: usize) {
     };
     let [oktopk, gaussian, dsa]: [RunResult; 3] =
         [Scheme::OkTopk, Scheme::GaussianK, Scheme::TopkDsa].map(&mut run);
-    let k = ((data.num_params() as f64 * density) as usize).max(1);
+    let k = top_k(data.num_params(), density);
     let kf = k as f64;
 
     fig.row(format!("\n=== {name} (k = {k}) ==="));
     fig.row("  iter | Ok-Topk local | Ok-Topk global | Gaussiank predicted");
     let recs = &oktopk.records;
     for r in recs.iter().step_by((recs.len() / 12).max(1)) {
-        let g = gaussian.records.iter().find(|x| x.t == r.t).and_then(|x| x.gaussian_pred);
-        let (local, global) = (r.local_nnz.unwrap_or(0), r.global_nnz.unwrap_or(0));
+        let g = gaussian.records.iter().find(|x| x.t == r.t).and_then(|x| x.reduce.gaussian_pred);
+        let (local, global) = (r.reduce.local_nnz.unwrap_or(0), r.reduce.global_nnz.unwrap_or(0));
         fig.row(format!("  {:>5} | {local:>13} | {global:>14} | {:>19}", r.t, g.unwrap_or(0)));
     }
     // Deviation over the second half of training: the residuals need ~n/k
@@ -349,15 +349,15 @@ pub fn fig6_panel(fig: &mut Figure, panel: usize) {
                 stable.iter().filter_map(|r| get(r).map(|v| (v as f64 - kf).abs() / kf)).collect(),
             )
     };
-    let (local, global) = (dev(|r| r.local_nnz), dev(|r| r.global_nnz));
+    let (local, global) = (dev(|r| r.reduce.local_nnz), dev(|r| r.reduce.global_nnz));
     fig.row(format!(
         "  Ok-Topk average |deviation| from k (2nd half of training): local {local:.1}%, global {global:.1}%"
     ));
     let g2 = &gaussian.records[gaussian.records.len() / 2..];
-    let g_sum: f64 = g2.iter().filter_map(|r| r.gaussian_pred).map(|v| v as f64).sum();
+    let g_sum: f64 = g2.iter().filter_map(|r| r.reduce.gaussian_pred).map(|v| v as f64).sum();
     let g_mean = g_sum / g2.len().max(1) as f64;
     fig.row(format!("  Gaussiank mean raw prediction: {g_mean:.0} ({:.2}x of k)", g_mean / kf));
-    let fill = mean(dsa.records.iter().filter_map(|r| r.dsa_density).collect());
+    let fill = mean(dsa.records.iter().filter_map(|r| r.reduce.dsa_density).collect());
     fig.row(format!(
         "  TopkDSA/TopkA output-buffer density (fill-in, §5.2): mean {:.2}% (input density was the configured k/n)",
         100.0 * fill
@@ -561,8 +561,8 @@ pub fn ablations(fig: &mut Figure) {
             t_okt * 1e3
         ));
     }
-    fig.row("  (both algorithms are topology-agnostic; the hierarchy model exists to study");
-    fig.row("   placement-aware variants — the paper's hybrid-parallelism future work)");
+    fig.row("  (both algorithms are topology-agnostic; their placement-aware two-tier");
+    fig.row("   variants are the Hier-* rows of the hier figure)");
 }
 
 /// Split-and-reduce's destination rotation pipelining the network (Fig. 2's

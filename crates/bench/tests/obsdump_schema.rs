@@ -51,5 +51,4 @@ fn obsdump_trace_is_valid_trace_events_json() {
 
     // The summary table carries the per-run metrics.
     assert!(dump.summary.contains("sim.recv_wait_vsec"), "summary lists sim metrics");
-    assert!(dump.summary.contains("train.steps"), "summary lists trainer metrics");
 }

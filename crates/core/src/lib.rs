@@ -33,5 +33,5 @@ pub mod sgd;
 pub mod split_reduce;
 
 pub use config::OkTopkConfig;
-pub use oktopk::{OkTopk, OkTopkOutput, SparseStep};
+pub use oktopk::{OkTopk, OkTopkOutput};
 pub use sgd::{ErrorFeedback, OkTopkSgd, SparseRow};

@@ -31,14 +31,16 @@ pub struct OkTopk {
     scratch: SelectScratch,
 }
 
-/// Everything one `allreduce` call produces, including the instrumentation the
-/// paper's Figs. 6–7 report.
+/// Everything one Ok-Topk step produces — what [`OkTopk::allreduce`] and the
+/// row's exchange return — including the instrumentation the paper's Figs. 6–7
+/// report.
 #[derive(Clone, Debug)]
 pub struct OkTopkOutput {
     /// `u_t`: the sparse sum restricted to the (approximate) global top-k
     /// support, after the pipeline's `finish` (the `1/P` of
-    /// [`ErrorFeedback::step`](crate::ErrorFeedback::step)). One allocation
-    /// per process: every rank holds the same handle.
+    /// [`ErrorFeedback::step`](crate::ErrorFeedback::step)): the model update
+    /// (SGD mode) or averaged sparse gradient (Adam mode). One allocation per
+    /// process: every rank holds the same handle.
     pub update: Arc<CooGradient>,
     /// Indexes of this rank's local top-k entries that made it into the global
     /// top-k (Algorithm 1 line 14) — the entries whose residual is cleared.
@@ -55,16 +57,6 @@ pub struct OkTopkOutput {
     pub global_nnz: usize,
     /// Whether the data-balancing step ran (4× trigger, §3.1.2).
     pub balanced: bool,
-}
-
-/// One Ok-Topk step's result: what the row's exchange returns.
-pub struct SparseStep {
-    /// `u_t / P` — the model update (SGD mode) or averaged sparse gradient (Adam
-    /// mode). One allocation per process: every rank's handle is the same, and
-    /// so is `meta.update`'s.
-    pub update: Arc<CooGradient>,
-    /// Full output of the underlying sparse allreduce (thresholds, counts, …).
-    pub meta: OkTopkOutput,
 }
 
 impl OkTopk {
@@ -103,7 +95,7 @@ impl OkTopk {
     pub fn allreduce<C: Net>(&mut self, comm: &mut C, acc: &[f32], t: usize) -> OkTopkOutput {
         assert_eq!(acc.len(), self.cfg.n, "accumulator length must equal configured n");
         let local = self.select(acc, t);
-        self.exchange(comm, local, t, |_| {}).meta
+        self.exchange(comm, local, t, |_| {})
     }
 
     /// Lines 2–4: local threshold, re-evaluated every τ′ iterations, then the
@@ -116,7 +108,7 @@ impl OkTopk {
 
 /// Ok-Topk's row: threshold-reuse selection and Algorithm 1's exchange.
 impl SparseRow for OkTopk {
-    type Out = SparseStep;
+    type Out = OkTopkOutput;
 
     /// Algorithm 2 line 4 and Algorithm 1 lines 2–4 together: `residual +=
     /// scale·grad` in place, then the local selection. On the τ′ − 1 of τ′
@@ -150,7 +142,7 @@ impl SparseRow for OkTopk {
         local: CooGradient,
         t: usize,
         finish: impl FnOnce(&mut CooGradient),
-    ) -> SparseStep {
+    ) -> OkTopkOutput {
         assert!(t >= 1, "iterations are 1-based, as in Algorithm 1");
         let p = comm.size();
         let n = self.cfg.n as u32;
@@ -196,7 +188,7 @@ impl SparseRow for OkTopk {
         let local_nnz = sr.local_nnz;
         self.scratch.recycle(local);
 
-        let meta = OkTopkOutput {
+        OkTopkOutput {
             global_nnz: bal.global_nnz,
             balanced: bal.balanced,
             update: bal.global_topk,
@@ -204,12 +196,11 @@ impl SparseRow for OkTopk {
             local_th: self.local_est.cached(),
             global_th: self.global_th,
             local_nnz,
-        };
-        SparseStep { update: Arc::clone(&meta.update), meta }
+        }
     }
 
-    fn leaves(out: &SparseStep) -> &[u32] {
-        &out.meta.contributed
+    fn leaves(out: &OkTopkOutput) -> &[u32] {
+        &out.contributed
     }
 }
 
@@ -367,7 +358,7 @@ mod tests {
                     let mut ths = Vec::new();
                     for accs in &steps[..iters] {
                         let local = sparse::select::topk_exact(&accs[comm.rank()], k);
-                        ths.push(sgd.exchange(comm, local).meta.local_th);
+                        ths.push(sgd.exchange(comm, local).local_th);
                         comm.barrier();
                     }
                     ths
@@ -479,12 +470,11 @@ mod tests {
                     let at = format!("p={p} rank={} t={t}", comm.rank());
                     assert_eq!(step.update.indexes(), want_update.indexes(), "{at}");
                     assert_eq!(bits(step.update.values()), bits(want_update.values()), "{at}");
-                    assert!(Arc::ptr_eq(&step.update, &step.meta.update), "{at}");
-                    assert_eq!(step.meta.contributed, want.contributed, "{at}");
+                    assert_eq!(step.contributed, want.contributed, "{at}");
                     assert_eq!(bits(sgd.residual()), bits(&residual), "{at}");
                     // What this rank brought to the consensus, for the reference.
                     let local = repartition
-                        .then(|| select_ge(&acc, step.meta.local_th.unwrap()).indexes().to_vec());
+                        .then(|| select_ge(&acc, step.local_th.unwrap()).indexes().to_vec());
                     steps.push((Arc::clone(&sgd.allreduce_state().boundaries), step.update, local));
                 }
                 steps

@@ -139,7 +139,7 @@ mod tests {
                 let acc = sgd.peek_accumulator(&grad, 0.1);
                 let step = sgd.step(comm, &grad, 0.1);
                 let contributed: std::collections::HashSet<u32> =
-                    step.meta.contributed.iter().copied().collect();
+                    step.contributed.iter().copied().collect();
                 for (i, (&got, &a)) in sgd.residual().iter().zip(&acc).enumerate() {
                     let expect = if contributed.contains(&(i as u32)) { 0.0 } else { a };
                     ok &= got == expect;
@@ -181,7 +181,7 @@ mod tests {
                     let mut want_update = want.update.as_ref().clone();
                     want_update.scale(1.0 / p as f32);
 
-                    let got = sgd.step(comm, &grad, 0.1).meta;
+                    let got = sgd.step(comm, &grad, 0.1);
                     let at = format!("p={p} rank={} t={t}", comm.rank());
                     assert_eq!(got.update.indexes(), want_update.indexes(), "{at}");
                     assert_eq!(bits(got.update.values()), bits(want_update.values()), "{at}");

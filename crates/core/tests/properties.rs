@@ -104,7 +104,7 @@ proptest! {
             let acc = sgd.peek_accumulator(grad, 0.1);
             let step = sgd.step(comm, grad, 0.1);
             let contributed: std::collections::HashSet<u32> =
-                step.meta.contributed.iter().copied().collect();
+                step.contributed.iter().copied().collect();
             let mut ok = true;
             for (i, (&got, &a)) in sgd.residual().iter().zip(&acc).enumerate() {
                 let expect = if contributed.contains(&(i as u32)) { 0.0 } else { a };

@@ -66,7 +66,7 @@ fn radix_histograms_are_per_worker_not_per_rank() {
                 (0..n).map(|i| ((i * (comm.rank() + 3) + 7 * t) as f32 * 0.013).sin()).collect();
             reevals += usize::from(sgd.allreduce_state().is_reeval_iteration(t));
             let step = sgd.step(comm, &grad, 0.1);
-            assert!(step.meta.global_nnz > 0, "step {t} reduced nothing");
+            assert!(step.global_nnz > 0, "step {t} reduced nothing");
         }
         reevals
     });

@@ -40,10 +40,15 @@ impl Arena {
     }
 
     /// Allocate `len` parameters initialized by `init` (called once per element).
+    /// Both vectors grow to exactly their new length: a model holds its
+    /// gradients for the whole run, so amortized growth would keep up to twice
+    /// their size.
     pub fn alloc_with(&mut self, len: usize, mut init: impl FnMut() -> f32) -> Slot {
         let params = Arc::make_mut(&mut self.params);
         let offset = params.len();
+        params.reserve_exact(len);
         params.extend(std::iter::repeat_with(&mut init).take(len));
+        self.grads.reserve_exact(len);
         self.grads.resize(params.len(), 0.0);
         Slot { offset, len }
     }
@@ -179,5 +184,50 @@ mod tests {
         a.adopt_params(b.params_handle());
         assert_eq!(a.params().as_ptr(), b.params().as_ptr());
         assert_eq!(a.params(), b.params());
+    }
+
+    #[test]
+    fn a_model_is_its_arena() {
+        use crate::data::SyntheticImages;
+        use crate::model::Model;
+        use crate::models::VggLite;
+        let mut m = VggLite::with_width(3, 4, 8, 16, 4, 8);
+        assert_eq!(m.num_params(), m.arena().len());
+        assert_eq!(m.params().as_ptr(), m.arena().params().as_ptr());
+
+        let before = m.params().as_ptr();
+        let first = m.params()[1];
+        m.params_mut()[0] = 0.5;
+        assert_eq!(m.arena().params().as_ptr(), before, "an unshared model copied on write");
+        let other = m.arena().params_handle();
+        m.params_mut()[1] = 0.25;
+        assert_ne!(m.arena().params().as_ptr(), before, "a write to shared parameters stayed");
+        assert_eq!(m.arena().params()[..2], [0.5, 0.25]);
+        assert_eq!(other[..2], [0.5, first], "the other holder's values moved");
+
+        let batch = SyntheticImages::with_shape(1, 4, 3, 8, 0.5).train_batch(0, 0, 1, 2);
+        m.forward_backward(&batch);
+        assert_eq!(m.grads().as_ptr(), m.arena().grads().as_ptr());
+        assert!(m.arena().grads().iter().any(|&g| g != 0.0));
+        m.zero_grads();
+        assert!(m.arena().grads().iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    fn vectors_grow_to_exact_capacity() {
+        use crate::model::Model;
+        use crate::models::{BertLite, LstmNet, VggLite};
+        let exact = |name: &str, a: &Arena| {
+            assert_eq!(a.params.capacity(), a.len(), "{name}: parameter slack");
+            assert_eq!(a.grads.capacity(), a.len(), "{name}: gradient slack");
+        };
+        exact("VggLite", VggLite::new(0).arena());
+        exact("LstmNet", LstmNet::new(0).arena());
+        exact("BertLite", BertLite::new(0).arena());
+        let mut a = Arena::new();
+        for len in [3, 1, 7, 64, 5] {
+            a.alloc_zeros(len);
+            exact("an arena after each allocation", &a);
+        }
     }
 }

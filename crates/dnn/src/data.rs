@@ -188,7 +188,6 @@ impl SyntheticSequences {
     }
 
     /// Training batch `iter` for worker `rank` of `world` (disjoint shards).
-    /// Training batch `iter` for worker `rank` of `world` (disjoint shards).
     pub fn train_batch(&self, iter: u64, rank: usize, world: usize, batch: usize) -> SeqBatch {
         let start = (iter * world as u64 + rank as u64) * batch as u64;
         self.batch_at(start, batch)
@@ -268,7 +267,6 @@ impl SyntheticMaskedLm {
         self.batch_at(start, batch)
     }
 
-    /// Deterministic held-out batch (disjoint from all training indexes).
     /// Deterministic held-out batch (disjoint from all training indexes).
     pub fn test_batch(&self, block: u64, batch: usize) -> SeqBatch {
         self.batch_at(TEST_OFFSET + block * batch as u64, batch)

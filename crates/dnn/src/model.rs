@@ -1,6 +1,6 @@
 //! The interface the distributed trainer drives.
 
-use std::sync::Arc;
+use crate::arena::Arena;
 
 /// Result of one forward+backward pass over a batch.
 #[derive(Clone, Copy, Debug, Default)]
@@ -52,27 +52,16 @@ impl TrainStats {
 ///
 /// The gradient of the whole model is a single dense slice — the input of every
 /// allreduce scheme in this workspace — and parameter updates are plain slice
-/// mutations (dense) or scatters (sparse).
+/// mutations (dense) or scatters (sparse). A model is its [`Arena`]: the state
+/// methods are the arena's, read through [`arena`](Self::arena).
 pub trait Model {
     /// Task-specific batch type (images, token sequences, masked sequences…).
     type Batch;
 
-    /// Total parameter count.
-    fn num_params(&self) -> usize;
-    /// The flat parameter vector.
-    fn params(&self) -> &[f32];
-    /// Mutable flat parameter vector (for optimizers / sparse updates);
-    /// copy-on-write while the vector is shared.
-    fn params_mut(&mut self) -> &mut [f32];
-    /// A handle to the flat parameter vector, for other replicas to adopt.
-    fn params_handle(&self) -> Arc<Vec<f32>>;
-    /// Take `params` (same length) as this model's parameters, sharing the
-    /// allocation: data-parallel replicas in one process hold one vector.
-    fn adopt_params(&mut self, params: Arc<Vec<f32>>);
-    /// The flat gradient vector (input of every allreduce).
-    fn grads(&self) -> &[f32];
-    /// Reset all gradients to zero.
-    fn zero_grads(&mut self);
+    /// The model's parameters and gradients.
+    fn arena(&self) -> &Arena;
+    /// Mutable access to the model's parameters and gradients.
+    fn arena_mut(&mut self) -> &mut Arena;
 
     /// Forward + backward on one batch; gradients *accumulate* into the arena
     /// (callers zero them between iterations).
@@ -80,4 +69,26 @@ pub trait Model {
 
     /// Forward-only evaluation.
     fn evaluate(&self, batch: &Self::Batch) -> EvalStats;
+
+    /// Total parameter count.
+    fn num_params(&self) -> usize {
+        self.arena().len()
+    }
+    /// The flat parameter vector.
+    fn params(&self) -> &[f32] {
+        self.arena().params()
+    }
+    /// Mutable flat parameter vector (for optimizers / sparse updates);
+    /// copy-on-write while the vector is shared.
+    fn params_mut(&mut self) -> &mut [f32] {
+        self.arena_mut().params_mut()
+    }
+    /// The flat gradient vector (input of every allreduce).
+    fn grads(&self) -> &[f32] {
+        self.arena().grads()
+    }
+    /// Reset all gradients to zero.
+    fn zero_grads(&mut self) {
+        self.arena_mut().zero_grads();
+    }
 }

@@ -9,7 +9,6 @@ use crate::layers::{Embedding, LayerNorm, Linear, MultiHeadAttention};
 use crate::model::{EvalStats, Model, TrainStats};
 use crate::ops::{relu_backward, relu_inplace, softmax_xent, IGNORE};
 use rand::prelude::*;
-use std::sync::Arc;
 
 struct Block {
     ln1: LayerNorm,
@@ -132,32 +131,12 @@ impl BertLite {
 impl Model for BertLite {
     type Batch = SeqBatch;
 
-    fn num_params(&self) -> usize {
-        self.arena.len()
+    fn arena(&self) -> &Arena {
+        &self.arena
     }
 
-    fn params(&self) -> &[f32] {
-        self.arena.params()
-    }
-
-    fn params_mut(&mut self) -> &mut [f32] {
-        self.arena.params_mut()
-    }
-
-    fn params_handle(&self) -> Arc<Vec<f32>> {
-        self.arena.params_handle()
-    }
-
-    fn adopt_params(&mut self, params: Arc<Vec<f32>>) {
-        self.arena.adopt_params(params);
-    }
-
-    fn grads(&self) -> &[f32] {
-        self.arena.grads()
-    }
-
-    fn zero_grads(&mut self) {
-        self.arena.zero_grads();
+    fn arena_mut(&mut self) -> &mut Arena {
+        &mut self.arena
     }
 
     fn forward_backward(&mut self, batch: &SeqBatch) -> TrainStats {

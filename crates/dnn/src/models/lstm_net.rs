@@ -10,7 +10,6 @@ use crate::layers::{Embedding, Linear, LstmCell};
 use crate::model::{EvalStats, Model, TrainStats};
 use crate::ops::{softmax_xent, with_wt_buffer};
 use rand::prelude::*;
-use std::sync::Arc;
 
 /// The LSTM / AN4 stand-in (see module docs).
 pub struct LstmNet {
@@ -75,32 +74,12 @@ impl LstmNet {
 impl Model for LstmNet {
     type Batch = SeqBatch;
 
-    fn num_params(&self) -> usize {
-        self.arena.len()
+    fn arena(&self) -> &Arena {
+        &self.arena
     }
 
-    fn params(&self) -> &[f32] {
-        self.arena.params()
-    }
-
-    fn params_mut(&mut self) -> &mut [f32] {
-        self.arena.params_mut()
-    }
-
-    fn params_handle(&self) -> Arc<Vec<f32>> {
-        self.arena.params_handle()
-    }
-
-    fn adopt_params(&mut self, params: Arc<Vec<f32>>) {
-        self.arena.adopt_params(params);
-    }
-
-    fn grads(&self) -> &[f32] {
-        self.arena.grads()
-    }
-
-    fn zero_grads(&mut self) {
-        self.arena.zero_grads();
+    fn arena_mut(&mut self) -> &mut Arena {
+        &mut self.arena
     }
 
     fn forward_backward(&mut self, batch: &SeqBatch) -> TrainStats {

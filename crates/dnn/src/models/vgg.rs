@@ -11,7 +11,6 @@ use crate::layers::{Conv2d, Linear, MaxPool2d};
 use crate::model::{EvalStats, Model, TrainStats};
 use crate::ops::{relu_backward, relu_inplace, softmax_xent};
 use rand::prelude::*;
-use std::sync::Arc;
 
 /// The VGG-16 stand-in (see module docs).
 pub struct VggLite {
@@ -72,32 +71,12 @@ impl VggLite {
 impl Model for VggLite {
     type Batch = ImageBatch;
 
-    fn num_params(&self) -> usize {
-        self.arena.len()
+    fn arena(&self) -> &Arena {
+        &self.arena
     }
 
-    fn params(&self) -> &[f32] {
-        self.arena.params()
-    }
-
-    fn params_mut(&mut self) -> &mut [f32] {
-        self.arena.params_mut()
-    }
-
-    fn params_handle(&self) -> Arc<Vec<f32>> {
-        self.arena.params_handle()
-    }
-
-    fn adopt_params(&mut self, params: Arc<Vec<f32>>) {
-        self.arena.adopt_params(params);
-    }
-
-    fn grads(&self) -> &[f32] {
-        self.arena.grads()
-    }
-
-    fn zero_grads(&mut self) {
-        self.arena.zero_grads();
+    fn arena_mut(&mut self) -> &mut Arena {
+        &mut self.arena
     }
 
     fn forward_backward(&mut self, batch: &ImageBatch) -> TrainStats {

@@ -192,8 +192,7 @@ impl Cluster {
         // One fiber per rank, run tokens granted in virtual-time order by the
         // shared core, exact deadlock detection; see [`crate::engine`] for the
         // design.
-        let core =
-            Arc::new(EventCore::new(self.size, self.workers, Some(EngineMetrics::new(&registry))));
+        let core = Arc::new(EventCore::new(self.size, self.workers, EngineMetrics::new(&registry)));
         // Each rank's result or panic payload, written as its fiber exits.
         let outcomes: Vec<Mutex<Option<_>>> = (0..self.size).map(|_| Mutex::new(None)).collect();
         let fibers: Vec<Fiber<'_>> = (0..self.size)

@@ -306,8 +306,8 @@ fn purge_at(size: usize) -> usize {
 pub(crate) struct EventCore {
     size: usize,
     workers: usize,
-    /// Scheduler metric handles; `None` when the run has no registry wired.
-    metrics: Option<EngineMetrics>,
+    /// Scheduler metric handles.
+    metrics: EngineMetrics,
     state: Mutex<CoreState>,
     /// Per-rank delivery state (messages + wait registration).
     inboxes: Vec<Mutex<RankInbox>>,
@@ -336,7 +336,7 @@ pub(crate) struct EventCore {
 }
 
 impl EventCore {
-    pub(crate) fn new(size: usize, workers: usize, metrics: Option<EngineMetrics>) -> Self {
+    pub(crate) fn new(size: usize, workers: usize, metrics: EngineMetrics) -> Self {
         assert!(size >= 1 && workers >= 1);
         let ranks =
             (0..size).map(|_| RankSlot { status: Status::Ready, clock: 0.0, wake: 0 }).collect();
@@ -416,9 +416,7 @@ impl EventCore {
             let ranks = &st.ranks;
             st.ready.retain(|&Reverse(k)| is_live(ranks, k));
         }
-        if let Some(m) = &self.metrics {
-            m.ready_depth_max.set_max((st.ready.len() + st.cohort.len()) as u64);
-        }
+        self.metrics.ready_depth_max.set_max((st.ready.len() + st.cohort.len()) as u64);
         while st.running < self.workers {
             let Some(key) = self.pop_next_ready(st) else { break };
             self.grant_rank(st, key.rank, granted);
@@ -431,9 +429,7 @@ impl EventCore {
         debug_assert_eq!(st.ranks[rank].status, Status::Ready);
         st.ranks[rank].status = Status::Running;
         st.running += 1;
-        if let Some(m) = &self.metrics {
-            m.token_grants.inc();
-        }
+        self.metrics.token_grants.inc();
         granted.push(rank);
     }
 
@@ -452,9 +448,7 @@ impl EventCore {
         if keep_first {
             if let Some(rank) = ranks.next() {
                 HANDOFF.with(|h| h.set(Some(rank)));
-                if let Some(m) = &self.metrics {
-                    m.handoff_hit.inc();
-                }
+                self.metrics.handoff_hit.inc();
             }
         }
         for rank in ranks {
@@ -465,9 +459,7 @@ impl EventCore {
     /// Queue `rank` for the next free worker.
     fn enqueue(&self, rank: usize) {
         if self.idle.load(Ordering::Relaxed) > 0 {
-            if let Some(m) = &self.metrics {
-                m.handoff_miss.inc();
-            }
+            self.metrics.handoff_miss.inc();
         }
         self.runq_tx.try_send(rank).expect("the run queue holds every rank at once");
     }
@@ -593,17 +585,13 @@ impl EventCore {
                     // and found us still Running). Keep the token, continue
                     // inline; the envelope is already in the inbox.
                     st.wake_pending[rank] = false;
-                    if let Some(m) = &self.metrics {
-                        m.park_elided.inc();
-                    }
+                    self.metrics.park_elided.inc();
                     continue;
                 }
                 st.ranks[rank].status = Status::RecvWait { src, tag };
                 st.ranks[rank].clock = clock;
                 st.running -= 1;
-                if let Some(m) = &self.metrics {
-                    m.parks.inc();
-                }
+                self.metrics.parks.inc();
                 // Targeted handoff: walk the wait-for chain from the rank we
                 // are waiting *on* and run the first ready producer along it —
                 // demand-driven order beats lowest-clock order for rotation
@@ -729,9 +717,7 @@ impl EventCore {
             st.ranks[rank].status = Status::BarrierWait;
             st.ranks[rank].clock = clock;
             st.running -= 1;
-            if let Some(m) = &self.metrics {
-                m.parks.inc();
-            }
+            self.metrics.parks.inc();
             self.schedule(&mut st, &mut granted);
             self.check_deadlock(&mut st);
             drop(st);
@@ -885,7 +871,7 @@ mod tests {
 
     #[test]
     fn cohort_refill_pops_equal_timestamp_run() {
-        let core = EventCore::new(4, 1, None);
+        let core = EventCore::new(4, 1, EngineMetrics::new(&obs::Registry::with_ranks(4, true)));
         let mut st = core.state.lock();
         st.ready.clear();
         st.ready.push(Reverse(ReadyKey { clock: 1.0, rank: 3, wake: 0 }));
@@ -912,7 +898,7 @@ mod tests {
         // older entry in the heap, naming a rank that is Ready again but in a
         // later wake.
         let p = 4;
-        let core = EventCore::new(p, 1, None);
+        let core = EventCore::new(p, 1, EngineMetrics::new(&obs::Registry::with_ranks(p, true)));
         let mut st = core.state.lock();
         let mut granted = Vec::new();
         while st.ready.len() <= purge_at(p) {

@@ -23,7 +23,7 @@ pub mod reducer;
 pub mod trainer;
 
 pub use cost::CostProfile;
-pub use reducer::{Reducer, Scheme, Update};
+pub use reducer::{top_k, Reducer, Scheme, Update};
 pub use trainer::{
     run_data_parallel, run_data_parallel_chaos, EvalPoint, IterRecord, OptimizerKind, RunResult,
     TrainConfig,

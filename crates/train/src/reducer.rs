@@ -238,6 +238,12 @@ enum State {
     Sparse { feedback: Box<ErrorFeedback<Row>>, node_sum: Vec<f32> },
 }
 
+/// The top-k target of `n` entries at `density`: n·density rounded to the
+/// nearest integer, clamped to [1, n]. Every run and every figure's k.
+pub fn top_k(n: usize, density: f64) -> usize {
+    ((n as f64 * density).round() as usize).clamp(1, n)
+}
+
 /// Per-rank, scheme-specific persistent state (residuals, thresholds, …).
 pub struct Reducer {
     n: usize,
@@ -258,7 +264,7 @@ impl Reducer {
         tau: usize,
         tau_prime: usize,
     ) -> Self {
-        let k = ((n as f64 * density).round() as usize).clamp(1, n);
+        let k = top_k(n, density);
         let (family, tier) = scheme.family();
         let state = match family {
             Family::Dense { .. } => State::Dense { node_sum: Vec::new() },
@@ -284,7 +290,7 @@ impl Reducer {
         self
     }
 
-    /// The resolved top-k target (density × n, clamped to [1, n]).
+    /// The resolved top-k target, [`top_k`] of the reducer's n and density.
     pub fn k(&self) -> usize {
         self.k
     }
@@ -509,8 +515,8 @@ impl SparseRow for Row {
             }
             Exchange::OkTopk => {
                 let out = self.okt.exchange(comm, local, t, finish);
-                metrics.balanced = Some(out.meta.balanced);
-                (out.meta.contributed, out.update)
+                metrics.balanced = Some(out.balanced);
+                (out.contributed, out.update)
             }
         };
         metrics.global_nnz = Some(sum.nnz());

@@ -1,7 +1,7 @@
 //! The data-parallel training loop with full instrumentation.
 
 use crate::cost::CostProfile;
-use crate::reducer::{Reducer, Scheme, Update};
+use crate::reducer::{ReduceMetrics, Reducer, Scheme, Update};
 use collectives::{allreduce_inplace, allreduce_sum_f64};
 use dnn::optim::{Adam, Sgd};
 use dnn::Model;
@@ -102,22 +102,14 @@ pub struct IterRecord {
     pub t: usize,
     /// Modeled seconds: forward+backward compute (incl. I/O).
     pub compute: f64,
-    /// Modeled seconds: top-k selection / thresholding.
-    pub sparsify: f64,
     /// Modeled seconds: visible communication (after any overlap).
     pub comm: f64,
     /// Global mean training loss of this iteration.
     pub train_loss: f64,
-    /// Local top-k selection size (sparse schemes).
-    pub local_nnz: Option<usize>,
-    /// Global/result support size (sparse schemes).
-    pub global_nnz: Option<usize>,
-    /// Gaussiank's raw predicted selection count.
-    pub gaussian_pred: Option<usize>,
-    /// TopkDSA output density (fill-in).
-    pub dsa_density: Option<f64>,
-    /// Whether Ok-Topk's data balancing fired.
-    pub balanced: Option<bool>,
+    /// The reducer's account of this step: modeled sparsification seconds,
+    /// selection and result sizes, Gaussiank's prediction, TopkDSA's fill-in
+    /// and whether Ok-Topk balanced.
+    pub reduce: ReduceMetrics,
     /// Assumption-1 ξ, when measured.
     pub xi: Option<f64>,
 }
@@ -145,7 +137,7 @@ pub struct RunResult {
     pub evals: Vec<EvalPoint>,
     /// Modeled makespan of the whole run (slowest rank).
     pub makespan: f64,
-    /// The run's metrics snapshot (simnet + trainer instruments; empty values
+    /// The run's metrics snapshot (simnet's instruments; empty values
     /// when observability is disabled).
     pub metrics: obs::MetricsSnapshot,
     /// Per-rank activity traces (empty unless [`TrainConfig::profile`]).
@@ -246,7 +238,7 @@ impl RunResult {
         let n = tail.len() as f64;
         (
             tail.iter().map(|r| r.compute).sum::<f64>() / n,
-            tail.iter().map(|r| r.sparsify).sum::<f64>() / n,
+            tail.iter().map(|r| r.reduce.sparsify_time).sum::<f64>() / n,
             tail.iter().map(|r| r.comm).sum::<f64>() / n,
         )
     }
@@ -301,7 +293,7 @@ where
     // This model's parameters are the initial state every rank adopts.
     let (n, shared) = {
         let model = make_model();
-        (model.num_params(), SharedModel::new(model.params_handle(), cfg.optimizer))
+        (model.num_params(), SharedModel::new(model.arena().params_handle(), cfg.optimizer))
     };
     let mut cfg = *cfg;
     cfg.cost = cfg.cost.scaled_for_model(n);
@@ -350,16 +342,8 @@ where
     if cfg.profile {
         comm.enable_trace();
     }
-    // Trainer instruments live in the same per-run registry as simnet's, so
-    // they land in `RunResult::metrics` and inherit the Virtual-class
-    // schedule-invariance guarantee (all are per-rank single-writer values or
-    // functions of the data, never of host scheduling).
-    let m_obs = comm.obs().enabled();
-    let m_compute = comm.obs().rank_f64("train.compute_vsec", obs::Class::Virtual);
-    let m_sparsify = comm.obs().rank_f64("train.sparsify_vsec", obs::Class::Virtual);
-    let m_steps = comm.obs().counter("train.steps", obs::Class::Virtual);
     let mut model = make_model();
-    model.adopt_params(shared.params());
+    model.arena_mut().adopt_params(shared.params());
     let n = model.num_params();
     let mut reducer = Reducer::new(cfg.scheme, n, cfg.density, cfg.cost, cfg.tau, cfg.tau_prime)
         .with_ranks_per_node(collectives::ranks_per_node(comm));
@@ -447,7 +431,7 @@ where
         });
 
         // Apply the update once per process; every rank adopts the result.
-        model.adopt_params(shared.apply(t, &update, lr_t));
+        model.arena_mut().adopt_params(shared.apply(t, &update, lr_t));
 
         // Global mean training loss (free mode; 2 words).
         comm.set_free_mode(true);
@@ -455,23 +439,12 @@ where
         comm.set_free_mode(false);
         let train_loss = if sums[1] > 0.0 { sums[0] / sums[1] } else { 0.0 };
 
-        if m_obs {
-            m_steps.inc();
-            m_compute.add(rank, fwd_time);
-            m_sparsify.add(rank, metrics.sparsify_time);
-        }
-
         records.push(IterRecord {
             t,
             compute: fwd_time,
-            sparsify: metrics.sparsify_time,
             comm: comm_visible,
             train_loss,
-            local_nnz: metrics.local_nnz,
-            global_nnz: metrics.global_nnz,
-            gaussian_pred: metrics.gaussian_pred,
-            dsa_density: metrics.dsa_density,
-            balanced: metrics.balanced,
+            reduce: metrics,
             xi,
         });
 
@@ -534,10 +507,10 @@ mod tests {
             assert_eq!(res.evals.len(), 2);
             for r in &res.records {
                 assert!(r.compute > 0.0);
-                assert!(r.comm >= 0.0 && r.sparsify >= 0.0);
+                assert!(r.comm >= 0.0 && r.reduce.sparsify_time >= 0.0);
                 assert!(r.train_loss.is_finite());
                 if scheme.is_sparse() {
-                    assert!(r.local_nnz.is_some(), "{}", scheme.name());
+                    assert!(r.reduce.local_nnz.is_some(), "{}", scheme.name());
                 }
             }
         }
@@ -645,10 +618,10 @@ mod tests {
         }
     }
 
-    /// End-to-end trainer schedule invariance: the `train.*` instruments
-    /// (phase times, nnz histogram, residual norms) are Virtual-class, so a
-    /// run serialized on one worker and one where every rank is its own
-    /// runnable thread must record them bit for bit.
+    /// End-to-end trainer schedule invariance: a training run's Virtual-class
+    /// metrics (simnet's per-rank clocks, traffic and waits) are functions of
+    /// the data, so a run serialized on one worker and one where every rank is
+    /// its own runnable thread must record them bit for bit.
     #[test]
     fn trainer_metrics_match_across_worker_counts() {
         let mut cfg = small_cfg(Scheme::OkTopk);
@@ -659,7 +632,7 @@ mod tests {
         let batch = move |it: u64, r: usize, w: usize| data.train_batch(it, r, w, 2);
         cfg.cost = cfg.cost.scaled_for_model(model().num_params());
         let run = |workers: usize| {
-            let shared = SharedModel::new(model().params_handle(), cfg.optimizer);
+            let shared = SharedModel::new(model().arena().params_handle(), cfg.optimizer);
             Cluster::new(3, cfg.cost.network())
                 .with_workers(workers)
                 .run(|comm| train_rank(comm, &cfg, &shared, &model, &batch, &[]).records.len())
@@ -672,11 +645,5 @@ mod tests {
             parallel.metrics.parity_view(),
             "trainer virtual metrics diverged across worker counts"
         );
-        for name in ["train.compute_vsec", "train.sparsify_vsec"] {
-            assert!(
-                serial.metrics.parity_view().iter().any(|(n, _)| n == name),
-                "missing trainer metric {name}"
-            );
-        }
     }
 }

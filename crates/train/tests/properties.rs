@@ -4,7 +4,7 @@
 use dnn::data::SyntheticImages;
 use dnn::models::VggLite;
 use proptest::prelude::*;
-use train::{run_data_parallel, OptimizerKind, Scheme, TrainConfig};
+use train::{run_data_parallel, top_k, OptimizerKind, Scheme, TrainConfig};
 
 /// Every flat scheme: a two-tier one is its flat twin without a topology.
 fn scheme_strategy() -> impl Strategy<Value = Scheme> {
@@ -44,13 +44,13 @@ proptest! {
         prop_assert_eq!(res.records.len(), 4);
         for (i, r) in res.records.iter().enumerate() {
             prop_assert_eq!(r.t, i + 1);
-            prop_assert!(r.compute > 0.0 && r.sparsify >= 0.0 && r.comm >= 0.0);
+            prop_assert!(r.compute > 0.0 && r.reduce.sparsify_time >= 0.0 && r.comm >= 0.0);
             prop_assert!(r.train_loss.is_finite());
             if scheme.is_sparse() {
-                prop_assert!(r.local_nnz.is_some());
-                prop_assert!(r.global_nnz.is_some());
+                prop_assert!(r.reduce.local_nnz.is_some());
+                prop_assert!(r.reduce.global_nnz.is_some());
             } else {
-                prop_assert!(r.local_nnz.is_none());
+                prop_assert!(r.reduce.local_nnz.is_none());
             }
         }
         prop_assert!(res.makespan > 0.0);
@@ -77,11 +77,11 @@ proptest! {
         );
         use dnn::Model;
         let n = VggLite::with_width(9, 4, 8, 16, 3, 8).num_params();
-        let k = ((n as f64 * density).round() as usize).max(1);
+        let k = top_k(n, density);
         for r in &res.records {
-            let local = r.local_nnz.expect("sparse scheme records local_nnz");
+            let local = r.reduce.local_nnz.expect("sparse scheme records local_nnz");
             prop_assert_eq!(local, k, "exact local selection must be exactly k");
-            let global = r.global_nnz.expect("sparse scheme records global_nnz");
+            let global = r.reduce.global_nnz.expect("sparse scheme records global_nnz");
             match scheme {
                 // gTopk re-selects: ≤ k.
                 Scheme::GTopk => prop_assert!(global <= k),
