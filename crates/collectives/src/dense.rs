@@ -11,9 +11,9 @@
 //! messages arrive in, the gather half moves `Arc` handles of the reduced
 //! regions, and the n-word result is assembled once per process — every rank
 //! returns a handle to the same allocation. Chunk regions are computed
-//! arithmetically (no boundary vector), send chunks come from the
-//! communicator's recycled-buffer pool, and every received chunk goes back to
-//! it or becomes the rank's piece.
+//! arithmetically (no boundary vector), send chunks come from the run's
+//! recycled-buffer pool, and every received chunk goes back to it or becomes
+//! the rank's piece.
 //!
 //! Who copies what in Rabenseifner's reduce-scatter: a rank holds its segment
 //! as *leaves*, buffers of a run of the equal partition's regions, none
@@ -159,12 +159,8 @@ fn accumulate(got: &mut [f32], mine: &[f32]) {
 /// as the piece it contributes to the gather. The piece is an exact-size copy
 /// and the pooled accumulator goes back to the pool — a piece is freed by
 /// whichever rank drops it last, so a pooled buffer that left as one would
-/// never return, and every step would open with a pool miss.
-///
-/// `spent` is the accumulator before `acc`, if the caller still holds it. The
-/// larger of the two is recycled last: the pool is a stack and the next
-/// allreduce's first chunk is its largest, so it pops the buffer that fits
-/// instead of growing the small one until every pooled buffer is n/2 wide.
+/// never return, and every step would open with a pool miss. `spent`, the
+/// accumulator before `acc` if the caller still holds it, goes back too.
 fn own_piece<C: Net>(
     comm: &mut C,
     acc: Vec<f32>,
@@ -172,9 +168,7 @@ fn own_piece<C: Net>(
     finish: impl FnOnce(&mut [f32]),
 ) -> Piece {
     let mut data = acc.as_slice().to_vec();
-    let mut pooled = [Some(acc), spent];
-    pooled.sort_by_key(|buf| buf.as_ref().map_or(0, Vec::capacity));
-    for buf in pooled.into_iter().flatten() {
+    for buf in [Some(acc), spent].into_iter().flatten() {
         comm.recycle_f32(buf);
     }
     finish(&mut data);

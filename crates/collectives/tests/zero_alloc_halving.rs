@@ -2,33 +2,47 @@
 //! twin of `zero_alloc_ring.rs` (which covers the ring path, P = 3).
 //!
 //! A counting `#[global_allocator]` wraps the system allocator, armed per rank
-//! and keyed by [`simnet::current_rank`]. After a warm-up that fills the
-//! per-rank buffer pools, one full Rabenseifner step on P = 4 ranks is
-//! counted, in two geometries, at the default worker count: the scheduler's
-//! ready queue is sized once at its purge threshold, so a rank that wakes
-//! another never grows it in the armed step.
+//! and keyed by [`simnet::current_rank`], and sums what the armed ranks
+//! allocate. The buffer pool is the run's, not a rank's, so which rank's take
+//! misses depends on the grant order; how many do does not. After a warm-up
+//! that fills the pool, one full Rabenseifner step on P = 4 ranks is counted,
+//! process-wide, in two geometries, at the default worker count: the
+//! scheduler's ready queue is sized once at its purge threshold, so a rank
+//! that wakes another never grows it in the armed step.
 //!
 //! **Leaves** (n = 4·[`LEAF_FLOOR`]: a leaf per region, so the first step's
-//! half is two leaves). A rank makes exactly **seven** allocations:
+//! half is two leaves). The process makes exactly **31** allocations:
 //!
-//! - reduce-scatter half: **three**. The first step copies the partner's two
-//!   leaves out of the gradient into pooled buffers and sends them as one
-//!   list: the list, and the `Box` a non-inline payload travels in. The second
-//!   step hands one leaf over inline (`Payload::F32`) and recycles the one it
-//!   kept. So the pool gets back one leaf fewer than it gave, and one take
-//!   misses: that region-sized buffer is the third, the leaf that ends as some
-//!   rank's piece.
-//! - gather half: **four**, none an f32 buffer: the `Arc` around the rank's
-//!   piece, the leaf block and one joined block per doubling round (log₂ P).
+//! - reduce-scatter half: **three per rank**. The first step copies the
+//!   partner's two leaves out of the gradient into pooled buffers and sends
+//!   them as one list: the list, and the `Box` a non-inline payload travels
+//!   in. The second step hands one leaf over inline (`Payload::F32`) and
+//!   recycles the one it kept. So each rank gives the pool back one leaf
+//!   fewer than it took, and four of the step's eight takes miss: those four
+//!   region-sized buffers are the leaves that end as the ranks' pieces. Every
+//!   take of a step comes before any recycle of it, and every recycle of the
+//!   step before comes before either, so it is always four.
+//! - gather half: **four per rank**, none an f32 buffer: the `Arc` around the
+//!   rank's piece, the leaf block and one joined block per doubling round
+//!   (log₂ P).
 //!
 //! **One leaf** (n = [`LEAF_FLOOR`], so both halves are under the floor):
 //! the segment splits by copying, as before leaves, and the pool gets back
-//! every buffer it gave. A rank makes exactly **five**: the piece, an
-//! exact-size copy of its region, and the same four in the gather half.
+//! every buffer it gave. The process makes exactly **23**: per rank the
+//! piece, an exact-size copy of its region, and the same four in the gather
+//! half. Here a rank takes an n/2 and an n/4 buffer and recycles both at its
+//! end, and whether all four n/4 takes are out at once is up to the grant
+//! order, so the warm-up steps alone may leave the pool short of the peak it
+//! grows to; the warm-up therefore ends with every rank holding one buffer of
+//! each size a step takes at the same time, across a barrier.
 //!
 //! The assembler makes three more in either geometry: the P-slot list of
 //! piece references, the n-word result and the `Arc` around it. Whichever rank
-//! finishes its gather first assembles; that exactly one does is checked.
+//! finishes its gather first assembles; that exactly one does — one
+//! result-sized allocation — is checked.
+//!
+//! The totals are the sums of the per-rank counts a pool per rank gave
+//! (4 · 7 + 3 and 4 · 5 + 3); what moved is which rank pays for a miss.
 //!
 //! Each rank sends two messages per iteration on each of its two partner
 //! channels, so the measured iteration stays inside every channel's first
@@ -46,9 +60,9 @@ struct CountingAlloc;
 const P: usize = 4; // power of two → Rabenseifner
 
 static ARMED: [AtomicBool; P] = [const { AtomicBool::new(false) }; P];
-static ALLOCS: [AtomicUsize; P] = [const { AtomicUsize::new(0) }; P];
-static REGION_SIZED: [AtomicUsize; P] = [const { AtomicUsize::new(0) }; P];
-static RESULT_SIZED: [AtomicUsize; P] = [const { AtomicUsize::new(0) }; P];
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static REGION_SIZED: AtomicUsize = AtomicUsize::new(0);
+static RESULT_SIZED: AtomicUsize = AtomicUsize::new(0);
 /// Bytes of one region and of the whole result at the current length.
 static REGION_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
 static RESULT_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
@@ -56,12 +70,12 @@ static RESULT_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
 fn charge(bytes: usize) {
     let Some(rank) = simnet::current_rank() else { return };
     if ARMED[rank].load(Relaxed) {
-        ALLOCS[rank].fetch_add(1, Relaxed);
+        ALLOCS.fetch_add(1, Relaxed);
         if bytes >= REGION_BYTES.load(Relaxed) {
-            REGION_SIZED[rank].fetch_add(1, Relaxed);
+            REGION_SIZED.fetch_add(1, Relaxed);
         }
         if bytes >= RESULT_BYTES.load(Relaxed) {
-            RESULT_SIZED[rank].fetch_add(1, Relaxed);
+            RESULT_SIZED.fetch_add(1, Relaxed);
         }
     }
 }
@@ -86,25 +100,32 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// One armed step at length `n`: `(allocations, region-sized, result-sized)`
-/// for each rank.
-fn armed_step(n: usize) -> Vec<(usize, usize, usize)> {
+/// summed over the ranks.
+fn armed_step(n: usize) -> (usize, usize, usize) {
     const WARMUP: usize = 5;
     REGION_BYTES.store(4 * (n / P), Relaxed);
     RESULT_BYTES.store(4 * n, Relaxed);
-    for rank in 0..P {
-        ALLOCS[rank].store(0, Relaxed);
-        REGION_SIZED[rank].store(0, Relaxed);
-        RESULT_SIZED[rank].store(0, Relaxed);
+    for count in [&ALLOCS, &REGION_SIZED, &RESULT_SIZED] {
+        count.store(0, Relaxed);
     }
-    let report = Cluster::new(P, CostModel::aries()).run(|comm| {
+    Cluster::new(P, CostModel::aries()).run(|comm| {
         let rank = comm.rank();
         let data: Vec<f32> = (0..n).map(|i| (rank * n + i) as f32 * 1e-3 + 1.0).collect();
 
         // Warm-up: fills the f32 buffer pool, creates the ledger cell and the
-        // channels' first blocks, and parks and resumes the rank.
+        // channels' first blocks, and parks and resumes the rank. Then every
+        // rank holds one buffer of each size a step takes (n/2 and n/4 under
+        // the floor, one region above it) across a barrier, so the pool holds
+        // each size's peak whatever order the warm-up steps ran in.
         for _ in 0..WARMUP {
             allreduce_shared(comm, &data, 0.0, |_| {});
         }
+        let sizes = if n == LEAF_FLOOR { vec![n / 2, n / 4] } else { vec![n / P] };
+        let held: Vec<Vec<f32>> = sizes.into_iter().map(|len| comm.take_f32(len)).collect();
+        comm.barrier();
+        held.into_iter().for_each(|buf| comm.recycle_f32(buf));
+        comm.barrier();
+
         ARMED[rank].store(true, Relaxed);
         let sum = allreduce_shared(comm, &data, 0.0, |_| {});
         ARMED[rank].store(false, Relaxed);
@@ -112,29 +133,21 @@ fn armed_step(n: usize) -> Vec<(usize, usize, usize)> {
         // Sanity: the measured iteration did real work.
         let checksum: f32 = sum.iter().sum();
         assert!(sum.len() == n && checksum.is_finite() && checksum > 0.0, "degenerate result");
-        let count = |c: &[AtomicUsize; P]| c[rank].load(Relaxed);
-        (count(&ALLOCS), count(&REGION_SIZED), count(&RESULT_SIZED))
     });
-    report.results
+    (ALLOCS.load(Relaxed), REGION_SIZED.load(Relaxed), RESULT_SIZED.load(Relaxed))
 }
 
 #[test]
 fn steady_state_halving_allreduce_allocates_its_piece_one_list_and_one_result() {
-    // (n, allocations per rank, of which region-sized buffers)
-    for (n, per_rank, buffers) in [(4 * LEAF_FLOOR, 7, 1), (LEAF_FLOOR, 5, 1)] {
-        let mut assemblers = 0;
-        for (rank, &(allocs, region_sized, result_sized)) in armed_step(n).iter().enumerate() {
-            let what = format!("n={n} rank {rank}");
-            assert!(result_sized <= 1, "{what}: {result_sized} result-sized allocations");
-            assert_eq!(
-                allocs,
-                per_rank + 3 * result_sized,
-                "{what}: the reduce-scatter's piece and lists, the gather's handles, and on the \
-                 assembler a list of references, the result and its Arc"
-            );
-            assert_eq!(region_sized, buffers + result_sized, "{what}: f32 buffers");
-            assemblers += result_sized;
-        }
-        assert_eq!(assemblers, 1, "n={n}: the result is assembled once per process");
+    // (n, allocations in the process, of which region-sized)
+    for (n, total, region_sized) in [(4 * LEAF_FLOOR, 31, 5), (LEAF_FLOOR, 23, 5)] {
+        let (allocs, region, result) = armed_step(n);
+        assert_eq!(result, 1, "n={n}: the result is assembled once per process");
+        assert_eq!(
+            allocs, total,
+            "n={n}: the reduce-scatter's pieces, lists and misses, the gather's handles, and \
+             the assembler's list of references, result and Arc"
+        );
+        assert_eq!(region, region_sized, "n={n}: f32 buffers of a region or more");
     }
 }

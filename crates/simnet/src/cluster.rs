@@ -2,7 +2,7 @@
 //! and collects results, clocks and traffic.
 
 use crate::chaos::{ChaosPlan, ChaosView};
-use crate::comm::{Comm, PoolBudget, SimMetrics, POOL_BUDGET_DEFAULT_BYTES};
+use crate::comm::{BufPool, Comm, SimMetrics};
 use crate::cost::CostModel;
 use crate::engine::{Cascade, Engine, EngineMetrics, EventCore, SchedMode};
 use crate::fiber::Fiber;
@@ -16,7 +16,8 @@ use std::sync::Arc;
 /// A simulated cluster of `size` ranks governed by one [`CostModel`].
 ///
 /// `Cluster` is cheap to construct; each [`run`](Self::run) makes fresh rank fibers,
-/// a fresh traffic ledger and fresh clocks, so runs are independent and deterministic.
+/// a fresh traffic ledger, fresh clocks and one message-buffer pool its ranks
+/// share ([`Comm::take_f32`]), so runs are independent and deterministic.
 pub struct Cluster {
     size: usize,
     cost: CostModel,
@@ -27,8 +28,6 @@ pub struct Cluster {
     chaos: Option<ChaosPlan>,
     /// Run-token count, and worker threads (at most one per rank).
     workers: usize,
-    /// Idle-pool byte budget.
-    pool_budget_bytes: usize,
     /// Whether runs record metrics.
     obs: bool,
     /// Two-tier topology consulted at every link-charging point and by the
@@ -66,7 +65,6 @@ impl Cluster {
             stack_bytes: 8 << 20,
             chaos: None,
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            pool_budget_bytes: POOL_BUDGET_DEFAULT_BYTES,
             obs: true,
             topo: None,
         }
@@ -119,14 +117,6 @@ impl Cluster {
     pub fn with_stack_bytes(mut self, bytes: usize) -> Self {
         assert!(bytes >= 64 << 10, "rank stacks below 64 KiB are not survivable");
         self.stack_bytes = bytes;
-        self
-    }
-
-    /// Cap the total bytes retained *idle* across all ranks' recycled-buffer
-    /// free-lists (default 64 MiB). Memory in flight is never charged; the cap
-    /// only stops P=2048 runs from hoarding O(P · bucket) idle buffers.
-    pub fn with_pool_budget(mut self, bytes: usize) -> Self {
-        self.pool_budget_bytes = bytes;
         self
     }
 
@@ -186,7 +176,7 @@ impl Cluster {
     {
         let ledger = Arc::new(Ledger::default());
         let compiled = self.chaos.as_ref().map(|plan| Arc::new(plan.compile(self.size)));
-        let budget = Arc::new(PoolBudget::new(self.pool_budget_bytes));
+        let pool = Arc::new(BufPool::default());
         let registry = Arc::new(obs::Registry::with_ranks(self.size, self.obs));
         let metrics = SimMetrics::new(&registry);
         // One fiber per rank, run tokens granted in virtual-time order by the
@@ -199,7 +189,7 @@ impl Cluster {
             .map(|rank| {
                 let (core, outcome, f) = (&core, &outcomes[rank], &f);
                 let ledger = Arc::clone(&ledger);
-                let budget = Arc::clone(&budget);
+                let pool = Arc::clone(&pool);
                 let metrics = metrics.clone();
                 let view = compiled.as_ref().map(|c| ChaosView::new(Arc::clone(c), rank));
                 let topo = self.topo.clone();
@@ -212,7 +202,7 @@ impl Cluster {
                             self.cost,
                             ledger,
                             Arc::clone(core),
-                            budget,
+                            pool,
                             view,
                             metrics,
                             topo,

@@ -15,65 +15,56 @@ use crate::request::SendHandle;
 use crate::topo::Topology;
 use crate::trace::{TraceEvent, TraceKind};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 /// Message tag, used to match sends with receives (like an MPI tag).
 pub type Tag = u64;
 
-/// Default global byte budget for idle pooled buffers across all ranks of one
-/// run (64 MiB). At P=2048 an uncapped per-rank pool would retain
-/// O(P · MAX_POOL · bucket) bytes of idle free-list memory; the budget bounds
-/// the total while leaving small-P runs effectively uncapped.
-pub(crate) const POOL_BUDGET_DEFAULT_BYTES: usize = 64 << 20;
-
-/// Most recycled buffers a rank keeps. Sized to cover a full bucket of the
-/// bucketed collectives (send a bucket, then drain a bucket): the drain
-/// recycles up to a bucket's worth of storage that the next bucket's sends
-/// take back out, so buckets up to this deep stay allocation-free in steady
-/// state. The pool is a cap, not a preallocation — it only ever holds
-/// buffers a `recv` actually returned. The global [`PoolBudget`] additionally
-/// caps the *bytes* retained across all ranks.
-const MAX_POOL: usize = 32;
-
-/// Global byte budget for *idle* pooled buffers, shared by all ranks of one
-/// run. A `recycle_f32` only retains its buffer if it can reserve the buffer's
-/// capacity from the budget; a `take_f32` that reuses a pooled buffer releases
-/// the reservation. The budget therefore bounds the total bytes sitting idle
-/// in free-lists — memory actively in flight is never charged.
+/// The run's one free list of idle `f32` message buffers, shared by every
+/// rank's `Comm`. A chunk travels from the rank that took it to the rank that
+/// recycles it, so a per-rank list parks the receiver's buffers until its next
+/// send; one list hands them to the next sender at once. The lock is held for
+/// one pop or one push, never across a `Comm` call, and a buffer is allocated
+/// and cleared outside it (only the list's own amortized growth runs inside).
 ///
-/// Whether a particular recycle wins the reservation can depend on cross-rank
-/// interleaving, but that only decides *allocation reuse*: taken buffers are
-/// always cleared, so modeled clocks, data and ledgers are unaffected and
-/// every worker count agrees regardless.
-pub(crate) struct PoolBudget {
-    remaining: AtomicI64,
+/// Take is best fit: the smallest idle capacity that holds the request,
+/// newest first within a capacity, never a smaller buffer grown. There is no
+/// byte budget: the list holds only buffers that were taken, and a miss
+/// allocates only when every idle buffer that would fit is out, so per
+/// capacity it never holds more buffers than were out at once.
+#[derive(Default)]
+pub(crate) struct BufPool(parking_lot::Mutex<Idle>);
+
+#[derive(Default)]
+struct Idle {
+    /// Idle buffers grouped by capacity, ascending; each group's newest last.
+    by_cap: Vec<(usize, Vec<Vec<f32>>)>,
+    bytes: usize,
 }
 
-impl PoolBudget {
-    pub(crate) fn new(bytes: usize) -> Self {
-        Self { remaining: AtomicI64::new(bytes.min(i64::MAX as usize) as i64) }
+impl BufPool {
+    fn pop(&self, cap: usize) -> Option<Vec<f32>> {
+        let mut idle = self.0.lock();
+        let at = idle.by_cap.partition_point(|(c, _)| *c < cap);
+        let buf = idle.by_cap[at..].iter_mut().find_map(|(_, group)| group.pop())?;
+        idle.bytes -= buf.capacity() * 4;
+        Some(buf)
     }
 
-    fn try_reserve(&self, bytes: usize) -> bool {
-        let bytes = bytes.min(i64::MAX as usize) as i64;
-        let prev = self.remaining.fetch_sub(bytes, Ordering::Relaxed);
-        if prev < bytes {
-            self.remaining.fetch_add(bytes, Ordering::Relaxed);
-            false
-        } else {
-            true
-        }
-    }
-
-    fn release(&self, bytes: usize) {
-        self.remaining.fetch_add(bytes.min(i64::MAX as usize) as i64, Ordering::Relaxed);
-    }
-
-    /// Bytes still reservable (for tests/diagnostics).
-    #[cfg(test)]
-    pub(crate) fn remaining_bytes(&self) -> i64 {
-        self.remaining.load(Ordering::Relaxed)
+    /// Push `buf` and return the idle bytes after it.
+    fn push(&self, buf: Vec<f32>) -> usize {
+        let cap = buf.capacity();
+        let mut idle = self.0.lock();
+        let at = match idle.by_cap.binary_search_by_key(&cap, |(c, _)| *c) {
+            Ok(at) => at,
+            Err(at) => {
+                idle.by_cap.insert(at, (cap, Vec::new()));
+                at
+            }
+        };
+        idle.by_cap[at].1.push(buf);
+        idle.bytes += cap * 4;
+        idle.bytes
     }
 }
 
@@ -103,8 +94,8 @@ pub(crate) struct SimMetrics {
     /// every link is inter-node fabric by convention, so this equals
     /// `sim.tx_bytes` on a flat network.
     inter_bytes: obs::RankU64,
-    /// Buffer-pool behavior (Host class: reservation outcomes may depend on
-    /// cross-rank interleaving through the shared [`PoolBudget`]).
+    /// Buffer-pool behavior (Host class: which rank's take finds an idle
+    /// buffer depends on the cross-rank interleaving through [`BufPool`]).
     pool_hit: obs::Counter,
     pool_miss: obs::Counter,
     pool_idle_max: obs::Gauge,
@@ -198,12 +189,10 @@ pub struct Comm {
     ledger: Arc<Ledger>,
     cells: Vec<PhaseVolume>,
     core: Arc<EventCore>,
-    /// Free-list of recycled `f32` message buffers. Steady-state collectives
-    /// cycle the same few chunks: a rank sends a buffer, receives one of the
-    /// same size from a peer, and recycles it for the next send. Pooling turns
-    /// that cycle allocation-free after warmup.
-    pool: Vec<Vec<f32>>,
-    pool_budget: Arc<PoolBudget>,
+    /// The run's free list of recycled `f32` message buffers: steady-state
+    /// collectives cycle the same few chunks, so pooling turns that cycle
+    /// allocation-free after warmup.
+    pool: Arc<BufPool>,
     /// This rank's view of the installed chaos plan, if any. `None` keeps every
     /// charging path bit-identical to the clean model.
     chaos: Option<ChaosView>,
@@ -221,7 +210,7 @@ impl Comm {
         cost: CostModel,
         ledger: Arc<Ledger>,
         core: Arc<EventCore>,
-        pool_budget: Arc<PoolBudget>,
+        pool: Arc<BufPool>,
         chaos: Option<ChaosView>,
         metrics: SimMetrics,
         topo: Option<Arc<Topology>>,
@@ -243,8 +232,7 @@ impl Comm {
             ledger,
             cells: vec![PhaseVolume::default(); phase_id as usize + 1],
             core,
-            pool: Vec::new(),
-            pool_budget,
+            pool,
             chaos,
             topo,
         }
@@ -378,56 +366,34 @@ impl Comm {
         self.record_tagged(start, end, TraceKind::Compute, end != clean_end);
     }
 
-    /// Take a cleared `f32` buffer with capacity ≥ `cap` from this rank's pool,
-    /// allocating only if the free-list is empty or its top buffer is too small. Pair with
-    /// [`recycle_f32`](Self::recycle_f32) to make steady-state messaging
-    /// allocation-free. Reusing a pooled buffer returns its bytes to the
-    /// cluster-wide idle-pool budget.
+    /// Take a cleared `f32` buffer with capacity ≥ `cap` from the run's pool
+    /// (see [`BufPool`]), allocating exactly `cap` only if no idle buffer
+    /// fits. Pair with [`recycle_f32`](Self::recycle_f32) to make steady-state
+    /// messaging allocation-free.
     pub fn take_f32(&mut self, cap: usize) -> Vec<f32> {
-        let Some(mut buf) = self.pool.pop() else {
+        let Some(mut buf) = self.pool.pop(cap) else {
             self.metrics.pool_miss.inc();
             return Vec::with_capacity(cap);
         };
-        // The pool pops its most recent buffer whatever its size; one `reserve`
-        // has to grow is reallocated, so it counts as a miss — `pool.hit`
-        // means reuse. The buffer's bytes leave the idle-pool budget either way.
-        if buf.capacity() >= cap {
-            self.metrics.pool_hit.inc();
-        } else {
-            self.metrics.pool_miss.inc();
-        }
-        self.pool_budget.release(buf.capacity() * 4);
+        self.metrics.pool_hit.inc();
         buf.clear();
-        buf.reserve(cap);
         buf
     }
 
     /// Return a no-longer-needed `f32` buffer (e.g. one a `recv` produced) to
-    /// this rank's free-list. Keeps at most a handful per rank, and only while
-    /// the cluster-wide idle-pool byte budget has room; otherwise the buffer is
-    /// simply dropped (P=2048 runs must not retain O(P · bucket) idle bytes).
+    /// the run's pool, where any rank's next take that it fits can reuse it.
     pub fn recycle_f32(&mut self, buf: Vec<f32>) {
-        if self.pool.len() < MAX_POOL
-            && buf.capacity() > 0
-            && self.pool_budget.try_reserve(buf.capacity() * 4)
-        {
-            self.pool.push(buf);
-            self.note_idle_bytes();
+        if buf.capacity() > 0 {
+            let idle = self.pool.push(buf);
+            if self.metrics.enabled {
+                self.metrics.pool_idle_max.set_max(idle as u64);
+            }
         }
     }
 
-    /// Track the high-water mark of this rank's idle pooled bytes (an
-    /// occupancy signal for the cluster-wide [`PoolBudget`]).
-    fn note_idle_bytes(&mut self) {
-        if self.metrics.enabled {
-            let bytes = self.pooled_bytes() as u64;
-            self.metrics.pool_idle_max.set_max(bytes);
-        }
-    }
-
-    /// Bytes currently held idle in this rank's buffer free-list.
+    /// Bytes currently held idle in the run's buffer pool, across all ranks.
     pub fn pooled_bytes(&self) -> usize {
-        self.pool.iter().map(|b| b.capacity() * 4).sum()
+        self.pool.0.lock().bytes
     }
 
     /// Charge the injection port for a message of `elems` elements to `dst` and
@@ -681,23 +647,5 @@ mod tests {
         assert_eq!(barrier_latency(&c, 5), 3.0);
         assert_eq!(barrier_latency(&c, 8), 3.0);
         assert_eq!(barrier_latency(&c, 9), 4.0);
-    }
-
-    #[test]
-    fn pool_budget_reserve_release_roundtrip() {
-        let b = PoolBudget::new(100);
-        assert!(b.try_reserve(60));
-        assert!(!b.try_reserve(60), "over-budget reservation must fail");
-        assert!(b.try_reserve(40));
-        assert_eq!(b.remaining_bytes(), 0);
-        b.release(60);
-        assert!(b.try_reserve(60));
-    }
-
-    #[test]
-    fn zero_pool_budget_rejects_everything() {
-        let b = PoolBudget::new(0);
-        assert!(!b.try_reserve(1));
-        assert!(b.try_reserve(0), "zero-byte reservation is vacuously fine");
     }
 }

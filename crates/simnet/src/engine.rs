@@ -71,6 +71,12 @@
 //! (`engine.park_elided`); that lock orders claim and park, so the wakeup
 //! cannot be lost.
 //!
+//! One structure on the message's way is shared by every rank: the run's
+//! buffer pool (`comm.rs`, `BufPool`), where the receiver recycles the chunk
+//! the sender took. It is off `send` and `recv` — a collective calls
+//! `take_f32` and `recycle_f32` around them — and its lock is held for one pop
+//! or one push.
+//!
 //! ## Exact deadlock detection
 //!
 //! The core knows the whole cluster state: if no rank holds a run token,

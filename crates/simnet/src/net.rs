@@ -68,13 +68,13 @@ pub trait Net {
     /// semantics identical to `recv`.
     fn recv_shared<T: Send + Sync + 'static>(&mut self, src: usize, tag: Tag) -> Arc<T>;
 
-    /// Take a cleared `f32` buffer with capacity ≥ `cap` from the rank's
+    /// Take a cleared `f32` buffer with capacity ≥ `cap` from the run's
     /// recycled-buffer pool (see [`Comm::take_f32`]).
     fn take_f32(&mut self, cap: usize) -> Vec<f32> {
         Vec::with_capacity(cap)
     }
 
-    /// Return an `f32` buffer to the rank's pool.
+    /// Return an `f32` buffer to the run's pool.
     fn recycle_f32(&mut self, _buf: Vec<f32>) {}
 }
 

@@ -170,26 +170,32 @@ fn pooled_buffers_are_recycled() {
 }
 
 #[test]
-fn a_pooled_buffer_that_has_to_grow_counts_as_a_miss() {
-    // The pool pops its most recent buffer whatever its size. Reusing it for a
-    // smaller request is a hit; growing it for a larger one reallocates, so
-    // `pool.hit` must not count it — and the budget gets its bytes back in
-    // both cases.
+fn a_take_skips_an_idle_buffer_too_small_for_it() {
+    // The pool never grows a buffer: a request no idle buffer holds is a miss
+    // that allocates beside the smaller one, which stays idle for a request
+    // it fits. `pool.hit` means reuse.
     let report = Cluster::new(1, CostModel::free()).with_obs(true).run(|comm| {
         let small = comm.take_f32(64); // empty pool: miss
+        let small_ptr = small.as_ptr();
         comm.recycle_f32(small);
-        let same = comm.take_f32(32); // fits: hit
-        let idle_after_hit = comm.pooled_bytes();
-        comm.recycle_f32(same);
-        let grown = comm.take_f32(4096); // popped, too small: miss
-        let idle_after_grow = comm.pooled_bytes();
-        assert!(grown.is_empty() && grown.capacity() >= 4096);
-        comm.recycle_f32(grown);
-        (idle_after_hit, idle_after_grow)
+        let idle_before = comm.pooled_bytes();
+        let big = comm.take_f32(4096); // the idle buffer is too small: miss
+        assert!(big.is_empty() && big.capacity() == 4096, "a miss allocates exactly the request");
+        let idle_after_miss = comm.pooled_bytes();
+        let fits = comm.take_f32(32); // the small buffer holds it: hit
+        assert_eq!(fits.as_ptr(), small_ptr, "the skipped buffer serves the next request it fits");
+        comm.recycle_f32(big);
+        comm.recycle_f32(fits);
+        (idle_before, idle_after_miss)
     });
-    assert_eq!(report.results[0], (0, 0), "a popped buffer leaves the idle pool either way");
+    assert_eq!(report.results[0], (64 * 4, 64 * 4), "a miss leaves the idle bytes as they were");
     assert_eq!(report.metrics.get("pool.hit"), Some(&obs::MetricValue::Counter(1)));
     assert_eq!(report.metrics.get("pool.miss"), Some(&obs::MetricValue::Counter(2)));
+    assert_eq!(
+        report.metrics.get("pool.idle_bytes_max"),
+        Some(&obs::MetricValue::Gauge((4096 + 64) * 4)),
+        "the idle high-water is the process's, both buffers back at the end"
+    );
 }
 
 /// The per-rank values of a `PerRankU64` metric.
