@@ -7,22 +7,24 @@
 //! other sizes.
 //!
 //! The allreduce is out of place and its result is shared: the reduce-scatter
-//! half reads the caller's vector and accumulates in the pooled buffers the
-//! messages arrive in, the gather half moves `Arc` handles of the reduced
-//! regions, and the n-word result is assembled once per process — every rank
-//! returns a handle to the same allocation. Chunk regions are computed
-//! arithmetically (no boundary vector), send chunks come from the run's
-//! recycled-buffer pool, and every received chunk goes back to it or becomes
-//! the rank's piece.
+//! half reads the caller's vector and accumulates in pooled buffers, the
+//! gather half moves `Arc` handles of the reduced regions, and the n-word
+//! result is assembled once per process — every rank returns a handle to the
+//! same allocation. Chunk regions are computed arithmetically (no boundary
+//! vector). Every first hop out of the caller's vector is *lent*
+//! (`Net::lending`), not copied: the receiver writes `mine + theirs` straight
+//! out of the sender's slice into one pooled buffer, in [`accumulate`]'s
+//! operand order; every received chunk goes back to the pool or becomes the
+//! rank's piece.
 //!
 //! Who copies what in Rabenseifner's reduce-scatter: a rank holds its segment
 //! as *leaves*, buffers of a run of the equal partition's regions, none
-//! shorter than [`LEAF_FLOOR`] elements. The first step copies the partner's
-//! half out of the borrowed gradient, one pooled buffer per leaf. Every later
-//! step whose half is whole leaves hands those buffers to the partner as they
-//! are, and accumulates `mine + got` into the ones that arrive; so the n/2
-//! words the copies of later steps used to cost are never copied. A segment
-//! of one leaf splits by copying its partner's half into one pooled buffer.
+//! shorter than [`LEAF_FLOOR`] elements. The first step sums the rank's half
+//! with the partner's loan, one pooled buffer per leaf. Every later step
+//! whose half is whole leaves hands those buffers to the partner as they are,
+//! and accumulates `mine + got` into the ones that arrive; so the n/2 words
+//! the copies of later steps used to cost are never copied. A segment of one
+//! leaf splits by copying its partner's half into one pooled buffer.
 //! With a leaf per region the rank's last leaf is its piece; otherwise the
 //! piece is an exact-size copy of the last buffer. One buffer travels as an
 //! inline `Vec<f32>` payload, several as one list: messages, their sizes and
@@ -136,13 +138,6 @@ pub fn allreduce_inplace<C: Net>(comm: &mut C, data: &mut [f32]) {
     data.copy_from_slice(&sum);
 }
 
-/// Copy `data[range]` into a pooled buffer, ready to send.
-fn pooled_chunk<C: Net>(comm: &mut C, data: &[f32], range: std::ops::Range<usize>) -> Vec<f32> {
-    let mut chunk = comm.take_f32(range.len());
-    chunk.extend_from_slice(&data[range]);
-    chunk
-}
-
 /// `got ← mine + got`: the received buffer becomes the accumulator. The
 /// operand order is the in-place `mine += got`'s (`*g += *d` would put `got`
 /// first). That fixes signed zeros and every non-NaN bit; which operand's NaN
@@ -155,22 +150,20 @@ fn accumulate(got: &mut [f32], mine: &[f32]) {
     }
 }
 
+/// Append `mine + theirs` to `out`: [`accumulate`]'s sum, in its operand
+/// order, read straight out of a loan.
+fn add_into(out: &mut Vec<f32>, mine: &[f32], theirs: &[f32]) {
+    out.extend(mine.iter().zip(theirs).map(|(m, t)| m + t));
+}
+
 /// End of a reduce-scatter half: the rank's reduced region, `finish` applied,
 /// as the piece it contributes to the gather. The piece is an exact-size copy
 /// and the pooled accumulator goes back to the pool — a piece is freed by
 /// whichever rank drops it last, so a pooled buffer that left as one would
-/// never return, and every step would open with a pool miss. `spent`, the
-/// accumulator before `acc` if the caller still holds it, goes back too.
-fn own_piece<C: Net>(
-    comm: &mut C,
-    acc: Vec<f32>,
-    spent: Option<Vec<f32>>,
-    finish: impl FnOnce(&mut [f32]),
-) -> Piece {
+/// never return, and every step would open with a pool miss.
+fn own_piece<C: Net>(comm: &mut C, acc: Vec<f32>, finish: impl FnOnce(&mut [f32])) -> Piece {
     let mut data = acc.as_slice().to_vec();
-    for buf in [Some(acc), spent].into_iter().flatten() {
-        comm.recycle_f32(buf);
-    }
+    comm.recycle_f32(acc);
     finish(&mut data);
     Piece(data)
 }
@@ -205,19 +198,30 @@ enum Half {
 }
 
 impl Half {
-    fn send<C: Net>(self, comm: &mut C, partner: usize) {
+    /// Hand this half to `partner`, spend the step's overlap share, and
+    /// receive the partner's half in `bufs` buffers with `mine(i)` added into
+    /// buffer `i`.
+    fn trade<'m, C: Net>(
+        self,
+        comm: &mut C,
+        partner: usize,
+        overlap: StepBudget,
+        bufs: usize,
+        mine: impl Fn(usize) -> &'m [f32],
+    ) -> Self {
         match self {
             Half::One(buf) => comm.send(partner, TAG_RS, buf),
             Half::Leaves(leaves) => comm.send(partner, TAG_RS, leaves),
         }
-    }
-
-    fn recv<C: Net>(comm: &mut C, partner: usize, bufs: usize) -> Self {
-        if bufs == 1 {
-            Half::One(comm.recv(partner, TAG_RS))
-        } else {
-            Half::Leaves(comm.recv(partner, TAG_RS))
+        overlap.spend(comm);
+        let mut got = match bufs {
+            1 => Half::One(comm.recv(partner, TAG_RS)),
+            _ => Half::Leaves(comm.recv(partner, TAG_RS)),
+        };
+        for (i, g) in got.bufs_mut().iter_mut().enumerate() {
+            accumulate(g, mine(i));
         }
+        got
     }
 
     fn bufs_mut(&mut self) -> &mut [Vec<f32>] {
@@ -228,15 +232,10 @@ impl Half {
     }
 }
 
-/// Rabenseifner's allreduce for power-of-two P.
-///
-/// The reduce-scatter holds a rank's segment as leaves: buffers of
-/// [`leaf_regions`] regions each. The first step copies the partner's half
-/// out of `grad`, one pooled buffer per leaf; while the segment spans more
-/// than one leaf, a step hands half of the leaves over and accumulates into
-/// the ones it receives. A segment of one leaf (or less) splits by copying the
-/// partner's half into one pooled buffer. With a leaf per region the rank's
-/// last leaf is its piece; otherwise [`own_piece`] copies it out.
+/// Rabenseifner's allreduce for power-of-two P, its reduce-scatter held as
+/// leaves of [`leaf_regions`] regions each (the module docs say who copies
+/// what). With a leaf per region the rank's last leaf is its piece; otherwise
+/// [`own_piece`] copies it out.
 fn rabenseifner<C: Net>(
     comm: &mut C,
     grad: &[f32],
@@ -253,7 +252,6 @@ fn rabenseifner<C: Net>(
     // reduces shrinks by half each step. Its partial sums are `held` (`grad`
     // itself before the first step), in region order.
     let mut held: Option<Half> = None;
-    let mut spent: Option<Vec<f32>> = None;
     let (mut seg_lo, mut seg_len) = (0usize, p);
     let mut dist = p / 2;
     while dist >= 1 {
@@ -270,18 +268,27 @@ fn rabenseifner<C: Net>(
             let r = region(n, p, lo + i * half / bufs, lo + (i + 1) * half / bufs);
             r.start - base..r.end - base
         };
-        let copy_out = |comm: &mut C, sums: &[f32]| match bufs {
-            1 => Half::One(pooled_chunk(comm, sums, run(give, 0))),
-            _ => Half::Leaves((0..bufs).map(|i| pooled_chunk(comm, sums, run(give, i))).collect()),
-        };
-        if let Some(spent) = spent.take() {
-            comm.recycle_f32(spent);
-        }
-        // The partner's half, and this rank's sums of the half it keeps: while
-        // the segment spans several leaves, half of them are handed over and
-        // the rest `kept`; otherwise the half is copied out of `grad` or of
-        // the one buffer `acc`, and the kept sums are ranges of it.
-        let (gave, kept, acc) = match held.take() {
+        // The partner's half plus this rank's: summed out of the partner's
+        // loan, or by handing half of the leaves over and adding the rest in,
+        // or by copying the half out of the one buffer `acc`.
+        held = Some(match held.take() {
+            None => comm.lending(|comm, loans| {
+                comm.lend(loans, partner, TAG_RS, &grad[region(n, p, give, give + half)]);
+                overlap.spend(comm);
+                let take = |comm: &mut C, i| comm.take_f32(run(keep, i).len());
+                let mut got = match bufs {
+                    1 => Half::One(take(comm, 0)),
+                    _ => Half::Leaves((0..bufs).map(|i| take(comm, i)).collect()),
+                };
+                let at = run(keep, 0).start;
+                comm.recv_lent(partner, TAG_RS, |theirs| {
+                    for (i, g) in got.bufs_mut().iter_mut().enumerate() {
+                        let r = run(keep, i);
+                        add_into(g, &grad[r.clone()], &theirs[r.start - at..r.end - at]);
+                    }
+                });
+                got
+            }),
             Some(Half::Leaves(mut leaves)) => {
                 debug_assert_eq!(leaves.len(), 2 * bufs);
                 let gave = match (bufs, upper) {
@@ -290,30 +297,19 @@ fn rabenseifner<C: Net>(
                     (_, true) => Half::Leaves(leaves.drain(..bufs).collect()),
                     (_, false) => Half::Leaves(leaves.split_off(bufs)),
                 };
-                (gave, leaves, None)
+                let got = gave.trade(comm, partner, overlap, bufs, |i| &leaves[i]);
+                leaves.into_iter().for_each(|leaf| comm.recycle_f32(leaf));
+                got
             }
-            Some(Half::One(acc)) => (copy_out(comm, &acc), Vec::new(), Some(acc)),
-            None => (copy_out(comm, grad), Vec::new(), None),
-        };
-        gave.send(comm, partner);
-        overlap.spend(comm);
-        let mut got = Half::recv(comm, partner, bufs);
-        let sums = acc.as_deref().unwrap_or(grad);
-        for (i, g) in got.bufs_mut().iter_mut().enumerate() {
-            let mine = match kept.get(i) {
-                Some(leaf) => leaf.as_slice(),
-                None => &sums[run(keep, i)],
-            };
-            accumulate(g, mine);
-        }
-        for leaf in kept {
-            comm.recycle_f32(leaf);
-        }
-        spent = acc;
-        held = Some(got);
-        seg_lo = keep;
-        seg_len = half;
-        dist /= 2;
+            Some(Half::One(acc)) => {
+                let mut chunk = comm.take_f32(run(give, 0).len());
+                chunk.extend_from_slice(&acc[run(give, 0)]);
+                let got = Half::One(chunk).trade(comm, partner, overlap, 1, |_| &acc[run(keep, 0)]);
+                comm.recycle_f32(acc);
+                got
+            }
+        });
+        (seg_lo, seg_len, dist) = (keep, half, dist / 2);
     }
     debug_assert_eq!((seg_lo, seg_len), (rank, 1));
     let Some(Half::One(mut acc)) = held else { unreachable!("p > 1 ends on a one-region half") };
@@ -321,7 +317,7 @@ fn rabenseifner<C: Net>(
         finish(&mut acc);
         Piece(acc)
     } else {
-        own_piece(comm, acc, spent, finish)
+        own_piece(comm, acc, finish)
     };
 
     // Recursive-doubling allgather: segments re-merge in reverse order, and
@@ -346,15 +342,23 @@ fn ring_allreduce<C: Net>(
     // Reduce-scatter: at step s, send the partial sum of chunk (rank − s) and
     // accumulate chunk (rank − s − 1) arriving from the left — which is the
     // chunk the next step sends, so the accumulated buffer itself is forwarded.
-    let mut partial = pooled_chunk(comm, grad, region(n, p, rank, rank + 1));
-    for s in 0..p - 1 {
+    // Step 0 lends this rank's chunk of `grad` and sums the left one's loan.
+    let mut partial = comm.lending(|comm, loans| {
+        comm.lend(loans, right, TAG_RS, &grad[region(n, p, rank, rank + 1)]);
+        overlap.spend(comm);
+        let mine = &grad[region(n, p, left, left + 1)];
+        let mut sum = comm.take_f32(mine.len());
+        comm.recv_lent(left, TAG_RS, |theirs| add_into(&mut sum, mine, theirs));
+        sum
+    });
+    for s in 1..p - 1 {
         let recv_chunk = (rank + p - s - 1) % p;
         comm.send(right, TAG_RS, partial);
         overlap.spend(comm);
         partial = comm.recv(left, TAG_RS);
         accumulate(&mut partial, &grad[region(n, p, recv_chunk, recv_chunk + 1)]);
     }
-    let piece = own_piece(comm, partial, None, finish);
+    let piece = own_piece(comm, partial, finish);
 
     // Allgather: circulate the fully reduced chunks. The ring leaves rank r
     // holding region r + 1, so region order is origin order rotated by one.
@@ -367,10 +371,10 @@ fn ring_allreduce<C: Net>(
 /// Block reduce-scatter: afterwards each rank holds the fully reduced region `rank`
 /// of the equal partition (returned together with its element offset).
 ///
-/// Accumulates into the first shard it receives (`mine + got`, the order of
-/// the in-place `mine += got`), so it copies nothing of its own region. The
-/// order fixes signed zeros and every non-NaN bit; which NaN payload survives
-/// is unspecified in release builds.
+/// Lends every shard and sums its own region with the first loan it reads
+/// into one pooled buffer (`mine + theirs`, the in-place `mine += got`'s
+/// order), so it copies nothing. The order fixes signed zeros and every
+/// non-NaN bit; which NaN payload survives is unspecified in release builds.
 pub fn reduce_scatter_block<C: Net>(comm: &mut C, data: &[f32]) -> (usize, Vec<f32>) {
     let p = comm.size();
     let rank = comm.rank();
@@ -378,24 +382,20 @@ pub fn reduce_scatter_block<C: Net>(comm: &mut C, data: &[f32]) -> (usize, Vec<f
     if p == 1 {
         return (0, data.to_vec());
     }
-    // Direct exchange: send region j to rank j (rotated to avoid endpoint hot-spots),
-    // then accumulate the P−1 incoming shards of our own region.
+    // Direct exchange: lend region j to rank j (rotated to avoid endpoint
+    // hot-spots), then sum the P−1 incoming loans of our own region.
     let own = region(n, p, rank, rank + 1);
-    for s in 1..p {
-        let dst = (rank + s) % p;
-        let chunk = pooled_chunk(comm, data, region(n, p, dst, dst + 1));
-        comm.send(dst, TAG_RS, chunk);
-    }
-    let mut sum: Vec<f32> = comm.recv((rank + p - 1) % p, TAG_RS);
-    accumulate(&mut sum, &data[own.clone()]);
-    for s in 2..p {
-        let src = (rank + p - s) % p;
-        let got: Vec<f32> = comm.recv(src, TAG_RS);
-        for (m, g) in sum.iter_mut().zip(&got) {
-            *m += g;
+    let mut sum = comm.take_f32(own.len());
+    comm.lending(|comm, loans| {
+        for dst in (1..p).map(|s| (rank + s) % p) {
+            comm.lend(loans, dst, TAG_RS, &data[region(n, p, dst, dst + 1)]);
         }
-        comm.recycle_f32(got);
-    }
+        let mine = &data[own.clone()];
+        comm.recv_lent((rank + p - 1) % p, TAG_RS, |theirs| add_into(&mut sum, mine, theirs));
+        for src in (2..p).map(|s| (rank + p - s) % p) {
+            comm.recv_lent(src, TAG_RS, |got| sum.iter_mut().zip(got).for_each(|(m, g)| *m += g));
+        }
+    });
     (own.start, sum)
 }
 

@@ -11,17 +11,19 @@
 //! that wakes another never grows it in the armed step.
 //!
 //! **Leaves** (n = 4·[`LEAF_FLOOR`]: a leaf per region, so the first step's
-//! half is two leaves). The process makes exactly **31** allocations:
+//! half is two leaves). The process makes exactly **27** allocations:
 //!
-//! - reduce-scatter half: **three per rank**. The first step copies the
-//!   partner's two leaves out of the gradient into pooled buffers and sends
-//!   them as one list: the list, and the `Box` a non-inline payload travels
-//!   in. The second step hands one leaf over inline (`Payload::F32`) and
-//!   recycles the one it kept. So each rank gives the pool back one leaf
-//!   fewer than it took, and four of the step's eight takes miss: those four
-//!   region-sized buffers are the leaves that end as the ranks' pieces. Every
-//!   take of a step comes before any recycle of it, and every recycle of the
-//!   step before comes before either, so it is always four.
+//! - reduce-scatter half: **two per rank**. The first step lends the partner
+//!   its half of the gradient (a loan needs no allocation) and sums the
+//!   rank's own half with the partner's loan into two pooled leaves: the list
+//!   that holds them. The second step hands one leaf over inline
+//!   (`Payload::F32`) and recycles the one it kept. So each rank gives the
+//!   pool back one leaf fewer than it took, and four of the step's eight
+//!   takes miss: those four region-sized buffers are the leaves that end as
+//!   the ranks' pieces. Every take of a step comes before any recycle of it
+//!   (a rank's second step waits for its partner's loan to be read, so for
+//!   the reader's takes), and every recycle of the step before comes before
+//!   either, so it is always four.
 //! - gather half: **four per rank**, none an f32 buffer: the `Arc` around the
 //!   rank's piece, the leaf block and one joined block per doubling round
 //!   (log₂ P).
@@ -30,7 +32,8 @@
 //! the segment splits by copying, as before leaves, and the pool gets back
 //! every buffer it gave. The process makes exactly **23**: per rank the
 //! piece, an exact-size copy of its region, and the same four in the gather
-//! half. Here a rank takes an n/2 and an n/4 buffer and recycles both at its
+//! half. Here a rank takes an n/2 buffer to sum the partner's loan into and an
+//! n/4 one to copy its partner's quarter out of, and recycles both by its
 //! end, and whether all four n/4 takes are out at once is up to the grant
 //! order, so the warm-up steps alone may leave the pool short of the peak it
 //! grows to; the warm-up therefore ends with every rank holding one buffer of
@@ -41,8 +44,9 @@
 //! finishes its gather first assembles; that exactly one does — one
 //! result-sized allocation — is checked.
 //!
-//! The totals are the sums of the per-rank counts a pool per rank gave
-//! (4 · 7 + 3 and 4 · 5 + 3); what moved is which rank pays for a miss.
+//! The totals are 4 · 6 + 3 and 4 · 5 + 3. Before the first step lent its
+//! half, it sent copied leaves as a boxed list, one more allocation per rank
+//! in the leaves geometry (31); the one-leaf count did not move.
 //!
 //! Each rank sends two messages per iteration on each of its two partner
 //! channels, so the measured iteration stays inside every channel's first
@@ -140,7 +144,7 @@ fn armed_step(n: usize) -> (usize, usize, usize) {
 #[test]
 fn steady_state_halving_allreduce_allocates_its_piece_one_list_and_one_result() {
     // (n, allocations in the process, of which region-sized)
-    for (n, total, region_sized) in [(4 * LEAF_FLOOR, 31, 5), (LEAF_FLOOR, 23, 5)] {
+    for (n, total, region_sized) in [(4 * LEAF_FLOOR, 27, 5), (LEAF_FLOOR, 23, 5)] {
         let (allocs, region, result) = armed_step(n);
         assert_eq!(result, 1, "n={n}: the result is assembled once per process");
         assert_eq!(

@@ -9,13 +9,16 @@
 //! must perform exactly these heap allocations, and no others:
 //!
 //! - **reduce-scatter half: one per rank**, the rank's reduced region as an
-//!   exact n/P word vector. Chunks come from the pool, payloads travel as
-//!   inline `Payload::F32` variants (no per-message boxing), the accumulated
-//!   buffer is forwarded as it is, and the last one goes back to the pool. A
-//!   rank takes one chunk a step and recycles one, every take of a step comes
-//!   before any recycle of it, and every recycle of the step before comes
-//!   before either: the first step leaves P chunks in the pool, and no later
-//!   take misses, whichever rank makes it.
+//!   exact n/P word vector. The first hop is lent, not copied: each rank
+//!   takes one pooled chunk and sums its left neighbour's loan into it; later
+//!   hops forward that buffer as an inline `Payload::F32` (no per-message
+//!   boxing), and the last one goes back to the pool. A rank takes one chunk
+//!   an allreduce and recycles one, every take of an allreduce comes before
+//!   any recycle of it (a rank's second hop waits for its own loan to be
+//!   read), and every recycle of the allreduce before comes before either:
+//!   the first allreduce leaves P chunks in the pool, and no later take
+//!   misses, whichever rank makes it. The count is what it was when the
+//!   sender took the chunk and copied its own region into it.
 //! - **gather half: two per rank, neither of them an f32 buffer** — the `Arc`
 //!   around the rank's piece and the P-slot list of piece handles. Only
 //!   handles travel.

@@ -11,6 +11,7 @@ use crate::cost::{CostModel, WireSize};
 use crate::engine::EventCore;
 use crate::envelope::{Envelope, Payload};
 use crate::ledger::{Ledger, PhaseId, PhaseVolume};
+use crate::loan::Loans;
 use crate::request::SendHandle;
 use crate::topo::Topology;
 use crate::trace::{TraceEvent, TraceKind};
@@ -460,7 +461,7 @@ impl Comm {
     ) {
         let (head_arrival, beta, perturbed) = stamp;
         let env = Envelope { src: self.rank, tag, head_arrival, elems, beta, perturbed, payload };
-        self.core.post(dst, env);
+        self.core.post(self.rank, dst, env);
     }
 
     /// Non-blocking typed send to `dst`.
@@ -503,6 +504,33 @@ impl Comm {
         self.post(dst, tag, stamp, elems, Payload::Shared(value));
     }
 
+    /// Lend `data` to `dst` from inside a lending scope ([`Net::lending`]):
+    /// the envelope carries the slice, not a copy, and `dst` reads it in
+    /// place with [`recv_lent`](Self::recv_lent). Stamped, ledgered, traced
+    /// and chaos-drawn exactly like a [`send`](Self::send) of `data.len()`
+    /// words; the scope returns once every slice it lent has been read.
+    ///
+    /// [`Net::lending`]: crate::Net::lending
+    pub fn lend<'a>(&mut self, loans: &Loans<'a>, dst: usize, tag: Tag, data: &'a [f32]) {
+        let elems = data.len() as u64;
+        let stamp = self.stamp_send(dst, elems);
+        let loan = loans.lend(self.rank, dst, &self.core, data);
+        self.post(dst, tag, stamp, elems, Payload::Lent(loan));
+    }
+
+    /// Blocking receive of an `f32` slice: `read` sees a lent slice in the
+    /// lender's memory, or the body of a sent `Vec<f32>`. Timing semantics
+    /// are identical to [`recv`](Self::recv). A loan is released when `read`
+    /// returns, so `read` must not keep the slice.
+    pub fn recv_lent<R>(&mut self, src: usize, tag: Tag, read: impl FnOnce(&[f32]) -> R) -> R {
+        let env = self.core.next_envelope(self.rank, src, tag, self.now);
+        self.complete_reception(&env);
+        match env.payload {
+            Payload::Lent(loan) => loan.read(read),
+            payload => read(&self.unwrap_payload::<Vec<f32>>(payload, src, tag)),
+        }
+    }
+
     /// Complete the reception of a drained envelope: serialize on the reception
     /// port, advance the clock, and trace the drain interval. The per-element
     /// time comes from the envelope — the sender evaluated any chaos link
@@ -532,8 +560,8 @@ impl Comm {
         self.record_tagged(start, done.max(start), TraceKind::Recv { src, elems }, env.perturbed);
     }
 
-    fn unwrap_payload<T: Send + 'static>(&self, env: Envelope, src: usize, tag: Tag) -> T {
-        env.payload.into_value::<T>().unwrap_or_else(|found| {
+    fn unwrap_payload<T: Send + 'static>(&self, payload: Payload, src: usize, tag: Tag) -> T {
+        payload.into_value::<T>().unwrap_or_else(|found| {
             panic!(
                 "rank {}: type mismatch receiving from {src} tag {tag} (expected {}, found {found})",
                 self.rank,
@@ -549,7 +577,7 @@ impl Comm {
     pub fn recv<T: Send + 'static>(&mut self, src: usize, tag: Tag) -> T {
         let env = self.core.next_envelope(self.rank, src, tag, self.now);
         self.complete_reception(&env);
-        self.unwrap_payload(env, src, tag)
+        self.unwrap_payload(env.payload, src, tag)
     }
 
     /// Blocking receive of a payload sent with [`send_shared`](Self::send_shared).

@@ -51,9 +51,11 @@
 //!    and wakes an idle worker if one is asleep (`engine.handoff_miss`).
 //!    Neither side reacquires the scheduler lock to hand a token over.
 //! 2. **Cohort wakeups** — a barrier release makes all P ranks ready at once;
-//!    instead of P heap transactions it appends the whole release set, sorted
-//!    by `(clock, rank)`, to a FIFO *cohort* drained by subsequent grants in
-//!    O(1) (W > 1 workers drain the cohort concurrently). Heap refills
+//!    instead of P heap transactions it appends the whole release set to a
+//!    FIFO *cohort* drained by subsequent grants in O(1) (W > 1 workers
+//!    drain the cohort concurrently). Every released rank resumes at the
+//!    barrier's clock, so the set is one `(clock, rank)` tie and goes in in
+//!    rank order; the clocks the ranks arrived with play no part. Heap refills
 //!    likewise pop the entire equal-timestamp run in one lock acquisition.
 //!
 //! ## The message path is single-writer
@@ -77,6 +79,13 @@
 //! `take_f32` and `recycle_f32` around them — and its lock is held for one pop
 //! or one push.
 //!
+//! One read crosses ranks: a slice lent inside a lending scope (`loan.rs`).
+//! Its receiver reads the lender's memory in place, but only reads it, and
+//! the lender cannot leave the scope, so cannot write or free that memory,
+//! until every reader has released its loan. The last release posts one
+//! header-only envelope through [`EventCore::post`], so waking the lender is
+//! an ordinary claim or park, and the core keeps no loan state.
+//!
 //! ## Exact deadlock detection
 //!
 //! The core knows the whole cluster state: if no rank holds a run token,
@@ -90,6 +99,7 @@
 use crate::comm::Tag;
 use crate::envelope::Envelope;
 use crate::fiber::{self, Fiber};
+use crate::loan;
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -629,9 +639,10 @@ impl EventCore {
     /// parked waiting for exactly this `(src, tag)` — a non-matching arrival
     /// queues silently, sparing a futile wake/stash/re-block round-trip, and
     /// never takes the scheduler lock at all.
-    pub(crate) fn post(&self, dst: usize, env: Envelope) {
+    /// `poster` is the running rank (the sender, or the reader that repays
+    /// a loan), whose grant buffer the wake uses.
+    pub(crate) fn post(&self, poster: usize, dst: usize, env: Envelope) {
         self.check_fault();
-        let sender = env.src;
         let claimed = {
             let mut ib = self.inboxes[dst].lock();
             if ib.done {
@@ -651,7 +662,7 @@ impl EventCore {
         if !claimed {
             return;
         }
-        let mut granted = self.grants[sender].lock();
+        let mut granted = self.grants[poster].lock();
         {
             let mut st = self.state.lock();
             if st.fault.is_some() {
@@ -673,6 +684,24 @@ impl EventCore {
             }
         }
         self.flush_grants(false, granted);
+    }
+
+    /// Take every envelope `matches` picks out of every inbox: a lender
+    /// unwinding out of its scope withdraws the loans nobody took.
+    pub(crate) fn withdraw(&self, matches: impl Fn(&Envelope) -> bool) -> Vec<Envelope> {
+        let mut taken = Vec::new();
+        for inbox in &self.inboxes {
+            let mut ib = inbox.lock();
+            let mut at = 0;
+            while at < ib.q.len() {
+                if matches(&ib.q[at]) {
+                    taken.extend(ib.q.remove(at));
+                } else {
+                    at += 1;
+                }
+            }
+        }
+        taken
     }
 
     /// Envelopes delivered to `rank` that no receive has taken yet.
@@ -698,19 +727,20 @@ impl EventCore {
             // Cohort wakeup: every other rank is parked at this barrier (the
             // episode argument — all `size` arrived, we hold the only token),
             // so no live ready entry can exist and the whole release set can
-            // skip the heap: sort once by (clock, rank), append to the FIFO.
+            // skip the heap. Every released rank resumes at the barrier's
+            // clock, so the set is one tie: it joins the FIFO in rank order,
+            // keyed at `result`, whatever clocks the ranks arrived with.
             // Anything still queued is a stale targeted-handoff leftover;
             // clear it here so stale entries never outlive a barrier episode.
             debug_assert!(st.cohort.iter().all(|&k| !is_live(&st.ranks, k)));
             debug_assert!(st.ready.iter().all(|&Reverse(k)| !is_live(&st.ranks, k)));
             st.ready.clear();
             st.cohort.clear();
-            let mut release: Vec<(f64, usize)> = (0..self.size)
-                .filter(|&r| st.ranks[r].status == Status::BarrierWait)
-                .map(|r| (st.ranks[r].clock, r))
-                .collect();
-            release.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for &(_, r) in &release {
+            for r in 0..self.size {
+                if st.ranks[r].status != Status::BarrierWait {
+                    continue;
+                }
+                st.ranks[r].clock = result;
                 let key = st.wake(r);
                 self.release_bits[r].store(result.to_bits(), Ordering::Relaxed);
                 st.cohort.push_back(key);
@@ -785,6 +815,13 @@ fn deadlock_report(st: &CoreState, size: usize) -> String {
     );
     for &r in blocked.iter().take(MAX_LISTED) {
         match st.ranks[r].status {
+            Status::RecvWait { src, tag: loan::REPAID } => {
+                msg.push_str(&format!(
+                    "  rank {r}: blocked leaving a lending scope until its loans are read \
+                     (the first by rank {src}) at t={:.6e}\n",
+                    st.ranks[r].clock
+                ));
+            }
             Status::RecvWait { src, tag } => {
                 msg.push_str(&format!(
                     "  rank {r}: blocked in recv(src={src}, tag={tag}) at t={:.6e}\n",

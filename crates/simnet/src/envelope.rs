@@ -6,7 +6,9 @@
 //! channel without any per-message heap allocation. Everything else falls back
 //! to the old `Box<dyn Any>` type erasure, and fan-out traffic (broadcast,
 //! allgather) can share one reference-counted buffer across P−1 destinations.
+//! A lent slice (`loan.rs`) travels as a pointer into the lender's memory.
 
+use crate::loan::Loan;
 use std::any::Any;
 use std::sync::Arc;
 
@@ -21,6 +23,10 @@ pub(crate) enum Payload {
     Shared(Arc<dyn Any + Send + Sync>),
     /// Fallback for arbitrary message types.
     Boxed(Box<dyn Any + Send>),
+    /// A slice the sender lends from inside a lending scope (`loan.rs`).
+    Lent(Loan),
+    /// Header only: the last reader of a lender's loans wakes it.
+    Repaid,
 }
 
 /// Move a concrete `S` into a `T` if (and only if) they are the same runtime
@@ -58,6 +64,8 @@ impl Payload {
             Payload::Boxed(b) => {
                 b.downcast::<T>().map(|b| *b).map_err(|_| "a boxed payload of another type")
             }
+            Payload::Lent(_) => Err("a lent slice (use recv_lent)"),
+            Payload::Repaid => Err("a loan's repayment"),
         }
     }
 

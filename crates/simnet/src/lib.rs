@@ -1,6 +1,7 @@
 #![warn(missing_docs)]
-// A rank is a fiber, and `fiber.rs` holds the crate's only unsafe code, every
-// block under its own `// SAFETY:` comment (DESIGN.md §10).
+// A rank is a fiber, and a lent slice is read in place: `fiber.rs` and
+// `loan.rs` hold the crate's only unsafe code, every block under its own
+// `// SAFETY:` comment (DESIGN.md §3 and §10).
 #![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 
 //! # simnet — a simulated message-passing substrate
@@ -82,6 +83,8 @@ mod envelope;
 #[allow(unsafe_code)]
 mod fiber;
 mod ledger;
+#[allow(unsafe_code)]
+mod loan;
 pub mod net;
 pub mod request;
 mod topo;
@@ -93,6 +96,7 @@ pub use comm::{Comm, Tag};
 pub use cost::{CostModel, WireSize};
 pub use engine::{current_rank, Engine, SchedMode};
 pub use ledger::{LedgerSnapshot, PhaseVolume};
+pub use loan::Loans;
 pub use net::{GroupComm, Net};
 pub use request::SendHandle;
 pub use topo::Topology;

@@ -9,6 +9,7 @@
 
 use crate::comm::{Comm, Tag};
 use crate::cost::WireSize;
+use crate::loan::Loans;
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -76,6 +77,30 @@ pub trait Net {
 
     /// Return an `f32` buffer to the run's pool.
     fn recycle_f32(&mut self, _buf: Vec<f32>) {}
+
+    /// Run `body` as a lending scope: inside it, [`lend`](Net::lend) sends a
+    /// slice borrowed for `'a` without copying it. Returns only once every
+    /// slice lent through `loans` has been read, so lent memory stays
+    /// read-only and alive while a reader may read it (see [`Loans`]).
+    fn lending<'a, R>(&mut self, body: impl FnOnce(&mut Self, &Loans<'a>) -> R) -> R {
+        let loans = Loans::new();
+        let out = body(self, &loans);
+        loans.settle(self.now());
+        out
+    }
+
+    /// Lend `data` to `dst` (see [`Comm::lend`]). This default copies it
+    /// into a sent `Vec<f32>`, which [`recv_lent`](Net::recv_lent) reads
+    /// alike; [`Comm`] and [`GroupComm`] lend.
+    fn lend<'a>(&mut self, _loans: &Loans<'a>, dst: usize, tag: Tag, data: &'a [f32]) {
+        self.send(dst, tag, data.to_vec());
+    }
+
+    /// Receive a slice sent with [`lend`](Net::lend) (or a `Vec<f32>`) and
+    /// run `read` on it (see [`Comm::recv_lent`]).
+    fn recv_lent<R>(&mut self, src: usize, tag: Tag, read: impl FnOnce(&[f32]) -> R) -> R {
+        read(&self.recv::<Vec<f32>>(src, tag))
+    }
 }
 
 impl Net for Comm {
@@ -134,6 +159,14 @@ impl Net for Comm {
 
     fn recycle_f32(&mut self, buf: Vec<f32>) {
         Comm::recycle_f32(self, buf)
+    }
+
+    fn lend<'a>(&mut self, loans: &Loans<'a>, dst: usize, tag: Tag, data: &'a [f32]) {
+        Comm::lend(self, loans, dst, tag, data)
+    }
+
+    fn recv_lent<R>(&mut self, src: usize, tag: Tag, read: impl FnOnce(&[f32]) -> R) -> R {
+        Comm::recv_lent(self, src, tag, read)
     }
 }
 
@@ -234,6 +267,16 @@ impl<C: Net> Net for GroupComm<'_, C> {
 
     fn recycle_f32(&mut self, buf: Vec<f32>) {
         self.comm.recycle_f32(buf)
+    }
+
+    fn lend<'a>(&mut self, loans: &Loans<'a>, dst: usize, tag: Tag, data: &'a [f32]) {
+        let global_dst = self.members[dst];
+        self.comm.lend(loans, global_dst, tag | self.salt, data)
+    }
+
+    fn recv_lent<R>(&mut self, src: usize, tag: Tag, read: impl FnOnce(&[f32]) -> R) -> R {
+        let global_src = self.members[src];
+        self.comm.recv_lent(global_src, tag | self.salt, read)
     }
 
     fn barrier(&mut self) {

@@ -356,6 +356,27 @@ fn fiber_stack_overrun_child() {
     });
 }
 
+/// Every released rank resumes at the barrier's clock, so a release is one
+/// tie and goes in rank order, whatever clocks the ranks arrived with. At
+/// W = 1 the ranks reach the barrier in rank order, the last one releases it
+/// and runs on, and the rest resume after it. Here they arrive with clocks
+/// falling by rank, which a release sorted by arrival clock would reverse.
+#[test]
+fn a_barrier_releases_in_rank_order_whatever_the_arrival_clocks() {
+    let p = 5;
+    let next = AtomicUsize::new(0);
+    let report = Cluster::new(p, CostModel::free()).with_workers(1).run(|comm| {
+        comm.compute((p - comm.rank()) as f64);
+        comm.barrier();
+        next.fetch_add(1, Ordering::SeqCst)
+    });
+    let mut resumed = vec![0; p];
+    for (rank, &slot) in report.results.iter().enumerate() {
+        resumed[slot] = rank;
+    }
+    assert_eq!(resumed, [4, 0, 1, 2, 3]);
+}
+
 /// Unwrap a `catch_unwind` result that must be a panic, as a string message.
 fn expect_panic<T>(result: Result<T, Box<dyn std::any::Any + Send>>, why: &str) -> String {
     match result {
