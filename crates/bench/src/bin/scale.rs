@@ -14,9 +14,9 @@
 //!   update checksum;
 //! - with `--gate`, runs these rows, in this order, and asserts each one's
 //!   budgets:
-//!   - Dense at P=2048 (n/P = 2, so a leaf of its reduce-scatter spans 512
-//!     regions) within a wall/memory budget, whose memory leg a leaf floor
-//!     too low to keep leaves from multiplying trips;
+//!   - Dense at P=2048 (n/P = 2) within a wall/memory budget, whose memory
+//!     leg guards one n/2 buffer per rank and reduce-scatter, with no
+//!     allocation per region;
 //!   - Ok-Topk at P=1024 within a wall/memory budget;
 //!   - Ok-Topk at P=2048, the PR 9 headline (≥1.5x over the BENCH_PR7
 //!     baseline, with direct handoff carrying grants, inside its own memory
@@ -63,10 +63,11 @@ const HEADLINE_MEM_BUDGET_KB: u64 = 198 * 1024;
 /// Ok-Topk P=2048 event-engine wall from BENCH_PR7.json, for the speedup line.
 const BASELINE_PR7_MS: f64 = 46165.1;
 
-/// Dense at the headline P, where n/P = 2 and `collectives::LEAF_FLOOR` makes
-/// a leaf of 512 regions. Measured (EXPERIMENTS.md § "Leaves"): 0.34–0.80 s
-/// and 72–83 MiB of peak RSS, alone or first in the gate. With a floor of 1,
-/// a leaf per region, it read 0.95–1.19 s and 160–162 MiB: the memory budget
+/// Dense at the headline P, where n/P = 2: each rank's reduce-scatter sums
+/// into one n/2 buffer, with no allocation per region. Measured first in the
+/// gate (EXPERIMENTS.md § "One halving rule"): 0.25–0.29 s and 72–77 MiB of
+/// peak RSS. A buffer per region, as the leaves this replaced had at a floor
+/// of 1, read 0.95–1.19 s and 160–162 MiB (§ "Leaves"): the memory budget
 /// trips; the wall budget is absolute headroom, like the others.
 const DENSE_WALL_BUDGET: Duration = Duration::from_secs(5);
 const DENSE_MEM_BUDGET_KB: u64 = 112 * 1024;

@@ -17,24 +17,24 @@
 //! operand order; every received chunk goes back to the pool or becomes the
 //! rank's piece.
 //!
-//! Who copies what in Rabenseifner's reduce-scatter: a rank holds its segment
-//! as *leaves*, buffers of a run of the equal partition's regions, none
-//! shorter than [`LEAF_FLOOR`] elements. The first step sums the rank's half
-//! with the partner's loan, one pooled buffer per leaf. Every later step
-//! whose half is whole leaves hands those buffers to the partner as they are,
-//! and accumulates `mine + got` into the ones that arrive; so the n/2 words
-//! the copies of later steps used to cost are never copied. A segment of one
-//! leaf splits by copying its partner's half into one pooled buffer.
-//! With a leaf per region the rank's last leaf is its piece; otherwise the
-//! piece is an exact-size copy of the last buffer. One buffer travels as an
-//! inline `Vec<f32>` payload, several as one list: messages, their sizes and
-//! order, and every sum's operands are the ones a single-buffer schedule has.
+//! Who copies what in Rabenseifner's reduce-scatter: every half a rank gives
+//! away is lent, and only its piece is copied. A rank takes one pooled buffer for the half it
+//! keeps at the first step and sums `mine + theirs` into it, straight out of
+//! its own vector and the partner's loan. Every later step splits the run of
+//! that buffer the rank still reduces, lends the half it gives away and adds
+//! the partner's loan into the half it keeps, in place (`mine + got`). A half
+//! once given is never written again, so the whole reduce-scatter is one
+//! lending scope, which settles once, after the last step. Then the rank's
+//! region is copied out as its exact-size piece and the buffer goes back to
+//! the pool. Messages, their sizes, order and tags, and every sum's operands
+//! are those of a schedule that copies each half it sends.
 //!
 //! The same rule serves every result that is identical on all ranks
 //! ([`allgather_assembled`], [`allreduce_f64_shared`]): it exists once per
 //! process, and each rank returns a handle to it.
 
 use simnet::{Net, WireSize};
+use std::slice::SliceIndex;
 use std::sync::{Arc, Mutex, OnceLock};
 
 const TAG_RS: u64 = 0x10; // reduce-scatter phase
@@ -156,86 +156,34 @@ fn add_into(out: &mut Vec<f32>, mine: &[f32], theirs: &[f32]) {
     out.extend(mine.iter().zip(theirs).map(|(m, t)| m + t));
 }
 
-/// End of a reduce-scatter half: the rank's reduced region, `finish` applied,
-/// as the piece it contributes to the gather. The piece is an exact-size copy
-/// and the pooled accumulator goes back to the pool — a piece is freed by
-/// whichever rank drops it last, so a pooled buffer that left as one would
-/// never return, and every step would open with a pool miss.
-fn own_piece<C: Net>(comm: &mut C, acc: Vec<f32>, finish: impl FnOnce(&mut [f32])) -> Piece {
-    let mut data = acc.as_slice().to_vec();
+/// `mine ← mine + got`, in [`accumulate`]'s operand order: written out,
+/// because in the unoptimised build `*m += *t` keeps `got`'s NaN payload.
+#[allow(clippy::assign_op_pattern)]
+fn add_in_place(mine: &mut [f32], got: &[f32]) {
+    for (m, t) in mine.iter_mut().zip(got) {
+        *m = *m + *t;
+    }
+}
+
+/// End of a reduce-scatter half: the rank's reduced region, `acc[own]` with
+/// `finish` applied, as the piece it contributes to the gather. The piece is
+/// an exact-size copy and the pooled accumulator goes back to the pool — a
+/// piece is freed by whichever rank drops it last, so a pooled buffer that
+/// left as one would never return, and every step would open with a pool miss.
+fn own_piece<C: Net>(
+    comm: &mut C,
+    acc: Vec<f32>,
+    own: impl SliceIndex<[f32], Output = [f32]>,
+    finish: impl FnOnce(&mut [f32]),
+) -> Piece {
+    let mut data = acc[own].to_vec();
     comm.recycle_f32(acc);
     finish(&mut data);
     Piece(data)
 }
 
-/// Shortest leaf of the halving reduce-scatter, in elements (4 KiB). Each
-/// leaf is one more buffer and one more list slot per message: with a leaf per
-/// region (a floor of 1) the n = 4096 Dense cell of `okbench scale` took ×5.1
-/// the wall and ×3.3 the peak RSS at P = 4096. There, floors of 256 and 1024
-/// read a tenth less peak RSS than 4096 (one leaf at that n), at the same
-/// wall; 256 read the highest wall of the three (EXPERIMENTS.md § "Leaves").
-pub const LEAF_FLOOR: usize = 1024;
-
-/// Regions per leaf for `n` elements over `p` regions: the fewest, a power of
-/// two, whose aligned runs are all at least [`LEAF_FLOOR`] long — or all `p`,
-/// one leaf for the whole vector, when no smaller run is.
-fn leaf_regions(n: usize, p: usize) -> usize {
-    let mut leaf = 1;
-    // A run of `leaf` aligned regions is at least ⌊n·leaf/p⌋ elements long.
-    while leaf < p && n * leaf < LEAF_FLOOR * p {
-        leaf *= 2;
-    }
-    leaf
-}
-
-/// The half of a segment one rank of a halving step hands the other, and the
-/// shape of the half it gets back: whole leaves, or one buffer when the half
-/// is a leaf or less. One buffer travels as a plain `Vec<f32>`, the message
-/// path's inline payload; several travel as one list, one message either way.
-enum Half {
-    One(Vec<f32>),
-    Leaves(Vec<Vec<f32>>),
-}
-
-impl Half {
-    /// Hand this half to `partner`, spend the step's overlap share, and
-    /// receive the partner's half in `bufs` buffers with `mine(i)` added into
-    /// buffer `i`.
-    fn trade<'m, C: Net>(
-        self,
-        comm: &mut C,
-        partner: usize,
-        overlap: StepBudget,
-        bufs: usize,
-        mine: impl Fn(usize) -> &'m [f32],
-    ) -> Self {
-        match self {
-            Half::One(buf) => comm.send(partner, TAG_RS, buf),
-            Half::Leaves(leaves) => comm.send(partner, TAG_RS, leaves),
-        }
-        overlap.spend(comm);
-        let mut got = match bufs {
-            1 => Half::One(comm.recv(partner, TAG_RS)),
-            _ => Half::Leaves(comm.recv(partner, TAG_RS)),
-        };
-        for (i, g) in got.bufs_mut().iter_mut().enumerate() {
-            accumulate(g, mine(i));
-        }
-        got
-    }
-
-    fn bufs_mut(&mut self) -> &mut [Vec<f32>] {
-        match self {
-            Half::One(buf) => std::slice::from_mut(buf),
-            Half::Leaves(leaves) => leaves,
-        }
-    }
-}
-
-/// Rabenseifner's allreduce for power-of-two P, its reduce-scatter held as
-/// leaves of [`leaf_regions`] regions each (the module docs say who copies
-/// what). With a leaf per region the rank's last leaf is its piece; otherwise
-/// [`own_piece`] copies it out.
+/// Rabenseifner's allreduce for power-of-two P (the module docs say who
+/// copies what).
 fn rabenseifner<C: Net>(
     comm: &mut C,
     grad: &[f32],
@@ -246,79 +194,39 @@ fn rabenseifner<C: Net>(
     let rank = comm.rank();
     let n = grad.len();
     debug_assert!(p.is_power_of_two() && p > 1);
-    let leaf = leaf_regions(n, p);
 
-    // Recursive-halving reduce-scatter: the segment of regions this rank still
-    // reduces shrinks by half each step. Its partial sums are `held` (`grad`
-    // itself before the first step), in region order.
-    let mut held: Option<Half> = None;
-    let (mut seg_lo, mut seg_len) = (0usize, p);
-    let mut dist = p / 2;
-    while dist >= 1 {
+    // Recursive-halving reduce-scatter. The segment of regions this rank still
+    // reduces starts at region `seg_lo` and, at distance `dist`, is 2·dist
+    // regions long; each step keeps one half. `acc` holds the half the first
+    // step keeps, regions `[first, first + P/2)`, and `window` the run of it
+    // the rank still reduces. It is taken before the first loan goes out, so
+    // every rank's take comes before any recycle.
+    let first = rank & (p / 2);
+    let mut acc = comm.take_f32(region(n, p, first, first + p / 2).len());
+    comm.lending(|comm, loans| {
+        let mut dist = p / 2;
         let partner = rank ^ dist;
-        let half = seg_len / 2;
-        let upper = rank & dist != 0;
-        let (keep, give) = if upper { (seg_lo + half, seg_lo) } else { (seg_lo, seg_lo + half) };
-        // Buffers per half: one per leaf, or one if the half is less than a leaf.
-        let bufs = (half / leaf).max(1);
-        // Buffer `i` of the half from region `lo`, as elements of one vector
-        // that covers the segment (so starts at the segment's first element).
-        let base = region(n, p, seg_lo, seg_lo).start;
-        let run = |lo: usize, i: usize| {
-            let r = region(n, p, lo + i * half / bufs, lo + (i + 1) * half / bufs);
-            r.start - base..r.end - base
-        };
-        // The partner's half plus this rank's: summed out of the partner's
-        // loan, or by handing half of the leaves over and adding the rest in,
-        // or by copying the half out of the one buffer `acc`.
-        held = Some(match held.take() {
-            None => comm.lending(|comm, loans| {
-                comm.lend(loans, partner, TAG_RS, &grad[region(n, p, give, give + half)]);
-                overlap.spend(comm);
-                let take = |comm: &mut C, i| comm.take_f32(run(keep, i).len());
-                let mut got = match bufs {
-                    1 => Half::One(take(comm, 0)),
-                    _ => Half::Leaves((0..bufs).map(|i| take(comm, i)).collect()),
-                };
-                let at = run(keep, 0).start;
-                comm.recv_lent(partner, TAG_RS, |theirs| {
-                    for (i, g) in got.bufs_mut().iter_mut().enumerate() {
-                        let r = run(keep, i);
-                        add_into(g, &grad[r.clone()], &theirs[r.start - at..r.end - at]);
-                    }
-                });
-                got
-            }),
-            Some(Half::Leaves(mut leaves)) => {
-                debug_assert_eq!(leaves.len(), 2 * bufs);
-                let gave = match (bufs, upper) {
-                    (1, true) => Half::One(leaves.remove(0)),
-                    (1, false) => Half::One(leaves.pop().expect("two leaves")),
-                    (_, true) => Half::Leaves(leaves.drain(..bufs).collect()),
-                    (_, false) => Half::Leaves(leaves.split_off(bufs)),
-                };
-                let got = gave.trade(comm, partner, overlap, bufs, |i| &leaves[i]);
-                leaves.into_iter().for_each(|leaf| comm.recycle_f32(leaf));
-                got
-            }
-            Some(Half::One(acc)) => {
-                let mut chunk = comm.take_f32(run(give, 0).len());
-                chunk.extend_from_slice(&acc[run(give, 0)]);
-                let got = Half::One(chunk).trade(comm, partner, overlap, 1, |_| &acc[run(keep, 0)]);
-                comm.recycle_f32(acc);
-                got
-            }
-        });
-        (seg_lo, seg_len, dist) = (keep, half, dist / 2);
-    }
-    debug_assert_eq!((seg_lo, seg_len), (rank, 1));
-    let Some(Half::One(mut acc)) = held else { unreachable!("p > 1 ends on a one-region half") };
-    let piece = if leaf == 1 {
-        finish(&mut acc);
-        Piece(acc)
-    } else {
-        own_piece(comm, acc, finish)
-    };
+        comm.lend(loans, partner, TAG_RS, &grad[region(n, p, first ^ dist, (first ^ dist) + dist)]);
+        overlap.spend(comm);
+        let mine = &grad[region(n, p, first, first + dist)];
+        comm.recv_lent(partner, TAG_RS, |theirs| add_into(&mut acc, mine, theirs));
+        let (mut seg_lo, mut window) = (first, acc.as_mut_slice());
+        while dist > 1 {
+            dist /= 2;
+            let partner = rank ^ dist;
+            let (lo, hi) = window.split_at_mut(region(n, p, seg_lo, seg_lo + dist).len());
+            let (keep, give) = if rank & dist != 0 { (hi, lo) } else { (lo, hi) };
+            comm.lend(loans, partner, TAG_RS, give);
+            overlap.spend(comm);
+            comm.recv_lent(partner, TAG_RS, |got| add_in_place(keep, got));
+            seg_lo += rank & dist;
+            window = keep;
+        }
+        debug_assert_eq!(seg_lo, rank);
+    });
+    let base = region(n, p, first, first).start;
+    let own = region(n, p, rank, rank + 1);
+    let piece = own_piece(comm, acc, own.start - base..own.end - base, finish);
 
     // Recursive-doubling allgather: segments re-merge in reverse order, and
     // origin order is region order.
@@ -358,7 +266,7 @@ fn ring_allreduce<C: Net>(
         partial = comm.recv(left, TAG_RS);
         accumulate(&mut partial, &grad[region(n, p, recv_chunk, recv_chunk + 1)]);
     }
-    let piece = own_piece(comm, partial, finish);
+    let piece = own_piece(comm, partial, .., finish);
 
     // Allgather: circulate the fully reduced chunks. The ring leaves rank r
     // holding region r + 1, so region order is origin order rotated by one.

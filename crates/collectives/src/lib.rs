@@ -39,7 +39,6 @@ pub mod topk_dsa;
 pub use dense::{
     allgather_assembled, allgather_items, allreduce_f64_shared, allreduce_inplace,
     allreduce_shared, allreduce_sum_f64, broadcast, broadcast_shared, reduce_scatter_block,
-    LEAF_FLOOR,
 };
 pub use gtopk::{gtopk_allreduce, gtopk_reduce_to_root};
 pub use hier::{

@@ -3,7 +3,7 @@
 use collectives::{
     allgather_items, allreduce_f64_shared, allreduce_inplace, allreduce_shared, broadcast,
     dsa_allreduce, gtopk_allreduce, reduce_to_root_dense, reduce_to_root_dense_into,
-    topk_allgather_allreduce, two_tier, LEAF_FLOOR,
+    topk_allgather_allreduce, two_tier,
 };
 use proptest::prelude::*;
 use simnet::{Cluster, CostModel, GroupComm, Net, WireSize};
@@ -467,7 +467,7 @@ fn allreduce_shared_matches_the_in_place_allreduce_and_shares_its_result() {
     }
 }
 
-/// Rank `rank`'s input to the leaf parity test. NaNs whose payload names the
+/// Rank `rank`'s input to the bit parity test. NaNs whose payload names the
 /// rank meet at every 17th index, so the sum's bits there depend on which
 /// operand of each add comes first; −0.0 meets −0.0 or +0.0 elsewhere, and
 /// the finite values span enough magnitudes that a sum's association shows in
@@ -499,21 +499,19 @@ fn halving_order_sum(inputs: &[Vec<f32>], i: usize, owner: usize) -> f32 {
 }
 
 /// Bit parity of the power-of-two allreduce against a serial sum in its own
-/// association order, for segments held as leaves and as single buffers: the
-/// whole vector under [`LEAF_FLOOR`] (one leaf), regions just under it (two
-/// regions a leaf), exactly at it and above it (a leaf per region), with `n`
-/// a multiple of P and not. NaN payloads make every add's operand order
-/// visible in the result bits — in the unoptimised test build only: LLVM
-/// treats `fadd` as commutative, so an optimised build may swap operands,
-/// which changes nothing but the payload a NaN keeps, and there any NaN
-/// passes for a NaN. The messages and clocks are the in-place allreduce's,
-/// leaf by leaf, and `finish` runs once per element.
+/// association order, at the uneven-region edges: a vector just under 1024
+/// elements, and about 1024 elements a region, with `n` one short of a multiple of
+/// P, a multiple of P, and three over. NaN payloads make every add's operand
+/// order visible in the result bits — in the unoptimised test build only:
+/// LLVM treats `fadd` as commutative, so an optimised build may swap
+/// operands, which changes nothing but the payload a NaN keeps, and there any
+/// NaN passes for a NaN. The messages and clocks are the in-place
+/// allreduce's, and `finish` runs once per element.
 #[test]
-fn leaves_reduce_in_rabenseifner_order_to_the_bit() {
+fn rabenseifner_reduces_in_halving_order_to_the_bit() {
     let halve = |sum: &mut [f32]| sum.iter_mut().for_each(|v| *v *= 0.5);
     for p in [2usize, 4, 8, 16] {
-        let floor = LEAF_FLOOR;
-        for n in [floor - 1, floor * p - 1, floor * p, floor * p + 3] {
+        for n in [1023, 1024 * p - 1, 1024 * p, 1024 * p + 3] {
             let what = format!("p={p} n={n}");
             let inputs: Vec<Vec<f32>> = (0..p).map(|r| payload_input(r, n)).collect();
             let cluster = Cluster::new(p, CostModel::aries());

@@ -4,49 +4,32 @@
 //! A counting `#[global_allocator]` wraps the system allocator, armed per rank
 //! and keyed by [`simnet::current_rank`], and sums what the armed ranks
 //! allocate. The buffer pool is the run's, not a rank's, so which rank's take
-//! misses depends on the grant order; how many do does not. After a warm-up
-//! that fills the pool, one full Rabenseifner step on P = 4 ranks is counted,
-//! process-wide, in two geometries, at the default worker count: the
-//! scheduler's ready queue is sized once at its purge threshold, so a rank
-//! that wakes another never grows it in the armed step.
+//! misses could depend on the grant order; how many do cannot. After a few
+//! warm-up steps, one full Rabenseifner step on P = 4 ranks is counted,
+//! process-wide, at the default worker count: the scheduler's ready queue is
+//! sized once at its purge threshold, so a rank that wakes another never grows
+//! it in the armed step.
 //!
-//! **Leaves** (n = 4·[`LEAF_FLOOR`]: a leaf per region, so the first step's
-//! half is two leaves). The process makes exactly **27** allocations:
+//! The process makes exactly **23** allocations, 4 · 5 + 3, at any length.
+//! Two are checked, n = 4096 (1024 elements a region) and n = 1024:
 //!
-//! - reduce-scatter half: **two per rank**. The first step lends the partner
-//!   its half of the gradient (a loan needs no allocation) and sums the
-//!   rank's own half with the partner's loan into two pooled leaves: the list
-//!   that holds them. The second step hands one leaf over inline
-//!   (`Payload::F32`) and recycles the one it kept. So each rank gives the
-//!   pool back one leaf fewer than it took, and four of the step's eight
-//!   takes miss: those four region-sized buffers are the leaves that end as
-//!   the ranks' pieces. Every take of a step comes before any recycle of it
-//!   (a rank's second step waits for its partner's loan to be read, so for
-//!   the reader's takes), and every recycle of the step before comes before
-//!   either, so it is always four.
+//! - reduce-scatter half: **one per rank**, the piece, an exact-size copy of
+//!   its region. A rank takes one n/2 buffer, sums its half of the gradient
+//!   with the partner's loan into it, then lends the half of it that it gives
+//!   away and adds the partner's loan into the half it keeps, in place; no
+//!   step takes another buffer. It takes the buffer before its first loan goes
+//!   out and recycles it only once its last loan has been read, and that read
+//!   waits for a loan that needed every rank's first one: all four takes are out at once in every allreduce, whatever the grant
+//!   order, so the warm-up leaves the pool holding four and the armed step
+//!   never misses.
 //! - gather half: **four per rank**, none an f32 buffer: the `Arc` around the
 //!   rank's piece, the leaf block and one joined block per doubling round
 //!   (log₂ P).
 //!
-//! **One leaf** (n = [`LEAF_FLOOR`], so both halves are under the floor):
-//! the segment splits by copying, as before leaves, and the pool gets back
-//! every buffer it gave. The process makes exactly **23**: per rank the
-//! piece, an exact-size copy of its region, and the same four in the gather
-//! half. Here a rank takes an n/2 buffer to sum the partner's loan into and an
-//! n/4 one to copy its partner's quarter out of, and recycles both by its
-//! end, and whether all four n/4 takes are out at once is up to the grant
-//! order, so the warm-up steps alone may leave the pool short of the peak it
-//! grows to; the warm-up therefore ends with every rank holding one buffer of
-//! each size a step takes at the same time, across a barrier.
-//!
-//! The assembler makes three more in either geometry: the P-slot list of
-//! piece references, the n-word result and the `Arc` around it. Whichever rank
-//! finishes its gather first assembles; that exactly one does — one
-//! result-sized allocation — is checked.
-//!
-//! The totals are 4 · 6 + 3 and 4 · 5 + 3. Before the first step lent its
-//! half, it sent copied leaves as a boxed list, one more allocation per rank
-//! in the leaves geometry (31); the one-leaf count did not move.
+//! The assembler makes three more: the P-slot list of piece references, the
+//! n-word result and the `Arc` around it. Whichever rank finishes its gather
+//! first assembles; that exactly one does — one result-sized allocation — is
+//! checked.
 //!
 //! Each rank sends two messages per iteration on each of its two partner
 //! channels, so the measured iteration stays inside every channel's first
@@ -56,7 +39,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 
-use collectives::{allreduce_shared, LEAF_FLOOR};
+use collectives::allreduce_shared;
 use simnet::{Cluster, CostModel};
 
 struct CountingAlloc;
@@ -117,18 +100,10 @@ fn armed_step(n: usize) -> (usize, usize, usize) {
         let data: Vec<f32> = (0..n).map(|i| (rank * n + i) as f32 * 1e-3 + 1.0).collect();
 
         // Warm-up: fills the f32 buffer pool, creates the ledger cell and the
-        // channels' first blocks, and parks and resumes the rank. Then every
-        // rank holds one buffer of each size a step takes (n/2 and n/4 under
-        // the floor, one region above it) across a barrier, so the pool holds
-        // each size's peak whatever order the warm-up steps ran in.
+        // channels' first blocks, and parks and resumes the rank.
         for _ in 0..WARMUP {
             allreduce_shared(comm, &data, 0.0, |_| {});
         }
-        let sizes = if n == LEAF_FLOOR { vec![n / 2, n / 4] } else { vec![n / P] };
-        let held: Vec<Vec<f32>> = sizes.into_iter().map(|len| comm.take_f32(len)).collect();
-        comm.barrier();
-        held.into_iter().for_each(|buf| comm.recycle_f32(buf));
-        comm.barrier();
 
         ARMED[rank].store(true, Relaxed);
         let sum = allreduce_shared(comm, &data, 0.0, |_| {});
@@ -144,14 +119,14 @@ fn armed_step(n: usize) -> (usize, usize, usize) {
 #[test]
 fn steady_state_halving_allreduce_allocates_its_piece_one_list_and_one_result() {
     // (n, allocations in the process, of which region-sized)
-    for (n, total, region_sized) in [(4 * LEAF_FLOOR, 27, 5), (LEAF_FLOOR, 23, 5)] {
+    for n in [4096, 1024] {
         let (allocs, region, result) = armed_step(n);
         assert_eq!(result, 1, "n={n}: the result is assembled once per process");
         assert_eq!(
-            allocs, total,
-            "n={n}: the reduce-scatter's pieces, lists and misses, the gather's handles, and \
-             the assembler's list of references, result and Arc"
+            allocs, 23,
+            "n={n}: the reduce-scatter's pieces, the gather's handles, and the assembler's \
+             list of references, result and Arc"
         );
-        assert_eq!(region, region_sized, "n={n}: f32 buffers of a region or more");
+        assert_eq!(region, 5, "n={n}: f32 buffers of a region or more: four pieces, one result");
     }
 }

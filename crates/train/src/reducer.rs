@@ -156,8 +156,10 @@ impl Scheme {
 
     /// Table 1's closed form for one step of this row's exchange: the
     /// per-rank sent words of the paper's bandwidth term at `p` ranks, `n`
-    /// entries and `k` selected. It is Ok-Topk's bound, TopkDSA's best case
-    /// before fill-in, and the gTopk tree's total.
+    /// entries and `k` selected. It is Ok-Topk's bound and TopkDSA's best
+    /// case before fill-in. gTopk's is the words on its critical path, which
+    /// crosses 2·log₂P messages of 2k words; no one rank sends more than half
+    /// of them.
     pub fn paper_words(&self, p: usize, n: usize, k: usize) -> f64 {
         let (p, n, k) = (p as f64, n as f64, k as f64);
         match self.family().0 {

@@ -41,7 +41,8 @@
 # - scale checks bit-parity between W = 1 (fully serialized) and the default
 #   worker count at P=32, then fails
 #   the script if Dense at P=2048 misses its wall/memory budget (5 s /
-#   112 MiB; a dense reduce-scatter leaf floor of 1 element reads ~161 MiB),
+#   112 MiB; one n/2 buffer per rank reads ~75 MiB, a buffer per region
+#   ~161 MiB),
 #   if Ok-Topk at P=1024 misses its wall/memory budget (60 s /
 #   98 MiB), or if the P=2048 headline misses its 30 s budget (>= 1.5x over
 #   the BENCH_PR7.json baseline), its 198 MiB memory budget, or reports a zero
