@@ -7,27 +7,28 @@
 //! other sizes.
 //!
 //! The allreduce is out of place and its result is shared: the reduce-scatter
-//! half reads the caller's vector and accumulates in pooled buffers, the
-//! gather half moves `Arc` handles of the reduced regions, and the n-word
-//! result is assembled once per process — every rank returns a handle to the
-//! same allocation. Chunk regions are computed arithmetically (no boundary
-//! vector). Every first hop out of the caller's vector is *lent*
-//! (`Net::lending`), not copied: the receiver writes `mine + theirs` straight
-//! out of the sender's slice into one pooled buffer, in [`accumulate`]'s
-//! operand order; every received chunk goes back to the pool or becomes the
-//! rank's piece.
+//! half reads the caller's vector and accumulates in a buffer taken from the
+//! rank's spare (`Net::take_f32`), the gather half moves `Arc` handles of the
+//! reduced regions, and the n-word result is assembled once per process —
+//! every rank returns a handle to the same allocation. Chunk regions are
+//! computed arithmetically (no boundary vector). Every first hop out of the
+//! caller's vector is *lent* (`Net::lending`), not copied: the receiver writes
+//! `mine + theirs` straight out of the sender's slice into that buffer, in
+//! [`accumulate`]'s operand order; every received chunk is recycled or becomes
+//! the rank's piece.
 //!
 //! Who copies what in Rabenseifner's reduce-scatter: every half a rank gives
-//! away is lent, and only its piece is copied. A rank takes one pooled buffer for the half it
-//! keeps at the first step and sums `mine + theirs` into it, straight out of
-//! its own vector and the partner's loan. Every later step splits the run of
-//! that buffer the rank still reduces, lends the half it gives away and adds
-//! the partner's loan into the half it keeps, in place (`mine + got`). A half
-//! once given is never written again, so the whole reduce-scatter is one
+//! away is lent, and only its piece is copied. A rank takes one buffer for the
+//! half it keeps at the first step and sums `mine + theirs` into it, straight
+//! out of its own vector and the partner's loan. Every later step splits the
+//! run of that buffer the rank still reduces, lends the half it gives away and
+//! adds the partner's loan into the half it keeps, in place (`mine + got`). A
+//! half once given is never written again, so the whole reduce-scatter is one
 //! lending scope, which settles once, after the last step. Then the rank's
-//! region is copied out as its exact-size piece and the buffer goes back to
-//! the pool. Messages, their sizes, order and tags, and every sum's operands
-//! are those of a schedule that copies each half it sends.
+//! region is copied out as its exact-size piece and the buffer is recycled as
+//! the rank's spare, which the next allreduce takes again. Messages, their
+//! sizes, order and tags, and every sum's operands are those of a schedule
+//! that copies each half it sends.
 //!
 //! The same rule serves every result that is identical on all ranks
 //! ([`allgather_assembled`], [`allreduce_f64_shared`]): it exists once per
@@ -138,11 +139,11 @@ pub fn allreduce_inplace<C: Net>(comm: &mut C, data: &mut [f32]) {
     data.copy_from_slice(&sum);
 }
 
-/// `got ← mine + got`: the received buffer becomes the accumulator. The
-/// operand order is the in-place `mine += got`'s (`*g += *d` would put `got`
-/// first). That fixes signed zeros and every non-NaN bit; which operand's NaN
-/// payload survives is unspecified in release builds, where LLVM may commute
-/// the add.
+/// `got ← mine + got`: the received buffer becomes the accumulator. Every
+/// dense sum is written `mine + got`, never as `+=`, which in the unoptimised
+/// build keeps `got`'s NaN payload. That fixes signed zeros and every non-NaN
+/// bit; which operand's NaN payload survives is unspecified in release builds,
+/// where LLVM may commute the add.
 #[allow(clippy::assign_op_pattern)]
 fn accumulate(got: &mut [f32], mine: &[f32]) {
     for (g, d) in got.iter_mut().zip(mine) {
@@ -167,9 +168,9 @@ fn add_in_place(mine: &mut [f32], got: &[f32]) {
 
 /// End of a reduce-scatter half: the rank's reduced region, `acc[own]` with
 /// `finish` applied, as the piece it contributes to the gather. The piece is
-/// an exact-size copy and the pooled accumulator goes back to the pool — a
-/// piece is freed by whichever rank drops it last, so a pooled buffer that
-/// left as one would never return, and every step would open with a pool miss.
+/// an exact-size copy and the accumulator is recycled as the rank's spare — a
+/// piece is freed by whichever rank drops it last, so an accumulator that left
+/// as one would never come back, and every step would open with a miss.
 fn own_piece<C: Net>(
     comm: &mut C,
     acc: Vec<f32>,
@@ -255,7 +256,9 @@ fn ring_allreduce<C: Net>(
         comm.lend(loans, right, TAG_RS, &grad[region(n, p, rank, rank + 1)]);
         overlap.spend(comm);
         let mine = &grad[region(n, p, left, left + 1)];
-        let mut sum = comm.take_f32(mine.len());
+        // The longest region's length, so that the chunk the rank ends with,
+        // another rank's, fits this take in the next allreduce.
+        let mut sum = comm.take_f32(n.div_ceil(p));
         comm.recv_lent(left, TAG_RS, |theirs| add_into(&mut sum, mine, theirs));
         sum
     });
@@ -279,10 +282,11 @@ fn ring_allreduce<C: Net>(
 /// Block reduce-scatter: afterwards each rank holds the fully reduced region `rank`
 /// of the equal partition (returned together with its element offset).
 ///
-/// Lends every shard and sums its own region with the first loan it reads
-/// into one pooled buffer (`mine + theirs`, the in-place `mine += got`'s
-/// order), so it copies nothing. The order fixes signed zeros and every
-/// non-NaN bit; which NaN payload survives is unspecified in release builds.
+/// Lends every shard, sums its own region with the first loan it reads into
+/// one buffer (`mine + theirs`) and adds every later loan into it in place
+/// (`mine + got`), in [`accumulate`]'s operand order, so it copies nothing.
+/// The order fixes signed zeros and every non-NaN bit; which NaN payload
+/// survives is unspecified in release builds.
 pub fn reduce_scatter_block<C: Net>(comm: &mut C, data: &[f32]) -> (usize, Vec<f32>) {
     let p = comm.size();
     let rank = comm.rank();
@@ -301,7 +305,7 @@ pub fn reduce_scatter_block<C: Net>(comm: &mut C, data: &[f32]) -> (usize, Vec<f
         let mine = &data[own.clone()];
         comm.recv_lent((rank + p - 1) % p, TAG_RS, |theirs| add_into(&mut sum, mine, theirs));
         for src in (2..p).map(|s| (rank + p - s) % p) {
-            comm.recv_lent(src, TAG_RS, |got| sum.iter_mut().zip(got).for_each(|(m, g)| *m += g));
+            comm.recv_lent(src, TAG_RS, |got| add_in_place(&mut sum, got));
         }
     });
     (own.start, sum)

@@ -2,8 +2,8 @@
 
 use collectives::{
     allgather_items, allreduce_f64_shared, allreduce_inplace, allreduce_shared, broadcast,
-    dsa_allreduce, gtopk_allreduce, reduce_to_root_dense, reduce_to_root_dense_into,
-    topk_allgather_allreduce, two_tier,
+    dsa_allreduce, gtopk_allreduce, reduce_scatter_block, reduce_to_root_dense,
+    reduce_to_root_dense_into, topk_allgather_allreduce, two_tier,
 };
 use proptest::prelude::*;
 use simnet::{Cluster, CostModel, GroupComm, Net, WireSize};
@@ -549,6 +549,67 @@ fn rabenseifner_reduces_in_halving_order_to_the_bit() {
             }
             assert!(got[5].is_nan() && got[5].to_bits() != f32::NAN.to_bits(), "{what}");
         }
+    }
+}
+
+/// Bit parity of the block reduce-scatter against a serial sum in its receive
+/// order: rank r starts from `mine + theirs` with its left neighbour's loan,
+/// then adds rank r − 2's, r − 3's, … as `sum + got`. With P ≥ 3 each rank
+/// adds at least one loan after the first, so an add written `sum += got`
+/// shows as a NaN payload; the NaN caveat of
+/// [`rabenseifner_reduces_in_halving_order_to_the_bit`] holds here too.
+#[test]
+fn reduce_scatter_block_sums_in_receive_order_to_the_bit() {
+    for p in [2usize, 3, 4, 5, 8] {
+        for n in [17 * p, 17 * p + 3, 1024 * p - 1] {
+            let what = format!("p={p} n={n}");
+            let inputs: Vec<Vec<f32>> = (0..p).map(|r| payload_input(r, n)).collect();
+            let report = Cluster::new(p, CostModel::aries())
+                .run(|comm| reduce_scatter_block(comm, &inputs[comm.rank()]));
+            for (rank, (start, sum)) in report.results.iter().enumerate() {
+                assert_eq!(
+                    (*start, sum.len()),
+                    (n * rank / p, n * (rank + 1) / p - start),
+                    "{what}"
+                );
+                for (j, got) in sum.iter().enumerate() {
+                    let i = start + j;
+                    let want = (2..p)
+                        .fold(inputs[rank][i] + inputs[(rank + p - 1) % p][i], |acc, s| {
+                            acc + inputs[(rank + p - s) % p][i]
+                        });
+                    let same = got.to_bits() == want.to_bits()
+                        || (!cfg!(debug_assertions) && got.is_nan() && want.is_nan());
+                    assert!(
+                        same,
+                        "{what}: rank {rank} element {i}: {:#x} vs {:#x}",
+                        got.to_bits(),
+                        want.to_bits()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// After a first allreduce of a length no dense allreduce takes a fresh
+/// buffer: Rabenseifner's rank recycles the buffer it took, and a ring rank
+/// ends with another rank's chunk, which holds its next take even when the
+/// regions' lengths differ (P = 3, n = 10: 3, 3 and 4 words).
+#[test]
+fn a_steady_state_dense_allreduce_takes_only_spares() {
+    for (p, n) in [(3, 10), (3, 3 * 1024 + 2), (5, 23), (4, 4 * 17 + 3), (8, 1023)] {
+        let report = Cluster::new(p, CostModel::aries()).with_obs(true).run(|comm| {
+            let data: Vec<f32> = (0..n).map(|i| (comm.rank() * n + i) as f32).collect();
+            for _ in 0..3 {
+                allreduce_shared(comm, &data, 0.0, |_| {});
+            }
+        });
+        assert_eq!(
+            report.metrics.get("pool.miss"),
+            Some(&obs::MetricValue::Counter(p as u64)),
+            "p={p} n={n}: one miss per rank, in the first allreduce"
+        );
     }
 }
 

@@ -3,12 +3,10 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator, armed per rank
 //! and keyed by [`simnet::current_rank`], and sums what the armed ranks
-//! allocate. The buffer pool is the run's, not a rank's, so which rank's take
-//! misses could depend on the grant order; how many do cannot. After a few
-//! warm-up steps, one full Rabenseifner step on P = 4 ranks is counted,
-//! process-wide, at the default worker count: the scheduler's ready queue is
-//! sized once at its purge threshold, so a rank that wakes another never grows
-//! it in the armed step.
+//! allocate. After a few warm-up steps, one full Rabenseifner step on P = 4
+//! ranks is counted, process-wide, at the default worker count: the
+//! scheduler's ready queue is sized once at its purge threshold, so a rank
+//! that wakes another never grows it in the armed step.
 //!
 //! The process makes exactly **23** allocations, 4 · 5 + 3, at any length.
 //! Two are checked, n = 4096 (1024 elements a region) and n = 1024:
@@ -17,11 +15,8 @@
 //!   its region. A rank takes one n/2 buffer, sums its half of the gradient
 //!   with the partner's loan into it, then lends the half of it that it gives
 //!   away and adds the partner's loan into the half it keeps, in place; no
-//!   step takes another buffer. It takes the buffer before its first loan goes
-//!   out and recycles it only once its last loan has been read, and that read
-//!   waits for a loan that needed every rank's first one: all four takes are out at once in every allreduce, whatever the grant
-//!   order, so the warm-up leaves the pool holding four and the armed step
-//!   never misses.
+//!   step takes another buffer. The buffer it recycles is the one it took, so
+//!   it becomes the rank's spare and the armed step never misses.
 //! - gather half: **four per rank**, none an f32 buffer: the `Arc` around the
 //!   rank's piece, the leaf block and one joined block per doubling round
 //!   (log₂ P).
@@ -99,7 +94,7 @@ fn armed_step(n: usize) -> (usize, usize, usize) {
         let rank = comm.rank();
         let data: Vec<f32> = (0..n).map(|i| (rank * n + i) as f32 * 1e-3 + 1.0).collect();
 
-        // Warm-up: fills the f32 buffer pool, creates the ledger cell and the
+        // Warm-up: gives each rank its f32 spare, creates the ledger cell and the
         // channels' first blocks, and parks and resumes the rank.
         for _ in 0..WARMUP {
             allreduce_shared(comm, &data, 0.0, |_| {});

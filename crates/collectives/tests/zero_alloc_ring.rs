@@ -4,21 +4,19 @@
 //! flag arms the counter, keyed by [`simnet::current_rank`] — ranks migrate
 //! between worker threads, so a thread-local would be shared by every rank a
 //! worker runs — and the armed ranks' allocations are summed. After a warm-up
-//! that fills the run's buffer pool (and lets the channel blocks and ledger
-//! cells come into existence), one full ring-allreduce step on P = 3 ranks
+//! that gives every rank its spare buffer (and lets the channel blocks and
+//! ledger cells come into existence), one full ring-allreduce step on P = 3 ranks
 //! must perform exactly these heap allocations, and no others:
 //!
 //! - **reduce-scatter half: one per rank**, the rank's reduced region as an
 //!   exact n/P word vector. The first hop is lent, not copied: each rank
-//!   takes one pooled chunk and sums its left neighbour's loan into it; later
-//!   hops forward that buffer as an inline `Payload::F32` (no per-message
-//!   boxing), and the last one goes back to the pool. A rank takes one chunk
-//!   an allreduce and recycles one, every take of an allreduce comes before
-//!   any recycle of it (a rank's second hop waits for its own loan to be
-//!   read), and every recycle of the allreduce before comes before either:
-//!   the first allreduce leaves P chunks in the pool, and no later take
-//!   misses, whichever rank makes it. The count is what it was when the
-//!   sender took the chunk and copied its own region into it.
+//!   takes one chunk, its spare, and sums its left neighbour's loan into it;
+//!   later hops forward that buffer as an inline `Payload::F32` (no
+//!   per-message boxing), and the last one it receives becomes its spare. A
+//!   rank takes one ⌈n/P⌉ chunk an allreduce and recycles one, so the first
+//!   allreduce leaves each rank a spare that fits and no later take misses.
+//!   The count is what it was when the sender took the chunk and copied its
+//!   own region into it.
 //! - **gather half: two per rank, neither of them an f32 buffer** — the `Arc`
 //!   around the rank's piece and the P-slot list of piece handles. Only
 //!   handles travel.
@@ -28,9 +26,8 @@
 //!   schedule; that exactly one of the P does — one result-sized allocation —
 //!   is not.
 //!
-//! So the process makes 3 · 3 + 3 = 12 allocations, the sum of what a pool
-//! per rank gave its ranks, and one n-sized allocation per step where the
-//! in-place allreduce kept P.
+//! So the process makes 3 · 3 + 3 = 12 allocations, and one n-sized
+//! allocation per step where the in-place allreduce kept P.
 //!
 //! The geometry is deliberate: P = 3 forces the ring path (non-power-of-two),
 //! each rank sends `2(P−1) = 4` messages per iteration into a single
@@ -48,7 +45,7 @@ use simnet::{Cluster, CostModel};
 struct CountingAlloc;
 
 const P: usize = 3; // non-power-of-two → ring algorithm
-const N: usize = 96; // divisible by P: equal chunks, stable pool capacities
+const N: usize = 96; // divisible by P: equal chunks
 
 static ARMED: [AtomicBool; P] = [const { AtomicBool::new(false) }; P];
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
@@ -91,7 +88,7 @@ fn steady_state_ring_allreduce_allocates_its_piece_and_one_result() {
         let rank = comm.rank();
         let data: Vec<f32> = (0..N).map(|i| (rank * N + i) as f32 * 1e-3 + 1.0).collect();
 
-        // Warm-up: fills the f32 buffer pool, creates the ledger cell and the
+        // Warm-up: gives each rank its f32 spare, creates the ledger cell and the
         // channel's first block, and parks and resumes the rank at least once.
         for _ in 0..WARMUP {
             allreduce_shared(comm, &data, 0.0, |_| {});

@@ -2,7 +2,7 @@
 //! and collects results, clocks and traffic.
 
 use crate::chaos::{ChaosPlan, ChaosView};
-use crate::comm::{BufPool, Comm, SimMetrics};
+use crate::comm::{Comm, SimMetrics};
 use crate::cost::CostModel;
 use crate::engine::{Cascade, Engine, EngineMetrics, EventCore, SchedMode};
 use crate::fiber::Fiber;
@@ -16,8 +16,8 @@ use std::sync::Arc;
 /// A simulated cluster of `size` ranks governed by one [`CostModel`].
 ///
 /// `Cluster` is cheap to construct; each [`run`](Self::run) makes fresh rank fibers,
-/// a fresh traffic ledger, fresh clocks and one message-buffer pool its ranks
-/// share ([`Comm::take_f32`]), so runs are independent and deterministic.
+/// a fresh traffic ledger and fresh clocks, so runs are independent and
+/// deterministic.
 pub struct Cluster {
     size: usize,
     cost: CostModel,
@@ -176,7 +176,6 @@ impl Cluster {
     {
         let ledger = Arc::new(Ledger::default());
         let compiled = self.chaos.as_ref().map(|plan| Arc::new(plan.compile(self.size)));
-        let pool = Arc::new(BufPool::default());
         let registry = Arc::new(obs::Registry::with_ranks(self.size, self.obs));
         let metrics = SimMetrics::new(&registry);
         // One fiber per rank, run tokens granted in virtual-time order by the
@@ -189,7 +188,6 @@ impl Cluster {
             .map(|rank| {
                 let (core, outcome, f) = (&core, &outcomes[rank], &f);
                 let ledger = Arc::clone(&ledger);
-                let pool = Arc::clone(&pool);
                 let metrics = metrics.clone();
                 let view = compiled.as_ref().map(|c| ChaosView::new(Arc::clone(c), rank));
                 let topo = self.topo.clone();
@@ -202,7 +200,6 @@ impl Cluster {
                             self.cost,
                             ledger,
                             Arc::clone(core),
-                            pool,
                             view,
                             metrics,
                             topo,

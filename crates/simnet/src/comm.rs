@@ -21,54 +21,6 @@ use std::sync::Arc;
 /// Message tag, used to match sends with receives (like an MPI tag).
 pub type Tag = u64;
 
-/// The run's one free list of idle `f32` message buffers, shared by every
-/// rank's `Comm`. A chunk travels from the rank that took it to the rank that
-/// recycles it, so a per-rank list parks the receiver's buffers until its next
-/// send; one list hands them to the next sender at once. The lock is held for
-/// one pop or one push, never across a `Comm` call, and a buffer is allocated
-/// and cleared outside it (only the list's own amortized growth runs inside).
-///
-/// Take is best fit: the smallest idle capacity that holds the request,
-/// newest first within a capacity, never a smaller buffer grown. There is no
-/// byte budget: the list holds only buffers that were taken, and a miss
-/// allocates only when every idle buffer that would fit is out, so per
-/// capacity it never holds more buffers than were out at once.
-#[derive(Default)]
-pub(crate) struct BufPool(parking_lot::Mutex<Idle>);
-
-#[derive(Default)]
-struct Idle {
-    /// Idle buffers grouped by capacity, ascending; each group's newest last.
-    by_cap: Vec<(usize, Vec<Vec<f32>>)>,
-    bytes: usize,
-}
-
-impl BufPool {
-    fn pop(&self, cap: usize) -> Option<Vec<f32>> {
-        let mut idle = self.0.lock();
-        let at = idle.by_cap.partition_point(|(c, _)| *c < cap);
-        let buf = idle.by_cap[at..].iter_mut().find_map(|(_, group)| group.pop())?;
-        idle.bytes -= buf.capacity() * 4;
-        Some(buf)
-    }
-
-    /// Push `buf` and return the idle bytes after it.
-    fn push(&self, buf: Vec<f32>) -> usize {
-        let cap = buf.capacity();
-        let mut idle = self.0.lock();
-        let at = match idle.by_cap.binary_search_by_key(&cap, |(c, _)| *c) {
-            Ok(at) => at,
-            Err(at) => {
-                idle.by_cap.insert(at, (cap, Vec::new()));
-                at
-            }
-        };
-        idle.by_cap[at].1.push(buf);
-        idle.bytes += cap * 4;
-        idle.bytes
-    }
-}
-
 /// Pre-resolved metric handles shared by every rank of one run. All handles
 /// are cheap clones of registry-owned atomics; `enabled` mirrors the
 /// registry's flag so recording paths can skip even the argument computation
@@ -95,11 +47,10 @@ pub(crate) struct SimMetrics {
     /// every link is inter-node fabric by convention, so this equals
     /// `sim.tx_bytes` on a flat network.
     inter_bytes: obs::RankU64,
-    /// Buffer-pool behavior (Host class: which rank's take finds an idle
-    /// buffer depends on the cross-rank interleaving through [`BufPool`]).
+    /// Spare-buffer reuse (Host class: whether a take finds the spare is
+    /// the host's allocation behavior, not the model's).
     pool_hit: obs::Counter,
     pool_miss: obs::Counter,
-    pool_idle_max: obs::Gauge,
     /// The run's registry, for layers above simnet (collectives, trainer) to
     /// register their own instruments via [`Comm::obs`].
     registry: Arc<obs::Registry>,
@@ -122,7 +73,6 @@ impl SimMetrics {
             inter_bytes: reg.rank_u64("net.inter_bytes", Virtual),
             pool_hit: reg.counter("pool.hit", Host),
             pool_miss: reg.counter("pool.miss", Host),
-            pool_idle_max: reg.gauge("pool.idle_bytes_max", Host),
             registry: Arc::clone(reg),
         }
     }
@@ -190,10 +140,10 @@ pub struct Comm {
     ledger: Arc<Ledger>,
     cells: Vec<PhaseVolume>,
     core: Arc<EventCore>,
-    /// The run's free list of recycled `f32` message buffers: steady-state
-    /// collectives cycle the same few chunks, so pooling turns that cycle
-    /// allocation-free after warmup.
-    pool: Arc<BufPool>,
+    /// This rank's one idle `f32` message buffer (empty capacity: none):
+    /// steady-state collectives take and recycle the same buffer each step,
+    /// so keeping it turns that cycle allocation-free after warmup.
+    spare: Vec<f32>,
     /// This rank's view of the installed chaos plan, if any. `None` keeps every
     /// charging path bit-identical to the clean model.
     chaos: Option<ChaosView>,
@@ -211,7 +161,6 @@ impl Comm {
         cost: CostModel,
         ledger: Arc<Ledger>,
         core: Arc<EventCore>,
-        pool: Arc<BufPool>,
         chaos: Option<ChaosView>,
         metrics: SimMetrics,
         topo: Option<Arc<Topology>>,
@@ -233,7 +182,7 @@ impl Comm {
             ledger,
             cells: vec![PhaseVolume::default(); phase_id as usize + 1],
             core,
-            pool,
+            spare: Vec::new(),
             chaos,
             topo,
         }
@@ -367,34 +316,27 @@ impl Comm {
         self.record_tagged(start, end, TraceKind::Compute, end != clean_end);
     }
 
-    /// Take a cleared `f32` buffer with capacity ≥ `cap` from the run's pool
-    /// (see [`BufPool`]), allocating exactly `cap` only if no idle buffer
-    /// fits. Pair with [`recycle_f32`](Self::recycle_f32) to make steady-state
-    /// messaging allocation-free.
+    /// Take a cleared `f32` buffer with capacity ≥ `cap`: this rank's spare
+    /// if it fits, else a fresh allocation of exactly `cap`. Pair with
+    /// [`recycle_f32`](Self::recycle_f32) to make steady-state messaging
+    /// allocation-free.
     pub fn take_f32(&mut self, cap: usize) -> Vec<f32> {
-        let Some(mut buf) = self.pool.pop(cap) else {
+        if self.spare.capacity() < cap {
             self.metrics.pool_miss.inc();
             return Vec::with_capacity(cap);
-        };
+        }
         self.metrics.pool_hit.inc();
+        let mut buf = std::mem::take(&mut self.spare);
         buf.clear();
         buf
     }
 
-    /// Return a no-longer-needed `f32` buffer (e.g. one a `recv` produced) to
-    /// the run's pool, where any rank's next take that it fits can reuse it.
+    /// Return a no-longer-needed `f32` buffer (e.g. one a `recv` produced):
+    /// this rank keeps the larger of it and its spare and frees the other.
     pub fn recycle_f32(&mut self, buf: Vec<f32>) {
-        if buf.capacity() > 0 {
-            let idle = self.pool.push(buf);
-            if self.metrics.enabled {
-                self.metrics.pool_idle_max.set_max(idle as u64);
-            }
+        if buf.capacity() > self.spare.capacity() {
+            self.spare = buf;
         }
-    }
-
-    /// Bytes currently held idle in the run's buffer pool, across all ranks.
-    pub fn pooled_bytes(&self) -> usize {
-        self.pool.0.lock().bytes
     }
 
     /// Charge the injection port for a message of `elems` elements to `dst` and

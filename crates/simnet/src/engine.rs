@@ -73,11 +73,8 @@
 //! (`engine.park_elided`); that lock orders claim and park, so the wakeup
 //! cannot be lost.
 //!
-//! One structure on the message's way is shared by every rank: the run's
-//! buffer pool (`comm.rs`, `BufPool`), where the receiver recycles the chunk
-//! the sender took. It is off `send` and `recv` — a collective calls
-//! `take_f32` and `recycle_f32` around them — and its lock is held for one pop
-//! or one push.
+//! Buffers are per rank too: `take_f32` and `recycle_f32` reuse one spare
+//! buffer on the rank's own `Comm` and take no lock.
 //!
 //! One read crosses ranks: a slice lent inside a lending scope (`loan.rs`).
 //! Its receiver reads the lender's memory in place, but only reads it, and

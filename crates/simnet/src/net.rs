@@ -69,13 +69,13 @@ pub trait Net {
     /// semantics identical to `recv`.
     fn recv_shared<T: Send + Sync + 'static>(&mut self, src: usize, tag: Tag) -> Arc<T>;
 
-    /// Take a cleared `f32` buffer with capacity ≥ `cap` from the run's
-    /// recycled-buffer pool (see [`Comm::take_f32`]).
+    /// Take a cleared `f32` buffer with capacity ≥ `cap`, reusing this
+    /// rank's spare when it fits (see [`Comm::take_f32`]).
     fn take_f32(&mut self, cap: usize) -> Vec<f32> {
         Vec::with_capacity(cap)
     }
 
-    /// Return an `f32` buffer to the run's pool.
+    /// Return an `f32` buffer; this rank may keep it as its spare.
     fn recycle_f32(&mut self, _buf: Vec<f32>) {}
 
     /// Run `body` as a lending scope: inside it, [`lend`](Net::lend) sends a

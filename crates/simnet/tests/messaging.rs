@@ -171,31 +171,26 @@ fn pooled_buffers_are_recycled() {
 
 #[test]
 fn a_take_skips_an_idle_buffer_too_small_for_it() {
-    // The pool never grows a buffer: a request no idle buffer holds is a miss
-    // that allocates beside the smaller one, which stays idle for a request
-    // it fits. `pool.hit` means reuse.
+    // The spare is never grown: a request it cannot hold is a miss that
+    // allocates exactly the request and leaves the spare for a request it
+    // fits. `pool.hit` means reuse.
     let report = Cluster::new(1, CostModel::free()).with_obs(true).run(|comm| {
-        let small = comm.take_f32(64); // empty pool: miss
+        let small = comm.take_f32(64); // no spare yet: miss
         let small_ptr = small.as_ptr();
         comm.recycle_f32(small);
-        let idle_before = comm.pooled_bytes();
-        let big = comm.take_f32(4096); // the idle buffer is too small: miss
+        let big = comm.take_f32(4096); // the spare is too small: miss
         assert!(big.is_empty() && big.capacity() == 4096, "a miss allocates exactly the request");
-        let idle_after_miss = comm.pooled_bytes();
-        let fits = comm.take_f32(32); // the small buffer holds it: hit
-        assert_eq!(fits.as_ptr(), small_ptr, "the skipped buffer serves the next request it fits");
+        let fits = comm.take_f32(32); // the spare holds it: hit
+        assert_eq!(fits.as_ptr(), small_ptr, "the skipped spare serves the next request it fits");
+        let big_ptr = big.as_ptr();
         comm.recycle_f32(big);
-        comm.recycle_f32(fits);
-        (idle_before, idle_after_miss)
+        comm.recycle_f32(fits); // smaller than the spare: freed
+        let again = comm.take_f32(64);
+        assert_eq!(again.as_ptr(), big_ptr, "recycling keeps the larger buffer as the spare");
+        comm.recycle_f32(again);
     });
-    assert_eq!(report.results[0], (64 * 4, 64 * 4), "a miss leaves the idle bytes as they were");
-    assert_eq!(report.metrics.get("pool.hit"), Some(&obs::MetricValue::Counter(1)));
+    assert_eq!(report.metrics.get("pool.hit"), Some(&obs::MetricValue::Counter(2)));
     assert_eq!(report.metrics.get("pool.miss"), Some(&obs::MetricValue::Counter(2)));
-    assert_eq!(
-        report.metrics.get("pool.idle_bytes_max"),
-        Some(&obs::MetricValue::Gauge((4096 + 64) * 4)),
-        "the idle high-water is the process's, both buffers back at the end"
-    );
 }
 
 /// The per-rank values of a `PerRankU64` metric.
@@ -349,7 +344,6 @@ fn a_run_records_exactly_the_documented_metrics() {
             "net.inter_bytes",
             "net.intra_bytes",
             "pool.hit",
-            "pool.idle_bytes_max",
             "pool.miss",
             "sim.msg_elems",
             "sim.recv_wait_vsec",

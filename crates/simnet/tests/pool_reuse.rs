@@ -1,20 +1,19 @@
-//! Tracking-allocator audit for the run's one shared message-buffer pool.
+//! Tracking-allocator audit for each rank's one spare message buffer.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; a thread-local
 //! flag arms the counter so only allocations made by the arming thread are
-//! charged. A rank body arms it around the pool calls it audits, on the worker
+//! charged. A rank body arms it around the calls it audits, on the worker
 //! thread that runs the rank, so the audit measures exactly the
 //! `take_f32`/`recycle_f32` path.
 //!
 //! Three claims, one per phase:
 //! 1. the steady-state take/recycle cycle is allocation-free (one buffer
-//!    revolves through the free list);
-//! 2. a chunk its receiver recycles is the allocation the sender's next
-//!    same-size take returns — the pool is the run's, not a rank's;
-//! 3. with no budget, the idle high-water never exceeds the most bytes taken
-//!    and not yet recycled at one time, even when ranks send unequal counts
-//!    (a pool per rank allocates on the rank that sends more, every round,
-//!    while its receiver's pool fills).
+//!    revolves through the rank's spare);
+//! 2. a buffer that rank 1 recycles never serves rank 0's take — the spare
+//!    is the rank's, not the run's;
+//! 3. a rank holds at most one idle buffer: a rank that recycles three
+//!    chunks a round and then takes three reuses one and allocates the other
+//!    two, every round.
 //!
 //! This file must stay a single-test binary: a sibling test on another thread
 //! would not be charged, but keeping the binary minimal keeps the audit
@@ -22,7 +21,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use obs::MetricValue;
 use simnet::{Cluster, CostModel};
@@ -75,34 +73,31 @@ fn counted<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (ALLOCS.with(|c| c.get()), r)
 }
 
-/// Bytes taken and not yet recycled across the run, and their most at once.
-static OUT: AtomicUsize = AtomicUsize::new(0);
-static OUT_PEAK: AtomicUsize = AtomicUsize::new(0);
-
 #[test]
-fn one_pool_serves_every_rank_and_steady_state_is_allocation_free() {
+fn each_rank_keeps_one_spare_and_steady_state_is_allocation_free() {
     // Phase 1: after one warm-up revolution the take/recycle cycle never
-    // touches the allocator, and exactly the one warm buffer sits idle.
+    // touches the allocator, and every take is the one warm buffer.
     let report = Cluster::new(1, CostModel::free()).run(|comm| {
         let warm = comm.take_f32(CAP);
-        comm.recycle_f32(warm); // grows the free list while unarmed
-        let (allocs, _) = counted(|| {
-            for i in 0..ITERS {
+        let warm_ptr = warm.as_ptr() as usize;
+        comm.recycle_f32(warm);
+        let (allocs, same) = counted(|| {
+            (0..ITERS).all(|i| {
                 let mut buf = comm.take_f32(CAP);
                 buf.push(i as f32); // within capacity — must not realloc
+                let same = buf.as_ptr() as usize == warm_ptr;
                 comm.recycle_f32(buf);
-            }
+                same
+            })
         });
-        (allocs, comm.pooled_bytes())
+        (allocs, same)
     });
-    let (allocs, pooled) = report.results[0];
-    assert_eq!(allocs, 0, "steady-state take/recycle made {allocs} heap allocations");
-    assert_eq!(pooled, CAP * 4, "exactly one warm buffer should sit idle");
+    assert_eq!(report.results[0], (0, true), "steady-state take/recycle must reuse the spare");
 
     // Phase 2, one worker: rank 0 sends a chunk, rank 1 recycles it and
-    // answers, and rank 0's next same-size take is that very allocation. The
-    // closing barrier keeps rank 1 alive until then, so the address cannot
-    // come back by way of a freed pool.
+    // answers, and rank 0's next same-size take is a fresh allocation. The
+    // closing barrier keeps rank 1 and its spare alive until then, so the
+    // allocator cannot hand the address back by way of a freed buffer.
     let report = Cluster::new(2, CostModel::free()).with_workers(1).run(|comm| {
         let out = if comm.rank() == 0 {
             let mut buf = comm.take_f32(CAP);
@@ -111,9 +106,9 @@ fn one_pool_serves_every_rank_and_steady_state_is_allocation_free() {
             comm.send(1, 0, buf);
             let _: Vec<u32> = comm.recv(1, 1);
             let (allocs, again) = counted(|| comm.take_f32(CAP));
-            let reused = again.as_ptr() as usize == sent && again.is_empty();
+            let fresh = again.as_ptr() as usize != sent && again.capacity() == CAP;
             comm.recycle_f32(again);
-            (allocs, reused)
+            (allocs, fresh)
         } else {
             let got: Vec<f32> = comm.recv(0, 0);
             comm.recycle_f32(got);
@@ -125,42 +120,33 @@ fn one_pool_serves_every_rank_and_steady_state_is_allocation_free() {
     });
     assert_eq!(
         report.results[0],
-        (0, true),
-        "the chunk rank 1 recycled must be rank 0's next take, with no allocation"
+        (1, true),
+        "rank 0's take must allocate, not reuse the chunk rank 1 recycled"
     );
 
-    // Phase 3, one worker, so a take and the tally beside it are one step:
-    // rank 0 sends three chunks a round to rank 1, which sends one back.
-    // Every take and recycle moves `OUT`; the pool's idle high-water is what
-    // was out at once, and after the first round nothing misses.
+    // Phase 3: each rank sends three chunks a round to the other and
+    // recycles the three it receives. It keeps only one of them, so from the
+    // second round on its first take hits and the other two allocate; a rank
+    // that kept all three (or shared its peer's) would never miss again.
     const ROUNDS: usize = 6;
-    let report = Cluster::new(2, CostModel::free()).with_workers(1).with_obs(true).run(|comm| {
-        let (peer, sends, gets) = if comm.rank() == 0 { (1, 3, 1) } else { (0, 1, 3) };
+    let report = Cluster::new(2, CostModel::free()).with_obs(true).run(|comm| {
+        let peer = 1 - comm.rank();
         for _ in 0..ROUNDS {
-            for _ in 0..sends {
+            for _ in 0..3 {
                 let buf = comm.take_f32(CAP);
-                let out = OUT.fetch_add(buf.capacity() * 4, Relaxed) + buf.capacity() * 4;
-                OUT_PEAK.fetch_max(out, Relaxed);
                 comm.send(peer, 0, buf);
             }
-            for _ in 0..gets {
+            for _ in 0..3 {
                 let got: Vec<f32> = comm.recv(peer, 0);
-                OUT.fetch_sub(got.capacity() * 4, Relaxed);
                 comm.recycle_f32(got);
             }
             comm.barrier();
         }
     });
     let counter = |name| match report.metrics.get(name) {
-        Some(&MetricValue::Counter(v) | &MetricValue::Gauge(v)) => v as usize,
+        Some(&MetricValue::Counter(v)) => v as usize,
         other => panic!("{name}: {other:?}"),
     };
-    let peak = OUT_PEAK.load(Relaxed);
-    assert_eq!(OUT.load(Relaxed), 0, "every chunk taken was recycled");
-    assert!(peak > 0);
-    let idle_max = counter("pool.idle_bytes_max");
-    assert!(idle_max <= peak, "idle high-water {idle_max} B over the {peak} B out at once");
-    assert_eq!(idle_max, peak, "every buffer the run allocated is idle at the end");
-    assert_eq!(counter("pool.miss") * CAP * 4, peak, "only the first round allocates");
-    assert_eq!(counter("pool.hit") + counter("pool.miss"), 4 * ROUNDS);
+    assert_eq!(counter("pool.hit"), 2 * (ROUNDS - 1), "one spare per rank, reused each round");
+    assert_eq!(counter("pool.miss"), 6 + 4 * (ROUNDS - 1), "a second idle buffer would hit");
 }

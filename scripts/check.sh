@@ -118,6 +118,15 @@ if grep -rnE '[!=]= *Scheme::DenseOvlp|Scheme::DenseOvlp *[!=]=' crates tests ex
   exit 1
 fi
 
+echo "== the message path shares nothing (DESIGN.md §3) =="
+# Each rank's Comm keeps its own spare message buffer, so outside #[cfg(test)]
+# comm.rs names no Mutex and takes no lock: a structure every rank shares
+# cannot come back onto the message path unnoticed.
+if non_test crates/simnet/src/comm.rs | grep -E 'Mutex|\.lock\(\)'; then
+  echo "FAIL: comm.rs takes a lock on the message path (lines above)" >&2
+  exit 1
+fi
+
 echo "== frozen benchmark surface still has its callers (DESIGN.md §7) =="
 # These names exist only because benchmark/ is frozen between benchmark PRs.
 # When a benchmark PR drops the last call of one, the shim must go with it.
